@@ -91,9 +91,6 @@ class AlgebraElement:
             parts.setdefault(len(mon), AlgebraElement()).terms[mon] = c
         return parts
 
-    def scalar_part(self) -> Fraction:
-        return self.terms.get((), ZERO)
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.terms)
         for mon, c in other.terms.items():
@@ -190,9 +187,6 @@ class CdgaPresentation:
 
     def dimension(self) -> int:
         return 2 ** self.n_generators
-
-    def top_degree(self) -> int:
-        return self.n_generators
 
     def apply_differential(self, a: AlgebraElement) -> AlgebraElement:
         """Extend the generator values as a degree-1 derivation."""

@@ -17,7 +17,8 @@ from importlib import resources
 
 import jsonschema
 
-from .algebra import AlgebraElement, LieAlgebraData, validate_cdga
+from .algebra import (AlgebraElement, LieAlgebraData, _merge_monomials,
+                      validate_cdga)
 from .builders import LiePair, LinearMapObject, lie_pair_setup, linear_map_setup
 from .cohomology import CochainComplex
 from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
@@ -29,8 +30,7 @@ from .graded import GradedBasis
 from .kapranov import (HatConnection,
                        bracket_nonskew_witness, check_leibniz_infinity,
                        check_linfty_morphism, cohomology_leibniz_bracket,
-                       homotopy_iso, kapranov_brackets, kapranov_morphism,
-                       thread_count)
+                       homotopy_iso, kapranov_brackets, kapranov_morphism)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, dual_module,
                       validate_dg_module)
@@ -50,22 +50,41 @@ def parse_rational(s) -> Fraction:
         raise DocumentError(f"bad rational {s!r}: {e}") from None
 
 
-def parse_monomial(s: str) -> tuple[int, ...]:
-    if not s:
-        return ()
-    return tuple(int(p) for p in s.split("."))
+def parse_monomial(s: str, n_generators: int) -> tuple[int, tuple[int, ...]]:
+    """Sign and increasing form of a dot-joined word of generator indices.
+
+    The generators are odd, so "1.0" is -1 times the monomial (0, 1); a
+    repeated generator makes the word zero, returned with sign 0.
+    """
+    sign, mon = 1, ()
+    for part in s.split(".") if s else ():
+        g = int(part)
+        if not 0 <= g < n_generators:
+            raise DocumentError(
+                f"monomial {s!r} names generator {g}, but the algebra has "
+                f"{n_generators} generators")
+        step, mon = _merge_monomials(mon, (g,))
+        sign *= step
+    return sign, mon
 
 
-def parse_algebra_element(d: dict) -> AlgebraElement:
+def parse_algebra_element(d: dict, n_generators: int) -> AlgebraElement:
     out = AlgebraElement()
-    for mon, c in d.items():
-        out = out + AlgebraElement.monomial(parse_monomial(mon),
-                                            parse_rational(c))
+    for word, c in d.items():
+        c = parse_rational(c)
+        sign, mon = parse_monomial(word, n_generators)
+        if sign:
+            out = out + AlgebraElement.monomial(mon, sign * c)
     return out
 
 
 def parse_module_element(module: DgModule, d: dict) -> ModuleElement:
-    return ModuleElement(module, {int(i): parse_algebra_element(a)
+    for i in d:
+        if int(i) >= module.rank:
+            raise DocumentError(f"module element names basis index {i}, but "
+                                f"the module has rank {module.rank}")
+    n = module.algebra.n_generators
+    return ModuleElement(module, {int(i): parse_algebra_element(a, n)
                                   for i, a in d.items()})
 
 
@@ -82,11 +101,21 @@ def parse_lie(d: dict) -> LieAlgebraData:
     return LieAlgebraData(d["basis"], brackets)
 
 
-def parse_splitting(d: dict | None) -> dict:
-    if not d:
-        return {}
-    return {int(b): {int(a): parse_rational(c) for a, c in row.items()}
-            for b, row in d.items()}
+def parse_splitting(d: dict | None, pair: LiePair, where: str) -> dict:
+    """{quotient position: {sub position: coefficient}}, checked against
+    the dimensions of the pair."""
+    n_quot, n_sub = len(pair.quot_indices), len(pair.sub_indices)
+    out = {}
+    for b, row in (d or {}).items():
+        if int(b) >= n_quot:
+            raise DocumentError(f"at {where}/{b}: quotient position {b} is "
+                                f"out of range (dimension {n_quot})")
+        for a in row:
+            if int(a) >= n_sub:
+                raise DocumentError(f"at {where}/{b}/{a}: subalgebra position "
+                                    f"{a} is out of range (dimension {n_sub})")
+        out[int(b)] = {int(a): parse_rational(c) for a, c in row.items()}
+    return out
 
 
 def parse_connection_values(delta: DgDerivation, bmod: DgModule,
@@ -100,7 +129,8 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
         for jk, elem in row.items():
             j, k = parse_index_pair(jk)
             idx = j * bmod.rank + k
-            v = v + ModuleElement(base.tensor, {idx: parse_algebra_element(elem)})
+            v = v + ModuleElement(base.tensor, {idx: parse_algebra_element(
+                elem, bmod.algebra.n_generators)})
         values[int(i)] = v
     return DeltaConnection(delta, bmod, values)
 
@@ -123,10 +153,13 @@ class Instance:
             self.lie = parse_lie(d)
             pair = LiePair(self.lie, d["subalgebra"], label=self.label)
             self.pair_setup = lie_pair_setup(
-                pair, parse_splitting(d.get("splitting")), label=self.label)
+                pair, parse_splitting(d.get("splitting"), pair,
+                                      "lie_pair/splitting"),
+                label=self.label)
             if "second_splitting" in d:
                 self.second_pair_setup = lie_pair_setup(
-                    pair, parse_splitting(d["second_splitting"]),
+                    pair, parse_splitting(d["second_splitting"], pair,
+                                          "lie_pair/second_splitting"),
                     label=self.label + "'")
             if "second_connection" in d:
                 self.second_connection = parse_connection_values(
@@ -147,11 +180,12 @@ class Instance:
             self.kind = "raw"
             d = doc["raw"]
             from .algebra import CdgaPresentation
-            diff = {int(i): parse_algebra_element(a)
+            n_gens = len(d["generators"])
+            diff = {int(i): parse_algebra_element(a, n_gens)
                     for i, a in d.get("differential", {}).items()}
             self.algebra = CdgaPresentation(d["generators"], diff)
             om = d["omega"]
-            om_diff = {parse_index_pair(k): parse_algebra_element(a)
+            om_diff = {parse_index_pair(k): parse_algebra_element(a, n_gens)
                        for k, a in om.get("differential", {}).items()}
             self.omega = DgModule(self.algebra,
                                   GradedBasis(om["basis"], om["degrees"]),
@@ -479,6 +513,22 @@ COMMANDS = {
 }
 
 
+MAX_ARITY = 6  # the schema's cap on options.max_arity
+
+
+def bounded_int(low: int, high: int | None = None):
+    """argparse type for an integer in [low, high]; argparse reports a bad
+    value as a usage error, with exit status 2."""
+    def integer(s: str) -> int:
+        value = int(s)
+        if value < low or (high is not None and value > high):
+            limit = (f"between {low} and {high}" if high is not None
+                     else f"at least {low}")
+            raise argparse.ArgumentTypeError(f"{value}: must be {limit}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kapranov",
@@ -488,13 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--max-arity", type=int, default=None,
+        p.add_argument("--max-arity", type=bounded_int(1, MAX_ARITY),
+                       default=None,
                        help="highest bracket arity / identity weight")
         p.add_argument("--degree", type=int, default=None,
                        help="restrict cohomology output to one degree")
         p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=bounded_int(1), default=None,
                        help="worker threads (default: KAPRANOV_THREADS or 1)")
     return parser
 
@@ -512,7 +563,6 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 2
-    args.threads = thread_count(args.threads)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
         with open(args.output, "w") as f:

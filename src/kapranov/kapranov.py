@@ -20,7 +20,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .algebra import AlgebraElement, Monomial
+from .algebra import AlgebraElement, Monomial, _merge_monomials
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
@@ -244,6 +244,18 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
 
     lam(m_1.b_1, ..., m_k.b_k) picks up (-1)^{sum |m_t|(r + |b_1|+...+|b_{t-1}|)}
     times the wedge of the coefficients.
+
+    A monomial tuple that shares a generator wedges to zero, so only
+    pairwise-disjoint tuples are visited: each of the g generators lies in
+    one of the k slots or in none, which gives (k+1)^g tuples per base
+    entry instead of all 2^{gk}.  They are walked depth-first, one slot at
+    a time, drawing each slot's monomial from the generators the running
+    wedge leaves free; this is the order of ``itertools.product`` over the
+    monomials with the overlapping tuples left out, so the table's keys
+    come out in that order.  Nothing collides: distinct tuples give
+    distinct k-basis keys, and within one value the wedge is fixed, so
+    distinct monomials of the value merge into distinct monomials.  Every
+    output coefficient is therefore written once and is nonzero.
     """
     if input_kbs is None:
         input_kbs = [kb] * arity
@@ -252,28 +264,41 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
     out = MultilinearMap(arity, degree, [k.basis for k in input_kbs], output_kb.basis)
     if not table:
         return out
-    mon_lists = [list(k.module.algebra.monomials()) for k in input_kbs]
+    slots = input_kbs[:arity]
+    n_gens = [k.module.algebra.n_generators for k in slots]
+    out_index = output_kb.index
     for base_key, val in table.items():
-        for mons in itertools.product(*mon_lists[:arity]):
-            coeff = AlgebraElement.scalar(1)
-            exp = 0
-            running = 0
-            ok = True
-            kb_key = []
-            for t, (mon, bidx) in enumerate(zip(mons, base_key)):
-                exp += len(mon) * (degree + running)
-                running += input_kbs[t].module.basis.degrees[bidx]
-                coeff = coeff * AlgebraElement.monomial(mon)
-                if coeff.is_zero():
-                    ok = False
-                    break
-                kb_key.append(input_kbs[t].index[(mon, bidx)])
-            if not ok:
-                continue
-            sign = -1 if exp % 2 else 1
-            value = val.left_mul(coeff).scale(sign)
-            if not value.is_zero():
-                out.set(tuple(kb_key), output_kb.to_kvec(value))
+        terms = [(i, mon, c) for i, a in val.coeffs.items()
+                 for mon, c in a.terms.items()]
+        # slot t's monomial passes degree + |b_1| + ... + |b_{t-1}|
+        odd_prefix = []
+        running = degree
+        for k, bidx in zip(slots, base_key):
+            odd_prefix.append(running % 2)
+            running += k.module.basis.degrees[bidx]
+
+        def visit(t, wedge, sign, key):
+            if t == arity:
+                coeffs = {}
+                for i, mon, c in terms:
+                    s, merged = _merge_monomials(wedge, mon)
+                    if s:
+                        coeffs[out_index[(merged, i)]] = c if s == sign else -c
+                if coeffs:
+                    value = Element(output_kb.basis)
+                    value.coeffs = coeffs
+                    out.table[key] = value
+                return
+            index, bidx = slots[t].index, base_key[t]
+            free = [g for g in range(n_gens[t]) if g not in wedge]
+            for size in range(len(free) + 1):
+                for mon in itertools.combinations(free, size):
+                    s, merged = _merge_monomials(wedge, mon)
+                    if odd_prefix[t] and size % 2:
+                        s = -s
+                    visit(t + 1, merged, sign * s, key + (index[(mon, bidx)],))
+
+        visit(0, (), 1, ())
     return out
 
 

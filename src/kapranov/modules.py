@@ -154,9 +154,6 @@ class DgModule:
         return ModuleElement(self, {j: a for (k, j), a in self.diff_matrix.items()
                                     if k == i})
 
-    def element(self, coeffs: dict[int, AlgebraElement]) -> ModuleElement:
-        return ModuleElement(self, coeffs)
-
     def kbasis(self, degree: int | None = None) -> list[tuple[Monomial, int]]:
         """Ground-field basis: pairs (monomial, module basis index).
 
@@ -403,22 +400,6 @@ class ModuleMorphism:
                     f"not a chain map on {self.source.basis.names[i]}: "
                     f"d(f(e)) = {lhs.pretty()}, (-1)^r f(d(e)) = {rhs.pretty()}")
         return failures
-
-    def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        """self o other."""
-        if other.target.basis != self.source.basis:
-            raise ValueError("composition mismatch")
-        mat: dict[tuple[int, int], AlgebraElement] = {}
-        for i in range(other.source.rank):
-            img = self(other.of_basis(i))
-            for j, a in img.coeffs.items():
-                cur = mat.get((i, j), AlgebraElement()) + a
-                if cur.is_zero():
-                    mat.pop((i, j), None)
-                else:
-                    mat[(i, j)] = cur
-        return ModuleMorphism(other.source, self.target,
-                              self.degree + other.degree, mat)
 
     def dual(self) -> "ModuleMorphism":
         """Dual of a degree-0 morphism: <f*(beta), e> = <beta, f(e)>."""

@@ -59,6 +59,103 @@ class TestExitCodes:
         assert "second_splitting" in err
 
 
+def raw_document(differential: dict, delta: dict | None = None) -> dict:
+    """Three odd generators u, v, w over a rank-one module of degree -1."""
+    raw = {"generators": ["u", "v", "w"], "differential": differential,
+           "omega": {"basis": ["m"], "degrees": [-1]}}
+    if delta is not None:
+        raw["delta"] = delta
+    return {"field": "rational", "label": "raw", "raw": raw}
+
+
+def run_document(capsys, tmp_path, doc, *argv):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    return run(capsys, *argv, "--input", str(p))
+
+
+class TestMonomialCanonicalisation:
+    @pytest.mark.parametrize("command", ["validate", "atiyah", "brackets"])
+    def test_unsorted_monomial_takes_the_sign_of_the_sort(self, capsys,
+                                                          tmp_path, command):
+        # "1.0" = v^u = -u^v; stored unsorted, brackets died in a KeyError
+        outs = []
+        for word, c in (("0.1", "1"), ("1.0", "-1")):
+            code, out, _ = run_document(
+                capsys, tmp_path, raw_document({"2": {word: c}},
+                                               {"2": {"0": {word: c}}}),
+                command)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["validate", "brackets"])
+    def test_repeated_generator_is_zero(self, capsys, tmp_path, command):
+        outs = []
+        for diff in ({"0": {"1.1": "1"}}, {}):
+            code, out, _ = run_document(capsys, tmp_path, raw_document(diff),
+                                        command)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("doc,word", [
+        (raw_document({"0": {"1.5": "1"}}), "1.5"),
+        (raw_document({}, {"0": {"0": {"1.7": "1"}}}), "1.7"),
+    ])
+    def test_out_of_range_generator_is_an_input_error(self, capsys, tmp_path,
+                                                      doc, word):
+        code, out, err = run_document(capsys, tmp_path, doc, "brackets")
+        assert code == 2
+        assert out == ""
+        assert f"monomial '{word}' names generator {word[-1]}" in err
+
+
+class TestInputBounds:
+    def test_out_of_range_delta_basis_index(self, capsys, tmp_path):
+        doc = raw_document({}, {"0": {"4": {"1.2": "1"}}})
+        code, out, err = run_document(capsys, tmp_path, doc, "validate")
+        assert code == 2
+        assert out == ""
+        assert "basis index 4, but the module has rank 1" in err
+
+    @pytest.mark.parametrize("splitting,path", [
+        ({"7": {"1": "1"}}, "lie_pair/splitting/7"),
+        ({"0": {"5": "1"}}, "lie_pair/splitting/0/5"),
+    ])
+    def test_out_of_range_splitting_index(self, capsys, tmp_path, splitting,
+                                          path):
+        doc = json.loads((INSTANCES / "sl2_borel.json").read_text())
+        doc["lie_pair"]["splitting"] = splitting
+        code, out, err = run_document(capsys, tmp_path, doc, "validate")
+        assert code == 2
+        assert out == ""
+        assert f"at {path}:" in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--max-arity", "0"), ("--max-arity", "-1"), ("--max-arity", "7"),
+        ("--max-arity", "9"), ("--threads", "0"), ("--threads", "-3"),
+    ])
+    def test_out_of_range_option_exits_2(self, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-leibniz", "--input",
+                  str(INSTANCES / "sl2_borel.json"), option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}" in captured.err
+
+    @pytest.mark.parametrize("arity", ["1", "6"])
+    def test_arity_bounds_are_accepted(self, capsys, arity):
+        code, out, _ = run(capsys, "check-leibniz", "--input",
+                           str(INSTANCES / "abelian_trivial.json"),
+                           "--max-arity", arity, "--threads", "1")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["max_arity"] == int(arity)
+        assert [w["n"] for w in rep["weights"]] == list(range(1, int(arity) + 1))
+
+
 class TestCorruptedFixtures:
     def test_jacobi_violation_is_located(self, capsys):
         code, out, _ = run(capsys, "validate",
