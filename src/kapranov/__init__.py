@@ -26,8 +26,7 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
                           validate_dg_derivation)
 from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
                           atiyah_class, atiyah_cocycle, check_naturality,
-                          covariant_derivative, extend_connection,
-                          flat_connection_exists)
+                          extend_connection, flat_connection_exists)
 from .kapranov import (BracketFamily, CohomologyAction, CohomologyBracket,
                        HatConnection, KBasis, ModuleActionFamily,
                        MorphismFamily, a_multilinearity_violations,

@@ -239,6 +239,11 @@ class LieAlgebraData:
                 raise ValueError(f"bracket on unknown basis indices ({i},{j})")
             if i >= j:
                 raise ValueError("structure constants must be keyed by i < j")
+            for k in row:
+                if not 0 <= k < self.dim:
+                    raise ValueError(
+                        f"bracket ({i},{j}) names output basis index {k}, but "
+                        f"the algebra has dimension {self.dim}")
             clean = {k: Fraction(c) for k, c in row.items() if Fraction(c)}
             if clean:
                 self.brackets[(i, j)] = clean

@@ -163,9 +163,19 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
                      splitting=splitting or {})
 
 
+class OffsetMismatch(ValueError):
+    """A computed homotopy that does not carry delta to delta'; the
+    homotopy itself is kept in ``homotopy``."""
+
+    def __init__(self, message: str, homotopy: DerivationHomotopy):
+        super().__init__(message)
+        self.homotopy = homotopy
+
+
 def splitting_homotopy(setup_from: PairSetup, setup_to: PairSetup) -> DerivationHomotopy:
     """The homotopy h = (j - j')^ carrying one splitting's delta to the
-    other's; verified against homotopy_offset before returning."""
+    other's; verified against homotopy_offset before returning (raises
+    OffsetMismatch if it does not match)."""
     same_pair = (setup_from.pair is setup_to.pair
                  or (setup_from.pair.ambient.names
                      == setup_to.pair.ambient.names
@@ -188,7 +198,8 @@ def splitting_homotopy(setup_from: PairSetup, setup_to: PairSetup) -> Derivation
                     omega, {b_pos: AlgebraElement.scalar(c)})
     h = DerivationHomotopy(setup_from.algebra, omega, h_values)
     if homotopy_offset(setup_from.delta, h) != setup_to.delta:
-        raise ValueError("computed homotopy does not carry delta to delta'")
+        raise OffsetMismatch("computed homotopy does not carry delta to "
+                             "delta'", h)
     return h
 
 

@@ -19,7 +19,8 @@ import jsonschema
 
 from .algebra import (AlgebraElement, LieAlgebraData, _merge_monomials,
                       validate_cdga)
-from .builders import LiePair, LinearMapObject, lie_pair_setup, linear_map_setup
+from .builders import (LiePair, LinearMapObject, OffsetMismatch,
+                       lie_pair_setup, linear_map_setup, splitting_homotopy)
 from .cohomology import CochainComplex
 from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                           connection_difference_element, extend_connection,
@@ -381,7 +382,7 @@ def cmd_brackets(inst: Instance, args) -> dict:
 def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
     fam = kapranov_brackets(inst.connection, n_max, label=inst.label)
-    report = check_leibniz_infinity(fam, n_max, threads=args.threads)
+    report = check_leibniz_infinity(fam, n_max)
     return {
         "command": "check-leibniz",
         "label": inst.label,
@@ -410,7 +411,7 @@ def cmd_morphism(inst: Instance, args) -> dict:
         checks.append(named_check(
             "identity_is_strict",
             [] if strict else [f"unexpected arities {mor.nonzero_arities()}"]))
-    report = check_linfty_morphism(mor, n_max, threads=args.threads)
+    report = check_linfty_morphism(mor, n_max)
     checks.append(named_check(
         "morphism_equation",
         [f"n={w['n']}: {f['tuple']}" for w in report["weights"]
@@ -431,11 +432,13 @@ def cmd_homotopy(inst: Instance, args) -> dict:
         raise DocumentError(
             "the homotopy command needs a lie_pair document with a "
             "second_splitting section")
-    from .builders import splitting_homotopy
     s0, s1 = inst.pair_setup, inst.second_pair_setup
-    checks = []
-    h = splitting_homotopy(s0, s1)
-    checks.append(named_check("offset_matches", []))  # verified on build
+    try:
+        h = splitting_homotopy(s0, s1)
+        offset_failures = []
+    except OffsetMismatch as e:
+        h, offset_failures = e.homotopy, [str(e)]
+    checks = [named_check("offset_matches", offset_failures)]
     found = find_homotopy(s0.delta, s1.delta)
     checks.append(named_check(
         "homotopy_search",
@@ -445,7 +448,7 @@ def cmd_homotopy(inst: Instance, args) -> dict:
     checks.append(named_check(
         "g2_vanishes", [] if 2 not in mor.nonzero_arities()
         else ["g_2 is nonzero"]))
-    report = check_linfty_morphism(mor, 4, threads=args.threads)
+    report = check_linfty_morphism(mor, 4)
     checks.append(named_check(
         "iso_morphism_equation",
         [f"n={w['n']}: {f['tuple']}" for w in report["weights"]
@@ -546,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--threads", type=bounded_int(1), default=None,
-                       help="worker threads (default: KAPRANOV_THREADS or 1)")
+                       help="accepted for compatibility: checks run in one "
+                            "thread, and the value changes neither the work "
+                            "nor the report")
     return parser
 
 

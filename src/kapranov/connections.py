@@ -89,11 +89,6 @@ def extend_connection(delta: DgDerivation, module: DgModule,
     return DeltaConnection(delta, module, values or {}, label=label)
 
 
-def covariant_derivative(conn: DeltaConnection, b: ModuleElement,
-                         v: ModuleElement) -> ModuleElement:
-    return conn.along(b, v)
-
-
 def operator_to_om_hom_element(om_hom: DgModule,
                                values: Sequence[ModuleElement]) -> ModuleElement:
     """Package basis values E -> Omega (x) F as an element of Omega (x) Hom(E,F)."""

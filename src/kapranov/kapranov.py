@@ -16,9 +16,8 @@ module identities, and homotopy invariance.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebra import AlgebraElement, Monomial, _merge_monomials
 from .cohomology import CochainComplex
@@ -28,22 +27,6 @@ from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, simple_tensor)
-
-
-def thread_count(threads: int | None = None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("KAPRANOV_THREADS", "1"))
-    return max(1, threads)
-
-
-def _parallel_map(fn, items, threads):
-    """Order-preserving map, optionally fanned out over a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    chunk = max(1, (len(items) + threads - 1) // threads)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
 
 
 class KBasis:
@@ -403,28 +386,150 @@ def _leibniz_structures(n: int, active):
     return out
 
 
-def leibniz_residual(fam: BracketFamily, keys: tuple[int, ...],
-                     structures) -> Element:
-    degs = [fam.kb.degree(i) for i in keys]
-    zero = Element(fam.kb.basis)
-    total = zero
-    for (i, j, k, sigma) in structures:
-        lam_i = fam.brackets[i]
-        lam_j = fam.brackets[j]
-        eps = koszul_sign(sigma, degs[:k - 1])
-        front = sum(degs[sigma[t] - 1] for t in range(k - j))
-        sign = eps * (-1 if front % 2 else 1)
-        inner_key = tuple(keys[sigma[t] - 1] for t in range(k - j, k - 1)) + (keys[k - 1],)
-        inner = lam_j.table.get(inner_key)
-        if inner is None:
+def _picker(positions: tuple[int, ...]):
+    """The function taking a tuple to the tuple of its entries at
+    ``positions`` (an ``itemgetter``, with a slice for fewer than two)."""
+    if len(positions) < 2:
+        start = positions[0] if positions else 0
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
+
+
+class _Insertion:
+    """The term outer(x_F, inner(x_M, x_k), x_{k+1}, ...) of a residual.
+
+    ``sigma`` is a (k-j, j-1)-shuffle of 1..k-1: the front block F is
+    sigma(1..k-j), the middle block M = sigma(k-j+1..k-1) goes into the
+    j-ary inner map together with x_k.  The term's sign is the Koszul sign
+    of sigma on x_1..x_{k-1} times (-1)^{|x_F|}, the outer map's degree 1
+    passing x_F; both depend only on the parities of the degrees, so
+    ``sign`` memoises it by the parity pattern of the tuple.
+    """
+
+    __slots__ = ("outer", "inner", "k", "sigma", "front", "head", "middle",
+                 "signs")
+
+    def __init__(self, outer: dict, inner: dict, k: int, j: int,
+                 sigma: tuple[int, ...]):
+        self.outer = outer
+        self.inner = inner
+        self.k = k
+        self.sigma = sigma
+        self.front = tuple(s - 1 for s in sigma[:k - j])
+        self.head = _picker(self.front)
+        self.middle = _picker(tuple(s - 1 for s in sigma[k - j:k - 1]) + (k - 1,))
+        self.signs: dict[tuple, int] = {}
+
+    def sign(self, degs: list[int], parity: tuple) -> int:
+        s = self.signs.get(parity)
+        if s is None:
+            front = sum(degs[t] for t in self.front)
+            s = koszul_sign(self.sigma, degs[:self.k - 1]) * (-1 if front % 2 else 1)
+            self.signs[parity] = s
+        return s
+
+
+class _Partition:
+    """The term outer(f(x_{I_1}), ..., f(x_{I_q})) of a residual, for an
+    ordered partition I of 1..n; ``tables[t]`` is the map on block t.
+    ``sign`` is the Koszul sign of the unshuffle, memoised by parity."""
+
+    __slots__ = ("outer", "tables", "blocks", "pickers", "signs")
+
+    def __init__(self, outer: dict, tables: list[dict], blocks):
+        self.outer = outer
+        self.tables = tables
+        self.blocks = blocks
+        self.pickers = [_picker(tuple(b - 1 for b in block)) for block in blocks]
+        self.signs: dict[tuple, int] = {}
+
+    def sign(self, degs: list[int], parity: tuple) -> int:
+        s = self.signs.get(parity)
+        if s is None:
+            s = self.signs[parity] = partition_sign(self.blocks, degs)
+        return s
+
+
+def _residual(keys: tuple[int, ...], degs: list[int], insertions,
+              partitions) -> dict[int, Fraction]:
+    """The nonzero coefficients of sum(insertions) - sum(partitions) on one
+    tuple of k-basis indices.
+
+    Each inner value is looked up before its sign is needed, and the outer
+    map is read straight from its table: the multilinear maps are tables
+    over the k-basis, so an outer argument that is a basis vector is just
+    its index.
+    """
+    parity = tuple(d % 2 for d in degs)
+    acc: dict[int, Fraction] = {}
+    for term in insertions:
+        val = term.inner.get(term.middle(keys))
+        if val is None:
             continue
-        outer_args = ([Element.basis_vector(fam.kb.basis, keys[sigma[t] - 1])
-                       for t in range(k - j)]
-                      + [inner]
-                      + [Element.basis_vector(fam.kb.basis, keys[t])
-                         for t in range(k, len(keys))])
-        total = total + lam_i(*outer_args).scale(sign)
-    return total
+        negate = term.sign(degs, parity) < 0
+        head = term.head(keys)
+        tail = keys[term.k:]
+        outer = term.outer
+        for m, c in val.coeffs.items():
+            out = outer.get(head + (m,) + tail)
+            if out is None:
+                continue
+            if negate:
+                c = -c
+            for idx, v in out.coeffs.items():
+                acc[idx] = acc.get(idx, 0) + c * v
+    for term in partitions:
+        vals = []
+        for table, pick in zip(term.tables, term.pickers):
+            val = table.get(pick(keys))
+            if val is None:
+                break
+            vals.append(val.coeffs.items())
+        else:
+            sign = -term.sign(degs, parity)
+            for combo in itertools.product(*vals):
+                out = term.outer.get(tuple([m for m, _ in combo]))
+                if out is None:
+                    continue
+                c = sign
+                for _, cm in combo:
+                    c = c * cm
+                for idx, v in out.coeffs.items():
+                    acc[idx] = acc.get(idx, 0) + c * v
+    return {idx: c for idx, c in acc.items() if c}
+
+
+def _check_identities(n_max: int, weight, out_basis: GradedBasis,
+                      max_witnesses: int) -> dict:
+    """Evaluate an identity's residual on every tuple of every weight.
+
+    ``weight(n)`` returns the k-bases of the n slots, the number of terms
+    of the identity at weight n (a weight without terms is skipped) and
+    its terms, as lists of :class:`_Insertion` and :class:`_Partition`.
+    Tuples are visited in ``itertools.product`` order; the report lists
+    per weight the tuple and term counts and the first ``max_witnesses``
+    failing tuples with their residuals.
+    """
+    report = {"passed": True, "weights": []}
+    for n in range(1, n_max + 1):
+        slots, n_terms, insertions, partitions = weight(n)
+        entry = {"n": n, "terms": n_terms, "tuples": 0, "failures": []}
+        report["weights"].append(entry)
+        if not n_terms:
+            continue
+        degrees = [kb.basis.degrees for kb in slots]
+        for keys in itertools.product(*(range(len(kb.keys)) for kb in slots)):
+            entry["tuples"] += 1
+            r = _residual(keys, [d[i] for d, i in zip(degrees, keys)],
+                          insertions, partitions)
+            if r:
+                report["passed"] = False
+                if len(entry["failures"]) < max_witnesses:
+                    entry["failures"].append({
+                        "tuple": [kb.basis.names[i] for kb, i in zip(slots, keys)],
+                        "residual": repr(Element(out_basis, r)),
+                    })
+    return report
 
 
 def check_leibniz_infinity(fam: BracketFamily, n_max: int,
@@ -433,33 +538,18 @@ def check_leibniz_infinity(fam: BracketFamily, n_max: int,
     """Exhaustively verify the degree-1 generalized Jacobi identities.
 
     Returns a report dict with per-weight tuple counts and any failing
-    tuples (with their residuals).
+    tuples (with their residuals).  Checks run in one thread; ``threads``
+    is accepted for compatibility and does not change the work.
     """
-    threads = thread_count(threads)
     active = set(fam.nonzero_arities())
-    report = {"passed": True, "weights": []}
-    n_keys = len(fam.kb.keys)
-    for n in range(1, n_max + 1):
+
+    def weight(n):
         structures = _leibniz_structures(n, active)
-        entry = {"n": n, "terms": len(structures), "tuples": 0, "failures": []}
-        if structures:
-            tuples = list(itertools.product(range(n_keys), repeat=n))
-            entry["tuples"] = len(tuples)
-
-            def job(keys):
-                r = leibniz_residual(fam, keys, structures)
-                return (keys, r) if not r.is_zero() else None
-
-            for hit in _parallel_map(job, tuples, threads):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    keys, r = hit
-                    entry["failures"].append({
-                        "tuple": [fam.kb.basis.names[i] for i in keys],
-                        "residual": repr(r),
-                    })
-                    report["passed"] = False
-        report["weights"].append(entry)
-    return report
+        return ([fam.kb] * n, len(structures),
+                [_Insertion(fam.brackets[i].table, fam.brackets[j].table,
+                            k, j, sigma) for (i, j, k, sigma) in structures],
+                [])
+    return _check_identities(n_max, weight, fam.kb.basis, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -511,79 +601,28 @@ def _morphism_rhs_structures(n: int, f_active, lamp_active):
     return out
 
 
-def morphism_residual(mor: MorphismFamily, keys: tuple[int, ...],
-                      lhs_structs, rhs_structs) -> Element:
-    skb = mor.source.kb
-    tkb = mor.target.kb
-    degs = [skb.degree(i) for i in keys]
-    n = len(keys)
-    total = Element(tkb.basis)
-    for (k, p, sigma) in lhs_structs:
-        lam = mor.source.brackets[p + 1]
-        f = mor.maps[n - p]
-        eps = koszul_sign(sigma, degs[:k + p])
-        front = sum(degs[sigma[t] - 1] for t in range(k))
-        sign = eps * (-1 if front % 2 else 1)
-        inner_key = tuple(keys[sigma[t] - 1] for t in range(k, k + p)) + (keys[k + p],)
-        inner = lam.table.get(inner_key)
-        if inner is None:
-            continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
-                 for t in range(k)]
-                + [inner]
-                + [Element.basis_vector(skb.basis, keys[t])
-                   for t in range(k + p + 1, n)])
-        total = total + f(*args).scale(sign)
-    for blocks in rhs_structs:
-        q = len(blocks)
-        lamp = mor.target.brackets[q]
-        eps = partition_sign(blocks, degs)
-        args = []
-        for block in blocks:
-            fk = mor.maps[len(block)]
-            val = fk.table.get(tuple(keys[b - 1] for b in block))
-            if val is None:
-                args = None
-                break
-            args.append(val)
-        if args is None:
-            continue
-        total = total - lamp(*args).scale(eps)
-    return total
-
-
 def check_linfty_morphism(mor: MorphismFamily, n_max: int,
                           threads: int | None = None,
                           max_witnesses: int = 10) -> dict:
-    """Verify the morphism equation on all source basis tuples, n <= n_max."""
-    threads = thread_count(threads)
+    """Verify the morphism equation on all source basis tuples, n <= n_max.
+
+    Checks run in one thread; ``threads`` does not change the work."""
     f_active = set(mor.nonzero_arities())
     lam_active = set(mor.source.nonzero_arities())
     lamp_active = set(mor.target.nonzero_arities())
-    report = {"passed": True, "weights": []}
-    n_keys = len(mor.source.kb.keys)
-    for n in range(1, n_max + 1):
+
+    def weight(n):
         lhs = _morphism_lhs_structures(n, f_active, lam_active)
         rhs = _morphism_rhs_structures(n, f_active, lamp_active)
-        entry = {"n": n, "terms": len(lhs) + len(rhs), "tuples": 0, "failures": []}
-        if lhs or rhs:
-            tuples = list(itertools.product(range(n_keys), repeat=n))
-            entry["tuples"] = len(tuples)
-
-            def job(keys):
-                r = morphism_residual(mor, keys, lhs, rhs)
-                return (keys, r) if not r.is_zero() else None
-
-            for hit in _parallel_map(job, tuples, threads):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    keys, r = hit
-                    entry["failures"].append({
-                        "tuple": [mor.source.kb.basis.names[i] for i in keys],
-                        "residual": repr(r),
-                    })
-                    report["passed"] = False
-        report["weights"].append(entry)
-    return report
+        return ([mor.source.kb] * n, len(lhs) + len(rhs),
+                [_Insertion(mor.maps[n - p].table,
+                            mor.source.brackets[p + 1].table,
+                            k + p + 1, p + 1, sigma)
+                 for (k, p, sigma) in lhs],
+                [_Partition(mor.target.brackets[len(blocks)].table,
+                            [mor.maps[len(b)].table for b in blocks], blocks)
+                 for blocks in rhs])
+    return _check_identities(n_max, weight, mor.target.kb.basis, max_witnesses)
 
 
 def dual_morphism_between(phi: ModuleMorphism, source: DgModule,
@@ -1047,82 +1086,22 @@ def _module_structures(n: int, lam_active, mu_active):
     return part1, part2
 
 
-def module_residual(m: ModuleActionFamily, keys: tuple[int, ...], ekey: int,
-                    part1, part2) -> Element:
-    fam = m.algebra_family
-    skb = fam.kb
-    ekb = m.kb_e
-    n = len(keys) + 1
-    degs = [skb.degree(i) for i in keys]
-    total = Element(ekb.basis)
-    e_vec = Element.basis_vector(ekb.basis, ekey)
-    for (i, j, k, sigma) in part1:
-        lam = fam.brackets[j]
-        mu = m.actions[i]
-        eps = koszul_sign(sigma, degs[:k - 1])
-        front = sum(degs[sigma[t] - 1] for t in range(k - j))
-        sign = eps * (-1 if front % 2 else 1)
-        inner_key = tuple(keys[sigma[t] - 1] for t in range(k - j, k - 1)) + (keys[k - 1],)
-        inner = lam.table.get(inner_key)
-        if inner is None:
-            continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
-                 for t in range(k - j)]
-                + [inner]
-                + [Element.basis_vector(skb.basis, keys[t])
-                   for t in range(k, n - 1)]
-                + [e_vec])
-        total = total + mu(*args).scale(sign)
-    for (i, j, sigma) in part2:
-        mu_j = m.actions[j]
-        mu_i = m.actions[i]
-        eps = koszul_sign(sigma, degs)
-        front = sum(degs[sigma[t] - 1] for t in range(n - j))
-        sign = eps * (-1 if front % 2 else 1)
-        inner_key = tuple(keys[sigma[t] - 1] for t in range(n - j, n - 1)) + (ekey,)
-        inner = mu_j.table.get(inner_key)
-        if inner is None:
-            continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
-                 for t in range(n - j)]
-                + [inner])
-        total = total + mu_i(*args).scale(sign)
-    return total
-
-
 def check_module_identities(m: ModuleActionFamily, n_max: int,
-                            threads: int | None = None,
                             max_witnesses: int = 10) -> dict:
-    threads = thread_count(threads)
-    lam_active = set(m.algebra_family.nonzero_arities())
+    """Verify the module identities on all tuples (b_1, ..., b_{n-1}, e)."""
+    fam = m.algebra_family
+    lam_active = set(fam.nonzero_arities())
     mu_active = set(m.nonzero_arities())
-    report = {"passed": True, "weights": []}
-    nb = len(m.algebra_family.kb.keys)
-    ne = len(m.kb_e.keys)
-    for n in range(1, n_max + 1):
+
+    def weight(n):
         part1, part2 = _module_structures(n, lam_active, mu_active)
-        entry = {"n": n, "terms": len(part1) + len(part2), "tuples": 0,
-                 "failures": []}
-        if part1 or part2:
-            tuples = list(itertools.product(
-                *([range(nb)] * (n - 1) + [range(ne)])))
-            entry["tuples"] = len(tuples)
-
-            def job(full_key):
-                keys, ekey = full_key[:-1], full_key[-1]
-                r = module_residual(m, keys, ekey, part1, part2)
-                return (full_key, r) if not r.is_zero() else None
-
-            for hit in _parallel_map(job, tuples, threads):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    full_key, r = hit
-                    names = ([m.algebra_family.kb.basis.names[i]
-                              for i in full_key[:-1]]
-                             + [m.kb_e.basis.names[full_key[-1]]])
-                    entry["failures"].append({"tuple": names, "residual": repr(r)})
-                    report["passed"] = False
-        report["weights"].append(entry)
-    return report
+        return ([fam.kb] * (n - 1) + [m.kb_e], len(part1) + len(part2),
+                [_Insertion(m.actions[i].table, fam.brackets[j].table,
+                            k, j, sigma) for (i, j, k, sigma) in part1]
+                + [_Insertion(m.actions[i].table, m.actions[j].table,
+                              n, j, sigma) for (i, j, sigma) in part2],
+                [])
+    return _check_identities(n_max, weight, m.kb_e.basis, max_witnesses)
 
 
 # ---------------------------------------------------------------------------

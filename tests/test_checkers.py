@@ -1,0 +1,438 @@
+"""The identity checkers against the per-tuple reference evaluation.
+
+The reference residuals below evaluate every term of an identity by
+building basis-vector arguments and calling the multilinear maps, with the
+Koszul sign computed for every term of every tuple.  The checkers of
+``kapranov.kapranov`` look each inner value up first, memoise the signs by
+the parity pattern of the degrees and read the outer tables directly; the
+reports must agree in every field, witnesses and residuals included.
+"""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kapranov.builders import (adjoint_linear_map, coadjoint_module,
+                               sl2_borel_pair, splitting_homotopy)
+from kapranov.cli import Instance, load_document
+from kapranov.connections import DeltaConnection
+from kapranov.derivations import DerivationMorphism
+from kapranov.graded import (Element, MultilinearMap, koszul_sign,
+                             ordered_partitions, partition_sign, shuffles)
+from kapranov.kapranov import (HatConnection, _Insertion, _Partition,
+                               _leibniz_structures, _module_structures,
+                               _morphism_lhs_structures,
+                               _morphism_rhs_structures,
+                               check_leibniz_infinity, check_linfty_morphism,
+                               check_module_identities, homotopy_iso,
+                               kapranov_brackets, kapranov_module,
+                               kapranov_morphism, trivialization)
+from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED = sorted((ROOT / "instances").glob("*.json"))
+SL2_SHIFTED = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
+
+
+# ---------------------------------------------------------------------------
+# the reference: one residual per tuple, every term evaluated in full
+
+def leibniz_residual(fam, keys, structures) -> Element:
+    degs = [fam.kb.degree(i) for i in keys]
+    zero = Element(fam.kb.basis)
+    total = zero
+    for (i, j, k, sigma) in structures:
+        lam_i = fam.brackets[i]
+        lam_j = fam.brackets[j]
+        eps = koszul_sign(sigma, degs[:k - 1])
+        front = sum(degs[sigma[t] - 1] for t in range(k - j))
+        sign = eps * (-1 if front % 2 else 1)
+        inner_key = tuple(keys[sigma[t] - 1] for t in range(k - j, k - 1)) + (keys[k - 1],)
+        inner = lam_j.table.get(inner_key)
+        if inner is None:
+            continue
+        outer_args = ([Element.basis_vector(fam.kb.basis, keys[sigma[t] - 1])
+                       for t in range(k - j)]
+                      + [inner]
+                      + [Element.basis_vector(fam.kb.basis, keys[t])
+                         for t in range(k, len(keys))])
+        total = total + lam_i(*outer_args).scale(sign)
+    return total
+
+
+def morphism_residual(mor, keys, lhs_structs, rhs_structs) -> Element:
+    skb = mor.source.kb
+    tkb = mor.target.kb
+    degs = [skb.degree(i) for i in keys]
+    n = len(keys)
+    total = Element(tkb.basis)
+    for (k, p, sigma) in lhs_structs:
+        lam = mor.source.brackets[p + 1]
+        f = mor.maps[n - p]
+        eps = koszul_sign(sigma, degs[:k + p])
+        front = sum(degs[sigma[t] - 1] for t in range(k))
+        sign = eps * (-1 if front % 2 else 1)
+        inner_key = tuple(keys[sigma[t] - 1] for t in range(k, k + p)) + (keys[k + p],)
+        inner = lam.table.get(inner_key)
+        if inner is None:
+            continue
+        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+                 for t in range(k)]
+                + [inner]
+                + [Element.basis_vector(skb.basis, keys[t])
+                   for t in range(k + p + 1, n)])
+        total = total + f(*args).scale(sign)
+    for blocks in rhs_structs:
+        q = len(blocks)
+        lamp = mor.target.brackets[q]
+        eps = partition_sign(blocks, degs)
+        args = []
+        for block in blocks:
+            fk = mor.maps[len(block)]
+            val = fk.table.get(tuple(keys[b - 1] for b in block))
+            if val is None:
+                args = None
+                break
+            args.append(val)
+        if args is None:
+            continue
+        total = total - lamp(*args).scale(eps)
+    return total
+
+
+def module_residual(m, keys, ekey, part1, part2) -> Element:
+    fam = m.algebra_family
+    skb = fam.kb
+    ekb = m.kb_e
+    n = len(keys) + 1
+    degs = [skb.degree(i) for i in keys]
+    total = Element(ekb.basis)
+    e_vec = Element.basis_vector(ekb.basis, ekey)
+    for (i, j, k, sigma) in part1:
+        lam = fam.brackets[j]
+        mu = m.actions[i]
+        eps = koszul_sign(sigma, degs[:k - 1])
+        front = sum(degs[sigma[t] - 1] for t in range(k - j))
+        sign = eps * (-1 if front % 2 else 1)
+        inner_key = tuple(keys[sigma[t] - 1] for t in range(k - j, k - 1)) + (keys[k - 1],)
+        inner = lam.table.get(inner_key)
+        if inner is None:
+            continue
+        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+                 for t in range(k - j)]
+                + [inner]
+                + [Element.basis_vector(skb.basis, keys[t])
+                   for t in range(k, n - 1)]
+                + [e_vec])
+        total = total + mu(*args).scale(sign)
+    for (i, j, sigma) in part2:
+        mu_j = m.actions[j]
+        mu_i = m.actions[i]
+        eps = koszul_sign(sigma, degs)
+        front = sum(degs[sigma[t] - 1] for t in range(n - j))
+        sign = eps * (-1 if front % 2 else 1)
+        inner_key = tuple(keys[sigma[t] - 1] for t in range(n - j, n - 1)) + (ekey,)
+        inner = mu_j.table.get(inner_key)
+        if inner is None:
+            continue
+        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+                 for t in range(n - j)]
+                + [inner])
+        total = total + mu_i(*args).scale(sign)
+    return total
+
+
+def reference_leibniz(fam, n_max, max_witnesses=10) -> dict:
+    active = set(fam.nonzero_arities())
+    report = {"passed": True, "weights": []}
+    n_keys = len(fam.kb.keys)
+    for n in range(1, n_max + 1):
+        structures = _leibniz_structures(n, active)
+        entry = {"n": n, "terms": len(structures), "tuples": 0, "failures": []}
+        if structures:
+            tuples = list(itertools.product(range(n_keys), repeat=n))
+            entry["tuples"] = len(tuples)
+
+            def job(keys):
+                r = leibniz_residual(fam, keys, structures)
+                return (keys, r) if not r.is_zero() else None
+
+            for hit in map(job, tuples):
+                if hit is not None and len(entry["failures"]) < max_witnesses:
+                    keys, r = hit
+                    entry["failures"].append({
+                        "tuple": [fam.kb.basis.names[i] for i in keys],
+                        "residual": repr(r),
+                    })
+                    report["passed"] = False
+        report["weights"].append(entry)
+    return report
+
+
+def reference_morphism(mor, n_max, max_witnesses=10) -> dict:
+    f_active = set(mor.nonzero_arities())
+    lam_active = set(mor.source.nonzero_arities())
+    lamp_active = set(mor.target.nonzero_arities())
+    report = {"passed": True, "weights": []}
+    n_keys = len(mor.source.kb.keys)
+    for n in range(1, n_max + 1):
+        lhs = _morphism_lhs_structures(n, f_active, lam_active)
+        rhs = _morphism_rhs_structures(n, f_active, lamp_active)
+        entry = {"n": n, "terms": len(lhs) + len(rhs), "tuples": 0, "failures": []}
+        if lhs or rhs:
+            tuples = list(itertools.product(range(n_keys), repeat=n))
+            entry["tuples"] = len(tuples)
+
+            def job(keys):
+                r = morphism_residual(mor, keys, lhs, rhs)
+                return (keys, r) if not r.is_zero() else None
+
+            for hit in map(job, tuples):
+                if hit is not None and len(entry["failures"]) < max_witnesses:
+                    keys, r = hit
+                    entry["failures"].append({
+                        "tuple": [mor.source.kb.basis.names[i] for i in keys],
+                        "residual": repr(r),
+                    })
+                    report["passed"] = False
+        report["weights"].append(entry)
+    return report
+
+
+def reference_module(m, n_max, max_witnesses=10) -> dict:
+    lam_active = set(m.algebra_family.nonzero_arities())
+    mu_active = set(m.nonzero_arities())
+    report = {"passed": True, "weights": []}
+    nb = len(m.algebra_family.kb.keys)
+    ne = len(m.kb_e.keys)
+    for n in range(1, n_max + 1):
+        part1, part2 = _module_structures(n, lam_active, mu_active)
+        entry = {"n": n, "terms": len(part1) + len(part2), "tuples": 0,
+                 "failures": []}
+        if part1 or part2:
+            tuples = list(itertools.product(
+                *([range(nb)] * (n - 1) + [range(ne)])))
+            entry["tuples"] = len(tuples)
+
+            def job(full_key):
+                keys, ekey = full_key[:-1], full_key[-1]
+                r = module_residual(m, keys, ekey, part1, part2)
+                return (full_key, r) if not r.is_zero() else None
+
+            for hit in map(job, tuples):
+                if hit is not None and len(entry["failures"]) < max_witnesses:
+                    full_key, r = hit
+                    names = ([m.algebra_family.kb.basis.names[i]
+                              for i in full_key[:-1]]
+                             + [m.kb_e.basis.names[full_key[-1]]])
+                    entry["failures"].append({"tuple": names, "residual": repr(r)})
+                    report["passed"] = False
+        report["weights"].append(entry)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# families
+
+def instance(path) -> Instance:
+    return Instance(load_document(str(path)))
+
+
+def arity_of(inst: Instance) -> int:
+    return inst.options.get("max_arity", 4)
+
+
+def second_sl2_connection(setup) -> DeltaConnection:
+    v = simple_tensor(setup.connection.tensor,
+                      ModuleElement.basis_vector(setup.delta.target, 0),
+                      ModuleElement.basis_vector(setup.bmod, 0))
+    return DeltaConnection(setup.delta, setup.bmod, {0: v})
+
+
+def connection_morphism(inst: Instance, n_max: int):
+    """The morphism tower the ``morphism`` command checks."""
+    fam0 = kapranov_brackets(inst.connection, n_max)
+    fam1 = (kapranov_brackets(inst.second_connection, n_max)
+            if inst.second_connection is not None else fam0)
+    dm = DerivationMorphism(inst.delta, inst.delta,
+                            ModuleMorphism.identity(inst.omega_))
+    return kapranov_morphism(dm, fam0, fam1, max_arity=n_max)
+
+
+def homotopy_morphism(inst: Instance):
+    s0, s1 = inst.pair_setup, inst.second_pair_setup
+    h = splitting_homotopy(s0, s1)
+    mor, _ = homotopy_iso(s0.connection, h, HatConnection(h, s0.bmod, {}),
+                          max_arity=4)
+    return mor
+
+
+def regular_action(max_arity: int = 4):
+    s = sl2_borel_pair()
+    conn1 = second_sl2_connection(s)
+    fam1 = kapranov_brackets(conn1, max_arity=5)
+    return kapranov_module(fam1, conn1, max_arity=max_arity)
+
+
+def coadjoint_action(max_arity: int = 4):
+    s = adjoint_linear_map()
+    fam = kapranov_brackets(s.connection, max_arity=max_arity)
+    coad, conn = coadjoint_module(s)
+    return kapranov_module(fam, conn, max_arity=max_arity)
+
+
+def corrupt(m: MultilinearMap, key=None, factor=2) -> MultilinearMap:
+    """A copy of ``m`` with one entry scaled by ``factor``."""
+    out = copy.copy(m)
+    out.table = dict(m.table)
+    key = next(iter(out.table)) if key is None else key
+    out.table[key] = out.table[key].scale(factor)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# agreement on correct families
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_leibniz_matches_reference_on_shipped(path):
+    inst = instance(path)
+    fam = kapranov_brackets(inst.connection, arity_of(inst))
+    report = check_leibniz_infinity(fam, arity_of(inst))
+    assert report == reference_leibniz(fam, arity_of(inst))
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_morphism_matches_reference_on_shipped(path):
+    inst = instance(path)
+    n_max = min(arity_of(inst), 4)
+    mor = connection_morphism(inst, n_max)
+    report = check_linfty_morphism(mor, n_max)
+    assert report == reference_morphism(mor, n_max)
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("path", [p for p in SHIPPED if "second_splitting"
+                                  in p.read_text()], ids=lambda p: p.stem)
+def test_homotopy_iso_matches_reference_on_shipped(path):
+    mor = homotopy_morphism(instance(path))
+    report = check_linfty_morphism(mor, 4)
+    assert report == reference_morphism(mor, 4)
+    assert report["passed"]
+
+
+def test_trivialization_matches_reference():
+    # k-linear maps in every arity: the partition terms of the morphism
+    # equation combine several nonzero f-values
+    fam = kapranov_brackets(second_sl2_connection(sl2_borel_pair()), 4)
+    triv = trivialization(fam, max_arity=4)
+    report = check_linfty_morphism(triv, 4)
+    assert report == reference_morphism(triv, 4)
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("action", [regular_action, coadjoint_action])
+def test_module_matches_reference(action):
+    mf = action()
+    report = check_module_identities(mf, 4)
+    assert report == reference_module(mf, 4)
+    assert report["passed"]
+
+
+def test_leibniz_matches_reference_on_shifted_sl2_to_weight_5():
+    inst = instance(SL2_SHIFTED)
+    fam = kapranov_brackets(inst.connection, 5)
+    assert fam.nonzero_arities() == [1, 2, 3, 4, 5]
+    report = check_leibniz_infinity(fam, 5)
+    assert report == reference_leibniz(fam, 5)
+    assert report["passed"]
+
+
+# ---------------------------------------------------------------------------
+# agreement on corrupted families: the same witnesses, in the same order
+
+def test_scaled_r3_entry_gives_identical_witnesses():
+    fam = kapranov_brackets(instance(SL2_SHIFTED).connection, 4)
+    bad = copy.copy(fam)
+    bad.brackets = dict(fam.brackets)
+    bad.brackets[3] = corrupt(fam.brackets[3])
+    report = check_leibniz_infinity(bad, 4)
+    assert not report["passed"]
+    assert report == reference_leibniz(bad, 4)
+
+
+def test_sign_flipped_f2_entry_gives_identical_witnesses():
+    mor = connection_morphism(instance(ROOT / "instances/sl2_borel.json"), 4)
+    assert 2 in mor.nonzero_arities()
+    bad = copy.copy(mor)
+    bad.maps = dict(mor.maps)
+    bad.maps[2] = corrupt(mor.maps[2], factor=-1)
+    for cap in (10, 3):
+        report = check_linfty_morphism(bad, 4, max_witnesses=cap)
+        assert not report["passed"]
+        assert report == reference_morphism(bad, 4, max_witnesses=cap)
+    # weight 3 fails on more tuples than the cap lets through
+    assert len(report["weights"][2]["failures"]) == 3
+
+
+def test_corrupted_mu_entry_gives_identical_witnesses():
+    mf = regular_action()
+    bad = copy.copy(mf)
+    bad.actions = dict(mf.actions)
+    bad.actions[3] = corrupt(mf.actions[3], factor=3)
+    report = check_module_identities(bad, 4)
+    assert not report["passed"]
+    assert report == reference_module(bad, 4)
+
+
+# ---------------------------------------------------------------------------
+# memoised signs
+
+@st.composite
+def shuffle_and_degrees(draw):
+    k = draw(st.integers(1, 7))
+    j = draw(st.integers(1, k))
+    sigma = draw(st.sampled_from(list(shuffles(k - j, j - 1))))
+    degrees = st.lists(st.integers(-3, 4), min_size=k, max_size=k)
+    return k, j, sigma, draw(degrees), draw(degrees)
+
+
+@st.composite
+def partition_and_degrees(draw):
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, n))
+    blocks = draw(st.sampled_from(list(ordered_partitions(n, q))))
+    degrees = st.lists(st.integers(-3, 4), min_size=n, max_size=n)
+    return blocks, draw(degrees), draw(degrees)
+
+
+def parity(degs):
+    return tuple(d % 2 for d in degs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffle_and_degrees())
+def test_memoised_insertion_sign_is_the_koszul_sign(case):
+    k, j, sigma, degs, other = case
+    term = _Insertion(None, None, k, j, sigma)
+    for d in (degs, other, degs):
+        front = sum(d[s - 1] for s in sigma[:k - j])
+        want = koszul_sign(sigma, d[:k - 1]) * (-1 if front % 2 else 1)
+        assert term.sign(d, parity(d)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_and_degrees())
+def test_memoised_partition_sign_is_the_partition_sign(case):
+    blocks, degs, other = case
+    term = _Partition(None, [None] * len(blocks), blocks)
+    flat = tuple(itertools.chain.from_iterable(blocks))
+    for d in (degs, other, degs):
+        assert term.sign(d, parity(d)) == partition_sign(blocks, d)
+        assert term.sign(d, parity(d)) == koszul_sign(flat, d)

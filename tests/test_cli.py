@@ -132,6 +132,18 @@ class TestInputBounds:
         assert out == ""
         assert f"at {path}:" in err
 
+    @pytest.mark.parametrize("command", ["validate", "brackets"])
+    def test_out_of_range_bracket_output_index(self, capsys, tmp_path,
+                                               command):
+        # the input indices of a bracket were checked, its output was not:
+        # index 7 of the 3-dimensional sl2 validated with every check passed
+        doc = json.loads((INSTANCES / "sl2_borel.json").read_text())
+        doc["lie_pair"]["brackets"]["1,2"] = {"0": "1", "7": "1"}
+        code, out, err = run_document(capsys, tmp_path, doc, command)
+        assert code == 2
+        assert out == ""
+        assert "bracket (1,2) names output basis index 7" in err
+
     @pytest.mark.parametrize("option,value", [
         ("--max-arity", "0"), ("--max-arity", "-1"), ("--max-arity", "7"),
         ("--max-arity", "9"), ("--threads", "0"), ("--threads", "-3"),
@@ -236,6 +248,27 @@ class TestCommands:
         rep = json.loads(out)
         assert code == 0
         assert rep["iso_arities"] == [1, 3]
+        assert rep["homotopy_values"] == {"e^": {"f~^": {"1": "-1/1"}}}
+
+    def test_homotopy_offset_mismatch_is_a_failed_check(self, capsys,
+                                                        monkeypatch):
+        # a homotopy whose offset misses delta' is a mathematical failure
+        # (exit 1, offset_matches failed), not an input error (exit 2)
+        from kapranov import builders, cli
+        path = str(INSTANCES / "sl2_borel.json")
+        # the instance's setups need the real offset; only the check misses
+        inst = cli.Instance(cli.load_document(path))
+        monkeypatch.setattr(cli, "Instance", lambda doc: inst)
+        monkeypatch.setattr(builders, "homotopy_offset",
+                            lambda delta, h: None)
+        code, out, _ = run(capsys, "homotopy", "--input", path)
+        rep = json.loads(out)
+        assert code == 1
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["offset_matches"]["failures"] == [
+            "computed homotopy does not carry delta to delta'"]
+        assert [n for n, c in checks.items() if not c["passed"]] == [
+            "offset_matches"]
         assert rep["homotopy_values"] == {"e^": {"f~^": {"1": "-1/1"}}}
 
     def test_cohomology_degree_filter(self, capsys):
