@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
 from importlib import resources
-
-import jsonschema
 
 from .algebra import (AlgebraElement, LieAlgebraData, _merge_monomials,
                       validate_cdga)
@@ -94,6 +93,15 @@ def parse_index_pair(s: str) -> tuple[int, int]:
     return int(i), int(j)
 
 
+def parse_index(s, bound: int, where: str, what: str) -> int:
+    """int(s), which must lie in 0..bound-1; the error names ``where``."""
+    i = int(s)
+    if not 0 <= i < bound:
+        raise DocumentError(f"at {where}: {what} {s} is out of range "
+                            f"(dimension {bound})")
+    return i
+
+
 def parse_lie(d: dict) -> LieAlgebraData:
     brackets = {}
     for key, row in d.get("brackets", {}).items():
@@ -106,21 +114,14 @@ def parse_splitting(d: dict | None, pair: LiePair, where: str) -> dict:
     """{quotient position: {sub position: coefficient}}, checked against
     the dimensions of the pair."""
     n_quot, n_sub = len(pair.quot_indices), len(pair.sub_indices)
-    out = {}
-    for b, row in (d or {}).items():
-        if int(b) >= n_quot:
-            raise DocumentError(f"at {where}/{b}: quotient position {b} is "
-                                f"out of range (dimension {n_quot})")
-        for a in row:
-            if int(a) >= n_sub:
-                raise DocumentError(f"at {where}/{b}/{a}: subalgebra position "
-                                    f"{a} is out of range (dimension {n_sub})")
-        out[int(b)] = {int(a): parse_rational(c) for a, c in row.items()}
-    return out
+    return {parse_index(b, n_quot, f"{where}/{b}", "quotient position"):
+            {parse_index(a, n_sub, f"{where}/{b}/{a}", "subalgebra position"):
+             parse_rational(c) for a, c in row.items()}
+            for b, row in (d or {}).items()}
 
 
 def parse_connection_values(delta: DgDerivation, bmod: DgModule,
-                            d: dict | None) -> DeltaConnection:
+                            d: dict | None, where: str) -> DeltaConnection:
     base = extend_connection(delta, bmod)
     if not d:
         return base
@@ -128,11 +129,14 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
     for i, row in d.items():
         v = base.tensor.zero()
         for jk, elem in row.items():
-            j, k = parse_index_pair(jk)
+            j, k = parse_index_pair(jk)  # omega_j (x) e_k
+            for x, n in ((j, delta.target.rank), (k, bmod.rank)):
+                parse_index(x, n, f"{where}/{i}/{jk}", "basis index")
             idx = j * bmod.rank + k
             v = v + ModuleElement(base.tensor, {idx: parse_algebra_element(
                 elem, bmod.algebra.n_generators)})
-        values[int(i)] = v
+        values[parse_index(i, bmod.rank, f"{where}/{i}",
+                           "module basis index")] = v
     return DeltaConnection(delta, bmod, values)
 
 
@@ -152,7 +156,10 @@ class Instance:
             self.kind = "lie_pair"
             d = doc["lie_pair"]
             self.lie = parse_lie(d)
-            pair = LiePair(self.lie, d["subalgebra"], label=self.label)
+            sub = [parse_index(a, self.lie.dim, f"lie_pair/subalgebra/{t}",
+                               "basis index")
+                   for t, a in enumerate(d["subalgebra"])]
+            pair = LiePair(self.lie, sub, label=self.label)
             self.pair_setup = lie_pair_setup(
                 pair, parse_splitting(d.get("splitting"), pair,
                                       "lie_pair/splitting"),
@@ -164,15 +171,25 @@ class Instance:
                     label=self.label + "'")
             if "second_connection" in d:
                 self.second_connection = parse_connection_values(
-                    self.delta, self.bmod, d["second_connection"])
+                    self.delta, self.bmod, d["second_connection"],
+                    "lie_pair/second_connection")
         elif "linear_map_object" in doc:
             self.kind = "linear_map_object"
             d = doc["linear_map_object"]
             self.lie = parse_lie(d["lie"])
-            actions = {int(a): {parse_index_pair(ij): parse_rational(c)
-                                for ij, c in row.items()}
-                       for a, row in d["actions"].items()}
-            psi = {int(i): {int(a): parse_rational(c) for a, c in row.items()}
+            n, dim_e = self.lie.dim, len(d["module_basis"])
+            actions = {}
+            for a, row in d["actions"].items():
+                at = f"linear_map_object/actions/{a}"
+                rho = actions[parse_index(a, n, at, "Lie basis index")] = {}
+                for ij, c in row.items():
+                    for i in parse_index_pair(ij):
+                        parse_index(i, dim_e, f"{at}/{ij}", "module basis index")
+                    rho[parse_index_pair(ij)] = parse_rational(c)
+            at = "linear_map_object/psi"
+            psi = {parse_index(i, dim_e, f"{at}/{i}", "module basis index"):
+                   {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
+                    parse_rational(c) for a, c in row.items()}
                    for i, row in d["psi"].items()}
             self.linear_setup = linear_map_setup(
                 LinearMapObject(self.lie, d["module_basis"], actions, psi,
@@ -197,7 +214,8 @@ class Instance:
                  for i, v in d.get("delta", {}).items()})
             self.bmod_raw = dual_module(self.omega)
             self.connection_raw = parse_connection_values(
-                self.delta_raw, self.bmod_raw, d.get("connection"))
+                self.delta_raw, self.bmod_raw, d.get("connection"),
+                "raw/connection")
 
     @property
     def setup(self):
@@ -229,6 +247,91 @@ class Instance:
         return self.options.get("max_arity", 4)
 
 
+class SchemaChecker:
+    """Checks JSON documents against a schema in the draft-7 subset that
+    the instance schema uses.  Any other keyword or ``type``, a non-false
+    ``additionalProperties`` or an unknown ``$ref`` raises ValueError on
+    construction, so the schema cannot outgrow the checker unnoticed.
+    Unlike draft 7, ``integer`` means a JSON integer: not 3.0, not true."""
+
+    TYPES = {"object": dict, "array": list, "string": str, "integer": int}
+    KEYWORDS = {"type", "const", "pattern", "minimum", "maximum", "minItems",
+                "items", "required", "properties", "patternProperties",
+                "additionalProperties", "oneOf", "$ref",
+                "$schema", "title", "description", "definitions"}
+
+    def __init__(self, schema: dict):
+        self.schema = schema
+        self.refs = {"#/definitions/" + name: sub for name, sub
+                     in schema.get("definitions", {}).items()}
+        self._check_keywords(schema)
+
+    def _check_keywords(self, schema: dict) -> None:
+        for key, want in schema.items():
+            if (key not in self.KEYWORDS
+                    or key == "type" and want not in self.TYPES
+                    or key == "additionalProperties" and want is not False
+                    or key == "$ref" and want not in self.refs):
+                raise ValueError(f"unsupported schema keyword {key}: {want!r}")
+            subs = {"items": [want], "oneOf": want}.get(key, ())
+            if key in ("properties", "patternProperties", "definitions"):
+                subs = want.values()
+            for sub in subs:
+                self._check_keywords(sub)
+
+    def errors(self, doc, schema: dict | None = None,
+               path: tuple = ()) -> list[tuple[tuple, str]]:
+        """(path, message) pairs; a path is a tuple of keys and positions."""
+        schema, out = self.schema if schema is None else schema, []
+        if "$ref" in schema:  # draft 7: a $ref replaces its siblings
+            schema = self.refs[schema["$ref"]]
+        for key, want in schema.items():
+            if key == "type" and (not isinstance(doc, self.TYPES[want])
+                                  or type(doc) is bool):
+                out.append((path, f"{doc!r} is not of type {want!r}"))
+            elif key == "const" and (doc, type(doc)) != (want, type(want)):
+                out.append((path, f"{want!r} was expected"))
+            elif (key == "pattern" and isinstance(doc, str)
+                  and not re.search(want, doc)):
+                out.append((path, f"{doc!r} does not match {want!r}"))
+            elif (key in ("minimum", "maximum") and type(doc) in (int, float)
+                  and (doc < want if key == "minimum" else doc > want)):
+                out.append((path, f"{doc!r} is beyond the {key} {want!r}"))
+            elif key == "oneOf" and sum(
+                    not self.errors(doc, sub, path) for sub in want) != 1:
+                out.append((path, "valid under no or several oneOf choices"))
+            elif key == "minItems" and isinstance(doc, list) and len(doc) < want:
+                out.append((path, f"fewer than {want} items"))
+            elif key == "items" and isinstance(doc, list):
+                for i, item in enumerate(doc):
+                    out += self.errors(item, want, path + (i,))
+            elif key == "required" and isinstance(doc, dict):
+                out.extend((path, f"{name!r} is a required property")
+                           for name in want if name not in doc)
+            elif key == "properties" and isinstance(doc, dict):
+                for name, sub in want.items():
+                    if name in doc:
+                        out += self.errors(doc[name], sub, path + (name,))
+            elif key == "patternProperties" and isinstance(doc, dict):
+                for pattern, sub in want.items():
+                    for name, value in doc.items():
+                        if re.search(pattern, name):
+                            out += self.errors(value, sub, path + (name,))
+            elif key == "additionalProperties" and isinstance(doc, dict):
+                extra = [name for name in doc
+                         if name not in schema.get("properties", {})
+                         and not any(re.search(p, name) for p in
+                                     schema.get("patternProperties", {}))]
+                if extra:
+                    out.append((path, f"unexpected properties {extra}"))
+        return out
+
+
+INSTANCE_SCHEMA = SchemaChecker(json.loads(
+    resources.files("kapranov.schemas").joinpath("instance.schema.json")
+    .read_text()))
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path) as f:
@@ -239,14 +342,11 @@ def load_document(path: str) -> dict:
         raise DocumentError(
             f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    schema = json.loads(resources.files("kapranov.schemas")
-                        .joinpath("instance.schema.json").read_text())
-    validator = jsonschema.Draft7Validator(schema)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(INSTANCE_SCHEMA.errors(doc), key=lambda e: e[0])
     if errors:
         locs = "; ".join(
-            f"at {'/'.join(str(p) for p in e.absolute_path) or '<root>'}: "
-            f"{e.message}" for e in errors[:5])
+            f"at {'/'.join(str(p) for p in where) or '<root>'}: {message}"
+            for where, message in errors[:5])
         raise DocumentError(f"{path}: document does not match the schema: {locs}")
     return doc
 

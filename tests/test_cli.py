@@ -1,7 +1,10 @@
 """Command-line front end: document handling, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +54,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "--input", str(p))
         assert code == 2
         assert "lie_pair/brackets/0,1/1" in err
+
+    def test_import_loads_only_the_standard_library(self):
+        # every invocation pays the import: beyond what the bare interpreter
+        # already holds (site and its .pth files), importing the CLI may
+        # load nothing but kapranov and the standard library
+        code = ("import json, sys; before = set(sys.modules); "
+                "import kapranov.cli; print(json.dumps(sorted("
+                "{m.partition('.')[0] for m in set(sys.modules) - before})))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        loaded = set(json.loads(out))
+        assert "kapranov" in loaded
+        assert loaded - set(sys.stdlib_module_names) == {"kapranov"}
 
     def test_homotopy_needs_second_splitting(self, capsys):
         code, _, err = run(capsys, "homotopy", "--input",
@@ -143,6 +161,55 @@ class TestInputBounds:
         assert code == 2
         assert out == ""
         assert "bracket (1,2) names output basis index 7" in err
+
+    @pytest.mark.parametrize("name,keys,value,command,path", [
+        ("sl2_borel", ["lie_pair", "subalgebra"], [0, 9], "validate",
+         "lie_pair/subalgebra/1"),
+        ("sl2_borel", ["lie_pair", "subalgebra"], [-1, 0], "validate",
+         "lie_pair/subalgebra/0"),
+        ("sl2_borel", ["lie_pair", "second_connection", "9"],
+         {"0,0": {"": "1"}}, "atiyah", "lie_pair/second_connection/9"),
+        ("sl2_borel", ["lie_pair", "second_connection", "0"],
+         {"9,9": {"": "1"}}, "atiyah", "lie_pair/second_connection/0/9,9"),
+        ("raw", ["raw", "connection"], {"9": {"0,0": {"": "1"}}}, "brackets",
+         "raw/connection/9"),
+        ("raw", ["raw", "connection"], {"0": {"0,9": {"": "1"}}}, "brackets",
+         "raw/connection/0/0,9"),
+        ("adjoint_linear_map", ["linear_map_object", "actions", "9"],
+         {"0,0": "1"}, "validate", "linear_map_object/actions/9"),
+        ("adjoint_linear_map", ["linear_map_object", "actions", "0"],
+         {"9,0": "1"}, "validate", "linear_map_object/actions/0/9,0"),
+        # used to be ignored: exit 0 with every check passed
+        ("adjoint_linear_map", ["linear_map_object", "psi", "9"], {"0": "1"},
+         "validate", "linear_map_object/psi/9"),
+        ("adjoint_linear_map", ["linear_map_object", "psi", "0"], {"9": "1"},
+         "validate", "linear_map_object/psi/0/9"),
+        # the schema now gives linear-map brackets the Lie-pair shape
+        ("adjoint_linear_map", ["linear_map_object", "lie", "brackets"],
+         {"0,1": "1"}, "validate", "linear_map_object/lie/brackets/0,1"),
+        ("adjoint_linear_map", ["linear_map_object", "lie", "brackets"],
+         {"0,1": {"0": [1]}}, "validate",
+         "linear_map_object/lie/brackets/0,1/0"),
+        ("adjoint_linear_map", ["linear_map_object", "lie", "brackets"],
+         {"a": {}}, "validate", "linear_map_object/lie/brackets"),
+        # integer means a JSON integer: draft 7 would take 3.0 and 1.0
+        ("sl2_borel", ["options", "max_arity"], 3.0, "brackets",
+         "options/max_arity"),
+        ("sl2_borel", ["lie_pair", "subalgebra"], [1.0, 2.0], "validate",
+         "lie_pair/subalgebra/0"),
+    ])
+    def test_out_of_range_or_ill_typed_index(self, capsys, tmp_path, name,
+                                             keys, value, command, path):
+        doc = (raw_document({}) if name == "raw" else
+               json.loads((INSTANCES / f"{name}.json").read_text()))
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        code, out, err = run_document(capsys, tmp_path, doc, command)
+        assert code == 2
+        assert out == ""
+        assert f"at {path}:" in err
 
     @pytest.mark.parametrize("option,value", [
         ("--max-arity", "0"), ("--max-arity", "-1"), ("--max-arity", "7"),
