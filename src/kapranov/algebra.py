@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .graded import ONE, ZERO, GradedBasis, Scalar
+from .graded import ONE, ZERO, GradedBasis
 
 Monomial = tuple[int, ...]
 

@@ -234,10 +234,11 @@ class CochainComplex:
             return True
         return self.is_coboundary(diff) is not None
 
-    def class_coordinates(self, v: ModuleElement) -> list[Fraction] | None:
+    def class_coordinates(self, v: ModuleElement) -> list[Fraction]:
         """Coordinates of [v] in the cohomology_basis of its degree.
 
-        Returns None for v = 0 in a degree with no classes... (empty list).
+        v = 0 gives the empty list; a v that is not a cocycle raises
+        ValueError.
         """
         if v.is_zero():
             return []

@@ -17,9 +17,9 @@ from .cohomology import CochainComplex, solve_linear
 from .derivations import DgDerivation
 from .graded import ONE, ZERO
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
-                      apply_module_differential, contract, dual_module,
-                      end_module, hom_module, simple_tensor, tensor_index,
-                      tensor_module, tensor_split)
+                      apply_module_differential, contract, end_module,
+                      hom_module, simple_tensor, tensor_index, tensor_module,
+                      tensor_split)
 
 
 def omega_tensor(delta: DgDerivation, module: DgModule) -> DgModule:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgebraElement, CdgaPresentation, Monomial
+from .algebra import AlgebraElement, CdgaPresentation
 from .cohomology import solve_linear
 from .graded import ONE, ZERO, GradedBasis
 from .modules import (DgModule, ModuleElement, ModuleMorphism,

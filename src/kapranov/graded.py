@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 Scalar = Fraction
 

@@ -9,7 +9,7 @@ B = dual(Omega), the tower
 makes B a strongly homotopy Leibniz algebra with all brackets of degree 1.
 This module fills those towers as explicit tables over a ground-field
 basis and mechanically checks every identity they are supposed to
-satisfy: the generalized Jacbi identities, the morphism equations, the
+satisfy: the generalized Jacobi identities, the morphism equations, the
 module identities, and homotopy invariance.
 """
 
@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from operator import itemgetter
 
-from .algebra import AlgebraElement, Monomial, _merge_monomials
+from .algebra import AlgebraElement, _merge_monomials
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
@@ -153,26 +153,93 @@ def eval_table_on_elements(table, degree, args, modules, out_module):
     return eval_table_on_tensor(table, degree, tensor, out_module)
 
 
+def _contractions(b: ModuleElement, connections) -> list:
+    """Slot operators i -> iota_b(nabla(e_i)) for ``nabla = connections[t]``.
+
+    Slots governed by the same connection share one lazy memo, so each
+    basis vector is contracted with b at most once per connection.
+    """
+    ops = {}
+    for conn in connections:
+        if id(conn) not in ops:
+            cache: dict[int, ModuleElement] = {}
+
+            def op(i, conn=conn, cache=cache):
+                if i not in cache:
+                    cache[i] = contract(b, conn(
+                        ModuleElement.basis_vector(conn.module, i)))
+                return cache[i]
+            ops[id(conn)] = op
+    return [ops[id(conn)] for conn in connections]
+
+
 def covariant_tensor_derivative(connections, b: ModuleElement,
-                                args: list[ModuleElement]) -> dict[tuple, AlgebraElement]:
+                                args: list[ModuleElement],
+                                op_degree: int | None = None) -> dict[tuple, AlgebraElement]:
     """nabla_b acting as a derivation of v_1 (x) ... (x) v_k.
 
-    ``connections[t]`` is the delta-connection governing slot t; the
-    operator degree is |b|.
+    ``connections[t]`` governs slot t: anything with a ``module`` and a
+    call into Omega (x) module, such as a delta-connection or an
+    h-connection.  The operator degree is ``op_degree``, by default |b|.
     """
-    db = b.degree() or 0
+    if op_degree is None:
+        op_degree = b.degree() or 0
     modules = [c.module for c in connections]
     tensor = tensor_of_elements(args, modules)
-    ops = []
-    for conn in connections:
-        cache: dict[int, ModuleElement] = {}
+    return derive_tensor(tensor, _contractions(b, connections), op_degree,
+                         modules)
 
-        def op(i, conn=conn, cache=cache):
-            if i not in cache:
-                cache[i] = contract(b, conn(ModuleElement.basis_vector(conn.module, i)))
-            return cache[i]
-        ops.append(op)
-    return derive_tensor(tensor, ops, db, modules)
+
+def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
+                b_mod: DgModule, slot_conns, outer,
+                lift=None) -> dict[tuple, ModuleElement]:
+    """The next table of a tower, one covariant commutator per b_0:
+
+      T_{k+1}(b_0, x_1, ..., x_k) = (-1)^{|b_0| r} outer_{lift(b_0)}(T_k(x_1, ..., x_k))
+                                    - T_k(nabla_{b_0}-derivative of x_1 (x) ... (x) x_k).
+
+    ``prev`` is T_k on module-basis tuples and ``degree`` its internal
+    degree r; b_0 runs over the basis of ``b_mod``, slot t is
+    differentiated by ``slot_conns[t]``, and ``lift`` (by default the
+    identity) carries b_0 to the module that ``outer`` is contracted with.
+    Keys come out in lexicographic order.
+    """
+    modules = [c.module for c in slot_conns]
+    out_module = outer.module
+    out: dict[tuple, ModuleElement] = {}
+    for b0 in range(b_mod.rank):
+        b0_elt = ModuleElement.basis_vector(b_mod, b0)
+        b_outer = lift(b0_elt) if lift else b0_elt
+        d0 = b_mod.basis.degrees[b0]
+        odd = (d0 * degree) % 2
+        ops = _contractions(b0_elt, slot_conns)
+        for args in itertools.product(*(range(m.rank) for m in modules)):
+            total = out_module.zero()
+            prev_val = prev.get(args)
+            if prev_val is not None and not b_outer.is_zero():
+                moved = contract(b_outer, outer(prev_val))
+                total = total + (moved.scale(-1) if odd else moved)
+            derived = derive_tensor({args: AlgebraElement.scalar(1)}, ops, d0,
+                                    modules)
+            total = total - eval_table_on_tensor(prev, degree, derived,
+                                                 out_module)
+            if not total.is_zero():
+                out[(b0,) + args] = total
+    return out
+
+
+def _atiyah_table(conn: DeltaConnection, b_mod: DgModule) -> dict[tuple, ModuleElement]:
+    """The arity-2 seed: the Atiyah cocycle of ``conn`` on basis pairs
+    (b_i, e_j) of B and of the connection's module."""
+    at = atiyah_cocycle(conn)
+    table: dict[tuple, ModuleElement] = {}
+    for i in range(b_mod.rank):
+        bi = ModuleElement.basis_vector(b_mod, i)
+        for j in range(conn.module.rank):
+            v = at.bilinear(bi, ModuleElement.basis_vector(conn.module, j))
+            if not v.is_zero():
+                table[(i, j)] = v
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +264,6 @@ class BracketFamily:
         self.module_tables = module_tables
         self.connection = connection
         self.label = label
-
-    def bracket(self, k: int) -> MultilinearMap | None:
-        m = self.brackets.get(k)
-        if m is None or m.is_zero():
-            return None
-        return m
-
-    def max_arity(self) -> int:
-        return max(self.brackets) if self.brackets else 0
 
     def nonzero_arities(self) -> list[int]:
         return sorted(k for k, m in self.brackets.items() if not m.is_zero())
@@ -295,16 +353,7 @@ def kapranov_brackets(connection: DeltaConnection, max_arity: int = 5,
     brackets = {1: differential_table(module, kb)}
     module_tables: dict[int, dict[tuple, ModuleElement]] = {}
     if max_arity >= 2:
-        at = atiyah_cocycle(connection)
-        table2: dict[tuple, ModuleElement] = {}
-        for i in range(module.rank):
-            bi = ModuleElement.basis_vector(module, i)
-            for j in range(module.rank):
-                bj = ModuleElement.basis_vector(module, j)
-                v = at.bilinear(bi, bj)
-                if not v.is_zero():
-                    table2[(i, j)] = v
-        module_tables[2] = table2
+        module_tables[2] = _atiyah_table(connection, module)
     for k in range(2, max_arity):
         module_tables[k + 1] = _next_bracket_table(connection, module_tables[k], k)
     for k, table in module_tables.items():
@@ -317,32 +366,7 @@ def _next_bracket_table(connection: DeltaConnection,
                         k: int) -> dict[tuple, ModuleElement]:
     """R_{k+1}(b_0,...,b_k) = (-1)^{|b_0|} nabla_{b_0}(R_k(b_1..b_k))
     - R_k(nabla_{b_0}-derivative of b_1 (x) ... (x) b_k)."""
-    module = connection.module
-    out: dict[tuple, ModuleElement] = {}
-    for b0 in range(module.rank):
-        b0_elt = ModuleElement.basis_vector(module, b0)
-        d0 = module.basis.degrees[b0]
-        cache: dict[int, ModuleElement] = {}
-
-        def op(i):
-            if i not in cache:
-                cache[i] = contract(b0_elt, connection(
-                    ModuleElement.basis_vector(module, i)))
-            return cache[i]
-
-        sign0 = -1 if d0 % 2 else 1
-        for args in itertools.product(range(module.rank), repeat=k):
-            total = module.zero()
-            prev_val = prev.get(args)
-            if prev_val is not None:
-                total = total + contract(b0_elt, connection(prev_val)).scale(sign0)
-            derived = derive_tensor({args: AlgebraElement.scalar(1)},
-                                    [op] * k, d0, [module] * k)
-            total = total - eval_table_on_tensor(prev, 1, derived, module)
-            if not total.is_zero():
-                out[(b0,) + args] = total
-        cache.clear()
-    return out
+    return _tower_step(prev, 1, connection.module, [connection] * k, connection)
 
 
 def bracket_on_elements(fam: BracketFamily, k: int,
@@ -359,10 +383,9 @@ def bracket_on_elements(fam: BracketFamily, k: int,
     if k == 2:
         return atiyah_cocycle(conn).bilinear(args[0], args[1])
     total = module.zero()
-    b0 = args[0]
-    for d0, b0p in b0.homogeneous_parts().items():
+    inner = bracket_on_elements(fam, k - 1, args[1:])
+    for d0, b0p in args[0].homogeneous_parts().items():
         sign0 = -1 if d0 % 2 else 1
-        inner = bracket_on_elements(fam, k - 1, args[1:])
         total = total + contract(b0p, conn(inner)).scale(sign0)
         derived = covariant_tensor_derivative([conn] * (k - 1), b0p, args[1:])
         total = total - eval_table_on_tensor(fam.module_tables[k - 1], 1,
@@ -533,13 +556,11 @@ def _check_identities(n_max: int, weight, out_basis: GradedBasis,
 
 
 def check_leibniz_infinity(fam: BracketFamily, n_max: int,
-                           threads: int | None = None,
                            max_witnesses: int = 10) -> dict:
     """Exhaustively verify the degree-1 generalized Jacobi identities.
 
     Returns a report dict with per-weight tuple counts and any failing
-    tuples (with their residuals).  Checks run in one thread; ``threads``
-    is accepted for compatibility and does not change the work.
+    tuples (with their residuals).
     """
     active = set(fam.nonzero_arities())
 
@@ -602,11 +623,8 @@ def _morphism_rhs_structures(n: int, f_active, lamp_active):
 
 
 def check_linfty_morphism(mor: MorphismFamily, n_max: int,
-                          threads: int | None = None,
                           max_witnesses: int = 10) -> dict:
-    """Verify the morphism equation on all source basis tuples, n <= n_max.
-
-    Checks run in one thread; ``threads`` does not change the work."""
+    """Verify the morphism equation on all source basis tuples, n <= n_max."""
     f_active = set(mor.nonzero_arities())
     lam_active = set(mor.source.nonzero_arities())
     lamp_active = set(mor.target.nonzero_arities())
@@ -663,32 +681,8 @@ def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
     tables[1] = {(i,): f1.of_basis(i) for i in range(b_mod.rank)
                  if not f1.of_basis(i).is_zero()}
     for k in range(1, max_arity):
-        prev = tables[k]
-        new: dict[tuple, ModuleElement] = {}
-        for b0 in range(b_mod.rank):
-            b0_elt = ModuleElement.basis_vector(b_mod, b0)
-            f1b0 = f1(b0_elt)
-            d0 = b_mod.basis.degrees[b0]
-            cache: dict[int, ModuleElement] = {}
-
-            def op(i):
-                if i not in cache:
-                    cache[i] = contract(b0_elt, conn(
-                        ModuleElement.basis_vector(b_mod, i)))
-                return cache[i]
-
-            for args in itertools.product(range(b_mod.rank), repeat=k):
-                total = bp_mod.zero()
-                prev_val = prev.get(args)
-                if prev_val is not None and not f1b0.is_zero():
-                    total = total + contract(f1b0, conn_p(prev_val))
-                derived = derive_tensor({args: AlgebraElement.scalar(1)},
-                                        [op] * k, d0, [b_mod] * k)
-                total = total - eval_table_on_tensor(prev, 0, derived, bp_mod)
-                if not total.is_zero():
-                    new[(b0,) + args] = total
-            cache.clear()
-        tables[k + 1] = new
+        tables[k + 1] = _tower_step(tables[k], 0, b_mod, [conn] * k, conn_p,
+                                    lift=f1)
     maps = {k: extend_module_table(source_fam.kb, table, k, 0,
                                    output_kb=target_fam.kb)
             for k, table in tables.items()}
@@ -890,31 +884,15 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     }
     r_tables = target_fam.module_tables
     for k in range(2, max_arity):
-        prev = tables[k]
-        new: dict[tuple, ModuleElement] = {}
+        # partition terms: [hat_{b_0}, R_p](g(b_I1), ..., g(b_Ip))
+        partition_terms: dict[tuple, ModuleElement] = {}
         for b0 in range(module.rank):
             b0_elt = ModuleElement.basis_vector(module, b0)
             d0 = module.basis.degrees[b0]
             sign0 = -1 if d0 % 2 else 1
-            hat_cache: dict[int, ModuleElement] = {}
-            cp_cache: dict[int, ModuleElement] = {}
-
-            def hat_op(i):
-                if i not in hat_cache:
-                    hat_cache[i] = contract(b0_elt, hat(
-                        ModuleElement.basis_vector(module, i)))
-                return hat_cache[i]
-
-            def cp_op(i):
-                if i not in cp_cache:
-                    cp_cache[i] = contract(b0_elt, conn_prime(
-                        ModuleElement.basis_vector(module, i)))
-                return cp_cache[i]
-
             for args in itertools.product(range(module.rank), repeat=k):
                 degs = [module.basis.degrees[i] for i in args]
                 total = module.zero()
-                # partition terms: [hat_{b_0}, R_p](g(b_I1), ..., g(b_Ip))
                 for p in range(2, k + 1):
                     rp = r_tables.get(p)
                     if not rp:
@@ -934,21 +912,23 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
                         inner = eval_table_on_elements(rp, 1, g_args,
                                                        [module] * p, module)
                         term = contract(b0_elt, hat(inner))
-                        derived = covariant_tensor_derivative_with(
-                            hat, g_args, b0_elt, d0 - 1, module)
+                        derived = covariant_tensor_derivative(
+                            [hat] * p, b0_elt, g_args, d0 - 1)
                         sgn = -1 if (d0 - 1) % 2 else 1
                         term = term - eval_table_on_tensor(rp, 1, derived,
                                                            module).scale(sgn)
                         total = total + term.scale(eps * sign0)
-                # commutator with nabla': nabla'_{b_0}(g_k(...)) - g_k(nabla'_{b_0}...)
-                prev_val = prev.get(args)
-                if prev_val is not None:
-                    total = total + contract(b0_elt, conn_prime(prev_val))
-                derived = derive_tensor({args: AlgebraElement.scalar(1)},
-                                        [cp_op] * k, d0, [module] * k)
-                total = total - eval_table_on_tensor(prev, 0, derived, module)
                 if not total.is_zero():
-                    new[(b0,) + args] = total
+                    partition_terms[(b0,) + args] = total
+        # commutator with nabla': nabla'_{b_0}(g_k(...)) - g_k(nabla'_{b_0}...)
+        commutator = _tower_step(tables[k], 0, module, [conn_prime] * k,
+                                 conn_prime)
+        new: dict[tuple, ModuleElement] = {}
+        for key in sorted(partition_terms.keys() | commutator.keys()):
+            total = partition_terms.get(key, module.zero()) \
+                + commutator.get(key, module.zero())
+            if not total.is_zero():
+                new[key] = total
         tables[k + 1] = new
     maps = {k: extend_module_table(source_fam.kb, table, k, 0,
                                    output_kb=target_fam.kb)
@@ -956,23 +936,6 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     mor = MorphismFamily(source_fam, target_fam, maps, tables,
                          label="homotopy_iso")
     return mor, conn_prime
-
-
-def covariant_tensor_derivative_with(hat: HatConnection,
-                                     args: list[ModuleElement],
-                                     b0_elt: ModuleElement, op_degree: int,
-                                     module: DgModule) -> dict:
-    """hat_{b_0} acting as a degree-(|b_0|-1) derivation of a tensor."""
-    cache: dict[int, ModuleElement] = {}
-
-    def op(i):
-        if i not in cache:
-            cache[i] = contract(b0_elt, hat(ModuleElement.basis_vector(module, i)))
-        return cache[i]
-
-    tensor = tensor_of_elements(args, [module] * len(args))
-    return derive_tensor(tensor, [op] * len(args), op_degree,
-                         [module] * len(args))
 
 
 # ---------------------------------------------------------------------------
@@ -993,12 +956,6 @@ class ModuleActionFamily:
         self.connection_e = connection_e
         self.label = label
 
-    def action(self, k: int) -> MultilinearMap | None:
-        m = self.actions.get(k)
-        if m is None or m.is_zero():
-            return None
-        return m
-
     def nonzero_arities(self) -> list[int]:
         return sorted(k for k, m in self.actions.items() if not m.is_zero())
 
@@ -1017,48 +974,10 @@ def kapranov_module(fam: BracketFamily, conn_e: DeltaConnection,
     b_mod = fam.module
     e_mod = conn_e.module
     kb_e = KBasis(e_mod)
-    tables: dict[int, dict[tuple, ModuleElement]] = {}
-    at_e = atiyah_cocycle(conn_e)
-    table2: dict[tuple, ModuleElement] = {}
-    for i in range(b_mod.rank):
-        bi = ModuleElement.basis_vector(b_mod, i)
-        for j in range(e_mod.rank):
-            ej = ModuleElement.basis_vector(e_mod, j)
-            v = at_e.bilinear(bi, ej)
-            if not v.is_zero():
-                table2[(i, j)] = v
-    tables[2] = table2
+    tables = {2: _atiyah_table(conn_e, b_mod)}
     for k in range(2, max_arity):
-        prev = tables[k]
-        new: dict[tuple, ModuleElement] = {}
-        slot_modules = [b_mod] * (k - 1) + [e_mod]
-        slot_conns = [conn_b] * (k - 1) + [conn_e]
-        for b0 in range(b_mod.rank):
-            b0_elt = ModuleElement.basis_vector(b_mod, b0)
-            d0 = b_mod.basis.degrees[b0]
-            sign0 = -1 if d0 % 2 else 1
-            ops = []
-            for conn in slot_conns:
-                cache: dict[int, ModuleElement] = {}
-
-                def op(i, conn=conn, cache=cache):
-                    if i not in cache:
-                        cache[i] = contract(b0_elt, conn(
-                            ModuleElement.basis_vector(conn.module, i)))
-                    return cache[i]
-                ops.append(op)
-            for args in itertools.product(
-                    *([range(b_mod.rank)] * (k - 1) + [range(e_mod.rank)])):
-                total = e_mod.zero()
-                prev_val = prev.get(args)
-                if prev_val is not None:
-                    total = total + contract(b0_elt, conn_e(prev_val)).scale(sign0)
-                derived = derive_tensor({args: AlgebraElement.scalar(1)},
-                                        ops, d0, slot_modules)
-                total = total - eval_table_on_tensor(prev, 1, derived, e_mod)
-                if not total.is_zero():
-                    new[(b0,) + args] = total
-        tables[k + 1] = new
+        tables[k + 1] = _tower_step(tables[k], 1, b_mod,
+                                    [conn_b] * (k - 1) + [conn_e], conn_e)
     actions: dict[int, MultilinearMap] = {1: differential_table(e_mod, kb_e)}
     for k, table in tables.items():
         input_kbs = [fam.kb] * (k - 1) + [kb_e]
@@ -1138,9 +1057,6 @@ class CohomologyBracket:
                 table2, 1, [xp, y], [self.fam.module] * 2,
                 self.fam.module).scale(sign)
         return out
-
-    def class_coords(self, z: ModuleElement) -> list[Fraction]:
-        return self.complex.class_coordinates(z)
 
     def is_skew(self) -> bool:
         return self.nonskew_witness() is None
@@ -1232,6 +1148,7 @@ class CohomologyAction:
         """[b] |> lam([e]) = lam([b] |> [e]) for a dg morphism into a module
         with an action built from the same derivation."""
         out = []
+        cx = CochainComplex(lam.target)
         for a, (da, ra) in enumerate(self.b_reps):
             for b, (db, rb) in enumerate(self.e_reps):
                 lhs = self.action_cocycle(ra, lam(rb))
@@ -1239,7 +1156,6 @@ class CohomologyAction:
                 diff = lhs - rhs
                 if diff.is_zero():
                     continue
-                cx = CochainComplex(lam.target)
                 if not cx.is_cocycle(diff) or cx.is_coboundary(diff) is None:
                     out.append((a, b))
         return out

@@ -8,12 +8,8 @@ coefficients (coefficients act from the left).
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-from typing import Iterator, Sequence
-
 from .algebra import AlgebraElement, CdgaPresentation, Monomial
-from .graded import ONE, ZERO, GradedBasis
+from .graded import GradedBasis
 
 
 class ModuleElement:
