@@ -27,9 +27,10 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
 from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
                           atiyah_class, atiyah_cocycle, check_naturality,
                           extend_connection, flat_connection_exists)
-from .kapranov import (BracketFamily, CohomologyAction, CohomologyBracket,
-                       HatConnection, KBasis, ModuleActionFamily,
-                       MorphismFamily, a_multilinearity_violations,
+from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
+                       CohomologyBracket, HatConnection, KBasis,
+                       ModuleActionFamily, MorphismFamily,
+                       a_multilinearity_violations,
                        bracket_nonskew_witness, bracket_on_elements,
                        check_leibniz_infinity, check_linfty_morphism,
                        check_module_identities, cohomology_action,

@@ -3,7 +3,8 @@
 Reports are deterministic: fixed key order (sorted), rationals as "p/q"
 strings, no timing in the body (elapsed time goes to stderr).  Exit
 status is 0 exactly when every requested check passed, 1 on a failing
-check, 2 on input errors.
+check (a CheckFailure raised while a structure is built is named on
+stderr instead of in a report), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
                           validate_dg_derivation)
 from .graded import GradedBasis
-from .kapranov import (HatConnection,
+from .kapranov import (CheckFailure, HatConnection,
                        bracket_nonskew_witness, check_leibniz_infinity,
                        check_linfty_morphism, cohomology_leibniz_bracket,
                        homotopy_iso, kapranov_brackets, kapranov_morphism)
@@ -665,6 +666,9 @@ def main(argv=None) -> int:
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except CheckFailure as e:
+        print(f"check failed: {args.input}: {e}", file=sys.stderr)
+        return 1
     except ValueError as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ module identities, and homotopy invariance.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import itemgetter
 
@@ -27,6 +28,12 @@ from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, simple_tensor)
+
+
+class CheckFailure(Exception):
+    """A mathematical check failed while a structure was being built: the
+    input is well formed, but what it builds breaks a promised identity.
+    Deliberately not a ValueError, which stands for bad input."""
 
 
 class KBasis:
@@ -409,13 +416,18 @@ def _leibniz_structures(n: int, active):
     return out
 
 
-def _picker(positions: tuple[int, ...]):
+def _gather(positions: tuple[int, ...]):
     """The function taking a tuple to the tuple of its entries at
-    ``positions`` (an ``itemgetter``, with a slice for fewer than two)."""
-    if len(positions) < 2:
-        start = positions[0] if positions else 0
-        return itemgetter(slice(start, start + len(positions)))
+    ``positions`` (an ``itemgetter``, with a slice for a single one)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
     return itemgetter(*positions)
+
+
+def _parity_bits(key: tuple, parities: list) -> int:
+    """Bit t is the parity of the degree of key[t]; ``parities[t]`` maps
+    each index of slot t to that parity."""
+    return sum(p[i] << t for t, (p, i) in enumerate(zip(parities, key)))
 
 
 class _Insertion:
@@ -423,14 +435,15 @@ class _Insertion:
 
     ``sigma`` is a (k-j, j-1)-shuffle of 1..k-1: the front block F is
     sigma(1..k-j), the middle block M = sigma(k-j+1..k-1) goes into the
-    j-ary inner map together with x_k.  The term's sign is the Koszul sign
-    of sigma on x_1..x_{k-1} times (-1)^{|x_F|}, the outer map's degree 1
-    passing x_F; both depend only on the parities of the degrees, so
-    ``sign`` memoises it by the parity pattern of the tuple.
+    j-ary inner map together with x_k.  ``front`` and ``args`` hold the
+    0-based positions of F and of (M, k).  The term's sign is the Koszul
+    sign of sigma on x_1..x_{k-1} times (-1)^{|x_F|}, the outer map's
+    degree 1 passing x_F; both depend only on the parities of the
+    degrees, so ``sign`` memoises it under ``parity``, any key that
+    determines the parities of x_1..x_{k-1}.
     """
 
-    __slots__ = ("outer", "inner", "k", "sigma", "front", "head", "middle",
-                 "signs")
+    __slots__ = ("outer", "inner", "k", "sigma", "front", "args", "signs")
 
     def __init__(self, outer: dict, inner: dict, k: int, j: int,
                  sigma: tuple[int, ...]):
@@ -439,11 +452,10 @@ class _Insertion:
         self.k = k
         self.sigma = sigma
         self.front = tuple(s - 1 for s in sigma[:k - j])
-        self.head = _picker(self.front)
-        self.middle = _picker(tuple(s - 1 for s in sigma[k - j:k - 1]) + (k - 1,))
-        self.signs: dict[tuple, int] = {}
+        self.args = tuple(s - 1 for s in sigma[k - j:k - 1]) + (k - 1,)
+        self.signs: dict[int, int] = {}
 
-    def sign(self, degs: list[int], parity: tuple) -> int:
+    def sign(self, degs: list[int], parity) -> int:
         s = self.signs.get(parity)
         if s is None:
             front = sum(degs[t] for t in self.front)
@@ -451,75 +463,137 @@ class _Insertion:
             self.signs[parity] = s
         return s
 
+    def scatter(self, n: int):
+        """The function taking an outer key followed by an inner key,
+        (x_F, m, x_{k+1}, ..., x_n, x_M, x_k), to (x_1, ..., x_n)."""
+        s, k = len(self.front), self.k
+        start = n - len(self.args) + 1  # the outer arity
+        where = {p: t for t, p in enumerate(self.front)}
+        where.update((p, start + t) for t, p in enumerate(self.args))
+        where.update((p, s + 1 + p - k) for p in range(k, n))
+        return _gather(tuple(where[p] for p in range(n)))
+
 
 class _Partition:
     """The term outer(f(x_{I_1}), ..., f(x_{I_q})) of a residual, for an
-    ordered partition I of 1..n; ``tables[t]`` is the map on block t.
+    ordered partition I of 1..n; ``tables[t]`` is the map on block t, and
+    ``scatter`` takes (x_{I_1}, ..., x_{I_q}) to (x_1, ..., x_n).
     ``sign`` is the Koszul sign of the unshuffle, memoised by parity."""
 
-    __slots__ = ("outer", "tables", "blocks", "pickers", "signs")
+    __slots__ = ("outer", "tables", "blocks", "scatter", "signs")
 
     def __init__(self, outer: dict, tables: list[dict], blocks):
         self.outer = outer
         self.tables = tables
         self.blocks = blocks
-        self.pickers = [_picker(tuple(b - 1 for b in block)) for block in blocks]
+        flat = [b - 1 for block in blocks for b in block]
+        self.scatter = _gather(tuple(flat.index(p) for p in range(len(flat))))
         self.signs: dict[tuple, int] = {}
 
-    def sign(self, degs: list[int], parity: tuple) -> int:
+    def sign(self, degs: list[int], parity) -> int:
         s = self.signs.get(parity)
         if s is None:
             s = self.signs[parity] = partition_sign(self.blocks, degs)
         return s
 
 
-def _residual(keys: tuple[int, ...], degs: list[int], insertions,
-              partitions) -> dict[int, Fraction]:
-    """The nonzero coefficients of sum(insertions) - sum(partitions) on one
-    tuple of k-basis indices.
+def _entries(cache: dict, table: dict, parities: list) -> list:
+    """The entries of ``table`` as (key, parity bits of the key, value
+    coefficients).  Built once per check call and kept in ``cache``
+    together with ``table``, so that its id is not reused meanwhile."""
+    found = cache.get(id(table))
+    if found is None:
+        found = cache[id(table)] = (table, [
+            (key, _parity_bits(key, parities), val.coeffs)
+            for key, val in table.items()])
+    return found[1]
 
-    Each inner value is looked up before its sign is needed, and the outer
-    map is read straight from its table: the multilinear maps are tables
-    over the k-basis, so an outer argument that is a basis vector is just
-    its index.
+
+def _entries_by_slot(cache: dict, table: dict, s: int, parities: list) -> dict:
+    """The entries of ``table`` grouped by their index m in slot s, as
+    m -> [(key, parity bits of key[:s], value coefficients)].  Cached as
+    in :func:`_entries`."""
+    found = cache.get((id(table), s))
+    if found is None:
+        found = cache[(id(table), s)] = (table, {})
+        for key, val in table.items():
+            found[1].setdefault(key[s], []).append(
+                (key, _parity_bits(key[:s], parities), val.coeffs))
+    return found[1]
+
+
+def _residuals(slots: list[KBasis], insertions, partitions,
+               cache: dict) -> dict[tuple, dict[int, Fraction]]:
+    """sum(insertions) - sum(partitions) on every tuple that some term
+    reaches, as tuple -> {output index: coefficient}.  Coefficients may
+    cancel to zero; a tuple that no term reaches has residual zero.
+
+    The join is driven by the table entries, so only nonzero
+    contributions are visited.  An insertion term runs over the entries
+    of its inner map and, for each index m of an inner value, over the
+    outer entries that hold m in the slot receiving that value; the front
+    block, the inner arguments and the tail are scattered back into the
+    n-tuple.  A partition term runs over the products of its block
+    tables' entries and looks the outer map up on each choice of indices
+    of their values.  Every table is keyed by k-basis indices, so no
+    basis vector is built.
     """
-    parity = tuple(d % 2 for d in degs)
-    acc: dict[int, Fraction] = {}
+    n = len(slots)
+    degrees = [kb.basis.degrees for kb in slots]
+    parities = [[d % 2 for d in degs] for degs in degrees]
+    acc: dict[tuple, dict[int, Fraction]] = {}
+
+    def degs_of(x):
+        return [d[i] for d, i in zip(degrees, x)]
+
     for term in insertions:
-        val = term.inner.get(term.middle(keys))
-        if val is None:
+        s = len(term.front)
+        by_m = _entries_by_slot(cache, term.outer, s,
+                                [parities[p] for p in term.front])
+        if not by_m:
             continue
-        negate = term.sign(degs, parity) < 0
-        head = term.head(keys)
-        tail = keys[term.k:]
-        outer = term.outer
-        for m, c in val.coeffs.items():
-            out = outer.get(head + (m,) + tail)
-            if out is None:
-                continue
-            if negate:
-                c = -c
-            for idx, v in out.coeffs.items():
-                acc[idx] = acc.get(idx, 0) + c * v
+        signs, scatter = term.signs, term.scatter(n)
+        for args, arg_bits, values in _entries(
+                cache, term.inner, [parities[p] for p in term.args]):
+            arg_bits <<= s
+            for m, c in values.items():
+                for key, head_bits, out in by_m.get(m, ()):
+                    x = scatter(key + args)
+                    # the parities of (x_F, x_M, x_k)
+                    parity = head_bits | arg_bits
+                    sign = signs.get(parity) or term.sign(degs_of(x), parity)
+                    cs = c if sign > 0 else -c
+                    row = acc.get(x)
+                    if row is None:
+                        row = acc[x] = {}
+                    for idx, v in out.items():
+                        row[idx] = row.get(idx, 0) + cs * v
     for term in partitions:
-        vals = []
-        for table, pick in zip(term.tables, term.pickers):
-            val = table.get(pick(keys))
-            if val is None:
-                break
-            vals.append(val.coeffs.items())
-        else:
-            sign = -term.sign(degs, parity)
-            for combo in itertools.product(*vals):
-                out = term.outer.get(tuple([m for m, _ in combo]))
-                if out is None:
-                    continue
+        block_entries = [_entries(cache, table, [parities[b - 1] for b in block])
+                         for table, block in zip(term.tables, term.blocks)]
+        signs, outer = term.signs, term.outer
+        for combo in itertools.product(*block_entries):
+            hits = []
+            for ms in itertools.product(*(v.items() for _, _, v in combo)):
+                out = outer.get(tuple([m for m, _ in ms]))
+                if out is not None:
+                    hits.append((ms, out))
+            if not hits:
+                continue
+            x = term.scatter(tuple(itertools.chain.from_iterable(
+                key for key, _, _ in combo)))
+            parity = tuple(bits for _, bits, _ in combo)
+            sign = -(signs.get(parity) or term.sign(degs_of(x), parity))
+            row = acc.get(x)
+            if row is None:
+                row = acc[x] = {}
+            for ms, out in hits:
                 c = sign
-                for _, cm in combo:
+                for _, cm in ms:
                     c = c * cm
                 for idx, v in out.coeffs.items():
-                    acc[idx] = acc.get(idx, 0) + c * v
-    return {idx: c for idx, c in acc.items() if c}
+                    row[idx] = row.get(idx, 0) + c * v
+    return acc
 
 
 def _check_identities(n_max: int, weight, out_basis: GradedBasis,
@@ -529,29 +603,33 @@ def _check_identities(n_max: int, weight, out_basis: GradedBasis,
     ``weight(n)`` returns the k-bases of the n slots, the number of terms
     of the identity at weight n (a weight without terms is skipped) and
     its terms, as lists of :class:`_Insertion` and :class:`_Partition`.
-    Tuples are visited in ``itertools.product`` order; the report lists
-    per weight the tuple and term counts and the first ``max_witnesses``
-    failing tuples with their residuals.
+    The residuals come from the term-driven join of :func:`_residuals`:
+    the cost is proportional to the nonzero contributions of the terms,
+    not to tuples times terms, and the memory to the tuples that some
+    term reaches at one weight, which is freed before the next.  The
+    report lists per weight the tuple count (every tuple of the slots'
+    k-bases) and the term count, and the first ``max_witnesses`` failing
+    tuples, in ``itertools.product`` order, with their residuals.
     """
     report = {"passed": True, "weights": []}
+    cache: dict = {}
     for n in range(1, n_max + 1):
         slots, n_terms, insertions, partitions = weight(n)
         entry = {"n": n, "terms": n_terms, "tuples": 0, "failures": []}
         report["weights"].append(entry)
         if not n_terms:
             continue
-        degrees = [kb.basis.degrees for kb in slots]
-        for keys in itertools.product(*(range(len(kb.keys)) for kb in slots)):
-            entry["tuples"] += 1
-            r = _residual(keys, [d[i] for d, i in zip(degrees, keys)],
-                          insertions, partitions)
-            if r:
-                report["passed"] = False
-                if len(entry["failures"]) < max_witnesses:
-                    entry["failures"].append({
-                        "tuple": [kb.basis.names[i] for kb, i in zip(slots, keys)],
-                        "residual": repr(Element(out_basis, r)),
-                    })
+        entry["tuples"] = math.prod(len(kb.keys) for kb in slots)
+        acc = _residuals(slots, insertions, partitions, cache)
+        failing = sorted(x for x, row in acc.items() if any(row.values()))
+        if failing:
+            report["passed"] = False
+        for x in failing[:max(max_witnesses, 0)]:
+            entry["failures"].append({
+                "tuple": [kb.basis.names[i] for kb, i in zip(slots, x)],
+                "residual": repr(Element(out_basis, acc[x])),
+            })
+        del acc
     return report
 
 
@@ -862,7 +940,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     delta = conn.delta
     dp = homotopy_offset(delta, h)
     if delta_prime is not None and dp != delta_prime:
-        raise ValueError("homotopy_offset(delta, h) does not match delta_prime")
+        raise CheckFailure("homotopy_offset(delta, h) does not match delta_prime")
     values: dict[int, ModuleElement] = {}
     for i in range(module.rank):
         e = ModuleElement.basis_vector(module, i)
@@ -875,7 +953,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     target_fam = kapranov_brackets(conn, max_arity)
     source_fam = kapranov_brackets(conn_prime, max_arity)
     if source_fam.module_tables.get(2, {}) != target_fam.module_tables.get(2, {}):
-        raise ValueError("R_2 changed under the homotopy: inconsistent input")
+        raise CheckFailure("R_2 changed under the homotopy")
 
     tables: dict[int, dict[tuple, ModuleElement]] = {
         1: {(i,): ModuleElement.basis_vector(module, i)
@@ -1045,7 +1123,7 @@ class CohomologyBracket:
             for b, (db, rb) in enumerate(self.reps):
                 z = self.bracket_cocycle(ra, rb)
                 if not z.is_zero() and not self.complex.is_cocycle(z):
-                    raise ValueError("bracket output is not closed")
+                    raise CheckFailure("bracket output is not closed")
                 self.table[(a, b)] = self.complex.class_coordinates(z)
 
     def bracket_cocycle(self, x: ModuleElement, y: ModuleElement) -> ModuleElement:
@@ -1130,7 +1208,7 @@ class CohomologyAction:
             for b, (db, rb) in enumerate(self.e_reps):
                 z = self.action_cocycle(ra, rb)
                 if not z.is_zero() and not self.e_complex.is_cocycle(z):
-                    raise ValueError("action output is not closed")
+                    raise CheckFailure("action output is not closed")
                 self.table[(a, b)] = self.e_complex.class_coordinates(z)
 
     def action_cocycle(self, b: ModuleElement, e: ModuleElement) -> ModuleElement:

@@ -1,23 +1,32 @@
 """The identity checkers against the per-tuple reference evaluation.
 
-The reference residuals below evaluate every term of an identity by
-building basis-vector arguments and calling the multilinear maps, with the
-Koszul sign computed for every term of every tuple.  The checkers of
-``kapranov.kapranov`` look each inner value up first, memoise the signs by
-the parity pattern of the degrees and read the outer tables directly; the
-reports must agree in every field, witnesses and residuals included.
+The reference residuals below visit every tuple of every weight and
+evaluate every term of an identity on it, building basis-vector arguments
+and calling the multilinear maps, with the Koszul sign computed for every
+term of every tuple.  The checkers of ``kapranov.kapranov`` instead run a
+join driven by the table entries: an insertion term meets each inner
+value only with the outer entries that take its indices, a partition term
+runs over the products of its block tables' entries, the contributions
+are summed per tuple, and a tuple that no term reaches has residual zero.
+Signs are memoised by the parity pattern of the degrees.  The reports must
+agree in every field, tuple counts, witnesses (in ``itertools.product``
+order) and residuals included, on correct families and on families with
+one corrupted entry.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import pathlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kapranov.algebra import AlgebraElement
 from kapranov.builders import (adjoint_linear_map, coadjoint_module,
                                sl2_borel_pair, splitting_homotopy)
 from kapranov.cli import Instance, load_document
@@ -38,6 +47,8 @@ from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))
 SL2_SHIFTED = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
+SL3 = ROOT / "bench" / "instances" / "sl3_borel.json"
+GRADED_TOY = ROOT / "tests" / "fixtures" / "graded_toy.json"
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +174,13 @@ def reference_leibniz(fam, n_max, max_witnesses=10) -> dict:
                 r = leibniz_residual(fam, keys, structures)
                 return (keys, r) if not r.is_zero() else None
 
-            for hit in map(job, tuples):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    keys, r = hit
+            for keys, r in filter(None, map(job, tuples)):
+                report["passed"] = False
+                if len(entry["failures"]) < max_witnesses:
                     entry["failures"].append({
                         "tuple": [fam.kb.basis.names[i] for i in keys],
                         "residual": repr(r),
                     })
-                    report["passed"] = False
         report["weights"].append(entry)
     return report
 
@@ -193,14 +203,13 @@ def reference_morphism(mor, n_max, max_witnesses=10) -> dict:
                 r = morphism_residual(mor, keys, lhs, rhs)
                 return (keys, r) if not r.is_zero() else None
 
-            for hit in map(job, tuples):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    keys, r = hit
+            for keys, r in filter(None, map(job, tuples)):
+                report["passed"] = False
+                if len(entry["failures"]) < max_witnesses:
                     entry["failures"].append({
                         "tuple": [mor.source.kb.basis.names[i] for i in keys],
                         "residual": repr(r),
                     })
-                    report["passed"] = False
         report["weights"].append(entry)
     return report
 
@@ -225,14 +234,13 @@ def reference_module(m, n_max, max_witnesses=10) -> dict:
                 r = module_residual(m, keys, ekey, part1, part2)
                 return (full_key, r) if not r.is_zero() else None
 
-            for hit in map(job, tuples):
-                if hit is not None and len(entry["failures"]) < max_witnesses:
-                    full_key, r = hit
+            for full_key, r in filter(None, map(job, tuples)):
+                report["passed"] = False
+                if len(entry["failures"]) < max_witnesses:
                     names = ([m.algebra_family.kb.basis.names[i]
                               for i in full_key[:-1]]
                              + [m.kb_e.basis.names[full_key[-1]]])
                     entry["failures"].append({"tuple": names, "residual": repr(r)})
-                    report["passed"] = False
         report["weights"].append(entry)
     return report
 
@@ -389,6 +397,100 @@ def test_corrupted_mu_entry_gives_identical_witnesses():
     report = check_module_identities(bad, 4)
     assert not report["passed"]
     assert report == reference_module(bad, 4)
+
+
+@functools.cache
+def corruption_targets() -> dict:
+    """(family, weight bound) per (setup, kind) of tower the property
+    below corrupts: the bracket tower R, a morphism tower f and a module
+    tower mu, on sl2/borel and on the graded toy, whose k-basis has odd
+    degrees (so the memoised signs see both parities)."""
+    sl2 = kapranov_brackets(second_sl2_connection(sl2_borel_pair()), 4)
+    toy = instance(GRADED_TOY)
+    toy_fam = kapranov_brackets(toy.connection, 3)
+    omega = toy.omega_
+    # delta = 0, so 2 id is a derivation morphism with f_2, f_3 nonzero
+    twice = DerivationMorphism(toy.delta, toy.delta, ModuleMorphism(
+        omega, omega, 0, {(i, i): AlgebraElement.scalar(2)
+                          for i in range(omega.rank)}))
+    return {
+        ("sl2/borel", "R"): (sl2, 4),
+        ("sl2/borel", "f"): (connection_morphism(
+            instance(ROOT / "instances/sl2_borel.json"), 4), 4),
+        ("sl2/borel", "mu"): (regular_action(4), 4),
+        ("graded", "R"): (toy_fam, 3),
+        ("graded", "f"): (kapranov_morphism(twice, toy_fam, toy_fam, 3), 3),
+        ("graded", "mu"): (kapranov_module(toy_fam, toy.connection, 3), 3),
+    }
+
+
+# the tables each kind of tower keeps, its checker and its reference
+KINDS = {"R": ("brackets", check_leibniz_infinity, reference_leibniz),
+         "f": ("maps", check_linfty_morphism, reference_morphism),
+         "mu": ("actions", check_module_identities, reference_module)}
+
+
+def corrupt_entry(draw, m: MultilinearMap) -> MultilinearMap:
+    """A copy of ``m`` with one entry scaled, added to or deleted.  An
+    addition goes to any tuple of the input bases, present or not; on an
+    empty table every corruption is an addition."""
+    out = copy.copy(m)
+    out.table = dict(m.table)
+    op = draw(st.sampled_from(["scale", "add", "delete"]), label="op")
+    if op != "add" and out.table:
+        key = draw(st.sampled_from(sorted(out.table)), label="key")
+        if op == "delete":
+            del out.table[key]
+        else:
+            factor = draw(st.sampled_from([-1, 2, Fraction(1, 2)]),
+                          label="factor")
+            out.table[key] = out.table[key].scale(factor)
+        return out
+    key = tuple(draw(st.integers(0, len(b) - 1), label="key")
+                for b in m.input_bases)
+    idx = draw(st.integers(0, len(m.output_basis) - 1), label="output")
+    c = draw(st.sampled_from([1, -1, Fraction(1, 3)]), label="coefficient")
+    out.set(key, out.table.get(key, Element(m.output_basis))
+            + Element.basis_vector(m.output_basis, idx, c))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_one_corrupted_entry_gives_the_reference_report(data):
+    target = data.draw(st.sampled_from(sorted(corruption_targets())),
+                       label="target")
+    family, n_max = corruption_targets()[target]
+    attr, check, reference = KINDS[target[1]]
+    k = data.draw(st.integers(1, n_max), label="arity")
+    maps = dict(getattr(family, attr))
+    maps[k] = corrupt_entry(data.draw, maps[k])
+    bad = copy.copy(family)
+    setattr(bad, attr, maps)
+    # the reference with every witness, cut to each cap below
+    full = reference(bad, n_max, max_witnesses=10 ** 9)
+    for cap in (0, 1, 3):
+        want = copy.deepcopy(full)
+        for w in want["weights"]:
+            del w["failures"][cap:]
+        assert check(bad, n_max, max_witnesses=cap) == want
+
+
+def test_any_residual_fails_the_report_without_witnesses():
+    mor = connection_morphism(instance(ROOT / "instances/sl2_borel.json"), 4)
+    bad = copy.copy(mor)
+    bad.maps = dict(mor.maps)
+    bad.maps[2] = corrupt(mor.maps[2], factor=-1)
+    report = check_linfty_morphism(bad, 4, max_witnesses=0)
+    assert report["passed"] is False
+    assert report == reference_morphism(bad, 4, max_witnesses=0)
+
+
+def test_sl3_borel_to_weight_3_covers_every_tuple():
+    fam = kapranov_brackets(instance(SL3).connection, 3)
+    report = check_leibniz_infinity(fam, 3)
+    assert report["passed"]
+    assert [w["tuples"] for w in report["weights"]] == [96, 9216, 884736]
 
 
 # ---------------------------------------------------------------------------

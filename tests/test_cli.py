@@ -355,6 +355,133 @@ class TestCommands:
         assert json.loads(out_path.read_text())["passed"] is True
 
 
+class TestGradedToy:
+    """``tests/fixtures/graded_toy.json``: delta = 0 into an Omega with
+    basis degrees 0 and 1, so B has basis vectors of both parities and the
+    sign (-1)^{|b_0|} of the tower step reaches the command line."""
+
+    FIXTURE = FIXTURES / "graded_toy.json"
+
+    def library_tables(self):
+        from kapranov.cli import Instance, bracket_tables_json, load_document
+        from kapranov.kapranov import kapranov_brackets
+        inst = Instance(load_document(str(self.FIXTURE)))
+        assert {d % 2 for d in inst.bmod.basis.degrees} == {0, 1}
+        return bracket_tables_json(kapranov_brackets(inst.connection, 4))
+
+    @pytest.mark.parametrize("argv", [["brackets"],
+                                      ["check-leibniz", "--max-arity", "4"]])
+    def test_tower_reaches_arity_4_and_matches_the_library(self, capsys,
+                                                           argv):
+        code, out, _ = run(capsys, *argv, "--input", str(self.FIXTURE))
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["passed"] is True
+        assert rep["nonzero_arities"] == [1, 2, 3, 4]
+        assert rep["tables"] == self.library_tables()
+
+    def test_check_leibniz_covers_every_tuple(self, capsys):
+        code, out, _ = run(capsys, "check-leibniz", "--max-arity", "4",
+                           "--input", str(self.FIXTURE))
+        rep = json.loads(out)
+        assert code == 0
+        # 2 generators give 4 monomials over 2 basis vectors: 8 per slot
+        assert [w["tuples"] for w in rep["weights"]] == [8, 64, 512, 4096]
+        assert all(not w["failures"] for w in rep["weights"])
+
+
+def adjoint_trivial_document() -> dict:
+    """builders.adjoint_trivial_linear_map as a document: the adjoint
+    action of [x, y] = y plus a trivially acted-on t, so H(B) is nonzero."""
+    doc = json.loads((INSTANCES / "adjoint_linear_map.json").read_text())
+    doc["label"] = "adjoint(+)trivial"
+    doc["linear_map_object"]["module_basis"] = ["a", "b", "t"]
+    return doc
+
+
+class TestBuildTimeCheckFailures:
+    """A mathematical check that fails while a structure is built raises
+    CheckFailure: the command exits 1 with the failure on stderr, never 2,
+    which stands for bad input."""
+
+    def test_unclosed_cohomology_bracket_exits_1(self, capsys, tmp_path,
+                                                 monkeypatch):
+        from kapranov import cli
+        from kapranov.algebra import AlgebraElement
+        from kapranov.modules import ModuleElement
+        doc = adjoint_trivial_document()
+        code, _, _ = run_document(capsys, tmp_path, doc, "cohomology")
+        assert code == 0
+        real = cli.kapranov_brackets
+
+        def corrupted(*args, **kwargs):
+            # R_2 constant at y^.a~, which d does not close
+            fam = real(*args, **kwargs)
+            v = ModuleElement(fam.module, {0: AlgebraElement.monomial((1,))})
+            rank = range(fam.module.rank)
+            fam.module_tables[2] = {(i, j): v for i in rank for j in rank}
+            return fam
+        monkeypatch.setattr(cli, "kapranov_brackets", corrupted)
+        code, out, err = run_document(capsys, tmp_path, doc, "cohomology")
+        assert code == 1
+        assert out == ""
+        assert "check failed" in err
+        assert "bracket output is not closed" in err
+
+    def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
+        from kapranov import kapranov
+        real = kapranov.kapranov_brackets
+
+        def corrupted(conn, *args, **kwargs):
+            # scale one R_2 entry of the tower of nabla' = nabla + [d, hat]
+            fam = real(conn, *args, **kwargs)
+            if conn.label == "nabla'":
+                table = fam.module_tables[2]
+                key = next(iter(table))
+                table[key] = table[key].scale(2)
+            return fam
+        monkeypatch.setattr(kapranov, "kapranov_brackets", corrupted)
+        code, out, err = run(capsys, "homotopy",
+                             "--input", str(INSTANCES / "sl2_borel.json"))
+        assert code == 1
+        assert out == ""
+        assert "R_2 changed under the homotopy" in err
+
+    def test_unclosed_cohomology_action_is_a_check_failure(self):
+        from kapranov.builders import adjoint_trivial_linear_map, coadjoint_module
+        from kapranov.kapranov import (CheckFailure, cohomology_action,
+                                       kapranov_brackets, kapranov_module)
+        from kapranov.modules import ModuleElement
+        s = adjoint_trivial_linear_map()
+        fam = kapranov_brackets(s.connection, max_arity=2)
+        coad, conn = coadjoint_module(s)
+        mf = kapranov_module(fam, conn, max_arity=2)
+        assert cohomology_action(mf).e_reps
+        # mu_2 constant at y*, which d does not close
+        v = ModuleElement.basis_vector(coad, 1)
+        mf.module_tables[2] = {(i, j): v for i in range(fam.module.rank)
+                               for j in range(coad.rank)}
+        with pytest.raises(CheckFailure, match="action output is not closed"):
+            cohomology_action(mf)
+        assert not issubclass(CheckFailure, ValueError)
+
+    def test_offset_mismatch_with_delta_prime_is_a_check_failure(self):
+        from kapranov.builders import sl2_borel_pair, splitting_homotopy
+        from kapranov.derivations import DgDerivation, homotopy_offset
+        from kapranov.kapranov import CheckFailure, HatConnection, homotopy_iso
+        s0, s1 = sl2_borel_pair(), sl2_borel_pair({0: {1: 1}})
+        h = splitting_homotopy(s0, s1)
+        hat = HatConnection(h, s0.bmod, {})
+        dp = homotopy_offset(s0.delta, h)
+        homotopy_iso(s0.connection, h, hat, max_arity=3, delta_prime=dp)
+        # delta' with the value on one generator doubled
+        g = next(iter(dp.values))
+        bad = DgDerivation(dp.algebra, dp.target,
+                           {**dp.values, g: dp.values[g].scale(2)})
+        with pytest.raises(CheckFailure, match="does not match delta_prime"):
+            homotopy_iso(s0.connection, h, hat, max_arity=3, delta_prime=bad)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command,extra", [
         ("check-leibniz", ["--max-arity", "5"]),

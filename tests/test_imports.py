@@ -1,14 +1,18 @@
-"""Every name a module of ``src/kapranov`` imports is used in that module.
+"""No dead names in ``src/kapranov``.
 
-A stdlib stand-in for pyflakes' unused-import check.  ``__init__.py``
-imports names to re-export them and is exempt.  Names read inside string
-annotations count as used.
+Every name a module imports is used in that module: a stdlib stand-in for
+pyflakes' unused-import check.  ``__init__.py`` imports names to
+re-export them and is exempt.  And every private top-level name (``_name``,
+not a dunder) that a module defines is referenced somewhere in the
+package besides its own definition, so a helper left behind by a
+rewrite fails.  Names read inside string annotations count as used.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -72,3 +76,72 @@ def test_guard_sees_plain_dotted_aliased_and_annotation_uses():
         "def f(x: 'Sequence[int]') -> Iterator: return os.path.join(js.dumps(x))\n"
     )
     assert unused_imports(source) == ["Fraction (line 5)"]
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a name, an
+    attribute, an imported name or inside a string annotation."""
+    count: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            count[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            count[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            count.update(alias.name for alias in sub.names)
+    for annotation in annotations(node):
+        for sub in ast.walk(annotation):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                count.update(referenced_names(ast.parse(sub.value, mode="eval")))
+    return count
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The private top-level names a module defines, with their statements."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out.update((name, node) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of the modules ``sources`` (file name ->
+    source) that nothing references outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total: Counter = Counter()
+    for tree in trees.values():
+        total.update(referenced_names(tree))
+    return sorted(f"{module}: {name} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for name, node in private_definitions(tree).items()
+                  if total[name] == referenced_names(node)[name])
+
+
+def test_every_private_top_level_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_dead_name_guard_sees_recursion_imports_and_annotations():
+    sources = {
+        "a.py": ("def _dead(n):\n    return _dead(n - 1)\n"
+                 "def _imported(): pass\n"
+                 "class _Annotated: pass\n"
+                 "_CONSTANT = 1\n"
+                 "def _called(): return _Annotated\n"),
+        "b.py": ("from .a import _imported\n"
+                 "def f(x: 'list[_Annotated]'): return a._called()\n"),
+    }
+    assert dead_private_names(sources) == ["a.py: _CONSTANT (line 5)",
+                                           "a.py: _dead (line 1)"]

@@ -42,6 +42,7 @@ from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))
 BENCH = ROOT / "bench" / "instances"
+GRADED_TOY = ROOT / "tests" / "fixtures" / "graded_toy.json"
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +463,32 @@ def check_towers(conn0, conn1, scalar):
     return fam0, mf, mor
 
 
-def test_graded_toy_towers():
+def graded_toy_connections():
+    """Two fixed connections on the graded toy; the first is the one
+    of ``tests/fixtures/graded_toy.json``."""
     delta, bmod = graded_toy()
     conn0 = connection_from(delta, bmod, lambda i, t, mons: AlgebraElement(
         {mons[-1]: Fraction(t + 1, i + 1)}))
     conn1 = connection_from(delta, bmod, lambda i, t, mons: AlgebraElement(
         {mons[0]: Fraction(i - t)}))
-    fam0, mf, mor = check_towers(conn0, conn1, 2)
+    return conn0, conn1
+
+
+def test_graded_toy_towers():
+    fam0, mf, mor = check_towers(*graded_toy_connections(), 2)
     assert fam0.nonzero_arities() == [1, 2, 3, 4]
     assert mf.nonzero_arities() == [1, 2, 3, 4]
     assert mor.nonzero_arities() == [1, 2, 3, 4]
+
+
+def test_graded_toy_fixture_is_the_toy():
+    inst = load(GRADED_TOY)
+    conn0, _ = graded_toy_connections()
+    assert inst.delta.is_zero()
+    assert inst.omega.basis == conn0.delta.target.basis
+    assert inst.bmod.basis == conn0.module.basis
+    assert_same_tables(kapranov_brackets(inst.connection, 4).module_tables,
+                       assert_brackets_match(conn0, 4).module_tables)
 
 
 @settings(max_examples=15, deadline=None)
