@@ -10,10 +10,9 @@ indices, and its degree is its length.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .graded import ONE, ZERO, GradedBasis
+from .graded import ONE, ZERO, GradedBasis, Scalar, _scaled, exact
 
 Monomial = tuple[int, ...]
 
@@ -50,29 +49,42 @@ def _merge_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
 
 
 class AlgebraElement:
-    """Sparse element of an exterior algebra: dict monomial -> coefficient."""
+    """Sparse element of an exterior algebra: dict monomial -> coefficient.
+
+    The constructor and ``scalar``, ``monomial`` and ``scale`` normalise
+    their input with :func:`~kapranov.graded.exact`; arithmetic builds its
+    results with :meth:`_trusted`, which takes a dict that is already
+    normalised and free of zeros.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: dict[Monomial, Scalar] | None = None):
+        self.terms: dict[Monomial, Scalar] = {}
         if terms:
             for mon, c in terms.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.terms[tuple(mon)] = c
 
     @classmethod
+    def _trusted(cls, terms: dict[Monomial, Scalar]) -> "AlgebraElement":
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
     def scalar(cls, c) -> "AlgebraElement":
-        return cls({(): Fraction(c)})
+        return cls.monomial((), c)
 
     @classmethod
     def generator(cls, i: int) -> "AlgebraElement":
-        return cls({(i,): ONE})
+        return cls._trusted({(i,): ONE})
 
     @classmethod
     def monomial(cls, mon: Monomial, c=ONE) -> "AlgebraElement":
-        return cls({tuple(mon): Fraction(c)})
+        c = exact(c)
+        return cls._trusted({tuple(mon): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -96,28 +108,28 @@ class AlgebraElement:
         for mon, c in other.terms.items():
             s = out.get(mon, ZERO) + c
             if s:
-                out[mon] = s
+                out[mon] = s if s.__class__ is int else exact(s)
             else:
-                out.pop(mon, None)
-        return AlgebraElement(out)
+                del out[mon]
+        return AlgebraElement._trusted(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({m: -c for m, c in self.terms.items()})
+        return AlgebraElement._trusted({m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "AlgebraElement":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
-            return AlgebraElement()
-        return AlgebraElement({m: c * v for m, v in self.terms.items()})
+            return AlgebraElement._trusted({})
+        return AlgebraElement._trusted(_scaled(self.terms, c))
 
     def __rmul__(self, c) -> "AlgebraElement":
         return self.scale(c)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 sign, mon = _merge_monomials(ma, mb)
@@ -125,10 +137,10 @@ class AlgebraElement:
                     continue
                 s = out.get(mon, ZERO) + sign * ca * cb
                 if s:
-                    out[mon] = s
+                    out[mon] = s if s.__class__ is int else exact(s)
                 else:
-                    out.pop(mon, None)
-        return AlgebraElement(out)
+                    del out[mon]
+        return AlgebraElement._trusted(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraElement) and self.terms == other.terms
@@ -230,10 +242,10 @@ class LieAlgebraData:
     """
 
     def __init__(self, basis_names: Sequence[str],
-                 brackets: dict[tuple[int, int], dict[int, Fraction]]):
+                 brackets: dict[tuple[int, int], dict[int, Scalar]]):
         self.names = tuple(basis_names)
         self.dim = len(self.names)
-        self.brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        self.brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), row in brackets.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"bracket on unknown basis indices ({i},{j})")
@@ -244,11 +256,11 @@ class LieAlgebraData:
                     raise ValueError(
                         f"bracket ({i},{j}) names output basis index {k}, but "
                         f"the algebra has dimension {self.dim}")
-            clean = {k: Fraction(c) for k, c in row.items() if Fraction(c)}
+            clean = {k: exact(c) for k, c in row.items() if exact(c)}
             if clean:
                 self.brackets[(i, j)] = clean
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, Scalar]:
         """[x_i, x_j] as a coefficient dict (antisymmetry built in)."""
         if i == j:
             return {}
@@ -256,15 +268,15 @@ class LieAlgebraData:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket_vectors(self, v: dict[int, Fraction],
-                        w: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def bracket_vectors(self, v: dict[int, Scalar],
+                        w: dict[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for i, a in v.items():
             for j, b in w.items():
                 for k, c in self.bracket(i, j).items():
                     s = out.get(k, ZERO) + a * b * c
                     if s:
-                        out[k] = s
+                        out[k] = exact(s)
                     else:
                         out.pop(k, None)
         return out
@@ -272,14 +284,14 @@ class LieAlgebraData:
     def jacobi_failures(self) -> list[str]:
         out = []
         for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Scalar] = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket(b, c)
                 for m, cf in inner.items():
                     for l, cf2 in self.bracket(a, m).items():
                         s = acc.get(l, ZERO) + cf * cf2
                         if s:
-                            acc[l] = s
+                            acc[l] = exact(s)
                         else:
                             acc.pop(l, None)
             if acc:

@@ -12,18 +12,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-
 from .algebra import AlgebraElement, CdgaPresentation, LieAlgebraData, ce_algebra
 from .connections import DeltaConnection, extend_connection
 from .derivations import DerivationHomotopy, DgDerivation, homotopy_offset
-from .graded import GradedBasis
+from .graded import GradedBasis, Scalar, exact
 from .modules import DgModule, ModuleElement, dual_module
 
 
 def _as_fraction_dict(d):
-    return {k: Fraction(v) for k, v in d.items() if Fraction(v)}
+    """``d`` with its values normalised by :func:`exact`, zeros dropped."""
+    out = {k: exact(v) for k, v in d.items()}
+    return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +63,7 @@ class LiePair:
     def sub_lie(self) -> LieAlgebraData:
         names = [self.ambient.names[i] for i in self.sub_indices]
         pos = {g: t for t, g in enumerate(self.sub_indices)}
-        brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
         for t, a in enumerate(self.sub_indices):
             for u, b in enumerate(self.sub_indices):
                 if t < u:
@@ -73,10 +72,10 @@ class LiePair:
                         brackets[(t, u)] = val
         return LieAlgebraData(names, brackets)
 
-    def bott_action(self, a_idx: int, b_pos: int) -> dict[int, Fraction]:
+    def bott_action(self, a_idx: int, b_pos: int) -> dict[int, Scalar]:
         """pr_B [x_a, j0(b)] in coordinates of the quotient basis."""
         b_idx = self.quot_indices[b_pos]
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for k, c in self.ambient.bracket(a_idx, b_idx).items():
             if k in self.quot_indices and c:
                 out[self.quot_indices.index(k)] = c
@@ -86,15 +85,19 @@ class LiePair:
         return [self.ambient.names[i] + "~" for i in self.quot_indices]
 
 
-@dataclass
 class PairSetup:
-    pair: LiePair
-    algebra: CdgaPresentation
-    omega: DgModule
-    delta: DgDerivation
-    bmod: DgModule
-    connection: DeltaConnection
-    splitting: dict = field(default_factory=dict)
+    """Everything :func:`lie_pair_setup` builds for one splitting."""
+
+    def __init__(self, pair: LiePair, algebra: CdgaPresentation,
+                 omega: DgModule, delta: DgDerivation, bmod: DgModule,
+                 connection: DeltaConnection, splitting: dict | None = None):
+        self.pair = pair
+        self.algebra = algebra
+        self.omega = omega
+        self.delta = delta
+        self.bmod = bmod
+        self.connection = connection
+        self.splitting = {} if splitting is None else splitting
 
 
 def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
@@ -135,7 +138,7 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
             for b in range(n_quot):
                 br = pair.ambient.bracket(pair.quot_indices[b],
                                           pair.sub_indices[c])
-                coeff = br.get(pair.sub_indices[t], Fraction(0))
+                coeff = br.get(pair.sub_indices[t], 0)
                 if coeff:
                     cur = acc.get(b, AlgebraElement())
                     cur = cur + AlgebraElement.monomial((c,), coeff)
@@ -191,7 +194,7 @@ def splitting_homotopy(setup_from: PairSetup, setup_to: PairSetup) -> Derivation
         s_from = _as_fraction_dict(setup_from.splitting.get(b_pos, {}))
         s_to = _as_fraction_dict(setup_to.splitting.get(b_pos, {}))
         for a_pos in set(s_from) | set(s_to):
-            c = s_from.get(a_pos, Fraction(0)) - s_to.get(a_pos, Fraction(0))
+            c = s_from.get(a_pos, 0) - s_to.get(a_pos, 0)
             if c:
                 cur = h_values.get(a_pos, omega.zero())
                 h_values[a_pos] = cur + ModuleElement(
@@ -214,8 +217,8 @@ class LinearMapObject:
     """
 
     def __init__(self, lie: LieAlgebraData, e_names: list[str],
-                 actions: dict[int, dict[tuple[int, int], Fraction]],
-                 psi: dict[int, dict[int, Fraction]], label: str = ""):
+                 actions: dict[int, dict[tuple[int, int], Scalar]],
+                 psi: dict[int, dict[int, Scalar]], label: str = ""):
         self.lie = lie
         self.e_names = list(e_names)
         self.actions = {a: _as_fraction_dict(m) for a, m in actions.items()}
@@ -230,22 +233,22 @@ class LinearMapObject:
     def dim_e(self) -> int:
         return len(self.e_names)
 
-    def rho(self, a: int, i: int) -> dict[int, Fraction]:
+    def rho(self, a: int, i: int) -> dict[int, Scalar]:
         return {j: c for (ii, j), c in self.actions.get(a, {}).items() if ii == i}
 
-    def act(self, a: int, v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def act(self, a: int, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for i, c in v.items():
             for j, m in self.rho(a, i).items():
-                out[j] = out.get(j, Fraction(0)) + c * m
-        return {j: c for j, c in out.items() if c}
+                out[j] = out.get(j, 0) + c * m
+        return {j: exact(c) for j, c in out.items() if c}
 
-    def psi_of(self, v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def psi_of(self, v: dict[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for i, c in v.items():
             for a, m in self.psi.get(i, {}).items():
-                out[a] = out.get(a, Fraction(0)) + c * m
-        return {a: c for a, c in out.items() if c}
+                out[a] = out.get(a, 0) + c * m
+        return {a: exact(c) for a, c in out.items() if c}
 
     def validate(self) -> list[str]:
         out = []
@@ -258,31 +261,31 @@ class LinearMapObject:
                 for k, c in self.lie.bracket(a, b).items():
                     for i in range(dim):
                         for j, m in self.rho(k, i).items():
-                            want[(i, j)] = want.get((i, j), Fraction(0)) + c * m
+                            want[(i, j)] = want.get((i, j), 0) + c * m
                 got = {}
                 for i in range(dim):
-                    lhs = self.act(a, self.act(b, {i: Fraction(1)}))
-                    rhs = self.act(b, self.act(a, {i: Fraction(1)}))
+                    lhs = self.act(a, self.act(b, {i: 1}))
+                    rhs = self.act(b, self.act(a, {i: 1}))
                     for j in set(lhs) | set(rhs):
-                        v = lhs.get(j, Fraction(0)) - rhs.get(j, Fraction(0))
+                        v = lhs.get(j, 0) - rhs.get(j, 0)
                         if v:
                             got[(i, j)] = v
                 keys = set(want) | set(got)
-                if any(want.get(k, Fraction(0)) != got.get(k, Fraction(0))
+                if any(want.get(k, 0) != got.get(k, 0)
                        for k in keys):
                     out.append(f"rho is not a representation at "
                                f"({self.lie.names[a]}, {self.lie.names[b]})")
         # equivariance: psi(x_a . e) = [x_a, psi(e)]
         for a in range(n):
             for i in range(dim):
-                lhs = self.psi_of(self.act(a, {i: Fraction(1)}))
-                rhs: dict[int, Fraction] = {}
+                lhs = self.psi_of(self.act(a, {i: 1}))
+                rhs: dict[int, Scalar] = {}
                 for b, c in self.psi.get(i, {}).items():
                     lo, hi = min(a, b), max(a, b)
                     if lo == hi:
                         continue
                     for k, m in self.lie.bracket(a, b).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + c * m
+                        rhs[k] = rhs.get(k, 0) + c * m
                 rhs = {k: c for k, c in rhs.items() if c}
                 if lhs != rhs:
                     out.append(f"psi is not equivariant at "
@@ -290,14 +293,18 @@ class LinearMapObject:
         return out
 
 
-@dataclass
 class LinearMapSetup:
-    data: LinearMapObject
-    algebra: CdgaPresentation
-    omega: DgModule
-    delta: DgDerivation
-    bmod: DgModule
-    connection: DeltaConnection
+    """Everything :func:`linear_map_setup` builds for one linear map."""
+
+    def __init__(self, data: LinearMapObject, algebra: CdgaPresentation,
+                 omega: DgModule, delta: DgDerivation, bmod: DgModule,
+                 connection: DeltaConnection):
+        self.data = data
+        self.algebra = algebra
+        self.omega = omega
+        self.delta = delta
+        self.bmod = bmod
+        self.connection = connection
 
 
 def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
@@ -326,7 +333,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
     for a in range(len(data.lie.names)):
         acc: dict[int, AlgebraElement] = {}
         for i in range(dim):
-            c = data.psi.get(i, {}).get(a, Fraction(0))
+            c = data.psi.get(i, {}).get(a, 0)
             if c:
                 acc[i] = AlgebraElement.scalar(c)
         if acc:
@@ -338,13 +345,13 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
     return LinearMapSetup(data, algebra, omega, delta, bmod, conn)
 
 
-def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int, Fraction]:
+def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int, Scalar]:
     """e_i o e_j = psi(e_i) . e_j, the bracket the degree -1 slots recover."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for a, c in data.psi.get(i, {}).items():
-        for k, m in data.act(a, {j: Fraction(1)}).items():
-            out[k] = out.get(k, Fraction(0)) + c * m
-    return {k: c for k, c in out.items() if c}
+        for k, m in data.act(a, {j: 1}).items():
+            out[k] = out.get(k, 0) + c * m
+    return {k: exact(c) for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +359,13 @@ def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int,
 
 def sl2() -> LieAlgebraData:
     return LieAlgebraData(["h", "e", "f"],
-                          {(0, 1): {1: Fraction(2)},
-                           (0, 2): {2: Fraction(-2)},
-                           (1, 2): {0: Fraction(1)}})
+                          {(0, 1): {1: 2},
+                           (0, 2): {2: -2},
+                           (1, 2): {0: 1}})
 
 
 def affine() -> LieAlgebraData:
-    return LieAlgebraData(["x", "y"], {(0, 1): {1: Fraction(1)}})
+    return LieAlgebraData(["x", "y"], {(0, 1): {1: 1}})
 
 
 def abelian(n: int = 2) -> LieAlgebraData:
@@ -366,7 +373,7 @@ def abelian(n: int = 2) -> LieAlgebraData:
 
 
 def heisenberg() -> LieAlgebraData:
-    return LieAlgebraData(["x", "y", "z"], {(0, 1): {2: Fraction(1)}})
+    return LieAlgebraData(["x", "y", "z"], {(0, 1): {2: 1}})
 
 
 def sl2_borel_pair(splitting: dict | None = None) -> PairSetup:
@@ -397,10 +404,10 @@ def adjoint_linear_map() -> LinearMapSetup:
     E is the Lie bracket itself."""
     lie = affine()
     actions = {
-        0: {(1, 1): Fraction(1)},   # ad_x: y -> y
-        1: {(0, 1): Fraction(-1)},  # ad_y: x -> -y
+        0: {(1, 1): 1},   # ad_x: y -> y
+        1: {(0, 1): -1},  # ad_y: x -> -y
     }
-    psi = {0: {0: Fraction(1)}, 1: {1: Fraction(1)}}
+    psi = {0: {0: 1}, 1: {1: 1}}
     return linear_map_setup(
         LinearMapObject(lie, ["a", "b"], actions, psi, label="adjoint"))
 
@@ -410,10 +417,10 @@ def double_adjoint_linear_map() -> LinearMapSetup:
     onto the second copy: the recovered bracket is not skew-symmetric."""
     lie = affine()
     actions = {
-        0: {(1, 1): Fraction(1), (3, 3): Fraction(1)},
-        1: {(0, 1): Fraction(-1), (2, 3): Fraction(-1)},
+        0: {(1, 1): 1, (3, 3): 1},
+        1: {(0, 1): -1, (2, 3): -1},
     }
-    psi = {2: {0: Fraction(1)}, 3: {1: Fraction(1)}}
+    psi = {2: {0: 1}, 3: {1: 1}}
     return linear_map_setup(
         LinearMapObject(lie, ["a1", "b1", "a2", "b2"], actions, psi,
                         label="adjoint(+)adjoint"))
@@ -424,10 +431,10 @@ def adjoint_trivial_linear_map() -> LinearMapSetup:
     carrier B = C(g, E[1]) has nonzero cohomology (carried by t)."""
     lie = affine()
     actions = {
-        0: {(1, 1): Fraction(1)},
-        1: {(0, 1): Fraction(-1)},
+        0: {(1, 1): 1},
+        1: {(0, 1): -1},
     }
-    psi = {0: {0: Fraction(1)}, 1: {1: Fraction(1)}}
+    psi = {0: {0: 1}, 1: {1: 1}}
     return linear_map_setup(
         LinearMapObject(lie, ["a", "b", "t"], actions, psi,
                         label="adjoint(+)trivial"))

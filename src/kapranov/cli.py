@@ -14,7 +14,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 from importlib import resources
 
 from .algebra import (AlgebraElement, LieAlgebraData, _merge_monomials,
@@ -27,7 +26,7 @@ from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                           flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
                           validate_dg_derivation)
-from .graded import GradedBasis
+from .graded import GradedBasis, Scalar, exact
 from .kapranov import (CheckFailure, HatConnection,
                        bracket_nonskew_witness, check_leibniz_infinity,
                        check_linfty_morphism, cohomology_leibniz_bracket,
@@ -44,9 +43,9 @@ class DocumentError(Exception):
 # ---------------------------------------------------------------------------
 # parsing
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s) -> Scalar:
     try:
-        return Fraction(s)
+        return exact(s)
     except (ValueError, ZeroDivisionError) as e:
         raise DocumentError(f"bad rational {s!r}: {e}") from None
 
@@ -355,7 +354,7 @@ def load_document(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # serialization
 
-def frac_json(f: Fraction) -> str:
+def frac_json(f: Scalar) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -674,8 +673,13 @@ def main(argv=None) -> int:
         return 2
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w") as f:
+                f.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)

@@ -3,20 +3,38 @@
 A dg module over a finite-dimensional algebra is a finite-dimensional
 cochain complex over the ground field; this module slices it by degree
 and runs exact rational row reduction to get kernels, images, and
-deterministic representatives of cohomology classes.
+deterministic representatives of cohomology classes.  Entries stay
+``int`` while they are integral: a pivot row is divided through
+:func:`~kapranov.graded.exact_div`, and a row operation demotes a
+``Fraction`` that came out integral.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraElement, Monomial
-from .graded import ONE, ZERO
+from .graded import ONE, ZERO, Scalar, exact, exact_div
 from .modules import DgModule, ModuleElement, apply_module_differential
 
-Vector = list[Fraction]
+Vector = list[Scalar]
 Matrix = list[Vector]
+
+
+def _divided(row: Vector, pv: Scalar) -> Vector:
+    """``row`` divided by the pivot ``pv`` (``row`` itself when pv is 1)."""
+    if pv == 1:
+        return row
+    return [exact_div(x, pv) if x else 0 for x in row]
+
+
+def _eliminate(row: Vector, f: Scalar, pivot_row: Vector,
+               support: list[int]) -> None:
+    """row -= f * pivot_row, in place; ``support`` lists the columns where
+    ``pivot_row`` is nonzero."""
+    for j in support:
+        x = row[j] - f * pivot_row[j]
+        row[j] = x if x.__class__ is int else exact(x)
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -31,12 +49,11 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        m[r] = prow = _divided(m[r], m[r][c])
+        support = [j for j in range(c, cols) if prow[j]]
         for i in range(rows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                _eliminate(m[i], m[i][c], prow, support)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -93,8 +110,8 @@ class RowSpace:
         v = v[:]
         for row, pc in zip(self.rows, self.pivots):
             if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
+                _eliminate(v, v[pc], row,
+                           [j for j in range(pc, self.n_cols) if row[j]])
         return v
 
     def add(self, v: Vector) -> bool:
@@ -103,12 +120,11 @@ class RowSpace:
         pc = next((c for c in range(self.n_cols) if v[c]), None)
         if pc is None:
             return False
-        pv = v[pc]
-        v = [a / pv for a in v]
-        for i, row in enumerate(self.rows):
+        v = _divided(v, v[pc])
+        support = [j for j in range(pc, self.n_cols) if v[j]]
+        for row in self.rows:
             if row[pc]:
-                f = row[pc]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
+                _eliminate(row, row[pc], v, support)
         pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
         self.rows.insert(pos, v)
         self.pivots.insert(pos, pc)
@@ -154,7 +170,7 @@ class CochainComplex:
                 out[idx[key]] += c
         return out
 
-    def from_vector(self, vec: Sequence[Fraction], n: int) -> ModuleElement:
+    def from_vector(self, vec: Sequence[Scalar], n: int) -> ModuleElement:
         out = self.module.zero()
         for c, key in zip(vec, self.slice_basis(n)):
             if c:
@@ -234,7 +250,7 @@ class CochainComplex:
             return True
         return self.is_coboundary(diff) is not None
 
-    def class_coordinates(self, v: ModuleElement) -> list[Fraction]:
+    def class_coordinates(self, v: ModuleElement) -> list[Scalar]:
         """Coordinates of [v] in the cohomology_basis of its degree.
 
         v = 0 gives the empty list; a v that is not a cocycle raises

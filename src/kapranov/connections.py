@@ -9,13 +9,12 @@ degree-1 element of Omega (x) End(E).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraElement
 from .cohomology import CochainComplex, solve_linear
 from .derivations import DgDerivation
-from .graded import ONE, ZERO
+from .graded import ONE, ZERO, Scalar
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, end_module,
                       hom_module, simple_tensor, tensor_index, tensor_module,
@@ -248,7 +247,7 @@ def flat_connection_exists(delta: DgDerivation,
             slots.append((i, key))
     n_unknowns = len(slots)
 
-    def connection_from_vector(x: Sequence[Fraction]) -> DeltaConnection:
+    def connection_from_vector(x: Sequence[Scalar]) -> DeltaConnection:
         values: dict[int, ModuleElement] = {}
         for c, (i, key) in zip(x, slots):
             if c:
@@ -256,8 +255,8 @@ def flat_connection_exists(delta: DgDerivation,
                 values[i] = cur + tensor.kbasis_element(key).scale(c)
         return DeltaConnection(delta, module, values)
 
-    def residual(conn: DeltaConnection) -> list[Fraction]:
-        out: list[Fraction] = []
+    def residual(conn: DeltaConnection) -> list[Scalar]:
+        out: list[Scalar] = []
         for i in range(module.rank):
             e = ModuleElement.basis_vector(module, i)
             t = (conn(module.diff_of_basis(i))

@@ -8,12 +8,11 @@ delta' - delta = d o h + h o d_A.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation
 from .cohomology import solve_linear
-from .graded import ONE, ZERO, GradedBasis
+from .graded import ONE, ZERO, GradedBasis, Scalar
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 
@@ -152,7 +151,7 @@ def find_homotopy(delta: DgDerivation,
     slice0 = [key for key in omega.kbasis() if omega.kdegree(key) == 0]
     n_unknowns = alg.n_generators * len(slice0)
 
-    def homotopy_from_vector(x: Sequence[Fraction]) -> DerivationHomotopy:
+    def homotopy_from_vector(x: Sequence[Scalar]) -> DerivationHomotopy:
         values: dict[int, ModuleElement] = {}
         for g in range(alg.n_generators):
             v = omega.zero()
@@ -168,19 +167,19 @@ def find_homotopy(delta: DgDerivation,
     slice1 = [key for key in omega.kbasis() if omega.kdegree(key) == 1]
     idx1 = {key: i for i, key in enumerate(slice1)}
 
-    def expand_degree1(v: ModuleElement) -> list[Fraction]:
+    def expand_degree1(v: ModuleElement) -> list[Scalar]:
         out = [ZERO] * len(slice1)
         for i, a in v.coeffs.items():
             for mon, c in a.terms.items():
                 out[idx1[(mon, i)]] += c
         return out
 
-    columns: list[list[Fraction]] = []
+    columns: list[list[Scalar]] = []
     for u in range(n_unknowns):
         x = [ZERO] * n_unknowns
         x[u] = ONE
         h = homotopy_from_vector(x)
-        col: list[Fraction] = []
+        col: list[Scalar] = []
         for g in range(alg.n_generators):
             gen = AlgebraElement.generator(g)
             resid = (apply_module_differential(omega, h(gen))
@@ -188,7 +187,7 @@ def find_homotopy(delta: DgDerivation,
             col.extend(expand_degree1(resid))
         columns.append(col)
 
-    target_vec: list[Fraction] = []
+    target_vec: list[Scalar] = []
     for g in range(alg.n_generators):
         diff = (delta_prime.values.get(g, omega.zero())
                 - delta.values.get(g, omega.zero()))

@@ -1,9 +1,16 @@
 """Graded-linear foundations: Koszul signs, shuffles, sparse elements.
 
-Everything here works over the rationals with exact arithmetic
-(`fractions.Fraction`).  A "graded basis" is an ordered list of named,
-integer-graded basis vectors; sparse vectors over such a basis are dicts
-mapping basis indices to nonzero rational coefficients.
+Everything here works over the rationals with exact arithmetic.  A
+rational has one representation: a Python ``int`` when it is integral,
+and a ``fractions.Fraction`` with denominator > 1 otherwise.  Values from
+outside (constructors, parsed documents) go through :func:`exact`; the
+only true division goes through :func:`exact_div`, so ``int / int``
+never yields a float.  Internal arithmetic trusts its operands and only
+demotes a ``Fraction`` result that came out integral.
+
+A "graded basis" is an ordered list of named, integer-graded basis
+vectors; sparse vectors over such a basis are dicts mapping basis indices
+to nonzero rational coefficients.
 """
 
 from __future__ import annotations
@@ -12,10 +19,40 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-Scalar = Fraction
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
+
+
+def exact(c) -> Scalar:
+    """The rational ``c`` (anything ``Fraction`` accepts) in its one
+    representation: an ``int`` when integral, else a ``Fraction``."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient ``a / b`` of two rationals, in the one
+    representation: it stays an ``int`` when ``b`` divides ``a``, and is
+    otherwise a ``Fraction``.  This is the only true division on
+    coefficients; a bare ``a / b`` of two ints would give a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return exact(a / b)
+
+
+def _scaled(coeffs: dict, c: Scalar) -> dict:
+    """The coefficients ``coeffs`` times the nonzero rational ``c``."""
+    out = {k: c * v for k, v in coeffs.items()}
+    for k, v in out.items():
+        if v.__class__ is not int:
+            out[k] = exact(v)
+    return out
 
 
 def koszul_sign(sigma: Sequence[int], degrees: Sequence[int]) -> int:
@@ -115,23 +152,33 @@ class Element:
     """Sparse vector over a :class:`GradedBasis`.
 
     Coefficients are stored in a dict keyed by basis index; zero
-    coefficients are never stored.
+    coefficients are never stored.  The constructor normalises its input
+    with :func:`exact`; arithmetic builds its results with
+    :meth:`_trusted`, which takes a dict that is already normalised and
+    free of zeros.
     """
 
     __slots__ = ("basis", "coeffs")
 
-    def __init__(self, basis: GradedBasis, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, basis: GradedBasis, coeffs: dict[int, Scalar] | None = None):
         self.basis = basis
-        self.coeffs: dict[int, Fraction] = {}
+        self.coeffs: dict[int, Scalar] = {}
         if coeffs:
             for i, c in coeffs.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.coeffs[i] = c
 
     @classmethod
-    def basis_vector(cls, basis: GradedBasis, i: int, coeff: Fraction = ONE) -> "Element":
-        return cls(basis, {i: Fraction(coeff)})
+    def _trusted(cls, basis: GradedBasis, coeffs: dict[int, Scalar]) -> "Element":
+        self = object.__new__(cls)
+        self.basis = basis
+        self.coeffs = coeffs
+        return self
+
+    @classmethod
+    def basis_vector(cls, basis: GradedBasis, i: int, coeff: Scalar = ONE) -> "Element":
+        return cls(basis, {i: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -159,22 +206,22 @@ class Element:
         for i, c in other.coeffs.items():
             s = out.get(i, ZERO) + c
             if s:
-                out[i] = s
+                out[i] = s if s.__class__ is int else exact(s)
             else:
-                out.pop(i, None)
-        return Element(self.basis, out)
+                del out[i]
+        return Element._trusted(self.basis, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.basis, {i: -c for i, c in self.coeffs.items()})
+        return Element._trusted(self.basis, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Element(self.basis)
-        return Element(self.basis, {i: c * v for i, v in self.coeffs.items()})
+        return Element._trusted(self.basis, _scaled(self.coeffs, c))
 
     def __rmul__(self, c) -> "Element":
         return self.scale(c)

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import itemgetter
 
 from .algebra import AlgebraElement, _merge_monomials
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
-from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
-                     ordered_partitions, partition_sign, shuffles)
+from .graded import (Element, GradedBasis, MultilinearMap, Scalar,
+                     koszul_sign, ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, simple_tensor)
 
@@ -52,13 +51,10 @@ class KBasis:
         self.basis = GradedBasis(names, degrees)
 
     def to_kvec(self, v: ModuleElement) -> Element:
-        out = Element(self.basis)
-        for i, a in v.coeffs.items():
-            for mon, c in a.terms.items():
-                idx = self.index[(mon, i)]
-                out.coeffs[idx] = out.coeffs.get(idx, Fraction(0)) + c
-        out.coeffs = {k: c for k, c in out.coeffs.items() if c}
-        return out
+        # each (monomial, basis index) is one k-basis vector, hit once
+        return Element._trusted(self.basis, {
+            self.index[(mon, i)]: c
+            for i, a in v.coeffs.items() for mon, c in a.terms.items()})
 
     def to_module_element(self, e: Element) -> ModuleElement:
         out = self.module.zero()
@@ -303,7 +299,9 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
     come out in that order.  Nothing collides: distinct tuples give
     distinct k-basis keys, and within one value the wedge is fixed, so
     distinct monomials of the value merge into distinct monomials.  Every
-    output coefficient is therefore written once and is nonzero.
+    output coefficient is therefore written once and is nonzero.  The same
+    (wedge, monomial) pairs recur across slots and base entries, so their
+    merges are memoised for the length of the call.
     """
     if input_kbs is None:
         input_kbs = [kb] * arity
@@ -315,6 +313,7 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
     slots = input_kbs[:arity]
     n_gens = [k.module.algebra.n_generators for k in slots]
     out_index = output_kb.index
+    merges: dict[tuple, tuple[int, tuple]] = {}
     for base_key, val in table.items():
         terms = [(i, mon, c) for i, a in val.coeffs.items()
                  for mon, c in a.terms.items()]
@@ -329,19 +328,23 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
             if t == arity:
                 coeffs = {}
                 for i, mon, c in terms:
-                    s, merged = _merge_monomials(wedge, mon)
+                    found = merges.get((wedge, mon))
+                    if found is None:
+                        found = merges[(wedge, mon)] = _merge_monomials(wedge, mon)
+                    s, merged = found
                     if s:
                         coeffs[out_index[(merged, i)]] = c if s == sign else -c
                 if coeffs:
-                    value = Element(output_kb.basis)
-                    value.coeffs = coeffs
-                    out.table[key] = value
+                    out.table[key] = Element._trusted(output_kb.basis, coeffs)
                 return
             index, bidx = slots[t].index, base_key[t]
             free = [g for g in range(n_gens[t]) if g not in wedge]
             for size in range(len(free) + 1):
                 for mon in itertools.combinations(free, size):
-                    s, merged = _merge_monomials(wedge, mon)
+                    found = merges.get((wedge, mon))
+                    if found is None:
+                        found = merges[(wedge, mon)] = _merge_monomials(wedge, mon)
+                    s, merged = found
                     if odd_prefix[t] and size % 2:
                         s = -s
                     visit(t + 1, merged, sign * s, key + (index[(mon, bidx)],))
@@ -523,7 +526,7 @@ def _entries_by_slot(cache: dict, table: dict, s: int, parities: list) -> dict:
 
 
 def _residuals(slots: list[KBasis], insertions, partitions,
-               cache: dict) -> dict[tuple, dict[int, Fraction]]:
+               cache: dict) -> dict[tuple, dict[int, Scalar]]:
     """sum(insertions) - sum(partitions) on every tuple that some term
     reaches, as tuple -> {output index: coefficient}.  Coefficients may
     cancel to zero; a tuple that no term reaches has residual zero.
@@ -541,7 +544,7 @@ def _residuals(slots: list[KBasis], insertions, partitions,
     n = len(slots)
     degrees = [kb.basis.degrees for kb in slots]
     parities = [[d % 2 for d in degs] for degs in degrees]
-    acc: dict[tuple, dict[int, Fraction]] = {}
+    acc: dict[tuple, dict[int, Scalar]] = {}
 
     def degs_of(x):
         return [d[i] for d, i in zip(degrees, x)]
@@ -1118,7 +1121,7 @@ class CohomologyBracket:
         for n in self.complex.degrees():
             for rep in self.complex.cohomology_basis(n):
                 self.reps.append((n, rep))
-        self.table: dict[tuple[int, int], list[Fraction]] = {}
+        self.table: dict[tuple[int, int], list[Scalar]] = {}
         for a, (da, ra) in enumerate(self.reps):
             for b, (db, rb) in enumerate(self.reps):
                 z = self.bracket_cocycle(ra, rb)
@@ -1144,8 +1147,8 @@ class CohomologyBracket:
         for (a, b), coords in sorted(self.table.items()):
             rev = self.table.get((b, a), [])
             width = max(len(coords), len(rev))
-            lhs = coords + [Fraction(0)] * (width - len(coords))
-            rhs = [-c for c in rev] + [Fraction(0)] * (width - len(rev))
+            lhs = coords + [0] * (width - len(coords))
+            rhs = [-c for c in rev] + [0] * (width - len(rev))
             if lhs != rhs:
                 return (a, b)
         return None
@@ -1203,7 +1206,7 @@ class CohomologyAction:
         for n in self.e_complex.degrees():
             for rep in self.e_complex.cohomology_basis(n):
                 self.e_reps.append((n, rep))
-        self.table: dict[tuple[int, int], list[Fraction]] = {}
+        self.table: dict[tuple[int, int], list[Scalar]] = {}
         for a, (da, ra) in enumerate(self.b_reps):
             for b, (db, rb) in enumerate(self.e_reps):
                 z = self.action_cocycle(ra, rb)

@@ -9,11 +9,15 @@ coefficients (coefficients act from the left).
 from __future__ import annotations
 
 from .algebra import AlgebraElement, CdgaPresentation, Monomial
-from .graded import GradedBasis
+from .graded import GradedBasis, exact
 
 
 class ModuleElement:
-    """Sparse element of a free dg module: dict basis index -> algebra coeff."""
+    """Sparse element of a free dg module: dict basis index -> algebra coeff.
+
+    Arithmetic builds its results with :meth:`_trusted`, which takes a
+    dict that is already free of zero coefficients.
+    """
 
     __slots__ = ("module", "coeffs")
 
@@ -25,6 +29,14 @@ class ModuleElement:
             for i, a in coeffs.items():
                 if not a.is_zero():
                     self.coeffs[i] = a
+
+    @classmethod
+    def _trusted(cls, module: "DgModule",
+                 coeffs: dict[int, AlgebraElement]) -> "ModuleElement":
+        self = object.__new__(cls)
+        self.module = module
+        self.coeffs = coeffs
+        return self
 
     @classmethod
     def basis_vector(cls, module: "DgModule", i: int, coeff=None) -> "ModuleElement":
@@ -60,28 +72,42 @@ class ModuleElement:
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         out = dict(self.coeffs)
         for i, a in other.coeffs.items():
-            s = out.get(i, AlgebraElement()) + a
-            if s.is_zero():
-                out.pop(i, None)
-            else:
+            cur = out.get(i)
+            if cur is None:
+                out[i] = a
+                continue
+            s = cur + a
+            if s.terms:
                 out[i] = s
-        return ModuleElement(self.module, out)
+            else:
+                del out[i]
+        return ModuleElement._trusted(self.module, out)
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.module, {i: -a for i, a in self.coeffs.items()})
+        return ModuleElement._trusted(self.module,
+                                      {i: -a for i, a in self.coeffs.items()})
 
     def scale(self, c) -> "ModuleElement":
-        return ModuleElement(self.module, {i: a.scale(c) for i, a in self.coeffs.items()})
+        c = exact(c)
+        if not c:
+            return ModuleElement._trusted(self.module, {})
+        return ModuleElement._trusted(
+            self.module, {i: a.scale(c) for i, a in self.coeffs.items()})
 
     def __rmul__(self, c) -> "ModuleElement":
         return self.scale(c)
 
     def left_mul(self, a: AlgebraElement) -> "ModuleElement":
         """a . m  (no sign: coefficients live on the left)."""
-        return ModuleElement(self.module, {i: a * b for i, b in self.coeffs.items()})
+        out = {}
+        for i, b in self.coeffs.items():
+            ab = a * b
+            if ab.terms:
+                out[i] = ab
+        return ModuleElement._trusted(self.module, out)
 
     def right_mul(self, a: AlgebraElement) -> "ModuleElement":
         """m . a = (-1)^{|m||a|} a . m, per homogeneous components."""

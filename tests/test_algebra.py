@@ -29,7 +29,32 @@ def random_element(rng_ints, n_gens=3):
     return AlgebraElement(terms)
 
 
+def assert_exact(a: AlgebraElement):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    for c in a.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+
+
+HALVES = st.lists(st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(-3, 2)]),
+                  min_size=8, max_size=8)
+
+
 class TestAlgebraArithmetic:
+    @given(HALVES, HALVES, st.sampled_from([2, -1, Fraction(1, 2),
+                                            Fraction(2, 1), "3/3"]))
+    @settings(max_examples=50, deadline=None)
+    def test_results_keep_one_representation(self, u, v, c):
+        a, b = random_element(u), random_element(v)
+        assert_exact(a)
+        for result in (a + b, a - b, -a, a * b, a.scale(c),
+                       AlgebraElement.monomial((0,), c),
+                       AlgebraElement.scalar(c)):
+            assert_exact(result)
+        # halves meet and come out integral: 1/2 + 1/2 is stored as 1
+        h = AlgebraElement.scalar(Fraction(1, 2))
+        assert type((h + h).terms[()]) is int
+        assert type((h * h.scale(4)).terms[()]) is int
+
     def test_generators_anticommute(self):
         assert x0 * x1 == -(x1 * x0)
         assert (x0 * x0).is_zero()

@@ -5,10 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import sl2_borel_pair, splitting_homotopy
-from kapranov.connections import DeltaConnection
+from kapranov.builders import affine_pair, sl2_borel_pair, splitting_homotopy
+from kapranov.connections import AtiyahClass, DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.kapranov import (HatConnection, MorphismFamily, MultilinearMap,
                                a_multilinearity_violations, bracket_on_elements,
@@ -234,6 +236,44 @@ class TestHomotopyInvariance:
                             ModuleElement.basis_vector(setup.bmod, 0))
         with pytest.raises(ValueError):
             HatConnection(h, setup.bmod, {0: bad})
+
+
+# the shipped Lie pairs, with the number of subalgebra basis vectors a
+# splitting of their one quotient vector may shift by
+LIE_PAIRS = {"sl2/borel": (sl2_borel_pair, 2), "affine/x": (affine_pair, 1)}
+SPLITTING_VALUES = [-2, -1, F(-1, 2), F(1, 3), 1, F(3, 2)]
+
+
+@st.composite
+def splitting_pairs(draw):
+    """A shipped Lie pair and two random splittings of it, with values that
+    are mostly not integral."""
+    name = draw(st.sampled_from(sorted(LIE_PAIRS)))
+    build, n_sub = LIE_PAIRS[name]
+
+    def splitting():
+        positions = draw(st.lists(st.integers(0, n_sub - 1), unique=True))
+        return {0: {a: draw(st.sampled_from(SPLITTING_VALUES))
+                    for a in positions}}
+    return build(splitting()), build(splitting())
+
+
+@settings(max_examples=40, deadline=None)
+@given(splitting_pairs())
+def test_non_integral_splittings_keep_every_identity(pair):
+    s0, s1 = pair
+    for s in pair:
+        report = check_leibniz_infinity(
+            kapranov_brackets(s.connection, max_arity=4), 4)
+        assert report["passed"], report
+    h = splitting_homotopy(s0, s1)  # raises OffsetMismatch on a mismatch
+    hat = HatConnection(h, s0.bmod, {})
+    mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
+    assert conn_prime.delta == s1.delta
+    report = check_linfty_morphism(mor, 4)
+    assert report["passed"], report
+    assert AtiyahClass(s0.delta, s0.bmod, s0.connection).equals(
+        AtiyahClass(s1.delta, s1.bmod, s1.connection))
 
 
 class TestModuleAction:

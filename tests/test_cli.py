@@ -69,6 +69,8 @@ class TestExitCodes:
         loaded = set(json.loads(out))
         assert "kapranov" in loaded
         assert loaded - set(sys.stdlib_module_names) == {"kapranov"}
+        # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_homotopy_needs_second_splitting(self, capsys):
         code, _, err = run(capsys, "homotopy", "--input",
@@ -244,6 +246,8 @@ class TestCorruptedFixtures:
         bad = {c["name"]: c for c in rep["checks"] if not c["passed"]}
         assert "jacobi" in bad
         assert "(x,y,z)" in bad["jacobi"]["failures"][0]
+        # the residual prints in the one representation of a rational
+        assert bad["jacobi"]["failures"][0].endswith(": {1: -1}")
 
     def test_d_squared_violation_is_located(self, capsys):
         code, out, _ = run(capsys, "validate",
@@ -353,6 +357,30 @@ class TestCommands:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path,
+                                                 where):
+        out_path = (tmp_path / "missing" / "report.json"
+                    if where == "missing_dir" else tmp_path)
+        code, out, err = run(capsys, "validate", "--output", str(out_path),
+                             "--input", str(INSTANCES / "abelian_trivial.json"))
+        assert code == 2
+        assert out == ""
+        assert f"error: cannot write {out_path}: " in err
+        assert "Traceback" not in err
+
+    def test_unwritable_output_exits_2_in_a_fresh_process(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kapranov.cli", "validate",
+             "--input", str(INSTANCES / "abelian_trivial.json"),
+             "--output", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestGradedToy:

@@ -1,17 +1,31 @@
-"""Degree-sliced cohomology over Q with deterministic representatives."""
+"""Degree-sliced cohomology over Q with deterministic representatives.
+
+The exact linear algebra keeps entries ``int`` while they are integral;
+its oracles are an all-``Fraction`` copy of the original dense ``rref``
+and sympy's ranks.
+"""
 
 from __future__ import annotations
 
+import pathlib
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
-from kapranov.cohomology import CochainComplex, kernel_basis, rref, solve_linear
+from kapranov.cli import Instance, load_document
+from kapranov.cohomology import (CochainComplex, RowSpace, kernel_basis, rref,
+                                 solve_linear)
 from kapranov.graded import GradedBasis
 from kapranov.modules import DgModule, ModuleElement, apply_module_differential
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+INSTANCES = sorted((ROOT / "instances").glob("*.json")) \
+    + sorted((ROOT / "bench" / "instances").glob("*.json"))
 
 
 def trivial_module(alg):
@@ -137,3 +151,130 @@ class TestRepresentatives:
         combo = reps[0].scale(2) - reps[1].scale(3)
         assert cx.class_coordinates(combo) == [F(2), F(-3)]
         assert cx.class_coordinates(module.zero()) == []
+
+
+# ---------------------------------------------------------------------------
+# oracles for the exact linear algebra
+
+def reference_rref(m):
+    """The original all-Fraction dense rref, kept verbatim as the oracle."""
+    m = [row[:] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def as_fractions(m):
+    return [[F(x) for x in row] for row in m]
+
+
+def sympy_rank(m) -> int:
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in m]).rank() if m else 0
+
+
+def assert_exact_entries(vectors):
+    """Every entry is an int, or a Fraction that is not integral."""
+    for v in vectors:
+        for x in v:
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), \
+                (x, type(x))
+
+
+SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, F(1, 2), F(-2, 3),
+                           F(5, 4)])
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    return [[draw(SCALARS) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.lists(SCALARS, min_size=5, max_size=5),
+       st.lists(SCALARS, min_size=5, max_size=5))
+def test_exact_linear_algebra_against_fraction_rref_and_sympy(m, b, v):
+    n_cols = len(m[0])
+    b, v = b[:len(m)], v[:n_cols]
+    ref, ref_pivots = reference_rref(as_fractions(m))
+    red, pivots = rref(m)
+    assert (red, pivots) == (ref, ref_pivots)
+    assert len(pivots) == sympy_rank(m)
+    assert_exact_entries(red)
+
+    ker = kernel_basis(m, n_cols)
+    assert len(ker) == n_cols - len(pivots)
+    free = [c for c in range(n_cols) if c not in ref_pivots]
+    for fc, v in zip(free, ker):
+        want = [F(0)] * n_cols
+        want[fc] = F(1)
+        for r, pc in enumerate(ref_pivots):
+            want[pc] = -ref[r][fc]
+        assert v == want
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    assert_exact_entries(ker)
+
+    x = solve_linear(m, b)
+    aug, aug_pivots = reference_rref(as_fractions([row + [bb]
+                                                   for row, bb in zip(m, b)]))
+    if n_cols in aug_pivots:
+        assert x is None
+        assert sympy_rank([row + [bb] for row, bb in zip(m, b)]) \
+            == len(pivots) + 1
+    else:
+        want = [F(0)] * n_cols
+        for r, pc in enumerate(aug_pivots):
+            want[pc] = aug[r][n_cols]
+        assert x == want
+        assert [sum(a * xx for a, xx in zip(row, x)) for row in m] == b
+        assert_exact_entries([x])
+
+    space = RowSpace(n_cols)
+    grew = [space.add(row) for row in m]
+    assert space.dim == len(pivots) == sum(grew)
+    assert (space.rows, space.pivots) == (ref[:len(pivots)], ref_pivots)
+    assert_exact_entries(space.rows)
+    for row in m:
+        assert not any(space.reduce(row))
+    reduced = space.reduce(v)
+    assert_exact_entries([reduced])
+    assert bool(any(reduced)) == (sympy_rank(m + [v]) > len(pivots))
+
+
+def test_division_stays_integral_when_the_pivot_divides():
+    red, pivots = rref([[2, 4, 6], [3, 5, 7]])
+    assert pivots == [0, 1]
+    assert red == [[1, 0, -1], [0, 1, 2]]
+    assert_exact_entries(red)
+    red, _ = rref([[2, 3]])
+    assert red == [[1, F(3, 2)]]
+    assert_exact_entries(red)
+
+
+@pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
+def test_betti_numbers_match_sympy_ranks(path):
+    """betti(n) = dim C^n - rank d_n - rank d_(n-1), ranks from sympy."""
+    cx = CochainComplex(Instance(load_document(str(path))).bmod)
+    for n in cx.degrees():
+        rank_n = sympy_rank(cx.diff_matrix(n))
+        rank_before = sympy_rank(cx.diff_matrix(n - 1))
+        assert cx.betti(n) == cx.dim(n) - rank_n - rank_before

@@ -1,4 +1,4 @@
-"""No dead names in ``src/kapranov``.
+"""No dead names and no stray true division in ``src/kapranov``.
 
 Every name a module imports is used in that module: a stdlib stand-in for
 pyflakes' unused-import check.  ``__init__.py`` imports names to
@@ -6,6 +6,10 @@ re-export them and is exempt.  And every private top-level name (``_name``,
 not a dunder) that a module defines is referenced somewhere in the
 package besides its own definition, so a helper left behind by a
 rewrite fails.  Names read inside string annotations count as used.
+
+Coefficients are ``int`` while integral, and ``int / int`` is a float, so
+the only ``/`` (or ``/=``) in the package is the one inside
+``graded.exact_div``.
 """
 
 from __future__ import annotations
@@ -145,3 +149,40 @@ def test_dead_name_guard_sees_recursion_imports_and_annotations():
     }
     assert dead_private_names(sources) == ["a.py: _CONSTANT (line 5)",
                                            "a.py: _dead (line 1)"]
+
+
+DIVISION_HELPER = ("graded.py", "exact_div")
+
+
+def true_divisions(name: str, source: str) -> list[str]:
+    """The ``/`` and ``/=`` of module ``name`` outside the exact-division
+    helper, as ``"<module>: line <n>"``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) \
+                and (name, node.name) == DIVISION_HELPER:
+            allowed.update(id(sub) for sub in ast.walk(node))
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.Div) and id(node) not in allowed)
+    return [f"{name}: line {line}" for line in lines]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_true_division_outside_the_helper(path):
+    assert true_divisions(path.name, path.read_text()) == []
+
+
+def test_division_guard_sees_planted_divisions():
+    source = ("def exact_div(a, b):\n    return a / b\n"
+              "def f(a, b):\n    return [x / b for x in a], a // b\n"
+              "def g(a):\n    a /= 2\n    return a\n")
+    assert true_divisions("graded.py", source) == ["graded.py: line 4",
+                                                   "graded.py: line 6"]
+    # the helper is only exempt in graded.py
+    assert true_divisions("cohomology.py", source)[0] == "cohomology.py: line 2"
+    helper = (PACKAGE / "graded.py").read_text()
+    planted = helper + "\n\ndef _halve(x):\n    return x / 2\n"
+    assert len(true_divisions("graded.py", planted)) == 1
