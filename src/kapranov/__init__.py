@@ -15,7 +15,7 @@ from .graded import (Element, GradedBasis, MultilinearMap, Scalar,
                      partition_sign, shuffles)
 from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       ce_algebra, validate_cdga)
-from .modules import (DgModule, ModuleElement, ModuleMorphism,
+from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, dual_module,
                       end_module, hom_module, pair, simple_tensor,
                       tensor_module, validate_dg_module)
@@ -28,7 +28,7 @@ from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
                           atiyah_class, atiyah_cocycle, check_naturality,
                           extend_connection, flat_connection_exists)
 from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
-                       CohomologyBracket, HatConnection, KBasis,
+                       CohomologyBracket, HatConnection,
                        ModuleActionFamily, MorphismFamily,
                        a_multilinearity_violations,
                        bracket_nonskew_witness, bracket_on_elements,

@@ -48,24 +48,44 @@ def _merge_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
     return sign, tuple(merged)
 
 
+def canonical_monomial(word: Sequence[int]) -> tuple[int, Monomial]:
+    """Sign and increasing form of a word of generator indices.
+
+    The generators are odd, so sorting the word costs the sign of the
+    permutation; a repeated generator makes the word zero, returned as
+    ``(0, ())``.
+    """
+    sign, mon = 1, ()
+    for g in word:
+        step, mon = _merge_monomials(mon, (g,))
+        if not step:
+            return 0, ()
+        sign *= step
+    return sign, mon
+
+
 class AlgebraElement:
     """Sparse element of an exterior algebra: dict monomial -> coefficient.
 
     The constructor and ``scalar``, ``monomial`` and ``scale`` normalise
-    their input with :func:`~kapranov.graded.exact`; arithmetic builds its
-    results with :meth:`_trusted`, which takes a dict that is already
-    normalised and free of zeros.
+    their coefficients with :func:`~kapranov.graded.exact`, and the
+    constructor also brings each key to its :func:`canonical_monomial`
+    (``monomial`` takes an increasing one); arithmetic builds its results
+    with :meth:`_trusted`, which takes a dict that is already normalised
+    and free of zeros.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, Scalar] | None = None):
         self.terms: dict[Monomial, Scalar] = {}
-        if terms:
-            for mon, c in terms.items():
-                c = exact(c)
-                if c:
-                    self.terms[tuple(mon)] = c
+        for word, c in (terms or {}).items():
+            sign, mon = canonical_monomial(word)
+            s = self.terms.get(mon, ZERO) + sign * exact(c)
+            if s:
+                self.terms[mon] = exact(s)
+            else:
+                self.terms.pop(mon, None)
 
     @classmethod
     def _trusted(cls, terms: dict[Monomial, Scalar]) -> "AlgebraElement":

@@ -16,7 +16,7 @@ import sys
 import time
 from importlib import resources
 
-from .algebra import (AlgebraElement, LieAlgebraData, _merge_monomials,
+from .algebra import (AlgebraElement, LieAlgebraData, canonical_monomial,
                       validate_cdga)
 from .builders import (LiePair, LinearMapObject, OffsetMismatch,
                        lie_pair_setup, linear_map_setup, splitting_homotopy)
@@ -56,16 +56,15 @@ def parse_monomial(s: str, n_generators: int) -> tuple[int, tuple[int, ...]]:
     The generators are odd, so "1.0" is -1 times the monomial (0, 1); a
     repeated generator makes the word zero, returned with sign 0.
     """
-    sign, mon = 1, ()
+    word = []
     for part in s.split(".") if s else ():
         g = int(part)
         if not 0 <= g < n_generators:
             raise DocumentError(
                 f"monomial {s!r} names generator {g}, but the algebra has "
                 f"{n_generators} generators")
-        step, mon = _merge_monomials(mon, (g,))
-        sign *= step
-    return sign, mon
+        word.append(g)
+    return canonical_monomial(word)
 
 
 def parse_algebra_element(d: dict, n_generators: int) -> AlgebraElement:

@@ -11,11 +11,10 @@ deterministic representatives of cohomology classes.  Entries stay
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
-from .algebra import AlgebraElement, Monomial
 from .graded import ONE, ZERO, Scalar, exact, exact_div
-from .modules import DgModule, ModuleElement, apply_module_differential
+from .modules import DgModule, KBasis, ModuleElement, apply_module_differential
 
 Vector = list[Scalar]
 Matrix = list[Vector]
@@ -98,6 +97,31 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     return x
 
 
+def _from_columns(columns: list[Vector], n_rows: int) -> Matrix:
+    """The n_rows-row matrix whose columns are ``columns``."""
+    return [[col[i] for col in columns] for i in range(n_rows)]
+
+
+def solve_affine(residual: Callable[[Vector], Vector],
+                 n_unknowns: int) -> Vector | None:
+    """One x with residual(x) = 0 (free variables zero), or None.
+
+    ``residual`` must be affine: its value at 0 and the differences of its
+    values at the unit vectors from it are the constant and the columns
+    of the linear part, which :func:`solve_linear` then solves.
+    """
+    base = residual([ZERO] * n_unknowns)
+    columns = []
+    for u in range(n_unknowns):
+        x = [ZERO] * n_unknowns
+        x[u] = ONE
+        columns.append([exact(a - b) for a, b in zip(residual(x), base)])
+    x = solve_linear(_from_columns(columns, len(base)), [-b for b in base])
+    if x is None:
+        return None
+    return x or [ZERO] * n_unknowns
+
+
 class RowSpace:
     """Incremental RREF row space, for reduction mod a growing span."""
 
@@ -136,68 +160,32 @@ class RowSpace:
 
 
 class CochainComplex:
-    """Degree-sliced view of a dg module as a complex over Q."""
+    """Degree-sliced view of a dg module as a complex over Q, in the
+    coordinates of the module's :class:`~kapranov.modules.KBasis`."""
 
     def __init__(self, module: DgModule):
         self.module = module
-        self._kbasis: dict[int, list[tuple[Monomial, int]]] = {}
-        self._index: dict[int, dict[tuple[Monomial, int], int]] = {}
-        for key in module.kbasis():
-            d = module.kdegree(key)
-            self._kbasis.setdefault(d, []).append(key)
-        for d, keys in self._kbasis.items():
-            self._index[d] = {k: i for i, k in enumerate(keys)}
+        self.kb = KBasis(module)
         self._dmat: dict[int, Matrix] = {}
 
     def degrees(self) -> list[int]:
-        return sorted(self._kbasis)
-
-    def slice_basis(self, n: int) -> list[tuple[Monomial, int]]:
-        return self._kbasis.get(n, [])
+        return sorted(self.kb.slices)
 
     def dim(self, n: int) -> int:
-        return len(self._kbasis.get(n, []))
-
-    def to_vector(self, v: ModuleElement, n: int) -> Vector:
-        idx = self._index.get(n, {})
-        out = [ZERO] * self.dim(n)
-        for i, a in v.coeffs.items():
-            for mon, c in a.terms.items():
-                key = (mon, i)
-                if key not in idx:
-                    raise ValueError(
-                        f"element has a term outside degree {n}: {key}")
-                out[idx[key]] += c
-        return out
-
-    def from_vector(self, vec: Sequence[Scalar], n: int) -> ModuleElement:
-        out = self.module.zero()
-        for c, key in zip(vec, self.slice_basis(n)):
-            if c:
-                mon, i = key
-                out = out + ModuleElement(self.module,
-                                          {i: AlgebraElement.monomial(mon, c)})
-        return out
+        return len(self.kb.slice(n))
 
     def diff_matrix(self, n: int) -> Matrix:
         """Rows: images of the degree-n slice basis, in the degree-n+1 slice."""
         if n not in self._dmat:
-            rows = []
-            for key in self.slice_basis(n):
-                dv = apply_module_differential(self.module,
-                                               self.module.kbasis_element(key))
-                rows.append(self.to_vector(dv, n + 1))
-            self._dmat[n] = rows
+            self._dmat[n] = [
+                self.kb.to_vector(apply_module_differential(
+                    self.module, self.module.kbasis_element(key)), n + 1)
+                for key in self.kb.slice(n)]
         return self._dmat[n]
 
-    def _diff_as_equations(self, n: int) -> Matrix:
-        """Matrix with columns = degree-n basis, rows = degree-n+1 coords."""
-        rows = self.diff_matrix(n)
-        dim_out = self.dim(n + 1)
-        return [[rows[j][i] for j in range(len(rows))] for i in range(dim_out)]
-
     def cocycles(self, n: int) -> list[Vector]:
-        return kernel_basis(self._diff_as_equations(n), self.dim(n))
+        return kernel_basis(_from_columns(self.diff_matrix(n), self.dim(n + 1)),
+                            self.dim(n))
 
     def coboundary_space(self, n: int) -> RowSpace:
         space = RowSpace(self.dim(n))
@@ -214,8 +202,13 @@ class CochainComplex:
             seen.add(row)
         for z in self.cocycles(n):
             if seen.add(z):
-                reps.append(self.from_vector(z, n))
+                reps.append(self.kb.from_vector(z, n))
         return reps
+
+    def cohomology_reps(self) -> list[tuple[int, ModuleElement]]:
+        """(degree, representative) for a basis of all of H, by degree."""
+        return [(n, rep) for n in self.degrees()
+                for rep in self.cohomology_basis(n)]
 
     def betti(self, n: int) -> int:
         n_cocycles = len(self.cocycles(n))
@@ -235,14 +228,13 @@ class CochainComplex:
         if not self.is_cocycle(v):
             raise ValueError("is_coboundary called on a non-cocycle")
         rows = self.diff_matrix(n - 1)
-        target = self.to_vector(v, n)
+        target = self.kb.to_vector(v, n)
         if not rows:
             return None if any(target) else self.module.zero()
-        eqs = [[rows[j][i] for j in range(len(rows))] for i in range(self.dim(n))]
-        x = solve_linear(eqs, target)
+        x = solve_linear(_from_columns(rows, self.dim(n)), target)
         if x is None:
             return None
-        return self.from_vector(x, n - 1)
+        return self.kb.from_vector(x, n - 1)
 
     def classes_equal(self, v: ModuleElement, w: ModuleElement) -> bool:
         diff = v - w
@@ -262,14 +254,10 @@ class CochainComplex:
         if not self.is_cocycle(v):
             raise ValueError("class_coordinates called on a non-cocycle")
         reps = self.cohomology_basis(n)
-        rep_vecs = [self.to_vector(r, n) for r in reps]
-        bd_rows = self.diff_matrix(n - 1)
         # solve [reps | coboundaries] . x = v
-        cols = rep_vecs + bd_rows
-        dim = self.dim(n)
-        eqs = [[col[i] for col in cols] for i in range(dim)]
-        target = self.to_vector(v, n)
-        x = solve_linear(eqs, target)
+        cols = [self.kb.to_vector(r, n) for r in reps] + self.diff_matrix(n - 1)
+        x = solve_linear(_from_columns(cols, self.dim(n)),
+                         self.kb.to_vector(v, n))
         if x is None:
             raise ValueError("closed element not in span of classes and coboundaries")
         return x[:len(reps)]

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import AlgebraElement
-from .cohomology import CochainComplex, solve_linear
+from .cohomology import CochainComplex, solve_affine
 from .derivations import DgDerivation
-from .graded import ONE, ZERO, Scalar
-from .modules import (DgModule, ModuleElement, ModuleMorphism,
-                      apply_module_differential, contract, end_module,
+from .graded import Scalar
+from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
+                      add_term, apply_module_differential, contract, end_module,
                       hom_module, simple_tensor, tensor_index, tensor_module,
                       tensor_split)
 
@@ -97,12 +97,7 @@ def operator_to_om_hom_element(om_hom: DgModule,
     for i, val in enumerate(values):
         for t_idx, a in val.coeffs.items():
             j, k = tensor_split(val.module, t_idx)
-            target = tensor_index(om_hom, j, i * f_mod.rank + k)
-            cur = coeffs.get(target, AlgebraElement()) + a
-            if cur.is_zero():
-                coeffs.pop(target, None)
-            else:
-                coeffs[target] = cur
+            add_term(coeffs, tensor_index(om_hom, j, i * f_mod.rank + k), a)
     return ModuleElement(om_hom, coeffs)
 
 
@@ -239,47 +234,29 @@ def flat_connection_exists(delta: DgDerivation,
     Returns a flat connection or None.
     """
     tensor = omega_tensor(delta, module)
-    cx = CochainComplex(tensor)
-    slots: list[tuple[int, tuple]] = []
-    for i in range(module.rank):
-        deg = module.basis.degrees[i]
-        for key in cx.slice_basis(deg):
-            slots.append((i, key))
-    n_unknowns = len(slots)
+    kb = KBasis(tensor)
+    degrees = module.basis.degrees
+    sizes = [len(kb.slice(d)) for d in degrees]
 
     def connection_from_vector(x: Sequence[Scalar]) -> DeltaConnection:
-        values: dict[int, ModuleElement] = {}
-        for c, (i, key) in zip(x, slots):
-            if c:
-                cur = values.get(i, tensor.zero())
-                values[i] = cur + tensor.kbasis_element(key).scale(c)
+        values, start = {}, 0
+        for i, (d, size) in enumerate(zip(degrees, sizes)):
+            values[i] = kb.from_vector(x[start:start + size], d)
+            start += size
         return DeltaConnection(delta, module, values)
 
-    def residual(conn: DeltaConnection) -> list[Scalar]:
+    def residual(x: Sequence[Scalar]) -> list[Scalar]:
+        conn = connection_from_vector(x)
         out: list[Scalar] = []
         for i in range(module.rank):
             e = ModuleElement.basis_vector(module, i)
             t = (conn(module.diff_of_basis(i))
                  - apply_module_differential(tensor, conn(e)))
-            deg = module.basis.degrees[i] + 1
-            out.extend(cx.to_vector(t, deg))
+            out.extend(kb.to_vector(t, degrees[i] + 1))
         return out
 
-    base = residual(connection_from_vector([ZERO] * n_unknowns))
-    columns = []
-    for u in range(n_unknowns):
-        x = [ZERO] * n_unknowns
-        x[u] = ONE
-        col = residual(connection_from_vector(x))
-        columns.append([a - b for a, b in zip(col, base)])
-    target = [-a for a in base]
-    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(len(base))]
-    x = solve_linear(eqs, target)
-    if x is None:
-        return None
-    if not x:
-        x = [ZERO] * n_unknowns
-    return connection_from_vector(x)
+    x = solve_affine(residual, sum(sizes))
+    return None if x is None else connection_from_vector(x)
 
 
 def apply_morphism_tensor(omega: DgModule, lam: ModuleMorphism,

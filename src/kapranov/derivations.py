@@ -11,9 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation
-from .cohomology import solve_linear
-from .graded import ONE, ZERO, GradedBasis, Scalar
-from .modules import (DgModule, ModuleElement, ModuleMorphism,
+from .cohomology import solve_affine
+from .graded import GradedBasis, Scalar
+from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 
 
@@ -148,59 +148,30 @@ def find_homotopy(delta: DgDerivation,
         raise ValueError("derivations must share the target module")
     alg = delta.algebra
     omega = delta.target
-    slice0 = [key for key in omega.kbasis() if omega.kdegree(key) == 0]
-    n_unknowns = alg.n_generators * len(slice0)
+    kb = KBasis(omega)
+    n0 = len(kb.slice(0))
+    gens = [AlgebraElement.generator(g) for g in range(alg.n_generators)]
+    d_gens = [alg.diff.get(g, AlgebraElement()) for g in range(alg.n_generators)]
+    offsets = [delta_prime.values.get(g, omega.zero())
+               - delta.values.get(g, omega.zero())
+               for g in range(alg.n_generators)]
 
     def homotopy_from_vector(x: Sequence[Scalar]) -> DerivationHomotopy:
-        values: dict[int, ModuleElement] = {}
-        for g in range(alg.n_generators):
-            v = omega.zero()
-            for s, key in enumerate(slice0):
-                c = x[g * len(slice0) + s]
-                if c:
-                    v = v + omega.kbasis_element(key).scale(c)
-            if not v.is_zero():
-                values[g] = v
-        return DerivationHomotopy(alg, omega, values)
+        return DerivationHomotopy(alg, omega, {
+            g: kb.from_vector(x[g * n0:(g + 1) * n0], 0)
+            for g in range(alg.n_generators)})
 
-    # residual(h) per generator: d(h(g)) + h(d_A g), compared to (delta'-delta)(g)
-    slice1 = [key for key in omega.kbasis() if omega.kdegree(key) == 1]
-    idx1 = {key: i for i, key in enumerate(slice1)}
-
-    def expand_degree1(v: ModuleElement) -> list[Scalar]:
-        out = [ZERO] * len(slice1)
-        for i, a in v.coeffs.items():
-            for mon, c in a.terms.items():
-                out[idx1[(mon, i)]] += c
+    def residual(x: Sequence[Scalar]) -> list[Scalar]:
+        # d(h(g)) + h(d_A g) - (delta' - delta)(g), per generator g
+        h = homotopy_from_vector(x)
+        out: list[Scalar] = []
+        for gen, d_gen, offset in zip(gens, d_gens, offsets):
+            out.extend(kb.to_vector(apply_module_differential(omega, h(gen))
+                                    + h(d_gen) - offset, 1))
         return out
 
-    columns: list[list[Scalar]] = []
-    for u in range(n_unknowns):
-        x = [ZERO] * n_unknowns
-        x[u] = ONE
-        h = homotopy_from_vector(x)
-        col: list[Scalar] = []
-        for g in range(alg.n_generators):
-            gen = AlgebraElement.generator(g)
-            resid = (apply_module_differential(omega, h(gen))
-                     + h(alg.diff.get(g, AlgebraElement())))
-            col.extend(expand_degree1(resid))
-        columns.append(col)
-
-    target_vec: list[Scalar] = []
-    for g in range(alg.n_generators):
-        diff = (delta_prime.values.get(g, omega.zero())
-                - delta.values.get(g, omega.zero()))
-        target_vec.extend(expand_degree1(diff))
-
-    n_rows = len(target_vec)
-    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(n_rows)]
-    x = solve_linear(eqs, target_vec)
-    if x is None:
-        return None
-    if not x:
-        x = [ZERO] * n_unknowns
-    return homotopy_from_vector(x)
+    x = solve_affine(residual, alg.n_generators * n0)
+    return None if x is None else homotopy_from_vector(x)
 
 
 class DerivationMorphism:

@@ -25,47 +25,15 @@ from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
 from .graded import (Element, GradedBasis, MultilinearMap, Scalar,
                      koszul_sign, ordered_partitions, partition_sign, shuffles)
-from .modules import (DgModule, ModuleElement, ModuleMorphism,
-                      apply_module_differential, contract, simple_tensor)
+from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
+                      add_term, apply_module_differential, contract,
+                      dual_morphism_between, simple_tensor)
 
 
 class CheckFailure(Exception):
     """A mathematical check failed while a structure was being built: the
     input is well formed, but what it builds breaks a promised identity.
     Deliberately not a ValueError, which stands for bad input."""
-
-
-class KBasis:
-    """Ground-field basis of a dg module, with conversions both ways."""
-
-    def __init__(self, module: DgModule):
-        self.module = module
-        self.keys = module.kbasis()
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        names = []
-        for mon, i in self.keys:
-            word = "^".join(module.algebra.generators.names[g] for g in mon)
-            name = module.basis.names[i] if not word else f"{word}.{module.basis.names[i]}"
-            names.append(name)
-        degrees = [module.kdegree(key) for key in self.keys]
-        self.basis = GradedBasis(names, degrees)
-
-    def to_kvec(self, v: ModuleElement) -> Element:
-        # each (monomial, basis index) is one k-basis vector, hit once
-        return Element._trusted(self.basis, {
-            self.index[(mon, i)]: c
-            for i, a in v.coeffs.items() for mon, c in a.terms.items()})
-
-    def to_module_element(self, e: Element) -> ModuleElement:
-        out = self.module.zero()
-        for idx, c in e.coeffs.items():
-            mon, i = self.keys[idx]
-            out = out + ModuleElement(self.module,
-                                      {i: AlgebraElement.monomial(mon, c)})
-        return out
-
-    def degree(self, idx: int) -> int:
-        return self.basis.degrees[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +56,10 @@ def tensor_of_elements(args: list[ModuleElement],
             for i, a in arg.coeffs.items():
                 for mon, c in a.terms.items():
                     sign = -1 if (len(mon) * pdeg) % 2 else 1
-                    add = coeff * AlgebraElement.monomial(mon, sign * c)
-                    if add.is_zero():
-                        continue
                     nk = key + (i,)
-                    cur = new.get(nk, AlgebraElement()) + add
-                    if cur.is_zero():
-                        new.pop(nk, None)
-                    else:
-                        new[nk] = cur
-                        new_deg[nk] = pdeg + mod.basis.degrees[i]
+                    add_term(new, nk,
+                             coeff * AlgebraElement.monomial(mon, sign * c))
+                    new_deg[nk] = pdeg + mod.basis.degrees[i]
         for key in new:
             prefix_degrees[key] = new_deg[key]
         items = new
@@ -123,15 +85,8 @@ def derive_tensor(tensor: dict[tuple, AlgebraElement], ops, op_degree: int,
                         for mon, c in a.terms.items():
                             exp = op_degree * (cd + pdeg) + len(mon) * pdeg
                             sign = -1 if exp % 2 else 1
-                            add = cpart * AlgebraElement.monomial(mon, sign * c)
-                            if add.is_zero():
-                                continue
-                            nk = key[:t] + (j,) + key[t + 1:]
-                            cur = out.get(nk, AlgebraElement()) + add
-                            if cur.is_zero():
-                                out.pop(nk, None)
-                            else:
-                                out[nk] = cur
+                            add_term(out, key[:t] + (j,) + key[t + 1:],
+                                     cpart * AlgebraElement.monomial(mon, sign * c))
                 pdeg += modules[t].basis.degrees[key[t]]
     return out
 
@@ -724,20 +679,6 @@ def check_linfty_morphism(mor: MorphismFamily, n_max: int,
     return _check_identities(n_max, weight, mor.target.kb.basis, max_witnesses)
 
 
-def dual_morphism_between(phi: ModuleMorphism, source: DgModule,
-                          target: DgModule) -> ModuleMorphism:
-    """Transpose of a degree-0 morphism, expressed between given duals."""
-    mat: dict[tuple[int, int], AlgebraElement] = {}
-    for (i, j), a in phi.matrix.items():
-        da = a.degree()
-        if da is None:
-            continue
-        q = phi.target.basis.degrees[j]
-        sign = -1 if (da * q) % 2 else 1
-        mat[(j, i)] = a.scale(sign)
-    return ModuleMorphism(source, target, 0, mat)
-
-
 def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
                       target_fam: BracketFamily, max_arity: int = 4,
                       label: str = "") -> MorphismFamily:
@@ -772,36 +713,31 @@ def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
 
 def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
                               max_arity: int = 3) -> MorphismFamily:
-    """(outer o inner)_n = sum over ordered partitions with the Koszul sign."""
+    """(outer o inner)_n = sum over ordered partitions with the Koszul sign.
+
+    That sum is the partition side of the morphism equation, so each
+    arity is the negated term-driven join of :func:`_residuals` over the
+    ordered partitions whose blocks all have a map of ``inner``; the
+    table's keys come out in ``itertools.product`` order.
+    """
     if inner.target is not outer.source and \
             inner.target.module.basis != outer.source.module.basis:
         raise ValueError("families are not composable")
     skb = inner.source.kb
+    out_basis = outer.target.kb.basis
     maps: dict[int, MultilinearMap] = {}
+    cache: dict = {}
     for n in range(1, max_arity + 1):
-        m = MultilinearMap.uniform(n, 0, skb.basis, outer.target.kb.basis)
-        for keys in itertools.product(range(len(skb.keys)), repeat=n):
-            degs = [skb.degree(i) for i in keys]
-            total = Element(outer.target.kb.basis)
-            for q in range(1, n + 1):
-                g = outer.map(q)
-                if g is None:
-                    continue
-                for blocks in ordered_partitions(n, q):
-                    eps = partition_sign(blocks, degs)
-                    args = []
-                    for block in blocks:
-                        fk = inner.map(len(block))
-                        val = fk.table.get(tuple(keys[b - 1] for b in block)) \
-                            if fk else None
-                        if val is None:
-                            args = None
-                            break
-                        args.append(val)
-                    if args is None:
-                        continue
-                    total = total + g(*args).scale(eps)
-            m.set(keys, total)
+        partitions = [
+            _Partition(outer.map(q).table,
+                       [inner.map(len(b)).table for b in blocks], blocks)
+            for q in range(1, n + 1) if outer.map(q) is not None
+            for blocks in ordered_partitions(n, q)
+            if all(inner.map(len(b)) is not None for b in blocks)]
+        acc = _residuals([skb] * n, [], partitions, cache)
+        m = MultilinearMap.uniform(n, 0, skb.basis, out_basis)
+        for key in sorted(acc):
+            m.set(key, -Element(out_basis, acc[key]))
         maps[n] = m
     return MorphismFamily(inner.source, outer.target, maps,
                           a_multilinear=inner.a_multilinear and outer.a_multilinear)
@@ -851,13 +787,8 @@ def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
     if m is None:
         return []
     base_table: dict[tuple, ModuleElement] = {}
-    base_keys = {}
-    for idx, (mon, i) in enumerate(kb.keys):
-        if mon == ():
-            base_keys[i] = idx
-    for key_ids in itertools.product(sorted(base_keys), repeat=arity):
-        kb_key = tuple(base_keys[i] for i in key_ids)
-        val = m.table.get(kb_key)
+    for key_ids in itertools.product(range(kb.module.rank), repeat=arity):
+        val = m.table.get(tuple(kb.index[((), i)] for i in key_ids))
         if val is not None:
             base_table[key_ids] = out_kb.to_module_element(val)
     expected = extend_module_table(kb, base_table, arity, 0, output_kb=out_kb)
@@ -1117,10 +1048,7 @@ class CohomologyBracket:
     def __init__(self, fam: BracketFamily):
         self.fam = fam
         self.complex = CochainComplex(fam.module)
-        self.reps: list[tuple[int, ModuleElement]] = []
-        for n in self.complex.degrees():
-            for rep in self.complex.cohomology_basis(n):
-                self.reps.append((n, rep))
+        self.reps = self.complex.cohomology_reps()
         self.table: dict[tuple[int, int], list[Scalar]] = {}
         for a, (da, ra) in enumerate(self.reps):
             for b, (db, rb) in enumerate(self.reps):
@@ -1198,14 +1126,8 @@ class CohomologyAction:
         self.family = action_family
         self.b_complex = CochainComplex(action_family.algebra_family.module)
         self.e_complex = CochainComplex(action_family.carrier)
-        self.b_reps: list[tuple[int, ModuleElement]] = []
-        for n in self.b_complex.degrees():
-            for rep in self.b_complex.cohomology_basis(n):
-                self.b_reps.append((n, rep))
-        self.e_reps: list[tuple[int, ModuleElement]] = []
-        for n in self.e_complex.degrees():
-            for rep in self.e_complex.cohomology_basis(n):
-                self.e_reps.append((n, rep))
+        self.b_reps = self.b_complex.cohomology_reps()
+        self.e_reps = self.e_complex.cohomology_reps()
         self.table: dict[tuple[int, int], list[Scalar]] = {}
         for a, (da, ra) in enumerate(self.b_reps):
             for b, (db, rb) in enumerate(self.e_reps):

@@ -8,8 +8,11 @@ coefficients (coefficients act from the left).
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
 from .algebra import AlgebraElement, CdgaPresentation, Monomial
-from .graded import GradedBasis, exact
+from .graded import Element, GradedBasis, Scalar, exact
 
 
 class ModuleElement:
@@ -206,6 +209,93 @@ class DgModule:
         return f"DgModule({self.label or list(self.basis.names)})"
 
 
+class KBasis:
+    """Ground-field basis of a dg module: the package's one k-basis indexer.
+
+    ``keys`` are the pairs (monomial, module basis index) in the order of
+    :meth:`DgModule.kbasis`, and ``index`` gives each key its position.
+    ``slice(d)`` lists the keys of degree d in the same order; ``to_vector``
+    and ``from_vector`` convert between module elements and dense
+    coordinates on one slice, ``to_kvec`` and ``to_module_element`` between
+    module elements and sparse vectors over ``basis``.  The names of
+    ``basis`` are ``word.name`` (``name`` alone for the empty monomial); it
+    is built on first use, so a complex that only needs coordinates never
+    builds the names.
+    """
+
+    def __init__(self, module: DgModule):
+        self.module = module
+        self.keys = module.kbasis()
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.degrees = [module.kdegree(key) for key in self.keys]
+        self.slices: dict[int, list[tuple[Monomial, int]]] = {}
+        for key, d in zip(self.keys, self.degrees):
+            self.slices.setdefault(d, []).append(key)
+        self.slice_positions = {d: {key: i for i, key in enumerate(keys)}
+                            for d, keys in self.slices.items()}
+
+    @functools.cached_property
+    def basis(self) -> GradedBasis:
+        gens, names = self.module.algebra.generators.names, []
+        for mon, i in self.keys:
+            word = "^".join(gens[g] for g in mon)
+            name = self.module.basis.names[i]
+            names.append(f"{word}.{name}" if word else name)
+        return GradedBasis(names, self.degrees)
+
+    def degree(self, idx: int) -> int:
+        return self.degrees[idx]
+
+    def slice(self, d: int) -> list[tuple[Monomial, int]]:
+        return self.slices.get(d, [])
+
+    def to_kvec(self, v: ModuleElement) -> Element:
+        # each (monomial, basis index) is one k-basis vector, hit once
+        return Element._trusted(self.basis, {
+            self.index[(mon, i)]: c
+            for i, a in v.coeffs.items() for mon, c in a.terms.items()})
+
+    def to_vector(self, v: ModuleElement, d: int) -> list[Scalar]:
+        """Dense coordinates of v on the degree-d slice; a term of another
+        degree raises ValueError."""
+        index = self.slice_positions.get(d, {})
+        out = [0] * len(index)
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                pos = index.get((mon, i))
+                if pos is None:
+                    raise ValueError(
+                        f"element has a term outside degree {d}: {(mon, i)}")
+                out[pos] = c
+        return out
+
+    def from_vector(self, vec: Sequence[Scalar], d: int) -> ModuleElement:
+        """The element with dense coordinates ``vec`` on the degree-d slice."""
+        return self._element((key, c) for key, c in zip(self.slice(d), vec)
+                             if c)
+
+    def to_module_element(self, e: Element) -> ModuleElement:
+        return self._element((self.keys[idx], c) for idx, c in e.coeffs.items())
+
+    def _element(self, pairs) -> ModuleElement:
+        """The sum of c.(mon.e_i) over ``pairs`` of a key and a nonzero
+        coefficient, no key twice, built without intermediate sums."""
+        coeffs: dict[int, dict[Monomial, Scalar]] = {}
+        for (mon, i), c in pairs:
+            coeffs.setdefault(i, {})[mon] = exact(c)
+        return ModuleElement._trusted(self.module, {
+            i: AlgebraElement._trusted(terms) for i, terms in coeffs.items()})
+
+
+def add_term(coeffs: dict, key, a: AlgebraElement) -> None:
+    """coeffs[key] += a in a dict of nonzero algebra coefficients."""
+    s = coeffs[key] + a if key in coeffs else a
+    if s.is_zero():
+        coeffs.pop(key, None)
+    else:
+        coeffs[key] = s
+
+
 def apply_module_differential(module: DgModule, v: ModuleElement) -> ModuleElement:
     """d(a.e) = dA(a).e + (-1)^{|a|} a.d(e), per homogeneous coefficient parts."""
     out = module.zero()
@@ -298,29 +388,14 @@ def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
     degs = [da + db for da in m.basis.degrees for db in n.basis.degrees]
     basis = GradedBasis(names, degs)
     rn = n.rank
-
-    def idx(i: int, j: int) -> int:
-        return i * rn + j
-
     diff: dict[tuple[int, int], AlgebraElement] = {}
-
-    def add(i: int, j: int, a: AlgebraElement) -> None:
-        if a.is_zero():
-            return
-        cur = diff.get((i, j), AlgebraElement())
-        s = cur + a
-        if s.is_zero():
-            diff.pop((i, j), None)
-        else:
-            diff[(i, j)] = s
-
     for i in range(m.rank):
         di = m.basis.degrees[i]
         for j in range(n.rank):
             # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^{|e_i|} e_i (x) d(f_j)
             for (ii, k), a in m.diff_matrix.items():
                 if ii == i:
-                    add(idx(i, j), idx(k, j), a)
+                    add_term(diff, (i * rn + j, k * rn + j), a)
             for (jj, l), b in n.diff_matrix.items():
                 if jj != j:
                     continue
@@ -332,7 +407,7 @@ def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
                     continue
                 sign = -1 if (di * (1 + bd)) % 2 else 1
                 # (-1)^{|e_i|} from Leibniz, (-1)^{|b||e_i|} to move b left
-                add(idx(i, j), idx(i, l), b.scale(sign))
+                add_term(diff, (i * rn + j, i * rn + l), b.scale(sign))
     t = DgModule(m.algebra, basis, diff, label=label or f"{m.label}(x){n.label}")
     t.tensor_factors = (m, n)
     return t
@@ -427,20 +502,10 @@ class ModuleMorphism:
         """Dual of a degree-0 morphism: <f*(beta), e> = <beta, f(e)>."""
         if self.degree != 0:
             raise ValueError("dualization implemented for degree-0 morphisms")
-        src = dual_module(self.target)
-        tgt = dual_module(self.source)
-        mat: dict[tuple[int, int], AlgebraElement] = {}
-        for (i, j), a in self.matrix.items():
-            try:
-                da = a.degree()
-            except ValueError:
-                raise ValueError("morphism matrix entries must be homogeneous")
-            if da is None:
-                continue
-            q = self.target.basis.degrees[j]
-            sign = -1 if (da * q) % 2 else 1
-            mat[(j, i)] = a.scale(sign)
-        return ModuleMorphism(src, tgt, 0, mat, label=f"{self.label}*")
+        out = dual_morphism_between(self, dual_module(self.target),
+                                    dual_module(self.source))
+        out.label = f"{self.label}*"
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleMorphism)
@@ -448,6 +513,20 @@ class ModuleMorphism:
                 and self.target.basis == other.target.basis
                 and self.degree == other.degree
                 and self.matrix == other.matrix)
+
+
+def dual_morphism_between(phi: ModuleMorphism, source: DgModule,
+                          target: DgModule) -> ModuleMorphism:
+    """Transpose of a degree-0 morphism, expressed between given duals."""
+    mat: dict[tuple[int, int], AlgebraElement] = {}
+    for (i, j), a in phi.matrix.items():
+        da = a.degree()
+        if da is None:
+            continue
+        q = phi.target.basis.degrees[j]
+        sign = -1 if (da * q) % 2 else 1
+        mat[(j, i)] = a.scale(sign)
+    return ModuleMorphism(source, target, 0, mat)
 
 
 def hom_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
@@ -463,28 +542,14 @@ def hom_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
     degs = [db - da for da in m.basis.degrees for db in n.basis.degrees]
     basis = GradedBasis(names, degs)
     rn = n.rank
-
-    def idx(i: int, j: int) -> int:
-        return i * rn + j
-
     diff: dict[tuple[int, int], AlgebraElement] = {}
-
-    def add(r: int, s: int, a: AlgebraElement) -> None:
-        if a.is_zero():
-            return
-        cur = diff.get((r, s), AlgebraElement()) + a
-        if cur.is_zero():
-            diff.pop((r, s), None)
-        else:
-            diff[(r, s)] = cur
-
     for i in range(m.rank):
         for j in range(n.rank):
             u_deg = n.basis.degrees[j] - m.basis.degrees[i]
             # d_N o u_ij: contributes a_jl . u_il
             for (jj, l), a in n.diff_matrix.items():
                 if jj == j:
-                    add(idx(i, j), idx(i, l), a)
+                    add_term(diff, (i * rn + j, i * rn + l), a)
             # -(-1)^{|u|} u_ij o d_M: for each k with d(e_k) = a_ki e_i + ...
             # u_ij(a_ki e_i) = (-1)^{|a_ki||u|} a_ki f_j, landing on u_kj
             for (k, ii), a in m.diff_matrix.items():
@@ -498,7 +563,7 @@ def hom_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
                     continue
                 sign = -1 if (u_deg + da * u_deg) % 2 == 0 else 1
                 # sign = -(-1)^{|u|} * (-1)^{|a||u|}
-                add(idx(i, j), idx(k, j), a.scale(sign))
+                add_term(diff, (i * rn + j, k * rn + j), a.scale(sign))
     h = DgModule(m.algebra, basis, diff, label=label or f"Hom({m.label},{n.label})")
     h.hom_factors = (m, n)
     return h
@@ -511,13 +576,8 @@ def end_module(m: DgModule) -> DgModule:
 def hom_element_to_morphism(h: DgModule, x: ModuleElement, degree: int) -> ModuleMorphism:
     """Interpret a homogeneous element of hom_module(M, N) as an A-linear map."""
     m, n = h.hom_factors
-    mat: dict[tuple[int, int], AlgebraElement] = {}
-    for k, a in x.coeffs.items():
-        i, j = divmod(k, n.rank)
-        cur = mat.get((i, j), AlgebraElement()) + a
-        if not cur.is_zero():
-            mat[(i, j)] = cur
-    return ModuleMorphism(m, n, degree, mat)
+    return ModuleMorphism(m, n, degree, {divmod(k, n.rank): a
+                                         for k, a in x.coeffs.items()})
 
 
 def morphism_to_hom_element(h: DgModule, f: ModuleMorphism) -> ModuleElement:

@@ -156,3 +156,40 @@ class TestCeAlgebra:
         alg = ce_algebra(borel)
         assert list(alg.monomials()) == [(), (0,), (1,), (0, 1)]
         assert alg.dimension() == 4
+
+
+class TestMonomialKeysAreCanonical:
+    """The constructor sorts each monomial key with the sign of the sort,
+    drops a key with a repeated generator, and sums keys that collide; the
+    CLI's ``parse_monomial`` uses the same normaliser."""
+
+    def test_unsorted_key_equals_its_signed_sorted_form(self):
+        assert AlgebraElement({(1, 0): 1}) == AlgebraElement({(0, 1): -1})
+        assert AlgebraElement({(2, 0, 1): 3}).terms == {(0, 1, 2): 3}
+
+    def test_sum_of_a_monomial_and_its_transpose_is_zero(self):
+        total = AlgebraElement({(1, 0): 1}) + AlgebraElement({(0, 1): 1})
+        assert total.is_zero()
+        assert repr(total) == "0"
+
+    def test_product_is_keyed_by_the_sorted_monomial(self):
+        assert (AlgebraElement({(1, 0): 1}) * x2).terms == {(0, 1, 2): -1}
+
+    def test_repeated_generator_is_zero(self):
+        assert AlgebraElement({(0, 0): 1}).is_zero()
+        assert AlgebraElement({(1, 2, 1): Fraction(1, 2)}).is_zero()
+
+    def test_colliding_keys_are_summed(self):
+        assert AlgebraElement({(0, 1): 1, (1, 0): 1}).is_zero()
+        a = AlgebraElement({(0, 1): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
+        assert a.terms == {(0, 1): 2}
+        assert type(a.terms[(0, 1)]) is int
+
+    def test_cli_parses_monomials_with_the_same_normaliser(self):
+        from kapranov.algebra import canonical_monomial
+        from kapranov.cli import parse_monomial
+        for word in ((), (0,), (1, 0), (2, 0, 1), (0, 2, 0), (2, 1, 0)):
+            text = ".".join(str(g) for g in word)
+            assert parse_monomial(text, 3) == canonical_monomial(word)
+        assert canonical_monomial((2, 1, 0)) == (-1, (0, 1, 2))
+        assert canonical_monomial((0, 2, 0)) == (0, ())

@@ -9,7 +9,9 @@ rewrite fails.  Names read inside string annotations count as used.
 
 Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
-``graded.exact_div``.
+``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
+nothing else in the package enumerates a k-basis with ``.kbasis(`` or
+reads a key's degree with ``.kdegree(``.
 """
 
 from __future__ import annotations
@@ -186,3 +188,45 @@ def test_division_guard_sees_planted_divisions():
     helper = (PACKAGE / "graded.py").read_text()
     planted = helper + "\n\ndef _halve(x):\n    return x / 2\n"
     assert len(true_divisions("graded.py", planted)) == 1
+
+
+INDEXER = ("modules.py", "KBasis")
+
+
+def kbasis_indexing(name: str, source: str) -> list[str]:
+    """The calls of ``.kbasis(`` and ``.kdegree(`` in module ``name``
+    outside the class ``KBasis`` of modules.py, as ``"<module>: line <n>"``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and (name, node.name) == INDEXER:
+            allowed.update(id(sub) for sub in ast.walk(node))
+    lines = sorted(node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("kbasis", "kdegree")
+                   and id(node) not in allowed)
+    return [f"{name}: line {line}" for line in lines]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_kbasis_indexes_the_kbasis(path):
+    assert kbasis_indexing(path.name, path.read_text()) == []
+
+
+def test_indexer_guard_sees_a_planted_second_indexer():
+    source = ("class KBasis:\n    def __init__(self, m):\n"
+              "        self.keys = m.kbasis()\n"
+              "        self.degrees = [m.kdegree(k) for k in self.keys]\n"
+              "def slice0(m):\n"
+              "    return [k for k in m.kbasis() if m.kdegree(k) == 0]\n")
+    assert kbasis_indexing("modules.py", source) == ["modules.py: line 6",
+                                                     "modules.py: line 6"]
+    # the class is only exempt in modules.py
+    assert kbasis_indexing("cohomology.py", source)[0] == "cohomology.py: line 3"
+    indexer = (PACKAGE / "modules.py").read_text()
+    planted = indexer + ("\n\ndef _slice1(module):\n"
+                         "    return module.kbasis(1)\n")
+    assert kbasis_indexing("modules.py", planted) \
+        == [f"modules.py: line {len(planted.splitlines())}"]

@@ -1,0 +1,554 @@
+"""One k-basis indexer: oracles for the paths that now share it.
+
+``KBasis`` slices the k-basis by degree and converts to and from dense
+coordinates for the cochain complexes, the homotopy search and the
+flat-connection search, and both searches go through one affine solver;
+the composition of morphism towers goes through the checker's partition
+join.  The original complex, both original searches and the original
+composition loop are kept here verbatim as oracles, and every instance
+document of the repository must give the same answers through both.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import pathlib
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kapranov.algebra import AlgebraElement, CdgaPresentation, Monomial
+from kapranov.builders import sl2_borel_pair
+from kapranov.cli import Instance, load_document
+from kapranov.cohomology import (CochainComplex, RowSpace, kernel_basis,
+                                 solve_linear)
+from kapranov.connections import (DeltaConnection, flat_connection_exists,
+                                  omega_tensor)
+from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
+                                  DgDerivation, find_homotopy)
+from kapranov.graded import (ONE, ZERO, Element, GradedBasis, MultilinearMap,
+                             Scalar, ordered_partitions, partition_sign)
+from kapranov.kapranov import (MorphismFamily, compose_morphism_families,
+                               kapranov_brackets, kapranov_morphism,
+                               trivialization)
+from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
+                              apply_module_differential, simple_tensor)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCUMENTS = sorted((ROOT / "instances").glob("*.json")) \
+    + sorted((ROOT / "bench" / "instances").glob("*.json")) \
+    + sorted((ROOT / "tests" / "fixtures").glob("*.json"))
+
+
+# ---------------------------------------------------------------------------
+# the original code, verbatim
+
+class ReferenceCochainComplex:
+    """The original degree-sliced complex with its own slicing,
+    ``to_vector`` and ``from_vector``, kept verbatim as the oracle."""
+
+    def __init__(self, module: DgModule):
+        self.module = module
+        self._kbasis: dict[int, list[tuple[Monomial, int]]] = {}
+        self._index: dict[int, dict[tuple[Monomial, int], int]] = {}
+        for key in module.kbasis():
+            d = module.kdegree(key)
+            self._kbasis.setdefault(d, []).append(key)
+        for d, keys in self._kbasis.items():
+            self._index[d] = {k: i for i, k in enumerate(keys)}
+        self._dmat: dict[int, Matrix] = {}
+
+    def degrees(self) -> list[int]:
+        return sorted(self._kbasis)
+
+    def slice_basis(self, n: int) -> list[tuple[Monomial, int]]:
+        return self._kbasis.get(n, [])
+
+    def dim(self, n: int) -> int:
+        return len(self._kbasis.get(n, []))
+
+    def to_vector(self, v: ModuleElement, n: int) -> Vector:
+        idx = self._index.get(n, {})
+        out = [ZERO] * self.dim(n)
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                key = (mon, i)
+                if key not in idx:
+                    raise ValueError(
+                        f"element has a term outside degree {n}: {key}")
+                out[idx[key]] += c
+        return out
+
+    def from_vector(self, vec: Sequence[Scalar], n: int) -> ModuleElement:
+        out = self.module.zero()
+        for c, key in zip(vec, self.slice_basis(n)):
+            if c:
+                mon, i = key
+                out = out + ModuleElement(self.module,
+                                          {i: AlgebraElement.monomial(mon, c)})
+        return out
+
+    def diff_matrix(self, n: int) -> Matrix:
+        """Rows: images of the degree-n slice basis, in the degree-n+1 slice."""
+        if n not in self._dmat:
+            rows = []
+            for key in self.slice_basis(n):
+                dv = apply_module_differential(self.module,
+                                               self.module.kbasis_element(key))
+                rows.append(self.to_vector(dv, n + 1))
+            self._dmat[n] = rows
+        return self._dmat[n]
+
+    def _diff_as_equations(self, n: int) -> Matrix:
+        """Matrix with columns = degree-n basis, rows = degree-n+1 coords."""
+        rows = self.diff_matrix(n)
+        dim_out = self.dim(n + 1)
+        return [[rows[j][i] for j in range(len(rows))] for i in range(dim_out)]
+
+    def cocycles(self, n: int) -> list[Vector]:
+        return kernel_basis(self._diff_as_equations(n), self.dim(n))
+
+    def coboundary_space(self, n: int) -> RowSpace:
+        space = RowSpace(self.dim(n))
+        for row in self.diff_matrix(n - 1):
+            space.add(row)
+        return space
+
+    def cohomology_basis(self, n: int) -> list[ModuleElement]:
+        """Deterministic representatives of a basis of H^n."""
+        image = self.coboundary_space(n)
+        reps = []
+        seen = RowSpace(self.dim(n))
+        for row in image.rows:
+            seen.add(row)
+        for z in self.cocycles(n):
+            if seen.add(z):
+                reps.append(self.from_vector(z, n))
+        return reps
+
+    def betti(self, n: int) -> int:
+        n_cocycles = len(self.cocycles(n))
+        return n_cocycles - self.coboundary_space(n).dim
+
+    def is_cocycle(self, v: ModuleElement) -> bool:
+        return apply_module_differential(self.module, v).is_zero()
+
+    def is_coboundary(self, v: ModuleElement) -> ModuleElement | None:
+        """A primitive of v (free variables zero), or None.
+
+        Raises ValueError when v is not closed.
+        """
+        if v.is_zero():
+            return self.module.zero()
+        n = v.degree()
+        if not self.is_cocycle(v):
+            raise ValueError("is_coboundary called on a non-cocycle")
+        rows = self.diff_matrix(n - 1)
+        target = self.to_vector(v, n)
+        if not rows:
+            return None if any(target) else self.module.zero()
+        eqs = [[rows[j][i] for j in range(len(rows))] for i in range(self.dim(n))]
+        x = solve_linear(eqs, target)
+        if x is None:
+            return None
+        return self.from_vector(x, n - 1)
+
+    def classes_equal(self, v: ModuleElement, w: ModuleElement) -> bool:
+        diff = v - w
+        if diff.is_zero():
+            return True
+        return self.is_coboundary(diff) is not None
+
+    def class_coordinates(self, v: ModuleElement) -> list[Scalar]:
+        """Coordinates of [v] in the cohomology_basis of its degree.
+
+        v = 0 gives the empty list; a v that is not a cocycle raises
+        ValueError.
+        """
+        if v.is_zero():
+            return []
+        n = v.degree()
+        if not self.is_cocycle(v):
+            raise ValueError("class_coordinates called on a non-cocycle")
+        reps = self.cohomology_basis(n)
+        rep_vecs = [self.to_vector(r, n) for r in reps]
+        bd_rows = self.diff_matrix(n - 1)
+        # solve [reps | coboundaries] . x = v
+        cols = rep_vecs + bd_rows
+        dim = self.dim(n)
+        eqs = [[col[i] for col in cols] for i in range(dim)]
+        target = self.to_vector(v, n)
+        x = solve_linear(eqs, target)
+        if x is None:
+            raise ValueError("closed element not in span of classes and coboundaries")
+        return x[:len(reps)]
+
+
+def reference_find_homotopy(delta: DgDerivation,
+                  delta_prime: DgDerivation) -> DerivationHomotopy | None:
+    """The original homotopy search, kept verbatim as the oracle.
+
+    Solve delta' - delta = d o h + h o d_A for a degree -1 derivation h.
+
+    The unknowns are the generator values h(g_i), elements of the degree-0
+    slice of Omega; the equations are linear, solved exactly over Q.
+    Returns None when the two derivations are not homotopic.
+    """
+    if delta.target.basis != delta_prime.target.basis:
+        raise ValueError("derivations must share the target module")
+    alg = delta.algebra
+    omega = delta.target
+    slice0 = [key for key in omega.kbasis() if omega.kdegree(key) == 0]
+    n_unknowns = alg.n_generators * len(slice0)
+
+    def homotopy_from_vector(x: Sequence[Scalar]) -> DerivationHomotopy:
+        values: dict[int, ModuleElement] = {}
+        for g in range(alg.n_generators):
+            v = omega.zero()
+            for s, key in enumerate(slice0):
+                c = x[g * len(slice0) + s]
+                if c:
+                    v = v + omega.kbasis_element(key).scale(c)
+            if not v.is_zero():
+                values[g] = v
+        return DerivationHomotopy(alg, omega, values)
+
+    # residual(h) per generator: d(h(g)) + h(d_A g), compared to (delta'-delta)(g)
+    slice1 = [key for key in omega.kbasis() if omega.kdegree(key) == 1]
+    idx1 = {key: i for i, key in enumerate(slice1)}
+
+    def expand_degree1(v: ModuleElement) -> list[Scalar]:
+        out = [ZERO] * len(slice1)
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                out[idx1[(mon, i)]] += c
+        return out
+
+    columns: list[list[Scalar]] = []
+    for u in range(n_unknowns):
+        x = [ZERO] * n_unknowns
+        x[u] = ONE
+        h = homotopy_from_vector(x)
+        col: list[Scalar] = []
+        for g in range(alg.n_generators):
+            gen = AlgebraElement.generator(g)
+            resid = (apply_module_differential(omega, h(gen))
+                     + h(alg.diff.get(g, AlgebraElement())))
+            col.extend(expand_degree1(resid))
+        columns.append(col)
+
+    target_vec: list[Scalar] = []
+    for g in range(alg.n_generators):
+        diff = (delta_prime.values.get(g, omega.zero())
+                - delta.values.get(g, omega.zero()))
+        target_vec.extend(expand_degree1(diff))
+
+    n_rows = len(target_vec)
+    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(n_rows)]
+    x = solve_linear(eqs, target_vec)
+    if x is None:
+        return None
+    if not x:
+        x = [ZERO] * n_unknowns
+    return homotopy_from_vector(x)
+
+
+def reference_flat_connection_exists(delta: DgDerivation,
+                           module: DgModule) -> DeltaConnection | None:
+    """The original flat-connection search, kept verbatim as the oracle
+    (on the original complex).
+
+    Search for a delta-connection with vanishing Atiyah cocycle.
+
+    The unknowns are the basis values nabla(e_i); the vanishing of
+    [nabla, d] is an affine-linear condition, solved exactly over Q.
+    Returns a flat connection or None.
+    """
+    tensor = omega_tensor(delta, module)
+    cx = ReferenceCochainComplex(tensor)
+    slots: list[tuple[int, tuple]] = []
+    for i in range(module.rank):
+        deg = module.basis.degrees[i]
+        for key in cx.slice_basis(deg):
+            slots.append((i, key))
+    n_unknowns = len(slots)
+
+    def connection_from_vector(x: Sequence[Scalar]) -> DeltaConnection:
+        values: dict[int, ModuleElement] = {}
+        for c, (i, key) in zip(x, slots):
+            if c:
+                cur = values.get(i, tensor.zero())
+                values[i] = cur + tensor.kbasis_element(key).scale(c)
+        return DeltaConnection(delta, module, values)
+
+    def residual(conn: DeltaConnection) -> list[Scalar]:
+        out: list[Scalar] = []
+        for i in range(module.rank):
+            e = ModuleElement.basis_vector(module, i)
+            t = (conn(module.diff_of_basis(i))
+                 - apply_module_differential(tensor, conn(e)))
+            deg = module.basis.degrees[i] + 1
+            out.extend(cx.to_vector(t, deg))
+        return out
+
+    base = residual(connection_from_vector([ZERO] * n_unknowns))
+    columns = []
+    for u in range(n_unknowns):
+        x = [ZERO] * n_unknowns
+        x[u] = ONE
+        col = residual(connection_from_vector(x))
+        columns.append([a - b for a, b in zip(col, base)])
+    target = [-a for a in base]
+    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(len(base))]
+    x = solve_linear(eqs, target)
+    if x is None:
+        return None
+    if not x:
+        x = [ZERO] * n_unknowns
+    return connection_from_vector(x)
+
+
+def reference_compose(outer: MorphismFamily, inner: MorphismFamily,
+                              max_arity: int = 3) -> MorphismFamily:
+    """The original per-tuple composition loop, kept verbatim as the oracle:
+    (outer o inner)_n = sum over ordered partitions with the Koszul sign."""
+    if inner.target is not outer.source and \
+            inner.target.module.basis != outer.source.module.basis:
+        raise ValueError("families are not composable")
+    skb = inner.source.kb
+    maps: dict[int, MultilinearMap] = {}
+    for n in range(1, max_arity + 1):
+        m = MultilinearMap.uniform(n, 0, skb.basis, outer.target.kb.basis)
+        for keys in itertools.product(range(len(skb.keys)), repeat=n):
+            degs = [skb.degree(i) for i in keys]
+            total = Element(outer.target.kb.basis)
+            for q in range(1, n + 1):
+                g = outer.map(q)
+                if g is None:
+                    continue
+                for blocks in ordered_partitions(n, q):
+                    eps = partition_sign(blocks, degs)
+                    args = []
+                    for block in blocks:
+                        fk = inner.map(len(block))
+                        val = fk.table.get(tuple(keys[b - 1] for b in block)) \
+                            if fk else None
+                        if val is None:
+                            args = None
+                            break
+                        args.append(val)
+                    if args is None:
+                        continue
+                    total = total + g(*args).scale(eps)
+            m.set(keys, total)
+        maps[n] = m
+    return MorphismFamily(inner.source, outer.target, maps,
+                          a_multilinear=inner.a_multilinear and outer.a_multilinear)
+
+
+
+# ---------------------------------------------------------------------------
+# the indexer on random small modules
+
+@st.composite
+def small_modules(draw):
+    n_gens = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+    algebra = CdgaPresentation([f"x{g}" for g in range(n_gens)])
+    basis = GradedBasis([f"e{i}" for i in range(len(degrees))], degrees)
+    return DgModule(algebra, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_modules(), st.data())
+def test_slices_partition_the_kbasis_and_coordinates_round_trip(module, data):
+    kb = KBasis(module)
+    assert kb.keys == module.kbasis()
+    # the slices partition the keys, each in the order of the keys
+    assert sorted(k for keys in kb.slices.values() for k in keys) \
+        == sorted(kb.keys)
+    for d, keys in kb.slices.items():
+        assert keys == [k for k in kb.keys if module.kdegree(k) == d]
+    for d in range(min(kb.degrees) - 1, max(kb.degrees) + 2):
+        assert kb.slice(d) == module.kbasis(d)
+        vec = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
+                                 min_size=len(kb.slice(d)),
+                                 max_size=len(kb.slice(d))))
+        v = kb.from_vector(vec, d)
+        assert kb.to_vector(v, d) == vec
+        # the direct construction equals the sum of scaled basis vectors
+        want = module.zero()
+        for c, key in zip(vec, kb.slice(d)):
+            want = want + module.kbasis_element(key).scale(c)
+        assert v == want
+        assert kb.to_module_element(kb.to_kvec(v)) == v
+        if v.coeffs:
+            with pytest.raises(ValueError):
+                kb.to_vector(v, d + 1)
+    names = kb.basis.names
+    assert len(set(names)) == len(kb.keys)
+    assert list(kb.basis.degrees) == kb.degrees
+
+
+# ---------------------------------------------------------------------------
+# every instance document through the original and the merged paths
+
+@functools.lru_cache(maxsize=None)
+def instance(path: pathlib.Path) -> Instance:
+    return Instance(load_document(str(path)))
+
+
+def derivation_pairs(inst: Instance):
+    """(name, delta, delta') pairs to search homotopies between."""
+    delta = inst.delta
+    zero = DgDerivation(delta.algebra, delta.target, {})
+    doubled = DgDerivation(delta.algebra, delta.target,
+                           {g: v.scale(2) for g, v in delta.values.items()})
+    pairs = [("self", delta, delta), ("zero", delta, zero),
+             ("doubled", delta, doubled)]
+    if inst.second_pair_setup is not None:
+        pairs.append(("second", delta, inst.second_pair_setup.delta))
+    return pairs
+
+
+@functools.lru_cache(maxsize=None)
+def homotopy_outcomes(path: pathlib.Path) -> list:
+    out = []
+    for name, delta, delta_prime in derivation_pairs(instance(path)):
+        got = find_homotopy(delta, delta_prime)
+        want = reference_find_homotopy(delta, delta_prime)
+        out.append((name, got, want))
+    return out
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_find_homotopy_matches_the_original(path):
+    for name, got, want in homotopy_outcomes(path):
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.values == want.values, name
+            assert list(got.values) == list(want.values), name
+
+
+def test_homotopy_documents_cover_both_outcomes():
+    found = [got is None for path in DOCUMENTS
+             for _, got, _ in homotopy_outcomes(path)]
+    assert True in found and False in found
+
+
+@functools.lru_cache(maxsize=None)
+def flat_outcome(path: pathlib.Path):
+    inst = instance(path)
+    return (flat_connection_exists(inst.delta, inst.bmod),
+            reference_flat_connection_exists(inst.delta, inst.bmod))
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_flat_connection_exists_matches_the_original(path):
+    got, want = flat_outcome(path)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got == want
+        assert got.values == want.values
+        assert list(got.values) == list(want.values)
+
+
+def test_flat_documents_cover_both_outcomes():
+    found = [flat_outcome(path)[0] is None for path in DOCUMENTS]
+    assert True in found and False in found
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_cochain_complex_matches_the_original(path):
+    module = instance(path).bmod
+    cx, ref = CochainComplex(module), ReferenceCochainComplex(module)
+    assert cx.degrees() == ref.degrees()
+    for n in ref.degrees():
+        assert cx.kb.slice(n) == ref.slice_basis(n)
+        assert cx.dim(n) == ref.dim(n)
+        assert cx.diff_matrix(n) == ref.diff_matrix(n)
+        assert cx.betti(n) == ref.betti(n)
+        reps, ref_reps = cx.cohomology_basis(n), ref.cohomology_basis(n)
+        assert reps == ref_reps
+        assert [cx.kb.to_vector(r, n) for r in reps] \
+            == [ref.to_vector(r, n) for r in ref_reps]
+        # cocycles, and coboundaries (not closed when d^2 != 0)
+        vectors = ref.cocycles(n) + ref.diff_matrix(n - 1)
+        for z in vectors:
+            v = ref.from_vector(z, n)
+            assert cx.kb.from_vector(z, n) == v
+            for method in ("class_coordinates", "is_coboundary"):
+                assert outcome(getattr(cx, method), v) \
+                    == outcome(getattr(ref, method), v), method
+    assert cx.cohomology_reps() == [(n, r) for n in ref.degrees()
+                                    for r in ref.cohomology_basis(n)]
+
+
+# ---------------------------------------------------------------------------
+# compositions through the partition join
+
+def assert_same_composition(got: MorphismFamily, want: MorphismFamily):
+    assert list(got.maps) == list(want.maps)
+    for k in want.maps:
+        assert list(got.maps[k].table) == list(want.maps[k].table), k
+        assert got.maps[k].table == want.maps[k].table, k
+        assert [repr(v) for v in got.maps[k].table.values()] \
+            == [repr(v) for v in want.maps[k].table.values()], k
+    assert got.a_multilinear == want.a_multilinear
+
+
+def second_connection(setup) -> DeltaConnection:
+    """nabla(f~) = f~^ (x) f~ on sl2/borel."""
+    v = simple_tensor(setup.connection.tensor,
+                      ModuleElement.basis_vector(setup.delta.target, 0),
+                      ModuleElement.basis_vector(setup.bmod, 0))
+    return DeltaConnection(setup.delta, setup.bmod, {0: v})
+
+
+def compositions(connection, second, omega, arity):
+    """The compositions of the tests: forward and back between the towers
+    of two connections, both ways round, and forward after the identity.
+    Forward after the trivialization reaches tuples out of order through
+    its arity-2 partition, so the key order is checked too."""
+    fam0 = kapranov_brackets(connection, max_arity=arity)
+    fam1 = kapranov_brackets(second, max_arity=arity)
+    dm = DerivationMorphism(connection.delta, connection.delta,
+                            ModuleMorphism.identity(omega))
+    fwd = kapranov_morphism(dm, fam0, fam1, max_arity=3)
+    back = kapranov_morphism(dm, fam1, fam0, max_arity=3)
+    ident = MorphismFamily(fam0, fam0, {
+        1: kapranov_morphism(dm, fam0, fam0, max_arity=1).maps[1]})
+    return [(back, fwd), (fwd, back), (fwd, ident),
+            (fwd, trivialization(fam0, max_arity=3))]
+
+
+@pytest.mark.parametrize("arity", [5, 4], ids=["brackets", "acceptance"])
+def test_compositions_of_the_sl2_towers_match_the_original(arity):
+    s = sl2_borel_pair()
+    for outer, inner in compositions(s.connection, second_connection(s),
+                                     s.omega, arity):
+        assert_same_composition(
+            compose_morphism_families(outer, inner, max_arity=3),
+            reference_compose(outer, inner, max_arity=3))
+
+
+def test_compositions_of_the_shifted_bench_instance_match_the_original():
+    inst = instance(ROOT / "bench" / "instances" / "sl2_borel_shifted.json")
+    for outer, inner in compositions(inst.connection, inst.second_connection,
+                                     inst.omega_, 4):
+        got = compose_morphism_families(outer, inner, max_arity=3)
+        assert any(len(m.table) for m in got.maps.values())
+        assert_same_composition(got, reference_compose(outer, inner,
+                                                       max_arity=3))
