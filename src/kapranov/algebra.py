@@ -69,10 +69,11 @@ class AlgebraElement:
 
     The constructor and ``scalar``, ``monomial`` and ``scale`` normalise
     their coefficients with :func:`~kapranov.graded.exact`, and the
-    constructor also brings each key to its :func:`canonical_monomial`
-    (``monomial`` takes an increasing one); arithmetic builds its results
-    with :meth:`_trusted`, which takes a dict that is already normalised
-    and free of zeros.
+    constructor and ``monomial`` also bring each key to its
+    :func:`canonical_monomial`; arithmetic, and every internal caller that
+    holds an increasing key and a nonzero coefficient, builds with
+    :meth:`_trusted`, which takes a dict that is already normalised and
+    free of zeros.
     """
 
     __slots__ = ("terms",)
@@ -102,9 +103,10 @@ class AlgebraElement:
         return cls._trusted({(i,): ONE})
 
     @classmethod
-    def monomial(cls, mon: Monomial, c=ONE) -> "AlgebraElement":
-        c = exact(c)
-        return cls._trusted({tuple(mon): c} if c else {})
+    def monomial(cls, word: Sequence[int], c=ONE) -> "AlgebraElement":
+        sign, mon = canonical_monomial(word)
+        c = sign * exact(c)
+        return cls._trusted({mon: c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -229,8 +231,8 @@ class CdgaPresentation:
                 if dv is None:
                     continue
                 sign = -1 if t % 2 else 1
-                prefix = AlgebraElement.monomial(mon[:t])
-                suffix = AlgebraElement.monomial(mon[t + 1:])
+                prefix = AlgebraElement._trusted({mon[:t]: ONE})
+                suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
                 out = out + (prefix * dv * suffix).scale(sign * c)
         return out
 

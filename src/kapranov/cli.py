@@ -20,7 +20,6 @@ from .algebra import (AlgebraElement, LieAlgebraData, canonical_monomial,
                       validate_cdga)
 from .builders import (LiePair, LinearMapObject, OffsetMismatch,
                        lie_pair_setup, linear_map_setup, splitting_homotopy)
-from .cohomology import CochainComplex
 from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                           connection_difference_element, extend_connection,
                           flat_connection_exists)
@@ -441,31 +440,21 @@ def cmd_atiyah(inst: Instance, args) -> dict:
 
 
 def bracket_tables_json(fam) -> dict:
-    tables = {}
-    for k in sorted(fam.module_tables):
-        entries = []
-        for key in sorted(fam.module_tables[k]):
-            entries.append({
-                "args": [fam.module.basis.names[i] for i in key],
-                "value": module_elem_json(fam.module_tables[k][key]),
-            })
-        tables[str(k)] = entries
-    return tables
+    names = fam.module.basis.names
+    return {str(k): [{"args": [names[i] for i in key],
+                      "value": module_elem_json(val)}
+                     for key, val in sorted(table.items())]
+            for k, table in sorted(fam.module_tables.items())}
 
 
 def cmd_brackets(inst: Instance, args) -> dict:
     fam = kapranov_brackets(inst.connection, inst.max_arity(args),
                             label=inst.label)
-    degree_failures = []
-    for k, m in sorted(fam.brackets.items()):
-        degree_failures.extend(f"arity {k}: {msg}" for msg in m.check_degrees())
-    diff_entries = []
-    for i in range(inst.bmod.rank):
-        dv = inst.bmod.diff_of_basis(i)
-        if not dv.is_zero():
-            diff_entries.append({"arg": inst.bmod.basis.names[i],
-                                 "value": module_elem_json(dv)})
-    checks = [named_check("bracket_degrees", degree_failures)]
+    bmod = inst.bmod
+    diff = [bmod.diff_of_basis(i) for i in range(bmod.rank)]
+    diff_entries = [{"arg": bmod.basis.names[i], "value": module_elem_json(dv)}
+                    for i, dv in enumerate(diff) if not dv.is_zero()]
+    checks = [named_check("bracket_degrees", fam.degree_failures())]
     return {
         "command": "brackets",
         "label": inst.label,
@@ -571,24 +560,19 @@ def cmd_homotopy(inst: Instance, args) -> dict:
 
 def cmd_cohomology(inst: Instance, args) -> dict:
     fam = kapranov_brackets(inst.connection, 2, label=inst.label)
-    cx = CochainComplex(inst.bmod)
-    degrees = [args.degree] if args.degree is not None else cx.degrees()
-    betti = {str(n): cx.betti(n) for n in degrees}
     cb = cohomology_leibniz_bracket(fam)
+    degrees = [args.degree] if args.degree is not None else cb.complex.degrees()
+    betti = {str(n): cb.complex.betti(n) for n in degrees}
     reps = [{"degree": d, "representative": module_elem_json(r)}
             for d, r in cb.reps]
-    table = []
-    for (a, b) in sorted(cb.table):
-        coords = cb.table[(a, b)]
-        if any(coords):
-            table.append({"args": [a, b],
-                          "coordinates": [frac_json(c) for c in coords]})
+    table = [{"args": [a, b], "coordinates": [frac_json(c) for c in coords]}
+             for (a, b), coords in sorted(cb.table.items()) if any(coords)]
     witness = bracket_nonskew_witness(fam)
     leib = cb.leibniz_failures()
     checks = [named_check(
         "class_leibniz_identity",
         [f"representatives {t}" for t in leib])]
-    out = {
+    return {
         "command": "cohomology",
         "label": inst.label,
         "betti": betti,
@@ -601,7 +585,6 @@ def cmd_cohomology(inst: Instance, args) -> dict:
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-    return out
 
 
 COMMANDS = {

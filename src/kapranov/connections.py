@@ -14,7 +14,7 @@ from typing import Sequence
 from .algebra import AlgebraElement
 from .cohomology import CochainComplex, solve_affine
 from .derivations import DgDerivation
-from .graded import Scalar
+from .graded import ONE, Scalar
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract, end_module,
                       hom_module, simple_tensor, tensor_index, tensor_module,
@@ -29,15 +29,16 @@ class DeltaConnection:
     """A delta-connection on a free dg module, given by values on basis vectors.
 
     ``values[i]`` = nabla(e_i), an element of Omega (x) E of degree |e_i|.
+    ``tensor``, when given, is ``omega_tensor(delta, module)`` already built.
     """
 
     def __init__(self, delta: DgDerivation, module: DgModule,
                  values: dict[int, ModuleElement] | None = None,
-                 label: str = ""):
+                 label: str = "", tensor: DgModule | None = None):
         self.delta = delta
         self.module = module
         self.label = label
-        self.tensor = omega_tensor(delta, module)
+        self.tensor = tensor if tensor is not None else omega_tensor(delta, module)
         self.values: dict[int, ModuleElement] = {}
         for i, v in (values or {}).items():
             if v.is_zero():
@@ -121,7 +122,7 @@ def apply_om_hom(x: ModuleElement, v: ModuleElement) -> ModuleElement:
             continue
         for mon, cv in a.terms.items():
             sign = -1 if (len(mon) * y_deg) % 2 else 1
-            coeff = (c * AlgebraElement.monomial(mon)).scale(sign * cv)
+            coeff = (c * AlgebraElement._trusted({mon: ONE})).scale(sign * cv)
             if not coeff.is_zero():
                 out = out + ModuleElement(out_mod,
                                           {tensor_index(out_mod, j, k): coeff})
@@ -158,7 +159,8 @@ class AtiyahCocycle:
                 continue
             for mon, c in a.terms.items():
                 sign = -1 if len(mon) % 2 else 1
-                out = out + val.left_mul(AlgebraElement.monomial(mon)).scale(sign * c)
+                out = out + val.left_mul(
+                    AlgebraElement._trusted({mon: ONE})).scale(sign * c)
         return out
 
     def bilinear(self, b: ModuleElement, v: ModuleElement) -> ModuleElement:
@@ -243,7 +245,7 @@ def flat_connection_exists(delta: DgDerivation,
         for i, (d, size) in enumerate(zip(degrees, sizes)):
             values[i] = kb.from_vector(x[start:start + size], d)
             start += size
-        return DeltaConnection(delta, module, values)
+        return DeltaConnection(delta, module, values, tensor=tensor)
 
     def residual(x: Sequence[Scalar]) -> list[Scalar]:
         conn = connection_from_vector(x)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation
 from .cohomology import solve_affine
-from .graded import GradedBasis, Scalar
+from .graded import ONE, GradedBasis, Scalar
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 
@@ -33,8 +33,8 @@ def extend_derivation(algebra: CdgaPresentation, target: DgModule,
             if val is None or val.is_zero():
                 continue
             sign = -1 if (degree * t) % 2 else 1
-            prefix = AlgebraElement.monomial(mon[:t])
-            suffix = AlgebraElement.monomial(mon[t + 1:])
+            prefix = AlgebraElement._trusted({mon[:t]: ONE})
+            suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
             term = val.right_mul(suffix).left_mul(prefix).scale(sign * c)
             out = out + term
     return out

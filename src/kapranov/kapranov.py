@@ -15,6 +15,7 @@ module identities, and homotopy invariance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import itemgetter
@@ -23,7 +24,7 @@ from .algebra import AlgebraElement, _merge_monomials
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
-from .graded import (Element, GradedBasis, MultilinearMap, Scalar,
+from .graded import (ONE, Element, GradedBasis, MultilinearMap, Scalar,
                      koszul_sign, ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract,
@@ -58,7 +59,7 @@ def tensor_of_elements(args: list[ModuleElement],
                     sign = -1 if (len(mon) * pdeg) % 2 else 1
                     nk = key + (i,)
                     add_term(new, nk,
-                             coeff * AlgebraElement.monomial(mon, sign * c))
+                             coeff * AlgebraElement._trusted({mon: sign * c}))
                     new_deg[nk] = pdeg + mod.basis.degrees[i]
         for key in new:
             prefix_degrees[key] = new_deg[key]
@@ -86,7 +87,8 @@ def derive_tensor(tensor: dict[tuple, AlgebraElement], ops, op_degree: int,
                             exp = op_degree * (cd + pdeg) + len(mon) * pdeg
                             sign = -1 if exp % 2 else 1
                             add_term(out, key[:t] + (j,) + key[t + 1:],
-                                     cpart * AlgebraElement.monomial(mon, sign * c))
+                                     cpart * AlgebraElement._trusted(
+                                         {mon: sign * c}))
                 pdeg += modules[t].basis.degrees[key[t]]
     return out
 
@@ -204,27 +206,53 @@ def _atiyah_table(conn: DeltaConnection, b_mod: DgModule) -> dict[tuple, ModuleE
 # bracket families
 
 class BracketFamily:
-    """Degree-1 multibrackets on a dg module, tabulated over its k-basis.
+    """Degree-1 multibrackets on a dg module.
 
-    ``brackets[k]`` is the fully extended table over the ground-field
-    basis; ``module_tables[k]`` (k >= 2) is the A-multilinear core on
-    module-basis tuples that generated it.
+    ``module_tables[k]`` (k >= 2) holds the nonzero values of R_k on
+    module-basis tuples; R_k is A-multilinear, so they determine it.  ``brackets[k]`` is the
+    table over the ground-field basis (the differential for k = 1, the
+    A-multilinear extension of ``module_tables[k]`` otherwise), built on
+    first read: only the exhaustive checkers read it.
     """
 
     def __init__(self, module: DgModule, kb: KBasis,
-                 brackets: dict[int, MultilinearMap],
                  module_tables: dict[int, dict[tuple, ModuleElement]],
                  connection: DeltaConnection | None = None,
                  label: str = ""):
         self.module = module
         self.kb = kb
-        self.brackets = brackets
         self.module_tables = module_tables
         self.connection = connection
         self.label = label
 
+    @functools.cached_property
+    def differential(self) -> MultilinearMap:
+        return differential_table(self.module, self.kb)
+
+    @functools.cached_property
+    def brackets(self) -> dict[int, MultilinearMap]:
+        brackets = {1: self.differential}
+        for k, table in self.module_tables.items():
+            brackets[k] = extend_module_table(self.kb, table, k, 1)
+        return brackets
+
     def nonzero_arities(self) -> list[int]:
-        return sorted(k for k, m in self.brackets.items() if not m.is_zero())
+        """R_k (k >= 2) is zero exactly when its module table is empty."""
+        return ([1] if not self.differential.is_zero() else []) + sorted(
+            k for k, table in self.module_tables.items() if table)
+
+    def degree_failures(self) -> list[str]:
+        """Values of a degree other than 1 + |b_1| + ... + |b_k|: the
+        differential's on k-basis keys, R_k's (k >= 2) on module-basis
+        tuples.  A good module-table value extends to good k-basis values,
+        and a bad one is itself the value at its empty-monomial tuple."""
+        maps = {1: self.differential}
+        for k, table in self.module_tables.items():
+            maps[k] = MultilinearMap.uniform(
+                k, 1, self.module.basis, self.kb.basis,
+                {key: self.kb.to_kvec(val) for key, val in table.items()})
+        return [f"arity {k}: {msg}" for k, m in sorted(maps.items())
+                for msg in m.check_degrees()]
 
 
 def differential_table(module: DgModule, kb: KBasis) -> MultilinearMap:
@@ -314,16 +342,12 @@ def kapranov_brackets(connection: DeltaConnection, max_arity: int = 5,
     module = connection.module
     if module.dual_of is None or module.dual_of.basis != connection.delta.target.basis:
         raise ValueError("the carrier must be the dual of the derivation target")
-    kb = KBasis(module)
-    brackets = {1: differential_table(module, kb)}
     module_tables: dict[int, dict[tuple, ModuleElement]] = {}
     if max_arity >= 2:
         module_tables[2] = _atiyah_table(connection, module)
     for k in range(2, max_arity):
         module_tables[k + 1] = _next_bracket_table(connection, module_tables[k], k)
-    for k, table in module_tables.items():
-        brackets[k] = extend_module_table(kb, table, k, 1)
-    return BracketFamily(module, kb, brackets, module_tables, connection, label)
+    return BracketFamily(module, KBasis(module), module_tables, connection, label)
 
 
 def _next_bracket_table(connection: DeltaConnection,
@@ -752,9 +776,7 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
     conn = fam.connection
     kb = fam.kb
     n_keys = len(kb.keys)
-    trivial_source = BracketFamily(fam.module, kb,
-                                   {1: differential_table(fam.module, kb)},
-                                   {}, conn, label="trivial")
+    trivial_source = BracketFamily(fam.module, kb, {}, conn, label="trivial")
     maps: dict[int, MultilinearMap] = {}
     m1 = MultilinearMap.uniform(1, 0, kb.basis)
     for i in range(n_keys):
@@ -846,7 +868,7 @@ class HatConnection:
                 for mon, c in a.terms.items():
                     sign = -1 if len(mon) % 2 else 1
                     out = out + val.left_mul(
-                        AlgebraElement.monomial(mon)).scale(sign * c)
+                        AlgebraElement._trusted({mon: ONE})).scale(sign * c)
         return out
 
     def along(self, b: ModuleElement, v: ModuleElement) -> ModuleElement:

@@ -12,7 +12,7 @@ import functools
 from typing import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation, Monomial
-from .graded import Element, GradedBasis, Scalar, exact
+from .graded import ONE, Element, GradedBasis, Scalar, exact
 
 
 class ModuleElement:
@@ -69,7 +69,7 @@ class ModuleElement:
                 d = bd + len(mon)
                 part = parts.setdefault(d, ModuleElement(self.module))
                 cur = part.coeffs.setdefault(i, AlgebraElement())
-                part.coeffs[i] = cur + AlgebraElement.monomial(mon, c)
+                part.coeffs[i] = cur + AlgebraElement._trusted({mon: c})
         return parts
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
@@ -122,8 +122,9 @@ class ModuleElement:
                 dm = bd + len(mon_b)
                 for mon_a, ca in a.terms.items():
                     sign = -1 if (dm * len(mon_a)) % 2 else 1
-                    acc = acc + (AlgebraElement.monomial(mon_a)
-                                 * AlgebraElement.monomial(mon_b)).scale(sign * ca * cb)
+                    acc = acc + (AlgebraElement._trusted({mon_a: ONE})
+                                 * AlgebraElement._trusted({mon_b: ONE})
+                                 ).scale(sign * ca * cb)
             if not acc.is_zero():
                 out = out + ModuleElement(self.module, {i: acc})
         return out
@@ -193,7 +194,7 @@ class DgModule:
 
     def kbasis_element(self, key: tuple[Monomial, int]) -> ModuleElement:
         mon, i = key
-        return ModuleElement(self, {i: AlgebraElement.monomial(mon)})
+        return ModuleElement(self, {i: AlgebraElement._trusted({mon: ONE})})
 
     def kdegree(self, key: tuple[Monomial, int]) -> int:
         mon, i = key
@@ -302,7 +303,7 @@ def apply_module_differential(module: DgModule, v: ModuleElement) -> ModuleEleme
     for i, a in v.coeffs.items():
         de = module.diff_of_basis(i)
         for mon, c in a.terms.items():
-            am = AlgebraElement.monomial(mon, c)
+            am = AlgebraElement._trusted({mon: c})
             da = module.algebra.apply_differential(am)
             if not da.is_zero():
                 out = out + ModuleElement(module, {i: da})
@@ -375,8 +376,9 @@ def pair(beta: ModuleElement, v: ModuleElement) -> AlgebraElement:
             # is already out front, so only the basis covector degree signs
             for mon_a, ca in a.terms.items():
                 sign = -1 if (len(mon_a) * bd) % 2 else 1
-                out = out + (AlgebraElement.monomial(mon_b)
-                             * AlgebraElement.monomial(mon_a)).scale(sign * cb * ca)
+                out = out + (AlgebraElement._trusted({mon_b: ONE})
+                             * AlgebraElement._trusted({mon_a: ONE})
+                             ).scale(sign * cb * ca)
     return out
 
 
@@ -435,7 +437,7 @@ def simple_tensor(t: DgModule, v: ModuleElement, w: ModuleElement) -> ModuleElem
             acc = AlgebraElement()
             for mon_b, cb in b.terms.items():
                 sign = -1 if (len(mon_b) * di) % 2 else 1
-                acc = acc + (AlgebraElement.monomial(mon_b)).scale(sign * cb)
+                acc = acc + AlgebraElement._trusted({mon_b: sign * cb})
             out = out + ModuleElement(t, {tensor_index(t, i, j): a * acc})
     return out
 
@@ -479,7 +481,8 @@ class ModuleMorphism:
                 continue
             for mon, c in a.terms.items():
                 sign = -1 if (self.degree * len(mon)) % 2 else 1
-                out = out + img.left_mul(AlgebraElement.monomial(mon)).scale(sign * c)
+                out = out + img.left_mul(
+                    AlgebraElement._trusted({mon: ONE})).scale(sign * c)
         return out
 
     def is_dg_morphism(self) -> bool:
@@ -610,8 +613,8 @@ def contract(b: ModuleElement, w: ModuleElement) -> ModuleElement:
             db = len(mon_c) + bd
             for mon_a, ca in a.terms.items():
                 sign = -1 if (db * len(mon_a)) % 2 else 1
-                coeff = (AlgebraElement.monomial(mon_a)
-                         * AlgebraElement.monomial(mon_c)).scale(sign * ca * cc)
+                coeff = (AlgebraElement._trusted({mon_a: ONE})
+                         * AlgebraElement._trusted({mon_c: ONE})).scale(sign * ca * cc)
                 if not coeff.is_zero():
                     out = out + ModuleElement(e_mod, {k: coeff})
     return out

@@ -160,8 +160,9 @@ class TestCeAlgebra:
 
 class TestMonomialKeysAreCanonical:
     """The constructor sorts each monomial key with the sign of the sort,
-    drops a key with a repeated generator, and sums keys that collide; the
-    CLI's ``parse_monomial`` uses the same normaliser."""
+    drops a key with a repeated generator, and sums keys that collide;
+    ``AlgebraElement.monomial`` and the CLI's ``parse_monomial`` use the
+    same normaliser."""
 
     def test_unsorted_key_equals_its_signed_sorted_form(self):
         assert AlgebraElement({(1, 0): 1}) == AlgebraElement({(0, 1): -1})
@@ -184,6 +185,14 @@ class TestMonomialKeysAreCanonical:
         a = AlgebraElement({(0, 1): Fraction(1, 2), (1, 0): Fraction(-3, 2)})
         assert a.terms == {(0, 1): 2}
         assert type(a.terms[(0, 1)]) is int
+
+    def test_monomial_classmethod_sorts_like_the_constructor(self):
+        assert AlgebraElement.monomial((1, 0)) == AlgebraElement({(1, 0): 1})
+        assert AlgebraElement.monomial((2, 0, 1), 3).terms == {(0, 1, 2): 3}
+
+    def test_monomial_classmethod_with_a_repeated_generator_is_zero(self):
+        assert AlgebraElement.monomial((0, 0)).is_zero()
+        assert AlgebraElement.monomial((1, 2, 1), Fraction(1, 2)).is_zero()
 
     def test_cli_parses_monomials_with_the_same_normaliser(self):
         from kapranov.algebra import canonical_monomial

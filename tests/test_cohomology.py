@@ -278,3 +278,23 @@ def test_betti_numbers_match_sympy_ranks(path):
         rank_n = sympy_rank(cx.diff_matrix(n))
         rank_before = sympy_rank(cx.diff_matrix(n - 1))
         assert cx.betti(n) == cx.dim(n) - rank_n - rank_before
+
+
+def test_cohomology_command_builds_one_complex(capsys, monkeypatch):
+    """The Betti numbers and the class bracket share one complex, so each
+    differential row of sl3/borel's 96-element k-basis is built once."""
+    from kapranov.cli import main
+    built = []
+    diff_matrix = CochainComplex.diff_matrix
+
+    def counting(self, n):
+        fresh = n not in self._dmat
+        rows = diff_matrix(self, n)
+        if fresh:
+            built.append(len(rows))
+        return rows
+    monkeypatch.setattr(CochainComplex, "diff_matrix", counting)
+    path = ROOT / "bench" / "instances" / "sl3_borel.json"
+    assert main(["cohomology", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert sum(built) == 96

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               simple_tensor)
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -167,6 +169,26 @@ class TestAtiyahClass:
         conn = flat_connection_exists(delta_j, free)
         assert conn is not None
         assert atiyah_cocycle(conn).element.is_zero()
+
+    @pytest.mark.parametrize("name, flat", [
+        ("bench/instances/sl3_borel.json", False),
+        ("instances/abelian_trivial.json", True)])
+    def test_flat_search_builds_one_tensor_module(self, monkeypatch, name,
+                                                  flat):
+        from kapranov import connections
+        from kapranov.cli import Instance, load_document
+        inst = Instance(load_document(str(ROOT / name)))
+        calls = []
+        tensor_module = connections.tensor_module
+        monkeypatch.setattr(
+            connections, "tensor_module",
+            lambda *a, **kw: calls.append(a) or tensor_module(*a, **kw))
+        conn = flat_connection_exists(inst.delta, inst.bmod)
+        assert len(calls) <= 2
+        assert (conn is not None) == flat
+        assert flat == atiyah_class(inst.delta, inst.bmod).is_zero()
+        if flat:
+            assert atiyah_cocycle(conn).element.is_zero()
 
     def test_flat_search_agrees_with_class(self, delta_j, bmod, borel_alg):
         for module in (bmod, DgModule(borel_alg, GradedBasis(["w"], [0]), {})):

@@ -11,7 +11,9 @@ Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
-reads a key's degree with ``.kdegree(``.
+reads a key's degree with ``.kdegree(``.  The CLI builds no k-basis
+bracket table itself: it never reads a family's ``.brackets`` and never
+names ``extend_module_table``.
 """
 
 from __future__ import annotations
@@ -230,3 +232,33 @@ def test_indexer_guard_sees_a_planted_second_indexer():
                          "    return module.kbasis(1)\n")
     assert kbasis_indexing("modules.py", planted) \
         == [f"modules.py: line {len(planted.splitlines())}"]
+
+
+def kbasis_table_reads(source: str) -> list[str]:
+    """The lines of a module that read a family's ``.brackets`` or name
+    ``extend_module_table``: the CLI's report-only commands read module
+    tables, and only the exhaustive checkers build k-basis tables."""
+    tree = ast.parse(source)
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "brackets"
+        or isinstance(node, ast.Name) and node.id == "extend_module_table"
+        or isinstance(node, ast.alias) and node.name == "extend_module_table")]
+
+
+def test_cli_builds_no_kbasis_bracket_table():
+    assert kbasis_table_reads((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_table_guard_sees_a_planted_read():
+    cli = (PACKAGE / "cli.py").read_text()
+    n = len(cli.splitlines())
+    planted = cli + ("\n\ndef _degrees(fam):\n"
+                     "    return fam.brackets[1].check_degrees()\n")
+    assert kbasis_table_reads(planted) == [f"line {n + 4}"]
+    planted = cli + ("\n\nfrom .kapranov import extend_module_table\n"
+                     "_extend = extend_module_table\n")
+    assert kbasis_table_reads(planted) == [f"line {n + 3}", f"line {n + 4}"]
+    # the parent's degree check read every k-basis table
+    assert kbasis_table_reads("for k, m in sorted(fam.brackets.items()):\n"
+                              "    pass\n") == ["line 1"]
