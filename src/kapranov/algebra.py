@@ -10,7 +10,7 @@ indices, and its degree is its length.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .graded import ONE, ZERO, GradedBasis, Scalar, _scaled, exact
 

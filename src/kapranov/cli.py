@@ -9,12 +9,12 @@ stderr instead of in a report), 2 on input errors.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import re
 import sys
 import time
-from importlib import resources
+from types import SimpleNamespace
 
 from .algebra import (AlgebraElement, LieAlgebraData, canonical_monomial,
                       validate_cdga)
@@ -325,9 +325,9 @@ class SchemaChecker:
         return out
 
 
-INSTANCE_SCHEMA = SchemaChecker(json.loads(
-    resources.files("kapranov.schemas").joinpath("instance.schema.json")
-    .read_text()))
+with open(os.path.join(os.path.dirname(__file__), "schemas",
+                       "instance.schema.json")) as _schema:
+    INSTANCE_SCHEMA = SchemaChecker(json.load(_schema))
 
 
 def load_document(path: str) -> dict:
@@ -401,8 +401,8 @@ def cmd_validate(inst: Instance, args) -> dict:
 
 
 def cmd_atiyah(inst: Instance, args) -> dict:
-    at = atiyah_cocycle(inst.connection)
     cls = AtiyahClass(inst.delta, inst.bmod, inst.connection)
+    at = cls.cocycle
     class_zero = cls.is_zero()
     flat = flat_connection_exists(inst.delta, inst.bmod)
     checks = [named_check("cocycle_closed",
@@ -421,7 +421,8 @@ def cmd_atiyah(inst: Instance, args) -> dict:
             inst.bmod.basis.names[i]: module_elem_json(v)
             for i, v in sorted(flat.values.items())}
     if inst.second_connection is not None:
-        at2 = atiyah_cocycle(inst.second_connection)
+        cls2 = AtiyahClass(inst.delta, inst.bmod, inst.second_connection)
+        at2 = cls2.cocycle
         d_elt = connection_difference_element(inst.connection,
                                               inst.second_connection)
         want = apply_module_differential(at.om_end, d_elt).scale(-1)
@@ -431,8 +432,7 @@ def cmd_atiyah(inst: Instance, args) -> dict:
             [] if ok else ["cocycle difference is not -d(connection difference)"]))
         checks.append(named_check(
             "class_connection_independent",
-            [] if cls.equals(AtiyahClass(inst.delta, inst.bmod,
-                                         inst.second_connection))
+            [] if cls.equals(cls2)
             else ["classes of the two connections differ"]))
     out["checks"] = checks
     out["passed"] = all(c["passed"] for c in checks)
@@ -601,44 +601,81 @@ COMMANDS = {
 MAX_ARITY = 6  # the schema's cap on options.max_arity
 
 
-def bounded_int(low: int, high: int | None = None):
-    """argparse type for an integer in [low, high]; argparse reports a bad
-    value as a usage error, with exit status 2."""
-    def integer(s: str) -> int:
-        value = int(s)
-        if value < low or (high is not None and value > high):
+def integer(low: int | None = None, high: int | None = None):
+    """Parser of an option value: an int in [low, high], either end open
+    when None."""
+    def parse(s: str) -> int:
+        try:
+            value = int(s)
+        except ValueError:
+            raise ValueError(f"invalid int value: {s!r}") from None
+        if (low is not None and value < low
+                or high is not None and value > high):
             limit = (f"between {low} and {high}" if high is not None
                      else f"at least {low}")
-            raise argparse.ArgumentTypeError(f"{value}: must be {limit}")
+            raise ValueError(f"{value}: must be {limit}")
         return value
-    return integer
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kapranov",
-        description="Build and verify the higher bracket towers of a "
-                    "finite-dimensional instance.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--max-arity", type=bounded_int(1, MAX_ARITY),
-                       default=None,
-                       help="highest bracket arity / identity weight")
-        p.add_argument("--degree", type=int, default=None,
-                       help="restrict cohomology output to one degree")
-        p.add_argument("--output", default=None,
-                       help="write the report here instead of stdout")
-        p.add_argument("--threads", type=bounded_int(1), default=None,
-                       help="accepted for compatibility: checks run in one "
-                            "thread, and the value changes neither the work "
-                            "nor the report")
-    return parser
+OPTIONS = {  # option: (metavar, value parser, help)
+    "--input": ("FILE", str, "instance document (JSON), required"),
+    "--max-arity": ("N", integer(1, MAX_ARITY),
+                    f"highest bracket arity / identity weight, 1..{MAX_ARITY}"),
+    "--degree": ("D", integer(), "restrict cohomology output to one degree"),
+    "--output": ("FILE", str, "write the report here instead of stdout"),
+    "--threads": ("N", integer(1),
+                  "accepted for compatibility; checks run in one thread"),
+}
+USAGE = (f"usage: kapranov {{{','.join(COMMANDS)}}} --input FILE"
+         + "".join(f" [{opt} {meta}]" for opt, (meta, _, _) in OPTIONS.items()
+                   if opt != "--input"))
+HELP = "\n".join(
+    [USAGE, "", "Build and verify the higher bracket towers of a "
+     "finite-dimensional instance.", "", "options:"]
+    + [f"  {opt + ' ' + meta:<16} {text}"
+       for opt, (meta, _, text) in OPTIONS.items()]
+    + [f"  {'-h, --help':<16} show this message and exit"])
+
+
+def usage_error(argument: str, message: str):
+    print(f"{USAGE}\nkapranov: error: argument {argument}: {message}",
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, then options in any order as ``--opt value`` or
+    ``--opt=value``, the last value winning; an option not given is None.
+    ``-h``/``--help`` prints the help and exits 0, a usage error exits 2."""
+    if "-h" in argv or "--help" in argv:
+        print(HELP)
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        usage_error("COMMAND", f"invalid choice: {argv[0]!r} (choose from "
+                    f"{', '.join(COMMANDS)})" if argv else "required")
+    args = dict.fromkeys(OPTIONS)
+    rest = iter(argv[1:])
+    for arg in rest:
+        opt, eq, value = arg.partition("=")
+        if opt not in OPTIONS:
+            usage_error(opt, "unrecognized argument")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                usage_error(opt, "expected one argument")
+        try:
+            args[opt] = OPTIONS[opt][1](value)
+        except ValueError as e:
+            usage_error(opt, str(e))
+    if args["--input"] is None:
+        usage_error("--input", "required")
+    return SimpleNamespace(command=argv[0], **{
+        opt[2:].replace("-", "_"): value for opt, value in args.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     start = time.monotonic()
     try:
         doc = load_document(args.input)

@@ -11,7 +11,7 @@ deterministic representatives of cohomology classes.  Entries stay
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .graded import ONE, ZERO, Scalar, exact, exact_div
 from .modules import DgModule, KBasis, ModuleElement, apply_module_differential
@@ -116,10 +116,16 @@ def solve_affine(residual: Callable[[Vector], Vector],
         x = [ZERO] * n_unknowns
         x[u] = ONE
         columns.append([exact(a - b) for a, b in zip(residual(x), base)])
+    return solve_columns(base, columns)
+
+
+def solve_columns(base: Vector, columns: list[Vector]) -> Vector | None:
+    """One x with base + sum_u x_u columns[u] = 0 (free variables zero),
+    or None."""
     x = solve_linear(_from_columns(columns, len(base)), [-b for b in base])
     if x is None:
         return None
-    return x or [ZERO] * n_unknowns
+    return x or [ZERO] * len(columns)
 
 
 class RowSpace:

@@ -9,12 +9,12 @@ degree-1 element of Omega (x) End(E).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import AlgebraElement
-from .cohomology import CochainComplex, solve_affine
+from .cohomology import CochainComplex, solve_columns
 from .derivations import DgDerivation
-from .graded import ONE, Scalar
+from .graded import ONE
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract, end_module,
                       hom_module, simple_tensor, tensor_index, tensor_module,
@@ -233,32 +233,42 @@ def flat_connection_exists(delta: DgDerivation,
 
     The unknowns are the basis values nabla(e_i); the vanishing of
     [nabla, d] is an affine-linear condition, solved exactly over Q.
+    With d e_i = sum_j a_ij e_j, row block i of the condition reads
+    c_i + sum_j a_ij.nabla(e_j) - d(nabla(e_i)) = 0, where
+    c_i = sum_j delta(a_ij) (x) e_j is the cocycle of the zero connection.
+    So an unknown k-basis element w of nabla(e_j) has the column a_ij.w
+    in each row block i and -d(w) in row block j.
     Returns a flat connection or None.
     """
     tensor = omega_tensor(delta, module)
     kb = KBasis(tensor)
     degrees = module.basis.degrees
-    sizes = [len(kb.slice(d)) for d in degrees]
-
-    def connection_from_vector(x: Sequence[Scalar]) -> DeltaConnection:
-        values, start = {}, 0
-        for i, (d, size) in enumerate(zip(degrees, sizes)):
-            values[i] = kb.from_vector(x[start:start + size], d)
-            start += size
-        return DeltaConnection(delta, module, values, tensor=tensor)
-
-    def residual(x: Sequence[Scalar]) -> list[Scalar]:
-        conn = connection_from_vector(x)
-        out: list[Scalar] = []
-        for i in range(module.rank):
-            e = ModuleElement.basis_vector(module, i)
-            t = (conn(module.diff_of_basis(i))
-                 - apply_module_differential(tensor, conn(e)))
-            out.extend(kb.to_vector(t, degrees[i] + 1))
-        return out
-
-    x = solve_affine(residual, sum(sizes))
-    return None if x is None else connection_from_vector(x)
+    rows = [d + 1 for d in degrees]  # the degree of row block i
+    diffs = [module.diff_of_basis(i) for i in range(module.rank)]
+    zero = DeltaConnection(delta, module, {}, tensor=tensor)
+    base = [c for i, de in enumerate(diffs)
+            for c in kb.to_vector(zero(de), rows[i])]
+    columns = []
+    for j, d in enumerate(degrees):
+        uses = [(i, de.coeffs[j]) for i, de in enumerate(diffs)
+                if j in de.coeffs]
+        for key in kb.slice(d):
+            w = tensor.kbasis_element(key)
+            blocks = [tensor.zero() for _ in degrees]
+            for i, a in uses:
+                blocks[i] = blocks[i] + w.left_mul(a)
+            blocks[j] = blocks[j] - apply_module_differential(tensor, w)
+            columns.append([c for i, v in enumerate(blocks)
+                            for c in kb.to_vector(v, rows[i])])
+    x = solve_columns(base, columns)
+    if x is None:
+        return None
+    values, start = {}, 0
+    for i, d in enumerate(degrees):
+        size = len(kb.slice(d))
+        values[i] = kb.from_vector(x[start:start + size], d)
+        start += size
+    return DeltaConnection(delta, module, values, tensor=tensor)
 
 
 def apply_morphism_tensor(omega: DgModule, lam: ModuleMorphism,

@@ -8,7 +8,7 @@ delta' - delta = d o h + h o d_A.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation
 from .cohomology import solve_affine

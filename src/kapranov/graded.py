@@ -16,8 +16,8 @@ to nonzero rational coefficients.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 Scalar = int | Fraction
 

@@ -190,15 +190,21 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
 
 def _atiyah_table(conn: DeltaConnection, b_mod: DgModule) -> dict[tuple, ModuleElement]:
     """The arity-2 seed: the Atiyah cocycle of ``conn`` on basis pairs
-    (b_i, e_j) of B and of the connection's module."""
+    (b_i, e_j) of B and of the connection's module.
+
+    Contraction is a chain map, so At(b_i, e_j) equals
+    (-1)^{|b_i|} iota_{b_i}([nabla, d](e_j)), read off the cocycle's
+    operator values.
+    """
     at = atiyah_cocycle(conn)
     table: dict[tuple, ModuleElement] = {}
     for i in range(b_mod.rank):
         bi = ModuleElement.basis_vector(b_mod, i)
-        for j in range(conn.module.rank):
-            v = at.bilinear(bi, ModuleElement.basis_vector(conn.module, j))
+        odd = b_mod.basis.degrees[i] % 2
+        for j, op in enumerate(at.operator_values):
+            v = contract(bi, op)
             if not v.is_zero():
-                table[(i, j)] = v
+                table[(i, j)] = v.scale(-1) if odd else v
     return table
 
 

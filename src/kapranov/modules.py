@@ -9,7 +9,7 @@ coefficients (coefficients act from the left).
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation, Monomial
 from .graded import ONE, Element, GradedBasis, Scalar, exact

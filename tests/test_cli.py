@@ -71,6 +71,16 @@ class TestExitCodes:
         assert loaded - set(sys.stdlib_module_names) == {"kapranov"}
         # dataclasses pulls in inspect, ast, dis and tokenize at start-up
         assert not loaded & {"dataclasses", "inspect"}
+        # without site (python -S) no .pth file preloads anything, so the
+        # modules the import itself costs are seen by full name
+        code = ("import json, sys; import kapranov.cli; "
+                "print(json.dumps(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        loaded = set(json.loads(out))
+        assert "kapranov.cli" in loaded
+        assert not loaded & {"argparse", "gettext", "importlib.resources",
+                             "zipfile", "tempfile", "typing"}
 
     def test_homotopy_needs_second_splitting(self, capsys):
         code, _, err = run(capsys, "homotopy", "--input",
@@ -225,6 +235,65 @@ class TestInputBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {option}" in captured.err
+
+    @pytest.mark.parametrize("argv,argument", [
+        (["bogus", "--input", "x.json"], "COMMAND"),
+        ([], "COMMAND"),
+        (["validate"], "--input"),
+        (["validate", "--output", "r.json"], "--input"),
+        (["validate", "--input", "x.json", "--bogus", "1"], "--bogus"),
+        (["validate", "--input", "x.json", "--max", "3"], "--max"),
+        (["validate", "--input", "x.json", "stray"], "stray"),
+        (["validate", "--input"], "--input"),
+        (["validate", "--input", "--max-arity", "3"], "--input"),
+        (["validate", "--input", "x.json", "--degree"], "--degree"),
+        (["cohomology", "--input", "x.json", "--degree", "one"], "--degree"),
+        (["cohomology", "--input", "x.json", "--degree=1.5"], "--degree"),
+        (["check-leibniz", "--input", "x.json", "--max-arity=7"],
+         "--max-arity"),
+        (["check-leibniz", "--input", "x.json", "--threads", "x"],
+         "--threads"),
+    ])
+    def test_usage_error_exits_2_naming_the_argument(self, capsys, argv,
+                                                     argument):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: kapranov ")
+        assert error.startswith(f"kapranov: error: argument {argument}: ")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_exits_0_with_the_usage_on_stdout(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["brackets", flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: kapranov {validate,atiyah,")
+        for option in ("--input", "--max-arity", "--degree", "--output",
+                       "--threads"):
+            assert option in captured.out
+
+    def test_equals_form_and_any_order(self, capsys):
+        path = str(INSTANCES / "double_adjoint_linear_map.json")
+        outs = []
+        for argv in (["cohomology", "--input", path, "--degree", "0"],
+                     ["cohomology", "--degree=0", f"--input={path}"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert list(json.loads(outs[0])["betti"]) == ["0"]
+
+    def test_last_value_of_a_repeated_option_wins(self, capsys):
+        code, out, _ = run(capsys, "check-leibniz", "--max-arity", "5",
+                           "--input", "/no/such.json", "--max-arity=2",
+                           "--input", str(INSTANCES / "abelian_trivial.json"))
+        assert code == 0
+        assert json.loads(out)["max_arity"] == 2
 
     @pytest.mark.parametrize("arity", ["1", "6"])
     def test_arity_bounds_are_accepted(self, capsys, arity):
