@@ -10,9 +10,9 @@ The package builds, over the rationals:
   identities, homotopy invariance).
 """
 
-from .graded import (Element, GradedBasis, MultilinearMap, Scalar,
-                     eval_multilinear, koszul_sign, ordered_partitions,
-                     partition_sign, shuffles)
+from . import graded
+from .graded import (Element, GradedBasis, MultilinearMap, eval_multilinear,
+                     koszul_sign, ordered_partitions, partition_sign, shuffles)
 from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       ce_algebra, validate_cdga)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
@@ -35,7 +35,8 @@ from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
                        check_leibniz_infinity, check_linfty_morphism,
                        check_module_identities, cohomology_action,
                        cohomology_leibniz_bracket, compose_morphism_families,
-                       covariant_tensor_derivative, homotopy_iso,
+                       covariant_tensor_derivative, exhaustive_leibniz,
+                       exhaustive_morphism, homotopy_iso,
                        kapranov_brackets, kapranov_module, kapranov_morphism,
                        trivialization)
 from .builders import (LiePair, LinearMapObject, LinearMapSetup, PairSetup,
@@ -47,3 +48,9 @@ from .builders import (LiePair, LinearMapObject, LinearMapSetup, PairSetup,
                        splitting_homotopy)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "Scalar":  # resolved lazily, as in kapranov.graded
+        return graded.Scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

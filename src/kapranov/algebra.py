@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from .graded import ONE, ZERO, GradedBasis, Scalar, _scaled, exact
+from .graded import ONE, ZERO, GradedBasis, _scaled, exact
 
 Monomial = tuple[int, ...]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .algebra import AlgebraElement, CdgaPresentation, LieAlgebraData, ce_algebra
 from .connections import DeltaConnection, extend_connection
 from .derivations import DerivationHomotopy, DgDerivation, homotopy_offset
-from .graded import GradedBasis, Scalar, exact
+from .graded import GradedBasis, exact
 from .modules import DgModule, ModuleElement, dual_module
 
 

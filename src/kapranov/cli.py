@@ -25,7 +25,7 @@ from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                           flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
                           validate_dg_derivation)
-from .graded import GradedBasis, Scalar, exact
+from .graded import GradedBasis, exact
 from .kapranov import (CheckFailure, HatConnection,
                        bracket_nonskew_witness, check_leibniz_infinity,
                        check_linfty_morphism, cohomology_leibniz_bracket,
@@ -135,7 +135,7 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
                 elem, bmod.algebra.n_generators)})
         values[parse_index(i, bmod.rank, f"{where}/{i}",
                            "module basis index")] = v
-    return DeltaConnection(delta, bmod, values)
+    return DeltaConnection(delta, bmod, values, tensor=base.tensor)
 
 
 class Instance:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .graded import ONE, ZERO, Scalar, exact, exact_div
+from .graded import ONE, ZERO, exact, exact_div
 from .modules import DgModule, KBasis, ModuleElement, apply_module_differential
 
-Vector = list[Scalar]
+Vector = list  # of rationals (graded.Scalar, resolved lazily)
 Matrix = list[Vector]
 
 
@@ -183,10 +183,11 @@ class CochainComplex:
     def diff_matrix(self, n: int) -> Matrix:
         """Rows: images of the degree-n slice basis, in the degree-n+1 slice."""
         if n not in self._dmat:
+            kb = self.kb
             self._dmat[n] = [
-                self.kb.to_vector(apply_module_differential(
-                    self.module, self.module.kbasis_element(key)), n + 1)
-                for key in self.kb.slice(n)]
+                kb.dense(((kb.keys[idx], c)
+                          for idx, c in kb.differential(key).items()), n + 1)
+                for key in kb.slice(n)]
         return self._dmat[n]
 
     def cocycles(self, n: int) -> list[Vector]:

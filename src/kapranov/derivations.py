@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 from .algebra import AlgebraElement, CdgaPresentation
 from .cohomology import solve_affine
-from .graded import ONE, GradedBasis, Scalar
+from .graded import ONE, GradedBasis
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 

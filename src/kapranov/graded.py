@@ -8,6 +8,11 @@ only true division goes through :func:`exact_div`, so ``int / int``
 never yields a float.  Internal arithmetic trusts its operands and only
 demotes a ``Fraction`` result that came out integral.
 
+``fractions`` (which imports ``decimal``) is imported only when a
+rational is not an integer, so ``Scalar = int | Fraction`` is resolved on
+first access; modules that name it only in annotations, which are never
+evaluated, do not import it.
+
 A "graded basis" is an ordered list of named, integer-graded basis
 vectors; sparse vectors over such a basis are dicts mapping basis indices
 to nonzero rational coefficients.
@@ -16,13 +21,19 @@ to nonzero rational coefficients.
 from __future__ import annotations
 
 import itertools
+import re
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
-
-Scalar = int | Fraction
 
 ZERO = 0
 ONE = 1
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def __getattr__(name: str):
+    if name == "Scalar":
+        from fractions import Fraction
+        return int | Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def exact(c) -> Scalar:
@@ -30,6 +41,9 @@ def exact(c) -> Scalar:
     representation: an ``int`` when integral, else a ``Fraction``."""
     if c.__class__ is int:
         return c
+    if c.__class__ is str and _INTEGER.fullmatch(c):
+        return int(c)
+    from fractions import Fraction
     if c.__class__ is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
@@ -42,7 +56,10 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     coefficients; a bare ``a / b`` of two ints would give a float."""
     if a.__class__ is int and b.__class__ is int:
         q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
+        if not r:
+            return q
+        from fractions import Fraction
+        return Fraction(a, b)
     return exact(a / b)
 
 

@@ -20,12 +20,12 @@ import itertools
 import math
 from operator import itemgetter
 
-from .algebra import AlgebraElement, _merge_monomials
+from .algebra import AlgebraElement, _merge_monomials, validate_cdga
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
-from .graded import (ONE, Element, GradedBasis, MultilinearMap, Scalar,
-                     koszul_sign, ordered_partitions, partition_sign, shuffles)
+from .graded import (ONE, Element, GradedBasis, MultilinearMap, koszul_sign,
+                     ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract,
                       dual_morphism_between, simple_tensor)
@@ -233,7 +233,7 @@ class BracketFamily:
 
     @functools.cached_property
     def differential(self) -> MultilinearMap:
-        return differential_table(self.module, self.kb)
+        return differential_table(self.kb)
 
     @functools.cached_property
     def brackets(self) -> dict[int, MultilinearMap]:
@@ -242,17 +242,37 @@ class BracketFamily:
             brackets[k] = extend_module_table(self.kb, table, k, 1)
         return brackets
 
+    def module_maps(self) -> dict[int, dict[tuple, ModuleElement]]:
+        """R_k on module-basis tuples: the differential for k = 1."""
+        return {1: _Differential(self.module), **self.module_tables}
+
+    def homogeneous(self) -> bool:
+        """Whether every R_k, d included, has values of degree
+        1 + |e_1| + ... + |e_k| on module-basis tuples."""
+        degrees = self.module.basis.degrees
+        return all(_homogeneous(t, 1, degrees, degrees)
+                   for t in self.module_maps().values())
+
     def nonzero_arities(self) -> list[int]:
-        """R_k (k >= 2) is zero exactly when its module table is empty."""
-        return ([1] if not self.differential.is_zero() else []) + sorted(
+        """R_1 = d is zero exactly when the module has rank 0 or d(e_i) and
+        d_A vanish (d_A(g) != 0 makes d(g.e_i) = d_A(g).e_i when every d(e_i)
+        is zero); R_k (k >= 2) exactly when its module table is empty."""
+        module = self.module
+        d = module.rank and (module.diff_matrix or module.algebra.diff)
+        return ([1] if d else []) + sorted(
             k for k, table in self.module_tables.items() if table)
 
     def degree_failures(self) -> list[str]:
         """Values of a degree other than 1 + |b_1| + ... + |b_k|: the
         differential's on k-basis keys, R_k's (k >= 2) on module-basis
         tuples.  A good module-table value extends to good k-basis values,
-        and a bad one is itself the value at its empty-monomial tuple."""
-        maps = {1: self.differential}
+        and a bad one is itself the value at its empty-monomial tuple.  The
+        same holds for d, as d_A has degree 1, so the differential's table
+        is built only when some d(e_i) has a bad term."""
+        degrees = self.module.basis.degrees
+        maps = {}
+        if not _homogeneous(_Differential(self.module), 1, degrees, degrees):
+            maps[1] = self.differential
         for k, table in self.module_tables.items():
             maps[k] = MultilinearMap.uniform(
                 k, 1, self.module.basis, self.kb.basis,
@@ -261,12 +281,31 @@ class BracketFamily:
                 for msg in m.check_degrees()]
 
 
-def differential_table(module: DgModule, kb: KBasis) -> MultilinearMap:
-    m = MultilinearMap.uniform(1, 1, kb.basis)
-    for idx, key in enumerate(kb.keys):
-        dv = apply_module_differential(module, module.kbasis_element(key))
-        m.set((idx,), kb.to_kvec(dv))
-    return m
+class _Differential(dict):
+    """The differential of ``module`` on module-basis tuples: the table
+    (i,) -> d(e_i), read when d is the inner map of a term.  d is not
+    A-linear, so as the outer map it is applied to the inner value."""
+
+    def __init__(self, module: DgModule):
+        super().__init__(((i,), v) for i in range(module.rank)
+                         if not (v := module.diff_of_basis(i)).is_zero())
+        self.module = module
+
+
+def _homogeneous(table: dict[tuple, ModuleElement], degree: int,
+                 in_degrees, out_degrees) -> bool:
+    """Whether every value of a module-basis table has the degree of its
+    key plus ``degree``."""
+    return all(len(mon) + out_degrees[j]
+               == degree + sum(in_degrees[i] for i in key)
+               for key, val in table.items()
+               for j, a in val.coeffs.items() for mon in a.terms)
+
+
+def differential_table(kb: KBasis) -> MultilinearMap:
+    return MultilinearMap.uniform(1, 1, kb.basis, table={
+        (idx,): Element._trusted(kb.basis, kb.differential(key))
+        for idx, key in enumerate(kb.keys)})
 
 
 def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
@@ -621,9 +660,116 @@ def _check_identities(n_max: int, weight, out_basis: GradedBasis,
     return report
 
 
-def check_leibniz_infinity(fam: BracketFamily, n_max: int,
-                           max_witnesses: int = 10) -> dict:
-    """Exhaustively verify the degree-1 generalized Jacobi identities.
+def _module_residuals(n: int, degrees, insertions, outer_degree: int,
+                      partitions, out_module: DgModule) -> dict:
+    """sum(insertions) - sum(partitions) on module-basis n-tuples, as
+    tuple -> A-valued residual; the counterpart of :func:`_residuals` on
+    module-basis tables, whose slots all have the basis degrees
+    ``degrees``.
+
+    An insertion runs over its inner entries as there.  Its outer map, of
+    degree ``outer_degree``, takes the inner value a.e_m in slot s as
+    (-1)^{|a|(r + |x_F|)} a.outer(x_F, e_m, ...), the coefficient passing
+    the map and the front block; an outer differential is applied to the
+    inner value instead.  A partition evaluates its degree-1 outer map on
+    the values of its blocks.
+    """
+    parities = [[d % 2 for d in degrees]] * n
+    acc: dict[tuple, ModuleElement] = {}
+
+    def add(x, v):
+        acc[x] = acc[x] + v if x in acc else v
+
+    def sign_of(term, x):
+        return term.sign([degrees[i] for i in x], _parity_bits(x, parities))
+
+    for term in insertions:
+        if isinstance(term.outer, _Differential):
+            # d(inner(x_1, ..., x_n)): k = n, no front block, sign 1
+            for x, v in term.inner.items():
+                add(x, apply_module_differential(term.outer.module, v))
+            continue
+        s = len(term.front)
+        by_m: dict[int, list] = {}
+        for key, val in term.outer.items():
+            by_m.setdefault(key[s], []).append(
+                (key, (outer_degree + sum(degrees[i] for i in key[:s])) % 2,
+                 val))
+        scatter = term.scatter(n)
+        for args, v in term.inner.items():
+            for m, a in v.coeffs.items():
+                odd = AlgebraElement._trusted({mon: -c if len(mon) % 2 else c
+                                               for mon, c in a.terms.items()})
+                for key, passes_odd, val in by_m.get(m, ()):
+                    x = scatter(key + args)
+                    add(x, val.left_mul(odd if passes_odd else a).scale(
+                        sign_of(term, x)))
+    for term in partitions:
+        for combo in itertools.product(*(t.items() for t in term.tables)):
+            x = term.scatter(tuple(itertools.chain.from_iterable(
+                key for key, _ in combo)))
+            values = [v for _, v in combo]
+            if isinstance(term.outer, _Differential):
+                val = apply_module_differential(out_module, values[0])
+            else:
+                val = eval_table_on_elements(term.outer, 1, values,
+                                             [out_module] * len(values),
+                                             out_module)
+            add(x, val.scale(-sign_of(term, x)))
+    return acc
+
+
+# The module-basis decision runs on algebras with at least this many
+# generators.  With one, a k-basis is only twice the module basis, and the
+# exhaustive check, which needs no premise, measured no slower.
+DECIDE_MIN_GENERATORS = 2
+
+
+def _decided_report(n_max: int, n_keys: int, weight, residuals, decide: bool,
+                    exhaustive) -> dict:
+    """The report of an exhaustive checker, decided on module-basis tuples.
+
+    Every map of the identity is A-multilinear or, like d, a derivation,
+    so when their values are homogeneous the residual is A-multilinear
+    and vanishes exactly when it vanishes on module-basis tuples; the
+    caller passes ``decide`` false when that premise fails.  ``weight(n)``
+    gives the term count and the terms at weight n on module-basis
+    tables, ``residuals(n, insertions, partitions)`` their residuals
+    there.  A weight that passes gets the exhaustive entry of a passing
+    weight: its k-basis tuple count (``n_keys`` per slot), its term count
+    and no failures.  If some weight fails, ``exhaustive(n)`` checks every
+    weight up to the highest failing one on the k-basis and supplies those
+    entries, witnesses included; if ``decide`` is false, every weight.
+    """
+    if not decide:
+        return exhaustive(n_max)
+    entries, failing = [], 0
+    for n in range(1, n_max + 1):
+        n_terms, insertions, partitions = weight(n)
+        entries.append({"n": n, "terms": n_terms,
+                        "tuples": n_keys ** n if n_terms else 0,
+                        "failures": []})
+        if n_terms and any(r.coeffs for r in
+                           residuals(n, insertions, partitions).values()):
+            failing = n
+    if not failing:
+        return {"passed": True, "weights": entries}
+    report = exhaustive(failing)
+    report["weights"] += entries[failing:]
+    return report
+
+
+def _leibniz_terms(n: int, active, maps) -> tuple:
+    structures = _leibniz_structures(n, active)
+    return (len(structures),
+            [_Insertion(maps[i], maps[j], k, j, sigma)
+             for (i, j, k, sigma) in structures], [])
+
+
+def exhaustive_leibniz(fam: BracketFamily, n_max: int,
+                       max_witnesses: int = 10) -> dict:
+    """Exhaustively verify the degree-1 generalized Jacobi identities on
+    the k-basis tables.
 
     Returns a report dict with per-weight tuple counts and any failing
     tuples (with their residuals).
@@ -631,30 +777,59 @@ def check_leibniz_infinity(fam: BracketFamily, n_max: int,
     active = set(fam.nonzero_arities())
 
     def weight(n):
-        structures = _leibniz_structures(n, active)
-        return ([fam.kb] * n, len(structures),
-                [_Insertion(fam.brackets[i].table, fam.brackets[j].table,
-                            k, j, sigma) for (i, j, k, sigma) in structures],
-                [])
+        tables = {k: m.table for k, m in fam.brackets.items()}
+        return ([fam.kb] * n, *_leibniz_terms(n, active, tables))
     return _check_identities(n_max, weight, fam.kb.basis, max_witnesses)
+
+
+def check_leibniz_infinity(fam: BracketFamily, n_max: int,
+                           max_witnesses: int = 10) -> dict:
+    """The report of :func:`exhaustive_leibniz`, decided on module-basis
+    tuples; d o d is A-linear when d_A squares to zero."""
+    active = set(fam.nonzero_arities())
+    maps = fam.module_maps()
+    algebra = fam.module.algebra
+    decide = (algebra.n_generators >= DECIDE_MIN_GENERATORS
+              and fam.homogeneous() and not validate_cdga(algebra))
+
+    def residuals(n, insertions, partitions):
+        return _module_residuals(n, fam.module.basis.degrees, insertions, 1,
+                                 partitions, fam.module)
+    return _decided_report(
+        n_max, len(fam.kb.keys), lambda n: _leibniz_terms(n, active, maps),
+        residuals, decide,
+        lambda n: exhaustive_leibniz(fam, n, max_witnesses))
 
 
 # ---------------------------------------------------------------------------
 # morphism families
 
 class MorphismFamily:
-    """Maps f_k: B^{(x)k} -> B' forming a morphism of bracket towers."""
+    """Maps f_k: B^{(x)k} -> B' forming a morphism of bracket towers.
+
+    ``module_tables[k]`` holds the nonzero values of an A-multilinear f_k
+    on module-basis tuples.  ``maps[k]`` is f_k over the ground-field
+    basis: given, or else the A-multilinear extension of
+    ``module_tables[k]``, built on first read.
+    """
 
     def __init__(self, source: BracketFamily, target: BracketFamily,
-                 maps: dict[int, MultilinearMap],
+                 maps: dict[int, MultilinearMap] | None = None,
                  module_tables: dict[int, dict[tuple, ModuleElement]] | None = None,
                  a_multilinear: bool = True, label: str = ""):
         self.source = source
         self.target = target
-        self.maps = maps
+        if maps is not None:
+            self.maps = maps
         self.module_tables = module_tables or {}
         self.a_multilinear = a_multilinear
         self.label = label
+
+    @functools.cached_property
+    def maps(self) -> dict[int, MultilinearMap]:
+        return {k: extend_module_table(self.source.kb, table, k, 0,
+                                       output_kb=self.target.kb)
+                for k, table in self.module_tables.items()}
 
     def map(self, k: int) -> MultilinearMap | None:
         m = self.maps.get(k)
@@ -663,6 +838,10 @@ class MorphismFamily:
         return m
 
     def nonzero_arities(self) -> list[int]:
+        """The arities of nonzero maps, read off the module tables until
+        the maps are built."""
+        if "maps" not in vars(self):
+            return sorted(k for k, t in self.module_tables.items() if t)
         return sorted(k for k, m in self.maps.items() if not m.is_zero())
 
 
@@ -688,25 +867,61 @@ def _morphism_rhs_structures(n: int, f_active, lamp_active):
     return out
 
 
-def check_linfty_morphism(mor: MorphismFamily, n_max: int,
-                          max_witnesses: int = 10) -> dict:
-    """Verify the morphism equation on all source basis tuples, n <= n_max."""
-    f_active = set(mor.nonzero_arities())
-    lam_active = set(mor.source.nonzero_arities())
-    lamp_active = set(mor.target.nonzero_arities())
+def _morphism_terms(n: int, active, f, lam, lamp) -> tuple:
+    """The terms of the morphism equation at weight n, for the maps f,
+    the source brackets lam and the target brackets lamp; ``active`` holds
+    the nonzero arities of each."""
+    f_active, lam_active, lamp_active = active
+    lhs = _morphism_lhs_structures(n, f_active, lam_active)
+    rhs = _morphism_rhs_structures(n, f_active, lamp_active)
+    return (len(lhs) + len(rhs),
+            [_Insertion(f[n - p], lam[p + 1], k + p + 1, p + 1, sigma)
+             for (k, p, sigma) in lhs],
+            [_Partition(lamp[len(blocks)], [f[len(b)] for b in blocks], blocks)
+             for blocks in rhs])
+
+
+def _morphism_active(mor: MorphismFamily) -> tuple:
+    return (set(mor.nonzero_arities()), set(mor.source.nonzero_arities()),
+            set(mor.target.nonzero_arities()))
+
+
+def exhaustive_morphism(mor: MorphismFamily, n_max: int,
+                        max_witnesses: int = 10) -> dict:
+    """Verify the morphism equation on all source k-basis tuples,
+    n <= n_max, on the k-basis tables."""
+    active = _morphism_active(mor)
 
     def weight(n):
-        lhs = _morphism_lhs_structures(n, f_active, lam_active)
-        rhs = _morphism_rhs_structures(n, f_active, lamp_active)
-        return ([mor.source.kb] * n, len(lhs) + len(rhs),
-                [_Insertion(mor.maps[n - p].table,
-                            mor.source.brackets[p + 1].table,
-                            k + p + 1, p + 1, sigma)
-                 for (k, p, sigma) in lhs],
-                [_Partition(mor.target.brackets[len(blocks)].table,
-                            [mor.maps[len(b)].table for b in blocks], blocks)
-                 for blocks in rhs])
+        f, lam, lamp = ({k: m.table for k, m in maps.items()} for maps in
+                        (mor.maps, mor.source.brackets, mor.target.brackets))
+        return ([mor.source.kb] * n, *_morphism_terms(n, active, f, lam, lamp))
     return _check_identities(n_max, weight, mor.target.kb.basis, max_witnesses)
+
+
+def check_linfty_morphism(mor: MorphismFamily, n_max: int,
+                          max_witnesses: int = 10) -> dict:
+    """The report of :func:`exhaustive_morphism`, decided on module-basis
+    tuples when the family is given by A-multilinear module tables."""
+    active = _morphism_active(mor)
+    lam, lamp = mor.source.module_maps(), mor.target.module_maps()
+    degrees = mor.source.module.basis.degrees
+    generators = mor.source.module.algebra.n_generators
+    target_degrees = mor.target.module.basis.degrees
+    decide = (mor.a_multilinear and bool(mor.module_tables)
+              and generators >= DECIDE_MIN_GENERATORS
+              and mor.source.homogeneous() and mor.target.homogeneous()
+              and all(_homogeneous(t, 0, degrees, target_degrees)
+                      for t in mor.module_tables.values()))
+
+    def residuals(n, insertions, partitions):
+        return _module_residuals(n, degrees, insertions, 0, partitions,
+                                 mor.target.module)
+    return _decided_report(
+        n_max, len(mor.source.kb.keys),
+        lambda n: _morphism_terms(n, active, mor.module_tables, lam, lamp),
+        residuals, decide,
+        lambda n: exhaustive_morphism(mor, n, max_witnesses))
 
 
 def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
@@ -735,10 +950,8 @@ def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
     for k in range(1, max_arity):
         tables[k + 1] = _tower_step(tables[k], 0, b_mod, [conn] * k, conn_p,
                                     lift=f1)
-    maps = {k: extend_module_table(source_fam.kb, table, k, 0,
-                                   output_kb=target_fam.kb)
-            for k, table in tables.items()}
-    return MorphismFamily(source_fam, target_fam, maps, tables, label=label)
+    return MorphismFamily(source_fam, target_fam, module_tables=tables,
+                          label=label)
 
 
 def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
@@ -970,10 +1183,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
             if not total.is_zero():
                 new[key] = total
         tables[k + 1] = new
-    maps = {k: extend_module_table(source_fam.kb, table, k, 0,
-                                   output_kb=target_fam.kb)
-            for k, table in tables.items()}
-    mor = MorphismFamily(source_fam, target_fam, maps, tables,
+    mor = MorphismFamily(source_fam, target_fam, module_tables=tables,
                          label="homotopy_iso")
     return mor, conn_prime
 
@@ -1018,7 +1228,7 @@ def kapranov_module(fam: BracketFamily, conn_e: DeltaConnection,
     for k in range(2, max_arity):
         tables[k + 1] = _tower_step(tables[k], 1, b_mod,
                                     [conn_b] * (k - 1) + [conn_e], conn_e)
-    actions: dict[int, MultilinearMap] = {1: differential_table(e_mod, kb_e)}
+    actions: dict[int, MultilinearMap] = {1: differential_table(kb_e)}
     for k, table in tables.items():
         input_kbs = [fam.kb] * (k - 1) + [kb_e]
         actions[k] = extend_module_table(fam.kb, table, k, 1,

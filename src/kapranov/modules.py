@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .algebra import AlgebraElement, CdgaPresentation, Monomial
-from .graded import ONE, Element, GradedBasis, Scalar, exact
+from .algebra import (AlgebraElement, CdgaPresentation, Monomial,
+                      _merge_monomials)
+from .graded import ONE, Element, GradedBasis, exact
 
 
 class ModuleElement:
@@ -234,6 +235,8 @@ class KBasis:
             self.slices.setdefault(d, []).append(key)
         self.slice_positions = {d: {key: i for i, key in enumerate(keys)}
                             for d, keys in self.slices.items()}
+        self._d_algebra: dict[Monomial, AlgebraElement] = {}
+        self._d_basis: dict[int, ModuleElement] = {}
 
     @functools.cached_property
     def basis(self) -> GradedBasis:
@@ -259,21 +262,55 @@ class KBasis:
     def to_vector(self, v: ModuleElement, d: int) -> list[Scalar]:
         """Dense coordinates of v on the degree-d slice; a term of another
         degree raises ValueError."""
+        return self.dense((((mon, i), c) for i, a in v.coeffs.items()
+                           for mon, c in a.terms.items()), d)
+
+    def dense(self, terms, d: int) -> list[Scalar]:
+        """Dense coordinates on the degree-d slice of the sum of c.key over
+        ``terms``, pairs (key, c) with no key twice; a key of another degree
+        raises ValueError."""
         index = self.slice_positions.get(d, {})
         out = [0] * len(index)
-        for i, a in v.coeffs.items():
-            for mon, c in a.terms.items():
-                pos = index.get((mon, i))
-                if pos is None:
-                    raise ValueError(
-                        f"element has a term outside degree {d}: {(mon, i)}")
-                out[pos] = c
+        for key, c in terms:
+            pos = index.get(key)
+            if pos is None:
+                raise ValueError(
+                    f"element has a term outside degree {d}: {key}")
+            out[pos] = c
         return out
 
     def from_vector(self, vec: Sequence[Scalar], d: int) -> ModuleElement:
         """The element with dense coordinates ``vec`` on the degree-d slice."""
         return self._element((key, c) for key, c in zip(self.slice(d), vec)
                              if c)
+
+    def differential(self, key: tuple[Monomial, int]) -> dict[int, Scalar]:
+        """d of the k-basis vector ``key`` = (m, i), as {k-basis index:
+        coefficient}: d(m.e_i) = d_A(m).e_i + (-1)^{|m|} m.d(e_i), with
+        each d_A(m) and d(e_i) computed once per KBasis."""
+        mon, i = key
+        module, index = self.module, self.index
+        da = self._d_algebra.get(mon)
+        if da is None:
+            da = self._d_algebra[mon] = module.algebra.apply_differential(
+                AlgebraElement._trusted({mon: ONE}))
+        de = self._d_basis.get(i)
+        if de is None:
+            de = self._d_basis[i] = module.diff_of_basis(i)
+        row = {index[(m, i)]: c for m, c in da.terms.items()}
+        parity = -1 if len(mon) % 2 else 1
+        for j, a in de.coeffs.items():
+            for m, c in a.terms.items():
+                s, merged = _merge_monomials(mon, m)
+                if not s:
+                    continue
+                idx = index[(merged, j)]
+                c = row.get(idx, 0) + parity * s * c
+                if c:
+                    row[idx] = exact(c)
+                else:
+                    del row[idx]
+        return row
 
     def to_module_element(self, e: Element) -> ModuleElement:
         return self._element((self.keys[idx], c) for idx, c in e.coeffs.items())

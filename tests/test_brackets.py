@@ -16,7 +16,8 @@ from kapranov.kapranov import (HatConnection, MorphismFamily, MultilinearMap,
                                a_multilinearity_violations, bracket_on_elements,
                                check_leibniz_infinity, check_linfty_morphism,
                                check_module_identities,
-                               compose_morphism_families, homotopy_iso,
+                               compose_morphism_families, exhaustive_leibniz,
+                               homotopy_iso,
                                kapranov_brackets, kapranov_module,
                                kapranov_morphism, tensor_of_elements,
                                trivialization)
@@ -124,7 +125,7 @@ class TestBracketTower:
         key = next(iter(m.table))
         m.set(key, m.table[key].scale(2))
         bad.brackets[3] = m
-        report = check_leibniz_infinity(bad, 4)
+        report = exhaustive_leibniz(bad, 4)
         assert not report["passed"]
 
 

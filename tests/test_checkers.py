@@ -3,15 +3,21 @@
 The reference residuals below visit every tuple of every weight and
 evaluate every term of an identity on it, building basis-vector arguments
 and calling the multilinear maps, with the Koszul sign computed for every
-term of every tuple.  The checkers of ``kapranov.kapranov`` instead run a
-join driven by the table entries: an insertion term meets each inner
-value only with the outer entries that take its indices, a partition term
-runs over the products of its block tables' entries, the contributions
-are summed per tuple, and a tuple that no term reaches has residual zero.
-Signs are memoised by the parity pattern of the degrees.  The reports must
-agree in every field, tuple counts, witnesses (in ``itertools.product``
-order) and residuals included, on correct families and on families with
-one corrupted entry.
+term of every tuple.  The exhaustive checkers of ``kapranov.kapranov``
+instead run a join driven by the table entries: an insertion term meets
+each inner value only with the outer entries that take its indices, a
+partition term runs over the products of its block tables' entries, the
+contributions are summed per tuple, and a tuple that no term reaches has
+residual zero.  Signs are memoised by the parity pattern of the degrees.
+The reports must agree in every field, tuple counts, witnesses (in
+``itertools.product`` order) and residuals included, on correct families
+and on families with one corrupted entry.
+
+``check_leibniz_infinity`` and ``check_linfty_morphism`` decide each
+weight on module-basis tuples and ask the exhaustive checkers only for the
+weights that fail there; their reports must equal the exhaustive ones on
+every instance document and on families with one corrupted module-table
+value, whose k-basis tables are extended afresh.
 """
 
 from __future__ import annotations
@@ -34,12 +40,15 @@ from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.graded import (Element, MultilinearMap, koszul_sign,
                              ordered_partitions, partition_sign, shuffles)
-from kapranov.kapranov import (HatConnection, _Insertion, _Partition,
+from kapranov import kapranov
+from kapranov.kapranov import (BracketFamily, HatConnection, MorphismFamily,
+                               _Insertion, _Partition,
                                _leibniz_structures, _module_structures,
                                _morphism_lhs_structures,
                                _morphism_rhs_structures,
                                check_leibniz_infinity, check_linfty_morphism,
-                               check_module_identities, homotopy_iso,
+                               check_module_identities, exhaustive_leibniz,
+                               exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_module,
                                kapranov_morphism, trivialization)
 from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
@@ -49,6 +58,8 @@ SHIPPED = sorted((ROOT / "instances").glob("*.json"))
 SL2_SHIFTED = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
 SL3 = ROOT / "bench" / "instances" / "sl3_borel.json"
 GRADED_TOY = ROOT / "tests" / "fixtures" / "graded_toy.json"
+DOCUMENTS = SHIPPED + sorted((ROOT / "bench" / "instances").glob("*.json")) \
+    + sorted((ROOT / "tests" / "fixtures").glob("*.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +381,7 @@ def test_scaled_r3_entry_gives_identical_witnesses():
     bad = copy.copy(fam)
     bad.brackets = dict(fam.brackets)
     bad.brackets[3] = corrupt(fam.brackets[3])
-    report = check_leibniz_infinity(bad, 4)
+    report = exhaustive_leibniz(bad, 4)
     assert not report["passed"]
     assert report == reference_leibniz(bad, 4)
 
@@ -382,7 +393,7 @@ def test_sign_flipped_f2_entry_gives_identical_witnesses():
     bad.maps = dict(mor.maps)
     bad.maps[2] = corrupt(mor.maps[2], factor=-1)
     for cap in (10, 3):
-        report = check_linfty_morphism(bad, 4, max_witnesses=cap)
+        report = exhaustive_morphism(bad, 4, max_witnesses=cap)
         assert not report["passed"]
         assert report == reference_morphism(bad, 4, max_witnesses=cap)
     # weight 3 fails on more tuples than the cap lets through
@@ -425,8 +436,8 @@ def corruption_targets() -> dict:
 
 
 # the tables each kind of tower keeps, its checker and its reference
-KINDS = {"R": ("brackets", check_leibniz_infinity, reference_leibniz),
-         "f": ("maps", check_linfty_morphism, reference_morphism),
+KINDS = {"R": ("brackets", exhaustive_leibniz, reference_leibniz),
+         "f": ("maps", exhaustive_morphism, reference_morphism),
          "mu": ("actions", check_module_identities, reference_module)}
 
 
@@ -481,7 +492,7 @@ def test_any_residual_fails_the_report_without_witnesses():
     bad = copy.copy(mor)
     bad.maps = dict(mor.maps)
     bad.maps[2] = corrupt(mor.maps[2], factor=-1)
-    report = check_linfty_morphism(bad, 4, max_witnesses=0)
+    report = exhaustive_morphism(bad, 4, max_witnesses=0)
     assert report["passed"] is False
     assert report == reference_morphism(bad, 4, max_witnesses=0)
 
@@ -538,3 +549,133 @@ def test_memoised_partition_sign_is_the_partition_sign(case):
     for d in (degs, other, degs):
         assert term.sign(d, parity(d)) == partition_sign(blocks, d)
         assert term.sign(d, parity(d)) == koszul_sign(flat, d)
+
+
+# ---------------------------------------------------------------------------
+# the module-basis decision against the exhaustive checkers
+
+@pytest.fixture
+def decide_always(monkeypatch):
+    """Decide on module-basis tuples on one-generator algebras too."""
+    monkeypatch.setattr(kapranov, "DECIDE_MIN_GENERATORS", 0)
+
+
+def test_documents_are_all_covered():
+    assert len(DOCUMENTS) == 11
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_module_basis_reports_equal_the_exhaustive_ones(path, decide_always):
+    inst = instance(path)
+    n_max = arity_of(inst)
+    fam = kapranov_brackets(inst.connection, n_max)
+    assert check_leibniz_infinity(fam, n_max) \
+        == exhaustive_leibniz(kapranov_brackets(inst.connection, n_max), n_max)
+    if inst.kind != "lie_pair":
+        return
+    n_max = min(n_max, 4)
+    assert check_linfty_morphism(connection_morphism(inst, n_max), n_max) \
+        == exhaustive_morphism(connection_morphism(inst, n_max), n_max)
+    if inst.second_pair_setup is not None:
+        assert check_linfty_morphism(homotopy_morphism(inst), 4) \
+            == exhaustive_morphism(homotopy_morphism(inst), 4)
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+@pytest.mark.parametrize("path", [SL2_SHIFTED, SL3], ids=lambda p: p.stem)
+def test_a_passing_decision_builds_no_kbasis_table(path, monkeypatch):
+    inst = instance(path)
+    fam = kapranov_brackets(inst.connection, 3)
+    mor = connection_morphism(inst, 3)
+    for name in ("extend_module_table", "differential_table",
+                 "exhaustive_leibniz", "exhaustive_morphism"):
+        monkeypatch.setattr(kapranov, name, refuse(name))
+    assert check_leibniz_infinity(fam, 3)["passed"]
+    assert check_linfty_morphism(mor, 3)["passed"]
+
+
+def test_one_generator_algebras_go_to_the_exhaustive_checker(monkeypatch):
+    fam = kapranov_brackets(instance(ROOT / "instances" / "affine_pair.json")
+                            .connection, 3)
+    assert fam.module.algebra.n_generators < kapranov.DECIDE_MIN_GENERATORS
+    calls = []
+    monkeypatch.setattr(kapranov, "exhaustive_leibniz",
+                        lambda *args: calls.append(args) or {})
+    assert check_leibniz_infinity(fam, 3) == {}
+    assert calls == [(fam, 3, 10)]
+
+
+@functools.cache
+def module_corruption_targets() -> dict:
+    """The R and f towers of :func:`corruption_targets`, whose module
+    tables the property below corrupts."""
+    return {key: value for key, value in corruption_targets().items()
+            if key[1] != "mu"}
+
+
+def corrupt_module_table(draw, table: dict, arity: int, source,
+                         target) -> dict:
+    """A copy of a module table with one value scaled, added to or deleted.
+    An addition puts m.e_j, for a monomial m of any length, on any tuple,
+    so it may break the degree of the value."""
+    out = dict(table)
+    op = draw(st.sampled_from(["scale", "add", "delete"]), label="op")
+    if op != "add" and out:
+        key = draw(st.sampled_from(sorted(out)), label="key")
+        if op == "delete":
+            del out[key]
+        else:
+            factor = draw(st.sampled_from([-1, 2, Fraction(1, 2)]),
+                          label="factor")
+            out[key] = out[key].scale(factor)
+        return out
+    key = tuple(draw(st.integers(0, source.rank - 1), label="key")
+                for _ in range(arity))
+    j = draw(st.integers(0, target.rank - 1), label="output")
+    mon = draw(st.sampled_from(list(target.algebra.monomials())),
+               label="monomial")
+    c = draw(st.sampled_from([1, -1, Fraction(1, 3)]), label="coefficient")
+    out[key] = out.get(key, target.zero()) + ModuleElement(
+        target, {j: AlgebraElement.monomial(mon, c)})
+    if out[key].is_zero():
+        del out[key]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_corrupted_module_table_gives_the_exhaustive_report(data):
+    target = data.draw(st.sampled_from(sorted(module_corruption_targets())),
+                       label="target")
+    family, n_max = module_corruption_targets()[target]
+    tables = dict(family.module_tables)
+    k = data.draw(st.sampled_from(sorted(tables)), label="arity")
+    if target[1] == "R":
+        modules = family.module, family.module
+        check, exhaustive, reference = (check_leibniz_infinity,
+                                        exhaustive_leibniz, reference_leibniz)
+
+        def fresh():
+            return BracketFamily(family.module, family.kb, tables,
+                                 family.connection)
+    else:
+        modules = family.source.module, family.target.module
+        check, exhaustive, reference = (check_linfty_morphism,
+                                        exhaustive_morphism,
+                                        reference_morphism)
+
+        def fresh():
+            return MorphismFamily(family.source, family.target,
+                                  module_tables=tables)
+    tables[k] = corrupt_module_table(data.draw, tables[k], k, *modules)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kapranov, "DECIDE_MIN_GENERATORS", 0)
+        report = check(fresh(), n_max, max_witnesses=3)
+    assert report == exhaustive(fresh(), n_max, max_witnesses=3)
+    if not report["passed"]:
+        assert report == reference(fresh(), n_max, max_witnesses=3)

@@ -82,6 +82,28 @@ class TestExitCodes:
         assert not loaded & {"argparse", "gettext", "importlib.resources",
                              "zipfile", "tempfile", "typing"}
 
+    def test_integral_runs_load_no_fractions(self):
+        # fractions imports decimal; only a non-integral rational needs it,
+        # and on sl3/borel only the cohomology command makes one
+        code = ("import json, sys, contextlib, io; import kapranov.cli; "
+                "seen = [sorted({'fractions', 'decimal'} & set(sys.modules))]\n"
+                "for argv in sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "        kapranov.cli.main(argv.split())\n"
+                "    seen.append(sorted({'fractions', 'decimal'} "
+                "& set(sys.modules)))\n"
+                "print(json.dumps(seen))")
+        sl3 = str(ROOT / "bench" / "instances" / "sl3_borel.json")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code,
+             f"check-leibniz --input {sl3} --max-arity 3",
+             f"cohomology --input {sl3}"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [[], [], ["decimal", "fractions"]]
+
     def test_homotopy_needs_second_splitting(self, capsys):
         code, _, err = run(capsys, "homotopy", "--input",
                            str(INSTANCES / "abelian_trivial.json"))

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kapranov
 from kapranov.graded import (Element, GradedBasis, MultilinearMap,
-                             eval_multilinear, koszul_sign,
+                             eval_multilinear, exact, exact_div, koszul_sign,
                              ordered_partitions, partition_sign, shuffles)
 
 
@@ -199,3 +200,27 @@ class TestEvalMultilinear:
         m.set((0,), Element.basis_vector(BASIS, 1))
         m.set((1,), Element.basis_vector(BASIS, 2))
         assert m.check_degrees() == []
+
+
+class TestExact:
+    @given(st.one_of(
+        st.integers(-10 ** 30, 10 ** 30).map(str),
+        st.from_regex(r"-?[0-9]{1,4}(/[1-9][0-9]{0,2})?", fullmatch=True),
+        st.from_regex(r" ?[+-]?[0-9]{1,3}\.[0-9]{1,3} ?", fullmatch=True),
+        st.integers(-10 ** 6, 10 ** 6), st.fractions(max_denominator=50)))
+    def test_equals_the_fraction_in_its_one_representation(self, c):
+        got, want = exact(c), Fraction(c)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+    def test_exact_div_stays_integral_until_it_cannot(self):
+        assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
+        assert exact_div(1, 3) == Fraction(1, 3)
+        assert type(exact_div(Fraction(2, 3), Fraction(1, 3))) is int
+
+    def test_scalar_resolves_lazily_to_int_or_fraction(self):
+        assert kapranov.Scalar == kapranov.graded.Scalar == int | Fraction
+        with pytest.raises(AttributeError):
+            kapranov.graded.Rational
+        with pytest.raises(AttributeError):
+            kapranov.Rational

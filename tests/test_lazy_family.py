@@ -5,7 +5,11 @@
 eager extension is the oracle: every instance document of the repository
 must give the same k-basis tables in the same key order, the same nonzero
 arities and the same degree verdict, also on corrupted tables.  The
-``brackets`` and ``cohomology`` commands must not extend at all.
+``brackets`` and ``cohomology`` commands must not extend at all, and
+neither may a passing ``check-leibniz``, ``morphism`` or ``homotopy``,
+which decide on module-basis tuples, except over a one-generator algebra.
+The k-basis differential is checked against ``apply_module_differential``
+on every k-basis vector.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import pathlib
 import pytest
 
 from kapranov import kapranov
+from kapranov.algebra import AlgebraElement, CdgaPresentation
 from kapranov.cli import Instance, load_document, main
+from kapranov.graded import GradedBasis
 from kapranov.kapranov import (BracketFamily, differential_table,
                                extend_module_table, kapranov_brackets)
+from kapranov.modules import DgModule, KBasis, apply_module_differential
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted((ROOT / "instances").glob("*.json")) \
@@ -51,7 +58,7 @@ def test_documents_are_all_covered():
 def test_brackets_equal_the_eager_extension(path):
     fam = family(path)
     assert sorted(fam.brackets) == list(range(1, MAX_ARITY + 1))
-    assert_same_table(fam.brackets[1], differential_table(fam.module, fam.kb))
+    assert_same_table(fam.brackets[1], differential_table(fam.kb))
     for k, table in fam.module_tables.items():
         assert_same_table(fam.brackets[k],
                           extend_module_table(fam.kb, table, k, 1))
@@ -106,6 +113,18 @@ def test_degree_verdict_equals_the_kbasis_verdict(path):
             assert failing_arities(bad) == want, kind
 
 
+def test_a_bad_differential_names_its_kbasis_keys():
+    # d(e_1) = u.e_0 has degree 1 + |e_0| = 1, not 1 + |e_1| = 2
+    alg = CdgaPresentation(["u", "v"])
+    module = DgModule(alg, GradedBasis(["e0", "e1"], [0, 1]),
+                      {(1, 0): AlgebraElement.generator(0)})
+    kb = KBasis(module)
+    want = differential_table(kb).check_degrees()
+    assert len(want) == 2
+    assert BracketFamily(module, kb, {}).degree_failures() == [
+        f"arity 1: {msg}" for msg in want]
+
+
 def test_degree_failure_names_the_module_basis_tuple():
     fam = family(ROOT / "instances" / "sl2_borel.json")
     bad = corrupted(fam, 2, "wrong_degree")
@@ -117,6 +136,21 @@ def test_degree_failure_names_the_module_basis_tuple():
 
 def refuse_extension(*args, **kwargs):
     raise AssertionError("extend_module_table called")
+
+
+def refuse_differential(*args, **kwargs):
+    raise AssertionError("differential_table called")
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_kbasis_differential_applies_d_to_each_vector(path):
+    inst = Instance(load_document(str(path)))
+    for module in (inst.bmod, inst.omega_, inst.connection.tensor):
+        kb = KBasis(module)
+        for key in kb.keys:
+            want = kb.to_kvec(apply_module_differential(
+                module, module.kbasis_element(key)))
+            assert kb.differential(key) == want.coeffs, key
 
 
 def test_family_extends_on_first_read_only(monkeypatch):
@@ -141,12 +175,22 @@ REPORT_ONLY = [
      ["brackets", "--input", str(SL3), "--max-arity", "3"]),
     ("tower-sl3", "cohomology-sl3_borel",
      ["cohomology", "--input", str(SL3)]),
+    ("tower-sl3", "check-leibniz-sl3_borel",
+     ["check-leibniz", "--input", str(SL3), "--max-arity", "2"]),
     ("leibniz-sl2", "brackets-sl2_borel_shifted",
      ["brackets", "--input", str(SL2_SHIFTED), "--max-arity", "6"]),
+    ("leibniz-sl2", "check-leibniz-sl2_borel_shifted",
+     ["check-leibniz", "--input", str(SL2_SHIFTED), "--max-arity", "6"]),
+    ("leibniz-sl2", "morphism-sl2_borel_shifted",
+     ["morphism", "--input", str(SL2_SHIFTED)]),
+    ("leibniz-sl2", "homotopy-sl2_borel_shifted",
+     ["homotopy", "--input", str(SL2_SHIFTED)]),
 ] + [
     ("shipped", f"{command}-{path.stem}", [command, "--input", str(path)])
     for path in sorted((ROOT / "instances").glob("*.json"))
-    for command in ("brackets", "cohomology")]
+    for command in ("brackets", "cohomology", "check-leibniz", "morphism",
+                    "homotopy")
+    if (GOLDEN / "shipped" / f"{command}-{path.stem}.json").exists()]
 
 
 def run_report(capsys, argv) -> tuple[int, bytes]:
@@ -154,15 +198,30 @@ def run_report(capsys, argv) -> tuple[int, bytes]:
     return code, capsys.readouterr().out.encode()
 
 
+def one_generator(argv) -> bool:
+    inst = Instance(load_document(argv[argv.index("--input") + 1]))
+    return inst.algebra_.n_generators < kapranov.DECIDE_MIN_GENERATORS
+
+
 @pytest.mark.parametrize("directory, slug, argv", REPORT_ONLY,
                          ids=[slug for _, slug, _ in REPORT_ONLY])
 def test_report_only_commands_never_extend(capsys, monkeypatch, directory,
                                            slug, argv):
-    monkeypatch.setattr(kapranov, "extend_module_table", refuse_extension)
+    """A passing check over a one-generator algebra is exhaustive."""
+    exhaustive = one_generator(argv) and slug.startswith(
+        ("check-leibniz", "morphism", "homotopy"))
+    calls = []
+    monkeypatch.setattr(kapranov, "extend_module_table",
+                        lambda *args, **kwargs: calls.append(args)
+                        or extend_module_table(*args, **kwargs))
+    if not exhaustive:
+        monkeypatch.setattr(kapranov, "differential_table",
+                            refuse_differential)
     codes = json.loads((GOLDEN / directory / "exit_codes.json").read_text())
     golden = (GOLDEN / directory / f"{slug}.json").read_bytes()
     assert run_report(capsys, argv) == (codes[slug], golden)
     assert codes[slug] == 0
+    assert bool(calls) == exhaustive
 
 
 def test_cohomology_of_sl2_shifted_never_extends(capsys, monkeypatch):
