@@ -9,6 +9,7 @@ stderr instead of in a report), 2 on input errors.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -483,7 +484,7 @@ def cmd_check_leibniz(inst: Instance, args) -> dict:
 
 
 def cmd_morphism(inst: Instance, args) -> dict:
-    n_max = min(inst.max_arity(args), 4)
+    n_max = min(inst.max_arity(args), MORPHISM_MAX_ARITY)
     fam0 = kapranov_brackets(inst.connection, n_max, label=inst.label)
     phi = ModuleMorphism.identity(inst.omega_)
     dm = DerivationMorphism(inst.delta, inst.delta, phi)
@@ -599,6 +600,7 @@ COMMANDS = {
 
 
 MAX_ARITY = 6  # the schema's cap on options.max_arity
+MORPHISM_MAX_ARITY = 4  # morphism builds and checks its tower to arity 4
 
 
 def integer(low: int | None = None, high: int | None = None):
@@ -621,11 +623,19 @@ def integer(low: int | None = None, high: int | None = None):
 OPTIONS = {  # option: (metavar, value parser, help)
     "--input": ("FILE", str, "instance document (JSON), required"),
     "--max-arity": ("N", integer(1, MAX_ARITY),
-                    f"highest bracket arity / identity weight, 1..{MAX_ARITY}"),
-    "--degree": ("D", integer(), "restrict cohomology output to one degree"),
+                    "highest bracket arity / identity weight: "
+                    f"brackets and check-leibniz 1..{MAX_ARITY}, "
+                    f"morphism 1..{MORPHISM_MAX_ARITY}"),
+    "--degree": ("D", integer(),
+                 "cohomology: restrict the output to one degree"),
     "--output": ("FILE", str, "write the report here instead of stdout"),
     "--threads": ("N", integer(1),
                   "accepted for compatibility; checks run in one thread"),
+}
+COMMAND_OPTIONS = {  # option: {command that reads it: highest value or None}
+    "--max-arity": {"brackets": MAX_ARITY, "check-leibniz": MAX_ARITY,
+                    "morphism": MORPHISM_MAX_ARITY},
+    "--degree": {"cohomology": None},
 }
 USAGE = (f"usage: kapranov {{{','.join(COMMANDS)}}} --input FILE"
          + "".join(f" [{opt} {meta}]" for opt, (meta, _, _) in OPTIONS.items()
@@ -647,7 +657,9 @@ def usage_error(argument: str, message: str):
 def parse_args(argv: list[str]) -> SimpleNamespace:
     """The command, then options in any order as ``--opt value`` or
     ``--opt=value``, the last value winning; an option not given is None.
-    ``-h``/``--help`` prints the help and exits 0, a usage error exits 2."""
+    ``-h``/``--help`` prints the help and exits 0, a usage error exits 2;
+    an option of COMMAND_OPTIONS that the command does not read, or a
+    value above that command's bound, is a usage error."""
     if "-h" in argv or "--help" in argv:
         print(HELP)
         raise SystemExit(0)
@@ -670,6 +682,15 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             usage_error(opt, str(e))
     if args["--input"] is None:
         usage_error("--input", "required")
+    for opt, readers in COMMAND_OPTIONS.items():
+        value = args[opt]
+        if value is None:
+            continue
+        if argv[0] not in readers:
+            usage_error(opt, f"not accepted by {argv[0]}")
+        high = readers[argv[0]]
+        if high is not None and value > high:
+            usage_error(opt, f"{value}: must be at most {high} for {argv[0]}")
     return SimpleNamespace(command=argv[0], **{
         opt[2:].replace("-", "_"): value for opt, value in args.items()})
 
@@ -705,5 +726,19 @@ def main(argv=None) -> int:
     return 0 if report["passed"] else 1
 
 
+def run() -> None:
+    """Entry point of the ``kapranov`` script and of ``python -m
+    kapranov.cli``: exit with the status of :func:`main`, freezing the
+    heap first on every way out.  Shutdown's full collections skip frozen
+    objects, and no object here needs a finalizer at exit; ``atexit``
+    handlers and the stdio flush still run.  :func:`main` never touches
+    ``gc``, so callers that run it in their own process are unaffected.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -466,8 +466,9 @@ class _Insertion:
     0-based positions of F and of (M, k).  The term's sign is the Koszul
     sign of sigma on x_1..x_{k-1} times (-1)^{|x_F|}, the outer map's
     degree 1 passing x_F; both depend only on the parities of the
-    degrees, so ``sign`` memoises it under ``parity``, any key that
-    determines the parities of x_1..x_{k-1}.
+    degrees, so ``sign`` memoises it under ``parity``, an int whose set
+    bits mark the odd entries of a tuple that holds x_1..x_{k-1}.  Parity
+    0, all of them even, has sign 1.
     """
 
     __slots__ = ("outer", "inner", "k", "sigma", "front", "args", "signs")
@@ -480,7 +481,7 @@ class _Insertion:
         self.sigma = sigma
         self.front = tuple(s - 1 for s in sigma[:k - j])
         self.args = tuple(s - 1 for s in sigma[k - j:k - 1]) + (k - 1,)
-        self.signs: dict[int, int] = {}
+        self.signs: dict[int, int] = {0: 1}
 
     def sign(self, degs: list[int], parity) -> int:
         s = self.signs.get(parity)
@@ -495,10 +496,12 @@ class _Insertion:
         (x_F, m, x_{k+1}, ..., x_n, x_M, x_k), to (x_1, ..., x_n)."""
         s, k = len(self.front), self.k
         start = n - len(self.args) + 1  # the outer arity
-        where = {p: t for t, p in enumerate(self.front)}
-        where.update((p, start + t) for t, p in enumerate(self.args))
-        where.update((p, s + 1 + p - k) for p in range(k, n))
-        return _gather(tuple(where[p] for p in range(n)))
+        where = list(range(s + 1 - k, s + 1 - k + n))  # x_{k+1}, ..., x_n
+        for t, p in enumerate(self.front):
+            where[p] = t
+        for t, p in enumerate(self.args, start):
+            where[p] = t
+        return _gather(tuple(where))
 
 
 class _Partition:
@@ -661,11 +664,12 @@ def _check_identities(n_max: int, weight, out_basis: GradedBasis,
 
 
 def _module_residuals(n: int, degrees, insertions, outer_degree: int,
-                      partitions, out_module: DgModule) -> dict:
+                      partitions, out_module: DgModule, cache: dict) -> dict:
     """sum(insertions) - sum(partitions) on module-basis n-tuples, as
-    tuple -> A-valued residual; the counterpart of :func:`_residuals` on
-    module-basis tables, whose slots all have the basis degrees
-    ``degrees``.
+    tuple -> {(output index, monomial): coefficient}; coefficients may
+    cancel to zero.  The counterpart of :func:`_residuals` on module-basis
+    tables, whose slots all have the basis degrees ``degrees``; ``cache``
+    keeps the entries of the tables as there.
 
     An insertion runs over its inner entries as there.  Its outer map, of
     degree ``outer_degree``, takes the inner value a.e_m in slot s as
@@ -675,35 +679,46 @@ def _module_residuals(n: int, degrees, insertions, outer_degree: int,
     the values of its blocks.
     """
     parities = [[d % 2 for d in degrees]] * n
-    acc: dict[tuple, ModuleElement] = {}
+    acc: dict[tuple, dict] = {}
 
-    def add(x, v):
-        acc[x] = acc[x] + v if x in acc else v
-
-    def sign_of(term, x):
-        return term.sign([degrees[i] for i in x], _parity_bits(x, parities))
+    def add(x, coeffs, sign):
+        row = acc.setdefault(x, {})
+        for i, a in coeffs.items():
+            for mon, c in a.terms.items():
+                row[i, mon] = row.get((i, mon), 0) + sign * c
 
     for term in insertions:
         if isinstance(term.outer, _Differential):
             # d(inner(x_1, ..., x_n)): k = n, no front block, sign 1
             for x, v in term.inner.items():
-                add(x, apply_module_differential(term.outer.module, v))
+                add(x, apply_module_differential(term.outer.module, v).coeffs, 1)
             continue
         s = len(term.front)
-        by_m: dict[int, list] = {}
-        for key, val in term.outer.items():
-            by_m.setdefault(key[s], []).append(
-                (key, (outer_degree + sum(degrees[i] for i in key[:s])) % 2,
-                 val))
-        scatter = term.scatter(n)
-        for args, v in term.inner.items():
-            for m, a in v.coeffs.items():
-                odd = AlgebraElement._trusted({mon: -c if len(mon) % 2 else c
-                                               for mon, c in a.terms.items()})
-                for key, passes_odd, val in by_m.get(m, ()):
+        by_m = _entries_by_slot(cache, term.outer, s, parities)
+        signs, scatter = term.signs, None
+        for args, arg_bits, values in _entries(cache, term.inner, parities):
+            arg_bits <<= s
+            for m, a in values.items():
+                hits = by_m.get(m)
+                if hits is None:
+                    continue
+                if scatter is None:
+                    scatter = term.scatter(n)
+                for key, head_bits, out in hits:
                     x = scatter(key + args)
-                    add(x, val.left_mul(odd if passes_odd else a).scale(
-                        sign_of(term, x)))
+                    parity = head_bits | arg_bits
+                    sign = signs.get(parity) or term.sign(
+                        [degrees[i] for i in x], parity)
+                    flip = (outer_degree + head_bits.bit_count()) % 2
+                    row = acc.setdefault(x, {})
+                    for ma, ca in a.terms.items():
+                        ca = -sign * ca if flip and len(ma) % 2 else sign * ca
+                        for i, b in out.items():
+                            for mb, cb in b.terms.items():
+                                wedge, mon = _merge_monomials(ma, mb)
+                                if wedge:
+                                    row[i, mon] = (row.get((i, mon), 0)
+                                                   + wedge * ca * cb)
     for term in partitions:
         for combo in itertools.product(*(t.items() for t in term.tables)):
             x = term.scatter(tuple(itertools.chain.from_iterable(
@@ -715,7 +730,9 @@ def _module_residuals(n: int, degrees, insertions, outer_degree: int,
                 val = eval_table_on_elements(term.outer, 1, values,
                                              [out_module] * len(values),
                                              out_module)
-            add(x, val.scale(-sign_of(term, x)))
+            parity = _parity_bits(x, parities)
+            add(x, val.coeffs, -(term.signs.get(parity) or term.sign(
+                [degrees[i] for i in x], parity)))
     return acc
 
 
@@ -734,8 +751,9 @@ def _decided_report(n_max: int, n_keys: int, weight, residuals, decide: bool,
     and vanishes exactly when it vanishes on module-basis tuples; the
     caller passes ``decide`` false when that premise fails.  ``weight(n)``
     gives the term count and the terms at weight n on module-basis
-    tables, ``residuals(n, insertions, partitions)`` their residuals
-    there.  A weight that passes gets the exhaustive entry of a passing
+    tables, ``residuals(n, insertions, partitions, cache)`` their
+    residuals there, ``cache`` keeping the tables' entries from one
+    weight to the next.  A weight that passes gets the exhaustive entry of a passing
     weight: its k-basis tuple count (``n_keys`` per slot), its term count
     and no failures.  If some weight fails, ``exhaustive(n)`` checks every
     weight up to the highest failing one on the k-basis and supplies those
@@ -743,14 +761,14 @@ def _decided_report(n_max: int, n_keys: int, weight, residuals, decide: bool,
     """
     if not decide:
         return exhaustive(n_max)
-    entries, failing = [], 0
+    entries, failing, cache = [], 0, {}
     for n in range(1, n_max + 1):
         n_terms, insertions, partitions = weight(n)
         entries.append({"n": n, "terms": n_terms,
                         "tuples": n_keys ** n if n_terms else 0,
                         "failures": []})
-        if n_terms and any(r.coeffs for r in
-                           residuals(n, insertions, partitions).values()):
+        if n_terms and any(any(row.values()) for row in residuals(
+                n, insertions, partitions, cache).values()):
             failing = n
     if not failing:
         return {"passed": True, "weights": entries}
@@ -792,9 +810,9 @@ def check_leibniz_infinity(fam: BracketFamily, n_max: int,
     decide = (algebra.n_generators >= DECIDE_MIN_GENERATORS
               and fam.homogeneous() and not validate_cdga(algebra))
 
-    def residuals(n, insertions, partitions):
+    def residuals(n, insertions, partitions, cache):
         return _module_residuals(n, fam.module.basis.degrees, insertions, 1,
-                                 partitions, fam.module)
+                                 partitions, fam.module, cache)
     return _decided_report(
         n_max, len(fam.kb.keys), lambda n: _leibniz_terms(n, active, maps),
         residuals, decide,
@@ -914,9 +932,9 @@ def check_linfty_morphism(mor: MorphismFamily, n_max: int,
               and all(_homogeneous(t, 0, degrees, target_degrees)
                       for t in mor.module_tables.values()))
 
-    def residuals(n, insertions, partitions):
+    def residuals(n, insertions, partitions, cache):
         return _module_residuals(n, degrees, insertions, 0, partitions,
-                                 mor.target.module)
+                                 mor.target.module, cache)
     return _decided_report(
         n_max, len(mor.source.kb.keys),
         lambda n: _morphism_terms(n, active, mor.module_tables, lam, lamp),

@@ -1,8 +1,10 @@
 """Command-line front end: document handling, exit codes, determinism."""
 
+import gc
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -22,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment of a child interpreter that imports kapranov from
+    this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 class TestExitCodes:
@@ -62,8 +71,7 @@ class TestExitCodes:
         code = ("import json, sys; before = set(sys.modules); "
                 "import kapranov.cli; print(json.dumps(sorted("
                 "{m.partition('.')[0] for m in set(sys.modules) - before})))")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        env = src_env()
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         loaded = set(json.loads(out))
@@ -95,8 +103,7 @@ class TestExitCodes:
                 "& set(sys.modules)))\n"
                 "print(json.dumps(seen))")
         sl3 = str(ROOT / "bench" / "instances" / "sl3_borel.json")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        env = src_env()
         out = subprocess.run(
             [sys.executable, "-S", "-c", code,
              f"check-leibniz --input {sl3} --max-arity 3",
@@ -287,6 +294,39 @@ class TestInputBounds:
         assert usage.startswith("usage: kapranov ")
         assert error.startswith(f"kapranov: error: argument {argument}: ")
 
+    @pytest.mark.parametrize("argv,argument,message", [
+        *[([command, "--input", "x.json", "--degree", "0"], "--degree",
+           f"not accepted by {command}")
+          for command in ("validate", "atiyah", "brackets", "check-leibniz",
+                          "morphism", "homotopy")],
+        *[([command, "--input", "x.json", "--max-arity=2"], "--max-arity",
+           f"not accepted by {command}")
+          for command in ("validate", "atiyah", "homotopy", "cohomology")],
+        (["morphism", "--input", "x.json", "--max-arity", "5"], "--max-arity",
+         "5: must be at most 4 for morphism"),
+        (["morphism", "--max-arity=6", "--input", "x.json"], "--max-arity",
+         "6: must be at most 4 for morphism"),
+    ])
+    def test_option_a_command_ignores_exits_2(self, capsys, argv, argument,
+                                              message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[1] == (
+            f"kapranov: error: argument {argument}: {message}")
+
+    @pytest.mark.parametrize("argv", [
+        ["brackets", "--max-arity", "6"], ["check-leibniz", "--max-arity", "6"],
+        ["morphism", "--max-arity", "4"], ["cohomology", "--degree", "0"],
+    ])
+    def test_option_a_command_reads_is_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--threads", "2", "--input",
+                           str(INSTANCES / "abelian_trivial.json"))
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_exits_0_with_the_usage_on_stdout(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -462,8 +502,7 @@ class TestCommands:
         assert "Traceback" not in err
 
     def test_unwritable_output_exits_2_in_a_fresh_process(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        env = src_env()
         proc = subprocess.run(
             [sys.executable, "-m", "kapranov.cli", "validate",
              "--input", str(INSTANCES / "abelian_trivial.json"),
@@ -635,3 +674,80 @@ class TestDeterminism:
                           "--input", str(INSTANCES / "abelian_trivial.json"))
         assert "elapsed" not in out
         assert "elapsed" in err
+
+
+class TestExitPath:
+    """``python -m kapranov.cli`` and the ``kapranov`` script exit through
+    ``kapranov.cli.run``, which freezes the heap before the interpreter
+    shuts down; in-process callers of ``main`` keep theirs unfrozen."""
+
+    # runs the module as ``python -m`` does, and reports from an atexit
+    # hook, which shutdown calls before its collections
+    PROBE = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print(f'frozen {gc.get_freeze_count()}',"
+             " file=sys.stderr))\n"
+             "runpy.run_module('kapranov.cli', run_name='__main__')\n")
+
+    CASES = [
+        (["validate", "--input", str(INSTANCES / "abelian_trivial.json")], 0),
+        (["validate", "--input", str(FIXTURES / "bad_jacobi.json")], 1),
+        (["validate", "--input", "BROKEN"], 2),
+        (["validate", "--max-arity", "3"], 2),
+    ]
+
+    @staticmethod
+    def argv_with(argv, tmp_path):
+        """``argv`` with BROKEN replaced by a file that is not JSON."""
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        return [str(broken) if a == "BROKEN" else a for a in argv]
+
+    @pytest.mark.parametrize("argv,code", CASES)
+    def test_every_exit_freezes_the_heap(self, tmp_path, argv, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *self.argv_with(argv, tmp_path)],
+            env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        frozen = proc.stderr.splitlines()[-1]
+        assert re.fullmatch(r"frozen [1-9][0-9]*", frozen), proc.stderr
+
+    @pytest.mark.parametrize("argv,code", CASES)
+    def test_python_m_matches_main_in_process(self, capsys, tmp_path, argv,
+                                              code):
+        argv = self.argv_with(argv, tmp_path)
+        try:
+            got = main(argv)
+        except SystemExit as e:
+            got = e.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "kapranov.cli", *argv],
+                              env=src_env(), capture_output=True)
+        assert got == proc.returncode == code
+        assert proc.stdout == out.encode()
+
+    def test_output_file_is_complete_at_exit(self, capsys, tmp_path):
+        argv = ["check-leibniz", "--input", str(INSTANCES / "sl2_borel.json")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kapranov.cli", *argv,
+             "--output", str(tmp_path / "report.json")],
+            env=src_env(), capture_output=True)
+        assert proc.returncode == 0
+        assert proc.stdout == b""
+        assert main(argv) == 0
+        assert (tmp_path / "report.json").read_text() == capsys.readouterr().out
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["validate", "--input",
+                     str(INSTANCES / "abelian_trivial.json")]) == 0
+        with pytest.raises(SystemExit):
+            main(["validate"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    def test_installed_script_runs_through_run(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r"^kapranov\s*=\s*(.*)$", scripts, re.M) == [
+            '"kapranov.cli:run"']
