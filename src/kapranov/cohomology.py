@@ -11,8 +11,6 @@ deterministic representatives of cohomology classes.  Entries stay
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from .graded import ONE, ZERO, exact, exact_div
 from .modules import DgModule, KBasis, ModuleElement, apply_module_differential
 
@@ -102,23 +100,6 @@ def _from_columns(columns: list[Vector], n_rows: int) -> Matrix:
     return [[col[i] for col in columns] for i in range(n_rows)]
 
 
-def solve_affine(residual: Callable[[Vector], Vector],
-                 n_unknowns: int) -> Vector | None:
-    """One x with residual(x) = 0 (free variables zero), or None.
-
-    ``residual`` must be affine: its value at 0 and the differences of its
-    values at the unit vectors from it are the constant and the columns
-    of the linear part, which :func:`solve_linear` then solves.
-    """
-    base = residual([ZERO] * n_unknowns)
-    columns = []
-    for u in range(n_unknowns):
-        x = [ZERO] * n_unknowns
-        x[u] = ONE
-        columns.append([exact(a - b) for a, b in zip(residual(x), base)])
-    return solve_columns(base, columns)
-
-
 def solve_columns(base: Vector, columns: list[Vector]) -> Vector | None:
     """One x with base + sum_u x_u columns[u] = 0 (free variables zero),
     or None."""
@@ -126,43 +107,6 @@ def solve_columns(base: Vector, columns: list[Vector]) -> Vector | None:
     if x is None:
         return None
     return x or [ZERO] * len(columns)
-
-
-class RowSpace:
-    """Incremental RREF row space, for reduction mod a growing span."""
-
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
-        self.rows: list[Vector] = []   # kept in echelon form
-        self.pivots: list[int] = []
-
-    def reduce(self, v: Vector) -> Vector:
-        v = v[:]
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                _eliminate(v, v[pc], row,
-                           [j for j in range(pc, self.n_cols) if row[j]])
-        return v
-
-    def add(self, v: Vector) -> bool:
-        """Insert v; returns True if it enlarged the space."""
-        v = self.reduce(v)
-        pc = next((c for c in range(self.n_cols) if v[c]), None)
-        if pc is None:
-            return False
-        v = _divided(v, v[pc])
-        support = [j for j in range(pc, self.n_cols) if v[j]]
-        for row in self.rows:
-            if row[pc]:
-                _eliminate(row, row[pc], v, support)
-        pos = next((k for k, p in enumerate(self.pivots) if p > pc), len(self.pivots))
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, pc)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 class CochainComplex:
@@ -173,6 +117,7 @@ class CochainComplex:
         self.module = module
         self.kb = KBasis(module)
         self._dmat: dict[int, Matrix] = {}
+        self._degrees: dict[int, tuple[int, int, list[ModuleElement]]] = {}
 
     def degrees(self) -> list[int]:
         return sorted(self.kb.slices)
@@ -190,36 +135,39 @@ class CochainComplex:
                 for key in kb.slice(n)]
         return self._dmat[n]
 
-    def cocycles(self, n: int) -> list[Vector]:
-        return kernel_basis(_from_columns(self.diff_matrix(n), self.dim(n + 1)),
-                            self.dim(n))
+    def _degree(self, n: int) -> tuple[int, int, list[ModuleElement]]:
+        """(dim Z^n, rank d_{n-1}, representatives of H^n), computed once.
 
-    def coboundary_space(self, n: int) -> RowSpace:
-        space = RowSpace(self.dim(n))
-        for row in self.diff_matrix(n - 1):
-            space.add(row)
-        return space
+        One ``rref`` of the columns [rows of d_{n-1} | cocycles]: a column
+        is a pivot exactly when it lies outside the span of the columns
+        before it, so the pivot cocycles are the first cocycles, in
+        kernel-basis order, outside the coboundaries and the cocycles
+        before them.
+        """
+        if n not in self._degrees:
+            cocycles = kernel_basis(
+                _from_columns(self.diff_matrix(n), self.dim(n + 1)), self.dim(n))
+            boundaries = self.diff_matrix(n - 1)
+            _, pivots = rref(_from_columns(boundaries + cocycles, self.dim(n)))
+            rank = sum(1 for p in pivots if p < len(boundaries))
+            self._degrees[n] = (len(cocycles), rank, [
+                self.kb.from_vector(cocycles[p - len(boundaries)], n)
+                for p in pivots[rank:]])
+        return self._degrees[n]
 
     def cohomology_basis(self, n: int) -> list[ModuleElement]:
         """Deterministic representatives of a basis of H^n."""
-        image = self.coboundary_space(n)
-        reps = []
-        seen = RowSpace(self.dim(n))
-        for row in image.rows:
-            seen.add(row)
-        for z in self.cocycles(n):
-            if seen.add(z):
-                reps.append(self.kb.from_vector(z, n))
-        return reps
+        return list(self._degree(n)[2])
 
     def cohomology_reps(self) -> list[tuple[int, ModuleElement]]:
         """(degree, representative) for a basis of all of H, by degree."""
         return [(n, rep) for n in self.degrees()
-                for rep in self.cohomology_basis(n)]
+                for rep in self._degree(n)[2]]
 
     def betti(self, n: int) -> int:
-        n_cocycles = len(self.cocycles(n))
-        return n_cocycles - self.coboundary_space(n).dim
+        """dim Z^n - rank d_{n-1}, also when d^2 != 0 (H^n is then undefined)."""
+        n_cocycles, rank, _ = self._degree(n)
+        return n_cocycles - rank
 
     def is_cocycle(self, v: ModuleElement) -> bool:
         return apply_module_differential(self.module, v).is_zero()
@@ -260,7 +208,7 @@ class CochainComplex:
         n = v.degree()
         if not self.is_cocycle(v):
             raise ValueError("class_coordinates called on a non-cocycle")
-        reps = self.cohomology_basis(n)
+        reps = self._degree(n)[2]
         # solve [reps | coboundaries] . x = v
         cols = [self.kb.to_vector(r, n) for r in reps] + self.diff_matrix(n - 1)
         x = solve_linear(_from_columns(cols, self.dim(n)),

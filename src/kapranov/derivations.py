@@ -8,10 +8,8 @@ delta' - delta = d o h + h o d_A.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .algebra import AlgebraElement, CdgaPresentation
-from .cohomology import solve_affine
+from .cohomology import solve_columns
 from .graded import ONE, GradedBasis
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
@@ -141,7 +139,10 @@ def find_homotopy(delta: DgDerivation,
     """Solve delta' - delta = d o h + h o d_A for a degree -1 derivation h.
 
     The unknowns are the generator values h(g_i), elements of the degree-0
-    slice of Omega; the equations are linear, solved exactly over Q.
+    slice of Omega; the equations are linear, solved exactly over Q.  The
+    unknown h(g) = w, for a k-basis element w, has the column whose block
+    g' holds the degree-1 coordinates of d(h(g')) + h(d_A g'), with h = 0
+    on the other generators.
     Returns None when the two derivations are not homotopic.
     """
     if delta.target.basis != delta_prime.target.basis:
@@ -149,29 +150,26 @@ def find_homotopy(delta: DgDerivation,
     alg = delta.algebra
     omega = delta.target
     kb = KBasis(omega)
+    gens = range(alg.n_generators)
+    d_gens = [alg.diff.get(g, AlgebraElement()) for g in gens]
+    zero = omega.zero()
+    base = [-c for g in gens for c in kb.to_vector(
+        delta_prime.values.get(g, zero) - delta.values.get(g, zero), 1)]
+    columns = []
+    for g in gens:
+        for key in kb.slice(0):
+            w = omega.kbasis_element(key)
+            h = DerivationHomotopy(alg, omega, {g: w})
+            dw = apply_module_differential(omega, w)
+            columns.append([c for g2, d_gen in zip(gens, d_gens)
+                            for c in kb.to_vector(
+                                h(d_gen) + dw if g2 == g else h(d_gen), 1)])
+    x = solve_columns(base, columns)
+    if x is None:
+        return None
     n0 = len(kb.slice(0))
-    gens = [AlgebraElement.generator(g) for g in range(alg.n_generators)]
-    d_gens = [alg.diff.get(g, AlgebraElement()) for g in range(alg.n_generators)]
-    offsets = [delta_prime.values.get(g, omega.zero())
-               - delta.values.get(g, omega.zero())
-               for g in range(alg.n_generators)]
-
-    def homotopy_from_vector(x: Sequence[Scalar]) -> DerivationHomotopy:
-        return DerivationHomotopy(alg, omega, {
-            g: kb.from_vector(x[g * n0:(g + 1) * n0], 0)
-            for g in range(alg.n_generators)})
-
-    def residual(x: Sequence[Scalar]) -> list[Scalar]:
-        # d(h(g)) + h(d_A g) - (delta' - delta)(g), per generator g
-        h = homotopy_from_vector(x)
-        out: list[Scalar] = []
-        for gen, d_gen, offset in zip(gens, d_gens, offsets):
-            out.extend(kb.to_vector(apply_module_differential(omega, h(gen))
-                                    + h(d_gen) - offset, 1))
-        return out
-
-    x = solve_affine(residual, alg.n_generators * n0)
-    return None if x is None else homotopy_from_vector(x)
+    return DerivationHomotopy(alg, omega, {
+        g: kb.from_vector(x[g * n0:(g + 1) * n0], 0) for g in gens})
 
 
 class DerivationMorphism:

@@ -28,7 +28,8 @@ from .graded import (ONE, Element, GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract,
-                      dual_morphism_between, simple_tensor)
+                      dual_morphism_between, simple_tensor,
+                      validate_dg_module)
 
 
 class CheckFailure(Exception):
@@ -1298,10 +1299,15 @@ class CohomologyBracket:
     """The binary bracket induced on cohomology classes.
 
     [[b1],[b2]] = (-1)^{|b1|} [R_2(b1, b2)], tabulated on deterministic
-    representatives of H(B).
+    representatives of H(B).  H(B) needs d^2 = 0 on A and on B: the first
+    failure of either check is raised as a CheckFailure before any
+    elimination.
     """
 
     def __init__(self, fam: BracketFamily):
+        failures = validate_cdga(fam.module.algebra) + validate_dg_module(fam.module)
+        if failures:
+            raise CheckFailure(failures[0])
         self.fam = fam
         self.complex = CochainComplex(fam.module)
         self.reps = self.complex.cohomology_reps()

@@ -586,6 +586,16 @@ class TestBuildTimeCheckFailures:
         assert "check failed" in err
         assert "bracket output is not closed" in err
 
+    def test_cohomology_of_a_module_with_d_squared_nonzero_exits_1(self,
+                                                                     capsys):
+        # H is undefined where d^2 != 0, so no Betti number is reported
+        code, out, err = run(capsys, "cohomology", "--input",
+                             str(FIXTURES / "bad_d_squared.json"))
+        assert code == 1
+        assert out == ""
+        assert "check failed" in err
+        assert "d^2(a) = (-1)*b^p^q" in err
+
     def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
         from kapranov import kapranov
         real = kapranov.kapranov_brackets
