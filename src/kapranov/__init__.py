@@ -39,13 +39,9 @@ from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
                        exhaustive_morphism, homotopy_iso,
                        kapranov_brackets, kapranov_module, kapranov_morphism,
                        trivialization)
-from .builders import (LiePair, LinearMapObject, LinearMapSetup, PairSetup,
-                       abelian_pair, adjoint_linear_map,
-                       adjoint_trivial_linear_map, affine_pair,
-                       coadjoint_module, double_adjoint_linear_map,
+from .builders import (LiePair, LinearMapObject, Setup, coadjoint_module,
                        lie_pair_setup, linear_map_setup,
-                       loday_pirashvili_bracket, sl2_borel_pair,
-                       splitting_homotopy)
+                       loday_pirashvili_bracket, splitting_homotopy)
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,8 @@
-"""Builders for the two families of worked instances.
+"""The set-up the construction starts from, and its two worked sources.
+
+The functor starts from one datum, a :class:`Setup`: a cdga A, a dg
+derivation delta: A -> Omega, B = Omega^ and a delta-connection on B.
+Two families of instances supply it:
 
 * Lie pairs (L, A): A a subalgebra of L, B = L/A the Bott module.  The
   Chevalley-Eilenberg algebra of A together with the splitting-dependent
@@ -16,13 +20,37 @@ from .algebra import AlgebraElement, CdgaPresentation, LieAlgebraData, ce_algebr
 from .connections import DeltaConnection, extend_connection
 from .derivations import DerivationHomotopy, DgDerivation, homotopy_offset
 from .graded import GradedBasis, exact
-from .modules import DgModule, ModuleElement, dual_module
+from .modules import DgModule, ModuleElement, add_term, dual_module
 
 
 def _as_fraction_dict(d):
     """``d`` with its values normalised by :func:`exact`, zeros dropped."""
     out = {k: exact(v) for k, v in d.items()}
     return {k: v for k, v in out.items() if v}
+
+
+class Setup:
+    """One instance of the datum: ``algebra`` A, ``omega``, ``delta``:
+    A -> Omega, ``bmod`` B = Omega^ and a delta-``connection`` on B.
+
+    A Lie pair's set-up also keeps its ``pair`` and ``splitting``, a
+    linear map's its :class:`LinearMapObject` as ``data``; a set-up read
+    from raw data keeps neither.
+    """
+
+    def __init__(self, algebra: CdgaPresentation, omega: DgModule,
+                 delta: DgDerivation, bmod: DgModule,
+                 connection: DeltaConnection, pair: LiePair | None = None,
+                 splitting: dict | None = None,
+                 data: LinearMapObject | None = None):
+        self.algebra = algebra
+        self.omega = omega
+        self.delta = delta
+        self.bmod = bmod
+        self.connection = connection
+        self.pair = pair
+        self.splitting = {} if splitting is None else splitting
+        self.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -85,23 +113,8 @@ class LiePair:
         return [self.ambient.names[i] + "~" for i in self.quot_indices]
 
 
-class PairSetup:
-    """Everything :func:`lie_pair_setup` builds for one splitting."""
-
-    def __init__(self, pair: LiePair, algebra: CdgaPresentation,
-                 omega: DgModule, delta: DgDerivation, bmod: DgModule,
-                 connection: DeltaConnection, splitting: dict | None = None):
-        self.pair = pair
-        self.algebra = algebra
-        self.omega = omega
-        self.delta = delta
-        self.bmod = bmod
-        self.connection = connection
-        self.splitting = {} if splitting is None else splitting
-
-
 def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
-                   label: str = "") -> PairSetup:
+                   label: str = "") -> Setup:
     """CE(A), Omega = C(A, B^), delta_j and the canonical connection.
 
     ``splitting`` maps a quotient position to {sub position: coefficient},
@@ -121,12 +134,7 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
         a_idx = pair.sub_indices[t]
         for j in range(n_quot):
             for i, c in pair.bott_action(a_idx, j).items():
-                cur = diff.get((i, j), AlgebraElement())
-                cur = cur + AlgebraElement.monomial((t,), -c)
-                if cur.is_zero():
-                    diff.pop((i, j), None)
-                else:
-                    diff[(i, j)] = cur
+                add_term(diff, (i, j), AlgebraElement.monomial((t,), -c))
     omega = DgModule(algebra, GradedBasis([n + "^" for n in qnames],
                                           [0] * n_quot), diff,
                      label=f"Omega({label or pair.label})")
@@ -140,30 +148,35 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
                                           pair.sub_indices[c])
                 coeff = br.get(pair.sub_indices[t], 0)
                 if coeff:
-                    cur = acc.get(b, AlgebraElement())
-                    cur = cur + AlgebraElement.monomial((c,), coeff)
-                    if cur.is_zero():
-                        acc.pop(b, None)
-                    else:
-                        acc[b] = cur
+                    add_term(acc, b, AlgebraElement.monomial((c,), coeff))
         if acc:
             values[t] = ModuleElement(omega, acc)
     delta = DgDerivation(algebra, omega, values,
                          label=f"delta({label or pair.label})")
     if splitting:
-        h_values: dict[int, ModuleElement] = {}
-        for b_pos, coeffs in splitting.items():
-            for a_pos, c in _as_fraction_dict(coeffs).items():
-                cur = h_values.get(a_pos, omega.zero())
-                h_values[a_pos] = cur + ModuleElement(
-                    omega, {b_pos: AlgebraElement.scalar(-c)})
-        h = DerivationHomotopy(algebra, omega, h_values)
-        delta = homotopy_offset(delta, h)
+        delta = homotopy_offset(
+            delta, _splitting_difference(algebra, omega, {}, splitting))
         delta.label = f"delta_j({label or pair.label})"
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^"))
     conn = extend_connection(delta, bmod, label="canonical")
-    return PairSetup(pair, algebra, omega, delta, bmod, conn,
-                     splitting=splitting or {})
+    return Setup(algebra, omega, delta, bmod, conn, pair=pair,
+                 splitting=splitting)
+
+
+def _splitting_difference(algebra: CdgaPresentation, omega: DgModule,
+                          s: dict, s_prime: dict) -> DerivationHomotopy:
+    """The homotopy (s - s')^: xi^a |-> sum_b (s[b][a] - s'[b][a]) b^, for
+    two splittings given as {quotient position: {sub position: c}}."""
+    values: dict[int, dict[int, AlgebraElement]] = {}
+    for b_pos in range(omega.rank):
+        s_b = _as_fraction_dict(s.get(b_pos, {}))
+        s_prime_b = _as_fraction_dict(s_prime.get(b_pos, {}))
+        for a_pos in set(s_b) | set(s_prime_b):
+            c = s_b.get(a_pos, 0) - s_prime_b.get(a_pos, 0)
+            if c:
+                values.setdefault(a_pos, {})[b_pos] = AlgebraElement.scalar(c)
+    return DerivationHomotopy(algebra, omega, {
+        a_pos: ModuleElement(omega, row) for a_pos, row in values.items()})
 
 
 class OffsetMismatch(ValueError):
@@ -175,7 +188,8 @@ class OffsetMismatch(ValueError):
         self.homotopy = homotopy
 
 
-def splitting_homotopy(setup_from: PairSetup, setup_to: PairSetup) -> DerivationHomotopy:
+def splitting_homotopy(setup_from: Setup,
+                       setup_to: Setup) -> DerivationHomotopy:
     """The homotopy h = (j - j')^ carrying one splitting's delta to the
     other's; verified against homotopy_offset before returning (raises
     OffsetMismatch if it does not match)."""
@@ -188,18 +202,8 @@ def splitting_homotopy(setup_from: PairSetup, setup_to: PairSetup) -> Derivation
                      == setup_to.pair.sub_indices))
     if not same_pair:
         raise ValueError("setups must come from the same Lie pair")
-    omega = setup_from.omega
-    h_values: dict[int, ModuleElement] = {}
-    for b_pos in range(omega.rank):
-        s_from = _as_fraction_dict(setup_from.splitting.get(b_pos, {}))
-        s_to = _as_fraction_dict(setup_to.splitting.get(b_pos, {}))
-        for a_pos in set(s_from) | set(s_to):
-            c = s_from.get(a_pos, 0) - s_to.get(a_pos, 0)
-            if c:
-                cur = h_values.get(a_pos, omega.zero())
-                h_values[a_pos] = cur + ModuleElement(
-                    omega, {b_pos: AlgebraElement.scalar(c)})
-    h = DerivationHomotopy(setup_from.algebra, omega, h_values)
+    h = _splitting_difference(setup_from.algebra, setup_from.omega,
+                              setup_from.splitting, setup_to.splitting)
     if homotopy_offset(setup_from.delta, h) != setup_to.delta:
         raise OffsetMismatch("computed homotopy does not carry delta to "
                              "delta'", h)
@@ -293,21 +297,7 @@ class LinearMapObject:
         return out
 
 
-class LinearMapSetup:
-    """Everything :func:`linear_map_setup` builds for one linear map."""
-
-    def __init__(self, data: LinearMapObject, algebra: CdgaPresentation,
-                 omega: DgModule, delta: DgDerivation, bmod: DgModule,
-                 connection: DeltaConnection):
-        self.data = data
-        self.algebra = algebra
-        self.omega = omega
-        self.delta = delta
-        self.bmod = bmod
-        self.connection = connection
-
-
-def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
+def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
     """A = CE(g), Omega = C(g, E^) with E^ in degree +1, delta = psi^.
 
     B = dual(Omega) = C(g, E[1]) carries the degenerate tower: the only
@@ -320,12 +310,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
     diff: dict[tuple[int, int], AlgebraElement] = {}
     for a in data.actions:
         for (j, i), c in data.actions[a].items():
-            cur = diff.get((i, j), AlgebraElement())
-            cur = cur + AlgebraElement.monomial((a,), -c)
-            if cur.is_zero():
-                diff.pop((i, j), None)
-            else:
-                diff[(i, j)] = cur
+            add_term(diff, (i, j), AlgebraElement.monomial((a,), -c))
     omega = DgModule(algebra, GradedBasis([n + "^" for n in data.e_names],
                                           [1] * dim), diff,
                      label=f"Omega({label or data.label})")
@@ -342,7 +327,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> LinearMapSetup:
                          label=f"psi^({label or data.label})")
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
     conn = extend_connection(delta, bmod, label="trivial")
-    return LinearMapSetup(data, algebra, omega, delta, bmod, conn)
+    return Setup(algebra, omega, delta, bmod, conn, data=data)
 
 
 def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int, Scalar]:
@@ -354,93 +339,7 @@ def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int,
     return {k: exact(c) for k, c in out.items() if c}
 
 
-# ---------------------------------------------------------------------------
-# stock instances
-
-def sl2() -> LieAlgebraData:
-    return LieAlgebraData(["h", "e", "f"],
-                          {(0, 1): {1: 2},
-                           (0, 2): {2: -2},
-                           (1, 2): {0: 1}})
-
-
-def affine() -> LieAlgebraData:
-    return LieAlgebraData(["x", "y"], {(0, 1): {1: 1}})
-
-
-def abelian(n: int = 2) -> LieAlgebraData:
-    return LieAlgebraData([f"z{i + 1}" for i in range(n)], {})
-
-
-def heisenberg() -> LieAlgebraData:
-    return LieAlgebraData(["x", "y", "z"], {(0, 1): {2: 1}})
-
-
-def sl2_borel_pair(splitting: dict | None = None) -> PairSetup:
-    """sl2 over its Borel subalgebra span(h, e); quotient spanned by f~.
-
-    The standard splitting is j0(f~) = f; pass {0: {1: 1}} for
-    j'(f~) = f + e.
-    """
-    pair = LiePair(sl2(), [0, 1], label="sl2/borel")
-    return lie_pair_setup(pair, splitting, label="sl2/borel")
-
-
-def affine_pair(splitting: dict | None = None) -> PairSetup:
-    """[x, y] = y over A = span(x).  j0(y~) = y makes delta = 0; the
-    shifted splitting {0: {0: 1}} (j(y~) = y + x) does not."""
-    pair = LiePair(affine(), [0], label="affine/x")
-    return lie_pair_setup(pair, splitting, label="affine/x")
-
-
-def abelian_pair() -> PairSetup:
-    """Two-dimensional abelian pair: delta = 0, everything degenerates."""
-    pair = LiePair(abelian(2), [0], label="abelian")
-    return lie_pair_setup(pair, label="abelian")
-
-
-def adjoint_linear_map() -> LinearMapSetup:
-    """psi = id: g -> g for the affine algebra; the recovered bracket on
-    E is the Lie bracket itself."""
-    lie = affine()
-    actions = {
-        0: {(1, 1): 1},   # ad_x: y -> y
-        1: {(0, 1): -1},  # ad_y: x -> -y
-    }
-    psi = {0: {0: 1}, 1: {1: 1}}
-    return linear_map_setup(
-        LinearMapObject(lie, ["a", "b"], actions, psi, label="adjoint"))
-
-
-def double_adjoint_linear_map() -> LinearMapSetup:
-    """E = g (+) g with the diagonal adjoint action and psi the projection
-    onto the second copy: the recovered bracket is not skew-symmetric."""
-    lie = affine()
-    actions = {
-        0: {(1, 1): 1, (3, 3): 1},
-        1: {(0, 1): -1, (2, 3): -1},
-    }
-    psi = {2: {0: 1}, 3: {1: 1}}
-    return linear_map_setup(
-        LinearMapObject(lie, ["a1", "b1", "a2", "b2"], actions, psi,
-                        label="adjoint(+)adjoint"))
-
-
-def adjoint_trivial_linear_map() -> LinearMapSetup:
-    """E = g (+) Q.t with t acted on trivially and psi = (id, 0): the
-    carrier B = C(g, E[1]) has nonzero cohomology (carried by t)."""
-    lie = affine()
-    actions = {
-        0: {(1, 1): 1},
-        1: {(0, 1): -1},
-    }
-    psi = {0: {0: 1}, 1: {1: 1}}
-    return linear_map_setup(
-        LinearMapObject(lie, ["a", "b", "t"], actions, psi,
-                        label="adjoint(+)trivial"))
-
-
-def coadjoint_module(setup: LinearMapSetup) -> tuple[DgModule, DeltaConnection]:
+def coadjoint_module(setup: Setup) -> tuple[DgModule, DeltaConnection]:
     """The coadjoint representation as a dg module over the same CE(g),
     with its canonical (forced) delta-connection."""
     lie = setup.data.lie
@@ -454,12 +353,7 @@ def coadjoint_module(setup: LinearMapSetup) -> tuple[DgModule, DeltaConnection]:
             if lo == hi:
                 continue
             for k, c in lie.bracket(a, j).items():
-                cur = diff.get((k, j), AlgebraElement())
-                cur = cur + AlgebraElement.monomial((a,), -c)
-                if cur.is_zero():
-                    diff.pop((k, j), None)
-                else:
-                    diff[(k, j)] = cur
+                add_term(diff, (k, j), AlgebraElement.monomial((a,), -c))
     module = DgModule(setup.algebra,
                       GradedBasis([n_ + "*" for n_ in lie.names],
                                   [0] * n), diff, label="coadjoint")

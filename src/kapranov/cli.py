@@ -17,9 +17,9 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .algebra import (AlgebraElement, LieAlgebraData, canonical_monomial,
-                      validate_cdga)
-from .builders import (LiePair, LinearMapObject, OffsetMismatch,
+from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
+                      canonical_monomial, validate_cdga)
+from .builders import (LiePair, LinearMapObject, OffsetMismatch, Setup,
                        lie_pair_setup, linear_map_setup, splitting_homotopy)
 from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                           connection_difference_element, extend_connection,
@@ -30,7 +30,8 @@ from .graded import GradedBasis, exact
 from .kapranov import (CheckFailure, HatConnection,
                        bracket_nonskew_witness, check_leibniz_infinity,
                        check_linfty_morphism, cohomology_leibniz_bracket,
-                       homotopy_iso, kapranov_brackets, kapranov_morphism)
+                       homotopy_iso, kapranov_brackets, kapranov_morphism,
+                       require_dg)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, dual_module,
                       validate_dg_module)
@@ -140,17 +141,16 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
 
 
 class Instance:
-    """A fully assembled instance plus whatever its document also carries."""
+    """A document's :class:`Setup`, plus whatever else the document
+    carries: a second splitting's set-up and a second connection."""
 
     def __init__(self, doc: dict):
         self.doc = doc
         self.label = doc.get("label", "")
         self.options = doc.get("options", {})
         self.lie: LieAlgebraData | None = None
-        self.pair_setup = None
-        self.second_pair_setup = None
+        self.second_setup: Setup | None = None
         self.second_connection: DeltaConnection | None = None
-        self.linear_setup = None
         if "lie_pair" in doc:
             self.kind = "lie_pair"
             d = doc["lie_pair"]
@@ -159,18 +159,18 @@ class Instance:
                                "basis index")
                    for t, a in enumerate(d["subalgebra"])]
             pair = LiePair(self.lie, sub, label=self.label)
-            self.pair_setup = lie_pair_setup(
+            self.setup = lie_pair_setup(
                 pair, parse_splitting(d.get("splitting"), pair,
                                       "lie_pair/splitting"),
                 label=self.label)
             if "second_splitting" in d:
-                self.second_pair_setup = lie_pair_setup(
+                self.second_setup = lie_pair_setup(
                     pair, parse_splitting(d["second_splitting"], pair,
                                           "lie_pair/second_splitting"),
                     label=self.label + "'")
             if "second_connection" in d:
                 self.second_connection = parse_connection_values(
-                    self.delta, self.bmod, d["second_connection"],
+                    self.setup.delta, self.setup.bmod, d["second_connection"],
                     "lie_pair/second_connection")
         elif "linear_map_object" in doc:
             self.kind = "linear_map_object"
@@ -190,55 +190,31 @@ class Instance:
                    {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
                     parse_rational(c) for a, c in row.items()}
                    for i, row in d["psi"].items()}
-            self.linear_setup = linear_map_setup(
+            self.setup = linear_map_setup(
                 LinearMapObject(self.lie, d["module_basis"], actions, psi,
                                 label=self.label))
         else:
             self.kind = "raw"
             d = doc["raw"]
-            from .algebra import CdgaPresentation
             n_gens = len(d["generators"])
             diff = {int(i): parse_algebra_element(a, n_gens)
                     for i, a in d.get("differential", {}).items()}
-            self.algebra = CdgaPresentation(d["generators"], diff)
+            algebra = CdgaPresentation(d["generators"], diff)
             om = d["omega"]
             om_diff = {parse_index_pair(k): parse_algebra_element(a, n_gens)
                        for k, a in om.get("differential", {}).items()}
-            self.omega = DgModule(self.algebra,
-                                  GradedBasis(om["basis"], om["degrees"]),
-                                  om_diff, label="Omega")
-            self.delta_raw = DgDerivation(
-                self.algebra, self.omega,
-                {int(i): parse_module_element(self.omega, v)
-                 for i, v in d.get("delta", {}).items()})
-            self.bmod_raw = dual_module(self.omega)
-            self.connection_raw = parse_connection_values(
-                self.delta_raw, self.bmod_raw, d.get("connection"),
-                "raw/connection")
-
-    @property
-    def setup(self):
-        return self.pair_setup or self.linear_setup
-
-    @property
-    def algebra_(self):
-        return self.setup.algebra if self.setup else self.algebra
-
-    @property
-    def omega_(self):
-        return self.setup.omega if self.setup else self.omega
-
-    @property
-    def delta(self):
-        return self.setup.delta if self.setup else self.delta_raw
-
-    @property
-    def bmod(self):
-        return self.setup.bmod if self.setup else self.bmod_raw
-
-    @property
-    def connection(self):
-        return self.setup.connection if self.setup else self.connection_raw
+            omega = DgModule(algebra, GradedBasis(om["basis"], om["degrees"]),
+                             om_diff, label="Omega")
+            delta = DgDerivation(
+                algebra, omega, {int(i): parse_module_element(omega, v)
+                                 for i, v in d.get("delta", {}).items()})
+            bmod = dual_module(omega)
+            self.setup = Setup(algebra, omega, delta, bmod,
+                               parse_connection_values(delta, bmod,
+                                                       d.get("connection"),
+                                                       "raw/connection"))
+        # bench/tests read the connection straight off an Instance
+        self.connection = self.setup.connection
 
     def max_arity(self, args) -> int:
         if args.max_arity is not None:
@@ -379,18 +355,18 @@ def named_check(name: str, failures: list[str]) -> dict:
 
 
 def cmd_validate(inst: Instance, args) -> dict:
-    checks = []
+    s, checks = inst.setup, []
     if inst.lie is not None:
         checks.append(named_check("jacobi", inst.lie.jacobi_failures()))
-    checks.append(named_check("cdga_d_squared", validate_cdga(inst.algebra_)))
-    checks.append(named_check("module_d_squared", validate_dg_module(inst.omega_)))
+    checks.append(named_check("cdga_d_squared", validate_cdga(s.algebra)))
+    checks.append(named_check("module_d_squared", validate_dg_module(s.omega)))
     checks.append(named_check("dual_module_d_squared",
-                              validate_dg_module(inst.bmod)))
+                              validate_dg_module(s.bmod)))
     checks.append(named_check("derivation_compatibility",
-                              validate_dg_derivation(inst.delta)))
+                              validate_dg_derivation(s.delta)))
     conn_fail = []
     try:
-        at = atiyah_cocycle(inst.connection)
+        at = atiyah_cocycle(s.connection)
         if not at.is_closed():
             conn_fail.append("Atiyah cocycle of the canonical connection "
                              "is not closed")
@@ -402,10 +378,12 @@ def cmd_validate(inst: Instance, args) -> dict:
 
 
 def cmd_atiyah(inst: Instance, args) -> dict:
-    cls = AtiyahClass(inst.delta, inst.bmod, inst.connection)
+    s = inst.setup
+    require_dg(s.bmod, s.delta)
+    cls = AtiyahClass(s.delta, s.bmod, s.connection)
     at = cls.cocycle
     class_zero = cls.is_zero()
-    flat = flat_connection_exists(inst.delta, inst.bmod)
+    flat = flat_connection_exists(s.delta, s.bmod)
     checks = [named_check("cocycle_closed",
                           [] if at.is_closed() else ["[nabla, d] is not closed"]),
               named_check("flat_agrees_with_class_vanishing",
@@ -419,12 +397,12 @@ def cmd_atiyah(inst: Instance, args) -> dict:
     }
     if flat is not None:
         out["flat_connection_values"] = {
-            inst.bmod.basis.names[i]: module_elem_json(v)
+            s.bmod.basis.names[i]: module_elem_json(v)
             for i, v in sorted(flat.values.items())}
     if inst.second_connection is not None:
-        cls2 = AtiyahClass(inst.delta, inst.bmod, inst.second_connection)
+        cls2 = AtiyahClass(s.delta, s.bmod, inst.second_connection)
         at2 = cls2.cocycle
-        d_elt = connection_difference_element(inst.connection,
+        d_elt = connection_difference_element(s.connection,
                                               inst.second_connection)
         want = apply_module_differential(at.om_end, d_elt).scale(-1)
         ok = at.element - at2.element == want
@@ -449,9 +427,9 @@ def bracket_tables_json(fam) -> dict:
 
 
 def cmd_brackets(inst: Instance, args) -> dict:
-    fam = kapranov_brackets(inst.connection, inst.max_arity(args),
+    fam = kapranov_brackets(inst.setup.connection, inst.max_arity(args),
                             label=inst.label)
-    bmod = inst.bmod
+    bmod = inst.setup.bmod
     diff = [bmod.diff_of_basis(i) for i in range(bmod.rank)]
     diff_entries = [{"arg": bmod.basis.names[i], "value": module_elem_json(dv)}
                     for i, dv in enumerate(diff) if not dv.is_zero()]
@@ -470,7 +448,7 @@ def cmd_brackets(inst: Instance, args) -> dict:
 
 def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
-    fam = kapranov_brackets(inst.connection, n_max, label=inst.label)
+    fam = kapranov_brackets(inst.setup.connection, n_max, label=inst.label)
     report = check_leibniz_infinity(fam, n_max)
     return {
         "command": "check-leibniz",
@@ -484,10 +462,14 @@ def cmd_check_leibniz(inst: Instance, args) -> dict:
 
 
 def cmd_morphism(inst: Instance, args) -> dict:
-    n_max = min(inst.max_arity(args), MORPHISM_MAX_ARITY)
-    fam0 = kapranov_brackets(inst.connection, n_max, label=inst.label)
-    phi = ModuleMorphism.identity(inst.omega_)
-    dm = DerivationMorphism(inst.delta, inst.delta, phi)
+    n_max = inst.max_arity(args)
+    if n_max > MORPHISM_MAX_ARITY:  # only options.max_arity can get here
+        print(f"note: morphism caps the document's max_arity {n_max} at "
+              f"{MORPHISM_MAX_ARITY}", file=sys.stderr)
+        n_max = MORPHISM_MAX_ARITY
+    s = inst.setup
+    fam0 = kapranov_brackets(s.connection, n_max, label=inst.label)
+    dm = DerivationMorphism(s.delta, s.delta, ModuleMorphism.identity(s.omega))
     checks = []
     if inst.second_connection is not None:
         fam1 = kapranov_brackets(inst.second_connection, n_max)
@@ -517,11 +499,11 @@ def cmd_morphism(inst: Instance, args) -> dict:
 
 
 def cmd_homotopy(inst: Instance, args) -> dict:
-    if inst.second_pair_setup is None:
+    if inst.second_setup is None:
         raise DocumentError(
             "the homotopy command needs a lie_pair document with a "
             "second_splitting section")
-    s0, s1 = inst.pair_setup, inst.second_pair_setup
+    s0, s1 = inst.setup, inst.second_setup
     try:
         h = splitting_homotopy(s0, s1)
         offset_failures = []
@@ -560,7 +542,7 @@ def cmd_homotopy(inst: Instance, args) -> dict:
 
 
 def cmd_cohomology(inst: Instance, args) -> dict:
-    fam = kapranov_brackets(inst.connection, 2, label=inst.label)
+    fam = kapranov_brackets(inst.setup.connection, 2, label=inst.label)
     cb = cohomology_leibniz_bracket(fam)
     degrees = [args.degree] if args.degree is not None else cb.complex.degrees()
     betti = {str(n): cb.complex.betti(n) for n in degrees}

@@ -23,7 +23,8 @@ from operator import itemgetter
 from .algebra import AlgebraElement, _merge_monomials, validate_cdga
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
-from .derivations import DerivationHomotopy, DerivationMorphism, homotopy_offset
+from .derivations import (DerivationHomotopy, DerivationMorphism,
+                          homotopy_offset, validate_dg_derivation)
 from .graded import (ONE, Element, GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
@@ -36,6 +37,18 @@ class CheckFailure(Exception):
     """A mathematical check failed while a structure was being built: the
     input is well formed, but what it builds breaks a promised identity.
     Deliberately not a ValueError, which stands for bad input."""
+
+
+def require_dg(module: DgModule, delta=None) -> None:
+    """Raise the first failure of d^2 = 0 on the algebra of ``module``, of
+    d^2 = 0 on ``module`` and, given a derivation ``delta``, of
+    delta d_A = d delta as a CheckFailure: cohomology and Atiyah classes
+    are undefined without them."""
+    failures = validate_cdga(module.algebra) + validate_dg_module(module)
+    if delta is not None:
+        failures += validate_dg_derivation(delta)
+    if failures:
+        raise CheckFailure(failures[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1305,9 +1318,7 @@ class CohomologyBracket:
     """
 
     def __init__(self, fam: BracketFamily):
-        failures = validate_cdga(fam.module.algebra) + validate_dg_module(fam.module)
-        if failures:
-            raise CheckFailure(failures[0])
+        require_dg(fam.module)
         self.fam = fam
         self.complex = CochainComplex(fam.module)
         self.reps = self.complex.cohomology_reps()

@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
+from kapranov.cli import Instance
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+# the linear-map documents shipped_setup knows, adjoint(+)trivial last
+LINEAR_MAPS = ("adjoint_linear_map", "double_adjoint_linear_map",
+               "adjoint_trivial")
+
+
+def adjoint_trivial_document() -> dict:
+    """The adjoint action of [x, y] = y plus a trivially acted-on t, with
+    psi = (id, 0): the carrier B = C(g, E[1]) has nonzero cohomology."""
+    doc = json.loads((INSTANCES / "adjoint_linear_map.json").read_text())
+    doc["label"] = "adjoint(+)trivial"
+    doc["linear_map_object"]["module_basis"] = ["a", "b", "t"]
+    return doc
+
+
+def shipped_setup(name: str, splitting: dict | None = None):
+    """The Setup of ``instances/<name>.json`` as ``cli.Instance`` reads it,
+    or of :func:`adjoint_trivial_document` for "adjoint_trivial".
+
+    ``splitting``, {quotient position: {sub position: c}}, replaces the
+    document's ``lie_pair.splitting``; {} is the standard splitting j0.
+    """
+    if name == "adjoint_trivial":
+        doc = adjoint_trivial_document()
+    else:
+        doc = json.loads((INSTANCES / f"{name}.json").read_text())
+    if splitting is not None:
+        doc["lie_pair"]["splitting"] = {
+            str(b): {str(a): str(c) for a, c in row.items()}
+            for b, row in splitting.items()}
+    return Instance(doc).setup
 
 
 @pytest.fixture

@@ -10,11 +10,9 @@ import json
 import pathlib
 from fractions import Fraction
 
+from conftest import LINEAR_MAPS, shipped_setup
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import (abelian_pair, adjoint_linear_map,
-                               adjoint_trivial_linear_map, affine_pair,
-                               coadjoint_module, double_adjoint_linear_map,
-                               loday_pirashvili_bracket, sl2_borel_pair,
+from kapranov.builders import (coadjoint_module, loday_pirashvili_bracket,
                                splitting_homotopy)
 from kapranov.cli import main
 from kapranov.connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
@@ -48,16 +46,17 @@ def second_sl2_connection(setup) -> DeltaConnection:
 
 def all_builtin_connections():
     out = []
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     out.append(("sl2/borel canonical", s.connection))
     out.append(("sl2/borel second", second_sl2_connection(s)))
     out.append(("sl2/borel shifted splitting",
-                sl2_borel_pair({0: {1: 1}}).connection))
-    out.append(("affine/x shifted", affine_pair({0: {0: 1}}).connection))
-    out.append(("affine/x standard", affine_pair().connection))
-    out.append(("abelian", abelian_pair().connection))
-    for setup in (adjoint_linear_map(), double_adjoint_linear_map(),
-                  adjoint_trivial_linear_map()):
+                shipped_setup("sl2_borel", {0: {1: 1}}).connection))
+    out.append(("affine/x shifted",
+                shipped_setup("affine_pair", {0: {0: 1}}).connection))
+    out.append(("affine/x standard",
+                shipped_setup("affine_pair", {}).connection))
+    out.append(("abelian", shipped_setup("abelian_trivial").connection))
+    for setup in map(shipped_setup, LINEAR_MAPS):
         out.append((setup.data.label, setup.connection))
     return out
 
@@ -72,9 +71,7 @@ def test_criterion_1_leibniz_identities_on_all_builtins():
 
 
 def test_criterion_2_linear_map_closed_form_and_nonskew_bracket():
-    setups = (adjoint_linear_map(), double_adjoint_linear_map(),
-              adjoint_trivial_linear_map())
-    for s in setups:
+    for s in map(shipped_setup, LINEAR_MAPS):
         fam = kapranov_brackets(s.connection, max_arity=6)
         # R_2(e_i~, e_j~) = -psi(e_i).e_j and nothing survives above arity 2
         assert set(fam.nonzero_arities()) <= {1, 2}, s.data.label
@@ -88,13 +85,13 @@ def test_criterion_2_linear_map_closed_form_and_nonskew_bracket():
                         {k: AlgebraElement.scalar(-c) for k, c in lp.items()})
         assert fam.module_tables.get(2, {}) == want, s.data.label
     # the recovered bracket is genuinely non-skew at the cochain level
-    s = double_adjoint_linear_map()
+    s = shipped_setup("double_adjoint_linear_map")
     assert loday_pirashvili_bracket(s.data, 2, 1) == {1: F(1)}
     assert loday_pirashvili_bracket(s.data, 1, 2) == {}
     fam = kapranov_brackets(s.connection, max_arity=2)
     assert bracket_nonskew_witness(fam) is not None
     # on classes the bracket is well defined and satisfies Leibniz
-    s = adjoint_trivial_linear_map()
+    s = shipped_setup("adjoint_trivial")
     cb = cohomology_leibniz_bracket(kapranov_brackets(s.connection, 2))
     assert cb.reps
     assert cb.leibniz_failures() == []
@@ -103,7 +100,7 @@ def test_criterion_2_linear_map_closed_form_and_nonskew_bracket():
 
 
 def test_criterion_3_atiyah_cocycle_class_flatness():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     nabla0, nabla1 = s.connection, second_sl2_connection(s)
     at0, at1 = atiyah_cocycle(nabla0), atiyah_cocycle(nabla1)
     assert at0.is_closed() and at1.is_closed()
@@ -114,7 +111,7 @@ def test_criterion_3_atiyah_cocycle_class_flatness():
     assert cls.equals(AtiyahClass(s.delta, s.bmod, nabla1))
     assert not cls.is_zero()
     assert flat_connection_exists(s.delta, s.bmod) is None
-    t = abelian_pair()
+    t = shipped_setup("abelian_trivial")
     assert AtiyahClass(t.delta, t.bmod).is_zero()
     assert flat_connection_exists(t.delta, t.bmod) is not None
     print("criterion 3: PASS — Atiyah cocycles are closed, differences "
@@ -122,8 +119,8 @@ def test_criterion_3_atiyah_cocycle_class_flatness():
 
 
 def test_criterion_4_homotopy_invariance():
-    s0 = sl2_borel_pair()
-    s1 = sl2_borel_pair({0: {1: 1}})
+    s0 = shipped_setup("sl2_borel")
+    s1 = shipped_setup("sl2_borel", {0: {1: 1}})
     h = splitting_homotopy(s0, s1)  # raises unless the offset is exact
     hat = HatConnection(h, s0.bmod, {})
     mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
@@ -138,7 +135,7 @@ def test_criterion_4_homotopy_invariance():
 
 
 def test_criterion_5_functoriality():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     fam0 = kapranov_brackets(s.connection, max_arity=4)
     fam1 = kapranov_brackets(second_sl2_connection(s), max_arity=4)
     phi = ModuleMorphism.identity(s.omega)
@@ -159,7 +156,7 @@ def test_criterion_5_functoriality():
 
 
 def test_criterion_6_trivialization_dichotomy():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     assert not s.delta.is_zero()
     for conn in (s.connection, second_sl2_connection(s)):
         fam = kapranov_brackets(conn, max_arity=4)
@@ -172,14 +169,14 @@ def test_criterion_6_trivialization_dichotomy():
 
 
 def test_criterion_7_module_structures():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     conn1 = second_sl2_connection(s)
     fam1 = kapranov_brackets(conn1, max_arity=5)
     mf = kapranov_module(fam1, conn1, max_arity=4)
     for k in (2, 3, 4):
         assert mf.module_tables.get(k, {}) == fam1.module_tables.get(k, {})
     assert check_module_identities(mf, 4)["passed"]
-    lm = adjoint_linear_map()
+    lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
     coad, conn = coadjoint_module(lm)
     mfc = kapranov_module(fam, conn, max_arity=4)

@@ -37,7 +37,7 @@ def bilinear_table(conn, b_mod) -> dict:
 
 
 def connections(inst: Instance) -> list:
-    return [c for c in (inst.connection, inst.second_connection)
+    return [c for c in (inst.setup.connection, inst.second_connection)
             if c is not None]
 
 
@@ -51,8 +51,8 @@ def test_documents_are_all_covered():
 def test_seed_table_equals_the_bilinear_cocycle(path):
     inst = Instance(load_document(str(path)))
     for conn in connections(inst):
-        got, want = _atiyah_table(conn, inst.bmod), bilinear_table(conn,
-                                                                   inst.bmod)
+        bmod = inst.setup.bmod
+        got, want = _atiyah_table(conn, bmod), bilinear_table(conn, bmod)
         assert list(got) == list(want)
         assert all(got[key] == val for key, val in want.items())
 
@@ -62,6 +62,6 @@ def test_some_document_has_odd_basis_vectors_and_nonzero_seeds():
     hit = False
     for path in DOCUMENTS:
         inst = Instance(load_document(str(path)))
-        table = _atiyah_table(inst.connection, inst.bmod)
-        hit |= any(inst.bmod.basis.degrees[i] % 2 for i, _ in table)
+        table = _atiyah_table(inst.setup.connection, inst.setup.bmod)
+        hit |= any(inst.setup.bmod.basis.degrees[i] % 2 for i, _ in table)
     assert hit

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import affine_pair, sl2_borel_pair, splitting_homotopy
+from kapranov.builders import splitting_homotopy
 from kapranov.connections import AtiyahClass, DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.kapranov import (HatConnection, MorphismFamily, MultilinearMap,
@@ -29,7 +30,7 @@ F = Fraction
 
 @pytest.fixture(scope="module")
 def setup():
-    return sl2_borel_pair()
+    return shipped_setup("sl2_borel")
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +205,7 @@ class TestTrivialization:
 
 class TestHomotopyInvariance:
     def test_iso_between_the_two_splittings(self, setup):
-        other = sl2_borel_pair({0: {1: 1}})
+        other = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(setup, other)
         hat = HatConnection(h, setup.bmod, {})
         mor, conn_prime = homotopy_iso(setup.connection, h, hat, max_arity=4)
@@ -217,7 +218,7 @@ class TestHomotopyInvariance:
         assert report["passed"], report
 
     def test_r2_is_homotopy_invariant(self, setup):
-        other = sl2_borel_pair({0: {1: 1}})
+        other = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(setup, other)
         hat = HatConnection(h, setup.bmod, {})
         mor, _ = homotopy_iso(setup.connection, h, hat, max_arity=3)
@@ -241,7 +242,7 @@ class TestHomotopyInvariance:
 
 # the shipped Lie pairs, with the number of subalgebra basis vectors a
 # splitting of their one quotient vector may shift by
-LIE_PAIRS = {"sl2/borel": (sl2_borel_pair, 2), "affine/x": (affine_pair, 1)}
+LIE_PAIRS = {"sl2/borel": ("sl2_borel", 2), "affine/x": ("affine_pair", 1)}
 SPLITTING_VALUES = [-2, -1, F(-1, 2), F(1, 3), 1, F(3, 2)]
 
 
@@ -250,13 +251,14 @@ def splitting_pairs(draw):
     """A shipped Lie pair and two random splittings of it, with values that
     are mostly not integral."""
     name = draw(st.sampled_from(sorted(LIE_PAIRS)))
-    build, n_sub = LIE_PAIRS[name]
+    document, n_sub = LIE_PAIRS[name]
 
     def splitting():
         positions = draw(st.lists(st.integers(0, n_sub - 1), unique=True))
         return {0: {a: draw(st.sampled_from(SPLITTING_VALUES))
                     for a in positions}}
-    return build(splitting()), build(splitting())
+    return (shipped_setup(document, splitting()),
+            shipped_setup(document, splitting()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,7 +296,7 @@ class TestModuleAction:
             assert m.check_degrees() == [], k
 
     def test_mismatched_derivation_rejected(self, fam1, setup):
-        other = sl2_borel_pair({0: {1: 1}})
+        other = shipped_setup("sl2_borel", {0: {1: 1}})
         with pytest.raises(ValueError):
             kapranov_module(fam1, other.connection, max_arity=3)
 

@@ -1,32 +1,83 @@
-"""Stock instances: Lie pairs and linear-map objects."""
+"""Lie pairs and linear-map objects, read from the shipped documents."""
 
 from __future__ import annotations
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from kapranov.algebra import AlgebraElement, LieAlgebraData
-from kapranov.builders import (LiePair, LinearMapObject, abelian_pair,
-                               adjoint_linear_map, adjoint_trivial_linear_map,
-                               affine, affine_pair, coadjoint_module,
-                               double_adjoint_linear_map, lie_pair_setup,
-                               linear_map_setup, loday_pirashvili_bracket,
-                               sl2_borel_pair, splitting_homotopy)
+from conftest import INSTANCES, LINEAR_MAPS, shipped_setup
+from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
+from kapranov.builders import (LiePair, LinearMapObject, Setup,
+                               coadjoint_module, loday_pirashvili_bracket,
+                               splitting_homotopy)
+from kapranov.cli import Instance, load_document
+from kapranov.connections import DeltaConnection
 from kapranov.cohomology import CochainComplex
-from kapranov.derivations import find_homotopy, validate_dg_derivation
+from kapranov.derivations import (DgDerivation, find_homotopy,
+                                  validate_dg_derivation)
 from kapranov.kapranov import (bracket_nonskew_witness, check_leibniz_infinity,
                                check_module_identities, cohomology_action,
                                cohomology_leibniz_bracket, kapranov_brackets,
                                kapranov_module)
-from kapranov.modules import ModuleElement, validate_dg_module
+from kapranov.modules import DgModule, ModuleElement, validate_dg_module
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def document(path) -> Instance:
+    return Instance(load_document(str(path)))
+
+
+class TestShippedDocumentData:
+    """The parsed documents against a second, literal spelling of their
+    data, and the one set-up record every document kind gives."""
+
+    def test_lie_pairs_parse_to_the_fixture_algebras(self, sl2, affine):
+        for name, want in (("sl2_borel", sl2), ("affine_pair", affine)):
+            got = document(INSTANCES / f"{name}.json").lie
+            assert (got.names, got.brackets) == (want.names, want.brackets)
+
+    @pytest.mark.parametrize("name, e_names, actions, psi", [
+        ("adjoint_linear_map", ["a", "b"],
+         {0: {(1, 1): 1}, 1: {(0, 1): -1}},
+         {0: {0: 1}, 1: {1: 1}}),
+        ("double_adjoint_linear_map", ["a1", "b1", "a2", "b2"],
+         {0: {(1, 1): 1, (3, 3): 1}, 1: {(0, 1): -1, (2, 3): -1}},
+         {2: {0: 1}, 3: {1: 1}}),
+    ])
+    def test_linear_maps_parse_to_literal_data(self, affine, name, e_names,
+                                               actions, psi):
+        data = document(INSTANCES / f"{name}.json").setup.data
+        assert (data.lie.names, data.lie.brackets) == (affine.names,
+                                                       affine.brackets)
+        assert data.e_names == e_names
+        assert data.actions == actions
+        assert data.psi == psi
+
+    @pytest.mark.parametrize("path, kind", [
+        (INSTANCES / "sl2_borel.json", "lie_pair"),
+        (INSTANCES / "adjoint_linear_map.json", "linear_map_object"),
+        (FIXTURES / "graded_toy.json", "raw"),
+    ], ids=lambda v: getattr(v, "stem", v))
+    def test_every_document_kind_gives_a_full_setup(self, path, kind):
+        inst = document(path)
+        s = inst.setup
+        assert inst.kind == kind and isinstance(s, Setup)
+        assert isinstance(s.algebra, CdgaPresentation)
+        assert isinstance(s.omega, DgModule) and isinstance(s.bmod, DgModule)
+        assert isinstance(s.delta, DgDerivation)
+        assert isinstance(s.connection, DeltaConnection)
+        assert s.delta.target is s.omega and s.connection.module is s.bmod
+        assert (s.pair is not None) == (kind == "lie_pair")
+        assert (s.data is not None) == (kind == "linear_map_object")
 
 
 class TestLiePairs:
     def test_sl2_borel_matches_hand_computation(self):
-        s = sl2_borel_pair()
+        s = shipped_setup("sl2_borel")
         assert validate_dg_module(s.omega) == []
         assert validate_dg_derivation(s.delta) == []
         # d(f~^) = 2 h^.f~^ (h acts on f~ by -2) and delta(h^) = -e^.f~^
@@ -36,15 +87,15 @@ class TestLiePairs:
 
     def test_sl2_borel_shifted_splitting(self):
         # j'(f~) = f + e adds delta(e^) = -4 h^.f~^
-        s = sl2_borel_pair({0: {1: 1}})
+        s = shipped_setup("sl2_borel", {0: {1: 1}})
         assert validate_dg_derivation(s.delta) == []
         assert s.delta.values == {
             0: ModuleElement(s.omega, {0: AlgebraElement.monomial((1,), -1)}),
             1: ModuleElement(s.omega, {0: AlgebraElement.monomial((0,), -4)})}
 
     def test_splitting_homotopy_agrees_with_search(self):
-        s0 = sl2_borel_pair()
-        s1 = sl2_borel_pair({0: {1: 1}})
+        s0 = shipped_setup("sl2_borel")
+        s1 = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(s0, s1)
         assert h.values == {1: ModuleElement(
             s0.omega, {0: AlgebraElement.scalar(-1)})}
@@ -61,13 +112,13 @@ class TestLiePairs:
         LiePair(heis, [0, 2])
 
     def test_affine_standard_splitting_is_flat(self):
-        s = affine_pair()
+        s = shipped_setup("affine_pair", {})
         assert s.delta.is_zero()
         fam = kapranov_brackets(s.connection, max_arity=4)
         assert fam.nonzero_arities() == [1]
 
     def test_affine_shifted_splitting(self):
-        s = affine_pair({0: {0: 1}})
+        s = shipped_setup("affine_pair", {0: {0: 1}})
         assert validate_dg_derivation(s.delta) == []
         assert s.delta.values == {
             0: ModuleElement(s.omega, {0: AlgebraElement.monomial((0,), 1)})}
@@ -76,7 +127,7 @@ class TestLiePairs:
         assert check_leibniz_infinity(fam, 5)["passed"]
 
     def test_abelian_pair_fully_degenerate(self):
-        s = abelian_pair()
+        s = shipped_setup("abelian_trivial")
         assert s.delta.is_zero()
         fam = kapranov_brackets(s.connection, max_arity=4)
         assert fam.nonzero_arities() == []
@@ -92,9 +143,11 @@ class TestClassicalAtiyahFormula:
         # with the canonical extension (nabla_{j(b)} = 0) the twisted
         # Atiyah cocycle reduces to alpha(a, b)e = -rho_Bott(pr_A[x_a, j(b)])e;
         # compare R_2 against that closed form, exhaustively on basis triples
-        for setup in (sl2_borel_pair(), sl2_borel_pair({0: {1: 1}}),
-                      affine_pair(), affine_pair({0: {0: 1}}),
-                      abelian_pair()):
+        for setup in (shipped_setup("sl2_borel"),
+                      shipped_setup("sl2_borel", {0: {1: 1}}),
+                      shipped_setup("affine_pair", {}),
+                      shipped_setup("affine_pair", {0: {0: 1}}),
+                      shipped_setup("abelian_trivial")):
             pair = setup.pair
             fam = kapranov_brackets(setup.connection, max_arity=2)
             n_sub = len(pair.sub_indices)
@@ -131,19 +184,18 @@ class TestClassicalAtiyahFormula:
 
 class TestLinearMapObjects:
     def test_validation_accepts_stock_instances(self):
-        for s in (adjoint_linear_map(), double_adjoint_linear_map(),
-                  adjoint_trivial_linear_map()):
+        for s in map(shipped_setup, LINEAR_MAPS):
             assert validate_dg_module(s.omega) == []
             assert validate_dg_derivation(s.delta) == []
 
-    def test_non_equivariant_psi_rejected(self):
-        lie = affine()
+    def test_non_equivariant_psi_rejected(self, affine):
+        lie = affine
         actions = {0: {(1, 1): F(1)}, 1: {(0, 1): F(-1)}}
         with pytest.raises(ValueError, match="equivariant"):
             LinearMapObject(lie, ["a", "b"], actions, {0: {1: F(1)}})
 
-    def test_non_representation_rejected(self):
-        lie = affine()
+    def test_non_representation_rejected(self, affine):
+        lie = affine
         actions = {0: {(1, 1): F(1)}, 1: {(0, 0): F(1)}}
         with pytest.raises(ValueError, match="representation"):
             LinearMapObject(lie, ["a", "b"], actions, {})
@@ -151,13 +203,13 @@ class TestLinearMapObjects:
     def test_connection_is_forced_trivial(self):
         # Omega (x) B has no elements in the degrees a connection value
         # would need, so the canonical connection is the only one
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         assert s.connection.values == {}
         for i in range(s.bmod.rank):
             assert s.connection.tensor.kbasis(s.bmod.basis.degrees[i]) == []
 
     def test_tower_degenerates_at_two(self):
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=4)
         assert fam.nonzero_arities() == [1, 2]
         assert check_leibniz_infinity(fam, 4)["passed"]
@@ -165,8 +217,7 @@ class TestLinearMapObjects:
     def test_r2_is_minus_psi_action(self):
         # closed form from the defining data, independent of the Atiyah
         # machinery: R_2(e_i~, e_j~) = -psi(e_i).e_j
-        for s in (adjoint_linear_map(), double_adjoint_linear_map(),
-                  adjoint_trivial_linear_map()):
+        for s in map(shipped_setup, LINEAR_MAPS):
             fam = kapranov_brackets(s.connection, max_arity=2)
             want = {}
             for i in range(s.data.dim_e()):
@@ -179,7 +230,7 @@ class TestLinearMapObjects:
             assert fam.module_tables[2] == want, s.data.label
 
     def test_recovered_bracket_is_not_skew(self):
-        s = double_adjoint_linear_map()
+        s = shipped_setup("double_adjoint_linear_map")
         # a2 o b1 = psi(a2).b1 = [x, y] in the first copy = b1, while
         # b1 o a2 = psi(b1).a2 = 0 since psi kills the first copy
         assert loday_pirashvili_bracket(s.data, 2, 1) == {1: F(1)}
@@ -189,21 +240,21 @@ class TestLinearMapObjects:
 
     def test_adjoint_bracket_is_skew(self):
         # psi = id recovers the Lie bracket itself, which is skew
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=2)
         assert bracket_nonskew_witness(fam) is None
 
 
 class TestCohomologyLevel:
     def test_adjoint_carrier_is_acyclic(self):
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         cx = CochainComplex(s.bmod)
         assert all(cx.betti(n) == 0 for n in cx.degrees())
 
     def test_adjoint_trivial_classes(self):
         # the trivial summand contributes H(CE(affine)) shifted: one class
         # in degree -1 (t~) and one in degree 0 (x^.t~)
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         cx = CochainComplex(s.bmod)
         assert cx.betti(-1) == 1
         assert cx.betti(0) == 1
@@ -212,7 +263,7 @@ class TestCohomologyLevel:
     def test_class_bracket_table(self):
         # nonzero cochain bracket, zero class bracket: every output of
         # R_2 on closed elements is exact here
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=3)
         assert fam.module_tables[2]  # cochain level nonzero
         cb = cohomology_leibniz_bracket(fam)
@@ -224,7 +275,7 @@ class TestCohomologyLevel:
     def test_class_bracket_consistent_with_formula(self):
         # [[b1],[b2]] = (-1)^{|b1|}[R_2(b1,b2)]: recompute the table from
         # the closed form -psi(e1).e2 and compare class coordinates
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
         cb = cohomology_leibniz_bracket(fam)
         for (a, b), coords in cb.table.items():
@@ -236,7 +287,7 @@ class TestCohomologyLevel:
 
 class TestModuleActions:
     def test_coadjoint_module_identities(self):
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=4)
         coad, conn = coadjoint_module(s)
         assert validate_dg_module(coad) == []
@@ -249,7 +300,7 @@ class TestModuleActions:
         # mu_2(e_i~, xi) = -psi(e_i).xi coadjointly: with psi = id on the
         # affine algebra, ad_x(y) = y gives ad_x*(y*) = -y* and hence
         # mu_2(a~, y*) = -ad_x*(y*) = +y*
-        s = adjoint_linear_map()
+        s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=2)
         coad, conn = coadjoint_module(s)
         mf = kapranov_module(fam, conn, max_arity=2)
@@ -257,7 +308,7 @@ class TestModuleActions:
         assert got == ModuleElement(coad, {1: AlgebraElement.scalar(1)})
 
     def test_cohomology_action_well_defined(self):
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=3)
         coad, conn = coadjoint_module(s)
         mf = kapranov_module(fam, conn, max_arity=3)
@@ -270,7 +321,7 @@ class TestModuleActions:
 
     def test_action_naturality_under_scaling(self):
         from kapranov.modules import ModuleMorphism
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
         coad, conn = coadjoint_module(s)
         mf = kapranov_module(fam, conn, max_arity=2)

@@ -32,9 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import (adjoint_linear_map, coadjoint_module,
-                               sl2_borel_pair, splitting_homotopy)
+from kapranov.builders import coadjoint_module, splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
@@ -276,16 +276,16 @@ def second_sl2_connection(setup) -> DeltaConnection:
 
 def connection_morphism(inst: Instance, n_max: int):
     """The morphism tower the ``morphism`` command checks."""
-    fam0 = kapranov_brackets(inst.connection, n_max)
+    fam0 = kapranov_brackets(inst.setup.connection, n_max)
     fam1 = (kapranov_brackets(inst.second_connection, n_max)
             if inst.second_connection is not None else fam0)
-    dm = DerivationMorphism(inst.delta, inst.delta,
-                            ModuleMorphism.identity(inst.omega_))
+    dm = DerivationMorphism(inst.setup.delta, inst.setup.delta,
+                            ModuleMorphism.identity(inst.setup.omega))
     return kapranov_morphism(dm, fam0, fam1, max_arity=n_max)
 
 
 def homotopy_morphism(inst: Instance):
-    s0, s1 = inst.pair_setup, inst.second_pair_setup
+    s0, s1 = inst.setup, inst.second_setup
     h = splitting_homotopy(s0, s1)
     mor, _ = homotopy_iso(s0.connection, h, HatConnection(h, s0.bmod, {}),
                           max_arity=4)
@@ -293,14 +293,14 @@ def homotopy_morphism(inst: Instance):
 
 
 def regular_action(max_arity: int = 4):
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     conn1 = second_sl2_connection(s)
     fam1 = kapranov_brackets(conn1, max_arity=5)
     return kapranov_module(fam1, conn1, max_arity=max_arity)
 
 
 def coadjoint_action(max_arity: int = 4):
-    s = adjoint_linear_map()
+    s = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(s.connection, max_arity=max_arity)
     coad, conn = coadjoint_module(s)
     return kapranov_module(fam, conn, max_arity=max_arity)
@@ -321,7 +321,7 @@ def corrupt(m: MultilinearMap, key=None, factor=2) -> MultilinearMap:
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_leibniz_matches_reference_on_shipped(path):
     inst = instance(path)
-    fam = kapranov_brackets(inst.connection, arity_of(inst))
+    fam = kapranov_brackets(inst.setup.connection, arity_of(inst))
     report = check_leibniz_infinity(fam, arity_of(inst))
     assert report == reference_leibniz(fam, arity_of(inst))
     assert report["passed"]
@@ -349,7 +349,8 @@ def test_homotopy_iso_matches_reference_on_shipped(path):
 def test_trivialization_matches_reference():
     # k-linear maps in every arity: the partition terms of the morphism
     # equation combine several nonzero f-values
-    fam = kapranov_brackets(second_sl2_connection(sl2_borel_pair()), 4)
+    fam = kapranov_brackets(
+        second_sl2_connection(shipped_setup("sl2_borel")), 4)
     triv = trivialization(fam, max_arity=4)
     report = check_linfty_morphism(triv, 4)
     assert report == reference_morphism(triv, 4)
@@ -366,7 +367,7 @@ def test_module_matches_reference(action):
 
 def test_leibniz_matches_reference_on_shifted_sl2_to_weight_5():
     inst = instance(SL2_SHIFTED)
-    fam = kapranov_brackets(inst.connection, 5)
+    fam = kapranov_brackets(inst.setup.connection, 5)
     assert fam.nonzero_arities() == [1, 2, 3, 4, 5]
     report = check_leibniz_infinity(fam, 5)
     assert report == reference_leibniz(fam, 5)
@@ -377,7 +378,7 @@ def test_leibniz_matches_reference_on_shifted_sl2_to_weight_5():
 # agreement on corrupted families: the same witnesses, in the same order
 
 def test_scaled_r3_entry_gives_identical_witnesses():
-    fam = kapranov_brackets(instance(SL2_SHIFTED).connection, 4)
+    fam = kapranov_brackets(instance(SL2_SHIFTED).setup.connection, 4)
     bad = copy.copy(fam)
     bad.brackets = dict(fam.brackets)
     bad.brackets[3] = corrupt(fam.brackets[3])
@@ -416,14 +417,16 @@ def corruption_targets() -> dict:
     below corrupts: the bracket tower R, a morphism tower f and a module
     tower mu, on sl2/borel and on the graded toy, whose k-basis has odd
     degrees (so the memoised signs see both parities)."""
-    sl2 = kapranov_brackets(second_sl2_connection(sl2_borel_pair()), 4)
+    sl2 = kapranov_brackets(
+        second_sl2_connection(shipped_setup("sl2_borel")), 4)
     toy = instance(GRADED_TOY)
-    toy_fam = kapranov_brackets(toy.connection, 3)
-    omega = toy.omega_
+    toy_fam = kapranov_brackets(toy.setup.connection, 3)
+    omega = toy.setup.omega
     # delta = 0, so 2 id is a derivation morphism with f_2, f_3 nonzero
-    twice = DerivationMorphism(toy.delta, toy.delta, ModuleMorphism(
-        omega, omega, 0, {(i, i): AlgebraElement.scalar(2)
-                          for i in range(omega.rank)}))
+    twice = DerivationMorphism(
+        toy.setup.delta, toy.setup.delta, ModuleMorphism(
+            omega, omega, 0, {(i, i): AlgebraElement.scalar(2)
+                              for i in range(omega.rank)}))
     return {
         ("sl2/borel", "R"): (sl2, 4),
         ("sl2/borel", "f"): (connection_morphism(
@@ -431,7 +434,8 @@ def corruption_targets() -> dict:
         ("sl2/borel", "mu"): (regular_action(4), 4),
         ("graded", "R"): (toy_fam, 3),
         ("graded", "f"): (kapranov_morphism(twice, toy_fam, toy_fam, 3), 3),
-        ("graded", "mu"): (kapranov_module(toy_fam, toy.connection, 3), 3),
+        ("graded", "mu"): (
+            kapranov_module(toy_fam, toy.setup.connection, 3), 3),
     }
 
 
@@ -498,7 +502,7 @@ def test_any_residual_fails_the_report_without_witnesses():
 
 
 def test_sl3_borel_to_weight_3_covers_every_tuple():
-    fam = kapranov_brackets(instance(SL3).connection, 3)
+    fam = kapranov_brackets(instance(SL3).setup.connection, 3)
     report = check_leibniz_infinity(fam, 3)
     assert report["passed"]
     assert [w["tuples"] for w in report["weights"]] == [96, 9216, 884736]
@@ -568,15 +572,15 @@ def test_documents_are_all_covered():
 def test_module_basis_reports_equal_the_exhaustive_ones(path, decide_always):
     inst = instance(path)
     n_max = arity_of(inst)
-    fam = kapranov_brackets(inst.connection, n_max)
-    assert check_leibniz_infinity(fam, n_max) \
-        == exhaustive_leibniz(kapranov_brackets(inst.connection, n_max), n_max)
+    fam = kapranov_brackets(inst.setup.connection, n_max)
+    assert check_leibniz_infinity(fam, n_max) == exhaustive_leibniz(
+        kapranov_brackets(inst.setup.connection, n_max), n_max)
     if inst.kind != "lie_pair":
         return
     n_max = min(n_max, 4)
     assert check_linfty_morphism(connection_morphism(inst, n_max), n_max) \
         == exhaustive_morphism(connection_morphism(inst, n_max), n_max)
-    if inst.second_pair_setup is not None:
+    if inst.second_setup is not None:
         assert check_linfty_morphism(homotopy_morphism(inst), 4) \
             == exhaustive_morphism(homotopy_morphism(inst), 4)
 
@@ -590,7 +594,7 @@ def refuse(name):
 @pytest.mark.parametrize("path", [SL2_SHIFTED, SL3], ids=lambda p: p.stem)
 def test_a_passing_decision_builds_no_kbasis_table(path, monkeypatch):
     inst = instance(path)
-    fam = kapranov_brackets(inst.connection, 3)
+    fam = kapranov_brackets(inst.setup.connection, 3)
     mor = connection_morphism(inst, 3)
     for name in ("extend_module_table", "differential_table",
                  "exhaustive_leibniz", "exhaustive_morphism"):
@@ -601,7 +605,7 @@ def test_a_passing_decision_builds_no_kbasis_table(path, monkeypatch):
 
 def test_one_generator_algebras_go_to_the_exhaustive_checker(monkeypatch):
     fam = kapranov_brackets(instance(ROOT / "instances" / "affine_pair.json")
-                            .connection, 3)
+                            .setup.connection, 3)
     assert fam.module.algebra.n_generators < kapranov.DECIDE_MIN_GENERATORS
     calls = []
     monkeypatch.setattr(kapranov, "exhaustive_leibniz",

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from conftest import adjoint_trivial_document, shipped_setup
 from kapranov.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -444,6 +445,18 @@ class TestCommands:
         assert rep["kind"] == "identity"
         assert rep["map_arities"] == [1]
 
+    def test_morphism_names_the_cap_on_a_documents_max_arity(self, capsys):
+        # options.max_arity 6 is checked to weight 4, as the golden report
+        # (which has no max_arity field) records; stderr says so
+        name = "sl2_borel_shifted"
+        code, out, err = run(capsys, "morphism", "--input",
+                             str(ROOT / f"bench/instances/{name}.json"))
+        golden = ROOT / f"bench/golden/leibniz-sl2/morphism-{name}.json"
+        assert code == 0
+        assert out == golden.read_text()
+        assert [w["n"] for w in json.loads(out)["weights"]] == [1, 2, 3, 4]
+        assert "morphism caps the document's max_arity 6 at 4" in err
+
     def test_homotopy_sl2(self, capsys):
         code, out, _ = run(capsys, "homotopy",
                            "--input", str(INSTANCES / "sl2_borel.json"))
@@ -524,8 +537,8 @@ class TestGradedToy:
         from kapranov.cli import Instance, bracket_tables_json, load_document
         from kapranov.kapranov import kapranov_brackets
         inst = Instance(load_document(str(self.FIXTURE)))
-        assert {d % 2 for d in inst.bmod.basis.degrees} == {0, 1}
-        return bracket_tables_json(kapranov_brackets(inst.connection, 4))
+        assert {d % 2 for d in inst.setup.bmod.basis.degrees} == {0, 1}
+        return bracket_tables_json(kapranov_brackets(inst.setup.connection, 4))
 
     @pytest.mark.parametrize("argv", [["brackets"],
                                       ["check-leibniz", "--max-arity", "4"]])
@@ -546,15 +559,6 @@ class TestGradedToy:
         # 2 generators give 4 monomials over 2 basis vectors: 8 per slot
         assert [w["tuples"] for w in rep["weights"]] == [8, 64, 512, 4096]
         assert all(not w["failures"] for w in rep["weights"])
-
-
-def adjoint_trivial_document() -> dict:
-    """builders.adjoint_trivial_linear_map as a document: the adjoint
-    action of [x, y] = y plus a trivially acted-on t, so H(B) is nonzero."""
-    doc = json.loads((INSTANCES / "adjoint_linear_map.json").read_text())
-    doc["label"] = "adjoint(+)trivial"
-    doc["linear_map_object"]["module_basis"] = ["a", "b", "t"]
-    return doc
 
 
 class TestBuildTimeCheckFailures:
@@ -596,6 +600,23 @@ class TestBuildTimeCheckFailures:
         assert "check failed" in err
         assert "d^2(a) = (-1)*b^p^q" in err
 
+    def test_atiyah_where_d_squared_is_nonzero_exits_1(self, capsys):
+        # no Atiyah class is defined where d_A^2 != 0
+        code, out, err = run(capsys, "atiyah", "--input",
+                             str(FIXTURES / "bad_d_squared.json"))
+        assert code == 1
+        assert out == ""
+        assert "check failed" in err
+        assert "d^2(a) = (-1)*b^p^q" in err
+
+    def test_atiyah_where_delta_is_no_chain_map_exits_1(self, capsys):
+        code, out, err = run(capsys, "atiyah", "--input",
+                             str(FIXTURES / "bad_delta.json"))
+        assert code == 1
+        assert out == ""
+        assert "check failed" in err
+        assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err
+
     def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
         from kapranov import kapranov
         real = kapranov.kapranov_brackets
@@ -616,11 +637,11 @@ class TestBuildTimeCheckFailures:
         assert "R_2 changed under the homotopy" in err
 
     def test_unclosed_cohomology_action_is_a_check_failure(self):
-        from kapranov.builders import adjoint_trivial_linear_map, coadjoint_module
+        from kapranov.builders import coadjoint_module
         from kapranov.kapranov import (CheckFailure, cohomology_action,
                                        kapranov_brackets, kapranov_module)
         from kapranov.modules import ModuleElement
-        s = adjoint_trivial_linear_map()
+        s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
         coad, conn = coadjoint_module(s)
         mf = kapranov_module(fam, conn, max_arity=2)
@@ -634,10 +655,11 @@ class TestBuildTimeCheckFailures:
         assert not issubclass(CheckFailure, ValueError)
 
     def test_offset_mismatch_with_delta_prime_is_a_check_failure(self):
-        from kapranov.builders import sl2_borel_pair, splitting_homotopy
+        from kapranov.builders import splitting_homotopy
         from kapranov.derivations import DgDerivation, homotopy_offset
         from kapranov.kapranov import CheckFailure, HatConnection, homotopy_iso
-        s0, s1 = sl2_borel_pair(), sl2_borel_pair({0: {1: 1}})
+        s0 = shipped_setup("sl2_borel")
+        s1 = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(s0, s1)
         hat = HatConnection(h, s0.bmod, {})
         dp = homotopy_offset(s0.delta, h)

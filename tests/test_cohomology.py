@@ -260,7 +260,7 @@ def test_division_stays_integral_when_the_pivot_divides():
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
 def test_betti_numbers_match_sympy_ranks(path):
     """betti(n) = dim C^n - rank d_n - rank d_(n-1), ranks from sympy."""
-    cx = CochainComplex(Instance(load_document(str(path))).bmod)
+    cx = CochainComplex(Instance(load_document(str(path))).setup.bmod)
     for n in cx.degrees():
         rank_n = sympy_rank(cx.diff_matrix(n))
         rank_before = sympy_rank(cx.diff_matrix(n - 1))

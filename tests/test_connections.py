@@ -177,16 +177,16 @@ class TestAtiyahClass:
                                                   flat):
         from kapranov import connections
         from kapranov.cli import Instance, load_document
-        inst = Instance(load_document(str(ROOT / name)))
+        s = Instance(load_document(str(ROOT / name))).setup
         calls = []
         tensor_module = connections.tensor_module
         monkeypatch.setattr(
             connections, "tensor_module",
             lambda *a, **kw: calls.append(a) or tensor_module(*a, **kw))
-        conn = flat_connection_exists(inst.delta, inst.bmod)
+        conn = flat_connection_exists(s.delta, s.bmod)
         assert len(calls) <= 2
         assert (conn is not None) == flat
-        assert flat == atiyah_class(inst.delta, inst.bmod).is_zero()
+        assert flat == atiyah_class(s.delta, s.bmod).is_zero()
         if flat:
             assert atiyah_cocycle(conn).element.is_zero()
 

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
-from kapranov.builders import (adjoint_linear_map, coadjoint_module,
-                               sl2_borel_pair, splitting_homotopy)
+from kapranov.builders import coadjoint_module, splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
@@ -81,7 +81,7 @@ def assert_matches_oracle(kb, table, arity, degree, **kbs):
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_brackets_to_arity_4(path):
-    conn = Instance(load_document(str(path))).connection
+    conn = Instance(load_document(str(path))).setup.connection
     fam = kapranov_brackets(conn, max_arity=4)
     assert sorted(fam.module_tables) == [2, 3, 4]
     for k, table in fam.module_tables.items():
@@ -91,7 +91,7 @@ def test_shipped_brackets_to_arity_4(path):
 
 def test_sl3_borel_brackets_at_arity_2():
     path = ROOT / "bench" / "instances" / "sl3_borel.json"
-    conn = Instance(load_document(str(path))).connection
+    conn = Instance(load_document(str(path))).setup.connection
     fam = kapranov_brackets(conn, max_arity=2)
     assert len(fam.kb.keys) == 96
     got = assert_matches_oracle(fam.kb, fam.module_tables[2], 2, 1)
@@ -99,7 +99,7 @@ def test_sl3_borel_brackets_at_arity_2():
 
 
 def test_morphism_tower_into_another_family():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     v = simple_tensor(s.connection.tensor,
                       ModuleElement.basis_vector(s.delta.target, 0),
                       ModuleElement.basis_vector(s.bmod, 0))
@@ -115,8 +115,8 @@ def test_morphism_tower_into_another_family():
 
 
 def test_homotopy_tower():
-    s0 = sl2_borel_pair()
-    s1 = sl2_borel_pair({0: {1: 1}})
+    s0 = shipped_setup("sl2_borel")
+    s1 = shipped_setup("sl2_borel", {0: {1: 1}})
     h = splitting_homotopy(s0, s1)
     mor, _ = homotopy_iso(s0.connection, h, HatConnection(h, s0.bmod, {}),
                           max_arity=4)
@@ -128,7 +128,7 @@ def test_homotopy_tower():
 
 
 def test_module_action_with_mixed_slots():
-    lm = adjoint_linear_map()
+    lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
     _, conn = coadjoint_module(lm)
     mf = kapranov_module(fam, conn, max_arity=4)

@@ -262,3 +262,55 @@ def test_table_guard_sees_a_planted_read():
     # the parent's degree check read every k-basis table
     assert kbasis_table_reads("for k, m in sorted(fam.brackets.items()):\n"
                               "    pass\n") == ["line 1"]
+
+
+def argumentless_functions(source: str) -> list[str]:
+    """The public top-level functions of a module that can be called with
+    no argument: a stock instance spelled in code instead of a document."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and len(node.args.posonlyargs + node.args.args)
+            == len(node.args.defaults)
+            and None not in node.args.kw_defaults]
+
+
+def class_properties(source: str, class_name: str) -> list[str]:
+    """The properties (plain or cached) that class ``class_name`` defines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == class_name:
+            for item in node.body:
+                for dec in getattr(item, "decorator_list", ()):
+                    name = dec.attr if isinstance(dec, ast.Attribute) else \
+                        getattr(dec, "id", "")
+                    if name in ("property", "cached_property", "setter"):
+                        out.append(item.name)
+    return out
+
+
+def test_builders_spell_no_stock_instance():
+    # the shipped documents under instances/ are the stock instances
+    assert argumentless_functions((PACKAGE / "builders.py").read_text()) == []
+
+
+def test_instance_bridges_no_setup_field():
+    # commands read inst.setup.<field>, the one set-up record
+    assert class_properties((PACKAGE / "cli.py").read_text(), "Instance") == []
+
+
+def test_setup_guards_see_planted_definitions():
+    source = ("def sl2_borel_pair(splitting=None): pass\n"
+              "def affine(): pass\n"
+              "def _private(): pass\n"
+              "def lie_pair_setup(pair, splitting=None): pass\n"
+              "def keyword(*, name): pass\n"
+              "class Instance:\n"
+              "    @property\n"
+              "    def delta(self): pass\n"
+              "    @functools.cached_property\n"
+              "    def bmod(self): pass\n"
+              "    def max_arity(self, args): pass\n")
+    assert argumentless_functions(source) == ["sl2_borel_pair", "affine"]
+    assert class_properties(source, "Instance") == ["delta", "bmod"]
+    assert class_properties(source, "Other") == []

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation, Monomial
-from kapranov.builders import sl2_borel_pair
 from kapranov.cli import Instance, load_document
 from kapranov.cohomology import (CochainComplex, _divided, _eliminate,
                                  kernel_basis, solve_linear)
@@ -466,14 +466,14 @@ def instance(path: pathlib.Path) -> Instance:
 
 def derivation_pairs(inst: Instance):
     """(name, delta, delta') pairs to search homotopies between."""
-    delta = inst.delta
+    delta = inst.setup.delta
     zero = DgDerivation(delta.algebra, delta.target, {})
     doubled = DgDerivation(delta.algebra, delta.target,
                            {g: v.scale(2) for g, v in delta.values.items()})
     pairs = [("self", delta, delta), ("zero", delta, zero),
              ("doubled", delta, doubled)]
-    if inst.second_pair_setup is not None:
-        pairs.append(("second", delta, inst.second_pair_setup.delta))
+    if inst.second_setup is not None:
+        pairs.append(("second", delta, inst.second_setup.delta))
     return pairs
 
 
@@ -504,9 +504,9 @@ def test_homotopy_documents_cover_both_outcomes():
 
 @functools.lru_cache(maxsize=None)
 def flat_outcome(path: pathlib.Path):
-    inst = instance(path)
-    return (flat_connection_exists(inst.delta, inst.bmod),
-            reference_flat_connection_exists(inst.delta, inst.bmod))
+    s = instance(path).setup
+    return (flat_connection_exists(s.delta, s.bmod),
+            reference_flat_connection_exists(s.delta, s.bmod))
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
@@ -534,7 +534,7 @@ def outcome(f, *args):
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
 def test_cochain_complex_matches_the_original(path):
-    assert_same_complex(instance(path).bmod)
+    assert_same_complex(instance(path).setup.bmod)
 
 
 @settings(max_examples=80, deadline=None)
@@ -611,7 +611,7 @@ def compositions(connection, second, omega, arity):
 
 @pytest.mark.parametrize("arity", [5, 4], ids=["brackets", "acceptance"])
 def test_compositions_of_the_sl2_towers_match_the_original(arity):
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     for outer, inner in compositions(s.connection, second_connection(s),
                                      s.omega, arity):
         assert_same_composition(
@@ -621,8 +621,9 @@ def test_compositions_of_the_sl2_towers_match_the_original(arity):
 
 def test_compositions_of_the_shifted_bench_instance_match_the_original():
     inst = instance(ROOT / "bench" / "instances" / "sl2_borel_shifted.json")
-    for outer, inner in compositions(inst.connection, inst.second_connection,
-                                     inst.omega_, 4):
+    for outer, inner in compositions(inst.setup.connection,
+                                     inst.second_connection,
+                                     inst.setup.omega, 4):
         got = compose_morphism_families(outer, inner, max_arity=3)
         assert any(len(m.table) for m in got.maps.values())
         assert_same_composition(got, reference_compose(outer, inner,

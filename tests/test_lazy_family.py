@@ -38,7 +38,7 @@ MAX_ARITY = 4
 @functools.lru_cache(maxsize=None)
 def family(path: pathlib.Path) -> BracketFamily:
     inst = Instance(load_document(str(path)))
-    return kapranov_brackets(inst.connection, MAX_ARITY)
+    return kapranov_brackets(inst.setup.connection, MAX_ARITY)
 
 
 def assert_same_table(got, want):
@@ -144,8 +144,8 @@ def refuse_differential(*args, **kwargs):
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
 def test_kbasis_differential_applies_d_to_each_vector(path):
-    inst = Instance(load_document(str(path)))
-    for module in (inst.bmod, inst.omega_, inst.connection.tensor):
+    s = Instance(load_document(str(path))).setup
+    for module in (s.bmod, s.omega, s.connection.tensor):
         kb = KBasis(module)
         for key in kb.keys:
             want = kb.to_kvec(apply_module_differential(
@@ -155,7 +155,7 @@ def test_kbasis_differential_applies_d_to_each_vector(path):
 
 def test_family_extends_on_first_read_only(monkeypatch):
     path = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
-    conn = Instance(load_document(str(path))).connection
+    conn = Instance(load_document(str(path))).setup.connection
     monkeypatch.setattr(kapranov, "extend_module_table", refuse_extension)
     fam = kapranov_brackets(conn, MAX_ARITY)
     assert fam.nonzero_arities() == [1, 2, 3, 4]
@@ -200,7 +200,7 @@ def run_report(capsys, argv) -> tuple[int, bytes]:
 
 def one_generator(argv) -> bool:
     inst = Instance(load_document(argv[argv.index("--input") + 1]))
-    return inst.algebra_.n_generators < kapranov.DECIDE_MIN_GENERATORS
+    return inst.setup.algebra.n_generators < kapranov.DECIDE_MIN_GENERATORS
 
 
 @pytest.mark.parametrize("directory, slug, argv", REPORT_ONLY,

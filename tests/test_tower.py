@@ -19,10 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
-from kapranov.builders import (adjoint_linear_map, affine_pair,
-                               coadjoint_module, sl2_borel_pair,
-                               splitting_homotopy)
+from kapranov.builders import coadjoint_module, splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection, atiyah_cocycle, omega_tensor
 from kapranov.derivations import (DerivationMorphism, DgDerivation,
@@ -312,7 +311,7 @@ def assert_module_matches(fam, conn_e, max_arity):
 def assert_homotopy_matches(inst, max_arity=4):
     """The isomorphism between the towers of the two splittings, with the
     zero hat connection, as the ``homotopy`` command builds it."""
-    s0, s1 = inst.pair_setup, inst.second_pair_setup
+    s0, s1 = inst.setup, inst.second_setup
     h = splitting_homotopy(s0, s1)
     hat = HatConnection(h, s0.bmod, {})
     mor, _ = homotopy_iso(s0.connection, h, hat, max_arity=max_arity)
@@ -332,33 +331,33 @@ def load(path) -> Instance:
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_shipped_instances_match_the_reference_loops(path):
     inst = load(path)
-    fam0 = assert_brackets_match(inst.connection, 5)
+    fam0 = assert_brackets_match(inst.setup.connection, 5)
     if inst.second_connection is None:
         assert_morphism_matches(fam0, fam0, 4)
     else:
         fam1 = assert_brackets_match(inst.second_connection, 5)
         assert_morphism_matches(fam0, fam1, 4)
         assert_morphism_matches(fam1, fam0, 4)
-    assert_module_matches(fam0, inst.connection, 4)
-    if inst.second_pair_setup is not None:
+    assert_module_matches(fam0, inst.setup.connection, 4)
+    if inst.second_setup is not None:
         assert_homotopy_matches(inst)
 
 
 def test_bench_sl2_shifted_brackets_to_arity_6():
     inst = load(BENCH / "sl2_borel_shifted.json")
-    fam = assert_brackets_match(inst.connection, 6)
+    fam = assert_brackets_match(inst.setup.connection, 6)
     assert fam.module_tables[6]
     assert_homotopy_matches(inst, 5)
 
 
 def test_bench_sl3_brackets_to_arity_3():
     inst = load(BENCH / "sl3_borel.json")
-    fam = assert_brackets_match(inst.connection, 3)
+    fam = assert_brackets_match(inst.setup.connection, 3)
     assert fam.module_tables[3]
 
 
 def test_regular_and_coadjoint_actions():
-    s = sl2_borel_pair()
+    s = shipped_setup("sl2_borel")
     v = simple_tensor(s.connection.tensor,
                       ModuleElement.basis_vector(s.delta.target, 0),
                       ModuleElement.basis_vector(s.bmod, 0))
@@ -367,7 +366,7 @@ def test_regular_and_coadjoint_actions():
     regular = assert_module_matches(fam1, conn1, 5)
     assert_same_tables({k: regular.module_tables[k] for k in (2, 3, 4, 5)},
                        {k: fam1.module_tables[k] for k in (2, 3, 4, 5)})
-    lm = adjoint_linear_map()
+    lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
     _, conn = coadjoint_module(lm)
     coadjoint = assert_module_matches(fam, conn, 4)
@@ -393,7 +392,8 @@ def graded_toy():
 
 
 SETUPS = {name: (s.delta, s.bmod) for name, s in
-          [("sl2/borel", sl2_borel_pair()), ("affine", affine_pair({0: {0: 1}}))]}
+          [("sl2/borel", shipped_setup("sl2_borel")),
+           ("affine", shipped_setup("affine_pair", {0: {0: 1}}))]}
 SETUPS["graded"] = graded_toy()
 
 
@@ -484,11 +484,12 @@ def test_graded_toy_towers():
 def test_graded_toy_fixture_is_the_toy():
     inst = load(GRADED_TOY)
     conn0, _ = graded_toy_connections()
-    assert inst.delta.is_zero()
-    assert inst.omega.basis == conn0.delta.target.basis
-    assert inst.bmod.basis == conn0.module.basis
-    assert_same_tables(kapranov_brackets(inst.connection, 4).module_tables,
-                       assert_brackets_match(conn0, 4).module_tables)
+    assert inst.setup.delta.is_zero()
+    assert inst.setup.omega.basis == conn0.delta.target.basis
+    assert inst.setup.bmod.basis == conn0.module.basis
+    assert_same_tables(
+        kapranov_brackets(inst.setup.connection, 4).module_tables,
+        assert_brackets_match(conn0, 4).module_tables)
 
 
 @settings(max_examples=15, deadline=None)
