@@ -26,10 +26,9 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
                           validate_dg_derivation)
 from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
                           atiyah_class, atiyah_cocycle, check_naturality,
-                          extend_connection, flat_connection_exists)
+                          flat_connection_exists)
 from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
-                       CohomologyBracket, HatConnection,
-                       ModuleActionFamily, MorphismFamily,
+                       CohomologyBracket, ModuleActionFamily, MorphismFamily,
                        a_multilinearity_violations,
                        bracket_nonskew_witness, bracket_on_elements,
                        check_leibniz_infinity, check_linfty_morphism,

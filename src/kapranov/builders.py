@@ -17,7 +17,7 @@ Two families of instances supply it:
 from __future__ import annotations
 
 from .algebra import AlgebraElement, CdgaPresentation, LieAlgebraData, ce_algebra
-from .connections import DeltaConnection, extend_connection
+from .connections import DeltaConnection
 from .derivations import DerivationHomotopy, DgDerivation, homotopy_offset
 from .graded import GradedBasis, exact
 from .modules import DgModule, ModuleElement, add_term, dual_module
@@ -158,7 +158,7 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
             delta, _splitting_difference(algebra, omega, {}, splitting))
         delta.label = f"delta_j({label or pair.label})"
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^"))
-    conn = extend_connection(delta, bmod, label="canonical")
+    conn = DeltaConnection(delta, bmod, label="canonical")
     return Setup(algebra, omega, delta, bmod, conn, pair=pair,
                  splitting=splitting)
 
@@ -326,7 +326,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
     delta = DgDerivation(algebra, omega, values,
                          label=f"psi^({label or data.label})")
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
-    conn = extend_connection(delta, bmod, label="trivial")
+    conn = DeltaConnection(delta, bmod, label="trivial")
     return Setup(algebra, omega, delta, bmod, conn, data=data)
 
 
@@ -357,5 +357,5 @@ def coadjoint_module(setup: Setup) -> tuple[DgModule, DeltaConnection]:
     module = DgModule(setup.algebra,
                       GradedBasis([n_ + "*" for n_ in lie.names],
                                   [0] * n), diff, label="coadjoint")
-    conn = extend_connection(setup.delta, module, label="trivial")
+    conn = DeltaConnection(setup.delta, module, label="trivial")
     return module, conn

@@ -22,16 +22,14 @@ from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
 from .builders import (LiePair, LinearMapObject, OffsetMismatch, Setup,
                        lie_pair_setup, linear_map_setup, splitting_homotopy)
 from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
-                          connection_difference_element, extend_connection,
-                          flat_connection_exists)
+                          connection_difference_element, flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
                           validate_dg_derivation)
 from .graded import GradedBasis, exact
-from .kapranov import (CheckFailure, HatConnection,
-                       bracket_nonskew_witness, check_leibniz_infinity,
-                       check_linfty_morphism, cohomology_leibniz_bracket,
-                       homotopy_iso, kapranov_brackets, kapranov_morphism,
-                       require_dg)
+from .kapranov import (CheckFailure, bracket_nonskew_witness,
+                       check_leibniz_infinity, check_linfty_morphism,
+                       cohomology_leibniz_bracket, homotopy_iso,
+                       kapranov_brackets, kapranov_morphism, require_dg)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, dual_module,
                       validate_dg_module)
@@ -122,7 +120,7 @@ def parse_splitting(d: dict | None, pair: LiePair, where: str) -> dict:
 
 def parse_connection_values(delta: DgDerivation, bmod: DgModule,
                             d: dict | None, where: str) -> DeltaConnection:
-    base = extend_connection(delta, bmod)
+    base = DeltaConnection(delta, bmod)
     if not d:
         return base
     values = {}
@@ -427,6 +425,7 @@ def bracket_tables_json(fam) -> dict:
 
 
 def cmd_brackets(inst: Instance, args) -> dict:
+    require_dg(inst.setup.bmod, inst.setup.delta)
     fam = kapranov_brackets(inst.setup.connection, inst.max_arity(args),
                             label=inst.label)
     bmod = inst.setup.bmod
@@ -448,6 +447,7 @@ def cmd_brackets(inst: Instance, args) -> dict:
 
 def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
+    require_dg(inst.setup.bmod, inst.setup.delta)
     fam = kapranov_brackets(inst.setup.connection, n_max, label=inst.label)
     report = check_leibniz_infinity(fam, n_max)
     return {
@@ -468,6 +468,7 @@ def cmd_morphism(inst: Instance, args) -> dict:
               f"{MORPHISM_MAX_ARITY}", file=sys.stderr)
         n_max = MORPHISM_MAX_ARITY
     s = inst.setup
+    require_dg(s.bmod, s.delta)
     fam0 = kapranov_brackets(s.connection, n_max, label=inst.label)
     dm = DerivationMorphism(s.delta, s.delta, ModuleMorphism.identity(s.omega))
     checks = []
@@ -514,8 +515,8 @@ def cmd_homotopy(inst: Instance, args) -> dict:
     checks.append(named_check(
         "homotopy_search",
         [] if found is not None else ["find_homotopy returned nothing"]))
-    hat = HatConnection(h, s0.bmod, {})
-    mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
+    mor, conn_prime = homotopy_iso(s0.connection, h, DeltaConnection(h, s0.bmod),
+                                   max_arity=4)
     checks.append(named_check(
         "g2_vanishes", [] if 2 not in mor.nonzero_arities()
         else ["g_2 is nonzero"]))

@@ -1,10 +1,11 @@
-"""delta-connections and Atiyah cocycles.
+"""Connections along derivations, and Atiyah cocycles.
 
-Given a dg derivation delta: A -> Omega and a dg module E, a
-delta-connection is a degree-0 map nabla: E -> Omega (x) E with
-nabla(a.e) = delta(a) (x) e + a.nabla(e).  Its Atiyah cocycle is the
-graded commutator [nabla, d], an A-linear degree-1 map, i.e. a closed
-degree-1 element of Omega (x) End(E).
+Given a derivation delta: A -> Omega of degree r and a dg module E, a
+connection along delta is a degree-r map nabla: E -> Omega (x) E with
+nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e).  Along a dg
+derivation (r = 0) it is a delta-connection, and its Atiyah cocycle is
+the graded commutator [nabla, d], an A-linear degree-1 map, i.e. a
+closed degree-1 element of Omega (x) End(E).
 """
 
 from __future__ import annotations
@@ -26,10 +27,16 @@ def omega_tensor(delta: DgDerivation, module: DgModule) -> DgModule:
 
 
 class DeltaConnection:
-    """A delta-connection on a free dg module, given by values on basis vectors.
+    """A connection along a derivation delta of degree r on a free dg
+    module E, given by its values on basis vectors:
 
-    ``values[i]`` = nabla(e_i), an element of Omega (x) E of degree |e_i|.
-    ``tensor``, when given, is ``omega_tensor(delta, module)`` already built.
+      nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e),
+
+    with ``values[i]`` = nabla(e_i), an element of Omega (x) E of degree
+    |e_i| + r, and r = ``delta.degree``.  A dg derivation (r = 0) gives a
+    delta-connection; a homotopy h (r = -1) gives the h-connection of
+    Chen-Stienon-Xu.  ``tensor``, when given, is
+    ``omega_tensor(delta, module)`` already built.
     """
 
     def __init__(self, delta: DgDerivation, module: DgModule,
@@ -46,15 +53,16 @@ class DeltaConnection:
             if v.module.basis != self.tensor.basis:
                 v = ModuleElement(self.tensor, dict(v.coeffs))
             d = v.degree()
-            if d is not None and d != module.basis.degrees[i]:
+            want = module.basis.degrees[i] + delta.degree
+            if d is not None and d != want:
                 raise ValueError(
-                    f"nabla({module.basis.names[i]}) must have degree "
-                    f"{module.basis.degrees[i]}")
+                    f"nabla({module.basis.names[i]}) must have degree {want}")
             self.values[i] = v
 
     def __call__(self, v: ModuleElement) -> ModuleElement:
-        """nabla(a.e) = delta(a) (x) e + a.nabla(e)."""
+        """nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e)."""
         out = self.tensor.zero()
+        odd = self.delta.degree % 2
         for i, a in v.coeffs.items():
             da = self.delta(a)
             if not da.is_zero():
@@ -62,6 +70,10 @@ class DeltaConnection:
                     self.tensor, da, ModuleElement.basis_vector(self.module, i))
             val = self.values.get(i)
             if val is not None:
+                if odd:
+                    a = AlgebraElement._trusted({
+                        mon: -c if len(mon) % 2 else c
+                        for mon, c in a.terms.items()})
                 out = out + val.left_mul(a)
         return out
 
@@ -80,13 +92,6 @@ class DeltaConnection:
 
     def __repr__(self) -> str:
         return f"DeltaConnection({self.label or 'nabla'})"
-
-
-def extend_connection(delta: DgDerivation, module: DgModule,
-                      values: dict[int, ModuleElement] | None = None,
-                      label: str = "") -> DeltaConnection:
-    """Convenience constructor; values default to zero (the canonical choice)."""
-    return DeltaConnection(delta, module, values or {}, label=label)
 
 
 def operator_to_om_hom_element(om_hom: DgModule,
@@ -196,7 +201,7 @@ class AtiyahClass:
                  connection: DeltaConnection | None = None):
         self.delta = delta
         self.module = module
-        self.connection = connection or extend_connection(delta, module)
+        self.connection = connection or DeltaConnection(delta, module)
         self.cocycle = atiyah_cocycle(self.connection)
         self.complex = CochainComplex(self.cocycle.om_end)
 
@@ -297,8 +302,8 @@ def check_naturality(delta: DgDerivation, lam: ModuleMorphism) -> dict:
     Omega (x) Hom(E, F); naturality holds when it is exact.
     """
     e_mod, f_mod = lam.source, lam.target
-    at_e = atiyah_cocycle(extend_connection(delta, e_mod))
-    at_f = atiyah_cocycle(extend_connection(delta, f_mod))
+    at_e = atiyah_cocycle(DeltaConnection(delta, e_mod))
+    at_f = atiyah_cocycle(DeltaConnection(delta, f_mod))
     om_hom = tensor_module(delta.target, hom_module(e_mod, f_mod))
     sgn = -1 if lam.degree % 2 else 1
     values = []

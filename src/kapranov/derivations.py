@@ -39,7 +39,15 @@ def extend_derivation(algebra: CdgaPresentation, target: DgModule,
 
 
 class DgDerivation:
-    """delta: A -> Omega, degree 0, given by its values on generators."""
+    """A derivation D: A -> Omega of degree r = ``degree``, given by its
+    values on generators: D(ab) = D(a).b + (-1)^{r|a|} a.D(b).
+
+    The generators have degree 1, so their values have degree 1 + r.  A dg
+    derivation delta has r = 0 and intertwines the differentials; a
+    homotopy between two of them is a :class:`DerivationHomotopy`.
+    """
+
+    degree = 0
 
     def __init__(self, algebra: CdgaPresentation, target: DgModule,
                  values: dict[int, ModuleElement], label: str = ""):
@@ -54,13 +62,15 @@ class DgDerivation:
                 raise ValueError(f"value on unknown generator index {i}")
             if not v.is_zero():
                 d = v.degree()
-                if d is not None and d != 1:
+                if d is not None and d != 1 + self.degree:
                     raise ValueError(
-                        f"delta({algebra.generators.names[i]}) must have degree 1")
+                        f"the value on {algebra.generators.names[i]} must "
+                        f"have degree {1 + self.degree}")
                 self.values[i] = v
 
     def __call__(self, a: AlgebraElement) -> ModuleElement:
-        return extend_derivation(self.algebra, self.target, self.values, 0, a)
+        return extend_derivation(self.algebra, self.target, self.values,
+                                 self.degree, a)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -68,7 +78,8 @@ class DgDerivation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DgDerivation):
             return NotImplemented
-        if self.algebra != other.algebra or self.target.basis != other.target.basis:
+        if (self.degree != other.degree or self.algebra != other.algebra
+                or self.target.basis != other.target.basis):
             return False
         keys = set(self.values) | set(other.values)
         zero = self.target.zero()
@@ -76,7 +87,7 @@ class DgDerivation:
                    for i in keys)
 
     def __repr__(self) -> str:
-        return f"DgDerivation({self.label or 'delta'})"
+        return f"{type(self).__name__}({self.label or 'delta'})"
 
 
 def validate_dg_derivation(delta: DgDerivation) -> list[str]:
@@ -94,29 +105,11 @@ def validate_dg_derivation(delta: DgDerivation) -> list[str]:
     return failures
 
 
-class DerivationHomotopy:
-    """Degree -1 derivation h: A -> Omega, given on generators.
+class DerivationHomotopy(DgDerivation):
+    """A degree -1 derivation h: A -> Omega, given on generators by values
+    of degree 0: h(ab) = h(a).b + (-1)^{|a|} a.h(b)."""
 
-    Values must have degree 0; h extends with
-    h(ab) = h(a).b + (-1)^{|a|} a.h(b).
-    """
-
-    def __init__(self, algebra: CdgaPresentation, target: DgModule,
-                 values: dict[int, ModuleElement], label: str = ""):
-        self.algebra = algebra
-        self.target = target
-        self.label = label
-        self.values: dict[int, ModuleElement] = {}
-        for i, v in values.items():
-            if not v.is_zero():
-                d = v.degree()
-                if d is not None and d != 0:
-                    raise ValueError(
-                        f"h({algebra.generators.names[i]}) must have degree 0")
-                self.values[i] = v
-
-    def __call__(self, a: AlgebraElement) -> ModuleElement:
-        return extend_derivation(self.algebra, self.target, self.values, -1, a)
+    degree = -1
 
 
 def homotopy_offset(delta: DgDerivation, h: DerivationHomotopy) -> DgDerivation:

@@ -25,12 +25,11 @@ from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import (DerivationHomotopy, DerivationMorphism,
                           homotopy_offset, validate_dg_derivation)
-from .graded import (ONE, Element, GradedBasis, MultilinearMap, koszul_sign,
+from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       add_term, apply_module_differential, contract,
-                      dual_morphism_between, simple_tensor,
-                      validate_dg_module)
+                      dual_morphism_between, pair, validate_dg_module)
 
 
 class CheckFailure(Exception):
@@ -148,20 +147,24 @@ def _contractions(b: ModuleElement, connections) -> list:
 
 
 def covariant_tensor_derivative(connections, b: ModuleElement,
-                                args: list[ModuleElement],
-                                op_degree: int | None = None) -> dict[tuple, AlgebraElement]:
-    """nabla_b acting as a derivation of v_1 (x) ... (x) v_k.
+                                args: list[ModuleElement]) -> dict[tuple, AlgebraElement]:
+    """nabla_b acting as a derivation of v_1 (x) ... (x) v_k, for a
+    homogeneous b.
 
-    ``connections[t]`` governs slot t: anything with a ``module`` and a
-    call into Omega (x) module, such as a delta-connection or an
-    h-connection.  The operator degree is ``op_degree``, by default |b|.
+    ``connections[t]`` governs slot t; all of them are connections along
+    one derivation delta of degree r, so the operator has degree |b| + r.
+    A coefficient c in front of a basis tensor x contributes
+    iota_b(delta(c)).x, and the slots are differentiated as in
+    :func:`derive_tensor`.
     """
-    if op_degree is None:
-        op_degree = b.degree() or 0
+    delta = connections[0].delta
     modules = [c.module for c in connections]
     tensor = tensor_of_elements(args, modules)
-    return derive_tensor(tensor, _contractions(b, connections), op_degree,
-                         modules)
+    out = derive_tensor(tensor, _contractions(b, connections),
+                        (b.degree() or 0) + delta.degree, modules)
+    for key, coeff in tensor.items():
+        add_term(out, key, pair(b, delta(coeff)))
+    return out
 
 
 def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
@@ -169,13 +172,16 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
                 lift=None) -> dict[tuple, ModuleElement]:
     """The next table of a tower, one covariant commutator per b_0:
 
-      T_{k+1}(b_0, x_1, ..., x_k) = (-1)^{|b_0| r} outer_{lift(b_0)}(T_k(x_1, ..., x_k))
+      T_{k+1}(b_0, x_1, ..., x_k) = (-1)^{s r} outer_{lift(b_0)}(T_k(x_1, ..., x_k))
                                     - T_k(nabla_{b_0}-derivative of x_1 (x) ... (x) x_k).
 
     ``prev`` is T_k on module-basis tuples and ``degree`` its internal
     degree r; b_0 runs over the basis of ``b_mod``, slot t is
     differentiated by ``slot_conns[t]``, and ``lift`` (by default the
     identity) carries b_0 to the module that ``outer`` is contracted with.
+    The operator nabla_{b_0} has degree s = |b_0| + ``outer.delta.degree``
+    (|b_0| along a dg derivation, |b_0| - 1 along a homotopy), so the step
+    is (-1)^{s r} times the graded commutator [nabla_{b_0}, T_k].
     Keys come out in lexicographic order.
     """
     modules = [c.module for c in slot_conns]
@@ -184,8 +190,8 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
     for b0 in range(b_mod.rank):
         b0_elt = ModuleElement.basis_vector(b_mod, b0)
         b_outer = lift(b0_elt) if lift else b0_elt
-        d0 = b_mod.basis.degrees[b0]
-        odd = (d0 * degree) % 2
+        op_degree = b_mod.basis.degrees[b0] + outer.delta.degree
+        odd = (op_degree * degree) % 2
         ops = _contractions(b0_elt, slot_conns)
         for args in itertools.product(*(range(m.rank) for m in modules)):
             total = out_module.zero()
@@ -193,8 +199,8 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
             if prev_val is not None and not b_outer.is_zero():
                 moved = contract(b_outer, outer(prev_val))
                 total = total + (moved.scale(-1) if odd else moved)
-            derived = derive_tensor({args: AlgebraElement.scalar(1)}, ops, d0,
-                                    modules)
+            derived = derive_tensor({args: AlgebraElement.scalar(1)}, ops,
+                                    op_degree, modules)
             total = total - eval_table_on_tensor(prev, degree, derived,
                                                  out_module)
             if not total.is_zero():
@@ -1085,61 +1091,22 @@ def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
 # ---------------------------------------------------------------------------
 # homotopy invariance
 
-class HatConnection:
-    """An h-connection: hat(a.e) = h(a) (x) e + (-1)^{|a|} a.hat(e)."""
-
-    def __init__(self, h: DerivationHomotopy, module: DgModule,
-                 values: dict[int, ModuleElement]):
-        self.h = h
-        self.module = module
-        from .modules import tensor_module
-        self.tensor = tensor_module(h.target, module)
-        self.values: dict[int, ModuleElement] = {}
-        for i, v in values.items():
-            if v.is_zero():
-                continue
-            if v.module.basis != self.tensor.basis:
-                v = ModuleElement(self.tensor, dict(v.coeffs))
-            d = v.degree()
-            if d is not None and d != module.basis.degrees[i] - 1:
-                raise ValueError(
-                    f"hat({module.basis.names[i]}) must have degree "
-                    f"{module.basis.degrees[i] - 1}")
-            self.values[i] = v
-
-    def __call__(self, v: ModuleElement) -> ModuleElement:
-        out = self.tensor.zero()
-        for i, a in v.coeffs.items():
-            ha = self.h(a)
-            if not ha.is_zero():
-                out = out + simple_tensor(
-                    self.tensor, ha, ModuleElement.basis_vector(self.module, i))
-            val = self.values.get(i)
-            if val is not None:
-                for mon, c in a.terms.items():
-                    sign = -1 if len(mon) % 2 else 1
-                    out = out + val.left_mul(
-                        AlgebraElement._trusted({mon: ONE})).scale(sign * c)
-        return out
-
-    def along(self, b: ModuleElement, v: ModuleElement) -> ModuleElement:
-        return contract(b, self(v))
-
-
 def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
-                 hat: HatConnection, max_arity: int = 4,
+                 hat: DeltaConnection, max_arity: int = 4,
                  delta_prime=None) -> tuple[MorphismFamily, DeltaConnection]:
     """The isomorphism tower between the towers of homotopic derivations.
 
-    Builds nabla' = nabla + [d, hat] (a connection for
-    delta' = delta + [d, h]), checks R_2 is unchanged, then fills
+    ``hat`` is a connection along the homotopy h.  Builds
+    nabla' = nabla + [d, hat] (a connection for delta' = delta + [d, h]),
+    checks R_2 is unchanged, then fills
 
       g_1 = id,  g_2 = 0,
-      g_{k+1}(b_0,...,b_k) =
-        (-1)^{|b_0|} sum_{p=2..k} sum_{partitions} eps(I) [hat_{b_0}, R_p](g(b_I),...)
-        + [nabla'_{b_0}, g_k](b_1,...,b_k),
+      g_{k+1}(b_0, x_1, ..., x_k) = [nabla'_{b_0}, g_k](x_1, ..., x_k)
+        - sum_{p=2..k} sum_{partitions I} eps(I) S_p(b_0, g(x_{I_1}), ..., g(x_{I_p})),
 
-    a morphism from (B, R^{nabla'}) to (B, R^{nabla}).
+    with S_p = -(-1)^{|b_0|} [hat_{b_0}, R_p] the tower step of R_p along
+    hat, evaluated A-multilinearly on the g-values: a morphism from
+    (B, R^{nabla'}) to (B, R^{nabla}).
     """
     module = conn.module
     if hat.module.basis != module.basis:
@@ -1167,54 +1134,27 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
             for i in range(module.rank)},
         2: {},
     }
-    r_tables = target_fam.module_tables
+    s_tables = {p: _tower_step(rp, 1, module, [hat] * p, hat)
+                for p, rp in target_fam.module_tables.items()
+                if rp and p < max_arity}
+    degrees = module.basis.degrees
     for k in range(2, max_arity):
-        # partition terms: [hat_{b_0}, R_p](g(b_I1), ..., g(b_Ip))
-        partition_terms: dict[tuple, ModuleElement] = {}
-        for b0 in range(module.rank):
-            b0_elt = ModuleElement.basis_vector(module, b0)
-            d0 = module.basis.degrees[b0]
-            sign0 = -1 if d0 % 2 else 1
-            for args in itertools.product(range(module.rank), repeat=k):
-                degs = [module.basis.degrees[i] for i in args]
-                total = module.zero()
-                for p in range(2, k + 1):
-                    rp = r_tables.get(p)
-                    if not rp:
-                        continue
-                    for blocks in ordered_partitions(k, p):
-                        eps = partition_sign(blocks, degs)
-                        g_args = []
-                        for block in blocks:
-                            gt = tables.get(len(block), {})
-                            val = gt.get(tuple(args[b - 1] for b in block))
-                            if val is None:
-                                g_args = None
-                                break
-                            g_args.append(val)
-                        if g_args is None:
-                            continue
-                        inner = eval_table_on_elements(rp, 1, g_args,
-                                                       [module] * p, module)
-                        term = contract(b0_elt, hat(inner))
-                        derived = covariant_tensor_derivative(
-                            [hat] * p, b0_elt, g_args, d0 - 1)
-                        sgn = -1 if (d0 - 1) % 2 else 1
-                        term = term - eval_table_on_tensor(rp, 1, derived,
-                                                           module).scale(sgn)
-                        total = total + term.scale(eps * sign0)
-                if not total.is_zero():
-                    partition_terms[(b0,) + args] = total
-        # commutator with nabla': nabla'_{b_0}(g_k(...)) - g_k(nabla'_{b_0}...)
-        commutator = _tower_step(tables[k], 0, module, [conn_prime] * k,
-                                 conn_prime)
-        new: dict[tuple, ModuleElement] = {}
-        for key in sorted(partition_terms.keys() | commutator.keys()):
-            total = partition_terms.get(key, module.zero()) \
-                + commutator.get(key, module.zero())
-            if not total.is_zero():
-                new[key] = total
-        tables[k + 1] = new
+        new = _tower_step(tables[k], 0, module, [conn_prime] * k, conn_prime)
+        for p, sp in s_tables.items():
+            for blocks in ordered_partitions(k, p):
+                term = _Partition(sp, [tables[len(b)] for b in blocks], blocks)
+                for combo in itertools.product(*(t.items() for t in term.tables)):
+                    x = term.scatter(tuple(itertools.chain.from_iterable(
+                        key for key, _ in combo)))
+                    eps = partition_sign(blocks, [degrees[i] for i in x])
+                    for b0 in range(module.rank):
+                        v = eval_table_on_elements(
+                            sp, 0, [ModuleElement.basis_vector(module, b0)]
+                            + [g for _, g in combo], [module] * (p + 1), module)
+                        key = (b0,) + x
+                        new[key] = new.get(key, module.zero()) - v.scale(eps)
+        tables[k + 1] = {key: new[key] for key in sorted(new)
+                         if not new[key].is_zero()}
     mor = MorphismFamily(source_fam, target_fam, module_tables=tables,
                          label="homotopy_iso")
     return mor, conn_prime

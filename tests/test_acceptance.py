@@ -19,8 +19,7 @@ from kapranov.connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                                   connection_difference_element,
                                   flat_connection_exists)
 from kapranov.derivations import DerivationMorphism
-from kapranov.kapranov import (HatConnection,
-                               a_multilinearity_violations,
+from kapranov.kapranov import (a_multilinearity_violations,
                                bracket_nonskew_witness, check_leibniz_infinity,
                                check_linfty_morphism, check_module_identities,
                                cohomology_leibniz_bracket,
@@ -122,7 +121,7 @@ def test_criterion_4_homotopy_invariance():
     s0 = shipped_setup("sl2_borel")
     s1 = shipped_setup("sl2_borel", {0: {1: 1}})
     h = splitting_homotopy(s0, s1)  # raises unless the offset is exact
-    hat = HatConnection(h, s0.bmod, {})
+    hat = DeltaConnection(h, s0.bmod)
     mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
     assert conn_prime.delta == s1.delta
     assert 2 not in mor.nonzero_arities()

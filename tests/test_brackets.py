@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import strategies as st
 from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement
 from kapranov.builders import splitting_homotopy
+from kapranov.cli import Instance, load_document
 from kapranov.connections import AtiyahClass, DeltaConnection
 from kapranov.derivations import DerivationMorphism
-from kapranov.kapranov import (HatConnection, MorphismFamily, MultilinearMap,
+from kapranov.kapranov import (MorphismFamily, MultilinearMap,
                                a_multilinearity_violations, bracket_on_elements,
                                check_leibniz_infinity, check_linfty_morphism,
                                check_module_identities,
@@ -26,6 +29,8 @@ from kapranov.graded import Element
 from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
 
 F = Fraction
+GRADED_TOY = (pathlib.Path(__file__).resolve().parent / "fixtures"
+              / "graded_toy.json")
 
 
 @pytest.fixture(scope="module")
@@ -100,17 +105,26 @@ class TestBracketTower:
         report = check_leibniz_infinity(fam1, 5)
         assert report["passed"], report
 
-    def test_a_multilinearity_of_recursion(self, fam1, setup):
+    def test_a_multilinearity_of_recursion(self, fam1):
         # evaluating the recursion on coefficient-bearing elements agrees
-        # with the Koszul-signed extension of the basis table
-        for mon in setup.algebra.monomials():
-            args = [ModuleElement(setup.bmod, {0: AlgebraElement.monomial(mon)}),
-                    ModuleElement.basis_vector(setup.bmod, 0),
-                    ModuleElement.basis_vector(setup.bmod, 0)]
-            direct = bracket_on_elements(fam1, 3, args)
-            via_table = fam1.kb.to_module_element(
-                fam1.brackets[3](*[fam1.kb.to_kvec(x) for x in args]))
-            assert direct == via_table, mon
+        # with the Koszul-signed extension of the basis table, whichever
+        # slot holds the coefficient: on sl2/borel, where the coefficient's
+        # delta contracts with b_0, and on the graded toy, whose basis
+        # vectors of both parities show every sign
+        toy = Instance(load_document(str(GRADED_TOY))).setup.connection
+        for fam in (fam1, kapranov_brackets(toy, max_arity=3)):
+            b = fam.module
+            for idx in itertools.product(range(b.rank), repeat=3):
+                for slot, mon in itertools.product(range(3),
+                                                   b.algebra.monomials()):
+                    args = [ModuleElement.basis_vector(b, i) for i in idx]
+                    args[slot] = args[slot].left_mul(
+                        AlgebraElement.monomial(mon))
+                    direct = bracket_on_elements(fam, 3, args)
+                    via_table = fam.kb.to_module_element(
+                        fam.brackets[3](*[fam.kb.to_kvec(x) for x in args]))
+                    assert direct == via_table, (fam.module.label, idx,
+                                                 slot, mon)
 
     def test_carrier_must_be_the_dual(self, setup):
         with pytest.raises(ValueError):
@@ -207,7 +221,7 @@ class TestHomotopyInvariance:
     def test_iso_between_the_two_splittings(self, setup):
         other = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(setup, other)
-        hat = HatConnection(h, setup.bmod, {})
+        hat = DeltaConnection(h, setup.bmod)
         mor, conn_prime = homotopy_iso(setup.connection, h, hat, max_arity=4)
         assert conn_prime.delta == other.delta
         # g_1 = id, g_2 = 0
@@ -220,13 +234,13 @@ class TestHomotopyInvariance:
     def test_r2_is_homotopy_invariant(self, setup):
         other = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(setup, other)
-        hat = HatConnection(h, setup.bmod, {})
+        hat = DeltaConnection(h, setup.bmod)
         mor, _ = homotopy_iso(setup.connection, h, hat, max_arity=3)
         assert mor.source.module_tables[2] == mor.target.module_tables[2]
 
     def test_trivial_homotopy_gives_strict_iso(self, setup):
         h = splitting_homotopy(setup, setup)
-        hat = HatConnection(h, setup.bmod, {})
+        hat = DeltaConnection(h, setup.bmod)
         mor, conn_prime = homotopy_iso(setup.connection, h, hat, max_arity=4)
         assert conn_prime.delta == setup.delta
         assert mor.nonzero_arities() == [1]
@@ -237,7 +251,7 @@ class TestHomotopyInvariance:
                             ModuleElement.basis_vector(setup.omega, 0),
                             ModuleElement.basis_vector(setup.bmod, 0))
         with pytest.raises(ValueError):
-            HatConnection(h, setup.bmod, {0: bad})
+            DeltaConnection(h, setup.bmod, {0: bad})
 
 
 # the shipped Lie pairs, with the number of subalgebra basis vectors a
@@ -270,7 +284,7 @@ def test_non_integral_splittings_keep_every_identity(pair):
             kapranov_brackets(s.connection, max_arity=4), 4)
         assert report["passed"], report
     h = splitting_homotopy(s0, s1)  # raises OffsetMismatch on a mismatch
-    hat = HatConnection(h, s0.bmod, {})
+    hat = DeltaConnection(h, s0.bmod)
     mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
     assert conn_prime.delta == s1.delta
     report = check_linfty_morphism(mor, 4)

@@ -41,7 +41,7 @@ from kapranov.derivations import DerivationMorphism
 from kapranov.graded import (Element, MultilinearMap, koszul_sign,
                              ordered_partitions, partition_sign, shuffles)
 from kapranov import kapranov
-from kapranov.kapranov import (BracketFamily, HatConnection, MorphismFamily,
+from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                _Insertion, _Partition,
                                _leibniz_structures, _module_structures,
                                _morphism_lhs_structures,
@@ -287,7 +287,7 @@ def connection_morphism(inst: Instance, n_max: int):
 def homotopy_morphism(inst: Instance):
     s0, s1 = inst.setup, inst.second_setup
     h = splitting_homotopy(s0, s1)
-    mor, _ = homotopy_iso(s0.connection, h, HatConnection(h, s0.bmod, {}),
+    mor, _ = homotopy_iso(s0.connection, h, DeltaConnection(h, s0.bmod),
                           max_arity=4)
     return mor
 

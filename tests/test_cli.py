@@ -600,22 +600,28 @@ class TestBuildTimeCheckFailures:
         assert "check failed" in err
         assert "d^2(a) = (-1)*b^p^q" in err
 
+    # every command that builds a tower refuses an undefined one up front
+    UNDEFINED_TOWER_COMMANDS = ("atiyah", "brackets", "check-leibniz",
+                                "morphism")
+
     def test_atiyah_where_d_squared_is_nonzero_exits_1(self, capsys):
-        # no Atiyah class is defined where d_A^2 != 0
-        code, out, err = run(capsys, "atiyah", "--input",
-                             str(FIXTURES / "bad_d_squared.json"))
-        assert code == 1
-        assert out == ""
-        assert "check failed" in err
-        assert "d^2(a) = (-1)*b^p^q" in err
+        # no Atiyah class and no tower is defined where d_A^2 != 0
+        for command in self.UNDEFINED_TOWER_COMMANDS:
+            code, out, err = run(capsys, command, "--input",
+                                 str(FIXTURES / "bad_d_squared.json"))
+            assert code == 1, command
+            assert out == "", command
+            assert "check failed" in err, command
+            assert "d^2(a) = (-1)*b^p^q" in err, command
 
     def test_atiyah_where_delta_is_no_chain_map_exits_1(self, capsys):
-        code, out, err = run(capsys, "atiyah", "--input",
-                             str(FIXTURES / "bad_delta.json"))
-        assert code == 1
-        assert out == ""
-        assert "check failed" in err
-        assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err
+        for command in self.UNDEFINED_TOWER_COMMANDS:
+            code, out, err = run(capsys, command, "--input",
+                                 str(FIXTURES / "bad_delta.json"))
+            assert code == 1, command
+            assert out == "", command
+            assert "check failed" in err, command
+            assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err, command
 
     def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
         from kapranov import kapranov
@@ -656,12 +662,13 @@ class TestBuildTimeCheckFailures:
 
     def test_offset_mismatch_with_delta_prime_is_a_check_failure(self):
         from kapranov.builders import splitting_homotopy
+        from kapranov.connections import DeltaConnection
         from kapranov.derivations import DgDerivation, homotopy_offset
-        from kapranov.kapranov import CheckFailure, HatConnection, homotopy_iso
+        from kapranov.kapranov import CheckFailure, homotopy_iso
         s0 = shipped_setup("sl2_borel")
         s1 = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(s0, s1)
-        hat = HatConnection(h, s0.bmod, {})
+        hat = DeltaConnection(h, s0.bmod)
         dp = homotopy_offset(s0.delta, h)
         homotopy_iso(s0.connection, h, hat, max_arity=3, delta_prime=dp)
         # delta' with the value on one generator doubled

@@ -12,7 +12,7 @@ from kapranov.cohomology import CochainComplex
 from kapranov.connections import (AtiyahCocycle, DeltaConnection, apply_om_hom,
                                   atiyah_class, atiyah_cocycle, check_naturality,
                                   connection_difference_element,
-                                  extend_connection, flat_connection_exists)
+                                  flat_connection_exists)
 from kapranov.derivations import DgDerivation
 from kapranov.graded import GradedBasis
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
@@ -50,13 +50,13 @@ def delta_j(borel_alg, omega):
 
 @pytest.fixture
 def nabla0(delta_j, bmod):
-    return extend_connection(delta_j, bmod, label="nabla0")
+    return DeltaConnection(delta_j, bmod, label="nabla0")
 
 
 @pytest.fixture
 def nabla1(delta_j, bmod):
     """Second connection: nabla(fb) = fb* (x) fb."""
-    conn = extend_connection(delta_j, bmod)
+    conn = DeltaConnection(delta_j, bmod)
     v = simple_tensor(conn.tensor, ModuleElement.basis_vector(delta_j.target, 0),
                       ModuleElement.basis_vector(bmod, 0))
     return DeltaConnection(delta_j, bmod, {0: v}, label="nabla1")
@@ -73,7 +73,7 @@ class TestConnection:
             assert lhs == rhs, mon
 
     def test_degree_guard(self, delta_j, bmod):
-        bad = simple_tensor(extend_connection(delta_j, bmod).tensor,
+        bad = simple_tensor(DeltaConnection(delta_j, bmod).tensor,
                             ModuleElement(delta_j.target,
                                           {0: AlgebraElement.monomial((0,))}),
                             ModuleElement.basis_vector(bmod, 0))

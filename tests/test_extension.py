@@ -24,9 +24,9 @@ from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.graded import GradedBasis, MultilinearMap
-from kapranov.kapranov import (HatConnection, KBasis, extend_module_table,
-                               homotopy_iso, kapranov_brackets,
-                               kapranov_module, kapranov_morphism)
+from kapranov.kapranov import (KBasis, extend_module_table, homotopy_iso,
+                               kapranov_brackets, kapranov_module,
+                               kapranov_morphism)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               simple_tensor)
 
@@ -118,7 +118,7 @@ def test_homotopy_tower():
     s0 = shipped_setup("sl2_borel")
     s1 = shipped_setup("sl2_borel", {0: {1: 1}})
     h = splitting_homotopy(s0, s1)
-    mor, _ = homotopy_iso(s0.connection, h, HatConnection(h, s0.bmod, {}),
+    mor, _ = homotopy_iso(s0.connection, h, DeltaConnection(h, s0.bmod),
                           max_arity=4)
     assert mor.source.kb is not mor.target.kb
     for k, table in mor.module_tables.items():

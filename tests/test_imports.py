@@ -11,7 +11,10 @@ Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
-reads a key's degree with ``.kdegree(``.  The CLI builds no k-basis
+reads a key's degree with ``.kdegree(``.  Every tower is filled by one
+step: ``derive_tensor`` is used only by ``_tower_step`` and
+``covariant_tensor_derivative``, and the latter only by the recursion
+oracle ``bracket_on_elements``.  The CLI builds no k-basis
 bracket table itself: it never reads a family's ``.brackets`` and never
 names ``extend_module_table``.
 """
@@ -232,6 +235,56 @@ def test_indexer_guard_sees_a_planted_second_indexer():
                          "    return module.kbasis(1)\n")
     assert kbasis_indexing("modules.py", planted) \
         == [f"modules.py: line {len(planted.splitlines())}"]
+
+
+# each tower-step helper -> the functions of the package that may use it:
+# every tower goes through _tower_step, and covariant_tensor_derivative
+# only serves the recursion oracle on elements
+ONE_STEP = {"derive_tensor": {"_tower_step", "covariant_tensor_derivative"},
+            "covariant_tensor_derivative": {"bracket_on_elements"}}
+
+
+def step_uses(source: str) -> list[tuple[str, str | None, int]]:
+    """Each use of a name of ``ONE_STEP`` in ``source``, as (name, the
+    top-level function or method that uses it or None, line)."""
+    uses = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute)
+                    else None)
+            if name in ONE_STEP and isinstance(child.ctx, ast.Load):
+                uses.append((name, owner, child.lineno))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def and owner is None else owner)
+    visit(ast.parse(source), None)
+    return uses
+
+
+def stray_step_uses(source: str) -> list[tuple[str, str | None, int]]:
+    return [u for u in step_uses(source) if u[1] not in ONE_STEP[u[0]]]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_tower_goes_through_one_step(path):
+    assert stray_step_uses(path.read_text()) == []
+
+
+def test_step_guard_sees_the_step_and_a_planted_loop():
+    source = (PACKAGE / "kapranov.py").read_text()
+    assert {u[:2] for u in step_uses(source)} == {
+        ("derive_tensor", "_tower_step"),
+        ("derive_tensor", "covariant_tensor_derivative"),
+        ("covariant_tensor_derivative", "bracket_on_elements")}
+    n = len(source.splitlines())
+    planted = source + ("\n\ndef _hat_terms(hat, b, args):\n"
+                        "    return covariant_tensor_derivative([hat], b, args)\n"
+                        "_derive = derive_tensor\n")
+    assert stray_step_uses(planted) == [
+        ("covariant_tensor_derivative", "_hat_terms", n + 4),
+        ("derive_tensor", None, n + 5)]
 
 
 def kbasis_table_reads(source: str) -> list[str]:
