@@ -348,6 +348,15 @@ def module_elem_json(v: ModuleElement) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
+def require_defined(inst: Instance) -> None:
+    """Raise the first failure of Jacobi on the document's Lie algebra, if
+    any, then of :func:`require_dg` on B and delta, as a CheckFailure."""
+    failures = inst.lie.jacobi_failures() if inst.lie is not None else []
+    if failures:
+        raise CheckFailure(failures[0])
+    require_dg(inst.setup.bmod, inst.setup.delta)
+
+
 def named_check(name: str, failures: list[str]) -> dict:
     return {"name": name, "passed": not failures, "failures": list(failures)}
 
@@ -376,8 +385,8 @@ def cmd_validate(inst: Instance, args) -> dict:
 
 
 def cmd_atiyah(inst: Instance, args) -> dict:
+    require_defined(inst)
     s = inst.setup
-    require_dg(s.bmod, s.delta)
     cls = AtiyahClass(s.delta, s.bmod, s.connection)
     at = cls.cocycle
     class_zero = cls.is_zero()
@@ -425,7 +434,7 @@ def bracket_tables_json(fam) -> dict:
 
 
 def cmd_brackets(inst: Instance, args) -> dict:
-    require_dg(inst.setup.bmod, inst.setup.delta)
+    require_defined(inst)
     fam = kapranov_brackets(inst.setup.connection, inst.max_arity(args),
                             label=inst.label)
     bmod = inst.setup.bmod
@@ -447,7 +456,7 @@ def cmd_brackets(inst: Instance, args) -> dict:
 
 def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
-    require_dg(inst.setup.bmod, inst.setup.delta)
+    require_defined(inst)
     fam = kapranov_brackets(inst.setup.connection, n_max, label=inst.label)
     report = check_leibniz_infinity(fam, n_max)
     return {
@@ -467,8 +476,8 @@ def cmd_morphism(inst: Instance, args) -> dict:
         print(f"note: morphism caps the document's max_arity {n_max} at "
               f"{MORPHISM_MAX_ARITY}", file=sys.stderr)
         n_max = MORPHISM_MAX_ARITY
+    require_defined(inst)
     s = inst.setup
-    require_dg(s.bmod, s.delta)
     fam0 = kapranov_brackets(s.connection, n_max, label=inst.label)
     dm = DerivationMorphism(s.delta, s.delta, ModuleMorphism.identity(s.omega))
     checks = []
@@ -504,6 +513,7 @@ def cmd_homotopy(inst: Instance, args) -> dict:
         raise DocumentError(
             "the homotopy command needs a lie_pair document with a "
             "second_splitting section")
+    require_defined(inst)
     s0, s1 = inst.setup, inst.second_setup
     try:
         h = splitting_homotopy(s0, s1)
@@ -543,6 +553,7 @@ def cmd_homotopy(inst: Instance, args) -> dict:
 
 
 def cmd_cohomology(inst: Instance, args) -> dict:
+    require_defined(inst)
     fam = kapranov_brackets(inst.setup.connection, 2, label=inst.label)
     cb = cohomology_leibniz_bracket(fam)
     degrees = [args.degree] if args.degree is not None else cb.complex.degrees()

@@ -17,7 +17,11 @@ and on families with one corrupted entry.
 weight on module-basis tuples and ask the exhaustive checkers only for the
 weights that fail there; their reports must equal the exhaustive ones on
 every instance document and on families with one corrupted module-table
-value, whose k-basis tables are extended afresh.
+value, whose k-basis tables are extended afresh.  Both run the same join,
+the exhaustive checkers on k-basis tables read over the ground field.  Its
+partition terms on module tables, where A-coefficients pass the outer map
+and the earlier basis vectors, must equal signed evaluations on elements
+over the graded toy, whose generators and basis degrees are odd.
 """
 
 from __future__ import annotations
@@ -42,12 +46,13 @@ from kapranov.graded import (Element, MultilinearMap, koszul_sign,
                              ordered_partitions, partition_sign, shuffles)
 from kapranov import kapranov
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
-                               _Insertion, _Partition,
+                               _Insertion, _Partition, _module_residuals,
                                _leibniz_structures, _module_structures,
                                _morphism_lhs_structures,
                                _morphism_rhs_structures,
                                check_leibniz_infinity, check_linfty_morphism,
-                               check_module_identities, exhaustive_leibniz,
+                               check_module_identities,
+                               eval_table_on_elements, exhaustive_leibniz,
                                exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_module,
                                kapranov_morphism, trivialization)
@@ -553,6 +558,75 @@ def test_memoised_partition_sign_is_the_partition_sign(case):
     for d in (degs, other, degs):
         assert term.sign(d, parity(d)) == partition_sign(blocks, d)
         assert term.sign(d, parity(d)) == koszul_sign(flat, d)
+
+
+# ---------------------------------------------------------------------------
+# the partition branch of the join on module tables
+
+def draw_homogeneous_table(draw, module, arity: int, degree: int) -> dict:
+    """A module table ``module``^arity -> ``module`` whose value at a key
+    has the key's degree plus ``degree``: up to two terms c.m.e_j with a
+    monomial m of the length that degree asks for."""
+    degs = module.basis.degrees
+    table = {}
+    for key in itertools.product(range(module.rank), repeat=arity):
+        want = degree + sum(degs[i] for i in key)
+        terms = [(j, mon) for j in range(module.rank)
+                 for mon in module.algebra.monomials(want - degs[j])]
+        chosen = draw(st.lists(st.sampled_from(terms), unique=True,
+                               max_size=2)) if terms else []
+        value = module.zero()
+        for j, mon in chosen:
+            c = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+            value = value + ModuleElement(
+                module, {j: AlgebraElement.monomial(mon, c)})
+        if not value.is_zero():
+            table[key] = value
+    return table
+
+
+def reference_partition_rows(term: _Partition, module, n: int) -> dict:
+    """-partition_sign(I, x) outer(f(x_{I_1}), ..., f(x_{I_q})) on every
+    module-basis n-tuple x, evaluated on elements, as rows of nonzero
+    {(basis index, monomial): coefficient}."""
+    degs = module.basis.degrees
+    out = {}
+    for x in itertools.product(range(module.rank), repeat=n):
+        values = [table.get(tuple(x[b - 1] for b in block))
+                  for table, block in zip(term.tables, term.blocks)]
+        if None in values:
+            continue
+        v = eval_table_on_elements(term.outer, term.degree, values,
+                                   [module] * len(values), module)
+        v = v.scale(-partition_sign(term.blocks, [degs[i] for i in x]))
+        if not v.is_zero():
+            out[x] = {(i, mon): c for i, a in v.coeffs.items()
+                      for mon, c in a.terms.items()}
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_partition_rows_equal_signed_evaluations_on_elements(data):
+    # the graded toy's B has basis degrees 0 and -1 over odd generators,
+    # so the coefficients of the block values pass odd basis vectors and,
+    # at outer degree 1, the outer map
+    module = instance(GRADED_TOY).setup.bmod
+    n = data.draw(st.integers(1, 3), label="n")
+    blocks = data.draw(st.sampled_from(
+        [b for q in range(1, n + 1) for b in ordered_partitions(n, q)]),
+        label="blocks")
+    tables = [draw_homogeneous_table(data.draw, module, len(b), 0)
+              for b in blocks]
+    for degree in (0, 1):
+        outer = draw_homogeneous_table(data.draw, module, len(blocks), degree)
+        term = _Partition(outer, tables, blocks, degree)
+        rows = _module_residuals([module.basis.degrees] * n, [], [term],
+                                 module, {})
+        got = {x: {k: c for k, c in row.items() if c}
+               for x, row in rows.items()}
+        assert {x: row for x, row in got.items() if row} \
+            == reference_partition_rows(term, module, n), degree
 
 
 # ---------------------------------------------------------------------------

@@ -602,7 +602,7 @@ class TestBuildTimeCheckFailures:
 
     # every command that builds a tower refuses an undefined one up front
     UNDEFINED_TOWER_COMMANDS = ("atiyah", "brackets", "check-leibniz",
-                                "morphism")
+                                "morphism", "cohomology")
 
     def test_atiyah_where_d_squared_is_nonzero_exits_1(self, capsys):
         # no Atiyah class and no tower is defined where d_A^2 != 0
@@ -622,6 +622,17 @@ class TestBuildTimeCheckFailures:
             assert out == "", command
             assert "check failed" in err, command
             assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err, command
+
+    def test_a_lie_algebra_that_breaks_jacobi_exits_1(self, capsys):
+        # the derived data of bad_jacobi.json pass require_dg, but no Lie
+        # pair is defined by a bracket that breaks Jacobi
+        for command in self.UNDEFINED_TOWER_COMMANDS:
+            code, out, err = run(capsys, command, "--input",
+                                 str(FIXTURES / "bad_jacobi.json"))
+            assert code == 1, command
+            assert out == "", command
+            assert "check failed" in err, command
+            assert "Jacobi fails on (x,y,z)" in err, command
 
     def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
         from kapranov import kapranov

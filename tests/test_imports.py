@@ -14,7 +14,10 @@ nothing else in the package enumerates a k-basis with ``.kbasis(`` or
 reads a key's degree with ``.kdegree(``.  Every tower is filled by one
 step: ``derive_tensor`` is used only by ``_tower_step`` and
 ``covariant_tensor_derivative``, and the latter only by the recursion
-oracle ``bracket_on_elements``.  The CLI builds no k-basis
+oracle ``bracket_on_elements``.  One join serves every identity: the
+package defines no ``_residuals``, and only the two class brackets,
+``CohomologyBracket`` and ``CohomologyAction``, evaluate a table on
+elements with ``eval_table_on_elements``.  The CLI builds no k-basis
 bracket table itself: it never reads a family's ``.brackets`` and never
 names ``extend_module_table``.
 """
@@ -367,3 +370,58 @@ def test_setup_guards_see_planted_definitions():
     assert argumentless_functions(source) == ["sl2_borel_pair", "affine"]
     assert class_properties(source, "Instance") == ["delta", "bmod"]
     assert class_properties(source, "Other") == []
+
+
+# the one join: no k-basis join beside _module_residuals, and evaluation
+# on elements serves only the brackets of cohomology classes
+ON_ELEMENTS = {"CohomologyBracket", "CohomologyAction"}
+
+
+def join_breaches(source: str) -> list[str]:
+    """Each definition of ``_residuals`` in ``source`` and each use of
+    ``eval_table_on_elements`` outside the top-level definitions named in
+    ``ON_ELEMENTS``, as "name (owner, line)"."""
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == "_residuals"):
+                out.append(f"def _residuals ({owner}, line {node.lineno})")
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if (name == "eval_table_on_elements"
+                    and isinstance(node.ctx, ast.Load)
+                    and owner not in ON_ELEMENTS):
+                out.append(f"{name} ({owner}, line {node.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_one_join_serves_every_identity(path):
+    assert join_breaches(path.read_text()) == []
+
+
+def test_join_guard_sees_planted_definitions():
+    source = (PACKAGE / "kapranov.py").read_text()
+    n = len(source.splitlines())
+    planted = source + (
+        "\n\ndef _residuals(slots, insertions, partitions, cache):\n"
+        "    return {}\n"
+        "\n\ndef homotopy_iso(conn, h, hat):\n"
+        "    return eval_table_on_elements(hat, 0, [], [], None)\n"
+        "\n\nclass _Join:\n"
+        "    def _residuals(self):\n"
+        "        return kapranov.eval_table_on_elements\n")
+    assert join_breaches(planted) == [
+        f"def _residuals (_residuals, line {n + 3})",
+        f"eval_table_on_elements (homotopy_iso, line {n + 8})",
+        f"def _residuals (_Join, line {n + 12})",
+        f"eval_table_on_elements (_Join, line {n + 13})"]
+    # the two class brackets are the uses the guard lets through
+    uses = [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name)
+            and node.id == "eval_table_on_elements"]
+    assert len(uses) == 2
