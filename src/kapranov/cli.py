@@ -705,6 +705,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # could not finish: neither a failed check nor bad input
+        print(f"error: {args.input}: out of memory", file=sys.stderr)
+        return 3
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:

@@ -7,10 +7,10 @@ B = dual(Omega), the tower
     R_{k+1}(b_0, ..., b_k) = (-1)^{|b_0|} [nabla_{b_0}, R_k](b_1, ..., b_k)
 
 makes B a strongly homotopy Leibniz algebra with all brackets of degree 1.
-This module fills those towers as explicit tables over a ground-field
-basis and mechanically checks every identity they are supposed to
-satisfy: the generalized Jacobi identities, the morphism equations, the
-module identities, and homotopy invariance.
+This module fills those towers as tables on module-basis tuples and
+mechanically checks every identity they are supposed to satisfy: the
+generalized Jacobi identities, the morphism equations, the module
+identities, and homotopy invariance.
 """
 
 from __future__ import annotations
@@ -127,26 +127,6 @@ def eval_table_on_elements(table, degree, args, modules, out_module):
     return eval_table_on_tensor(table, degree, tensor, out_module)
 
 
-def _contractions(b: ModuleElement, connections) -> list:
-    """Slot operators i -> iota_b(nabla(e_i)) for ``nabla = connections[t]``.
-
-    Slots governed by the same connection share one lazy memo, so each
-    basis vector is contracted with b at most once per connection.
-    """
-    ops = {}
-    for conn in connections:
-        if id(conn) not in ops:
-            cache: dict[int, ModuleElement] = {}
-
-            def op(i, conn=conn, cache=cache):
-                if i not in cache:
-                    cache[i] = contract(b, conn(
-                        ModuleElement.basis_vector(conn.module, i)))
-                return cache[i]
-            ops[id(conn)] = op
-    return [ops[id(conn)] for conn in connections]
-
-
 def covariant_tensor_derivative(connections, b: ModuleElement,
                                 args: list[ModuleElement]) -> dict[tuple, AlgebraElement]:
     """nabla_b acting as a derivation of v_1 (x) ... (x) v_k, for a
@@ -161,16 +141,31 @@ def covariant_tensor_derivative(connections, b: ModuleElement,
     delta = connections[0].delta
     modules = [c.module for c in connections]
     tensor = tensor_of_elements(args, modules)
-    out = derive_tensor(tensor, _contractions(b, connections),
-                        (b.degree() or 0) + delta.degree, modules)
+    ops = [lambda i, c=c: contract(b, c(ModuleElement.basis_vector(c.module, i)))
+           for c in connections]
+    out = derive_tensor(tensor, ops, (b.degree() or 0) + delta.degree, modules)
     for key, coeff in tensor.items():
         add_term(out, key, pair(b, delta(coeff)))
     return out
 
 
+def _contraction_table(vectors: list[ModuleElement],
+                       values: dict) -> dict[tuple, ModuleElement]:
+    """(b, j) -> iota_{vectors[b]}(values[j]) for the entries of
+    ``values``, elements of Omega (x) E: the nonzero ones, b major, j in
+    the order of ``values``."""
+    table: dict[tuple, ModuleElement] = {}
+    for b, vector in enumerate(vectors):
+        for j, v in values.items():
+            c = contract(vector, v)
+            if not c.is_zero():
+                table[(b, j)] = c
+    return table
+
+
 def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
-                b_mod: DgModule, slot_conns, outer,
-                lift=None) -> dict[tuple, ModuleElement]:
+                b_mod: DgModule, slot_conns, outer, lift=None,
+                partitions=()) -> dict[tuple, ModuleElement]:
     """The next table of a tower, one covariant commutator per b_0:
 
       T_{k+1}(b_0, x_1, ..., x_k) = (-1)^{s r} outer_{lift(b_0)}(T_k(x_1, ..., x_k))
@@ -180,32 +175,41 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
     degree r; b_0 runs over the basis of ``b_mod``, slot t is
     differentiated by ``slot_conns[t]``, and ``lift`` (by default the
     identity) carries b_0 to the module that ``outer`` is contracted with.
-    The operator nabla_{b_0} has degree s = |b_0| + ``outer.delta.degree``
-    (|b_0| along a dg derivation, |b_0| - 1 along a homotopy), so the step
+    The connections run along a derivation of degree r' (0 for delta, -1
+    for a homotopy), so nabla_{b_0} has degree s = |b_0| + r' and the step
     is (-1)^{s r} times the graded commutator [nabla_{b_0}, T_k].
-    Keys come out in lexicographic order.
+
+    The derivative is A-multilinear: :func:`_module_residuals` joins it as
+    one insertion term T_k(x_1, ..., Gamma(b_0, x_t), ..., x_k) per slot
+    t, Gamma(b_0, e_i) = -iota_{b_0} nabla(e_i) being a map of degree r'
+    and b_0 moving past x_F = x_1..x_{t-1}: that Koszul sign times
+    (-1)^{r'|x_F|} is (-1)^{s|x_F|}.  ``partitions``, terms of arity
+    k + 1, are subtracted as in a residual.  outer is not A-linear, so
+    the first term applies it once per entry of ``prev``.  Keys come out
+    sorted.
     """
-    modules = [c.module for c in slot_conns]
-    out_module = outer.module
+    basis = [ModuleElement.basis_vector(b_mod, b0) for b0 in range(b_mod.rank)]
+    gammas = {id(c): _contraction_table([-e for e in basis], c.values)
+              for c in {id(c): c for c in slot_conns}.values()}
+    acc = _module_residuals(
+        [b_mod.basis.degrees] + [c.module.basis.degrees for c in slot_conns],
+        [_Insertion(prev, gammas[id(c)], t + 2, 2, (*range(2, t + 2), 1),
+                    degree, c.delta.degree) for t, c in enumerate(slot_conns)],
+        partitions, outer.module, {})
+    lifted = [-b if (d + outer.delta.degree) * degree % 2 else b for b, d in
+              zip(map(lift, basis) if lift else basis, b_mod.basis.degrees)]
+    first = _contraction_table(lifted, {x: outer(v) for x, v in prev.items()})
+    for (b0, args), v in first.items():
+        row = acc.setdefault((b0,) + args, {})
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                row[i, mon] = row.get((i, mon), 0) + c
     out: dict[tuple, ModuleElement] = {}
-    for b0 in range(b_mod.rank):
-        b0_elt = ModuleElement.basis_vector(b_mod, b0)
-        b_outer = lift(b0_elt) if lift else b0_elt
-        op_degree = b_mod.basis.degrees[b0] + outer.delta.degree
-        odd = (op_degree * degree) % 2
-        ops = _contractions(b0_elt, slot_conns)
-        for args in itertools.product(*(range(m.rank) for m in modules)):
-            total = out_module.zero()
-            prev_val = prev.get(args)
-            if prev_val is not None and not b_outer.is_zero():
-                moved = contract(b_outer, outer(prev_val))
-                total = total + (moved.scale(-1) if odd else moved)
-            derived = derive_tensor({args: AlgebraElement.scalar(1)}, ops,
-                                    op_degree, modules)
-            total = total - eval_table_on_tensor(prev, degree, derived,
-                                                 out_module)
-            if not total.is_zero():
-                out[(b0,) + args] = total
+    for x in sorted(acc):
+        v = ModuleElement.from_terms(outer.module, (
+            ((mon, i), c) for (i, mon), c in acc[x].items() if c))
+        if not v.is_zero():
+            out[x] = v
     return out
 
 
@@ -217,16 +221,10 @@ def _atiyah_table(conn: DeltaConnection, b_mod: DgModule) -> dict[tuple, ModuleE
     (-1)^{|b_i|} iota_{b_i}([nabla, d](e_j)), read off the cocycle's
     operator values.
     """
-    at = atiyah_cocycle(conn)
-    table: dict[tuple, ModuleElement] = {}
-    for i in range(b_mod.rank):
-        bi = ModuleElement.basis_vector(b_mod, i)
-        odd = b_mod.basis.degrees[i] % 2
-        for j, op in enumerate(at.operator_values):
-            v = contract(bi, op)
-            if not v.is_zero():
-                table[(i, j)] = v.scale(-1) if odd else v
-    return table
+    signed = [ModuleElement.basis_vector(b_mod, i).scale(-1 if d % 2 else 1)
+              for i, d in enumerate(b_mod.basis.degrees)]
+    return _contraction_table(
+        signed, dict(enumerate(atiyah_cocycle(conn).operator_values)))
 
 
 # ---------------------------------------------------------------------------
@@ -491,19 +489,21 @@ class _Insertion:
     ``sigma`` is a (k-j, j-1)-shuffle of 1..k-1: the front block F is
     sigma(1..k-j), the middle block M = sigma(k-j+1..k-1) goes into the
     j-ary inner map together with x_k.  ``front`` and ``args`` hold the
-    0-based positions of F and of (M, k), and ``degree`` is the outer
-    map's.  The term's sign is the Koszul sign of sigma on x_1..x_{k-1}
-    times (-1)^{|x_F|}, the inner map's degree 1 passing x_F; both depend
+    0-based positions of F and of (M, k); ``degree`` is the outer map's
+    and ``inner_degree`` the inner map's (1 in an identity, r' in a tower
+    step).  The term's sign is the Koszul sign of sigma on x_1..x_{k-1}
+    times (-1)^{inner_degree |x_F|}, the inner map passing x_F; both depend
     only on the parities of the degrees, so ``sign`` memoises it under
     ``parity``, an int whose set bits mark the odd entries of a tuple that
     holds x_1..x_{k-1}.  Parity 0, all of them even, has sign 1.
     """
 
     __slots__ = ("outer", "inner", "k", "sigma", "front", "args", "degree",
-                 "signs")
+                 "inner_degree", "signs")
 
     def __init__(self, outer: dict, inner: dict, k: int, j: int,
-                 sigma: tuple[int, ...], degree: int = 1):
+                 sigma: tuple[int, ...], degree: int = 1,
+                 inner_degree: int = 1):
         self.outer = outer
         self.inner = inner
         self.k = k
@@ -511,12 +511,13 @@ class _Insertion:
         self.front = tuple(s - 1 for s in sigma[:k - j])
         self.args = tuple(s - 1 for s in sigma[k - j:k - 1]) + (k - 1,)
         self.degree = degree
+        self.inner_degree = inner_degree
         self.signs: dict[int, int] = {0: 1}
 
     def sign(self, degs: list[int], parity) -> int:
         s = self.signs.get(parity)
         if s is None:
-            front = sum(degs[t] for t in self.front)
+            front = self.inner_degree * sum(degs[t] for t in self.front)
             s = koszul_sign(self.sigma, degs[:self.k - 1]) * (-1 if front % 2 else 1)
             self.signs[parity] = s
         return s
@@ -1088,10 +1089,10 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
         - sum_{p=2..k} sum_{partitions I} eps(I) S_p(b_0, g(x_{I_1}), ..., g(x_{I_p})),
 
     with S_p = -(-1)^{|b_0|} [hat_{b_0}, R_p] the tower step of R_p along
-    hat, of degree 0, evaluated A-multilinearly on the g-values as the
-    partition term of :func:`_module_residuals` with blocks (1), I + 1, b_0
-    read through g_1 = id; b_0 never moves, so its sign is eps(I).  This is
-    a morphism from (B, R^{nabla'}) to (B, R^{nabla}).
+    hat, of degree 0, evaluated A-multilinearly on the g-values as a
+    partition term of the step along nabla', with blocks (1), I + 1, b_0
+    read through g_1 = id; b_0 never moves, so its sign is eps(I).  This
+    is a morphism from (B, R^{nabla'}) to (B, R^{nabla}).
     """
     module = conn.module
     if hat.module.basis != module.basis:
@@ -1122,21 +1123,14 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     s_tables = {p: _tower_step(rp, 1, module, [hat] * p, hat)
                 for p, rp in target_fam.module_tables.items()
                 if rp and p < max_arity}
-    cache: dict = {}
     for k in range(2, max_arity):
-        new = _tower_step(tables[k], 0, module, [conn_prime] * k, conn_prime)
-        s_terms = [_Partition(sp, [tables[1]] + [tables[len(b)] for b in blocks],
-                              ((1,),) + tuple(tuple(i + 1 for i in b)
-                                              for b in blocks), 0)
-                   for p, sp in s_tables.items()
-                   for blocks in ordered_partitions(k, p)]
-        for key, row in _module_residuals([module.basis.degrees] * (k + 1), [],
-                                          s_terms, module, cache).items():
-            for (i, mon), c in row.items():
-                new[key] = new.get(key, module.zero()) + ModuleElement(
-                    module, {i: AlgebraElement({mon: c})})
-        tables[k + 1] = {key: new[key] for key in sorted(new)
-                         if not new[key].is_zero()}
+        tables[k + 1] = _tower_step(
+            tables[k], 0, module, [conn_prime] * k, conn_prime,
+            partitions=[_Partition(sp, [tables[1]] + [tables[len(b)] for b in blocks],
+                                   ((1,),) + tuple(tuple(i + 1 for i in b)
+                                                   for b in blocks), 0)
+                        for p, sp in s_tables.items()
+                        for blocks in ordered_partitions(k, p)])
     mor = MorphismFamily(source_fam, target_fam, module_tables=tables,
                          label="homotopy_iso")
     return mor, conn_prime

@@ -43,6 +43,16 @@ class ModuleElement:
         return self
 
     @classmethod
+    def from_terms(cls, module: "DgModule", pairs) -> "ModuleElement":
+        """The sum of c.(mon.e_i) over ``pairs`` of a key (mon, i) and a
+        nonzero coefficient, no key twice, built without intermediate sums."""
+        coeffs: dict[int, dict[Monomial, Scalar]] = {}
+        for (mon, i), c in pairs:
+            coeffs.setdefault(i, {})[mon] = exact(c)
+        return cls._trusted(module, {
+            i: AlgebraElement._trusted(terms) for i, terms in coeffs.items()})
+
+    @classmethod
     def basis_vector(cls, module: "DgModule", i: int, coeff=None) -> "ModuleElement":
         if coeff is None:
             coeff = AlgebraElement.scalar(1)
@@ -281,8 +291,8 @@ class KBasis:
 
     def from_vector(self, vec: Sequence[Scalar], d: int) -> ModuleElement:
         """The element with dense coordinates ``vec`` on the degree-d slice."""
-        return self._element((key, c) for key, c in zip(self.slice(d), vec)
-                             if c)
+        return ModuleElement.from_terms(
+            self.module, ((key, c) for key, c in zip(self.slice(d), vec) if c))
 
     def differential(self, key: tuple[Monomial, int]) -> dict[int, Scalar]:
         """d of the k-basis vector ``key`` = (m, i), as {k-basis index:
@@ -313,16 +323,8 @@ class KBasis:
         return row
 
     def to_module_element(self, e: Element) -> ModuleElement:
-        return self._element((self.keys[idx], c) for idx, c in e.coeffs.items())
-
-    def _element(self, pairs) -> ModuleElement:
-        """The sum of c.(mon.e_i) over ``pairs`` of a key and a nonzero
-        coefficient, no key twice, built without intermediate sums."""
-        coeffs: dict[int, dict[Monomial, Scalar]] = {}
-        for (mon, i), c in pairs:
-            coeffs.setdefault(i, {})[mon] = exact(c)
-        return ModuleElement._trusted(self.module, {
-            i: AlgebraElement._trusted(terms) for i, terms in coeffs.items()})
+        return ModuleElement.from_terms(
+            self.module, ((self.keys[idx], c) for idx, c in e.coeffs.items()))
 
 
 def add_term(coeffs: dict, key, a: AlgebraElement) -> None:

@@ -21,7 +21,9 @@ value, whose k-basis tables are extended afresh.  Both run the same join,
 the exhaustive checkers on k-basis tables read over the ground field.  Its
 partition terms on module tables, where A-coefficients pass the outer map
 and the earlier basis vectors, must equal signed evaluations on elements
-over the graded toy, whose generators and basis degrees are odd.
+over the graded toy, whose generators and basis degrees are odd; so must
+its insertion terms with an inner map of degree 0 or -1, the
+contractions of a tower step.
 """
 
 from __future__ import annotations
@@ -627,6 +629,59 @@ def test_partition_rows_equal_signed_evaluations_on_elements(data):
                for x, row in rows.items()}
         assert {x: row for x, row in got.items() if row} \
             == reference_partition_rows(term, module, n), degree
+
+
+def reference_insertion_rows(term: _Insertion, module, n: int) -> dict:
+    """sign(sigma) (-1)^{r'|x_F|} outer(x_F, inner(x_M, x_k), x_{k+1}, ...,
+    x_n), r' the inner map's degree, on every module-basis n-tuple x, the
+    outer map evaluated on elements, as rows of nonzero {(basis index,
+    monomial): coefficient}."""
+    degs = module.basis.degrees
+    k, sigma = term.k, term.sigma
+    front, middle = sigma[:len(term.front)], sigma[len(term.front):]
+    out = {}
+    for x in itertools.product(range(module.rank), repeat=n):
+        inner = term.inner.get(tuple(x[b - 1] for b in middle) + (x[k - 1],))
+        if inner is None:
+            continue
+        args = ([ModuleElement.basis_vector(module, x[b - 1]) for b in front]
+                + [inner]
+                + [ModuleElement.basis_vector(module, i) for i in x[k:]])
+        v = eval_table_on_elements(term.outer, term.degree, args,
+                                   [module] * len(args), module)
+        d = [degs[i] for i in x]
+        moved = term.inner_degree * sum(d[b - 1] for b in front)
+        v = v.scale(koszul_sign(sigma, d[:k - 1]) * (-1 if moved % 2 else 1))
+        if not v.is_zero():
+            out[x] = {(i, mon): c for i, a in v.coeffs.items()
+                      for mon, c in a.terms.items()}
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_insertion_rows_equal_signed_evaluations_on_elements(data):
+    # inner maps of degree 0 and -1 are a tower step's contractions along
+    # a dg derivation and along a homotopy; on the graded toy's B the
+    # inner value's odd coefficients pass x_F and the outer map, and
+    # (-1)^{r'|x_F|} shows where x_F is odd
+    module = instance(GRADED_TOY).setup.bmod
+    n = data.draw(st.integers(1, 4), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    j = data.draw(st.integers(1, k), label="j")
+    sigma = data.draw(st.sampled_from(list(shuffles(k - j, j - 1))),
+                      label="sigma")
+    degree = data.draw(st.sampled_from([0, 1]), label="outer degree")
+    outer = draw_homogeneous_table(data.draw, module, n - j + 1, degree)
+    for inner_degree in (0, -1):
+        inner = draw_homogeneous_table(data.draw, module, j, inner_degree)
+        term = _Insertion(outer, inner, k, j, sigma, degree, inner_degree)
+        rows = _module_residuals([module.basis.degrees] * n, [term], [],
+                                 module, {})
+        got = {x: {key: c for key, c in row.items() if c}
+               for x, row in rows.items()}
+        assert {x: row for x, row in got.items() if row} \
+            == reference_insertion_rows(term, module, n), inner_degree
 
 
 # ---------------------------------------------------------------------------

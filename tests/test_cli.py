@@ -65,6 +65,21 @@ class TestExitCodes:
         assert code == 2
         assert "lie_pair/brackets/0,1/1" in err
 
+    def test_exhausted_memory_exits_3_without_a_traceback(self, capsys,
+                                                          monkeypatch):
+        # 3 is "could not finish": neither a failed check (1) nor bad
+        # input (2); the command raises at once and allocates nothing
+        from kapranov import cli
+
+        def exhausted(inst, args):
+            raise MemoryError
+        monkeypatch.setitem(cli.COMMANDS, "atiyah", exhausted)
+        path = str(INSTANCES / "sl2_borel.json")
+        code, out, err = run(capsys, "atiyah", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {path}: out of memory\n"
+
     def test_import_loads_only_the_standard_library(self):
         # every invocation pays the import: beyond what the bare interpreter
         # already holds (site and its .pth files), importing the CLI may

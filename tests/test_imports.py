@@ -12,9 +12,11 @@ the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
 reads a key's degree with ``.kdegree(``.  Every tower is filled by one
-step: ``derive_tensor`` is used only by ``_tower_step`` and
-``covariant_tensor_derivative``, and the latter only by the recursion
-oracle ``bracket_on_elements``.  One join serves every identity: the
+step, and its derivative runs through the one join: ``_tower_step``
+calls ``_module_residuals`` and uses none of ``itertools.product``,
+``derive_tensor`` and ``eval_table_on_tensor``; ``derive_tensor`` is
+used only by ``covariant_tensor_derivative``, and that only by the
+recursion oracle ``bracket_on_elements``.  One join serves every identity: the
 package defines no ``_residuals``, and only the two class brackets,
 ``CohomologyBracket`` and ``CohomologyAction``, evaluate a table on
 elements with ``eval_table_on_elements``.  The CLI builds no k-basis
@@ -241,10 +243,13 @@ def test_indexer_guard_sees_a_planted_second_indexer():
 
 
 # each tower-step helper -> the functions of the package that may use it:
-# every tower goes through _tower_step, and covariant_tensor_derivative
-# only serves the recursion oracle on elements
-ONE_STEP = {"derive_tensor": {"_tower_step", "covariant_tensor_derivative"},
+# every tower goes through _tower_step, whose derivative is a join, and
+# the dense derivation of a tensor only serves the recursion oracle on
+# elements
+ONE_STEP = {"derive_tensor": {"covariant_tensor_derivative"},
             "covariant_tensor_derivative": {"bracket_on_elements"}}
+# what a per-tuple loop over the slots' bases would use in _tower_step
+DENSE = ("product", "derive_tensor", "eval_table_on_tensor")
 
 
 def step_uses(source: str) -> list[tuple[str, str | None, int]]:
@@ -275,10 +280,35 @@ def test_every_tower_goes_through_one_step(path):
     assert stray_step_uses(path.read_text()) == []
 
 
+def step_breaches(source: str) -> list[str]:
+    """For each top-level ``_tower_step`` in ``source``, its uses of a name
+    of ``DENSE`` as "name (line)", and "no _module_residuals (line)" at
+    its definition when it does not call the join."""
+    out = []
+    for top in ast.parse(source).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name == "_tower_step"):
+            continue
+        joins = False
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else None)
+            if name in DENSE and isinstance(node.ctx, ast.Load):
+                out.append(f"{name} (line {node.lineno})")
+            joins |= (isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == "_module_residuals")
+        if not joins:
+            out.append(f"no _module_residuals (line {top.lineno})")
+    return out
+
+
+def test_the_tower_step_is_insertion_terms_of_the_join():
+    assert step_breaches((PACKAGE / "kapranov.py").read_text()) == []
+
+
 def test_step_guard_sees_the_step_and_a_planted_loop():
     source = (PACKAGE / "kapranov.py").read_text()
     assert {u[:2] for u in step_uses(source)} == {
-        ("derive_tensor", "_tower_step"),
         ("derive_tensor", "covariant_tensor_derivative"),
         ("covariant_tensor_derivative", "bracket_on_elements")}
     n = len(source.splitlines())
@@ -288,6 +318,19 @@ def test_step_guard_sees_the_step_and_a_planted_loop():
     assert stray_step_uses(planted) == [
         ("covariant_tensor_derivative", "_hat_terms", n + 4),
         ("derive_tensor", None, n + 5)]
+    # the parent's dense step: one derive_tensor per tuple of every
+    # slot's basis, evaluated on prev
+    planted = source + (
+        "\n\ndef _tower_step(prev, degree, b_mod, slot_conns, outer):\n"
+        "    ranges = (range(c.module.rank) for c in slot_conns)\n"
+        "    for args in itertools.product(*ranges):\n"
+        "        derived = derive_tensor({args: 1}, [], degree, [])\n"
+        "        eval_table_on_tensor(prev, degree, derived, outer.module)\n")
+    assert stray_step_uses(planted) == [("derive_tensor", "_tower_step", n + 6)]
+    assert step_breaches(planted) == [
+        f"product (line {n + 5})", f"derive_tensor (line {n + 6})",
+        f"eval_table_on_tensor (line {n + 7})",
+        f"no _module_residuals (line {n + 3})"]
 
 
 def kbasis_table_reads(source: str) -> list[str]:

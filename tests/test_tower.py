@@ -4,11 +4,14 @@ Every tower of the package (brackets, morphisms, the homotopy
 isomorphism and module actions) is filled by one covariant-commutator
 step, ``_tower_step``; the homotopy isomorphism also takes its
 [hat_{b_0}, R_p] terms from it, run along a connection hat of the
-homotopy h.  The ``reference_*`` functions below are the loops each
-tower used to carry, kept verbatim as the oracle: the tables must be
-equal, key order included.  A Hypothesis property draws random
-delta-connections and asks the same of them, and that the towers they
-generate satisfy their identities.  Another draws a random homotopy h
+homotopy h.  The step's derivative runs as insertion terms of the
+identity checkers' join, which visits only the tuples that a table entry
+reaches.  The ``reference_*`` functions below are the dense loops each
+tower used to carry, over every tuple of basis indices, kept verbatim as
+the oracle: the tables must be equal, key order included, on every
+shipped document and on the bench's sl3 over its Borel, the widest.  A
+Hypothesis property draws random delta-connections and asks the same of
+them, and that the towers they generate satisfy their identities.  Another draws a random homotopy h
 and random connections along delta and along h: the isomorphism must
 equal the reference loop to arity 4, where that loop is right, and pass
 the morphism equation to weight 5, which the loop fails where a g-value
@@ -365,6 +368,18 @@ def test_bench_sl3_brackets_to_arity_3():
     inst = load(BENCH / "sl3_borel.json")
     fam = assert_brackets_match(inst.setup.connection, 3)
     assert fam.module_tables[3]
+
+
+def test_bench_sl3_towers_to_arity_5():
+    # 5 generators and rank 3: the widest checked-in instance, where the
+    # step's join skips the most tuples of the dense loops
+    inst = load(BENCH / "sl3_borel.json")
+    fam = assert_brackets_match(inst.setup.connection, 5)
+    assert fam.module_tables[5]
+    # the identity's higher maps cancel to zero, entry by entry
+    assert assert_morphism_matches(fam, fam, 4).nonzero_arities() == [1]
+    action = assert_module_matches(fam, inst.setup.connection, 4)
+    assert action.module_tables[4]
 
 
 def test_regular_and_coadjoint_actions():
