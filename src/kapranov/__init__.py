@@ -11,13 +11,13 @@ The package builds, over the rationals:
 """
 
 from . import graded
-from .graded import (Element, GradedBasis, MultilinearMap, eval_multilinear,
-                     koszul_sign, ordered_partitions, partition_sign, shuffles)
+from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
+                     ordered_partitions, partition_sign, shuffles)
 from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       ce_algebra, validate_cdga)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, dual_module,
-                      end_module, hom_module, pair, simple_tensor,
+                      end_module, hom_module, simple_tensor,
                       tensor_module, validate_dg_module)
 from .cohomology import CochainComplex
 from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
@@ -25,17 +25,15 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
                           kaehler_differentials, universal_factorization,
                           validate_dg_derivation)
 from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
-                          atiyah_class, atiyah_cocycle, check_naturality,
+                          atiyah_cocycle, check_naturality,
                           flat_connection_exists)
 from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
                        CohomologyBracket, ModuleActionFamily, MorphismFamily,
-                       a_multilinearity_violations,
-                       bracket_nonskew_witness, bracket_on_elements,
+                       a_multilinearity_violations, bracket_nonskew_witness,
                        check_leibniz_infinity, check_linfty_morphism,
                        check_module_identities, cohomology_action,
                        cohomology_leibniz_bracket, compose_morphism_families,
-                       covariant_tensor_derivative, exhaustive_leibniz,
-                       exhaustive_morphism, homotopy_iso,
+                       exhaustive_leibniz, exhaustive_morphism, homotopy_iso,
                        kapranov_brackets, kapranov_module, kapranov_morphism,
                        trivialization)
 from .builders import (LiePair, LinearMapObject, Setup, coadjoint_module,

@@ -290,19 +290,6 @@ class LieAlgebraData:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket_vectors(self, v: dict[int, Scalar],
-                        w: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                for k, c in self.bracket(i, j).items():
-                    s = out.get(k, ZERO) + a * b * c
-                    if s:
-                        out[k] = exact(s)
-                    else:
-                        out.pop(k, None)
-        return out
-
     def jacobi_failures(self) -> list[str]:
         out = []
         for i, j, k in itertools.combinations(range(self.dim), 3):

@@ -706,6 +706,10 @@ def main(argv=None) -> int:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 2
     except MemoryError:  # could not finish: neither a failed check nor bad input
+        report = None
+    if report is None:
+        # printed only here, once the handler has dropped the traceback and
+        # with it the frames that held what the command had built
         print(f"error: {args.input}: out of memory", file=sys.stderr)
         return 3
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -155,10 +155,6 @@ class CochainComplex:
                 for p in pivots[rank:]])
         return self._degrees[n]
 
-    def cohomology_basis(self, n: int) -> list[ModuleElement]:
-        """Deterministic representatives of a basis of H^n."""
-        return list(self._degree(n)[2])
-
     def cohomology_reps(self) -> list[tuple[int, ModuleElement]]:
         """(degree, representative) for a basis of all of H, by degree."""
         return [(n, rep) for n in self.degrees()
@@ -198,7 +194,7 @@ class CochainComplex:
         return self.is_coboundary(diff) is not None
 
     def class_coordinates(self, v: ModuleElement) -> list[Scalar]:
-        """Coordinates of [v] in the cohomology_basis of its degree.
+        """Coordinates of [v] in the representatives of its degree.
 
         v = 0 gives the empty list; a v that is not a cocycle raises
         ValueError.

@@ -17,7 +17,7 @@ from .cohomology import CochainComplex, solve_columns
 from .derivations import DgDerivation
 from .graded import ONE
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                      add_term, apply_module_differential, contract, end_module,
+                      add_term, apply_module_differential, end_module,
                       hom_module, simple_tensor, tensor_index, tensor_module,
                       tensor_split)
 
@@ -76,10 +76,6 @@ class DeltaConnection:
                         for mon, c in a.terms.items()})
                 out = out + val.left_mul(a)
         return out
-
-    def along(self, b: ModuleElement, v: ModuleElement) -> ModuleElement:
-        """nabla_b(v) = iota_b(nabla(v)) for b in the dual of Omega."""
-        return contract(b, self(v))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeltaConnection):
@@ -155,37 +151,6 @@ class AtiyahCocycle:
                                     label="Omega(x)End")
         self.element = operator_to_om_hom_element(self.om_end, self.operator_values)
 
-    def __call__(self, v: ModuleElement) -> ModuleElement:
-        """[nabla, d] applied A-linearly (degree 1) to a module element."""
-        out = self.connection.tensor.zero()
-        for i, a in v.coeffs.items():
-            val = self.operator_values[i]
-            if val.is_zero():
-                continue
-            for mon, c in a.terms.items():
-                sign = -1 if len(mon) % 2 else 1
-                out = out + val.left_mul(
-                    AlgebraElement._trusted({mon: ONE})).scale(sign * c)
-        return out
-
-    def bilinear(self, b: ModuleElement, v: ModuleElement) -> ModuleElement:
-        """At(b, e) = nabla_{db}(e) - d(nabla_b(e)) + (-1)^{|b|} nabla_b(d e).
-
-        b lives in the dual of Omega; defined for homogeneous b and
-        extended bilinearly.
-        """
-        out = self.module.zero()
-        for db, bpart in b.homogeneous_parts().items():
-            conn = self.connection
-            term = conn.along(
-                apply_module_differential(bpart.module, bpart), v)
-            term = term - apply_module_differential(self.module, conn.along(bpart, v))
-            sign = -1 if db % 2 else 1
-            term = term + conn.along(
-                bpart, apply_module_differential(self.module, v)).scale(sign)
-            out = out + term
-        return out
-
     def is_closed(self) -> bool:
         return apply_module_differential(self.om_end, self.element).is_zero()
 
@@ -213,11 +178,6 @@ class AtiyahClass:
             raise ValueError("classes live on different modules")
         return self.complex.classes_equal(self.cocycle.element,
                                           other.cocycle.element)
-
-
-def atiyah_class(delta: DgDerivation, module: DgModule,
-                 connection: DeltaConnection | None = None) -> AtiyahClass:
-    return AtiyahClass(delta, module, connection)
 
 
 def connection_difference_element(c1: DeltaConnection,
@@ -309,8 +269,8 @@ def check_naturality(delta: DgDerivation, lam: ModuleMorphism) -> dict:
     values = []
     for i in range(e_mod.rank):
         e = ModuleElement.basis_vector(e_mod, i)
-        d_i = (apply_morphism_tensor(delta.target, lam, at_e(e))
-               - at_f(lam(e)).scale(sgn))
+        d_i = (apply_morphism_tensor(delta.target, lam, at_e.operator_values[i])
+               - apply_om_hom(at_f.element, lam(e)).scale(sgn))
         values.append(d_i)
     discrepancy = operator_to_om_hom_element(om_hom, values)
     closed = apply_module_differential(om_hom, discrepancy).is_zero()

@@ -304,9 +304,6 @@ class MultilinearMap:
     def is_zero(self) -> bool:
         return not self.table
 
-    def __call__(self, *args: Element) -> Element:
-        return eval_multilinear(self, args)
-
     def check_degrees(self) -> list[str]:
         """Return violations of the homogeneity contract (empty if clean)."""
         bad = []
@@ -321,24 +318,3 @@ class MultilinearMap:
                     break
         return bad
 
-
-def eval_multilinear(m: MultilinearMap, args: Sequence[Element]) -> Element:
-    """Evaluate a multilinear map on sparse arguments by expansion."""
-    if len(args) != m.arity:
-        raise ValueError(f"arity mismatch: expected {m.arity}, got {len(args)}")
-    out = Element(m.output_basis)
-    if not m.table:
-        return out
-    indexed = [list(a.coeffs.items()) for a in args]
-    if any(not part for part in indexed):
-        return out
-    for combo in itertools.product(*indexed):
-        key = tuple(i for i, _ in combo)
-        val = m.table.get(key)
-        if val is None:
-            continue
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
-        out = out + val.scale(coeff)
-    return out

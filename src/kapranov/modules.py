@@ -257,9 +257,6 @@ class KBasis:
             names.append(f"{word}.{name}" if word else name)
         return GradedBasis(names, self.degrees)
 
-    def degree(self, idx: int) -> int:
-        return self.degrees[idx]
-
     def slice(self, d: int) -> list[tuple[Monomial, int]]:
         return self.slices.get(d, [])
 
@@ -395,32 +392,6 @@ def dual_module(module: DgModule, name_fn=None) -> DgModule:
     return dual
 
 
-def pair(beta: ModuleElement, v: ModuleElement) -> AlgebraElement:
-    """Evaluation pairing dual(M) x M -> A.
-
-    <e_i*, e_j> = delta_ij; <a.beta, v> = a<beta, v>;
-    <beta, a.v> = (-1)^{|a||beta|} a <beta, v>.
-    """
-    dual = beta.module
-    if dual.dual_of is None or dual.dual_of.basis != v.module.basis:
-        raise ValueError("pairing requires an element of the dual module")
-    out = AlgebraElement()
-    for i, b in beta.coeffs.items():
-        a = v.coeffs.get(i)
-        if a is None:
-            continue
-        bd = dual.basis.degrees[i]  # = -|e_i|
-        for mon_b, cb in b.terms.items():
-            # <a.e_i*, c.e_i> = (-1)^{|c| |e_i*|} a ^ c; the coefficient a
-            # is already out front, so only the basis covector degree signs
-            for mon_a, ca in a.terms.items():
-                sign = -1 if (len(mon_a) * bd) % 2 else 1
-                out = out + (AlgebraElement._trusted({mon_b: ONE})
-                             * AlgebraElement._trusted({mon_a: ONE})
-                             ).scale(sign * cb * ca)
-    return out
-
-
 def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
     """Tensor product over the algebra, with the graded Leibniz differential."""
     if m.algebra != n.algebra:
@@ -540,15 +511,6 @@ class ModuleMorphism:
                     f"d(f(e)) = {lhs.pretty()}, (-1)^r f(d(e)) = {rhs.pretty()}")
         return failures
 
-    def dual(self) -> "ModuleMorphism":
-        """Dual of a degree-0 morphism: <f*(beta), e> = <beta, f(e)>."""
-        if self.degree != 0:
-            raise ValueError("dualization implemented for degree-0 morphisms")
-        out = dual_morphism_between(self, dual_module(self.target),
-                                    dual_module(self.source))
-        out.label = f"{self.label}*"
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleMorphism)
                 and self.source.basis == other.source.basis
@@ -615,45 +577,43 @@ def end_module(m: DgModule) -> DgModule:
     return hom_module(m, m, label=f"End({m.label})")
 
 
-def hom_element_to_morphism(h: DgModule, x: ModuleElement, degree: int) -> ModuleMorphism:
-    """Interpret a homogeneous element of hom_module(M, N) as an A-linear map."""
-    m, n = h.hom_factors
-    return ModuleMorphism(m, n, degree, {divmod(k, n.rank): a
-                                         for k, a in x.coeffs.items()})
-
-
-def morphism_to_hom_element(h: DgModule, f: ModuleMorphism) -> ModuleElement:
-    m, n = h.hom_factors
-    coeffs: dict[int, AlgebraElement] = {}
-    for (i, j), a in f.matrix.items():
-        coeffs[i * n.rank + j] = a
-    return ModuleElement(h, coeffs)
-
-
 def contract(b: ModuleElement, w: ModuleElement) -> ModuleElement:
     """Contraction iota_b: (Omega (x) E) -> E for b in dual(Omega).
 
     On a term a.(f_j (x) e_k) with b = c.f_i*:
     result = (-1)^{|b||a|} (a ^ <c.f_i*, f_j>).e_k.
     """
-    t = w.module
-    omega, e_mod = t.tensor_factors
+    omega, e_mod = w.module.tensor_factors
     dual = b.module
     if dual.dual_of is None or dual.dual_of.basis != omega.basis:
         raise ValueError("contraction requires an element of the dual of the left factor")
+    return contract_slices(b, contraction_slices(w), e_mod)
+
+
+def contraction_slices(w: ModuleElement) -> dict[int, ModuleElement]:
+    """iota_{f_j*}(w) for each index j of Omega that w, an element of
+    Omega (x) E, holds, in one pass over w: a term a.(f_j (x) e_k) gives
+    (-1)^{|f_j||a|} a.e_k."""
+    omega, e_mod = w.module.tensor_factors
+    slices: dict[int, dict[int, AlgebraElement]] = {}
+    for t, a in w.coeffs.items():
+        j, k = tensor_split(w.module, t)
+        if omega.basis.degrees[j] % 2:
+            a = AlgebraElement._trusted({mon: -c if len(mon) % 2 else c
+                                         for mon, c in a.terms.items()})
+        slices.setdefault(j, {})[k] = a
+    return {j: ModuleElement._trusted(e_mod, coeffs)
+            for j, coeffs in slices.items()}
+
+
+def contract_slices(b: ModuleElement, slices: dict[int, ModuleElement],
+                    e_mod: DgModule) -> ModuleElement:
+    """iota_b(w) from the :func:`contraction_slices` of w: the sum of
+    c.iota_{f_j*}(w) over the terms c.f_j* of b, as c.f_j* passes a
+    coefficient a with the sign (-1)^{(|c| + |f_j|)|a|}."""
     out = e_mod.zero()
-    for idx_t, a in w.coeffs.items():
-        j, k = tensor_split(t, idx_t)
-        cterm = b.coeffs.get(j)
-        if cterm is None:
-            continue
-        bd = dual.basis.degrees[j]  # degree of f_j*
-        for mon_c, cc in cterm.terms.items():
-            db = len(mon_c) + bd
-            for mon_a, ca in a.terms.items():
-                sign = -1 if (db * len(mon_a)) % 2 else 1
-                coeff = (AlgebraElement._trusted({mon_a: ONE})
-                         * AlgebraElement._trusted({mon_c: ONE})).scale(sign * ca * cc)
-                if not coeff.is_zero():
-                    out = out + ModuleElement(e_mod, {k: coeff})
+    for j, c in b.coeffs.items():
+        part = slices.get(j)
+        if part is not None:
+            out = out + part.left_mul(c)
     return out

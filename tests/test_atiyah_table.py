@@ -1,7 +1,7 @@
 """The arity-2 seed of the tower, read off the Atiyah cocycle's values.
 
 ``_atiyah_table`` contracts each operator value [nabla, d](e_j) with the
-basis vectors b_i of B.  ``AtiyahCocycle.bilinear``, which applies the
+basis vectors b_i of B.  ``oracles.atiyah_bilinear``, which applies the
 connection and the differentials to each pair (b_i, e_j), is the oracle:
 every instance document of the repository must give equal values in the
 same key order, for its connection and for a second connection.
@@ -17,6 +17,7 @@ from kapranov.cli import Instance, load_document
 from kapranov.connections import atiyah_cocycle
 from kapranov.kapranov import _atiyah_table
 from kapranov.modules import ModuleElement
+from oracles import atiyah_bilinear
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted((ROOT / "instances").glob("*.json")) \
@@ -30,7 +31,8 @@ def bilinear_table(conn, b_mod) -> dict:
     for i in range(b_mod.rank):
         bi = ModuleElement.basis_vector(b_mod, i)
         for j in range(conn.module.rank):
-            v = at.bilinear(bi, ModuleElement.basis_vector(conn.module, j))
+            v = atiyah_bilinear(at, bi,
+                                ModuleElement.basis_vector(conn.module, j))
             if not v.is_zero():
                 table[(i, j)] = v
     return table

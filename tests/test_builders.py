@@ -22,6 +22,7 @@ from kapranov.kapranov import (bracket_nonskew_witness, check_leibniz_infinity,
                                cohomology_leibniz_bracket, kapranov_brackets,
                                kapranov_module)
 from kapranov.modules import DgModule, ModuleElement, validate_dg_module
+from oracles import bracket_vectors
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -161,8 +162,8 @@ class TestClassicalAtiyahFormula:
                         for a2, c in setup.splitting.get(p, {}).items():
                             jb[pair.sub_indices[a2]] = \
                                 jb.get(pair.sub_indices[a2], F(0)) + F(c)
-                        br = pair.ambient.bracket_vectors(
-                            {pair.sub_indices[a]: F(1)}, jb)
+                        br = bracket_vectors(pair.ambient,
+                                             {pair.sub_indices[a]: F(1)}, jb)
                         # project to A along j(B): v - j(pr_B v)
                         pr_a = dict(br)
                         for k in list(br):

@@ -1,12 +1,14 @@
 """Command-line front end: document handling, exit codes, determinism."""
 
 import gc
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -79,6 +81,34 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"error: {path}: out of memory\n"
+
+    def test_exhausted_memory_is_reported_after_the_frames_are_freed(
+            self, capsys, monkeypatch):
+        # the message is written once the traceback has let go of the
+        # failing command's frame, so what it had built is freed first and
+        # the print cannot run out of memory again
+        from kapranov import cli
+
+        class Built:
+            pass
+        refs, freed_at_write = [], []
+
+        def exhausted(inst, args):
+            built = Built()
+            refs.append(weakref.ref(built))
+            raise MemoryError
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                freed_at_write.append(refs[0]() is None)
+                return super().write(text)
+        monkeypatch.setitem(cli.COMMANDS, "atiyah", exhausted)
+        stderr = Stderr()
+        monkeypatch.setattr(sys, "stderr", stderr)
+        path = str(INSTANCES / "sl2_borel.json")
+        assert cli.main(["atiyah", "--input", path]) == 3
+        assert stderr.getvalue() == f"error: {path}: out of memory\n"
+        assert freed_at_write and all(freed_at_write)
 
     def test_import_loads_only_the_standard_library(self):
         # every invocation pays the import: beyond what the bare interpreter
@@ -614,6 +644,29 @@ class TestBuildTimeCheckFailures:
         assert out == ""
         assert "check failed" in err
         assert "d^2(a) = (-1)*b^p^q" in err
+
+    @pytest.mark.parametrize("path", [INSTANCES / "sl2_borel.json",
+                                      FIXTURES / "graded_toy.json"],
+                             ids=lambda p: p.stem)
+    def test_cohomology_validates_once(self, capsys, monkeypatch, path):
+        # require_defined checks d^2 on A and on B for the whole run; the
+        # cohomology bracket does not check them again
+        import kapranov
+        calls = []
+        for name in ("validate_cdga", "validate_dg_module"):
+            original = getattr(kapranov, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").partition(".")[0]
+                        == "kapranov" and getattr(module, name, None)
+                        is original):
+                    monkeypatch.setattr(module, name, counted)
+        code, out, err = run(capsys, "cohomology", "--input", str(path))
+        assert code == 0
+        assert sorted(calls) == ["validate_cdga", "validate_dg_module"]
 
     # every command that builds a tower refuses an undefined one up front
     UNDEFINED_TOWER_COMMANDS = ("atiyah", "brackets", "check-leibniz",

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kapranov
-from kapranov.graded import (Element, GradedBasis, MultilinearMap,
-                             eval_multilinear, exact, exact_div, koszul_sign,
-                             ordered_partitions, partition_sign, shuffles)
+from kapranov.graded import (Element, GradedBasis, MultilinearMap, exact,
+                             exact_div, koszul_sign, ordered_partitions,
+                             partition_sign, shuffles)
+from oracles import eval_multilinear
 
 
 def brute_force_koszul(sigma, degrees):

@@ -11,23 +11,31 @@ Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
-reads a key's degree with ``.kdegree(``.  Every tower is filled by one
+reads a key's degree with ``.kdegree(``.  The package holds one
+implementation of each construction: it defines none of the element-level
+oracles of ``tests/oracles.py`` and none of the names deleted with them,
+and it reads none of the tower's oracles.  Every tower is filled by one
 step, and its derivative runs through the one join: ``_tower_step``
 calls ``_module_residuals`` and uses none of ``itertools.product``,
-``derive_tensor`` and ``eval_table_on_tensor``; ``derive_tensor`` is
-used only by ``covariant_tensor_derivative``, and that only by the
-recursion oracle ``bracket_on_elements``.  One join serves every identity: the
-package defines no ``_residuals``, and only the two class brackets,
-``CohomologyBracket`` and ``CohomologyAction``, evaluate a table on
-elements with ``eval_table_on_elements``.  The CLI builds no k-basis
-bracket table itself: it never reads a family's ``.brackets`` and never
-names ``extend_module_table``.
+``derive_tensor``, ``eval_table_on_tensor`` and ``contract``.  One join
+serves every identity: the package defines no ``_residuals``, and only
+the two class brackets, ``CohomologyBracket`` and ``CohomologyAction``,
+evaluate a table on elements with ``eval_table_on_elements``.  The CLI
+builds no k-basis bracket table itself: it never reads a family's
+``.brackets`` and never names ``extend_module_table``.  And every
+function and method of the package runs when the commands run on the
+repository's documents, or it is listed in ``UNREACHED`` with its
+ROADMAP item or a reason.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -242,19 +250,27 @@ def test_indexer_guard_sees_a_planted_second_indexer():
         == [f"modules.py: line {len(planted.splitlines())}"]
 
 
-# each tower-step helper -> the functions of the package that may use it:
-# every tower goes through _tower_step, whose derivative is a join, and
-# the dense derivation of a tensor only serves the recursion oracle on
-# elements
-ONE_STEP = {"derive_tensor": {"covariant_tensor_derivative"},
-            "covariant_tensor_derivative": {"bracket_on_elements"}}
-# what a per-tuple loop over the slots' bases would use in _tower_step
-DENSE = ("product", "derive_tensor", "eval_table_on_tensor")
+ORACLE_FILE = pathlib.Path(__file__).resolve().parent / "oracles.py"
+# the element-level oracles of tests/oracles.py, and the names deleted
+# because only their own tests used them: the package defines none of
+# them, so it holds one implementation of each construction
+DELETED = {"along", "atiyah_class", "bilinear", "dual", "morphism_to_hom_element"}
+ORACLES = frozenset(
+    node.name for node in ast.parse(ORACLE_FILE.read_text()).body
+    if isinstance(node, ast.FunctionDef)) | DELETED
+# the tower's oracles: nothing in the package reads them either, so every
+# tower goes through _tower_step, whose derivative is a join
+ONE_STEP = ("derive_tensor", "covariant_tensor_derivative",
+            "bracket_on_elements")
+# what a per-tuple loop over the slots' bases would use in _tower_step, and
+# the contraction of a whole value with each b_0 in turn
+DENSE = ("product", "derive_tensor", "eval_table_on_tensor", "contract")
 
 
 def step_uses(source: str) -> list[tuple[str, str | None, int]]:
-    """Each use of a name of ``ONE_STEP`` in ``source``, as (name, the
-    top-level function or method that uses it or None, line)."""
+    """Each read of a name of ``ONE_STEP`` and each function or method
+    named in ``ORACLES`` that ``source`` defines, as (name, the top-level
+    function or method it is in or None, line)."""
     uses = []
 
     def visit(node, owner):
@@ -265,19 +281,17 @@ def step_uses(source: str) -> list[tuple[str, str | None, int]]:
             if name in ONE_STEP and isinstance(child.ctx, ast.Load):
                 uses.append((name, owner, child.lineno))
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def and child.name in ORACLES:
+                uses.append((child.name, owner, child.lineno))
             visit(child, child.name if is_def and owner is None else owner)
     visit(ast.parse(source), None)
     return uses
 
 
-def stray_step_uses(source: str) -> list[tuple[str, str | None, int]]:
-    return [u for u in step_uses(source) if u[1] not in ONE_STEP[u[0]]]
-
-
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_tower_goes_through_one_step(path):
-    assert stray_step_uses(path.read_text()) == []
+    assert step_uses(path.read_text()) == []
 
 
 def step_breaches(source: str) -> list[str]:
@@ -308,28 +322,35 @@ def test_the_tower_step_is_insertion_terms_of_the_join():
 
 def test_step_guard_sees_the_step_and_a_planted_loop():
     source = (PACKAGE / "kapranov.py").read_text()
-    assert {u[:2] for u in step_uses(source)} == {
-        ("derive_tensor", "covariant_tensor_derivative"),
-        ("covariant_tensor_derivative", "bracket_on_elements")}
+    assert step_uses(source) == []
+    # every oracle of tests/oracles.py is a definition the guard sees
+    assert sorted(name for name, owner, _ in step_uses(ORACLE_FILE.read_text())
+                  if owner is None) == sorted(ORACLES - DELETED)
     n = len(source.splitlines())
     planted = source + ("\n\ndef _hat_terms(hat, b, args):\n"
                         "    return covariant_tensor_derivative([hat], b, args)\n"
-                        "_derive = derive_tensor\n")
-    assert stray_step_uses(planted) == [
+                        "_derive = derive_tensor\n"
+                        "class _Cocycle:\n"
+                        "    def bilinear(self, b, v):\n"
+                        "        return b\n")
+    assert step_uses(planted) == [
         ("covariant_tensor_derivative", "_hat_terms", n + 4),
-        ("derive_tensor", None, n + 5)]
-    # the parent's dense step: one derive_tensor per tuple of every
-    # slot's basis, evaluated on prev
+        ("derive_tensor", None, n + 5),
+        ("bilinear", None, n + 7)]
+    # the dense step of an earlier design: one derive_tensor per tuple of
+    # every slot's basis, evaluated on prev, and a first term that
+    # contracts each value with each b_0 in turn
     planted = source + (
         "\n\ndef _tower_step(prev, degree, b_mod, slot_conns, outer):\n"
         "    ranges = (range(c.module.rank) for c in slot_conns)\n"
         "    for args in itertools.product(*ranges):\n"
         "        derived = derive_tensor({args: 1}, [], degree, [])\n"
-        "        eval_table_on_tensor(prev, degree, derived, outer.module)\n")
-    assert stray_step_uses(planted) == [("derive_tensor", "_tower_step", n + 6)]
+        "        eval_table_on_tensor(prev, degree, derived, outer.module)\n"
+        "    return [contract(b, outer(v)) for b in b_mod for v in prev]\n")
+    assert step_uses(planted) == [("derive_tensor", "_tower_step", n + 6)]
     assert step_breaches(planted) == [
         f"product (line {n + 5})", f"derive_tensor (line {n + 6})",
-        f"eval_table_on_tensor (line {n + 7})",
+        f"eval_table_on_tensor (line {n + 7})", f"contract (line {n + 8})",
         f"no _module_residuals (line {n + 3})"]
 
 
@@ -468,3 +489,173 @@ def test_join_guard_sees_planted_definitions():
             if isinstance(node, ast.Name)
             and node.id == "eval_table_on_elements"]
     assert len(uses) == 2
+
+
+# Every function and method of the package runs when the commands run on
+# the documents of the repository, or it is listed here with the ROADMAP
+# item that decides its fate or the reason it stays without such a caller.
+ITEM_7 = "ROADMAP item 7: a paper feature or k-basis table without a command"
+UNREACHED = {
+    "algebra.py: AlgebraElement.__hash__": "hashing, consistent with __eq__",
+    "algebra.py: AlgebraElement.__repr__": "repr, read in test failures",
+    "algebra.py: AlgebraElement.__rmul__": "operator c * a, used by tests",
+    "algebra.py: AlgebraElement.__sub__": "operator, used by tests",
+    "algebra.py: AlgebraElement.homogeneous_parts":
+        "evaluates a class bracket on a nonzero R_2 value; every shipped "
+        "class bracket table is empty (ROADMAP item 5)",
+    "algebra.py: CdgaPresentation.__repr__": "repr, read in test failures",
+    "builders.py: OffsetMismatch.__init__":
+        "refusal of a splitting homotopy that misses delta'; no document "
+        "has one",
+    "builders.py: coadjoint_module": ITEM_7,
+    "builders.py: loday_pirashvili_bracket": ITEM_7,
+    "cli.py: run": "entry point: exits the process",
+    "connections.py: DeltaConnection.__eq__": "equality, used by tests",
+    "connections.py: DeltaConnection.__repr__": "repr, read in test failures",
+    "connections.py: apply_morphism_tensor": ITEM_7,
+    "connections.py: apply_om_hom": ITEM_7,
+    "connections.py: check_naturality": ITEM_7,
+    "derivations.py: DerivationMorphism.failures": ITEM_7,
+    "derivations.py: DerivationMorphism.is_valid": ITEM_7,
+    "derivations.py: DgDerivation.__repr__": "repr, read in test failures",
+    "derivations.py: DgDerivation.is_zero": "query, used by tests",
+    "derivations.py: kaehler_differentials": ITEM_7,
+    "derivations.py: kaehler_differentials.ddr": ITEM_7,
+    "derivations.py: universal_factorization": ITEM_7,
+    "graded.py: Element.__add__": ITEM_7,
+    "graded.py: Element.__eq__": ITEM_7,
+    "graded.py: Element.__init__": ITEM_7,
+    "graded.py: Element.__neg__": ITEM_7,
+    "graded.py: Element.__repr__": ITEM_7,
+    "graded.py: Element.__rmul__": ITEM_7,
+    "graded.py: Element.__sub__": ITEM_7,
+    "graded.py: Element.basis_vector": ITEM_7,
+    "graded.py: Element.degree": ITEM_7,
+    "graded.py: Element.homogeneous_parts": ITEM_7,
+    "graded.py: Element.scale": ITEM_7,
+    "graded.py: GradedBasis.__repr__": "repr, read in test failures",
+    "graded.py: MultilinearMap.check_degrees":
+        "names the k-basis keys of a d(e_i) of the wrong degree; no "
+        "document has one",
+    "graded.py: MultilinearMap.set": ITEM_7,
+    "kapranov.py: CohomologyAction.__init__": ITEM_7,
+    "kapranov.py: CohomologyAction.action_cocycle": ITEM_7,
+    "kapranov.py: CohomologyAction.naturality_failures": ITEM_7,
+    "kapranov.py: ModuleActionFamily.__init__": ITEM_7,
+    "kapranov.py: ModuleActionFamily.nonzero_arities": ITEM_7,
+    "kapranov.py: MorphismFamily.map": ITEM_7,
+    "kapranov.py: _module_structures": ITEM_7,
+    "kapranov.py: a_multilinearity_violations": ITEM_7,
+    "kapranov.py: check_module_identities": ITEM_7,
+    "kapranov.py: check_module_identities.weight": ITEM_7,
+    "kapranov.py: cohomology_action": ITEM_7,
+    "kapranov.py: compose_morphism_families": ITEM_7,
+    "kapranov.py: kapranov_module": ITEM_7,
+    "kapranov.py: trivialization": ITEM_7,
+    "modules.py: DgModule.__eq__": "equality, used by tests",
+    "modules.py: DgModule.__repr__": "repr, read in test failures",
+    "modules.py: KBasis.to_kvec": ITEM_7,
+    "modules.py: KBasis.to_module_element": ITEM_7,
+    "modules.py: ModuleElement.__repr__": "repr, read in test failures",
+    "modules.py: ModuleElement.__rmul__": "operator c * v, used by tests",
+    "modules.py: ModuleMorphism.__eq__": "equality, used by tests",
+    "modules.py: ModuleMorphism.dg_failures": ITEM_7,
+    "modules.py: ModuleMorphism.is_dg_morphism": ITEM_7,
+    "modules.py: contract":
+        "ROADMAP item 7: the contraction of trivialization; the tower "
+        "contracts through contraction_slices",
+}
+
+# one in-process run of every command on every document, one usage error
+# and --help, printing the (file name, first line) of each code object of
+# the package that was entered
+REACH_RUN = """
+import contextlib, io, json, os, sys
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from kapranov import cli
+documents = json.loads(sys.argv[1])
+runs = [[command, "--input", path] for path in documents
+        for command in cli.COMMANDS]
+runs += [["brackets", "--input", documents[0], "--max-arity", "7"], ["--help"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cli.main(argv)
+        except SystemExit:
+            pass
+sys.setprofile(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps(sorted([os.path.basename(f), line] for f, line in entered
+                        if os.path.dirname(f) == package)))
+"""
+
+
+@pytest.fixture(scope="module")
+def entered() -> set[tuple[str, int]]:
+    root = PACKAGE.parent.parent
+    documents = sorted(str(p) for pattern in ("instances/*.json",
+                                              "bench/instances/*.json",
+                                              "tests/fixtures/*.json")
+                       for p in root.glob(pattern))
+    assert len(documents) == 11
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-c", REACH_RUN, json.dumps(documents)], env=env,
+        capture_output=True, text=True, check=True).stdout
+    return {tuple(pair) for pair in json.loads(out)}
+
+
+def unreached(sources: dict[str, str], entered) -> list[str]:
+    """The functions and methods, at any depth, of the modules ``sources``
+    (file name -> source) whose code was never entered, as
+    "<file>: <qualified name>".  A code object starts on the line of its
+    first decorator."""
+    out = []
+
+    def visit(name, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                if (name, first) not in entered:
+                    out.append(f"{name}: {prefix}{child.name}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(name, child, f"{prefix}{child.name}.")
+    for name, source in sources.items():
+        visit(name, ast.parse(source), "")
+    return sorted(out)
+
+
+def test_every_function_runs_in_a_command_or_is_listed(entered):
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreached(sources, entered) == sorted(UNREACHED)
+    assert all(UNREACHED.values())
+
+
+def test_reach_guard_sees_a_planted_function(entered):
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    sources["kapranov.py"] += (
+        "\n\ndef _tower_on_elements(fam, k, args):\n"
+        "    return fam.module.zero()\n"
+        "\n\nclass _Cocycle:\n"
+        "    @functools.cached_property\n"
+        "    def bilinear(self):\n"
+        "        return None\n")
+    assert sorted(set(unreached(sources, entered)) - set(UNREACHED)) == [
+        "kapranov.py: _Cocycle.bilinear", "kapranov.py: _tower_on_elements"]
+    # once a listed function runs, the list no longer matches
+    run = next(node for node in ast.parse(sources["cli.py"]).body
+               if getattr(node, "name", None) == "run")
+    assert "cli.py: run" in unreached(sources, entered)
+    assert "cli.py: run" not in unreached(
+        sources, entered | {("cli.py", run.lineno)})

@@ -98,7 +98,7 @@ def corrupted(fam: BracketFamily, k: int, kind: str) -> BracketFamily:
         right = by_degree.get(want, wrong[-1])
     value = wrong[0] if kind == "wrong_degree" else wrong[0] + right
     tables = {**fam.module_tables, k: {**table, key: value}}
-    return BracketFamily(fam.module, fam.kb, tables, fam.connection)
+    return BracketFamily(fam.module, tables, fam.connection)
 
 
 @pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
@@ -121,7 +121,7 @@ def test_a_bad_differential_names_its_kbasis_keys():
     kb = KBasis(module)
     want = differential_table(kb).check_degrees()
     assert len(want) == 2
-    assert BracketFamily(module, kb, {}).degree_failures() == [
+    assert BracketFamily(module, {}).degree_failures() == [
         f"arity 1: {msg}" for msg in want]
 
 
