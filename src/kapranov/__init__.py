@@ -6,8 +6,8 @@ The package builds, over the rationals:
 - module-valued dg derivations, delta-connections, Atiyah cocycles,
 - the tower of higher brackets generated by a connection, together with
   mechanical checkers for every identity those towers are supposed to
-  satisfy (homotopy Leibniz identities, morphism equations, module
-  identities, homotopy invariance).
+  satisfy (homotopy Leibniz identities, morphism equations, homotopy
+  invariance).
 """
 
 from . import graded
@@ -25,20 +25,15 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
                           kaehler_differentials, universal_factorization,
                           validate_dg_derivation)
 from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
-                          atiyah_cocycle, check_naturality,
-                          flat_connection_exists)
-from .kapranov import (BracketFamily, CheckFailure, CohomologyAction,
-                       CohomologyBracket, ModuleActionFamily, MorphismFamily,
-                       a_multilinearity_violations, bracket_nonskew_witness,
+                          atiyah_cocycle, flat_connection_exists)
+from .kapranov import (BracketFamily, CheckFailure, CohomologyBracket,
+                       MorphismFamily, bracket_nonskew_witness,
                        check_leibniz_infinity, check_linfty_morphism,
-                       check_module_identities, cohomology_action,
                        cohomology_leibniz_bracket, compose_morphism_families,
                        exhaustive_leibniz, exhaustive_morphism, homotopy_iso,
-                       kapranov_brackets, kapranov_module, kapranov_morphism,
-                       trivialization)
-from .builders import (LiePair, LinearMapObject, Setup, coadjoint_module,
-                       lie_pair_setup, linear_map_setup,
-                       loday_pirashvili_bracket, splitting_homotopy)
+                       kapranov_brackets, kapranov_morphism, trivialization)
+from .builders import (LiePair, LinearMapObject, Setup, lie_pair_setup,
+                       linear_map_setup, splitting_homotopy)
 
 __version__ = "0.1.0"
 

@@ -10,7 +10,7 @@ indices, and its degree is its length.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .graded import ONE, ZERO, GradedBasis, _scaled, exact
 
@@ -211,13 +211,18 @@ class CdgaPresentation:
     def n_generators(self) -> int:
         return len(self.generators)
 
-    def monomials(self, degree: int | None = None) -> Iterator[Monomial]:
-        """All monomials, in (degree, lexicographic) order."""
+    def monomials(self, degree: int | None = None) -> list[Monomial]:
+        """All monomials, in (degree, lexicographic) order.
+
+        A list, not a generator: a caller that runs out of memory while it
+        iterates would drop a suspended generator during the unwinding, and
+        its finalizer, which needs memory too, would write ``Exception
+        ignored in:`` to stderr.
+        """
         n = self.n_generators
         degrees = range(n + 1) if degree is None else [degree]
-        for k in degrees:
-            if 0 <= k <= n:
-                yield from itertools.combinations(range(n), k)
+        return [mon for k in degrees if 0 <= k <= n
+                for mon in itertools.combinations(range(n), k)]
 
     def dimension(self) -> int:
         return 2 ** self.n_generators

@@ -328,34 +328,3 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
     conn = DeltaConnection(delta, bmod, label="trivial")
     return Setup(algebra, omega, delta, bmod, conn, data=data)
-
-
-def loday_pirashvili_bracket(data: LinearMapObject, i: int, j: int) -> dict[int, Scalar]:
-    """e_i o e_j = psi(e_i) . e_j, the bracket the degree -1 slots recover."""
-    out: dict[int, Scalar] = {}
-    for a, c in data.psi.get(i, {}).items():
-        for k, m in data.act(a, {j: 1}).items():
-            out[k] = out.get(k, 0) + c * m
-    return {k: exact(c) for k, c in out.items() if c}
-
-
-def coadjoint_module(setup: Setup) -> tuple[DgModule, DeltaConnection]:
-    """The coadjoint representation as a dg module over the same CE(g),
-    with its canonical (forced) delta-connection."""
-    lie = setup.data.lie
-    n = len(lie.names)
-    # rho*(x_a) xi^i = -sum_j ad_a[j -> i] xi^j, where ad_a[j -> k] is the
-    # coefficient of x_k in [x_a, x_j]
-    diff: dict[tuple[int, int], AlgebraElement] = {}
-    for a in range(n):
-        for j in range(n):
-            lo, hi = min(a, j), max(a, j)
-            if lo == hi:
-                continue
-            for k, c in lie.bracket(a, j).items():
-                add_term(diff, (k, j), AlgebraElement.monomial((a,), -c))
-    module = DgModule(setup.algebra,
-                      GradedBasis([n_ + "*" for n_ in lie.names],
-                                  [0] * n), diff, label="coadjoint")
-    conn = DeltaConnection(setup.delta, module, label="trivial")
-    return module, conn

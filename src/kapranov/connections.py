@@ -15,11 +15,9 @@ from collections.abc import Sequence
 from .algebra import AlgebraElement
 from .cohomology import CochainComplex, solve_columns
 from .derivations import DgDerivation
-from .graded import ONE
-from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                      add_term, apply_module_differential, end_module,
-                      hom_module, simple_tensor, tensor_index, tensor_module,
-                      tensor_split)
+from .modules import (DgModule, KBasis, ModuleElement, add_term,
+                      apply_module_differential, end_module, simple_tensor,
+                      tensor_index, tensor_module, tensor_split)
 
 
 def omega_tensor(delta: DgDerivation, module: DgModule) -> DgModule:
@@ -101,33 +99,6 @@ def operator_to_om_hom_element(om_hom: DgModule,
             j, k = tensor_split(val.module, t_idx)
             add_term(coeffs, tensor_index(om_hom, j, i * f_mod.rank + k), a)
     return ModuleElement(om_hom, coeffs)
-
-
-def apply_om_hom(x: ModuleElement, v: ModuleElement) -> ModuleElement:
-    """Apply an element of Omega (x) Hom(E,F) to an element of E.
-
-    A term c.(f_j (x) u) acts by (c.Y)(a.e) = (-1)^{|a||Y|} c.a.Y(e) with
-    |Y| = |f_j| + |u| (basis degrees).
-    """
-    om_hom = x.module
-    omega, hom = om_hom.tensor_factors
-    e_mod, f_mod = hom.hom_factors
-    out_mod = tensor_module(omega, f_mod)
-    out = out_mod.zero()
-    for x_idx, c in x.coeffs.items():
-        j, u_idx = tensor_split(om_hom, x_idx)
-        i, k = divmod(u_idx, f_mod.rank)
-        y_deg = omega.basis.degrees[j] + hom.basis.degrees[u_idx]
-        a = v.coeffs.get(i)
-        if a is None:
-            continue
-        for mon, cv in a.terms.items():
-            sign = -1 if (len(mon) * y_deg) % 2 else 1
-            coeff = (c * AlgebraElement._trusted({mon: ONE})).scale(sign * cv)
-            if not coeff.is_zero():
-                out = out + ModuleElement(out_mod,
-                                          {tensor_index(out_mod, j, k): coeff})
-    return out
 
 
 class AtiyahCocycle:
@@ -234,55 +205,3 @@ def flat_connection_exists(delta: DgDerivation,
         values[i] = kb.from_vector(x[start:start + size], d)
         start += size
     return DeltaConnection(delta, module, values, tensor=tensor)
-
-
-def apply_morphism_tensor(omega: DgModule, lam: ModuleMorphism,
-                          w: ModuleElement) -> ModuleElement:
-    """(id (x) lam) on Omega (x) E, with the Koszul sign past the left factor."""
-    src_tensor = w.module
-    out_mod = tensor_module(omega, lam.target)
-    out = out_mod.zero()
-    for t_idx, c in w.coeffs.items():
-        j, i = tensor_split(src_tensor, t_idx)
-        img = lam(ModuleElement.basis_vector(lam.source, i))
-        if img.is_zero():
-            continue
-        sign = -1 if (lam.degree * omega.basis.degrees[j]) % 2 else 1
-        fj = ModuleElement.basis_vector(omega, j)
-        term = simple_tensor(out_mod, fj, img).left_mul(c).scale(sign)
-        out = out + term
-    return out
-
-
-def check_naturality(delta: DgDerivation, lam: ModuleMorphism) -> dict:
-    """Naturality of Atiyah cocycles along a dg morphism lam: E -> F.
-
-    With the canonical connections (zero basis values), the discrepancy
-    (id (x) lam) o At_E - (-1)^{|lam|} At_F o lam is a closed element of
-    Omega (x) Hom(E, F); naturality holds when it is exact.
-    """
-    e_mod, f_mod = lam.source, lam.target
-    at_e = atiyah_cocycle(DeltaConnection(delta, e_mod))
-    at_f = atiyah_cocycle(DeltaConnection(delta, f_mod))
-    om_hom = tensor_module(delta.target, hom_module(e_mod, f_mod))
-    sgn = -1 if lam.degree % 2 else 1
-    values = []
-    for i in range(e_mod.rank):
-        e = ModuleElement.basis_vector(e_mod, i)
-        d_i = (apply_morphism_tensor(delta.target, lam, at_e.operator_values[i])
-               - apply_om_hom(at_f.element, lam(e)).scale(sgn))
-        values.append(d_i)
-    discrepancy = operator_to_om_hom_element(om_hom, values)
-    closed = apply_module_differential(om_hom, discrepancy).is_zero()
-    result = {
-        "is_dg_morphism": lam.is_dg_morphism(),
-        "discrepancy_closed": closed,
-        "natural": False,
-        "primitive": None,
-    }
-    if closed:
-        cx = CochainComplex(om_hom)
-        prim = cx.is_coboundary(discrepancy)
-        result["natural"] = prim is not None
-        result["primitive"] = prim
-    return result

@@ -9,8 +9,8 @@ B = dual(Omega), the tower
 makes B a strongly homotopy Leibniz algebra with all brackets of degree 1.
 This module fills those towers as tables on module-basis tuples and
 mechanically checks every identity they are supposed to satisfy: the
-generalized Jacobi identities, the morphism equations, the module
-identities, and homotopy invariance.
+generalized Jacobi identities, the morphism equations and homotopy
+invariance.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .derivations import (DerivationHomotopy, DerivationMorphism,
                           homotopy_offset, validate_dg_derivation)
 from .graded import (Element, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
-from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
+from .modules import (DgModule, KBasis, ModuleElement,
                       add_term, apply_module_differential, contract,
                       contract_slices, contraction_slices,
                       dual_morphism_between, validate_dg_module)
@@ -162,10 +162,17 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
         for i, a in v.coeffs.items():
             for mon, c in a.terms.items():
                 row[i, mon] = row.get((i, mon), 0) + c
+    return _module_table(acc, outer.module)
+
+
+def _module_table(acc: dict, module: DgModule,
+                  sign: int = 1) -> dict[tuple, ModuleElement]:
+    """The nonzero rows of a join's accumulator, times ``sign``, as a
+    table of values in ``module``, with sorted keys."""
     out: dict[tuple, ModuleElement] = {}
     for x in sorted(acc):
-        v = ModuleElement.from_terms(outer.module, (
-            ((mon, i), c) for (i, mon), c in acc[x].items() if c))
+        v = ModuleElement.from_terms(module, (
+            ((mon, i), sign * c) for (i, mon), c in acc[x].items() if c))
         if not v.is_zero():
             out[x] = v
     return out
@@ -513,18 +520,30 @@ def _entries(cache: dict, table: dict, parities: list, slots) -> list:
     return found[1]
 
 
+def _flat_values(cache: dict, table: dict) -> dict:
+    """key -> the value of ``table`` at key as a flat tuple of its terms
+    (output index, monomial, coefficient).  Cached as in :func:`_entries`."""
+    found = cache.get((id(table), "flat"))
+    if found is None:
+        found = cache[(id(table), "flat")] = (table, {
+            key: tuple((i, mon, c) for i, a in val.coeffs.items()
+                       for mon, c in a.terms.items())
+            for key, val in table.items()})
+    return found[1]
+
+
 def _entries_by_slot(cache: dict, table: dict, s: int, parities: list,
                      slots) -> dict:
     """The entries of ``table`` grouped by their index m in slot s, as
-    m -> [(key, parity bits of key[:s], value coefficients)].  Cached as
-    in :func:`_entries`."""
+    m -> [(key, parity bits of key[:s], flat value)], the value as in
+    :func:`_flat_values`.  Cached as in :func:`_entries`."""
     found = cache.get((id(table), s))
     if found is None:
         slot_parities = [parities[t] for t in slots]
         found = cache[(id(table), s)] = (table, {})
-        for key, val in table.items():
+        for key, flat in _flat_values(cache, table).items():
             found[1].setdefault(key[s], []).append(
-                (key, _parity_bits(key[:s], slot_parities), val.coeffs))
+                (key, _parity_bits(key[:s], slot_parities), flat))
     return found[1]
 
 
@@ -536,9 +555,10 @@ def _module_residuals(degrees: list, insertions, partitions,
     coefficient}; coefficients may cancel to zero.  Every map is
     A-multilinear or the differential, and a k-basis table is a module
     table over the ground field (:func:`_over_ground`), so this one join
-    serves both; ``cache`` keeps the tables' entries between calls, and
-    the wedges of monomial pairs: a check meets few distinct pairs many
-    times (258 pairs and 1.29 M wedges on sl5 over its Borel to weight 6).
+    serves both; ``cache`` keeps the tables' entries between calls, the
+    wedges of monomial pairs, as a check meets few distinct pairs many
+    times (258 pairs and 1.29 M wedges on sl5 over its Borel to weight 6),
+    and d_A of the monomials that an outer differential meets.
 
     The join is driven by the table entries.  An insertion term runs over
     the entries of its inner map and, for each index m of an inner value
@@ -551,18 +571,21 @@ def _module_residuals(degrees: list, insertions, partitions,
     scatter or sign; as in :func:`eval_table_on_elements`, the coefficient
     of e_{m_t} passes the outer map and e_{m_1}, ..., e_{m_{t-1}}, basis
     vectors of ``out_module``.  An outer differential is not A-linear: it
-    is applied to the inner value, or to the value of the one block.
+    is applied to the inner value, or to the value of the one block, as
+    d(a.e_i) = d_A(a).e_i + (-1)^{|a|} a.d(e_i).
     """
     n = len(degrees)
     parities = [[d % 2 for d in degs] for degs in degrees]
     value_degrees = out_module.basis.degrees
     acc: dict[tuple, dict] = {}
-    merges = cache.setdefault("merges", {})  # (a, b) -> _merge_monomials(a, b)
+    merges = cache.setdefault("merges", {})  # a -> b -> _merge_monomials(a, b)
+    d_alg = cache.setdefault("d_A", {})  # monomial -> terms of d_A(monomial)
 
     def wedge(a, b):
-        found = merges.get((a, b))
+        with_a = merges.get(a) or merges.setdefault(a, {})
+        found = with_a.get(b)
         if found is None:
-            found = merges[a, b] = _merge_monomials(a, b)
+            found = with_a[b] = _merge_monomials(a, b)
         return found
 
     def degs_of(x):
@@ -570,22 +593,41 @@ def _module_residuals(degrees: list, insertions, partitions,
 
     def add(x, coeff, out, sign=1, odd=0):
         # sign times the terms (monomial, c) of coeff, those of odd length
-        # negated if odd, times the coefficients out
+        # negated if odd, times the flat terms (i, monomial, c) of out
         row = acc.get(x)
         if row is None:
             row = acc[x] = {}
         for mon, c in coeff:
             c = -sign * c if odd and len(mon) % 2 else sign * c
-            for i, b in out.items():
-                for mb, cb in b.terms.items():
-                    w, merged = wedge(mon, mb)
-                    if w:
-                        row[i, merged] = row.get((i, merged), 0) + w * c * cb
+            with_mon = merges.get(mon) or merges.setdefault(mon, {})
+            for i, mb, cb in out:
+                found = with_mon.get(mb)
+                if found is None:
+                    found = with_mon[mb] = _merge_monomials(mon, mb)
+                w, merged = found
+                if w:
+                    key = (i, merged)
+                    row[key] = row.get(key, 0) + w * c * cb
+
+    def differentiate(x, d, v, sign):
+        # sign times d(v), d the flat values of the differential's table
+        algebra = out_module.algebra
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                da = d_alg.get(mon)
+                if da is None:
+                    da = d_alg[mon] = tuple(algebra.apply_differential(
+                        AlgebraElement._trusted({mon: 1})).terms.items())
+                add(x, da, ((i, (), c),), sign)
+            de = d.get((i,))
+            if de is not None:
+                add(x, a.terms.items(), de, sign, 1)
 
     for term in insertions:
         if isinstance(term.outer, _Differential):  # d(inner(x_1, ..., x_n))
+            d = _flat_values(cache, term.outer)
             for x, v in term.inner.items():
-                add(x, [((), 1)], apply_module_differential(out_module, v).coeffs)
+                differentiate(x, d, v, 1)
             continue
         s = len(term.front)
         by_m = _entries_by_slot(cache, term.outer, s, parities, term.front)
@@ -609,12 +651,13 @@ def _module_residuals(degrees: list, insertions, partitions,
                         (r + head_bits.bit_count()) % 2)
     for term in partitions:
         if isinstance(term.outer, _Differential):  # -d(f_n(x_1, ..., x_n))
+            d = _flat_values(cache, term.outer)
             for x, v in term.tables[0].items():
-                add(x, [((), -1)], apply_module_differential(out_module, v).coeffs)
+                differentiate(x, d, v, -1)
             continue
         block_entries = [_entries(cache, table, parities, [b - 1 for b in block])
                          for table, block in zip(term.tables, term.blocks)]
-        signs, outer, r = term.signs, term.outer, term.degree
+        signs, outer, r = term.signs, _flat_values(cache, term.outer), term.degree
         for combo in itertools.product(*block_entries):
             hits = []
             for ms in itertools.product(*(v.items() for _, _, v in combo)):
@@ -635,7 +678,7 @@ def _module_residuals(degrees: list, insertions, partitions,
                              for mon, c in coeff for ma, ca in a.terms.items()
                              for w, merged in [wedge(mon, ma)] if w]
                     passed += value_degrees[m]
-                add(x, coeff, out.coeffs)
+                add(x, coeff, out)
     return acc
 
 
@@ -783,20 +826,20 @@ class MorphismFamily:
 
     ``module_tables[k]`` holds the nonzero values of an A-multilinear f_k
     on module-basis tuples.  ``maps[k]`` is f_k over the ground-field
-    basis: given, or else the A-multilinear extension of
+    basis: given, for a family that is not A-multilinear and so has no
+    module tables, or else the A-multilinear extension of
     ``module_tables[k]``, built on first read.
     """
 
     def __init__(self, source: BracketFamily, target: BracketFamily,
                  maps: dict[int, MultilinearMap] | None = None,
                  module_tables: dict[int, dict[tuple, ModuleElement]] | None = None,
-                 a_multilinear: bool = True, label: str = ""):
+                 label: str = ""):
         self.source = source
         self.target = target
         if maps is not None:
             self.maps = maps
         self.module_tables = module_tables or {}
-        self.a_multilinear = a_multilinear
         self.label = label
 
     @functools.cached_property
@@ -804,12 +847,6 @@ class MorphismFamily:
         return {k: extend_module_table(self.source.kb, table, k, 0,
                                        output_kb=self.target.kb)
                 for k, table in self.module_tables.items()}
-
-    def map(self, k: int) -> MultilinearMap | None:
-        m = self.maps.get(k)
-        if m is None or m.is_zero():
-            return None
-        return m
 
     def nonzero_arities(self) -> list[int]:
         """The arities of nonzero maps, read off the module tables until
@@ -881,7 +918,7 @@ def check_linfty_morphism(mor: MorphismFamily, n_max: int,
     degrees = mor.source.module.basis.degrees
     generators = mor.source.module.algebra.n_generators
     target_degrees = mor.target.module.basis.degrees
-    decide = (mor.a_multilinear and bool(mor.module_tables)
+    decide = (bool(mor.module_tables)
               and generators >= DECIDE_MIN_GENERATORS
               and mor.source.homogeneous() and mor.target.homogeneous()
               and not any(_degree_failures(t, 0, degrees, target_degrees)
@@ -926,20 +963,22 @@ def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
                               max_arity: int = 3) -> MorphismFamily:
     """(outer o inner)_n = sum over ordered partitions with the Koszul sign.
 
-    That sum is the partition side of the morphism equation, so each
-    arity is the negated join of :func:`_module_residuals` over the
-    ordered partitions whose blocks all have a map of ``inner``, on the
-    k-basis tables read over the ground field; the table's keys come out
-    in ``itertools.product`` order.
+    Both families are A-multilinear, so the composite is too, and its
+    module tables determine it.  The sum is the partition side of the
+    morphism equation: each arity is the negated join of
+    :func:`_module_residuals` over the ordered partitions whose blocks all
+    have a table of ``inner``, on module-basis tuples; the block values
+    lie in the module between the two families, which gives the join the
+    degrees their coefficients pass.
     """
     if inner.target is not outer.source and \
             inner.target.module.basis != outer.source.module.basis:
         raise ValueError("families are not composable")
-    skb = inner.source.kb
-    out_basis = outer.target.kb.basis
-    f, g = _over_ground(inner.maps, max_arity), _over_ground(outer.maps, max_arity)
-    out_module = DgModule(CdgaPresentation([]), out_basis)
-    maps: dict[int, MultilinearMap] = {}
+    if not (outer.module_tables and inner.module_tables):
+        raise ValueError("only families with module tables compose")
+    f, g = inner.module_tables, outer.module_tables
+    degrees = inner.source.module.basis.degrees
+    tables: dict[int, dict[tuple, ModuleElement]] = {}
     cache: dict = {}
     for n in range(1, max_arity + 1):
         partitions = [
@@ -947,15 +986,11 @@ def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
             for q in range(1, n + 1) if g.get(q)
             for blocks in ordered_partitions(n, q)
             if all(f.get(len(b)) for b in blocks)]
-        acc = _module_residuals([skb.degrees] * n, [], partitions, out_module,
-                                cache)
-        m = MultilinearMap.uniform(n, 0, skb.basis, out_basis)
-        for key in sorted(acc):
-            m.set(key, -Element(out_basis, {
-                i: c for (i, _), c in acc[key].items()}))
-        maps[n] = m
-    return MorphismFamily(inner.source, outer.target, maps,
-                          a_multilinear=inner.a_multilinear and outer.a_multilinear)
+        tables[n] = _module_table(
+            _module_residuals([degrees] * n, [], partitions,
+                              outer.source.module, cache),
+            outer.target.module, -1)
+    return MorphismFamily(inner.source, outer.target, module_tables=tables)
 
 
 def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
@@ -986,40 +1021,7 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
                 if not out.is_zero():
                     m.set((key0,) + rest, kb.to_kvec(out))
         maps[k + 1] = m
-    return MorphismFamily(trivial_source, fam, maps, a_multilinear=False,
-                          label="trivialization")
-
-
-def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
-                                max_witnesses: int = 10) -> list[dict]:
-    """Witnesses that a k-linear map table is not the A-multilinear
-    extension of its module-basis restriction."""
-    kb = mor.source.kb
-    out_kb = mor.target.kb
-    m = mor.maps.get(arity)
-    if m is None:
-        return []
-    base_table: dict[tuple, ModuleElement] = {}
-    for key_ids in itertools.product(range(kb.module.rank), repeat=arity):
-        val = m.table.get(tuple(kb.index[((), i)] for i in key_ids))
-        if val is not None:
-            base_table[key_ids] = out_kb.to_module_element(val)
-    expected = extend_module_table(kb, base_table, arity, 0, output_kb=out_kb)
-    witnesses = []
-    all_keys = set(m.table) | set(expected.table)
-    zero = Element(out_kb.basis)
-    for key in sorted(all_keys):
-        got = m.table.get(key, zero)
-        want = expected.table.get(key, zero)
-        if got != want:
-            witnesses.append({
-                "tuple": [kb.basis.names[i] for i in key],
-                "got": repr(got),
-                "a_multilinear_extension": repr(want),
-            })
-            if len(witnesses) >= max_witnesses:
-                break
-    return witnesses
+    return MorphismFamily(trivial_source, fam, maps, label="trivialization")
 
 
 # ---------------------------------------------------------------------------
@@ -1084,94 +1086,6 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     mor = MorphismFamily(source_fam, target_fam, module_tables=tables,
                          label="homotopy_iso")
     return mor, conn_prime
-
-
-# ---------------------------------------------------------------------------
-# module actions
-
-class ModuleActionFamily:
-    """Action maps mu_k: B^{(x)(k-1)} (x) E -> E over a bracket tower."""
-
-    def __init__(self, algebra_family: BracketFamily, carrier: DgModule,
-                 kb_e: KBasis, actions: dict[int, MultilinearMap],
-                 module_tables: dict[int, dict[tuple, ModuleElement]],
-                 connection_e: DeltaConnection | None = None, label: str = ""):
-        self.algebra_family = algebra_family
-        self.carrier = carrier
-        self.kb_e = kb_e
-        self.actions = actions
-        self.module_tables = module_tables
-        self.connection_e = connection_e
-        self.label = label
-
-    def nonzero_arities(self) -> list[int]:
-        return sorted(k for k, m in self.actions.items() if not m.is_zero())
-
-
-def kapranov_module(fam: BracketFamily, conn_e: DeltaConnection,
-                    max_arity: int = 4, label: str = "") -> ModuleActionFamily:
-    """The action tower on a module with its own delta-connection.
-
-    mu_1 = d_E, mu_2 = the Atiyah cocycle of nabla^E as a bilinear map,
-    mu_{k+1}(b_0, ..., b_{k-1}, e) = (-1)^{|b_0|} nabla^E_{b_0}(mu_k(...))
-      - mu_k(nabla_{b_0}-derivative, nabla on B-slots and nabla^E on E).
-    """
-    conn_b = fam.connection
-    if conn_e.delta != conn_b.delta:
-        raise ValueError("module connection must extend the same derivation")
-    b_mod = fam.module
-    e_mod = conn_e.module
-    kb_e = KBasis(e_mod)
-    tables = {2: _atiyah_table(conn_e, b_mod)}
-    for k in range(2, max_arity):
-        tables[k + 1] = _tower_step(tables[k], 1, b_mod,
-                                    [conn_b] * (k - 1) + [conn_e], conn_e)
-    actions: dict[int, MultilinearMap] = {1: differential_table(kb_e)}
-    for k, table in tables.items():
-        input_kbs = [fam.kb] * (k - 1) + [kb_e]
-        actions[k] = extend_module_table(fam.kb, table, k, 1,
-                                         input_kbs=input_kbs, output_kb=kb_e)
-    return ModuleActionFamily(fam, e_mod, kb_e, actions, tables, conn_e, label)
-
-
-def _module_structures(n: int, lam_active, mu_active):
-    part1 = []
-    for j in range(1, n + 1):
-        i = n + 1 - j
-        if j not in lam_active or i not in mu_active:
-            continue
-        for k in range(j, n):
-            for sigma in shuffles(k - j, j - 1):
-                part1.append((i, j, k, sigma))
-    part2 = []
-    for j in range(1, n + 1):
-        i = n + 1 - j
-        if j not in mu_active or i not in mu_active:
-            continue
-        for sigma in shuffles(n - j, j - 1):
-            part2.append((i, j, sigma))
-    return part1, part2
-
-
-def check_module_identities(m: ModuleActionFamily, n_max: int,
-                            max_witnesses: int = 10) -> dict:
-    """Verify the module identities on all tuples (b_1, ..., b_{n-1}, e)."""
-    fam = m.algebra_family
-    lam_active = set(fam.nonzero_arities())
-    mu_active = set(m.nonzero_arities())
-    lam, mu = _over_ground(fam.brackets, n_max), _over_ground(m.actions, n_max)
-
-    def weight(n):
-        part1, part2 = _module_structures(n, lam_active, mu_active)
-        return (len(part1) + len(part2),
-                [_Insertion(mu[i], lam[j], k, j, sigma)
-                 for (i, j, k, sigma) in part1]
-                + [_Insertion(mu[i], mu[j], n, j, sigma)
-                   for (i, j, sigma) in part2],
-                [])
-    return _exhaustive_report(n_max, weight,
-                              lambda n: [fam.kb] * (n - 1) + [m.kb_e], m.kb_e,
-                              max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -1258,52 +1172,3 @@ def bracket_nonskew_witness(fam: BracketFamily):
         if lhs != rhs:
             return (i, j)
     return None
-
-
-class CohomologyAction:
-    """[b] |> [e] = (-1)^{|b|} [mu_2(b, e)] on representatives."""
-
-    def __init__(self, action_family: ModuleActionFamily):
-        self.family = action_family
-        self.b_complex = CochainComplex(action_family.algebra_family.module)
-        self.e_complex = CochainComplex(action_family.carrier)
-        self.b_reps = self.b_complex.cohomology_reps()
-        self.e_reps = self.e_complex.cohomology_reps()
-        self.table: dict[tuple[int, int], list[Scalar]] = {}
-        for a, (da, ra) in enumerate(self.b_reps):
-            for b, (db, rb) in enumerate(self.e_reps):
-                z = self.action_cocycle(ra, rb)
-                if not z.is_zero() and not self.e_complex.is_cocycle(z):
-                    raise CheckFailure("action output is not closed")
-                self.table[(a, b)] = self.e_complex.class_coordinates(z)
-
-    def action_cocycle(self, b: ModuleElement, e: ModuleElement) -> ModuleElement:
-        table2 = self.family.module_tables.get(2, {})
-        fam = self.family.algebra_family
-        out = self.family.carrier.zero()
-        for db, bp in b.homogeneous_parts().items():
-            sign = -1 if db % 2 else 1
-            out = out + eval_table_on_elements(
-                table2, 1, [bp, e], [fam.module, self.family.carrier],
-                self.family.carrier).scale(sign)
-        return out
-
-    def naturality_failures(self, lam: ModuleMorphism) -> list[tuple]:
-        """[b] |> lam([e]) = lam([b] |> [e]) for a dg morphism into a module
-        with an action built from the same derivation."""
-        out = []
-        cx = CochainComplex(lam.target)
-        for a, (da, ra) in enumerate(self.b_reps):
-            for b, (db, rb) in enumerate(self.e_reps):
-                lhs = self.action_cocycle(ra, lam(rb))
-                rhs = lam(self.action_cocycle(ra, rb))
-                diff = lhs - rhs
-                if diff.is_zero():
-                    continue
-                if not cx.is_cocycle(diff) or cx.is_coboundary(diff) is None:
-                    out.append((a, b))
-        return out
-
-
-def cohomology_action(action_family: ModuleActionFamily) -> CohomologyAction:
-    return CohomologyAction(action_family)

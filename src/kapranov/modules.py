@@ -197,8 +197,9 @@ class DgModule:
         Enumerated basis-index major, monomials in (degree, lex) order.
         """
         out = []
+        monomials = self.algebra.monomials()
         for i in range(self.rank):
-            for mon in self.algebra.monomials():
+            for mon in monomials:
                 if degree is None or len(mon) + self.basis.degrees[i] == degree:
                     out.append((mon, i))
         return out
@@ -494,9 +495,6 @@ class ModuleMorphism:
                 out = out + img.left_mul(
                     AlgebraElement._trusted({mon: ONE})).scale(sign * c)
         return out
-
-    def is_dg_morphism(self) -> bool:
-        return not self.dg_failures()
 
     def dg_failures(self) -> list[str]:
         """d o f - (-1)^{deg f} f o d on basis vectors."""

@@ -17,7 +17,11 @@ definitions:
 - ``eval_multilinear``, a k-basis table evaluated on sparse arguments;
 - ``hom_element_to_morphism``, an element of Hom(M, N) read as a map;
 - ``bracket_vectors``, the Lie bracket on coordinate vectors;
-- ``cohomology_basis``, the representatives of one degree of H.
+- ``cohomology_basis``, the representatives of one degree of H;
+- ``a_multilinearity_violations``, where a k-basis table differs from
+  the A-multilinear extension of its module-basis restriction;
+- ``loday_pirashvili_bracket``, the Leibniz bracket psi(e_i).e_j of a
+  linear-map object, which its R_2 recovers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from kapranov.algebra import AlgebraElement, LieAlgebraData
 from kapranov.cohomology import CochainComplex
 from kapranov.connections import AtiyahCocycle, atiyah_cocycle
 from kapranov.graded import ONE, ZERO, Element, MultilinearMap, exact
-from kapranov.kapranov import (BracketFamily, eval_table_on_tensor,
+from kapranov.kapranov import (BracketFamily, MorphismFamily,
+                               eval_table_on_tensor, extend_module_table,
                                tensor_of_elements)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, contract,
@@ -237,3 +242,44 @@ def bracket_vectors(lie: LieAlgebraData, v: dict, w: dict) -> dict:
 def cohomology_basis(cx: CochainComplex, n: int) -> list[ModuleElement]:
     """Deterministic representatives of a basis of H^n."""
     return [rep for d, rep in cx.cohomology_reps() if d == n]
+
+
+def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
+                                max_witnesses: int = 10) -> list[dict]:
+    """Witnesses that a k-linear map table is not the A-multilinear
+    extension of its module-basis restriction."""
+    kb = mor.source.kb
+    out_kb = mor.target.kb
+    m = mor.maps.get(arity)
+    if m is None:
+        return []
+    base_table: dict[tuple, ModuleElement] = {}
+    for key_ids in itertools.product(range(kb.module.rank), repeat=arity):
+        val = m.table.get(tuple(kb.index[((), i)] for i in key_ids))
+        if val is not None:
+            base_table[key_ids] = out_kb.to_module_element(val)
+    expected = extend_module_table(kb, base_table, arity, 0, output_kb=out_kb)
+    witnesses = []
+    all_keys = set(m.table) | set(expected.table)
+    zero = Element(out_kb.basis)
+    for key in sorted(all_keys):
+        got = m.table.get(key, zero)
+        want = expected.table.get(key, zero)
+        if got != want:
+            witnesses.append({
+                "tuple": [kb.basis.names[i] for i in key],
+                "got": repr(got),
+                "a_multilinear_extension": repr(want),
+            })
+            if len(witnesses) >= max_witnesses:
+                break
+    return witnesses
+
+
+def loday_pirashvili_bracket(data, i: int, j: int) -> dict:
+    """e_i o e_j = psi(e_i) . e_j, the bracket the degree -1 slots recover."""
+    out: dict = {}
+    for a, c in data.psi.get(i, {}).items():
+        for k, m in data.act(a, {j: 1}).items():
+            out[k] = out.get(k, 0) + c * m
+    return {k: exact(c) for k, c in out.items() if c}

@@ -12,22 +12,23 @@ from fractions import Fraction
 
 from conftest import LINEAR_MAPS, shipped_setup
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import (coadjoint_module, loday_pirashvili_bracket,
-                               splitting_homotopy)
+from kapranov.builders import splitting_homotopy
 from kapranov.cli import main
 from kapranov.connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
                                   connection_difference_element,
                                   flat_connection_exists)
 from kapranov.derivations import DerivationMorphism
-from kapranov.kapranov import (a_multilinearity_violations,
-                               bracket_nonskew_witness, check_leibniz_infinity,
-                               check_linfty_morphism, check_module_identities,
+from kapranov.kapranov import (bracket_nonskew_witness, check_leibniz_infinity,
+                               check_linfty_morphism,
                                cohomology_leibniz_bracket,
                                compose_morphism_families, homotopy_iso,
-                               kapranov_brackets, kapranov_module,
-                               kapranov_morphism, trivialization)
+                               kapranov_brackets, kapranov_morphism,
+                               trivialization)
 from kapranov.modules import (ModuleElement, ModuleMorphism,
                               apply_module_differential, simple_tensor)
+from module_tower import (check_module_identities, coadjoint_module,
+                          kapranov_module)
+from oracles import a_multilinearity_violations, loday_pirashvili_bracket
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"

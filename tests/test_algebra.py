@@ -157,6 +157,14 @@ class TestCeAlgebra:
         assert list(alg.monomials()) == [(), (0,), (1,), (0, 1)]
         assert alg.dimension() == 4
 
+    def test_monomials_come_as_a_list(self, borel):
+        # not a generator: one suspended in a frame that runs out of memory
+        # is dropped during the unwinding, and its finalizer, which cannot
+        # allocate either, writes "Exception ignored in:" to stderr
+        alg = ce_algebra(borel)
+        assert alg.monomials() == [(), (0,), (1,), (0, 1)]
+        assert alg.monomials(1) == [(0,), (1,)]
+
 
 class TestMonomialKeysAreCanonical:
     """The constructor sorts each monomial key with the sign of the sort,

@@ -17,17 +17,16 @@ from kapranov.cli import Instance, load_document
 from kapranov.connections import AtiyahClass, DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.kapranov import (MorphismFamily, MultilinearMap,
-                               a_multilinearity_violations,
                                check_leibniz_infinity, check_linfty_morphism,
-                               check_module_identities,
                                compose_morphism_families, exhaustive_leibniz,
-                               homotopy_iso,
-                               kapranov_brackets, kapranov_module,
-                               kapranov_morphism, tensor_of_elements,
-                               trivialization)
+                               exhaustive_morphism, homotopy_iso,
+                               kapranov_brackets, kapranov_morphism,
+                               tensor_of_elements, trivialization)
 from kapranov.graded import Element
 from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
-from oracles import bracket_on_elements, eval_multilinear
+from module_tower import check_module_identities, kapranov_module
+from oracles import (a_multilinearity_violations, bracket_on_elements,
+                     eval_multilinear)
 
 F = Fraction
 GRADED_TOY = (pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -177,6 +176,7 @@ class TestMorphismTower:
         loop = compose_morphism_families(back, fwd, max_arity=3)
         report = check_linfty_morphism(loop, 3)
         assert report["passed"], report
+        assert report == exhaustive_morphism(loop, 3)
         # arity 1 of the composite is the identity
         kb = fam0.kb
         for i in range(len(kb.keys)):
@@ -186,11 +186,24 @@ class TestMorphismTower:
         phi = ModuleMorphism.identity(setup.omega)
         dm = DerivationMorphism(setup.delta, setup.delta, phi)
         fwd = kapranov_morphism(dm, fam0, fam1, max_arity=3)
-        ident = MorphismFamily(fam0, fam0, {
-            1: kapranov_morphism(dm, fam0, fam0, max_arity=1).maps[1]})
+        ident = MorphismFamily(fam0, fam0, module_tables={
+            1: kapranov_morphism(dm, fam0, fam0, max_arity=1).module_tables[1]})
         comp = compose_morphism_families(fwd, ident, max_arity=3)
         for k in (1, 2, 3):
+            assert comp.module_tables[k] == fwd.module_tables[k]
             assert comp.maps[k].table == fwd.maps[k].table
+
+    def test_a_family_without_module_tables_does_not_compose(self, setup,
+                                                              fam1):
+        # the trivialization is not A-multilinear, so it has no module
+        # tables, and a composite with it would not be either
+        dm = DerivationMorphism(setup.delta, setup.delta,
+                                ModuleMorphism.identity(setup.omega))
+        ident = kapranov_morphism(dm, fam1, fam1, max_arity=3)
+        triv = trivialization(fam1, max_arity=3)
+        for outer, inner in ((ident, triv), (triv, ident)):
+            with pytest.raises(ValueError, match="module tables"):
+                compose_morphism_families(outer, inner, max_arity=3)
 
 
 class TestTrivialization:

@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 
 from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement
-from kapranov.builders import coadjoint_module, splitting_homotopy
+from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
@@ -49,16 +49,17 @@ from kapranov.graded import (Element, MultilinearMap, koszul_sign,
 from kapranov import kapranov
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                _Insertion, _Partition, _module_residuals,
-                               _leibniz_structures, _module_structures,
+                               _leibniz_structures,
                                _morphism_lhs_structures,
                                _morphism_rhs_structures,
                                check_leibniz_infinity, check_linfty_morphism,
-                               check_module_identities,
                                eval_table_on_elements, exhaustive_leibniz,
                                exhaustive_morphism, homotopy_iso,
-                               kapranov_brackets, kapranov_module,
-                               kapranov_morphism, trivialization)
+                               kapranov_brackets, kapranov_morphism,
+                               trivialization)
 from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
+from module_tower import (check_module_identities, coadjoint_module,
+                          kapranov_module, module_structures)
 from oracles import eval_multilinear
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -240,7 +241,7 @@ def reference_module(m, n_max, max_witnesses=10) -> dict:
     nb = len(m.algebra_family.kb.keys)
     ne = len(m.kb_e.keys)
     for n in range(1, n_max + 1):
-        part1, part2 = _module_structures(n, lam_active, mu_active)
+        part1, part2 = module_structures(n, lam_active, mu_active)
         entry = {"n": n, "terms": len(part1) + len(part2), "tuples": 0,
                  "failures": []}
         if part1 or part2:

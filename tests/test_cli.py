@@ -722,10 +722,10 @@ class TestBuildTimeCheckFailures:
         assert "R_2 changed under the homotopy" in err
 
     def test_unclosed_cohomology_action_is_a_check_failure(self):
-        from kapranov.builders import coadjoint_module
-        from kapranov.kapranov import (CheckFailure, cohomology_action,
-                                       kapranov_brackets, kapranov_module)
+        from kapranov.kapranov import CheckFailure, kapranov_brackets
         from kapranov.modules import ModuleElement
+        from module_tower import (coadjoint_module, cohomology_action,
+                                  kapranov_module)
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
         coad, conn = coadjoint_module(s)

@@ -19,16 +19,16 @@ from hypothesis import strategies as st
 
 from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
-from kapranov.builders import coadjoint_module, splitting_homotopy
+from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
 from kapranov.graded import GradedBasis, MultilinearMap
 from kapranov.kapranov import (KBasis, extend_module_table, homotopy_iso,
-                               kapranov_brackets, kapranov_module,
-                               kapranov_morphism)
+                               kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               simple_tensor)
+from module_tower import coadjoint_module, kapranov_module
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))

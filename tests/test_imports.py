@@ -14,13 +14,15 @@ nothing else in the package enumerates a k-basis with ``.kbasis(`` or
 reads a key's degree with ``.kdegree(``.  The package holds one
 implementation of each construction: it defines none of the element-level
 oracles of ``tests/oracles.py`` and none of the names deleted with them,
-and it reads none of the tower's oracles.  Every tower is filled by one
+and it reads none of the tower's oracles.  Nor does it define any of the
+paper features that no command runs and that moved under ``tests/``
+(``tests/module_tower.py``).  Every tower is filled by one
 step, and its derivative runs through the one join: ``_tower_step``
 calls ``_module_residuals`` and uses none of ``itertools.product``,
 ``derive_tensor``, ``eval_table_on_tensor`` and ``contract``.  One join
 serves every identity: the package defines no ``_residuals``, and only
-the two class brackets, ``CohomologyBracket`` and ``CohomologyAction``,
-evaluate a table on elements with ``eval_table_on_elements``.  The CLI
+the class bracket ``CohomologyBracket`` evaluates a table on elements
+with ``eval_table_on_elements``.  The CLI
 builds no k-basis bracket table itself: it never reads a family's
 ``.brackets`` and never names ``extend_module_table``.  And every
 function and method of the package runs when the commands run on the
@@ -354,6 +356,68 @@ def test_step_guard_sees_the_step_and_a_planted_loop():
         f"no _module_residuals (line {n + 3})"]
 
 
+MODULE_TOWER_FILE = pathlib.Path(__file__).resolve().parent / "module_tower.py"
+# the paper features that no command runs, moved under tests/: the
+# Leibniz-infinity modules and the naturality check of
+# tests/module_tower.py, two references now in tests/oracles.py, and the
+# helpers deleted with their last caller in the package.  An entry
+# without a dot is matched at any depth, one with a dot as that method.
+MOVED = frozenset(
+    node.name for node in ast.parse(MODULE_TOWER_FILE.read_text()).body
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef))) | {
+        "_module_structures", "a_multilinearity_violations",
+        "loday_pirashvili_bracket", "ModuleMorphism.is_dg_morphism",
+        "MorphismFamily.map"}
+
+
+def moved_definitions(source: str) -> list[str]:
+    """The functions and classes of ``source``, at any depth, that carry
+    a name of ``MOVED``, as "qualified name (line)"."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = prefix + child.name
+                if any(name == m or name.endswith("." + m) for m in MOVED):
+                    out.append(f"{name} (line {child.lineno})")
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+    visit(ast.parse(source), "")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_defines_no_moved_feature(path):
+    assert moved_definitions(path.read_text()) == []
+
+
+def test_moved_guard_sees_planted_definitions():
+    source = (PACKAGE / "kapranov.py").read_text()
+    n = len(source.splitlines())
+    planted = source + ("\n\nclass ModuleActionFamily:\n"
+                        "    pass\n"
+                        "\n\ndef _checks():\n"
+                        "    def check_naturality(delta, lam):\n"
+                        "        return {}\n"
+                        "\n\nclass _Family:\n"
+                        "    def map(self, k):\n"
+                        "        return None\n"
+                        "\n\nclass MorphismFamily:\n"
+                        "    def map(self, k):\n"
+                        "        return None\n")
+    assert moved_definitions(planted) == [
+        f"ModuleActionFamily (line {n + 3})",
+        f"_checks.check_naturality (line {n + 8})",
+        f"MorphismFamily.map (line {n + 18})"]
+    # every module feature of tests/module_tower.py is one of them
+    assert {"kapranov_module", "check_module_identities", "CohomologyAction",
+            "coadjoint_module", "check_naturality"} <= MOVED
+
+
 def kbasis_table_reads(source: str) -> list[str]:
     """The lines of a module that read a family's ``.brackets`` or name
     ``extend_module_table``: the CLI's report-only commands read module
@@ -437,8 +501,8 @@ def test_setup_guards_see_planted_definitions():
 
 
 # the one join: no k-basis join beside _module_residuals, and evaluation
-# on elements serves only the brackets of cohomology classes
-ON_ELEMENTS = {"CohomologyBracket", "CohomologyAction"}
+# on elements serves only the bracket of cohomology classes
+ON_ELEMENTS = {"CohomologyBracket"}
 
 
 def join_breaches(source: str) -> list[str]:
@@ -484,11 +548,11 @@ def test_join_guard_sees_planted_definitions():
         f"eval_table_on_elements (homotopy_iso, line {n + 8})",
         f"def _residuals (_Join, line {n + 12})",
         f"eval_table_on_elements (_Join, line {n + 13})"]
-    # the two class brackets are the uses the guard lets through
+    # the class bracket is the use the guard lets through
     uses = [node for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name)
             and node.id == "eval_table_on_elements"]
-    assert len(uses) == 2
+    assert len(uses) == 1
 
 
 # Every function and method of the package runs when the commands run on
@@ -507,14 +571,9 @@ UNREACHED = {
     "builders.py: OffsetMismatch.__init__":
         "refusal of a splitting homotopy that misses delta'; no document "
         "has one",
-    "builders.py: coadjoint_module": ITEM_7,
-    "builders.py: loday_pirashvili_bracket": ITEM_7,
     "cli.py: run": "entry point: exits the process",
     "connections.py: DeltaConnection.__eq__": "equality, used by tests",
     "connections.py: DeltaConnection.__repr__": "repr, read in test failures",
-    "connections.py: apply_morphism_tensor": ITEM_7,
-    "connections.py: apply_om_hom": ITEM_7,
-    "connections.py: check_naturality": ITEM_7,
     "derivations.py: DerivationMorphism.failures": ITEM_7,
     "derivations.py: DerivationMorphism.is_valid": ITEM_7,
     "derivations.py: DgDerivation.__repr__": "repr, read in test failures",
@@ -538,19 +597,7 @@ UNREACHED = {
         "names the k-basis keys of a d(e_i) of the wrong degree; no "
         "document has one",
     "graded.py: MultilinearMap.set": ITEM_7,
-    "kapranov.py: CohomologyAction.__init__": ITEM_7,
-    "kapranov.py: CohomologyAction.action_cocycle": ITEM_7,
-    "kapranov.py: CohomologyAction.naturality_failures": ITEM_7,
-    "kapranov.py: ModuleActionFamily.__init__": ITEM_7,
-    "kapranov.py: ModuleActionFamily.nonzero_arities": ITEM_7,
-    "kapranov.py: MorphismFamily.map": ITEM_7,
-    "kapranov.py: _module_structures": ITEM_7,
-    "kapranov.py: a_multilinearity_violations": ITEM_7,
-    "kapranov.py: check_module_identities": ITEM_7,
-    "kapranov.py: check_module_identities.weight": ITEM_7,
-    "kapranov.py: cohomology_action": ITEM_7,
     "kapranov.py: compose_morphism_families": ITEM_7,
-    "kapranov.py: kapranov_module": ITEM_7,
     "kapranov.py: trivialization": ITEM_7,
     "modules.py: DgModule.__eq__": "equality, used by tests",
     "modules.py: DgModule.__repr__": "repr, read in test failures",
@@ -560,7 +607,6 @@ UNREACHED = {
     "modules.py: ModuleElement.__rmul__": "operator c * v, used by tests",
     "modules.py: ModuleMorphism.__eq__": "equality, used by tests",
     "modules.py: ModuleMorphism.dg_failures": ITEM_7,
-    "modules.py: ModuleMorphism.is_dg_morphism": ITEM_7,
     "modules.py: contract":
         "ROADMAP item 7: the contraction of trivialization; the tower "
         "contracts through contraction_slices",

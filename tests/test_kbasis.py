@@ -4,11 +4,14 @@
 coordinates for the cochain complexes, the homotopy search and the
 flat-connection search, and both searches build one column per unknown
 for one solver, ``solve_columns``; the composition of morphism towers
-goes through the checker's partition join.  The original complex with
-its incremental ``RowSpace``, both original searches and the original
-composition loop are kept here verbatim as oracles, and every instance
-document of the repository, and random complexes, must give the same
-answers through both.
+goes through the checker's partition join, on module tables.  The
+original complex with its incremental ``RowSpace``, both original
+searches and the original composition loop are kept here verbatim as
+oracles, and every instance document of the repository, and random
+complexes, must give the same answers through both: a composite's
+A-multilinear extension is the original loop's k-basis table, and
+``check_linfty_morphism`` decides the composite on module-basis tuples
+with the exhaustive checker's report.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
                                   DgDerivation, find_homotopy)
 from kapranov.graded import (ONE, ZERO, Element, GradedBasis, MultilinearMap,
                              Scalar, ordered_partitions, partition_sign)
-from kapranov.kapranov import (MorphismFamily, compose_morphism_families,
-                               kapranov_brackets, kapranov_morphism,
-                               trivialization)
+from kapranov import kapranov
+from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
+                               compose_morphism_families, exhaustive_morphism,
+                               kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                               apply_module_differential, simple_tensor)
 from oracles import cohomology_basis, eval_multilinear
@@ -367,14 +371,14 @@ def reference_compose(outer: MorphismFamily, inner: MorphismFamily,
             degs = [skb.degrees[i] for i in keys]
             total = Element(outer.target.kb.basis)
             for q in range(1, n + 1):
-                g = outer.map(q)
+                g = nonzero_map(outer, q)
                 if g is None:
                     continue
                 for blocks in ordered_partitions(n, q):
                     eps = partition_sign(blocks, degs)
                     args = []
                     for block in blocks:
-                        fk = inner.map(len(block))
+                        fk = nonzero_map(inner, len(block))
                         val = fk.table.get(tuple(keys[b - 1] for b in block)) \
                             if fk else None
                         if val is None:
@@ -386,9 +390,14 @@ def reference_compose(outer: MorphismFamily, inner: MorphismFamily,
                     total = total + eval_multilinear(g, args).scale(eps)
             m.set(keys, total)
         maps[n] = m
-    return MorphismFamily(inner.source, outer.target, maps,
-                          a_multilinear=inner.a_multilinear and outer.a_multilinear)
+    return MorphismFamily(inner.source, outer.target, maps)
 
+
+def nonzero_map(mor: MorphismFamily, k: int) -> MultilinearMap | None:
+    m = mor.maps.get(k)
+    if m is None or m.is_zero():
+        return None
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +585,27 @@ def assert_same_complex(module: DgModule):
 # compositions through the partition join
 
 def assert_same_composition(got: MorphismFamily, want: MorphismFamily):
+    """``got`` is given by module tables with sorted keys, and their
+    A-multilinear extension is the oracle's k-basis table."""
     assert list(got.maps) == list(want.maps)
     for k in want.maps:
-        assert list(got.maps[k].table) == list(want.maps[k].table), k
+        assert list(got.module_tables[k]) == sorted(got.module_tables[k]), k
         assert got.maps[k].table == want.maps[k].table, k
-        assert [repr(v) for v in got.maps[k].table.values()] \
-            == [repr(v) for v in want.maps[k].table.values()], k
-    assert got.a_multilinear == want.a_multilinear
+        assert {key: repr(v) for key, v in got.maps[k].table.items()} \
+            == {key: repr(v) for key, v in want.maps[k].table.items()}, k
+
+
+def assert_decided_like_exhaustive(mor: MorphismFamily, n_max: int,
+                                   monkeypatch):
+    """``check_linfty_morphism`` passes ``mor`` on module-basis tuples,
+    never asking the exhaustive checker, and reports what it would."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive checker ran")
+    with monkeypatch.context() as patch:
+        patch.setattr(kapranov, "exhaustive_morphism", refuse)
+        report = check_linfty_morphism(mor, n_max)
+    assert report["passed"], report
+    assert report == exhaustive_morphism(mor, n_max)
 
 
 def second_connection(setup) -> DeltaConnection:
@@ -595,37 +618,38 @@ def second_connection(setup) -> DeltaConnection:
 
 def compositions(connection, second, omega, arity):
     """The compositions of the tests: forward and back between the towers
-    of two connections, both ways round, and forward after the identity.
-    Forward after the trivialization reaches tuples out of order through
-    its arity-2 partition, so the key order is checked too."""
+    of two connections, both ways round, and forward after the identity."""
     fam0 = kapranov_brackets(connection, max_arity=arity)
     fam1 = kapranov_brackets(second, max_arity=arity)
     dm = DerivationMorphism(connection.delta, connection.delta,
                             ModuleMorphism.identity(omega))
     fwd = kapranov_morphism(dm, fam0, fam1, max_arity=3)
     back = kapranov_morphism(dm, fam1, fam0, max_arity=3)
-    ident = MorphismFamily(fam0, fam0, {
-        1: kapranov_morphism(dm, fam0, fam0, max_arity=1).maps[1]})
-    return [(back, fwd), (fwd, back), (fwd, ident),
-            (fwd, trivialization(fam0, max_arity=3))]
+    ident = MorphismFamily(fam0, fam0, module_tables={
+        1: kapranov_morphism(dm, fam0, fam0, max_arity=1).module_tables[1]})
+    return [(back, fwd), (fwd, back), (fwd, ident)]
 
 
 @pytest.mark.parametrize("arity", [5, 4], ids=["brackets", "acceptance"])
-def test_compositions_of_the_sl2_towers_match_the_original(arity):
+def test_compositions_of_the_sl2_towers_match_the_original(arity,
+                                                           monkeypatch):
     s = shipped_setup("sl2_borel")
     for outer, inner in compositions(s.connection, second_connection(s),
                                      s.omega, arity):
-        assert_same_composition(
-            compose_morphism_families(outer, inner, max_arity=3),
-            reference_compose(outer, inner, max_arity=3))
+        got = compose_morphism_families(outer, inner, max_arity=3)
+        assert_same_composition(got, reference_compose(outer, inner,
+                                                       max_arity=3))
+        assert_decided_like_exhaustive(got, 3, monkeypatch)
 
 
-def test_compositions_of_the_shifted_bench_instance_match_the_original():
+def test_compositions_of_the_shifted_bench_instance_match_the_original(
+        monkeypatch):
     inst = instance(ROOT / "bench" / "instances" / "sl2_borel_shifted.json")
     for outer, inner in compositions(inst.setup.connection,
                                      inst.second_connection,
                                      inst.setup.omega, 4):
         got = compose_morphism_families(outer, inner, max_arity=3)
-        assert any(len(m.table) for m in got.maps.values())
+        assert any(got.module_tables.values())
         assert_same_composition(got, reference_compose(outer, inner,
                                                        max_arity=3))
+        assert_decided_like_exhaustive(got, 3, monkeypatch)

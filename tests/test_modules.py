@@ -175,7 +175,7 @@ class TestTensorAndHom:
                 assert lhs == rhs, (k, i)
 
     def test_identity_is_dg(self, mixed):
-        assert ModuleMorphism.identity(mixed).is_dg_morphism()
+        assert ModuleMorphism.identity(mixed).dg_failures() == []
 
 
 class TestContraction:

@@ -1,8 +1,8 @@
 """The shared tower step against the four recursion loops it replaced.
 
-Every tower of the package (brackets, morphisms, the homotopy
-isomorphism and module actions) is filled by one covariant-commutator
-step, ``_tower_step``; the homotopy isomorphism also takes its
+Every tower (the package's brackets, morphisms and homotopy
+isomorphism, and the module actions of ``tests/module_tower.py``) is
+filled by one covariant-commutator step, ``_tower_step``; the homotopy isomorphism also takes its
 [hat_{b_0}, R_p] terms from it, run along a connection hat of the
 homotopy h.  The step's derivative runs as insertion terms of the
 identity checkers' join, which visits only the tuples that a table entry
@@ -30,21 +30,23 @@ from hypothesis import strategies as st
 
 from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
-from kapranov.builders import coadjoint_module, splitting_homotopy
+from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection, atiyah_cocycle, omega_tensor
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
                                   DgDerivation, homotopy_offset)
 from kapranov.graded import GradedBasis, ordered_partitions, partition_sign
 from kapranov.kapranov import (check_leibniz_infinity,
-                               check_linfty_morphism, check_module_identities,
+                               check_linfty_morphism,
                                dual_morphism_between, eval_table_on_elements,
                                eval_table_on_tensor, homotopy_iso,
-                               kapranov_brackets, kapranov_module,
-                               kapranov_morphism, tensor_of_elements)
+                               kapranov_brackets, kapranov_morphism,
+                               tensor_of_elements)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               apply_module_differential, contract,
                               dual_module, simple_tensor)
+from module_tower import (check_module_identities, coadjoint_module,
+                          kapranov_module)
 from oracles import atiyah_bilinear, derive_tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
