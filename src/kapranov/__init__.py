@@ -11,7 +11,7 @@ The package builds, over the rationals:
 """
 
 from . import graded
-from .graded import (Element, GradedBasis, MultilinearMap, koszul_sign,
+from .graded import (GradedBasis, MultilinearMap, koszul_sign,
                      ordered_partitions, partition_sign, shuffles)
 from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       ce_algebra, validate_cdga)

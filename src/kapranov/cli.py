@@ -409,8 +409,8 @@ def cmd_atiyah(inst: Instance, args) -> dict:
     if inst.second_connection is not None:
         cls2 = AtiyahClass(s.delta, s.bmod, inst.second_connection)
         at2 = cls2.cocycle
-        d_elt = connection_difference_element(s.connection,
-                                              inst.second_connection)
+        d_elt = connection_difference_element(
+            s.connection, inst.second_connection, at.om_end)
         want = apply_module_differential(at.om_end, d_elt).scale(-1)
         ok = at.element - at2.element == want
         checks.append(named_check(

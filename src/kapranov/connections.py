@@ -10,6 +10,7 @@ closed degree-1 element of Omega (x) End(E).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from .algebra import AlgebraElement
@@ -105,7 +106,9 @@ class AtiyahCocycle:
     """The Atiyah cocycle [nabla, d] of a delta-connection.
 
     ``operator_values[i]`` = nabla(d e_i) - d(nabla(e_i)), and ``element``
-    is the same data as a degree-1 element of Omega (x) End(E).
+    is the same data as a degree-1 element of ``om_end``, Omega (x) End(E).
+    Both are built on first read: the tower's seed reads only the operator
+    values.
     """
 
     def __init__(self, connection: DeltaConnection):
@@ -118,9 +121,15 @@ class AtiyahCocycle:
             val = (connection(module.diff_of_basis(i))
                    - apply_module_differential(connection.tensor, connection(e)))
             self.operator_values.append(val)
-        self.om_end = tensor_module(connection.delta.target, end_module(module),
-                                    label="Omega(x)End")
-        self.element = operator_to_om_hom_element(self.om_end, self.operator_values)
+
+    @functools.cached_property
+    def om_end(self) -> DgModule:
+        return tensor_module(self.connection.delta.target,
+                             end_module(self.module), label="Omega(x)End")
+
+    @functools.cached_property
+    def element(self) -> ModuleElement:
+        return operator_to_om_hom_element(self.om_end, self.operator_values)
 
     def is_closed(self) -> bool:
         return apply_module_differential(self.om_end, self.element).is_zero()
@@ -131,7 +140,11 @@ def atiyah_cocycle(connection: DeltaConnection) -> AtiyahCocycle:
 
 
 class AtiyahClass:
-    """Cohomology class of the Atiyah cocycle in H^1(Omega (x) End E)."""
+    """Cohomology class of the Atiyah cocycle in H^1(Omega (x) End E).
+
+    ``complex``, the cochain complex of Omega (x) End E with its k-basis,
+    is built on first read: comparing with another class reads only this
+    one's."""
 
     def __init__(self, delta: DgDerivation, module: DgModule,
                  connection: DeltaConnection | None = None):
@@ -139,7 +152,10 @@ class AtiyahClass:
         self.module = module
         self.connection = connection or DeltaConnection(delta, module)
         self.cocycle = atiyah_cocycle(self.connection)
-        self.complex = CochainComplex(self.cocycle.om_end)
+
+    @functools.cached_property
+    def complex(self) -> CochainComplex:
+        return CochainComplex(self.cocycle.om_end)
 
     def is_zero(self) -> bool:
         return self.complex.is_coboundary(self.cocycle.element) is not None
@@ -151,12 +167,12 @@ class AtiyahClass:
                                           other.cocycle.element)
 
 
-def connection_difference_element(c1: DeltaConnection,
-                                  c2: DeltaConnection) -> ModuleElement:
-    """nabla - nabla' as a degree-0 element of Omega (x) End(E)."""
+def connection_difference_element(c1: DeltaConnection, c2: DeltaConnection,
+                                  om_end: DgModule) -> ModuleElement:
+    """nabla - nabla' as a degree-0 element of ``om_end``, the module
+    Omega (x) End(E) of an Atiyah cocycle on E."""
     if c1.module.basis != c2.module.basis:
         raise ValueError("connections live on different modules")
-    om_end = tensor_module(c1.delta.target, end_module(c1.module))
     values = [c1.values.get(i, c1.tensor.zero())
               - c2.values.get(i, c2.tensor.zero())
               for i in range(c1.module.rank)]

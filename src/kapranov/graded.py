@@ -1,4 +1,4 @@
-"""Graded-linear foundations: Koszul signs, shuffles, sparse elements.
+"""Graded-linear foundations: Koszul signs, shuffles, multilinear tables.
 
 Everything here works over the rationals with exact arithmetic.  A
 rational has one representation: a Python ``int`` when it is integral,
@@ -14,8 +14,8 @@ first access; modules that name it only in annotations, which are never
 evaluated, do not import it.
 
 A "graded basis" is an ordered list of named, integer-graded basis
-vectors; sparse vectors over such a basis are dicts mapping basis indices
-to nonzero rational coefficients.
+vectors.  A vector over such a basis is a ``ModuleElement`` of the free
+module on it over the ground field (``KBasis.ground``).
 """
 
 from __future__ import annotations
@@ -165,101 +165,12 @@ class GradedBasis:
         return f"GradedBasis({items})"
 
 
-class Element:
-    """Sparse vector over a :class:`GradedBasis`.
-
-    Coefficients are stored in a dict keyed by basis index; zero
-    coefficients are never stored.  The constructor normalises its input
-    with :func:`exact`; arithmetic builds its results with
-    :meth:`_trusted`, which takes a dict that is already normalised and
-    free of zeros.
-    """
-
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: GradedBasis, coeffs: dict[int, Scalar] | None = None):
-        self.basis = basis
-        self.coeffs: dict[int, Scalar] = {}
-        if coeffs:
-            for i, c in coeffs.items():
-                c = exact(c)
-                if c:
-                    self.coeffs[i] = c
-
-    @classmethod
-    def _trusted(cls, basis: GradedBasis, coeffs: dict[int, Scalar]) -> "Element":
-        self = object.__new__(cls)
-        self.basis = basis
-        self.coeffs = coeffs
-        return self
-
-    @classmethod
-    def basis_vector(cls, basis: GradedBasis, i: int, coeff: Scalar = ONE) -> "Element":
-        return cls(basis, {i: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int | None:
-        """Degree if homogeneous (zero counts as any degree -> None)."""
-        degs = {self.basis.degrees[i] for i in self.coeffs}
-        if len(degs) == 1:
-            return degs.pop()
-        if not degs:
-            return None
-        raise ValueError(f"element is not homogeneous: {self}")
-
-    def homogeneous_parts(self) -> dict[int, "Element"]:
-        parts: dict[int, Element] = {}
-        for i, c in self.coeffs.items():
-            d = self.basis.degrees[i]
-            parts.setdefault(d, Element(self.basis)).coeffs[i] = c
-        return parts
-
-    def __add__(self, other: "Element") -> "Element":
-        if self.basis is not other.basis and self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, ZERO) + c
-            if s:
-                out[i] = s if s.__class__ is int else exact(s)
-            else:
-                del out[i]
-        return Element._trusted(self.basis, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element._trusted(self.basis, {i: -c for i, c in self.coeffs.items()})
-
-    def scale(self, c) -> "Element":
-        c = exact(c)
-        if not c:
-            return Element(self.basis)
-        return Element._trusted(self.basis, _scaled(self.coeffs, c))
-
-    def __rmul__(self, c) -> "Element":
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.basis == other.basis and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in sorted(self.coeffs):
-            terms.append(f"{self.coeffs[i]}*{self.basis.names[i]}")
-        return " + ".join(terms)
-
-
 class MultilinearMap:
     """k-multilinear map given by a table of values on basis tuples.
 
     ``table`` maps tuples of input basis indices to (nonzero) output
-    :class:`Element` values; absent tuples map to zero.  ``input_bases``
+    values, ``ModuleElement``s of the free module on ``output_basis`` over
+    the ground field; absent tuples map to zero.  ``input_bases``
     lists the basis of each slot (often all the same), ``degree`` is the
     internal degree of the map.
     """
@@ -270,7 +181,7 @@ class MultilinearMap:
         degree: int,
         input_bases: Sequence[GradedBasis],
         output_basis: GradedBasis,
-        table: dict[tuple[int, ...], Element] | None = None,
+        table: dict[tuple[int, ...], ModuleElement] | None = None,
     ):
         if len(input_bases) != arity:
             raise ValueError("need one input basis per slot")
@@ -278,7 +189,7 @@ class MultilinearMap:
         self.degree = degree
         self.input_bases = tuple(input_bases)
         self.output_basis = output_basis
-        self.table: dict[tuple[int, ...], Element] = {}
+        self.table: dict[tuple[int, ...], ModuleElement] = {}
         if table:
             for key, val in table.items():
                 if not val.is_zero():
@@ -295,7 +206,7 @@ class MultilinearMap:
     ) -> "MultilinearMap":
         return cls(arity, degree, [basis] * arity, output_basis or basis, table)
 
-    def set(self, key: tuple[int, ...], val: Element) -> None:
+    def set(self, key: tuple[int, ...], val: ModuleElement) -> None:
         if val.is_zero():
             self.table.pop(tuple(key), None)
         else:

@@ -20,16 +20,15 @@ import itertools
 import math
 from operator import itemgetter
 
-from .algebra import (AlgebraElement, CdgaPresentation, _merge_monomials,
-                      validate_cdga)
+from .algebra import AlgebraElement, _merge_monomials, validate_cdga
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import (DerivationHomotopy, DerivationMorphism,
                           homotopy_offset, validate_dg_derivation)
-from .graded import (Element, MultilinearMap, koszul_sign,
-                     ordered_partitions, partition_sign, shuffles)
+from .graded import (MultilinearMap, koszul_sign, ordered_partitions,
+                     partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement,
-                      add_term, apply_module_differential, contract,
+                      apply_module_differential, contract,
                       contract_slices, contraction_slices,
                       dual_morphism_between, validate_dg_module)
 
@@ -53,54 +52,7 @@ def require_dg(module: DgModule, delta=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tensors of module elements, and derivations acting on them
-
-def tensor_of_elements(args: list[ModuleElement],
-                       modules: list[DgModule]) -> dict[tuple, AlgebraElement]:
-    """Expand v_1 (x) ... (x) v_k into basis tensors, coefficients on the left.
-
-    Moving the coefficient of slot t to the front passes the basis vectors
-    of slots 1..t-1 and picks up the Koszul sign.
-    """
-    items: dict[tuple, AlgebraElement] = {(): AlgebraElement.scalar(1)}
-    prefix_degrees: dict[tuple, int] = {(): 0}
-    for arg, mod in zip(args, modules):
-        new: dict[tuple, AlgebraElement] = {}
-        new_deg: dict[tuple, int] = {}
-        for key, coeff in items.items():
-            pdeg = prefix_degrees[key]
-            for i, a in arg.coeffs.items():
-                for mon, c in a.terms.items():
-                    sign = -1 if (len(mon) * pdeg) % 2 else 1
-                    nk = key + (i,)
-                    add_term(new, nk,
-                             coeff * AlgebraElement._trusted({mon: sign * c}))
-                    new_deg[nk] = pdeg + mod.basis.degrees[i]
-        for key in new:
-            prefix_degrees[key] = new_deg[key]
-        items = new
-    return items
-
-
-def eval_table_on_tensor(table: dict[tuple, ModuleElement], degree: int,
-                         tensor: dict[tuple, AlgebraElement],
-                         out_module: DgModule) -> ModuleElement:
-    """Apply an A-multilinear table of internal degree r to an expanded tensor."""
-    out = out_module.zero()
-    for key, coeff in tensor.items():
-        val = table.get(key)
-        if val is None:
-            continue
-        for cd, cpart in coeff.homogeneous_parts().items():
-            sign = -1 if (degree * cd) % 2 else 1
-            out = out + val.left_mul(cpart).scale(sign)
-    return out
-
-
-def eval_table_on_elements(table, degree, args, modules, out_module):
-    tensor = tensor_of_elements(args, modules)
-    return eval_table_on_tensor(table, degree, tensor, out_module)
-
+# the tower step
 
 def _contraction_table(vectors: list[ModuleElement],
                        values: dict) -> dict[tuple, ModuleElement]:
@@ -295,7 +247,7 @@ def _degree_failures(table: dict[tuple, ModuleElement], degree: int,
 
 def differential_table(kb: KBasis) -> MultilinearMap:
     return MultilinearMap.uniform(1, 1, kb.basis, table={
-        (idx,): Element._trusted(kb.basis, kb.differential(key))
+        (idx,): kb.kvec(kb.differential(key))
         for idx, key in enumerate(kb.keys)})
 
 
@@ -354,7 +306,7 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
                     if s:
                         coeffs[out_index[(merged, i)]] = c if s == sign else -c
                 if coeffs:
-                    out.table[key] = Element._trusted(output_kb.basis, coeffs)
+                    out.table[key] = output_kb.kvec(coeffs)
                 return
             index, bidx = slots[t].index, base_key[t]
             free = [g for g in range(n_gens[t]) if g not in wedge]
@@ -554,11 +506,12 @@ def _module_residuals(degrees: list, insertions, partitions,
     degrees ``degrees[t]``, as tuple -> {(output index, monomial):
     coefficient}; coefficients may cancel to zero.  Every map is
     A-multilinear or the differential, and a k-basis table is a module
-    table over the ground field (:func:`_over_ground`), so this one join
-    serves both; ``cache`` keeps the tables' entries between calls, the
-    wedges of monomial pairs, as a check meets few distinct pairs many
-    times (258 pairs and 1.29 M wedges on sl5 over its Borel to weight 6),
-    and d_A of the monomials that an outer differential meets.
+    table over the ground field (:attr:`KBasis.ground`), so this one join
+    serves both, and it is the package's only evaluator of a table;
+    ``cache`` keeps the tables' entries between calls, the wedges of
+    monomial pairs, as a check meets few distinct pairs many times (258
+    pairs and 1.29 M wedges on sl5 over its Borel to weight 6), and d_A of
+    the monomials that an outer differential meets.
 
     The join is driven by the table entries.  An insertion term runs over
     the entries of its inner map and, for each index m of an inner value
@@ -568,11 +521,11 @@ def _module_residuals(degrees: list, insertions, partitions,
     (-1)^{|a|(r + |x_F|)} a.outer(x_F, e_m, ...).  A partition term runs
     over the products of its block tables' entries and looks its outer map
     up on each choice of indices m_1, ..., m_q of their values, before any
-    scatter or sign; as in :func:`eval_table_on_elements`, the coefficient
-    of e_{m_t} passes the outer map and e_{m_1}, ..., e_{m_{t-1}}, basis
-    vectors of ``out_module``.  An outer differential is not A-linear: it
-    is applied to the inner value, or to the value of the one block, as
-    d(a.e_i) = d_A(a).e_i + (-1)^{|a|} a.d(e_i).
+    scatter or sign; the coefficient of e_{m_t} passes the outer map and
+    e_{m_1}, ..., e_{m_{t-1}}, basis vectors of ``out_module``.  An outer
+    differential is not A-linear: it is applied to the inner value, or to
+    the value of the one block, as d(a.e_i) = d_A(a).e_i + (-1)^{|a|}
+    a.d(e_i).
     """
     n = len(degrees)
     parities = [[d % 2 for d in degs] for degs in degrees]
@@ -682,20 +635,6 @@ def _module_residuals(degrees: list, insertions, partitions,
     return acc
 
 
-def _over_ground(maps: dict[int, MultilinearMap], n_max: int) -> dict:
-    """The k-basis tables of ``maps`` up to arity ``n_max``, each read as
-    a table of the free module on its output basis over the ground field,
-    the algebra without generators, whose coefficients are the scalars."""
-    out = {}
-    for k, m in maps.items():
-        if k <= n_max:
-            module = DgModule(CdgaPresentation([]), m.output_basis)
-            out[k] = {key: ModuleElement._trusted(module, {
-                i: AlgebraElement._trusted({(): c})
-                for i, c in val.coeffs.items()}) for key, val in m.table.items()}
-    return out
-
-
 def _check_identities(n_max: int, weight, degrees, out_module: DgModule,
                       n_tuples, witness, max_witnesses: int) -> dict:
     """Evaluate an identity's residual at every weight up to ``n_max``.
@@ -733,16 +672,17 @@ def _exhaustive_report(n_max: int, weight, slots, out_kb: KBasis,
                        max_witnesses: int) -> dict:
     """The report of an identity on every k-basis tuple: ``slots(n)``
     lists the k-bases of the n slots, and ``weight(n)`` gives the terms
-    on k-basis tables read over the ground field."""
-    out_basis = out_kb.basis
+    on k-basis tables, whose values lie in ``out_kb.ground``.  A witness
+    spells its residual as c*name over the nonzero coefficients, by
+    k-basis index."""
+    names = out_kb.basis.names
     return _check_identities(
         n_max, weight, lambda n: [kb.degrees for kb in slots(n)],
-        DgModule(CdgaPresentation([]), out_basis),
-        lambda n: math.prod(len(kb.keys) for kb in slots(n)),
+        out_kb.ground, lambda n: math.prod(len(kb.keys) for kb in slots(n)),
         lambda x, row: {
             "tuple": [kb.basis.names[i] for kb, i in zip(slots(len(x)), x)],
-            "residual": repr(Element(out_basis, {
-                i: c for (i, _), c in row.items()}))},
+            "residual": " + ".join(f"{c}*{names[i]}" for (i, _), c
+                                   in sorted(row.items()) if c)},
         max_witnesses)
 
 
@@ -798,7 +738,7 @@ def exhaustive_leibniz(fam: BracketFamily, n_max: int,
     """Verify the degree-1 generalized Jacobi identities on every k-basis
     tuple, on the k-basis tables."""
     active = set(fam.nonzero_arities())
-    maps = _over_ground(fam.brackets, n_max)
+    maps = {k: m.table for k, m in fam.brackets.items() if k <= n_max}
     return _exhaustive_report(n_max, lambda n: _leibniz_terms(n, active, maps),
                               lambda n: [fam.kb] * n, fam.kb, max_witnesses)
 
@@ -902,8 +842,9 @@ def exhaustive_morphism(mor: MorphismFamily, n_max: int,
     """Verify the morphism equation on all source k-basis tuples,
     n <= n_max, on the k-basis tables."""
     active = _morphism_active(mor)
-    f, lam, lamp = (_over_ground(maps, n_max) for maps in
-                    (mor.maps, mor.source.brackets, mor.target.brackets))
+    f, lam, lamp = ({k: m.table for k, m in maps.items() if k <= n_max}
+                    for maps in (mor.maps, mor.source.brackets,
+                                 mor.target.brackets))
     return _exhaustive_report(
         n_max, lambda n: _morphism_terms(n, active, f, lam, lamp),
         lambda n: [mor.source.kb] * n, mor.target.kb, max_witnesses)
@@ -1003,16 +944,13 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
     kb = fam.kb
     n_keys = len(kb.keys)
     trivial_source = BracketFamily(fam.module, {}, conn, label="trivial")
-    maps: dict[int, MultilinearMap] = {}
-    m1 = MultilinearMap.uniform(1, 0, kb.basis)
-    for i in range(n_keys):
-        m1.set((i,), Element.basis_vector(kb.basis, i))
-    maps[1] = m1
+    maps = {1: MultilinearMap.uniform(1, 0, kb.basis, table={
+        (i,): kb.kvec({i: 1}) for i in range(n_keys)})}
     for k in range(1, max_arity):
         prev = maps[k]
         m = MultilinearMap.uniform(k + 1, 0, kb.basis)
         for key0 in range(n_keys):
-            b0 = kb.to_module_element(Element.basis_vector(kb.basis, key0))
+            b0 = fam.module.kbasis_element(kb.keys[key0])
             for rest in itertools.product(range(n_keys), repeat=k):
                 val = prev.table.get(rest)
                 if val is None:
@@ -1113,14 +1051,19 @@ class CohomologyBracket:
                 self.table[(a, b)] = self.complex.class_coordinates(z)
 
     def bracket_cocycle(self, x: ModuleElement, y: ModuleElement) -> ModuleElement:
-        table2 = self.fam.module_tables.get(2, {})
-        out = self.fam.module.zero()
-        for dx, xp in x.homogeneous_parts().items():
-            sign = -1 if dx % 2 else 1
-            out = out + eval_table_on_elements(
-                table2, 1, [xp, y], [self.fam.module] * 2,
-                self.fam.module).scale(sign)
-        return out
+        """(-1)^{|x|} R_2(x, y) for homogeneous x and y: the join of the
+        one partition term R_2(x, y), whose blocks are the tables
+        {(0,): x} and {(0,): y}, negated as in
+        :func:`compose_morphism_families`."""
+        module = self.fam.module
+        if x.is_zero() or y.is_zero():
+            return module.zero()
+        dx = x.degree()
+        term = _Partition(self.fam.module_tables.get(2, {}),
+                          [{(0,): x}, {(0,): y}], ((1,), (2,)), 1)
+        acc = _module_residuals([[dx], [y.degree()]], [], [term], module, {})
+        return _module_table(acc, module, 1 if dx % 2 else -1).get(
+            (0, 0), module.zero())
 
     def is_skew(self) -> bool:
         return self.nonskew_witness() is None

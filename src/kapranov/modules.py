@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from .algebra import (AlgebraElement, CdgaPresentation, Monomial,
                       _merge_monomials)
-from .graded import ONE, Element, GradedBasis, exact
+from .graded import ONE, GradedBasis, exact
 
 
 class ModuleElement:
@@ -230,10 +230,11 @@ class KBasis:
     ``slice(d)`` lists the keys of degree d in the same order; ``to_vector``
     and ``from_vector`` convert between module elements and dense
     coordinates on one slice, ``to_kvec`` and ``to_module_element`` between
-    module elements and sparse vectors over ``basis``.  The names of
-    ``basis`` are ``word.name`` (``name`` alone for the empty monomial); it
-    is built on first use, so a complex that only needs coordinates never
-    builds the names.
+    module elements and vectors over ``basis``, elements of ``ground``, the
+    free module on ``basis`` over the ground field.  The names of ``basis``
+    are ``word.name`` (``name`` alone for the empty monomial); it and
+    ``ground`` are built on first use, so a complex that only needs
+    coordinates never builds the names.
     """
 
     def __init__(self, module: DgModule):
@@ -258,14 +259,23 @@ class KBasis:
             names.append(f"{word}.{name}" if word else name)
         return GradedBasis(names, self.degrees)
 
+    @functools.cached_property
+    def ground(self) -> DgModule:
+        return DgModule(CdgaPresentation([]), self.basis)
+
+    def kvec(self, coeffs: dict[int, Scalar]) -> ModuleElement:
+        """The vector of ``ground`` with the nonzero coefficients
+        {k-basis index: c}."""
+        return ModuleElement._trusted(self.ground, {
+            i: AlgebraElement._trusted({(): c}) for i, c in coeffs.items()})
+
     def slice(self, d: int) -> list[tuple[Monomial, int]]:
         return self.slices.get(d, [])
 
-    def to_kvec(self, v: ModuleElement) -> Element:
+    def to_kvec(self, v: ModuleElement) -> ModuleElement:
         # each (monomial, basis index) is one k-basis vector, hit once
-        return Element._trusted(self.basis, {
-            self.index[(mon, i)]: c
-            for i, a in v.coeffs.items() for mon, c in a.terms.items()})
+        return self.kvec({self.index[(mon, i)]: c for i, a in v.coeffs.items()
+                          for mon, c in a.terms.items()})
 
     def to_vector(self, v: ModuleElement, d: int) -> list[Scalar]:
         """Dense coordinates of v on the degree-d slice; a term of another
@@ -320,9 +330,9 @@ class KBasis:
                     del row[idx]
         return row
 
-    def to_module_element(self, e: Element) -> ModuleElement:
-        return ModuleElement.from_terms(
-            self.module, ((self.keys[idx], c) for idx, c in e.coeffs.items()))
+    def to_module_element(self, e: ModuleElement) -> ModuleElement:
+        return ModuleElement.from_terms(self.module, (
+            (self.keys[idx], a.terms[()]) for idx, a in e.coeffs.items()))
 
 
 def add_term(coeffs: dict, key, a: AlgebraElement) -> None:

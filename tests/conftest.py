@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
+from kapranov.algebra import LieAlgebraData
 from kapranov.cli import Instance
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"

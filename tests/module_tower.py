@@ -25,13 +25,13 @@ from kapranov.connections import (DeltaConnection, atiyah_cocycle,
 from kapranov.derivations import DgDerivation
 from kapranov.graded import ONE, GradedBasis, MultilinearMap, shuffles
 from kapranov.kapranov import (BracketFamily, CheckFailure, _atiyah_table,
-                               _exhaustive_report, _Insertion, _over_ground,
-                               _tower_step, differential_table,
-                               eval_table_on_elements, extend_module_table)
+                               _exhaustive_report, _Insertion, _tower_step,
+                               differential_table, extend_module_table)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, hom_module,
                               simple_tensor, tensor_index, tensor_module,
                               tensor_split)
+from oracles import eval_table_on_elements
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,8 @@ def check_module_identities(m: ModuleActionFamily, n_max: int,
     fam = m.algebra_family
     lam_active = set(fam.nonzero_arities())
     mu_active = set(m.nonzero_arities())
-    lam, mu = _over_ground(fam.brackets, n_max), _over_ground(m.actions, n_max)
+    lam, mu = ({k: t.table for k, t in maps.items() if k <= n_max}
+               for maps in (fam.brackets, m.actions))
 
     def weight(n):
         part1, part2 = module_structures(n, lam_active, mu_active)

@@ -14,14 +14,21 @@ definitions:
   [nabla_{b_0}, R_k] evaluated on elements;
 - ``atiyah_apply`` and ``atiyah_bilinear``, the Atiyah cocycle [nabla, d]
   as an A-linear map and as the pairing At(b, e);
-- ``eval_multilinear``, a k-basis table evaluated on sparse arguments;
+- ``tensor_of_elements``, ``eval_table_on_tensor`` and
+  ``eval_table_on_elements``, an A-multilinear module-basis table
+  evaluated on a tensor of elements, which the package's join replaces;
+- ``eval_multilinear``, a k-basis table evaluated on vectors of the
+  ground module (``KBasis.ground``), and ``spelled``, such a vector in the
+  words of an exhaustive report's residual;
 - ``hom_element_to_morphism``, an element of Hom(M, N) read as a map;
 - ``bracket_vectors``, the Lie bracket on coordinate vectors;
 - ``cohomology_basis``, the representatives of one degree of H;
 - ``a_multilinearity_violations``, where a k-basis table differs from
   the A-multilinear extension of its module-basis restriction;
 - ``loday_pirashvili_bracket``, the Leibniz bracket psi(e_i).e_j of a
-  linear-map object, which its R_2 recovers.
+  linear-map object, which its R_2 recovers, and
+  ``linear_map_failures``, whether its rho is a representation and its
+  psi equivariant, checked on the defining data.
 """
 
 from __future__ import annotations
@@ -29,13 +36,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 
-from kapranov.algebra import AlgebraElement, LieAlgebraData
+from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
 from kapranov.cohomology import CochainComplex
 from kapranov.connections import AtiyahCocycle, atiyah_cocycle
-from kapranov.graded import ONE, ZERO, Element, MultilinearMap, exact
+from kapranov.graded import ONE, ZERO, MultilinearMap, exact
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
-                               eval_table_on_tensor, extend_module_table,
-                               tensor_of_elements)
+                               extend_module_table)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, contract,
                               tensor_split)
@@ -88,6 +94,56 @@ def contract_termwise(b: ModuleElement, w: ModuleElement) -> ModuleElement:
                              sign * ca * cc)
                 out = out + ModuleElement(e_mod, {k: coeff})
     return out
+
+
+def tensor_of_elements(args: list[ModuleElement],
+                       modules: list[DgModule]) -> dict[tuple, AlgebraElement]:
+    """Expand v_1 (x) ... (x) v_k into basis tensors, coefficients on the left.
+
+    Moving the coefficient of slot t to the front passes the basis vectors
+    of slots 1..t-1 and picks up the Koszul sign.
+    """
+    items: dict[tuple, AlgebraElement] = {(): AlgebraElement.scalar(1)}
+    prefix_degrees: dict[tuple, int] = {(): 0}
+    for arg, mod in zip(args, modules):
+        new: dict[tuple, AlgebraElement] = {}
+        new_deg: dict[tuple, int] = {}
+        for key, coeff in items.items():
+            pdeg = prefix_degrees[key]
+            for i, a in arg.coeffs.items():
+                for mon, c in a.terms.items():
+                    sign = -1 if (len(mon) * pdeg) % 2 else 1
+                    nk = key + (i,)
+                    add_term(new, nk,
+                             coeff * AlgebraElement._trusted({mon: sign * c}))
+                    new_deg[nk] = pdeg + mod.basis.degrees[i]
+        for key in new:
+            prefix_degrees[key] = new_deg[key]
+        items = new
+    return items
+
+
+def eval_table_on_tensor(table: dict[tuple, ModuleElement], degree: int,
+                         tensor: dict[tuple, AlgebraElement],
+                         out_module: DgModule) -> ModuleElement:
+    """Apply an A-multilinear table of internal degree r to an expanded
+    tensor."""
+    out = out_module.zero()
+    for key, coeff in tensor.items():
+        val = table.get(key)
+        if val is None:
+            continue
+        for cd, cpart in coeff.homogeneous_parts().items():
+            sign = -1 if (degree * cd) % 2 else 1
+            out = out + val.left_mul(cpart).scale(sign)
+    return out
+
+
+def eval_table_on_elements(table, degree, args, modules, out_module):
+    """The A-multilinear table ``table`` of internal degree r on the
+    elements ``args`` of ``modules``, with values in ``out_module``."""
+    tensor = tensor_of_elements(args, modules)
+    return eval_table_on_tensor(table, degree, tensor, out_module)
 
 
 def derive_tensor(tensor: dict[tuple, AlgebraElement], ops, op_degree: int,
@@ -195,14 +251,16 @@ def atiyah_bilinear(at: AtiyahCocycle, b: ModuleElement,
     return out
 
 
-def eval_multilinear(m: MultilinearMap, args: Sequence[Element]) -> Element:
-    """Evaluate a multilinear map on sparse arguments by expansion."""
+def eval_multilinear(m: MultilinearMap,
+                     args: Sequence[ModuleElement]) -> ModuleElement:
+    """Evaluate a multilinear map on vectors of the ground module by
+    expansion."""
     if len(args) != m.arity:
         raise ValueError(f"arity mismatch: expected {m.arity}, got {len(args)}")
-    out = Element(m.output_basis)
+    out = DgModule(CdgaPresentation([]), m.output_basis).zero()
     if not m.table:
         return out
-    indexed = [list(a.coeffs.items()) for a in args]
+    indexed = [[(i, c.terms[()]) for i, c in a.coeffs.items()] for a in args]
     if any(not part for part in indexed):
         return out
     for combo in itertools.product(*indexed):
@@ -215,6 +273,14 @@ def eval_multilinear(m: MultilinearMap, args: Sequence[Element]) -> Element:
             coeff *= c
         out = out + val.scale(coeff)
     return out
+
+
+def spelled(v: ModuleElement) -> str:
+    """A vector of a ground module as c*name over its nonzero
+    coefficients, by index, or "0": the residual of a witness."""
+    names = v.module.basis.names
+    return " + ".join(f"{a.terms[()]}*{names[i]}"
+                      for i, a in sorted(v.coeffs.items())) or "0"
 
 
 def hom_element_to_morphism(h: DgModule, x: ModuleElement,
@@ -261,25 +327,69 @@ def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
     expected = extend_module_table(kb, base_table, arity, 0, output_kb=out_kb)
     witnesses = []
     all_keys = set(m.table) | set(expected.table)
-    zero = Element(out_kb.basis)
+    zero = out_kb.ground.zero()
     for key in sorted(all_keys):
         got = m.table.get(key, zero)
         want = expected.table.get(key, zero)
         if got != want:
             witnesses.append({
                 "tuple": [kb.basis.names[i] for i in key],
-                "got": repr(got),
-                "a_multilinear_extension": repr(want),
+                "got": spelled(got),
+                "a_multilinear_extension": spelled(want),
             })
             if len(witnesses) >= max_witnesses:
                 break
     return witnesses
 
 
+def act(data, a: int, v: dict) -> dict:
+    """rho(x_a) v for a coordinate vector v of E, ``data`` a linear-map
+    object."""
+    out: dict = {}
+    for (i, j), m in data.actions.get(a, {}).items():
+        if i in v:
+            out[j] = out.get(j, 0) + v[i] * m
+    return {j: exact(c) for j, c in out.items() if c}
+
+
 def loday_pirashvili_bracket(data, i: int, j: int) -> dict:
     """e_i o e_j = psi(e_i) . e_j, the bracket the degree -1 slots recover."""
     out: dict = {}
     for a, c in data.psi.get(i, {}).items():
-        for k, m in data.act(a, {j: 1}).items():
+        for k, m in act(data, a, {j: 1}).items():
             out[k] = out.get(k, 0) + c * m
     return {k: exact(c) for k, c in out.items() if c}
+
+
+def linear_map_failures(data) -> list[str]:
+    """Where rho fails to be a representation, rho([x_a, x_b]) =
+    [rho(x_a), rho(x_b)], and where psi fails to be equivariant,
+    psi(x_a . e) = [x_a, psi(e)], on the basis of a linear-map object."""
+    out = []
+    lie, n, dim = data.lie, len(data.lie.names), data.dim_e()
+    for a in range(n):
+        for b in range(a + 1, n):
+            for i in range(dim):
+                want: dict = {}
+                for k, c in lie.bracket(a, b).items():
+                    for j, m in act(data, k, {i: 1}).items():
+                        want[j] = want.get(j, 0) + c * m
+                got = act(data, a, act(data, b, {i: 1}))
+                for j, m in act(data, b, act(data, a, {i: 1})).items():
+                    got[j] = got.get(j, 0) - m
+                if {j: c for j, c in want.items() if c} \
+                        != {j: c for j, c in got.items() if c}:
+                    out.append(f"rho is not a representation at "
+                               f"({lie.names[a]}, {lie.names[b]})")
+                    break
+    for a in range(n):
+        for i in range(dim):
+            lhs: dict = {}
+            for j, c in act(data, a, {i: 1}).items():
+                for k, m in data.psi.get(j, {}).items():
+                    lhs[k] = lhs.get(k, 0) + c * m
+            rhs = bracket_vectors(lie, {a: 1}, data.psi.get(i, {}))
+            if {k: c for k, c in lhs.items() if c} != rhs:
+                out.append(f"psi is not equivariant at "
+                           f"({lie.names[a]}, {data.e_names[i]})")
+    return out

@@ -104,7 +104,7 @@ def test_criterion_3_atiyah_cocycle_class_flatness():
     nabla0, nabla1 = s.connection, second_sl2_connection(s)
     at0, at1 = atiyah_cocycle(nabla0), atiyah_cocycle(nabla1)
     assert at0.is_closed() and at1.is_closed()
-    d_elt = connection_difference_element(nabla0, nabla1)
+    d_elt = connection_difference_element(nabla0, nabla1, at0.om_end)
     assert (at0.element - at1.element
             == apply_module_differential(at0.om_end, d_elt).scale(-1))
     cls = AtiyahClass(s.delta, s.bmod, nabla0)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kapranov.algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
-                              ce_algebra, validate_cdga)
+from kapranov.algebra import (AlgebraElement, LieAlgebraData, ce_algebra,
+                              validate_cdga)
 
 x0 = AlgebraElement.generator(0)
 x1 = AlgebraElement.generator(1)

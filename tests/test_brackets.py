@@ -21,12 +21,11 @@ from kapranov.kapranov import (MorphismFamily, MultilinearMap,
                                compose_morphism_families, exhaustive_leibniz,
                                exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_morphism,
-                               tensor_of_elements, trivialization)
-from kapranov.graded import Element
+                               trivialization)
 from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
 from module_tower import check_module_identities, kapranov_module
 from oracles import (a_multilinearity_violations, bracket_on_elements,
-                     eval_multilinear)
+                     eval_multilinear, tensor_of_elements)
 
 F = Fraction
 GRADED_TOY = (pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -180,7 +179,7 @@ class TestMorphismTower:
         # arity 1 of the composite is the identity
         kb = fam0.kb
         for i in range(len(kb.keys)):
-            assert loop.maps[1].table[(i,)] == Element.basis_vector(kb.basis, i)
+            assert loop.maps[1].table[(i,)] == kb.kvec({i: 1})
 
     def test_composition_with_identity(self, setup, fam0, fam1):
         phi = ModuleMorphism.identity(setup.omega)

@@ -6,22 +6,27 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import INSTANCES, LINEAR_MAPS, shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
 from kapranov.builders import (LiePair, LinearMapObject, Setup,
-                               splitting_homotopy)
+                               linear_map_setup, splitting_homotopy)
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.cohomology import CochainComplex
 from kapranov.derivations import (DgDerivation, find_homotopy,
                                   validate_dg_derivation)
-from kapranov.kapranov import (bracket_nonskew_witness, check_leibniz_infinity,
-                               cohomology_leibniz_bracket, kapranov_brackets)
+from kapranov.kapranov import (CheckFailure, bracket_nonskew_witness,
+                               check_leibniz_infinity,
+                               cohomology_leibniz_bracket, kapranov_brackets,
+                               require_dg)
 from kapranov.modules import DgModule, ModuleElement, validate_dg_module
 from module_tower import (check_module_identities, coadjoint_module,
                           cohomology_action, kapranov_module)
-from oracles import bracket_vectors, loday_pirashvili_bracket
+from oracles import (bracket_vectors, linear_map_failures,
+                     loday_pirashvili_bracket)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -189,16 +194,59 @@ class TestLinearMapObjects:
             assert validate_dg_derivation(s.delta) == []
 
     def test_non_equivariant_psi_rejected(self, affine):
-        lie = affine
+        # by the dg checks: delta = psi^ is no chain map, and d^2 = 0
         actions = {0: {(1, 1): F(1)}, 1: {(0, 1): F(-1)}}
-        with pytest.raises(ValueError, match="equivariant"):
-            LinearMapObject(lie, ["a", "b"], actions, {0: {1: F(1)}})
+        data = LinearMapObject(affine, ["a", "b"], actions, {0: {1: F(1)}})
+        assert linear_map_failures(data) == [
+            "psi is not equivariant at (x, a)"]
+        s = linear_map_setup(data)
+        assert validate_dg_module(s.omega) == validate_dg_module(s.bmod) == []
+        with pytest.raises(CheckFailure, match=r"but d\(delta\(y\^\)\) = 0"):
+            require_dg(s.bmod, s.delta)
 
     def test_non_representation_rejected(self, affine):
-        lie = affine
+        # by the dg checks: d^2 != 0 on Omega and on B
         actions = {0: {(1, 1): F(1)}, 1: {(0, 0): F(1)}}
-        with pytest.raises(ValueError, match="representation"):
-            LinearMapObject(lie, ["a", "b"], actions, {})
+        data = LinearMapObject(affine, ["a", "b"], actions, {})
+        assert linear_map_failures(data) == [
+            "rho is not a representation at (x, y)"]
+        s = linear_map_setup(data)
+        assert validate_dg_module(s.omega) and validate_dg_module(s.bmod)
+        with pytest.raises(CheckFailure, match=r"d\^2\(a~\)"):
+            require_dg(s.bmod, s.delta)
+
+    LIE_ALGEBRAS = {
+        "abelian": LieAlgebraData(["x", "y"], {}),
+        "affine": LieAlgebraData(["x", "y"], {(0, 1): {1: F(1)}}),
+        "sl2": LieAlgebraData(["h", "e", "f"], {(0, 1): {1: F(2)},
+                                                (0, 2): {2: F(-2)},
+                                                (1, 2): {0: F(1)}}),
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_the_checks_of_the_data_are_the_dg_checks(self, data):
+        # rho is a representation exactly when d^2 = 0 on Omega and on B,
+        # and psi is equivariant exactly when delta = psi^ is a chain map,
+        # so the dg checks that every command runs refuse what the
+        # checks of the defining data would
+        lie = self.LIE_ALGEBRAS[data.draw(st.sampled_from(
+            sorted(self.LIE_ALGEBRAS)), label="lie")]
+        dim = data.draw(st.integers(1, 2), label="dim E")
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+        actions = {a: {(i, j): data.draw(entry, label=f"rho({a})")
+                       for i in range(dim) for j in range(dim)}
+                   for a in range(lie.dim)}
+        psi = {i: {a: data.draw(entry, label=f"psi({i})")
+                   for a in range(lie.dim)} for i in range(dim)}
+        obj = LinearMapObject(lie, ["a", "b"][:dim], actions, psi)
+        failures = linear_map_failures(obj)
+        s = linear_map_setup(obj)
+        rho_fails = any(f.startswith("rho") for f in failures)
+        assert rho_fails == bool(validate_dg_module(s.omega)) \
+            == bool(validate_dg_module(s.bmod))
+        psi_fails = any(f.startswith("psi") for f in failures)
+        assert psi_fails == bool(validate_dg_derivation(s.delta))
 
     def test_connection_is_forced_trivial(self):
         # Omega (x) B has no elements in the degrees a connection value

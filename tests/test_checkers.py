@@ -39,12 +39,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shipped_setup
-from kapranov.algebra import AlgebraElement
+from kapranov.algebra import AlgebraElement, CdgaPresentation
 from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
 from kapranov.connections import DeltaConnection
 from kapranov.derivations import DerivationMorphism
-from kapranov.graded import (Element, MultilinearMap, koszul_sign,
+from kapranov.graded import (MultilinearMap, koszul_sign,
                              ordered_partitions, partition_sign, shuffles)
 from kapranov import kapranov
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
@@ -53,14 +53,15 @@ from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                _morphism_lhs_structures,
                                _morphism_rhs_structures,
                                check_leibniz_infinity, check_linfty_morphism,
-                               eval_table_on_elements, exhaustive_leibniz,
+                               exhaustive_leibniz,
                                exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_morphism,
                                trivialization)
-from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
+from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
+                              simple_tensor)
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module, module_structures)
-from oracles import eval_multilinear
+from oracles import eval_multilinear, eval_table_on_elements, spelled
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))
@@ -74,9 +75,9 @@ DOCUMENTS = SHIPPED + sorted((ROOT / "bench" / "instances").glob("*.json")) \
 # ---------------------------------------------------------------------------
 # the reference: one residual per tuple, every term evaluated in full
 
-def leibniz_residual(fam, keys, structures) -> Element:
+def leibniz_residual(fam, keys, structures) -> ModuleElement:
     degs = [fam.kb.degrees[i] for i in keys]
-    zero = Element(fam.kb.basis)
+    zero = fam.kb.ground.zero()
     total = zero
     for (i, j, k, sigma) in structures:
         lam_i = fam.brackets[i]
@@ -88,21 +89,21 @@ def leibniz_residual(fam, keys, structures) -> Element:
         inner = lam_j.table.get(inner_key)
         if inner is None:
             continue
-        outer_args = ([Element.basis_vector(fam.kb.basis, keys[sigma[t] - 1])
+        outer_args = ([fam.kb.kvec({keys[sigma[t] - 1]: 1})
                        for t in range(k - j)]
                       + [inner]
-                      + [Element.basis_vector(fam.kb.basis, keys[t])
+                      + [fam.kb.kvec({keys[t]: 1})
                          for t in range(k, len(keys))])
         total = total + eval_multilinear(lam_i, outer_args).scale(sign)
     return total
 
 
-def morphism_residual(mor, keys, lhs_structs, rhs_structs) -> Element:
+def morphism_residual(mor, keys, lhs_structs, rhs_structs) -> ModuleElement:
     skb = mor.source.kb
     tkb = mor.target.kb
     degs = [skb.degrees[i] for i in keys]
     n = len(keys)
-    total = Element(tkb.basis)
+    total = tkb.ground.zero()
     for (k, p, sigma) in lhs_structs:
         lam = mor.source.brackets[p + 1]
         f = mor.maps[n - p]
@@ -113,10 +114,10 @@ def morphism_residual(mor, keys, lhs_structs, rhs_structs) -> Element:
         inner = lam.table.get(inner_key)
         if inner is None:
             continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+        args = ([skb.kvec({keys[sigma[t] - 1]: 1})
                  for t in range(k)]
                 + [inner]
-                + [Element.basis_vector(skb.basis, keys[t])
+                + [skb.kvec({keys[t]: 1})
                    for t in range(k + p + 1, n)])
         total = total + eval_multilinear(f, args).scale(sign)
     for blocks in rhs_structs:
@@ -137,14 +138,14 @@ def morphism_residual(mor, keys, lhs_structs, rhs_structs) -> Element:
     return total
 
 
-def module_residual(m, keys, ekey, part1, part2) -> Element:
+def module_residual(m, keys, ekey, part1, part2) -> ModuleElement:
     fam = m.algebra_family
     skb = fam.kb
     ekb = m.kb_e
     n = len(keys) + 1
     degs = [skb.degrees[i] for i in keys]
-    total = Element(ekb.basis)
-    e_vec = Element.basis_vector(ekb.basis, ekey)
+    total = ekb.ground.zero()
+    e_vec = ekb.kvec({ekey: 1})
     for (i, j, k, sigma) in part1:
         lam = fam.brackets[j]
         mu = m.actions[i]
@@ -155,10 +156,10 @@ def module_residual(m, keys, ekey, part1, part2) -> Element:
         inner = lam.table.get(inner_key)
         if inner is None:
             continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+        args = ([skb.kvec({keys[sigma[t] - 1]: 1})
                  for t in range(k - j)]
                 + [inner]
-                + [Element.basis_vector(skb.basis, keys[t])
+                + [skb.kvec({keys[t]: 1})
                    for t in range(k, n - 1)]
                 + [e_vec])
         total = total + eval_multilinear(mu, args).scale(sign)
@@ -172,7 +173,7 @@ def module_residual(m, keys, ekey, part1, part2) -> Element:
         inner = mu_j.table.get(inner_key)
         if inner is None:
             continue
-        args = ([Element.basis_vector(skb.basis, keys[sigma[t] - 1])
+        args = ([skb.kvec({keys[sigma[t] - 1]: 1})
                  for t in range(n - j)]
                 + [inner])
         total = total + eval_multilinear(mu_i, args).scale(sign)
@@ -199,7 +200,7 @@ def reference_leibniz(fam, n_max, max_witnesses=10) -> dict:
                 if len(entry["failures"]) < max_witnesses:
                     entry["failures"].append({
                         "tuple": [fam.kb.basis.names[i] for i in keys],
-                        "residual": repr(r),
+                        "residual": spelled(r),
                     })
         report["weights"].append(entry)
     return report
@@ -228,7 +229,7 @@ def reference_morphism(mor, n_max, max_witnesses=10) -> dict:
                 if len(entry["failures"]) < max_witnesses:
                     entry["failures"].append({
                         "tuple": [mor.source.kb.basis.names[i] for i in keys],
-                        "residual": repr(r),
+                        "residual": spelled(r),
                     })
         report["weights"].append(entry)
     return report
@@ -260,7 +261,8 @@ def reference_module(m, n_max, max_witnesses=10) -> dict:
                     names = ([m.algebra_family.kb.basis.names[i]
                               for i in full_key[:-1]]
                              + [m.kb_e.basis.names[full_key[-1]]])
-                    entry["failures"].append({"tuple": names, "residual": repr(r)})
+                    entry["failures"].append({"tuple": names,
+                                              "residual": spelled(r)})
         report["weights"].append(entry)
     return report
 
@@ -474,8 +476,9 @@ def corrupt_entry(draw, m: MultilinearMap) -> MultilinearMap:
                 for b in m.input_bases)
     idx = draw(st.integers(0, len(m.output_basis) - 1), label="output")
     c = draw(st.sampled_from([1, -1, Fraction(1, 3)]), label="coefficient")
-    out.set(key, out.table.get(key, Element(m.output_basis))
-            + Element.basis_vector(m.output_basis, idx, c))
+    ground = DgModule(CdgaPresentation([]), m.output_basis)
+    out.set(key, out.table.get(key, ground.zero())
+            + ModuleElement(ground, {idx: AlgebraElement.scalar(c)}))
     return out
 
 

@@ -691,6 +691,37 @@ class TestBuildTimeCheckFailures:
             assert "check failed" in err, command
             assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err, command
 
+    # linear-map objects that the dg checks refuse: a rho that is no
+    # representation gives d^2 != 0 on Omega and on B, and a psi that is
+    # not equivariant a delta that is no chain map
+    BAD_LINEAR_MAPS = {
+        "rho": ({"0": {"1,1": "1"}, "1": {"0,0": "1"}}, {},
+                ["module_d_squared", "dual_module_d_squared"],
+                "d^2(a~) = [(-1)*x^^y^]*a~"),
+        "psi": ({"0": {"1,1": "1"}, "1": {"0,1": "-1"}}, {"0": {"1": "1"}},
+                ["derivation_compatibility", "connection"],
+                "delta(d(y^)) = [(-1)*x^]*a^ but d(delta(y^)) = 0"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD_LINEAR_MAPS))
+    def test_a_bad_linear_map_object_exits_1(self, capsys, tmp_path, kind):
+        actions, psi, failing, message = self.BAD_LINEAR_MAPS[kind]
+        doc = json.loads((INSTANCES / "adjoint_linear_map.json").read_text())
+        doc["linear_map_object"].update(actions=actions, psi=psi)
+        code, out, err = run_document(capsys, tmp_path, doc, "validate")
+        assert code == 1
+        assert err.startswith("elapsed:")
+        assert [c["name"] for c in json.loads(out)["checks"]
+                if not c["passed"]] == failing
+        for command in self.UNDEFINED_TOWER_COMMANDS:
+            code, out, err = run_document(capsys, tmp_path, doc, command)
+            assert code == 1, command
+            assert out == "", command
+            assert f"check failed: {tmp_path / 'doc.json'}: {message}" in err
+        code, out, err = run_document(capsys, tmp_path, doc, "homotopy")
+        assert (code, out) == (2, "")
+        assert "second_splitting" in err
+
     def test_a_lie_algebra_that_breaks_jacobi_exits_1(self, capsys):
         # the derived data of bad_jacobi.json pass require_dg, but no Lie
         # pair is defined by a bracket that breaks Jacobi

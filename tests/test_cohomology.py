@@ -7,6 +7,7 @@ and sympy's ranks.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
 from kapranov.cli import Instance, load_document
 from kapranov.cohomology import CochainComplex, kernel_basis, rref, solve_linear
 from kapranov.graded import GradedBasis
-from kapranov.modules import DgModule, ModuleElement, apply_module_differential
-from oracles import cohomology_basis
+from kapranov.kapranov import CohomologyBracket, kapranov_brackets
+from kapranov.modules import (DgModule, KBasis, ModuleElement,
+                              apply_module_differential)
+from oracles import cohomology_basis, eval_table_on_elements
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -336,3 +339,49 @@ def test_nonzero_class_bracket_worked_by_hand():
     assert cb.table == {(0, 0): [-1]}
     assert not cb.is_skew()
     assert cb.leibniz_failures() == [(0, 0, 0)]
+
+
+# documents whose R_2 is nonzero on a B over odd generators; the graded
+# toy's B has basis vectors of both parities
+CLASS_BRACKET_DOCUMENTS = [ROOT / "instances" / "sl2_borel.json",
+                           ROOT / "instances" / "adjoint_linear_map.json",
+                           ROOT / "tests" / "fixtures" / "graded_toy.json"]
+
+
+@functools.cache
+def class_bracket(path) -> tuple[CohomologyBracket, KBasis]:
+    fam = kapranov_brackets(
+        Instance(load_document(str(path))).setup.connection, 2)
+    return CohomologyBracket(fam), KBasis(fam.module)
+
+
+@st.composite
+def homogeneous_elements(draw, kb: KBasis):
+    """A sum of up to three scaled k-basis vectors of one degree."""
+    keys = kb.slice(draw(st.sampled_from(sorted(kb.slices))))
+    v = kb.module.zero()
+    for key in draw(st.lists(st.sampled_from(keys), unique=True,
+                             max_size=3)):
+        c = draw(st.sampled_from([1, -1, 2, F(1, 2)]))
+        v = v + kb.module.kbasis_element(key).scale(c)
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_class_bracket_joins_like_the_evaluation_on_elements(data):
+    """(-1)^{|x|} R_2(x, y) through the join equals R_2 evaluated on the
+    expanded tensor x (x) y, on elements whose coefficients pass the
+    bracket and the basis vector before them."""
+    path = data.draw(st.sampled_from(CLASS_BRACKET_DOCUMENTS),
+                     label="document")
+    cb, kb = class_bracket(path)
+    table = cb.fam.module_tables[2]
+    assert table
+    x = data.draw(homogeneous_elements(kb), label="x")
+    y = data.draw(homogeneous_elements(kb), label="y")
+    want = eval_table_on_elements(table, 1, [x, y], [kb.module] * 2,
+                                  kb.module)
+    if x.degree() is not None and x.degree() % 2:
+        want = want.scale(-1)
+    assert cb.bracket_cocycle(x, y) == want

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kapranov.algebra import AlgebraElement, ce_algebra
-from kapranov.cohomology import CochainComplex
-from kapranov.connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
+from kapranov.connections import (AtiyahClass, DeltaConnection,
                                   atiyah_cocycle,
                                   connection_difference_element,
                                   flat_connection_exists)
@@ -145,7 +144,7 @@ class TestAtiyahClass:
     def test_difference_of_cocycles_is_exact(self, nabla0, nabla1):
         at0 = atiyah_cocycle(nabla0)
         at1 = atiyah_cocycle(nabla1)
-        d_elt = connection_difference_element(nabla0, nabla1)
+        d_elt = connection_difference_element(nabla0, nabla1, at0.om_end)
         # [nabla - nabla', d] = -(d o D - D o d) as a degree-0 element
         want = apply_module_differential(at0.om_end, d_elt).scale(-1)
         assert at0.element - at1.element == want
@@ -188,6 +187,26 @@ class TestAtiyahClass:
         assert flat == AtiyahClass(s.delta, s.bmod).is_zero()
         if flat:
             assert atiyah_cocycle(conn).element.is_zero()
+
+    @pytest.mark.parametrize("command", ["atiyah", "homotopy"])
+    def test_two_classes_build_one_complex(self, monkeypatch, capsys,
+                                           command):
+        # each command compares a second class with the first, which reads
+        # only the first one's complex; the connection difference lies in
+        # the first cocycle's Omega (x) End(B), and a tower's seed reads
+        # only operator values: one complex, and one End(B) per class
+        from kapranov import cli, connections
+        complexes, ends = [], []
+        for name, calls in (("CochainComplex", complexes),
+                            ("end_module", ends)):
+            original = getattr(connections, name)
+            monkeypatch.setattr(
+                connections, name, lambda *a, original=original, calls=calls:
+                calls.append(a) or original(*a))
+        path = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
+        assert cli.main([command, "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert (len(complexes), len(ends)) == (1, 2)
 
     def test_flat_search_agrees_with_class(self, delta_j, bmod, borel_alg):
         for module in (bmod, DgModule(borel_alg, GradedBasis(["w"], [0]), {})):

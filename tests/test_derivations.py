@@ -8,8 +8,8 @@ import pytest
 
 from kapranov.algebra import AlgebraElement, ce_algebra
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
-                                  DgDerivation, extend_derivation,
-                                  find_homotopy, homotopy_offset,
+                                  DgDerivation, find_homotopy,
+                                  homotopy_offset,
                                   kaehler_differentials,
                                   universal_factorization,
                                   validate_dg_derivation)

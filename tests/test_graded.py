@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kapranov
-from kapranov.graded import (Element, GradedBasis, MultilinearMap, exact,
-                             exact_div, koszul_sign, ordered_partitions,
-                             partition_sign, shuffles)
+from kapranov.algebra import AlgebraElement, CdgaPresentation
+from kapranov.graded import (GradedBasis, MultilinearMap, exact, exact_div,
+                             koszul_sign, ordered_partitions, partition_sign,
+                             shuffles)
+from kapranov.modules import DgModule, ModuleElement
 from oracles import eval_multilinear
 
 
@@ -152,25 +154,32 @@ class TestOrderedPartitions:
 
 
 BASIS = GradedBasis(["a", "b", "c"], [0, 1, 2])
+# vectors over BASIS: the free module on it over the ground field
+GROUND = DgModule(CdgaPresentation([]), BASIS)
+
+
+def vector(coeffs: dict) -> ModuleElement:
+    return ModuleElement(GROUND, {i: AlgebraElement.scalar(c)
+                                  for i, c in coeffs.items()})
 
 
 def make_map():
     m = MultilinearMap.uniform(2, 0, BASIS)
-    m.set((0, 1), Element.basis_vector(BASIS, 1))
-    m.set((1, 1), Element.basis_vector(BASIS, 2, Fraction(2)))
+    m.set((0, 1), vector({1: 1}))
+    m.set((1, 1), vector({2: Fraction(2)}))
     return m
 
 
 class TestEvalMultilinear:
     def test_table_lookup(self):
         m = make_map()
-        a = Element.basis_vector(BASIS, 0)
-        b = Element.basis_vector(BASIS, 1)
-        assert eval_multilinear(m, [a, b]) == Element.basis_vector(BASIS, 1)
+        a = vector({0: 1})
+        b = vector({1: 1})
+        assert eval_multilinear(m, [a, b]) == vector({1: 1})
 
     def test_missing_key_is_zero(self):
         m = make_map()
-        c = Element.basis_vector(BASIS, 2)
+        c = vector({2: 1})
         assert eval_multilinear(m, [c, c]).is_zero()
 
     @given(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
@@ -179,9 +188,9 @@ class TestEvalMultilinear:
     @settings(max_examples=60, deadline=None)
     def test_linearity_in_each_slot(self, u, v, w):
         m = make_map()
-        eu = Element(BASIS, {i: Fraction(c) for i, c in enumerate(u)})
-        ev = Element(BASIS, {i: Fraction(c) for i, c in enumerate(v)})
-        ew = Element(BASIS, {i: Fraction(c) for i, c in enumerate(w)})
+        eu = vector({i: Fraction(c) for i, c in enumerate(u)})
+        ev = vector({i: Fraction(c) for i, c in enumerate(v)})
+        ew = vector({i: Fraction(c) for i, c in enumerate(w)})
         lhs = eval_multilinear(m, [eu + ev, ew])
         rhs = eval_multilinear(m, [eu, ew]) + eval_multilinear(m, [ev, ew])
         assert lhs == rhs
@@ -193,13 +202,13 @@ class TestEvalMultilinear:
 
     def test_check_degrees_flags_violation(self):
         m = MultilinearMap.uniform(1, 0, BASIS)
-        m.set((0,), Element.basis_vector(BASIS, 2))
+        m.set((0,), vector({2: 1}))
         assert m.check_degrees()
 
     def test_check_degrees_accepts_clean_table(self):
         m = MultilinearMap.uniform(1, 1, BASIS)
-        m.set((0,), Element.basis_vector(BASIS, 1))
-        m.set((1,), Element.basis_vector(BASIS, 2))
+        m.set((0,), vector({1: 1}))
+        m.set((1,), vector({2: 1}))
         assert m.check_degrees() == []
 
 

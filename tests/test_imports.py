@@ -1,11 +1,12 @@
 """No dead names and no stray true division in ``src/kapranov``.
 
-Every name a module imports is used in that module: a stdlib stand-in for
-pyflakes' unused-import check.  ``__init__.py`` imports names to
-re-export them and is exempt.  And every private top-level name (``_name``,
-not a dunder) that a module defines is referenced somewhere in the
-package besides its own definition, so a helper left behind by a
-rewrite fails.  Names read inside string annotations count as used.
+Every name a module imports is used in that module, in the package and
+under ``tests/``: a stdlib stand-in for pyflakes' unused-import check.
+``__init__.py`` imports names to re-export them and is exempt.  And every
+private top-level name (``_name``, not a dunder) that a module defines is
+referenced somewhere in the package besides its own definition, so a
+helper left behind by a rewrite fails.  Names read inside string
+annotations count as used.
 
 Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
@@ -20,9 +21,9 @@ paper features that no command runs and that moved under ``tests/``
 step, and its derivative runs through the one join: ``_tower_step``
 calls ``_module_residuals`` and uses none of ``itertools.product``,
 ``derive_tensor``, ``eval_table_on_tensor`` and ``contract``.  One join
-serves every identity: the package defines no ``_residuals``, and only
-the class bracket ``CohomologyBracket`` evaluates a table on elements
-with ``eval_table_on_elements``.  The CLI
+serves every identity and evaluates every table, the class bracket's
+included: the package defines no ``_residuals`` and never calls
+``eval_table_on_elements``.  The CLI
 builds no k-basis bracket table itself: it never reads a family's
 ``.brackets`` and never names ``extend_module_table``.  And every
 function and method of the package runs when the commands run on the
@@ -44,6 +45,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "kapranov"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -87,7 +89,8 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name if
+                         p.parent == PACKAGE else f"tests/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -359,15 +362,23 @@ def test_step_guard_sees_the_step_and_a_planted_loop():
 MODULE_TOWER_FILE = pathlib.Path(__file__).resolve().parent / "module_tower.py"
 # the paper features that no command runs, moved under tests/: the
 # Leibniz-infinity modules and the naturality check of
-# tests/module_tower.py, two references now in tests/oracles.py, and the
-# helpers deleted with their last caller in the package.  An entry
-# without a dot is matched at any depth, one with a dot as that method.
+# tests/module_tower.py, the references now in tests/oracles.py (among
+# them the element-level evaluators of a table, which the join replaced),
+# the second vector type of the k-basis tables and its converter, which
+# the ground module replaced, and the helpers deleted with their last
+# caller in the package, among them the checks of a linear-map object
+# that the dg checks repeat.  An entry without a dot is matched at any
+# depth, one with a dot as that method.
 MOVED = frozenset(
     node.name for node in ast.parse(MODULE_TOWER_FILE.read_text()).body
     if isinstance(node, (ast.FunctionDef, ast.ClassDef))) | {
         "_module_structures", "a_multilinearity_violations",
         "loday_pirashvili_bracket", "ModuleMorphism.is_dg_morphism",
-        "MorphismFamily.map"}
+        "MorphismFamily.map", "Element", "_over_ground",
+        "tensor_of_elements", "eval_table_on_tensor",
+        "eval_table_on_elements", "LinearMapObject.validate",
+        "LinearMapObject.rho", "LinearMapObject.act",
+        "LinearMapObject.psi_of"}
 
 
 def moved_definitions(source: str) -> list[str]:
@@ -416,6 +427,20 @@ def test_moved_guard_sees_planted_definitions():
     # every module feature of tests/module_tower.py is one of them
     assert {"kapranov_module", "check_module_identities", "CohomologyAction",
             "coadjoint_module", "check_naturality"} <= MOVED
+    # and so are the second vector type and the checks of a linear-map
+    # object, but not their namesakes elsewhere
+    planted = source + ("\n\nclass Element:\n"
+                        "    pass\n"
+                        "\n\nclass LinearMapObject:\n"
+                        "    def validate(self):\n"
+                        "        return []\n"
+                        "    def dim_e(self):\n"
+                        "        return 0\n"
+                        "\n\nclass ModuleElement:\n"
+                        "    def act(self):\n"
+                        "        return None\n")
+    assert moved_definitions(planted) == [
+        f"Element (line {n + 3})", f"LinearMapObject.validate (line {n + 8})"]
 
 
 def kbasis_table_reads(source: str) -> list[str]:
@@ -500,9 +525,9 @@ def test_setup_guards_see_planted_definitions():
     assert class_properties(source, "Other") == []
 
 
-# the one join: no k-basis join beside _module_residuals, and evaluation
-# on elements serves only the bracket of cohomology classes
-ON_ELEMENTS = {"CohomologyBracket"}
+# the one join: no k-basis join beside _module_residuals, and no
+# definition evaluates a table on elements, the class bracket included
+ON_ELEMENTS: set[str] = set()
 
 
 def join_breaches(source: str) -> list[str]:
@@ -548,11 +573,16 @@ def test_join_guard_sees_planted_definitions():
         f"eval_table_on_elements (homotopy_iso, line {n + 8})",
         f"def _residuals (_Join, line {n + 12})",
         f"eval_table_on_elements (_Join, line {n + 13})"]
-    # the class bracket is the use the guard lets through
-    uses = [node for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name)
-            and node.id == "eval_table_on_elements"]
-    assert len(uses) == 1
+    # the class bracket of an earlier design is no longer let through
+    planted = source + (
+        "\n\nclass CohomologyBracket:\n"
+        "    def bracket_cocycle(self, x, y):\n"
+        "        return eval_table_on_elements(self.r2, 1, [x, y], [], x)\n")
+    assert join_breaches(planted) == [
+        f"eval_table_on_elements (CohomologyBracket, line {n + 5})"]
+    assert not any(isinstance(node, ast.Name)
+                   and node.id == "eval_table_on_elements"
+                   for node in ast.walk(ast.parse(source)))
 
 
 # Every function and method of the package runs when the commands run on
@@ -565,8 +595,8 @@ UNREACHED = {
     "algebra.py: AlgebraElement.__rmul__": "operator c * a, used by tests",
     "algebra.py: AlgebraElement.__sub__": "operator, used by tests",
     "algebra.py: AlgebraElement.homogeneous_parts":
-        "evaluates a class bracket on a nonzero R_2 value; every shipped "
-        "class bracket table is empty (ROADMAP item 5)",
+        "splits a coefficient by degree for the element-level oracles of "
+        "tests/oracles.py; the join signs each monomial by its length",
     "algebra.py: CdgaPresentation.__repr__": "repr, read in test failures",
     "builders.py: OffsetMismatch.__init__":
         "refusal of a splitting homotopy that misses delta'; no document "
@@ -581,17 +611,6 @@ UNREACHED = {
     "derivations.py: kaehler_differentials": ITEM_7,
     "derivations.py: kaehler_differentials.ddr": ITEM_7,
     "derivations.py: universal_factorization": ITEM_7,
-    "graded.py: Element.__add__": ITEM_7,
-    "graded.py: Element.__eq__": ITEM_7,
-    "graded.py: Element.__init__": ITEM_7,
-    "graded.py: Element.__neg__": ITEM_7,
-    "graded.py: Element.__repr__": ITEM_7,
-    "graded.py: Element.__rmul__": ITEM_7,
-    "graded.py: Element.__sub__": ITEM_7,
-    "graded.py: Element.basis_vector": ITEM_7,
-    "graded.py: Element.degree": ITEM_7,
-    "graded.py: Element.homogeneous_parts": ITEM_7,
-    "graded.py: Element.scale": ITEM_7,
     "graded.py: GradedBasis.__repr__": "repr, read in test failures",
     "graded.py: MultilinearMap.check_degrees":
         "names the k-basis keys of a d(e_i) of the wrong degree; no "
@@ -605,6 +624,10 @@ UNREACHED = {
     "modules.py: KBasis.to_module_element": ITEM_7,
     "modules.py: ModuleElement.__repr__": "repr, read in test failures",
     "modules.py: ModuleElement.__rmul__": "operator c * v, used by tests",
+    "modules.py: ModuleElement.homogeneous_parts":
+        "splits an element by degree for the element-level oracles of "
+        "tests/oracles.py; the class bracket takes homogeneous "
+        "representatives",
     "modules.py: ModuleMorphism.__eq__": "equality, used by tests",
     "modules.py: ModuleMorphism.dg_failures": ITEM_7,
     "modules.py: contract":

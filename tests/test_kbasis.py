@@ -35,7 +35,7 @@ from kapranov.connections import (DeltaConnection, flat_connection_exists,
                                   omega_tensor)
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
                                   DgDerivation, find_homotopy)
-from kapranov.graded import (ONE, ZERO, Element, GradedBasis, MultilinearMap,
+from kapranov.graded import (ONE, ZERO, GradedBasis, MultilinearMap,
                              Scalar, ordered_partitions, partition_sign)
 from kapranov import kapranov
 from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
@@ -369,7 +369,7 @@ def reference_compose(outer: MorphismFamily, inner: MorphismFamily,
         m = MultilinearMap.uniform(n, 0, skb.basis, outer.target.kb.basis)
         for keys in itertools.product(range(len(skb.keys)), repeat=n):
             degs = [skb.degrees[i] for i in keys]
-            total = Element(outer.target.kb.basis)
+            total = outer.target.kb.ground.zero()
             for q in range(1, n + 1):
                 g = nonzero_map(outer, q)
                 if g is None:

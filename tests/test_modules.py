@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import pytest

@@ -38,16 +38,15 @@ from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
 from kapranov.graded import GradedBasis, ordered_partitions, partition_sign
 from kapranov.kapranov import (check_leibniz_infinity,
                                check_linfty_morphism,
-                               dual_morphism_between, eval_table_on_elements,
-                               eval_table_on_tensor, homotopy_iso,
-                               kapranov_brackets, kapranov_morphism,
-                               tensor_of_elements)
+                               dual_morphism_between, homotopy_iso,
+                               kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               apply_module_differential, contract,
                               dual_module, simple_tensor)
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module)
-from oracles import atiyah_bilinear, derive_tensor
+from oracles import (atiyah_bilinear, derive_tensor, eval_table_on_elements,
+                     eval_table_on_tensor, tensor_of_elements)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))
