@@ -48,6 +48,41 @@ def _merge_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial]:
     return sign, tuple(merged)
 
 
+def add_scalar(out: dict, key, c) -> None:
+    """out[key] += c for a nonzero rational c, in a dict of nonzero
+    coefficients in their one representation."""
+    s = out.get(key, ZERO) + c
+    if s:
+        out[key] = s if s.__class__ is int else exact(s)
+    else:
+        del out[key]
+
+
+def leibniz_terms(mon: Monomial, values: dict, degree: int,
+                  degrees: Sequence[int], out: dict, c=ONE) -> dict:
+    """Add c.D(mon) into ``out``, {(monomial, j): coefficient}, and return
+    it, for the derivation D of degree r = ``degree`` whose value on
+    generator g has the flat terms (j, monomial, c) ``values[g]``, e_j of
+    degree ``degrees[j]``:
+    D(g_1...g_k) = sum_t (-1)^{r(t-1)} g_1...g_{t-1}.D(g_t).g_{t+1}...g_k,
+    the suffix passing e_j with the sign (-1)^{|e_j||suffix|}.  The
+    algebra itself is the case of one basis vector, of degree 0.
+    """
+    for t, g in enumerate(mon):
+        value = values.get(g)
+        if value is None:
+            continue
+        prefix, suffix = mon[:t], mon[t + 1:]
+        sign, odd = -c if degree * t % 2 else c, len(suffix) % 2
+        for j, m, cm in value:
+            s, right = _merge_monomials(m, suffix)
+            w, merged = _merge_monomials(prefix, right) if s else (0, ())
+            if w:
+                add_scalar(out, (merged, j), s * w * cm * (
+                    -sign if odd and degrees[j] % 2 else sign))
+    return out
+
+
 def canonical_monomial(word: Sequence[int]) -> tuple[int, Monomial]:
     """Sign and increasing form of a word of generator indices.
 
@@ -128,11 +163,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self.terms)
         for mon, c in other.terms.items():
-            s = out.get(mon, ZERO) + c
-            if s:
-                out[mon] = s if s.__class__ is int else exact(s)
-            else:
-                del out[mon]
+            add_scalar(out, mon, c)
         return AlgebraElement._trusted(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -155,13 +186,8 @@ class AlgebraElement:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 sign, mon = _merge_monomials(ma, mb)
-                if sign == 0:
-                    continue
-                s = out.get(mon, ZERO) + sign * ca * cb
-                if s:
-                    out[mon] = s if s.__class__ is int else exact(s)
-                else:
-                    del out[mon]
+                if sign:
+                    add_scalar(out, mon, sign * ca * cb)
         return AlgebraElement._trusted(out)
 
     def __eq__(self, other) -> bool:
@@ -191,7 +217,9 @@ class CdgaPresentation:
     """Free graded-commutative algebra on degree-1 generators with a differential.
 
     ``diff`` assigns to each generator index a degree-2 value; the
-    differential extends as a degree-1 derivation.
+    differential extends as a degree-1 derivation, by
+    :func:`leibniz_terms` on ``diff_terms``, the values as flat terms of
+    the algebra's one basis vector.
     """
 
     def __init__(self, generator_names: Sequence[str],
@@ -206,6 +234,8 @@ class CdgaPresentation:
                     raise ValueError(
                         f"d({generator_names[i]}) must be homogeneous of degree 2")
                 self.diff[i] = val
+        self.diff_terms = {i: tuple((0, mon, c) for mon, c in val.terms.items())
+                           for i, val in self.diff.items()}
 
     @property
     def n_generators(self) -> int:
@@ -229,17 +259,10 @@ class CdgaPresentation:
 
     def apply_differential(self, a: AlgebraElement) -> AlgebraElement:
         """Extend the generator values as a degree-1 derivation."""
-        out = AlgebraElement()
+        out: dict = {}
         for mon, c in a.terms.items():
-            for t in range(len(mon)):
-                dv = self.diff.get(mon[t])
-                if dv is None:
-                    continue
-                sign = -1 if t % 2 else 1
-                prefix = AlgebraElement._trusted({mon[:t]: ONE})
-                suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
-                out = out + (prefix * dv * suffix).scale(sign * c)
-        return out
+            leibniz_terms(mon, self.diff_terms, 1, (0,), out, c)
+        return AlgebraElement._trusted({mon: c for (mon, _), c in out.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CdgaPresentation)
@@ -303,11 +326,7 @@ class LieAlgebraData:
                 inner = self.bracket(b, c)
                 for m, cf in inner.items():
                     for l, cf2 in self.bracket(a, m).items():
-                        s = acc.get(l, ZERO) + cf * cf2
-                        if s:
-                            acc[l] = exact(s)
-                        else:
-                            acc.pop(l, None)
+                        add_scalar(acc, l, cf * cf2)
             if acc:
                 out.append(f"Jacobi fails on ({self.names[i]},{self.names[j]},{self.names[k]}): {acc}")
         return out

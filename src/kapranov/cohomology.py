@@ -128,11 +128,8 @@ class CochainComplex:
     def diff_matrix(self, n: int) -> Matrix:
         """Rows: images of the degree-n slice basis, in the degree-n+1 slice."""
         if n not in self._dmat:
-            kb = self.kb
-            self._dmat[n] = [
-                kb.dense(((kb.keys[idx], c)
-                          for idx, c in kb.differential(key).items()), n + 1)
-                for key in kb.slice(n)]
+            self._dmat[n] = [self.kb.differential_vector(key, n + 1)
+                             for key in self.kb.slice(n)]
         return self._dmat[n]
 
     def _degree(self, n: int) -> tuple[int, int, list[ModuleElement]]:

@@ -209,9 +209,10 @@ def flat_connection_exists(delta: DgDerivation,
             blocks = [tensor.zero() for _ in degrees]
             for i, a in uses:
                 blocks[i] = blocks[i] + w.left_mul(a)
-            blocks[j] = blocks[j] - apply_module_differential(tensor, w)
-            columns.append([c for i, v in enumerate(blocks)
-                            for c in kb.to_vector(v, rows[i])])
+            dw = kb.differential_vector(key, rows[j])
+            vecs = [kb.to_vector(v, rows[i]) for i, v in enumerate(blocks)]
+            vecs[j] = [a - b for a, b in zip(vecs[j], dw)]
+            columns.append([c for vec in vecs for c in vec])
     x = solve_columns(base, columns)
     if x is None:
         return None

@@ -8,9 +8,9 @@ delta' - delta = d o h + h o d_A.
 
 from __future__ import annotations
 
-from .algebra import AlgebraElement, CdgaPresentation
+from .algebra import AlgebraElement, CdgaPresentation, leibniz_terms
 from .cohomology import solve_columns
-from .graded import ONE, GradedBasis
+from .graded import GradedBasis
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 
@@ -18,24 +18,15 @@ from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
 def extend_derivation(algebra: CdgaPresentation, target: DgModule,
                       values: dict[int, ModuleElement], degree: int,
                       a: AlgebraElement) -> ModuleElement:
-    """Extend generator values as a degree-r derivation into a module.
-
-    D(x y) = D(x).y + (-1)^{r|x|} x.D(y); on a monomial this reads
-    D(g_1...g_k) = sum_t (-1)^{r(t-1)} g_1...g_{t-1} . D(g_t) . g_{t+1}...g_k
-    with the right factor moved in by the Koszul rule.
-    """
-    out = target.zero()
+    """Extend generator values as a degree-r derivation into a module:
+    D(x y) = D(x).y + (-1)^{r|x|} x.D(y), by :func:`leibniz_terms`."""
+    flat = {g: tuple((j, mon, c) for j, v in val.coeffs.items()
+                     for mon, c in v.terms.items())
+            for g, val in values.items()}
+    out: dict = {}
     for mon, c in a.terms.items():
-        for t in range(len(mon)):
-            val = values.get(mon[t])
-            if val is None or val.is_zero():
-                continue
-            sign = -1 if (degree * t) % 2 else 1
-            prefix = AlgebraElement._trusted({mon[:t]: ONE})
-            suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
-            term = val.right_mul(suffix).left_mul(prefix).scale(sign * c)
-            out = out + term
-    return out
+        leibniz_terms(mon, flat, degree, target.basis.degrees, out, c)
+    return ModuleElement.from_terms(target, out.items())
 
 
 class DgDerivation:
@@ -134,8 +125,8 @@ def find_homotopy(delta: DgDerivation,
     The unknowns are the generator values h(g_i), elements of the degree-0
     slice of Omega; the equations are linear, solved exactly over Q.  The
     unknown h(g) = w, for a k-basis element w, has the column whose block
-    g' holds the degree-1 coordinates of d(h(g')) + h(d_A g'), with h = 0
-    on the other generators.
+    g' holds the degree-1 coordinates of h(d_A g'), with h = 0 on the
+    other generators, plus those of d(w) in block g.
     Returns None when the two derivations are not homotopic.
     """
     if delta.target.basis != delta_prime.target.basis:
@@ -151,12 +142,11 @@ def find_homotopy(delta: DgDerivation,
     columns = []
     for g in gens:
         for key in kb.slice(0):
-            w = omega.kbasis_element(key)
-            h = DerivationHomotopy(alg, omega, {g: w})
-            dw = apply_module_differential(omega, w)
-            columns.append([c for g2, d_gen in zip(gens, d_gens)
-                            for c in kb.to_vector(
-                                h(d_gen) + dw if g2 == g else h(d_gen), 1)])
+            h = DerivationHomotopy(alg, omega, {g: omega.kbasis_element(key)})
+            dw = kb.differential_vector(key, 1)
+            vecs = [kb.to_vector(h(d_gen), 1) for d_gen in d_gens]
+            vecs[g] = [a + b for a, b in zip(vecs[g], dw)]
+            columns.append([c for vec in vecs for c in vec])
     x = solve_columns(base, columns)
     if x is None:
         return None
@@ -210,19 +200,20 @@ def kaehler_differentials(algebra: CdgaPresentation) -> tuple[DgModule, DgDeriva
     d_dR is the degree-0 derivation extension of g_i -> dg_i.
     """
     n = algebra.n_generators
-    basis = GradedBasis([f"d{name}" for name in algebra.generators.names], [1] * n)
-    omega1 = DgModule(algebra, basis, {}, label="Omega^1")
+    degrees = [1] * n
+    basis = GradedBasis([f"d{name}" for name in algebra.generators.names], degrees)
+    symbols = {g: ((g, (), 1),) for g in range(n)}  # d_dR(g_i) = dg_i
+    diff: dict[tuple[int, int], dict] = {}
+    for i, val in algebra.diff.items():
+        out: dict = {}
+        for mon, c in val.terms.items():
+            leibniz_terms(mon, symbols, 0, degrees, out, c)
+        for (mon, j), c in out.items():
+            diff.setdefault((i, j), {})[mon] = c
+    omega1 = DgModule(algebra, basis, {
+        k: AlgebraElement._trusted(terms) for k, terms in diff.items()},
+        label="Omega^1")
     ddr_values = {i: ModuleElement.basis_vector(omega1, i) for i in range(n)}
-
-    def ddr(a: AlgebraElement) -> ModuleElement:
-        return extend_derivation(algebra, omega1, ddr_values, 0, a)
-
-    diff: dict[tuple[int, int], AlgebraElement] = {}
-    for i in range(n):
-        img = ddr(algebra.diff.get(i, AlgebraElement()))
-        for j, a in img.coeffs.items():
-            diff[(i, j)] = a
-    omega1.diff_matrix = {k: v for k, v in diff.items() if not v.is_zero()}
     universal = DgDerivation(algebra, omega1, ddr_values, label="d_dR")
     return omega1, universal
 

@@ -20,7 +20,7 @@ import itertools
 import math
 from operator import itemgetter
 
-from .algebra import AlgebraElement, _merge_monomials, validate_cdga
+from .algebra import _merge_monomials, validate_cdga
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import (DerivationHomotopy, DerivationMorphism,
@@ -508,10 +508,11 @@ def _module_residuals(degrees: list, insertions, partitions,
     A-multilinear or the differential, and a k-basis table is a module
     table over the ground field (:attr:`KBasis.ground`), so this one join
     serves both, and it is the package's only evaluator of a table;
-    ``cache`` keeps the tables' entries between calls, the wedges of
-    monomial pairs, as a check meets few distinct pairs many times (258
-    pairs and 1.29 M wedges on sl5 over its Borel to weight 6), and d_A of
-    the monomials that an outer differential meets.
+    ``cache`` keeps between calls the tables' entries, under id(table),
+    (id(table), "flat") and (id(table), slot) by :func:`_entries`,
+    :func:`_flat_values` and :func:`_entries_by_slot`, and under "merges"
+    the wedges of monomial pairs, as a check meets few distinct pairs many
+    times (258 pairs and 1.29 M wedges on sl5 over its Borel to weight 6).
 
     The join is driven by the table entries.  An insertion term runs over
     the entries of its inner map and, for each index m of an inner value
@@ -524,15 +525,14 @@ def _module_residuals(degrees: list, insertions, partitions,
     scatter or sign; the coefficient of e_{m_t} passes the outer map and
     e_{m_1}, ..., e_{m_{t-1}}, basis vectors of ``out_module``.  An outer
     differential is not A-linear: it is applied to the inner value, or to
-    the value of the one block, as d(a.e_i) = d_A(a).e_i + (-1)^{|a|}
-    a.d(e_i).
+    the value of the one block, by :meth:`DgModule.differential_terms` of
+    ``out_module``.
     """
     n = len(degrees)
     parities = [[d % 2 for d in degs] for degs in degrees]
     value_degrees = out_module.basis.degrees
     acc: dict[tuple, dict] = {}
     merges = cache.setdefault("merges", {})  # a -> b -> _merge_monomials(a, b)
-    d_alg = cache.setdefault("d_A", {})  # monomial -> terms of d_A(monomial)
 
     def wedge(a, b):
         with_a = merges.get(a) or merges.setdefault(a, {})
@@ -562,25 +562,18 @@ def _module_residuals(degrees: list, insertions, partitions,
                     key = (i, merged)
                     row[key] = row.get(key, 0) + w * c * cb
 
-    def differentiate(x, d, v, sign):
-        # sign times d(v), d the flat values of the differential's table
-        algebra = out_module.algebra
+    def differentiate(x, v, sign):
+        # sign times d(v)
+        terms: dict = {}
         for i, a in v.coeffs.items():
             for mon, c in a.terms.items():
-                da = d_alg.get(mon)
-                if da is None:
-                    da = d_alg[mon] = tuple(algebra.apply_differential(
-                        AlgebraElement._trusted({mon: 1})).terms.items())
-                add(x, da, ((i, (), c),), sign)
-            de = d.get((i,))
-            if de is not None:
-                add(x, a.terms.items(), de, sign, 1)
+                out_module.differential_terms(mon, i, c, terms)
+        add(x, (((), sign),), [(i, mon, c) for (mon, i), c in terms.items()])
 
     for term in insertions:
         if isinstance(term.outer, _Differential):  # d(inner(x_1, ..., x_n))
-            d = _flat_values(cache, term.outer)
             for x, v in term.inner.items():
-                differentiate(x, d, v, 1)
+                differentiate(x, v, 1)
             continue
         s = len(term.front)
         by_m = _entries_by_slot(cache, term.outer, s, parities, term.front)
@@ -604,9 +597,8 @@ def _module_residuals(degrees: list, insertions, partitions,
                         (r + head_bits.bit_count()) % 2)
     for term in partitions:
         if isinstance(term.outer, _Differential):  # -d(f_n(x_1, ..., x_n))
-            d = _flat_values(cache, term.outer)
             for x, v in term.tables[0].items():
-                differentiate(x, d, v, -1)
+                differentiate(x, v, -1)
             continue
         block_entries = [_entries(cache, table, parities, [b - 1 for b in block])
                          for table, block in zip(term.tables, term.blocks)]
@@ -1043,9 +1035,10 @@ class CohomologyBracket:
         self.complex = CochainComplex(fam.module)
         self.reps = self.complex.cohomology_reps()
         self.table: dict[tuple[int, int], list[Scalar]] = {}
+        self.cocycles: dict[tuple[int, int], ModuleElement] = {}
         for a, (da, ra) in enumerate(self.reps):
             for b, (db, rb) in enumerate(self.reps):
-                z = self.bracket_cocycle(ra, rb)
+                z = self.cocycles[(a, b)] = self.bracket_cocycle(ra, rb)
                 if not z.is_zero() and not self.complex.is_cocycle(z):
                     raise CheckFailure("bracket output is not closed")
                 self.table[(a, b)] = self.complex.class_coordinates(z)
@@ -1081,15 +1074,16 @@ class CohomologyBracket:
 
     def leibniz_failures(self) -> list[tuple]:
         """[x,[y,z]] - [[x,y],z] - (-1)^{<x><y>}[y,[x,z]] on classes,
-        with <x> the shifted degree |x| + 1."""
-        out = []
+        with <x> the shifted degree |x| + 1; the inner brackets are the
+        ``cocycles`` of the representatives."""
+        out, inner = [], self.cocycles
         for a, (da, ra) in enumerate(self.reps):
             for b, (db, rb) in enumerate(self.reps):
                 for c, (dc, rc) in enumerate(self.reps):
-                    z1 = self.bracket_cocycle(ra, self.bracket_cocycle(rb, rc))
-                    z2 = self.bracket_cocycle(self.bracket_cocycle(ra, rb), rc)
+                    z1 = self.bracket_cocycle(ra, inner[(b, c)])
+                    z2 = self.bracket_cocycle(inner[(a, b)], rc)
                     sign = -1 if ((da + 1) * (db + 1)) % 2 else 1
-                    z3 = self.bracket_cocycle(rb, self.bracket_cocycle(ra, rc))
+                    z3 = self.bracket_cocycle(rb, inner[(a, c)])
                     resid = z1 - z2 - z3.scale(sign)
                     if resid.is_zero():
                         continue

@@ -12,7 +12,7 @@ import functools
 from collections.abc import Sequence
 
 from .algebra import (AlgebraElement, CdgaPresentation, Monomial,
-                      _merge_monomials)
+                      _merge_monomials, add_scalar, leibniz_terms)
 from .graded import ONE, GradedBasis, exact
 
 
@@ -123,23 +123,6 @@ class ModuleElement:
                 out[i] = ab
         return ModuleElement._trusted(self.module, out)
 
-    def right_mul(self, a: AlgebraElement) -> "ModuleElement":
-        """m . a = (-1)^{|m||a|} a . m, per homogeneous components."""
-        out = ModuleElement(self.module)
-        for i, b in self.coeffs.items():
-            bd = self.module.basis.degrees[i]
-            acc = AlgebraElement()
-            for mon_b, cb in b.terms.items():
-                dm = bd + len(mon_b)
-                for mon_a, ca in a.terms.items():
-                    sign = -1 if (dm * len(mon_a)) % 2 else 1
-                    acc = acc + (AlgebraElement._trusted({mon_a: ONE})
-                                 * AlgebraElement._trusted({mon_b: ONE})
-                                 ).scale(sign * ca * cb)
-            if not acc.is_zero():
-                out = out + ModuleElement(self.module, {i: acc})
-        return out
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleElement)
                 and self.module.basis == other.module.basis
@@ -162,7 +145,8 @@ class DgModule:
 
     ``diff_matrix[(i, j)]`` is the algebra coefficient of basis vector j in
     the differential of basis vector i; each entry is homogeneous of degree
-    ``1 + |e_i| - |e_j|``.
+    ``1 + |e_i| - |e_j|``.  ``diff_rows[i]`` holds the same entries as
+    {j: coefficient}, the row of d(e_i).  Both are set once, here.
     """
 
     def __init__(self, algebra: CdgaPresentation, basis: GradedBasis,
@@ -172,11 +156,12 @@ class DgModule:
         self.basis = basis
         self.label = label
         self.diff_matrix: dict[tuple[int, int], AlgebraElement] = {}
+        self.diff_rows: dict[int, dict[int, AlgebraElement]] = {}
         for (i, j), a in (diff_matrix or {}).items():
             if not (0 <= i < len(basis) and 0 <= j < len(basis)):
                 raise ValueError(f"differential entry at unknown indices ({i},{j})")
             if not a.is_zero():
-                self.diff_matrix[(i, j)] = a
+                self.diff_matrix[(i, j)] = self.diff_rows.setdefault(i, {})[j] = a
         # set by dual_module so contraction can recognize the predual
         self.dual_of: DgModule | None = None
 
@@ -188,8 +173,26 @@ class DgModule:
         return ModuleElement(self)
 
     def diff_of_basis(self, i: int) -> ModuleElement:
-        return ModuleElement(self, {j: a for (k, j), a in self.diff_matrix.items()
-                                    if k == i})
+        return ModuleElement._trusted(self, dict(self.diff_rows.get(i, {})))
+
+    def differential_terms(self, mon: Monomial, i: int, c=ONE,
+                           out: dict | None = None) -> dict:
+        """Add c.d(mon.e_i) = c.d_A(mon).e_i + (-1)^{|mon|} c.mon.d(e_i)
+        into ``out`` (a new dict by default), {(monomial, j):
+        coefficient}, and return it: the module's one differential."""
+        if out is None:
+            out = {}
+        for (m, _), cm in leibniz_terms(mon, self.algebra.diff_terms, 1,
+                                        (0,), {}, c).items():
+            add_scalar(out, (m, i), cm)
+        if len(mon) % 2:
+            c = -c
+        for j, a in self.diff_rows.get(i, {}).items():
+            for m, cm in a.terms.items():
+                s, merged = _merge_monomials(mon, m)
+                if s:
+                    add_scalar(out, (merged, j), s * c * cm)
+        return out
 
     def kbasis(self, degree: int | None = None) -> list[tuple[Monomial, int]]:
         """Ground-field basis: pairs (monomial, module basis index).
@@ -247,8 +250,6 @@ class KBasis:
             self.slices.setdefault(d, []).append(key)
         self.slice_positions = {d: {key: i for i, key in enumerate(keys)}
                             for d, keys in self.slices.items()}
-        self._d_algebra: dict[Monomial, AlgebraElement] = {}
-        self._d_basis: dict[int, ModuleElement] = {}
 
     @functools.cached_property
     def basis(self) -> GradedBasis:
@@ -303,32 +304,16 @@ class KBasis:
             self.module, ((key, c) for key, c in zip(self.slice(d), vec) if c))
 
     def differential(self, key: tuple[Monomial, int]) -> dict[int, Scalar]:
-        """d of the k-basis vector ``key`` = (m, i), as {k-basis index:
-        coefficient}: d(m.e_i) = d_A(m).e_i + (-1)^{|m|} m.d(e_i), with
-        each d_A(m) and d(e_i) computed once per KBasis."""
-        mon, i = key
-        module, index = self.module, self.index
-        da = self._d_algebra.get(mon)
-        if da is None:
-            da = self._d_algebra[mon] = module.algebra.apply_differential(
-                AlgebraElement._trusted({mon: ONE}))
-        de = self._d_basis.get(i)
-        if de is None:
-            de = self._d_basis[i] = module.diff_of_basis(i)
-        row = {index[(m, i)]: c for m, c in da.terms.items()}
-        parity = -1 if len(mon) % 2 else 1
-        for j, a in de.coeffs.items():
-            for m, c in a.terms.items():
-                s, merged = _merge_monomials(mon, m)
-                if not s:
-                    continue
-                idx = index[(merged, j)]
-                c = row.get(idx, 0) + parity * s * c
-                if c:
-                    row[idx] = exact(c)
-                else:
-                    del row[idx]
-        return row
+        """d of the k-basis vector ``key``, as {k-basis index:
+        coefficient}, by :meth:`DgModule.differential_terms`."""
+        terms = self.module.differential_terms(*key)
+        return {self.index[k]: c for k, c in terms.items()}
+
+    def differential_vector(self, key: tuple[Monomial, int],
+                            d: int) -> list[Scalar]:
+        """Dense coordinates of d of the k-basis vector ``key`` on the
+        degree-d slice."""
+        return self.dense(self.module.differential_terms(*key).items(), d)
 
     def to_module_element(self, e: ModuleElement) -> ModuleElement:
         return ModuleElement.from_terms(self.module, (
@@ -345,18 +330,12 @@ def add_term(coeffs: dict, key, a: AlgebraElement) -> None:
 
 
 def apply_module_differential(module: DgModule, v: ModuleElement) -> ModuleElement:
-    """d(a.e) = dA(a).e + (-1)^{|a|} a.d(e), per homogeneous coefficient parts."""
-    out = module.zero()
+    """d(v), term by term by :meth:`DgModule.differential_terms`."""
+    out: dict = {}
     for i, a in v.coeffs.items():
-        de = module.diff_of_basis(i)
         for mon, c in a.terms.items():
-            am = AlgebraElement._trusted({mon: c})
-            da = module.algebra.apply_differential(am)
-            if not da.is_zero():
-                out = out + ModuleElement(module, {i: da})
-            sign = -1 if len(mon) % 2 else 1
-            out = out + de.left_mul(am).scale(sign)
-    return out
+            module.differential_terms(mon, i, c, out)
+    return ModuleElement.from_terms(module, out.items())
 
 
 def validate_dg_module(module: DgModule) -> list[str]:
@@ -416,12 +395,9 @@ def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
         di = m.basis.degrees[i]
         for j in range(n.rank):
             # d(e_i (x) f_j) = d(e_i) (x) f_j + (-1)^{|e_i|} e_i (x) d(f_j)
-            for (ii, k), a in m.diff_matrix.items():
-                if ii == i:
-                    add_term(diff, (i * rn + j, k * rn + j), a)
-            for (jj, l), b in n.diff_matrix.items():
-                if jj != j:
-                    continue
+            for k, a in m.diff_rows.get(i, {}).items():
+                add_term(diff, (i * rn + j, k * rn + j), a)
+            for l, b in n.diff_rows.get(j, {}).items():
                 try:
                     bd = b.degree()
                 except ValueError:
@@ -559,9 +535,8 @@ def hom_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
         for j in range(n.rank):
             u_deg = n.basis.degrees[j] - m.basis.degrees[i]
             # d_N o u_ij: contributes a_jl . u_il
-            for (jj, l), a in n.diff_matrix.items():
-                if jj == j:
-                    add_term(diff, (i * rn + j, i * rn + l), a)
+            for l, a in n.diff_rows.get(j, {}).items():
+                add_term(diff, (i * rn + j, i * rn + l), a)
             # -(-1)^{|u|} u_ij o d_M: for each k with d(e_k) = a_ki e_i + ...
             # u_ij(a_ki e_i) = (-1)^{|a_ki||u|} a_ki f_j, landing on u_kj
             for (k, ii), a in m.diff_matrix.items():

@@ -8,6 +8,12 @@ definitions:
 
 - ``pair``, the evaluation pairing dual(M) x M -> A, and
   ``contract_termwise``, the contraction iota_b term by term;
+- ``right_mul``, an element times an algebra element from the right,
+  ``extend_derivation_termwise`` and ``cdga_differential_termwise``, a
+  derivation and d_A extended from generator values through algebra
+  products, and ``module_differential_termwise``, d(a.e) = d_A(a).e +
+  (-1)^{|a|} a.d(e) as a sum of elements, which the package's one graded
+  Leibniz rule ``leibniz_terms`` replaces;
 - ``derive_tensor`` and ``covariant_tensor_derivative``, a connection
   acting as a derivation of a tensor of elements, and
   ``bracket_on_elements``, the recursion R_{k+1} = (-1)^{|b_0|}
@@ -93,6 +99,81 @@ def contract_termwise(b: ModuleElement, w: ModuleElement) -> ModuleElement:
                          * AlgebraElement._trusted({mon_c: ONE})).scale(
                              sign * ca * cc)
                 out = out + ModuleElement(e_mod, {k: coeff})
+    return out
+
+
+def right_mul(m: ModuleElement, a: AlgebraElement) -> ModuleElement:
+    """m . a = (-1)^{|m||a|} a . m, per homogeneous components."""
+    out = ModuleElement(m.module)
+    for i, b in m.coeffs.items():
+        bd = m.module.basis.degrees[i]
+        acc = AlgebraElement()
+        for mon_b, cb in b.terms.items():
+            dm = bd + len(mon_b)
+            for mon_a, ca in a.terms.items():
+                sign = -1 if (dm * len(mon_a)) % 2 else 1
+                acc = acc + (AlgebraElement._trusted({mon_a: ONE})
+                             * AlgebraElement._trusted({mon_b: ONE})
+                             ).scale(sign * ca * cb)
+        if not acc.is_zero():
+            out = out + ModuleElement(m.module, {i: acc})
+    return out
+
+
+def extend_derivation_termwise(algebra: CdgaPresentation, target: DgModule,
+                               values: dict[int, ModuleElement], degree: int,
+                               a: AlgebraElement) -> ModuleElement:
+    """Extend generator values as a degree-r derivation into a module.
+
+    D(x y) = D(x).y + (-1)^{r|x|} x.D(y); on a monomial this reads
+    D(g_1...g_k) = sum_t (-1)^{r(t-1)} g_1...g_{t-1} . D(g_t) . g_{t+1}...g_k
+    with the right factor moved in by the Koszul rule.
+    """
+    out = target.zero()
+    for mon, c in a.terms.items():
+        for t in range(len(mon)):
+            val = values.get(mon[t])
+            if val is None or val.is_zero():
+                continue
+            sign = -1 if (degree * t) % 2 else 1
+            prefix = AlgebraElement._trusted({mon[:t]: ONE})
+            suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
+            term = right_mul(val, suffix).left_mul(prefix).scale(sign * c)
+            out = out + term
+    return out
+
+
+def cdga_differential_termwise(alg: CdgaPresentation,
+                               a: AlgebraElement) -> AlgebraElement:
+    """Extend the generator values as a degree-1 derivation."""
+    out = AlgebraElement()
+    for mon, c in a.terms.items():
+        for t in range(len(mon)):
+            dv = alg.diff.get(mon[t])
+            if dv is None:
+                continue
+            sign = -1 if t % 2 else 1
+            prefix = AlgebraElement._trusted({mon[:t]: ONE})
+            suffix = AlgebraElement._trusted({mon[t + 1:]: ONE})
+            out = out + (prefix * dv * suffix).scale(sign * c)
+    return out
+
+
+def module_differential_termwise(module: DgModule,
+                                 v: ModuleElement) -> ModuleElement:
+    """d(a.e) = dA(a).e + (-1)^{|a|} a.d(e), per homogeneous coefficient
+    parts, with d(e_i) read off ``diff_matrix``."""
+    out = module.zero()
+    for i, a in v.coeffs.items():
+        de = ModuleElement(module, {j: b for (k, j), b in
+                                    module.diff_matrix.items() if k == i})
+        for mon, c in a.terms.items():
+            am = AlgebraElement._trusted({mon: c})
+            da = cdga_differential_termwise(module.algebra, am)
+            if not da.is_zero():
+                out = out + ModuleElement(module, {i: da})
+            sign = -1 if len(mon) % 2 else 1
+            out = out + de.left_mul(am).scale(sign)
     return out
 
 

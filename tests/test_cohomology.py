@@ -310,6 +310,26 @@ def test_cohomology_command_computes_each_degree_once(capsys, monkeypatch):
     assert len(calls) == 6
 
 
+def test_class_leibniz_check_reuses_the_inner_brackets(capsys, monkeypatch):
+    """The Leibniz check on classes reads the brackets of pairs of
+    representatives that the table computed: on abelian_trivial, with
+    r = 2 representatives, r^2 = 4 joins for the table and 3 r^3 = 24 for
+    the triples, 28 in all (52 when each triple recomputed its three
+    inner brackets)."""
+    from kapranov.cli import main
+    calls = []
+    bracket_cocycle = CohomologyBracket.bracket_cocycle
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return bracket_cocycle(self, x, y)
+    monkeypatch.setattr(CohomologyBracket, "bracket_cocycle", counting)
+    path = ROOT / "instances" / "abelian_trivial.json"
+    assert main(["cohomology", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 28
+
+
 def test_nonzero_class_bracket_worked_by_hand():
     """A bracket that is nonzero on cohomology, over the algebra with no
     generators: e0, e1 in degree -1, f in degree -2, d f = e1 and

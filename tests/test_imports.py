@@ -12,7 +12,9 @@ Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
-reads a key's degree with ``.kdegree(``.  The package holds one
+reads a key's degree with ``.kdegree(``.  A module's differential is
+set once: nothing outside ``DgModule.__init__`` assigns ``.diff_matrix``
+or the rows ``.diff_rows`` built from it.  The package holds one
 implementation of each construction: it defines none of the element-level
 oracles of ``tests/oracles.py`` and none of the names deleted with them,
 and it reads none of the tower's oracles.  Nor does it define any of the
@@ -253,6 +255,63 @@ def test_indexer_guard_sees_a_planted_second_indexer():
                          "    return module.kbasis(1)\n")
     assert kbasis_indexing("modules.py", planted) \
         == [f"modules.py: line {len(planted.splitlines())}"]
+
+
+# the matrix of a module's differential and the rows built from it
+DIFFERENTIAL = ("diff_matrix", "diff_rows")
+
+
+def differential_assignments(source: str) -> list[str]:
+    """The assignments and deletions whose target names an attribute of
+    ``DIFFERENTIAL`` (an item of it included), outside the ``__init__`` of
+    a class ``DgModule``, as "line <n>"."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "DgModule":
+            allowed.update(id(sub) for item in node.body
+                           if isinstance(item, ast.FunctionDef)
+                           and item.name == "__init__"
+                           for sub in ast.walk(item))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if id(node) not in allowed and any(
+                isinstance(sub, ast.Attribute) and sub.attr in DIFFERENTIAL
+                for target in targets for sub in ast.walk(target)):
+            lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_a_module_differential_is_set_once(path):
+    assert differential_assignments(path.read_text()) == []
+
+
+def test_differential_guard_sees_planted_assignments():
+    source = (PACKAGE / "derivations.py").read_text()
+    n = len(source.splitlines())
+    # the first line is how Omega^1 used to receive its differential,
+    # after the module was built; a read is not an assignment
+    planted = source + ("\n\ndef _late(omega1, diff):\n"
+                        "    omega1.diff_matrix = {k: v for k, v in diff.items()}\n"
+                        "    omega1.diff_rows[0] = {}\n"
+                        "    omega1.diff_matrix[(0, 0)] += diff\n"
+                        "    del omega1.diff_rows[0]\n"
+                        "    rows = omega1.diff_rows.get(0)\n"
+                        "\n\nclass DgModule:\n"
+                        "    def __init__(self, diff):\n"
+                        "        self.diff_matrix = diff\n"
+                        "    def reset(self):\n"
+                        "        self.diff_matrix = {}\n")
+    assert differential_assignments(planted) == [
+        f"line {n + k}" for k in (4, 5, 6, 7, 15)]
 
 
 ORACLE_FILE = pathlib.Path(__file__).resolve().parent / "oracles.py"
@@ -609,7 +668,6 @@ UNREACHED = {
     "derivations.py: DgDerivation.__repr__": "repr, read in test failures",
     "derivations.py: DgDerivation.is_zero": "query, used by tests",
     "derivations.py: kaehler_differentials": ITEM_7,
-    "derivations.py: kaehler_differentials.ddr": ITEM_7,
     "derivations.py: universal_factorization": ITEM_7,
     "graded.py: GradedBasis.__repr__": "repr, read in test failures",
     "graded.py: MultilinearMap.check_degrees":
