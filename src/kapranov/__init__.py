@@ -17,7 +17,6 @@ from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       ce_algebra, validate_cdga)
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential, contract, dual_module,
-                      end_module, hom_module, simple_tensor,
                       tensor_module, validate_dg_module)
 from .cohomology import CochainComplex
 from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,

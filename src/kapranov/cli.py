@@ -31,7 +31,7 @@ from .kapranov import (CheckFailure, bracket_nonskew_witness,
                        cohomology_leibniz_bracket, homotopy_iso,
                        kapranov_brackets, kapranov_morphism, require_dg)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
-                      apply_module_differential, dual_module,
+                      apply_module_differential, dual_module, tensor_index,
                       validate_dg_module)
 
 
@@ -130,9 +130,9 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
             j, k = parse_index_pair(jk)  # omega_j (x) e_k
             for x, n in ((j, delta.target.rank), (k, bmod.rank)):
                 parse_index(x, n, f"{where}/{i}/{jk}", "basis index")
-            idx = j * bmod.rank + k
-            v = v + ModuleElement(base.tensor, {idx: parse_algebra_element(
-                elem, bmod.algebra.n_generators)})
+            v = v + ModuleElement(base.tensor, {
+                tensor_index(base.tensor, j, k):
+                    parse_algebra_element(elem, bmod.algebra.n_generators)})
         values[parse_index(i, bmod.rank, f"{where}/{i}",
                            "module basis index")] = v
     return DeltaConnection(delta, bmod, values, tensor=base.tensor)

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .algebra import AlgebraElement
 from .cohomology import CochainComplex, solve_columns
 from .derivations import DgDerivation
-from .modules import (DgModule, KBasis, ModuleElement, add_term,
-                      apply_module_differential, end_module, simple_tensor,
-                      tensor_index, tensor_module, tensor_split)
+from .modules import (DgModule, KBasis, ModuleElement,
+                      apply_module_differential, apply_operator, dual_module,
+                      operator_terms, tensor_index, tensor_module,
+                      tensor_split)
 
 
 def omega_tensor(delta: DgDerivation, module: DgModule) -> DgModule:
@@ -58,23 +58,18 @@ class DeltaConnection:
                     f"nabla({module.basis.names[i]}) must have degree {want}")
             self.values[i] = v
 
+    def terms(self, mon, i: int, c, out: dict) -> dict:
+        """Add c.nabla(mon.e_i) = c.delta(mon) (x) e_i + (-1)^{r|mon|}
+        c.mon.nabla(e_i) into ``out``, by :func:`operator_terms`."""
+        val = self.values.get(i)
+        return operator_terms(mon, i, c, self.delta.terms, self.delta.degree,
+                              self.delta.target.basis.degrees,
+                              self.module.rank,
+                              {} if val is None else val.coeffs, out)
+
     def __call__(self, v: ModuleElement) -> ModuleElement:
         """nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e)."""
-        out = self.tensor.zero()
-        odd = self.delta.degree % 2
-        for i, a in v.coeffs.items():
-            da = self.delta(a)
-            if not da.is_zero():
-                out = out + simple_tensor(
-                    self.tensor, da, ModuleElement.basis_vector(self.module, i))
-            val = self.values.get(i)
-            if val is not None:
-                if odd:
-                    a = AlgebraElement._trusted({
-                        mon: -c if len(mon) % 2 else c
-                        for mon, c in a.terms.items()})
-                out = out + val.left_mul(a)
-        return out
+        return apply_operator(self.terms, v, self.tensor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeltaConnection):
@@ -91,22 +86,27 @@ class DeltaConnection:
 
 def operator_to_om_hom_element(om_hom: DgModule,
                                values: Sequence[ModuleElement]) -> ModuleElement:
-    """Package basis values E -> Omega (x) F as an element of Omega (x) Hom(E,F)."""
+    """Package basis values E -> Omega (x) F as an element of
+    Omega (x) Hom(E, F), with Hom(E, F) = dual(E) (x) F: the map
+    e_i -> f_k is (-1)^{|e_i||f_k|} e_i* (x) f_k."""
     omega, hom = om_hom.tensor_factors
-    e_mod, f_mod = hom.hom_factors
-    coeffs: dict[int, AlgebraElement] = {}
+    dual, f_mod = hom.tensor_factors
+    coeffs = {}
     for i, val in enumerate(values):
         for t_idx, a in val.coeffs.items():
             j, k = tensor_split(val.module, t_idx)
-            add_term(coeffs, tensor_index(om_hom, j, i * f_mod.rank + k), a)
-    return ModuleElement(om_hom, coeffs)
+            if dual.basis.degrees[i] * f_mod.basis.degrees[k] % 2:
+                a = -a
+            coeffs[tensor_index(om_hom, j, tensor_index(hom, i, k))] = a
+    return ModuleElement._trusted(om_hom, coeffs)
 
 
 class AtiyahCocycle:
     """The Atiyah cocycle [nabla, d] of a delta-connection.
 
     ``operator_values[i]`` = nabla(d e_i) - d(nabla(e_i)), and ``element``
-    is the same data as a degree-1 element of ``om_end``, Omega (x) End(E).
+    is the same data as a degree-1 element of ``om_end``, Omega (x) End(E)
+    with End(E) = dual(E) (x) E.
     Both are built on first read: the tower's seed reads only the operator
     values.
     """
@@ -124,8 +124,8 @@ class AtiyahCocycle:
 
     @functools.cached_property
     def om_end(self) -> DgModule:
-        return tensor_module(self.connection.delta.target,
-                             end_module(self.module), label="Omega(x)End")
+        end = tensor_module(dual_module(self.module), self.module)
+        return tensor_module(self.connection.delta.target, end, label="Omega(x)End")
 
     @functools.cached_property
     def element(self) -> ModuleElement:

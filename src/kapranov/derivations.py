@@ -15,17 +15,14 @@ from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
 
 
-def extend_derivation(algebra: CdgaPresentation, target: DgModule,
-                      values: dict[int, ModuleElement], degree: int,
+def extend_derivation(target: DgModule, terms: dict, degree: int,
                       a: AlgebraElement) -> ModuleElement:
-    """Extend generator values as a degree-r derivation into a module:
-    D(x y) = D(x).y + (-1)^{r|x|} x.D(y), by :func:`leibniz_terms`."""
-    flat = {g: tuple((j, mon, c) for j, v in val.coeffs.items()
-                     for mon, c in v.terms.items())
-            for g, val in values.items()}
+    """Extend generator values, given as flat terms (j, monomial, c), as a
+    degree-r derivation into a module: D(x y) = D(x).y + (-1)^{r|x|}
+    x.D(y), by :func:`leibniz_terms`."""
     out: dict = {}
     for mon, c in a.terms.items():
-        leibniz_terms(mon, flat, degree, target.basis.degrees, out, c)
+        leibniz_terms(mon, terms, degree, target.basis.degrees, out, c)
     return ModuleElement.from_terms(target, out.items())
 
 
@@ -33,9 +30,11 @@ class DgDerivation:
     """A derivation D: A -> Omega of degree r = ``degree``, given by its
     values on generators: D(ab) = D(a).b + (-1)^{r|a|} a.D(b).
 
-    The generators have degree 1, so their values have degree 1 + r.  A dg
-    derivation delta has r = 0 and intertwines the differentials; a
-    homotopy between two of them is a :class:`DerivationHomotopy`.
+    The generators have degree 1, so their values have degree 1 + r;
+    ``terms`` holds them once as the flat terms (j, monomial, c) of
+    :func:`leibniz_terms`.  A dg derivation delta has r = 0 and intertwines
+    the differentials; a homotopy between two of them is a
+    :class:`DerivationHomotopy`.
     """
 
     degree = 0
@@ -58,10 +57,12 @@ class DgDerivation:
                         f"the value on {algebra.generators.names[i]} must "
                         f"have degree {1 + self.degree}")
                 self.values[i] = v
+        self.terms = {g: tuple((j, mon, c) for j, v in val.coeffs.items()
+                               for mon, c in v.terms.items())
+                      for g, val in self.values.items()}
 
     def __call__(self, a: AlgebraElement) -> ModuleElement:
-        return extend_derivation(self.algebra, self.target, self.values,
-                                 self.degree, a)
+        return extend_derivation(self.target, self.terms, self.degree, a)
 
     def is_zero(self) -> bool:
         return not self.values

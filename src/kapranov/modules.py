@@ -178,21 +178,11 @@ class DgModule:
     def differential_terms(self, mon: Monomial, i: int, c=ONE,
                            out: dict | None = None) -> dict:
         """Add c.d(mon.e_i) = c.d_A(mon).e_i + (-1)^{|mon|} c.mon.d(e_i)
-        into ``out`` (a new dict by default), {(monomial, j):
-        coefficient}, and return it: the module's one differential."""
-        if out is None:
-            out = {}
-        for (m, _), cm in leibniz_terms(mon, self.algebra.diff_terms, 1,
-                                        (0,), {}, c).items():
-            add_scalar(out, (m, i), cm)
-        if len(mon) % 2:
-            c = -c
-        for j, a in self.diff_rows.get(i, {}).items():
-            for m, cm in a.terms.items():
-                s, merged = _merge_monomials(mon, m)
-                if s:
-                    add_scalar(out, (merged, j), s * c * cm)
-        return out
+        into ``out`` (a new dict by default) and return it: the module's
+        one differential, by :func:`operator_terms`."""
+        return operator_terms(mon, i, c, self.algebra.diff_terms, 1, (0,), 0,
+                              self.diff_rows.get(i, {}),
+                              {} if out is None else out)
 
     def kbasis(self, degree: int | None = None) -> list[tuple[Monomial, int]]:
         """Ground-field basis: pairs (monomial, module basis index).
@@ -329,13 +319,45 @@ def add_term(coeffs: dict, key, a: AlgebraElement) -> None:
         coeffs[key] = s
 
 
-def apply_module_differential(module: DgModule, v: ModuleElement) -> ModuleElement:
-    """d(v), term by term by :meth:`DgModule.differential_terms`."""
+def operator_terms(mon: Monomial, i: int, c, symbol: dict, r: int,
+                   symbol_degrees: Sequence[int], width: int,
+                   row: dict[int, AlgebraElement], out: dict) -> dict:
+    """Add c.O(mon.e_i) = c.D(mon).e_i + (-1)^{r|mon|} c.mon.O(e_i) into
+    ``out``, {(monomial, index): coefficient}, and return it: the one
+    first-order rule of an operator O of degree r along a derivation D.
+
+    D(mon) comes from :func:`leibniz_terms` on the flat generator values
+    ``symbol`` (empty for an A-linear map), with basis degrees
+    ``symbol_degrees``; its term on f_j times e_i lands at index
+    j * width + i.  ``row`` is O(e_i), {index: coefficient}.
+    """
+    if symbol:
+        for (m, j), cm in leibniz_terms(mon, symbol, r, symbol_degrees,
+                                        {}, c).items():
+            add_scalar(out, (m, j * width + i), cm)
+    if r * len(mon) % 2:
+        c = -c
+    for j, a in row.items():
+        for m, cm in a.terms.items():
+            s, merged = _merge_monomials(mon, m)
+            if s:
+                add_scalar(out, (merged, j), s * c * cm)
+    return out
+
+
+def apply_operator(terms, v: ModuleElement, target: DgModule) -> ModuleElement:
+    """The sum of ``terms(mon, i, c, out)`` over the terms c.mon.e_i of v,
+    an element of ``target``: an operator given by its rule on one term."""
     out: dict = {}
     for i, a in v.coeffs.items():
         for mon, c in a.terms.items():
-            module.differential_terms(mon, i, c, out)
-    return ModuleElement.from_terms(module, out.items())
+            terms(mon, i, c, out)
+    return ModuleElement.from_terms(target, out.items())
+
+
+def apply_module_differential(module: DgModule, v: ModuleElement) -> ModuleElement:
+    """d(v), term by term by :meth:`DgModule.differential_terms`."""
+    return apply_operator(module.differential_terms, v, module)
 
 
 def validate_dg_module(module: DgModule) -> list[str]:
@@ -398,15 +420,13 @@ def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
             for k, a in m.diff_rows.get(i, {}).items():
                 add_term(diff, (i * rn + j, k * rn + j), a)
             for l, b in n.diff_rows.get(j, {}).items():
-                try:
-                    bd = b.degree()
-                except ValueError:
-                    bd = None
-                if bd is None:
-                    continue
-                sign = -1 if (di * (1 + bd)) % 2 else 1
-                # (-1)^{|e_i|} from Leibniz, (-1)^{|b||e_i|} to move b left
-                add_term(diff, (i * rn + j, i * rn + l), b.scale(sign))
+                # (-1)^{|e_i|} from Leibniz, (-1)^{|mon||e_i|} to move each
+                # monomial of b left
+                if di % 2:
+                    b = AlgebraElement._trusted({
+                        mon: c if len(mon) % 2 else -c
+                        for mon, c in b.terms.items()})
+                add_term(diff, (i * rn + j, i * rn + l), b)
     t = DgModule(m.algebra, basis, diff, label=label or f"{m.label}(x){n.label}")
     t.tensor_factors = (m, n)
     return t
@@ -422,28 +442,12 @@ def tensor_split(t: DgModule, k: int) -> tuple[int, int]:
     return divmod(k, n.rank)
 
 
-def simple_tensor(t: DgModule, v: ModuleElement, w: ModuleElement) -> ModuleElement:
-    """v (x) w inside a tensor module (coefficients move to the left)."""
-    m, n = t.tensor_factors
-    if v.module.basis != m.basis or w.module.basis != n.basis:
-        raise ValueError("tensor factors do not match")
-    out = t.zero()
-    for i, a in v.coeffs.items():
-        for j, b in w.coeffs.items():
-            di = m.basis.degrees[i]
-            acc = AlgebraElement()
-            for mon_b, cb in b.terms.items():
-                sign = -1 if (len(mon_b) * di) % 2 else 1
-                acc = acc + AlgebraElement._trusted({mon_b: sign * cb})
-            out = out + ModuleElement(t, {tensor_index(t, i, j): a * acc})
-    return out
-
-
 class ModuleMorphism:
     """A-linear map between dg modules, given on basis vectors.
 
     ``matrix[(i, j)]`` is the coefficient of the target basis vector j in
-    the image of source basis vector i.  A morphism of internal degree r
+    the image of source basis vector i, and ``rows[i]`` holds the same
+    entries as {j: coefficient}.  A morphism of internal degree r
     extends by ``f(a.e) = (-1)^{r|a|} a.f(e)``.
     """
 
@@ -457,9 +461,10 @@ class ModuleMorphism:
         self.degree = degree
         self.label = label
         self.matrix: dict[tuple[int, int], AlgebraElement] = {}
+        self.rows: dict[int, dict[int, AlgebraElement]] = {}
         for (i, j), a in (matrix or {}).items():
             if not a.is_zero():
-                self.matrix[(i, j)] = a
+                self.matrix[(i, j)] = self.rows.setdefault(i, {})[j] = a
 
     @classmethod
     def identity(cls, module: DgModule) -> "ModuleMorphism":
@@ -467,20 +472,16 @@ class ModuleMorphism:
         return cls(module, module, 0, mat, label="id")
 
     def of_basis(self, i: int) -> ModuleElement:
-        return ModuleElement(self.target,
-                             {j: a for (k, j), a in self.matrix.items() if k == i})
+        return ModuleElement._trusted(self.target, dict(self.rows.get(i, {})))
+
+    def terms(self, mon: Monomial, i: int, c, out: dict) -> dict:
+        """Add c.f(mon.e_i) = (-1)^{r|mon|} c.mon.f(e_i) into ``out``, by
+        :func:`operator_terms` with no derivation."""
+        return operator_terms(mon, i, c, {}, self.degree, (), 0,
+                              self.rows.get(i, {}), out)
 
     def __call__(self, v: ModuleElement) -> ModuleElement:
-        out = self.target.zero()
-        for i, a in v.coeffs.items():
-            img = self.of_basis(i)
-            if img.is_zero():
-                continue
-            for mon, c in a.terms.items():
-                sign = -1 if (self.degree * len(mon)) % 2 else 1
-                out = out + img.left_mul(
-                    AlgebraElement._trusted({mon: ONE})).scale(sign * c)
-        return out
+        return apply_operator(self.terms, v, self.target)
 
     def dg_failures(self) -> list[str]:
         """d o f - (-1)^{deg f} f o d on basis vectors."""
@@ -515,49 +516,6 @@ def dual_morphism_between(phi: ModuleMorphism, source: DgModule,
         sign = -1 if (da * q) % 2 else 1
         mat[(j, i)] = a.scale(sign)
     return ModuleMorphism(source, target, 0, mat)
-
-
-def hom_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
-    """Internal hom as a free dg module.
-
-    Basis u_ij sends e_i to f_j (degree |f_j| - |e_i|); the differential is
-    the graded commutator d_N o u - (-1)^{|u|} u o d_M, expressed in the
-    same basis.
-    """
-    if m.algebra != n.algebra:
-        raise ValueError("hom endpoints must share the algebra")
-    names = [f"[{a}->{b}]" for a in m.basis.names for b in n.basis.names]
-    degs = [db - da for da in m.basis.degrees for db in n.basis.degrees]
-    basis = GradedBasis(names, degs)
-    rn = n.rank
-    diff: dict[tuple[int, int], AlgebraElement] = {}
-    for i in range(m.rank):
-        for j in range(n.rank):
-            u_deg = n.basis.degrees[j] - m.basis.degrees[i]
-            # d_N o u_ij: contributes a_jl . u_il
-            for l, a in n.diff_rows.get(j, {}).items():
-                add_term(diff, (i * rn + j, i * rn + l), a)
-            # -(-1)^{|u|} u_ij o d_M: for each k with d(e_k) = a_ki e_i + ...
-            # u_ij(a_ki e_i) = (-1)^{|a_ki||u|} a_ki f_j, landing on u_kj
-            for (k, ii), a in m.diff_matrix.items():
-                if ii != i:
-                    continue
-                try:
-                    da = a.degree()
-                except ValueError:
-                    raise ValueError("hom_module needs homogeneous diff entries")
-                if da is None:
-                    continue
-                sign = -1 if (u_deg + da * u_deg) % 2 == 0 else 1
-                # sign = -(-1)^{|u|} * (-1)^{|a||u|}
-                add_term(diff, (i * rn + j, k * rn + j), a.scale(sign))
-    h = DgModule(m.algebra, basis, diff, label=label or f"Hom({m.label},{n.label})")
-    h.hom_factors = (m, n)
-    return h
-
-
-def end_module(m: DgModule) -> DgModule:
-    return hom_module(m, m, label=f"End({m.label})")
 
 
 def contract(b: ModuleElement, w: ModuleElement) -> ModuleElement:

@@ -28,10 +28,9 @@ from kapranov.kapranov import (BracketFamily, CheckFailure, _atiyah_table,
                                _exhaustive_report, _Insertion, _tower_step,
                                differential_table, extend_module_table)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                              add_term, apply_module_differential, hom_module,
-                              simple_tensor, tensor_index, tensor_module,
-                              tensor_split)
-from oracles import eval_table_on_elements
+                              add_term, apply_module_differential, dual_module,
+                              tensor_index, tensor_module, tensor_split)
+from oracles import eval_table_on_elements, simple_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +200,28 @@ def coadjoint_module(setup) -> tuple[DgModule, DeltaConnection]:
 
 
 def apply_om_hom(x: ModuleElement, v: ModuleElement) -> ModuleElement:
-    """Apply an element of Omega (x) Hom(E,F) to an element of E.
+    """Apply an element of Omega (x) Hom(E,F) to an element of E, with
+    Hom(E, F) = dual(E) (x) F.
 
-    A term c.(f_j (x) u) acts by (c.Y)(a.e) = (-1)^{|a||Y|} c.a.Y(e) with
-    |Y| = |f_j| + |u| (basis degrees).
+    The basis vector e_i* (x) f_k is (-1)^{|e_i||f_k|} u, for the map u:
+    e_i -> f_k.  A term c.(f_j (x) u) acts by (c.Y)(a.e) =
+    (-1)^{|a||Y|} c.a.Y(e) with |Y| = |f_j| + |u| (basis degrees).
     """
     om_hom = x.module
     omega, hom = om_hom.tensor_factors
-    e_mod, f_mod = hom.hom_factors
+    dual, f_mod = hom.tensor_factors
     out_mod = tensor_module(omega, f_mod)
     out = out_mod.zero()
     for x_idx, c in x.coeffs.items():
         j, u_idx = tensor_split(om_hom, x_idx)
-        i, k = divmod(u_idx, f_mod.rank)
+        i, k = tensor_split(hom, u_idx)
         y_deg = omega.basis.degrees[j] + hom.basis.degrees[u_idx]
+        flip = dual.basis.degrees[i] * f_mod.basis.degrees[k]
         a = v.coeffs.get(i)
         if a is None:
             continue
         for mon, cv in a.terms.items():
-            sign = -1 if (len(mon) * y_deg) % 2 else 1
+            sign = -1 if (len(mon) * y_deg + flip) % 2 else 1
             coeff = (c * AlgebraElement._trusted({mon: ONE})).scale(sign * cv)
             if not coeff.is_zero():
                 out = out + ModuleElement(out_mod,
@@ -255,7 +257,8 @@ def check_naturality(delta: DgDerivation, lam: ModuleMorphism) -> dict:
     e_mod, f_mod = lam.source, lam.target
     at_e = atiyah_cocycle(DeltaConnection(delta, e_mod))
     at_f = atiyah_cocycle(DeltaConnection(delta, f_mod))
-    om_hom = tensor_module(delta.target, hom_module(e_mod, f_mod))
+    om_hom = tensor_module(delta.target,
+                           tensor_module(dual_module(e_mod), f_mod))
     sgn = -1 if lam.degree % 2 else 1
     values = []
     for i in range(e_mod.rank):

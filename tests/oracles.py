@@ -26,7 +26,12 @@ definitions:
 - ``eval_multilinear``, a k-basis table evaluated on vectors of the
   ground module (``KBasis.ground``), and ``spelled``, such a vector in the
   words of an exhaustive report's residual;
-- ``hom_element_to_morphism``, an element of Hom(M, N) read as a map;
+- ``simple_tensor``, v (x) w of two elements, ``connection_termwise``,
+  a connection applied coefficient by coefficient through it, and
+  ``morphism_termwise``, an A-linear map applied monomial by monomial,
+  which the package's one first-order rule ``operator_terms`` replaces;
+- ``hom_element_to_morphism``, an element of Hom(M, N) = dual(M) (x) N
+  read as a map;
 - ``bracket_vectors``, the Lie bracket on coordinate vectors;
 - ``cohomology_basis``, the representatives of one degree of H;
 - ``a_multilinearity_violations``, where a k-basis table differs from
@@ -44,13 +49,13 @@ from collections.abc import Sequence
 
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
 from kapranov.cohomology import CochainComplex
-from kapranov.connections import AtiyahCocycle, atiyah_cocycle
+from kapranov.connections import AtiyahCocycle, DeltaConnection, atiyah_cocycle
 from kapranov.graded import ONE, ZERO, MultilinearMap, exact
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                extend_module_table)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, contract,
-                              tensor_split)
+                              tensor_index, tensor_split)
 
 
 def pair(beta: ModuleElement, v: ModuleElement) -> AlgebraElement:
@@ -174,6 +179,60 @@ def module_differential_termwise(module: DgModule,
                 out = out + ModuleElement(module, {i: da})
             sign = -1 if len(mon) % 2 else 1
             out = out + de.left_mul(am).scale(sign)
+    return out
+
+
+def simple_tensor(t: DgModule, v: ModuleElement, w: ModuleElement) -> ModuleElement:
+    """v (x) w inside a tensor module (coefficients move to the left)."""
+    m, n = t.tensor_factors
+    if v.module.basis != m.basis or w.module.basis != n.basis:
+        raise ValueError("tensor factors do not match")
+    out = t.zero()
+    for i, a in v.coeffs.items():
+        for j, b in w.coeffs.items():
+            di = m.basis.degrees[i]
+            acc = AlgebraElement()
+            for mon_b, cb in b.terms.items():
+                sign = -1 if (len(mon_b) * di) % 2 else 1
+                acc = acc + AlgebraElement._trusted({mon_b: sign * cb})
+            out = out + ModuleElement(t, {tensor_index(t, i, j): a * acc})
+    return out
+
+
+def connection_termwise(conn: DeltaConnection,
+                        v: ModuleElement) -> ModuleElement:
+    """nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e), one
+    coefficient at a time, delta(a) (x) e by :func:`simple_tensor`."""
+    out = conn.tensor.zero()
+    odd = conn.delta.degree % 2
+    for i, a in v.coeffs.items():
+        da = conn.delta(a)
+        if not da.is_zero():
+            out = out + simple_tensor(
+                conn.tensor, da, ModuleElement.basis_vector(conn.module, i))
+        val = conn.values.get(i)
+        if val is not None:
+            if odd:
+                a = AlgebraElement._trusted({
+                    mon: -c if len(mon) % 2 else c
+                    for mon, c in a.terms.items()})
+            out = out + val.left_mul(a)
+    return out
+
+
+def morphism_termwise(f: ModuleMorphism, v: ModuleElement) -> ModuleElement:
+    """f(a.e) = (-1)^{r|a|} a.f(e), one monomial at a time, with f(e_i)
+    read off ``matrix``."""
+    out = f.target.zero()
+    for i, a in v.coeffs.items():
+        img = ModuleElement(f.target, {j: b for (k, j), b in f.matrix.items()
+                                       if k == i})
+        if img.is_zero():
+            continue
+        for mon, c in a.terms.items():
+            sign = -1 if (f.degree * len(mon)) % 2 else 1
+            out = out + img.left_mul(
+                AlgebraElement._trusted({mon: ONE})).scale(sign * c)
     return out
 
 
@@ -366,10 +425,16 @@ def spelled(v: ModuleElement) -> str:
 
 def hom_element_to_morphism(h: DgModule, x: ModuleElement,
                             degree: int) -> ModuleMorphism:
-    """Interpret a homogeneous element of hom_module(M, N) as an A-linear map."""
-    m, n = h.hom_factors
-    return ModuleMorphism(m, n, degree, {divmod(k, n.rank): a
-                                         for k, a in x.coeffs.items()})
+    """Interpret a homogeneous element of Hom(M, N) = dual(M) (x) N as an
+    A-linear map: e_i* (x) f_k is (-1)^{|e_i||f_k|} times the map
+    e_i -> f_k."""
+    dual, n = h.tensor_factors
+    m = dual.dual_of
+    matrix = {}
+    for t, a in x.coeffs.items():
+        i, k = tensor_split(h, t)
+        matrix[(i, k)] = -a if m.basis.degrees[i] * n.basis.degrees[k] % 2 else a
+    return ModuleMorphism(m, n, degree, matrix)
 
 
 def bracket_vectors(lie: LieAlgebraData, v: dict, w: dict) -> dict:

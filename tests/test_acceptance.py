@@ -25,10 +25,11 @@ from kapranov.kapranov import (bracket_nonskew_witness, check_leibniz_infinity,
                                kapranov_brackets, kapranov_morphism,
                                trivialization)
 from kapranov.modules import (ModuleElement, ModuleMorphism,
-                              apply_module_differential, simple_tensor)
+                              apply_module_differential)
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module)
-from oracles import a_multilinearity_violations, loday_pirashvili_bracket
+from oracles import (a_multilinearity_violations, loday_pirashvili_bracket,
+                     simple_tensor)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"

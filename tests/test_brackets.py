@@ -22,10 +22,10 @@ from kapranov.kapranov import (MorphismFamily, MultilinearMap,
                                exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_morphism,
                                trivialization)
-from kapranov.modules import ModuleElement, ModuleMorphism, simple_tensor
+from kapranov.modules import ModuleElement, ModuleMorphism
 from module_tower import check_module_identities, kapranov_module
 from oracles import (a_multilinearity_violations, bracket_on_elements,
-                     eval_multilinear, tensor_of_elements)
+                     eval_multilinear, simple_tensor, tensor_of_elements)
 
 F = Fraction
 GRADED_TOY = (pathlib.Path(__file__).resolve().parent / "fixtures"

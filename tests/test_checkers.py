@@ -57,11 +57,11 @@ from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                exhaustive_morphism, homotopy_iso,
                                kapranov_brackets, kapranov_morphism,
                                trivialization)
-from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
-                              simple_tensor)
+from kapranov.modules import DgModule, ModuleElement, ModuleMorphism
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module, module_structures)
-from oracles import eval_multilinear, eval_table_on_elements, spelled
+from oracles import (eval_multilinear, eval_table_on_elements, simple_tensor,
+                     spelled)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))

@@ -15,10 +15,9 @@ from kapranov.connections import (AtiyahClass, DeltaConnection,
 from kapranov.derivations import DgDerivation
 from kapranov.graded import GradedBasis
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
-                              apply_module_differential, contract, dual_module,
-                              simple_tensor)
+                              apply_module_differential, contract, dual_module)
 from module_tower import apply_om_hom, check_naturality
-from oracles import atiyah_apply, atiyah_bilinear
+from oracles import atiyah_apply, atiyah_bilinear, simple_tensor
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -120,6 +119,23 @@ class TestAtiyahCocycle:
                        + apply_om_hom(x, apply_module_differential(bmod, e)).scale(sign))
                 assert lhs == rhs, (xkey, ekey)
 
+    @pytest.mark.parametrize("name", [
+        "tests/fixtures/graded_toy.json", "instances/sl2_borel.json",
+        "instances/adjoint_linear_map.json", "bench/instances/sl3_borel.json"])
+    def test_element_reads_back_as_the_operator(self, name):
+        # End(B) = dual(B) (x) B holds the map e_i -> f_k as
+        # (-1)^{|e_i||f_k|} e_i* (x) f_k; the graded toy's B has basis
+        # vectors of both parities, so the sign is seen
+        from kapranov.cli import Instance, load_document
+        inst = Instance(load_document(str(ROOT / name)))
+        for conn in filter(None, (inst.setup.connection,
+                                  inst.second_connection)):
+            at = atiyah_cocycle(conn)
+            assert at.is_closed()
+            for key in at.module.kbasis():
+                e = at.module.kbasis_element(key)
+                assert apply_om_hom(at.element, e) == atiyah_apply(at, e)
+
     def test_bilinear_oracle_sl2_borel(self, nabla0, bmod):
         # At(fb, fb) = 2 e^.fb for the standard splitting of sl2/Borel
         at = atiyah_cocycle(nabla0)
@@ -194,11 +210,13 @@ class TestAtiyahClass:
         # each command compares a second class with the first, which reads
         # only the first one's complex; the connection difference lies in
         # the first cocycle's Omega (x) End(B), and a tower's seed reads
-        # only operator values: one complex, and one End(B) per class
+        # only operator values: one complex, and one End(B) per class.
+        # End(B) = dual(B) (x) B, and an Omega (x) End(B) is the only
+        # module of connections.py built on a dual_module
         from kapranov import cli, connections
         complexes, ends = [], []
         for name, calls in (("CochainComplex", complexes),
-                            ("end_module", ends)):
+                            ("dual_module", ends)):
             original = getattr(connections, name)
             monkeypatch.setattr(
                 connections, name, lambda *a, original=original, calls=calls:

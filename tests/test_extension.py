@@ -26,9 +26,9 @@ from kapranov.derivations import DerivationMorphism
 from kapranov.graded import GradedBasis, MultilinearMap
 from kapranov.kapranov import (KBasis, extend_module_table, homotopy_iso,
                                kapranov_brackets, kapranov_morphism)
-from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
-                              simple_tensor)
+from kapranov.modules import DgModule, ModuleElement, ModuleMorphism
 from module_tower import coadjoint_module, kapranov_module
+from oracles import simple_tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))

@@ -426,8 +426,10 @@ MODULE_TOWER_FILE = pathlib.Path(__file__).resolve().parent / "module_tower.py"
 # the second vector type of the k-basis tables and its converter, which
 # the ground module replaced, and the helpers deleted with their last
 # caller in the package, among them the checks of a linear-map object
-# that the dg checks repeat.  An entry without a dot is matched at any
-# depth, one with a dot as that method.
+# that the dg checks repeat, the internal hom that the tensor module
+# dual(E) (x) F replaced, and the element tensor that the one operator
+# rule replaced.  An entry without a dot is matched at any depth, one
+# with a dot as that method.
 MOVED = frozenset(
     node.name for node in ast.parse(MODULE_TOWER_FILE.read_text()).body
     if isinstance(node, (ast.FunctionDef, ast.ClassDef))) | {
@@ -437,7 +439,8 @@ MOVED = frozenset(
         "tensor_of_elements", "eval_table_on_tensor",
         "eval_table_on_elements", "LinearMapObject.validate",
         "LinearMapObject.rho", "LinearMapObject.act",
-        "LinearMapObject.psi_of"}
+        "LinearMapObject.psi_of", "simple_tensor", "hom_module",
+        "end_module"}
 
 
 def moved_definitions(source: str) -> list[str]:

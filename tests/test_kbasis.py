@@ -42,8 +42,8 @@ from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
                                compose_morphism_families, exhaustive_morphism,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                              apply_module_differential, simple_tensor)
-from oracles import cohomology_basis, eval_multilinear
+                              apply_module_differential)
+from oracles import cohomology_basis, eval_multilinear, simple_tensor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted((ROOT / "instances").glob("*.json")) \

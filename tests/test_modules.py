@@ -1,7 +1,12 @@
-"""dg modules: differentials, duals, tensors, homs, contraction."""
+"""dg modules: differentials, duals, tensors, homs, contraction.
+
+Hom(M, N) is the tensor module dual(M) (x) N, read as maps through the
+signed identification of ``oracles.hom_element_to_morphism``.
+"""
 
 from __future__ import annotations
 
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -9,12 +14,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kapranov.algebra import AlgebraElement, ce_algebra
+from kapranov.cli import Instance, load_document
 from kapranov.graded import GradedBasis
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               apply_module_differential, contract, dual_module,
-                              end_module, hom_module, simple_tensor,
                               tensor_module, validate_dg_module)
-from oracles import contract_termwise, hom_element_to_morphism, pair
+from oracles import (contract_termwise, hom_element_to_morphism, pair,
+                     simple_tensor)
+
+GRADED_TOY = pathlib.Path(__file__).resolve().parent / "fixtures" / "graded_toy.json"
+# Omega = <m, n> in degree 0 with d(m) = (1 + a).n: a coefficient of d
+# with monomials of both parities (the dg checks refuse it, as not
+# homogeneous, but the tensor differential is defined on it)
+INHOMOGENEOUS = {"field": "rational", "raw": {
+    "generators": ["a", "b"],
+    "omega": {"basis": ["m", "n"], "degrees": [0, 0],
+              "differential": {"0,1": {"": "1", "0": "1"}}}}}
 
 
 @pytest.fixture
@@ -37,6 +52,35 @@ def mixed(borel_alg):
     basis = GradedBasis(["u", "v"], [0, 1])
     return DgModule(borel_alg, basis,
                     {(0, 1): AlgebraElement.scalar(1)}, label="M")
+
+
+@pytest.fixture
+def hom_pairs(bott, mixed):
+    """(M, N) for Hom(M, N): the mixed and Bott modules both ways, End of
+    the mixed module, and End(B) of the graded toy, whose B has basis
+    vectors of both parities and odd differential entries."""
+    toy_b = Instance(load_document(str(GRADED_TOY))).setup.bmod
+    return [(mixed, bott), (bott, mixed), (mixed, mixed), (toy_b, toy_b)]
+
+
+def tensor_leibniz_failures(m, n, vkeys, wkeys):
+    """The pairs (v, w) of k-basis keys of M and N, from ``vkeys`` and
+    ``wkeys``, on which the differential of M (x) N breaks
+    d(v (x) w) = dv (x) w + (-1)^{|v|} v (x) dw."""
+    t = tensor_module(m, n)
+    failures = []
+    for vkey in vkeys:
+        v = m.kbasis_element(vkey)
+        sign = -1 if m.kdegree(vkey) % 2 else 1
+        for wkey in wkeys:
+            w = n.kbasis_element(wkey)
+            lhs = apply_module_differential(t, simple_tensor(t, v, w))
+            rhs = (simple_tensor(t, apply_module_differential(m, v), w)
+                   + simple_tensor(t, v, apply_module_differential(n, w)
+                                   ).scale(sign))
+            if lhs != rhs:
+                failures.append((vkey, wkey))
+    return failures
 
 
 def random_module_element(module, ints):
@@ -140,38 +184,40 @@ class TestTensorAndHom:
         assert validate_dg_module(t2) == []
 
     def test_tensor_leibniz(self, bott, mixed):
-        t = tensor_module(mixed, bott)
-        for vkey in mixed.kbasis():
-            v = mixed.kbasis_element(vkey)
-            dv = mixed.kdegree(vkey)
-            for wkey in bott.kbasis():
-                w = bott.kbasis_element(wkey)
-                lhs = apply_module_differential(t, simple_tensor(t, v, w))
-                sign = -1 if dv % 2 else 1
-                rhs = (simple_tensor(t, apply_module_differential(mixed, v), w)
-                       + simple_tensor(t, v, apply_module_differential(bott, w)).scale(sign))
-                assert lhs == rhs, (vkey, wkey)
+        assert tensor_leibniz_failures(mixed, bott, mixed.kbasis(),
+                                       bott.kbasis()) == []
 
-    def test_hom_validates(self, bott, mixed):
-        h = hom_module(mixed, bott)
-        assert validate_dg_module(h) == []
-        assert validate_dg_module(end_module(mixed)) == []
+    def test_tensor_leibniz_on_an_inhomogeneous_coefficient(self):
+        # d(e_i (x) f_j) on the module basis: each monomial of a
+        # coefficient of d(f_j) passes e_i with its own sign.  (On other
+        # k-basis pairs the rule needs homogeneous coefficients.)
+        setup = Instance(INHOMOGENEOUS).setup
+        omega, bmod = setup.omega, setup.bmod
+        assert omega.diff_matrix[(0, 1)].terms == {(): 1, (0,): 1}
+        basis = [((), 0), ((), 1)]
+        assert tensor_leibniz_failures(omega, bmod, basis, basis) == []
+        assert tensor_leibniz_failures(bmod, omega, basis, basis) == []
 
-    def test_hom_differential_is_graded_commutator(self, bott, mixed):
-        h = hom_module(mixed, bott)
-        for k in range(h.rank):
-            x = ModuleElement.basis_vector(h, k)
-            r = h.basis.degrees[k]
-            f = hom_element_to_morphism(h, x, r)
-            dx = apply_module_differential(h, x)
-            # commutator morphism: d o f - (-1)^r f o d, on basis vectors
-            sgn = -1 if r % 2 else 1
-            for i in range(mixed.rank):
-                lhs = hom_element_to_morphism(h, dx, r + 1)(
-                    ModuleElement.basis_vector(mixed, i))
-                rhs = (apply_module_differential(bott, f.of_basis(i))
-                       - f(mixed.diff_of_basis(i)).scale(sgn))
-                assert lhs == rhs, (k, i)
+    def test_hom_validates(self, hom_pairs):
+        for m, n in hom_pairs:
+            assert validate_dg_module(tensor_module(dual_module(m), n)) == []
+
+    def test_hom_differential_is_graded_commutator(self, hom_pairs):
+        for m, n in hom_pairs:
+            h = tensor_module(dual_module(m), n)
+            for k in range(h.rank):
+                x = ModuleElement.basis_vector(h, k)
+                r = h.basis.degrees[k]
+                f = hom_element_to_morphism(h, x, r)
+                dx = apply_module_differential(h, x)
+                # commutator morphism: d o f - (-1)^r f o d, on basis vectors
+                sgn = -1 if r % 2 else 1
+                for i in range(m.rank):
+                    lhs = hom_element_to_morphism(h, dx, r + 1)(
+                        ModuleElement.basis_vector(m, i))
+                    rhs = (apply_module_differential(n, f.of_basis(i))
+                           - f(m.diff_of_basis(i)).scale(sgn))
+                    assert lhs == rhs, (m, n, k, i)
 
     def test_identity_is_dg(self, mixed):
         assert ModuleMorphism.identity(mixed).dg_failures() == []

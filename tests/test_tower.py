@@ -42,11 +42,11 @@ from kapranov.kapranov import (check_leibniz_infinity,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               apply_module_differential, contract,
-                              dual_module, simple_tensor)
+                              dual_module)
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module)
 from oracles import (atiyah_bilinear, derive_tensor, eval_table_on_elements,
-                     eval_table_on_tensor, tensor_of_elements)
+                     eval_table_on_tensor, simple_tensor, tensor_of_elements)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "instances").glob("*.json"))
