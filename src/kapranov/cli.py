@@ -365,16 +365,18 @@ def cmd_validate(inst: Instance, args) -> dict:
     s, checks = inst.setup, []
     if inst.lie is not None:
         checks.append(named_check("jacobi", inst.lie.jacobi_failures()))
-    checks.append(named_check("cdga_d_squared", validate_cdga(s.algebra)))
-    checks.append(named_check("module_d_squared", validate_dg_module(s.omega)))
-    checks.append(named_check("dual_module_d_squared",
-                              validate_dg_module(s.bmod)))
-    checks.append(named_check("derivation_compatibility",
-                              validate_dg_derivation(s.delta)))
-    conn_fail = []
+    d_squared = [
+        named_check("cdga_d_squared", validate_cdga(s.algebra)),
+        named_check("module_d_squared", validate_dg_module(s.omega)),
+        named_check("dual_module_d_squared", validate_dg_module(s.bmod))]
+    checks += d_squared + [named_check("derivation_compatibility",
+                                       validate_dg_derivation(s.delta))]
+    # [nabla, d] is a cocycle only where d^2 = 0: closedness means nothing
+    # after a failed d^2 check
+    stopped = next((c["name"] for c in d_squared if not c["passed"]), None)
+    conn_fail = [f"not run: {stopped} failed"] if stopped else []
     try:
-        at = atiyah_cocycle(s.connection)
-        if not at.is_closed():
+        if not stopped and not atiyah_cocycle(s.connection).is_closed():
             conn_fail.append("Atiyah cocycle of the canonical connection "
                              "is not closed")
     except ValueError as e:
@@ -390,12 +392,18 @@ def cmd_atiyah(inst: Instance, args) -> dict:
     cls = AtiyahClass(s.delta, s.bmod, s.connection)
     at = cls.cocycle
     class_zero = cls.is_zero()
-    flat = flat_connection_exists(s.delta, s.bmod)
+    # flat is read from the zero connection's cocycle, class_zero from the
+    # document's: agreeing, they show the class does not depend on nabla
+    flat = flat_connection_exists(cls)
+    flat_fail = [] if (flat is not None) == class_zero else [
+        "flat connection search disagrees with the class"]
+    if flat is not None and not all(
+            v.is_zero() for v in atiyah_cocycle(flat).operator_values):
+        flat_fail.append("the flat connection found has a nonzero Atiyah "
+                         "cocycle")
     checks = [named_check("cocycle_closed",
                           [] if at.is_closed() else ["[nabla, d] is not closed"]),
-              named_check("flat_agrees_with_class_vanishing",
-                          [] if (flat is not None) == class_zero else
-                          ["flat connection search disagrees with the class"])]
+              named_check("flat_agrees_with_class_vanishing", flat_fail)]
     out = {
         "command": "atiyah",
         "label": inst.label,

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .cohomology import CochainComplex, solve_columns
+from .cohomology import CochainComplex
 from .derivations import DgDerivation
-from .modules import (DgModule, KBasis, ModuleElement,
+from .modules import (DgModule, ModuleElement,
                       apply_module_differential, apply_operator, dual_module,
                       operator_terms, tensor_index, tensor_module,
                       tensor_split)
@@ -101,6 +101,22 @@ def operator_to_om_hom_element(om_hom: DgModule,
     return ModuleElement._trusted(om_hom, coeffs)
 
 
+def om_hom_element_to_operator(x: ModuleElement,
+                               target: DgModule) -> list[ModuleElement]:
+    """The basis values E -> ``target`` = Omega (x) F of an element of
+    Omega (x) Hom(E, F): the inverse of :func:`operator_to_om_hom_element`."""
+    hom = x.module.tensor_factors[1]
+    dual, f_mod = hom.tensor_factors
+    coeffs: list[dict] = [{} for _ in range(dual.rank)]
+    for t_idx, a in x.coeffs.items():
+        j, h = tensor_split(x.module, t_idx)
+        i, k = tensor_split(hom, h)
+        if dual.basis.degrees[i] * f_mod.basis.degrees[k] % 2:
+            a = -a
+        coeffs[i][tensor_index(target, j, k)] = a
+    return [ModuleElement._trusted(target, c) for c in coeffs]
+
+
 class AtiyahCocycle:
     """The Atiyah cocycle [nabla, d] of a delta-connection.
 
@@ -179,46 +195,22 @@ def connection_difference_element(c1: DeltaConnection, c2: DeltaConnection,
     return operator_to_om_hom_element(om_end, values)
 
 
-def flat_connection_exists(delta: DgDerivation,
-                           module: DgModule) -> DeltaConnection | None:
-    """Search for a delta-connection with vanishing Atiyah cocycle.
+def flat_connection_exists(cls: AtiyahClass) -> DeltaConnection | None:
+    """A delta-connection on the module of ``cls`` with vanishing Atiyah
+    cocycle, or None.
 
-    The unknowns are the basis values nabla(e_i); the vanishing of
-    [nabla, d] is an affine-linear condition, solved exactly over Q.
-    With d e_i = sum_j a_ij e_j, row block i of the condition reads
-    c_i + sum_j a_ij.nabla(e_j) - d(nabla(e_i)) = 0, where
-    c_i = sum_j delta(a_ij) (x) e_j is the cocycle of the zero connection.
-    So an unknown k-basis element w of nabla(e_j) has the column a_ij.w
-    in each row block i and -d(w) in row block j.
-    Returns a flat connection or None.
+    For an A-linear theta of degree 0, [nabla_0 + theta, d] = [nabla_0, d]
+    - d(theta) in Omega (x) End(E).  So a flat connection exists exactly
+    when the cocycle of the zero connection nabla_0 is a coboundary, and
+    nabla_0 + theta is flat for its primitive theta (free variables zero),
+    read in the complex of ``cls``.
     """
-    tensor = omega_tensor(delta, module)
-    kb = KBasis(tensor)
-    degrees = module.basis.degrees
-    rows = [d + 1 for d in degrees]  # the degree of row block i
-    diffs = [module.diff_of_basis(i) for i in range(module.rank)]
-    zero = DeltaConnection(delta, module, {}, tensor=tensor)
-    base = [c for i, de in enumerate(diffs)
-            for c in kb.to_vector(zero(de), rows[i])]
-    columns = []
-    for j, d in enumerate(degrees):
-        uses = [(i, de.coeffs[j]) for i, de in enumerate(diffs)
-                if j in de.coeffs]
-        for key in kb.slice(d):
-            w = tensor.kbasis_element(key)
-            blocks = [tensor.zero() for _ in degrees]
-            for i, a in uses:
-                blocks[i] = blocks[i] + w.left_mul(a)
-            dw = kb.differential_vector(key, rows[j])
-            vecs = [kb.to_vector(v, rows[i]) for i, v in enumerate(blocks)]
-            vecs[j] = [a - b for a, b in zip(vecs[j], dw)]
-            columns.append([c for vec in vecs for c in vec])
-    x = solve_columns(base, columns)
-    if x is None:
+    tensor = cls.connection.tensor
+    zero = DeltaConnection(cls.delta, cls.module, {}, tensor=tensor)
+    theta = cls.complex.is_coboundary(operator_to_om_hom_element(
+        cls.cocycle.om_end, atiyah_cocycle(zero).operator_values))
+    if theta is None:
         return None
-    values, start = {}, 0
-    for i, d in enumerate(degrees):
-        size = len(kb.slice(d))
-        values[i] = kb.from_vector(x[start:start + size], d)
-        start += size
-    return DeltaConnection(delta, module, values, tensor=tensor)
+    values = om_hom_element_to_operator(theta, tensor)
+    return DeltaConnection(cls.delta, cls.module, dict(enumerate(values)),
+                           tensor=tensor)

@@ -9,7 +9,7 @@ delta' - delta = d o h + h o d_A.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, CdgaPresentation, leibniz_terms
-from .cohomology import solve_columns
+from .cohomology import from_columns, solve_linear
 from .graded import GradedBasis
 from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                       apply_module_differential)
@@ -138,7 +138,7 @@ def find_homotopy(delta: DgDerivation,
     gens = range(alg.n_generators)
     d_gens = [alg.diff.get(g, AlgebraElement()) for g in gens]
     zero = omega.zero()
-    base = [-c for g in gens for c in kb.to_vector(
+    target = [c for g in gens for c in kb.to_vector(
         delta_prime.values.get(g, zero) - delta.values.get(g, zero), 1)]
     columns = []
     for g in gens:
@@ -148,7 +148,7 @@ def find_homotopy(delta: DgDerivation,
             vecs = [kb.to_vector(h(d_gen), 1) for d_gen in d_gens]
             vecs[g] = [a + b for a, b in zip(vecs[g], dw)]
             columns.append([c for vec in vecs for c in vec])
-    x = solve_columns(base, columns)
+    x = solve_linear(from_columns(columns, len(target)), target)
     if x is None:
         return None
     n0 = len(kb.slice(0))

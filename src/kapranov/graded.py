@@ -117,19 +117,26 @@ def ordered_partitions(n: int, q: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
     Each block is listed in increasing order and the blocks are arranged so
     that their maxima increase.  Yielded deterministically (lexicographic in
-    the block-assignment vector).
+    the block-assignment vector).  Enumerated by restricted growth: each
+    element joins an open block, while enough elements remain to open all
+    q, or opens the next.
     """
-    if q < 1 or q > n:
-        return
-    for assign in itertools.product(range(q), repeat=n):
-        blocks: list[list[int]] = [[] for _ in range(q)]
-        for elt, b in zip(range(1, n + 1), assign):
-            blocks[b].append(elt)
-        if any(not b for b in blocks):
-            continue
-        maxima = [b[-1] for b in blocks]
-        if all(maxima[i] < maxima[i + 1] for i in range(q - 1)):
-            yield tuple(tuple(b) for b in blocks)
+    found = []
+
+    def grow(blocks: tuple, elt: int) -> None:
+        if elt > n:
+            found.append(tuple(sorted(blocks, key=lambda b: b[-1])))
+            return
+        if n - elt >= q - len(blocks):
+            for k, b in enumerate(blocks):
+                grow(blocks[:k] + (b + (elt,),) + blocks[k + 1:], elt + 1)
+        if len(blocks) < q:
+            grow(blocks + ((elt,),), elt + 1)
+
+    if 1 <= q <= n:
+        grow((), 1)
+    yield from sorted(found, key=lambda p: [
+        next(k for k, b in enumerate(p) if e in b) for e in range(1, n + 1)])
 
 
 def partition_sign(blocks: Sequence[Sequence[int]], degrees: Sequence[int]) -> int:

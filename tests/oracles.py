@@ -39,7 +39,12 @@ definitions:
 - ``loday_pirashvili_bracket``, the Leibniz bracket psi(e_i).e_j of a
   linear-map object, which its R_2 recovers, and
   ``linear_map_failures``, whether its rho is a representation and its
-  psi equivariant, checked on the defining data.
+  psi equivariant, checked on the defining data;
+- ``reference_ordered_partitions``, the ordered partitions by a walk over
+  all q^n block assignments, which restricted growth replaces;
+- ``reference_flat_connection_exists``, the flat-connection search as its
+  own affine system over Omega (x) E, one column per k-basis unknown,
+  which the primitive of the zero connection's Atiyah cocycle replaces.
 """
 
 from __future__ import annotations
@@ -48,8 +53,10 @@ import itertools
 from collections.abc import Sequence
 
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
-from kapranov.cohomology import CochainComplex
-from kapranov.connections import AtiyahCocycle, DeltaConnection, atiyah_cocycle
+from kapranov.cohomology import CochainComplex, solve_linear
+from kapranov.connections import (AtiyahCocycle, DeltaConnection,
+                                  atiyah_cocycle, omega_tensor)
+from kapranov.derivations import DgDerivation
 from kapranov.graded import ONE, ZERO, MultilinearMap, exact
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                extend_module_table)
@@ -539,3 +546,79 @@ def linear_map_failures(data) -> list[str]:
                 out.append(f"psi is not equivariant at "
                            f"({lie.names[a]}, {data.e_names[i]})")
     return out
+
+
+def reference_ordered_partitions(n: int, q: int):
+    """The ordered partitions of {1..n} into q blocks, blocks increasing,
+    maxima increasing, in lexicographic order of the block-assignment
+    vector: the walk over all q^n assignments."""
+    if q < 1 or q > n:
+        return
+    for assign in itertools.product(range(q), repeat=n):
+        blocks: list[list[int]] = [[] for _ in range(q)]
+        for elt, b in zip(range(1, n + 1), assign):
+            blocks[b].append(elt)
+        if any(not b for b in blocks):
+            continue
+        maxima = [b[-1] for b in blocks]
+        if all(maxima[i] < maxima[i + 1] for i in range(q - 1)):
+            yield tuple(tuple(b) for b in blocks)
+
+
+def reference_flat_connection_exists(delta: DgDerivation,
+                                     module: DgModule) -> DeltaConnection | None:
+    """The original flat-connection search, with its own slicing of the
+    k-basis of Omega (x) E.
+
+    The unknowns are the basis values nabla(e_i); the vanishing of
+    [nabla, d] is an affine-linear condition, solved exactly over Q.
+    Returns a flat connection or None.
+    """
+    tensor = omega_tensor(delta, module)
+    slices: dict[int, list] = {}
+    for key in tensor.kbasis():
+        slices.setdefault(tensor.kdegree(key), []).append(key)
+    slots = [(i, key) for i in range(module.rank)
+             for key in slices.get(module.basis.degrees[i], [])]
+    n_unknowns = len(slots)
+
+    def to_vector(v: ModuleElement, deg: int) -> list:
+        idx = {key: n for n, key in enumerate(slices.get(deg, []))}
+        out = [ZERO] * len(idx)
+        for i, a in v.coeffs.items():
+            for mon, c in a.terms.items():
+                out[idx[(mon, i)]] += c
+        return out
+
+    def connection_from_vector(x) -> DeltaConnection:
+        values: dict[int, ModuleElement] = {}
+        for c, (i, key) in zip(x, slots):
+            if c:
+                cur = values.get(i, tensor.zero())
+                values[i] = cur + tensor.kbasis_element(key).scale(c)
+        return DeltaConnection(delta, module, values)
+
+    def residual(conn: DeltaConnection) -> list:
+        out: list = []
+        for i in range(module.rank):
+            e = ModuleElement.basis_vector(module, i)
+            t = (conn(module.diff_of_basis(i))
+                 - apply_module_differential(tensor, conn(e)))
+            out.extend(to_vector(t, module.basis.degrees[i] + 1))
+        return out
+
+    base = residual(connection_from_vector([ZERO] * n_unknowns))
+    columns = []
+    for u in range(n_unknowns):
+        x = [ZERO] * n_unknowns
+        x[u] = ONE
+        col = residual(connection_from_vector(x))
+        columns.append([a - b for a, b in zip(col, base)])
+    target = [-a for a in base]
+    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(len(base))]
+    x = solve_linear(eqs, target)
+    if x is None:
+        return None
+    if not x:
+        x = [ZERO] * n_unknowns
+    return connection_from_vector(x)

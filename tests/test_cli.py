@@ -433,6 +433,9 @@ class TestCorruptedFixtures:
         rep = json.loads(out)
         bad = {c["name"]: c for c in rep["checks"] if not c["passed"]}
         assert "d^2(a)" in bad["cdga_d_squared"]["failures"][0]
+        # closedness of the Atiyah cocycle means nothing where d^2 != 0
+        assert bad["connection"]["failures"] == [
+            "not run: cdga_d_squared failed"]
 
     def test_incompatible_delta_is_located(self, capsys):
         code, out, _ = run(capsys, "validate",
@@ -462,6 +465,41 @@ class TestCommands:
         assert code == 0
         assert rep["class_zero"] is True
         assert rep["flat_connection_found"] is True
+
+    @pytest.mark.parametrize("returned, failure", [
+        ("canonical", "the flat connection found has a nonzero Atiyah cocycle"),
+        (None, "flat connection search disagrees with the class")])
+    def test_atiyah_refuses_a_connection_that_is_not_flat(
+            self, capsys, monkeypatch, returned, failure):
+        # affine_pair's class is zero but its canonical connection is not
+        # flat: returning it, or returning nothing, fails the check
+        from kapranov import cli
+        monkeypatch.setattr(
+            cli, "flat_connection_exists", lambda cls:
+            cls.connection if returned == "canonical" else None)
+        code, out, _ = run(capsys, "atiyah",
+                           "--input", str(INSTANCES / "affine_pair.json"))
+        assert code == 1
+        rep = json.loads(out)
+        assert rep["class_zero"] is True
+        bad = {c["name"]: c["failures"] for c in rep["checks"]
+               if not c["passed"]}
+        assert bad == {"flat_agrees_with_class_vanishing": [failure]}
+
+    @pytest.mark.parametrize("path", [
+        ROOT / "bench" / "instances" / "sl3_borel.json",
+        INSTANCES / "affine_pair.json", FIXTURES / "graded_toy.json"],
+        ids=lambda p: p.stem)
+    def test_atiyah_builds_one_kbasis(self, capsys, monkeypatch, path):
+        # the class and the flat connection are read in one complex
+        from kapranov.modules import KBasis
+        built = []
+        init = KBasis.__init__
+        monkeypatch.setattr(KBasis, "__init__", lambda self, module:
+                            built.append(module) or init(self, module))
+        code, _, _ = run(capsys, "atiyah", "--input", str(path))
+        assert code == 0
+        assert len(built) == 1
 
     def test_brackets_report_tables(self, capsys):
         code, out, _ = run(capsys, "brackets",
@@ -692,11 +730,12 @@ class TestBuildTimeCheckFailures:
             assert "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n" in err, command
 
     # linear-map objects that the dg checks refuse: a rho that is no
-    # representation gives d^2 != 0 on Omega and on B, and a psi that is
-    # not equivariant a delta that is no chain map
+    # representation gives d^2 != 0 on Omega and on B, so the connection
+    # check does not run, and a psi that is not equivariant a delta that is
+    # no chain map
     BAD_LINEAR_MAPS = {
         "rho": ({"0": {"1,1": "1"}, "1": {"0,0": "1"}}, {},
-                ["module_d_squared", "dual_module_d_squared"],
+                ["module_d_squared", "dual_module_d_squared", "connection"],
                 "d^2(a~) = [(-1)*x^^y^]*a~"),
         "psi": ({"0": {"1,1": "1"}, "1": {"0,1": "-1"}}, {"0": {"1": "1"}},
                 ["derivation_compatibility", "connection"],

@@ -16,7 +16,7 @@ from kapranov.graded import (GradedBasis, MultilinearMap, exact, exact_div,
                              koszul_sign, ordered_partitions, partition_sign,
                              shuffles)
 from kapranov.modules import DgModule, ModuleElement
-from oracles import eval_multilinear
+from oracles import eval_multilinear, reference_ordered_partitions
 
 
 def brute_force_koszul(sigma, degrees):
@@ -144,6 +144,12 @@ class TestOrderedPartitions:
         for n in range(1, 7):
             for q in range(1, n + 1):
                 assert len(list(ordered_partitions(n, q))) == stirling2(n, q)
+
+    def test_enumeration_matches_the_walk_over_all_assignments(self):
+        for n in range(8):
+            for q in range(-1, n + 2):
+                assert list(ordered_partitions(n, q)) \
+                    == list(reference_ordered_partitions(n, q)), (n, q)
 
     def test_partition_sign_even_degrees(self):
         assert partition_sign(((2,), (1, 3)), [0, 0, 0]) == 1

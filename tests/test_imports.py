@@ -440,7 +440,7 @@ MOVED = frozenset(
         "eval_table_on_elements", "LinearMapObject.validate",
         "LinearMapObject.rho", "LinearMapObject.act",
         "LinearMapObject.psi_of", "simple_tensor", "hom_module",
-        "end_module"}
+        "end_module", "solve_columns"}
 
 
 def moved_definitions(source: str) -> list[str]:

@@ -1,19 +1,19 @@
 """One k-basis indexer: oracles for the paths that now share it.
 
 ``KBasis`` slices the k-basis by degree and converts to and from dense
-coordinates for the cochain complexes, the homotopy search and the
-flat-connection search, and both searches build one column per unknown
-for one solver, ``solve_columns``; the composition of morphism towers
-goes through the checker's partition join, on module tables.  The
-original complex with its incremental ``RowSpace``, both original
-searches and the original composition loop are kept here verbatim as
-oracles, and every instance document of the repository, and random
+coordinates for the cochain complexes and the homotopy search, which
+builds one column per unknown for ``solve_linear``; the flat-connection
+search reads a primitive in the Atiyah class's complex; the composition
+of morphism towers goes through the checker's partition join, on module
+tables.  The original complex with its incremental ``RowSpace``, the
+original homotopy search and the original composition loop are kept here
+verbatim as oracles, with the original flat-connection search in
+``oracles``, and every instance document of the repository, and random
 complexes, must give the same answers through both: a composite's
 A-multilinear extension is the original loop's k-basis table, and
 ``check_linfty_morphism`` decides the composite on module-basis tuples
 with the exhaustive checker's report.
 """
-
 from __future__ import annotations
 
 import functools
@@ -31,8 +31,8 @@ from kapranov.algebra import AlgebraElement, CdgaPresentation, Monomial
 from kapranov.cli import Instance, load_document
 from kapranov.cohomology import (CochainComplex, _divided, _eliminate,
                                  kernel_basis, solve_linear)
-from kapranov.connections import (DeltaConnection, flat_connection_exists,
-                                  omega_tensor)
+from kapranov.connections import (AtiyahClass, DeltaConnection,
+                                  flat_connection_exists)
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
                                   DgDerivation, find_homotopy)
 from kapranov.graded import (ONE, ZERO, GradedBasis, MultilinearMap,
@@ -43,7 +43,8 @@ from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                               apply_module_differential)
-from oracles import cohomology_basis, eval_multilinear, simple_tensor
+from oracles import (cohomology_basis, eval_multilinear,
+                     reference_flat_connection_exists, simple_tensor)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted((ROOT / "instances").glob("*.json")) \
@@ -301,61 +302,6 @@ def reference_find_homotopy(delta: DgDerivation,
     return homotopy_from_vector(x)
 
 
-def reference_flat_connection_exists(delta: DgDerivation,
-                           module: DgModule) -> DeltaConnection | None:
-    """The original flat-connection search, kept verbatim as the oracle
-    (on the original complex).
-
-    Search for a delta-connection with vanishing Atiyah cocycle.
-
-    The unknowns are the basis values nabla(e_i); the vanishing of
-    [nabla, d] is an affine-linear condition, solved exactly over Q.
-    Returns a flat connection or None.
-    """
-    tensor = omega_tensor(delta, module)
-    cx = ReferenceCochainComplex(tensor)
-    slots: list[tuple[int, tuple]] = []
-    for i in range(module.rank):
-        deg = module.basis.degrees[i]
-        for key in cx.slice_basis(deg):
-            slots.append((i, key))
-    n_unknowns = len(slots)
-
-    def connection_from_vector(x: Sequence[Scalar]) -> DeltaConnection:
-        values: dict[int, ModuleElement] = {}
-        for c, (i, key) in zip(x, slots):
-            if c:
-                cur = values.get(i, tensor.zero())
-                values[i] = cur + tensor.kbasis_element(key).scale(c)
-        return DeltaConnection(delta, module, values)
-
-    def residual(conn: DeltaConnection) -> list[Scalar]:
-        out: list[Scalar] = []
-        for i in range(module.rank):
-            e = ModuleElement.basis_vector(module, i)
-            t = (conn(module.diff_of_basis(i))
-                 - apply_module_differential(tensor, conn(e)))
-            deg = module.basis.degrees[i] + 1
-            out.extend(cx.to_vector(t, deg))
-        return out
-
-    base = residual(connection_from_vector([ZERO] * n_unknowns))
-    columns = []
-    for u in range(n_unknowns):
-        x = [ZERO] * n_unknowns
-        x[u] = ONE
-        col = residual(connection_from_vector(x))
-        columns.append([a - b for a, b in zip(col, base)])
-    target = [-a for a in base]
-    eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(len(base))]
-    x = solve_linear(eqs, target)
-    if x is None:
-        return None
-    if not x:
-        x = [ZERO] * n_unknowns
-    return connection_from_vector(x)
-
-
 def reference_compose(outer: MorphismFamily, inner: MorphismFamily,
                               max_arity: int = 3) -> MorphismFamily:
     """The original per-tuple composition loop, kept verbatim as the oracle:
@@ -514,8 +460,10 @@ def test_homotopy_documents_cover_both_outcomes():
 
 @functools.lru_cache(maxsize=None)
 def flat_outcome(path: pathlib.Path):
+    # the search reads the complex of the class that ``atiyah`` builds
     s = instance(path).setup
-    return (flat_connection_exists(s.delta, s.bmod),
+    cls = AtiyahClass(s.delta, s.bmod, s.connection)
+    return (flat_connection_exists(cls),
             reference_flat_connection_exists(s.delta, s.bmod))
 
 
