@@ -332,15 +332,13 @@ class LieAlgebraData:
         return out
 
 
-def ce_algebra(lie: LieAlgebraData, name_fn=None) -> CdgaPresentation:
+def ce_algebra(lie: LieAlgebraData) -> CdgaPresentation:
     """Chevalley-Eilenberg algebra of a Lie algebra.
 
     Generators xi^k dual to the basis, with
     ``d(xi^k) = - sum_{i<j} c^k_ij xi^i ^ xi^j``.
     """
-    if name_fn is None:
-        name_fn = lambda n: n + "^"
-    gen_names = [name_fn(n) for n in lie.names]
+    gen_names = [n + "^" for n in lie.names]
     diff: dict[int, AlgebraElement] = {}
     for (i, j), row in lie.brackets.items():
         for k, c in row.items():

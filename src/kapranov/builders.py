@@ -239,7 +239,7 @@ class LinearMapObject:
         return len(self.e_names)
 
 
-def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
+def linear_map_setup(data: LinearMapObject) -> Setup:
     """A = CE(g), Omega = C(g, E^) with E^ in degree +1, delta = psi^.
 
     B = dual(Omega) = C(g, E[1]) carries the degenerate tower: the only
@@ -255,7 +255,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
             add_term(diff, (i, j), AlgebraElement.monomial((a,), -c))
     omega = DgModule(algebra, GradedBasis([n + "^" for n in data.e_names],
                                           [1] * dim), diff,
-                     label=f"Omega({label or data.label})")
+                     label=f"Omega({data.label})")
     values: dict[int, ModuleElement] = {}
     for a in range(len(data.lie.names)):
         acc: dict[int, AlgebraElement] = {}
@@ -266,7 +266,7 @@ def linear_map_setup(data: LinearMapObject, label: str = "") -> Setup:
         if acc:
             values[a] = ModuleElement(omega, acc)
     delta = DgDerivation(algebra, omega, values,
-                         label=f"psi^({label or data.label})")
+                         label=f"psi^({data.label})")
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
     conn = DeltaConnection(delta, bmod, label="trivial")
     return Setup(algebra, omega, delta, bmod, conn, data=data)

@@ -443,8 +443,7 @@ def bracket_tables_json(fam) -> dict:
 
 def cmd_brackets(inst: Instance, args) -> dict:
     require_defined(inst)
-    fam = kapranov_brackets(inst.setup.connection, inst.max_arity(args),
-                            label=inst.label)
+    fam = kapranov_brackets(inst.setup.connection, inst.max_arity(args))
     bmod = inst.setup.bmod
     diff = [bmod.diff_of_basis(i) for i in range(bmod.rank)]
     diff_entries = [{"arg": bmod.basis.names[i], "value": module_elem_json(dv)}
@@ -465,7 +464,7 @@ def cmd_brackets(inst: Instance, args) -> dict:
 def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
     require_defined(inst)
-    fam = kapranov_brackets(inst.setup.connection, n_max, label=inst.label)
+    fam = kapranov_brackets(inst.setup.connection, n_max)
     report = check_leibniz_infinity(fam, n_max)
     return {
         "command": "check-leibniz",
@@ -486,7 +485,7 @@ def cmd_morphism(inst: Instance, args) -> dict:
         n_max = MORPHISM_MAX_ARITY
     require_defined(inst)
     s = inst.setup
-    fam0 = kapranov_brackets(s.connection, n_max, label=inst.label)
+    fam0 = kapranov_brackets(s.connection, n_max)
     dm = DerivationMorphism(s.delta, s.delta, ModuleMorphism.identity(s.omega))
     checks = []
     if inst.second_connection is not None:
@@ -562,7 +561,7 @@ def cmd_homotopy(inst: Instance, args) -> dict:
 
 def cmd_cohomology(inst: Instance, args) -> dict:
     require_defined(inst)
-    fam = kapranov_brackets(inst.setup.connection, 2, label=inst.label)
+    fam = kapranov_brackets(inst.setup.connection, 2)
     cb = cohomology_leibniz_bracket(fam)
     degrees = [args.degree] if args.degree is not None else cb.complex.degrees()
     betti = {str(n): cb.complex.betti(n) for n in degrees}

@@ -95,7 +95,7 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     return x
 
 
-def from_columns(columns: list[Vector], n_rows: int) -> Matrix:
+def _from_columns(columns: list[Vector], n_rows: int) -> Matrix:
     """The n_rows-row matrix whose columns are ``columns``."""
     return [[col[i] for col in columns] for i in range(n_rows)]
 
@@ -134,9 +134,9 @@ class CochainComplex:
         """
         if n not in self._degrees:
             cocycles = kernel_basis(
-                from_columns(self.diff_matrix(n), self.dim(n + 1)), self.dim(n))
+                _from_columns(self.diff_matrix(n), self.dim(n + 1)), self.dim(n))
             boundaries = self.diff_matrix(n - 1)
-            _, pivots = rref(from_columns(boundaries + cocycles, self.dim(n)))
+            _, pivots = rref(_from_columns(boundaries + cocycles, self.dim(n)))
             rank = sum(1 for p in pivots if p < len(boundaries))
             self._degrees[n] = (len(cocycles), rank, [
                 self.kb.from_vector(cocycles[p - len(boundaries)], n)
@@ -170,7 +170,7 @@ class CochainComplex:
         target = self.kb.to_vector(v, n)
         if not rows:
             return None if any(target) else self.module.zero()
-        x = solve_linear(from_columns(rows, self.dim(n)), target)
+        x = solve_linear(_from_columns(rows, self.dim(n)), target)
         if x is None:
             return None
         return self.kb.from_vector(x, n - 1)
@@ -195,7 +195,7 @@ class CochainComplex:
         reps = self._degree(n)[2]
         # solve [reps | coboundaries] . x = v
         cols = [self.kb.to_vector(r, n) for r in reps] + self.diff_matrix(n - 1)
-        x = solve_linear(from_columns(cols, self.dim(n)),
+        x = solve_linear(_from_columns(cols, self.dim(n)),
                          self.kb.to_vector(v, n))
         if x is None:
             raise ValueError("closed element not in span of classes and coboundaries")

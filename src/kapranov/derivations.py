@@ -9,10 +9,11 @@ delta' - delta = d o h + h o d_A.
 from __future__ import annotations
 
 from .algebra import AlgebraElement, CdgaPresentation, leibniz_terms
-from .cohomology import from_columns, solve_linear
+from .cohomology import CochainComplex
 from .graded import GradedBasis
-from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                      apply_module_differential)
+from .modules import (DgModule, ModuleElement, ModuleMorphism,
+                      apply_module_differential, dual_module, tensor_index,
+                      tensor_module, tensor_split)
 
 
 def extend_derivation(target: DgModule, terms: dict, degree: int,
@@ -123,37 +124,33 @@ def find_homotopy(delta: DgDerivation,
                   delta_prime: DgDerivation) -> DerivationHomotopy | None:
     """Solve delta' - delta = d o h + h o d_A for a degree -1 derivation h.
 
-    The unknowns are the generator values h(g_i), elements of the degree-0
-    slice of Omega; the equations are linear, solved exactly over Q.  The
-    unknown h(g) = w, for a k-basis element w, has the column whose block
-    g' holds the degree-1 coordinates of h(d_A g'), with h = 0 on the
-    other generators, plus those of d(w) in block g.
-    Returns None when the two derivations are not homotopic.
+    delta' - delta = alpha o d_dR (:func:`universal_factorization`) and
+    d_dR is a chain map, so h = beta o d_dR exactly when [d, beta] = alpha
+    in Hom(Omega^1, Omega) = dual(Omega^1) (x) Omega, where dg_g -> a.w_j
+    is (-1)^{|w_j|} a.(dg_g* (x) w_j).  h is the primitive of alpha (free
+    variables zero); None when the two derivations are not homotopic.
     """
     if delta.target.basis != delta_prime.target.basis:
         raise ValueError("derivations must share the target module")
-    alg = delta.algebra
-    omega = delta.target
-    kb = KBasis(omega)
-    gens = range(alg.n_generators)
-    d_gens = [alg.diff.get(g, AlgebraElement()) for g in gens]
+    alg, omega = delta.algebra, delta.target
     zero = omega.zero()
-    target = [c for g in gens for c in kb.to_vector(
-        delta_prime.values.get(g, zero) - delta.values.get(g, zero), 1)]
-    columns = []
-    for g in gens:
-        for key in kb.slice(0):
-            h = DerivationHomotopy(alg, omega, {g: omega.kbasis_element(key)})
-            dw = kb.differential_vector(key, 1)
-            vecs = [kb.to_vector(h(d_gen), 1) for d_gen in d_gens]
-            vecs[g] = [a + b for a, b in zip(vecs[g], dw)]
-            columns.append([c for vec in vecs for c in vec])
-    x = solve_linear(from_columns(columns, len(target)), target)
-    if x is None:
+    alpha = universal_factorization(DgDerivation(alg, omega, {
+        g: delta_prime.values.get(g, zero) - delta.values.get(g, zero)
+        for g in range(alg.n_generators)}))
+    hom = tensor_module(dual_module(alpha.source), omega)
+    signs = [-1 if d % 2 else 1 for d in omega.basis.degrees]
+    cx = CochainComplex(hom)
+    alpha_hom = ModuleElement(hom, {tensor_index(hom, g, j): a.scale(signs[j])
+                                    for (g, j), a in alpha.matrix.items()})
+    beta = cx.is_coboundary(alpha_hom) if cx.is_cocycle(alpha_hom) else None
+    if beta is None:
         return None
-    n0 = len(kb.slice(0))
+    values: dict[int, dict[int, AlgebraElement]] = {}
+    for t, a in beta.coeffs.items():
+        g, j = tensor_split(hom, t)
+        values.setdefault(g, {})[j] = a.scale(signs[j])
     return DerivationHomotopy(alg, omega, {
-        g: kb.from_vector(x[g * n0:(g + 1) * n0], 0) for g in gens})
+        g: ModuleElement(omega, coeffs) for g, coeffs in values.items()})
 
 
 class DerivationMorphism:
@@ -165,7 +162,7 @@ class DerivationMorphism:
     """
 
     def __init__(self, delta_prime: DgDerivation, delta: DgDerivation,
-                 phi: ModuleMorphism, label: str = ""):
+                 phi: ModuleMorphism):
         if phi.degree != 0:
             raise ValueError("derivation morphisms are degree 0")
         if phi.source.basis != delta_prime.target.basis:
@@ -175,7 +172,6 @@ class DerivationMorphism:
         self.delta_prime = delta_prime
         self.delta = delta
         self.phi = phi
-        self.label = label
 
     def failures(self) -> list[str]:
         out = list(self.phi.dg_failures())
@@ -229,4 +225,4 @@ def universal_factorization(delta: DgDerivation) -> ModuleMorphism:
     for i, v in delta.values.items():
         for j, a in v.coeffs.items():
             mat[(i, j)] = a
-    return ModuleMorphism(omega1, delta.target, 0, mat, label="alpha")
+    return ModuleMorphism(omega1, delta.target, 0, mat)

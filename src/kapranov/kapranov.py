@@ -160,12 +160,10 @@ class BracketFamily:
 
     def __init__(self, module: DgModule,
                  module_tables: dict[int, dict[tuple, ModuleElement]],
-                 connection: DeltaConnection | None = None,
-                 label: str = ""):
+                 connection: DeltaConnection | None = None):
         self.module = module
         self.module_tables = module_tables
         self.connection = connection
-        self.label = label
 
     @functools.cached_property
     def kb(self) -> KBasis:
@@ -324,8 +322,8 @@ def extend_module_table(kb: KBasis, table: dict[tuple, ModuleElement],
     return out
 
 
-def kapranov_brackets(connection: DeltaConnection, max_arity: int = 5,
-                      label: str = "") -> BracketFamily:
+def kapranov_brackets(connection: DeltaConnection,
+                      max_arity: int = 5) -> BracketFamily:
     """The bracket tower of a delta-connection on B = dual(Omega)."""
     module = connection.module
     if module.dual_of is None or module.dual_of.basis != connection.delta.target.basis:
@@ -335,7 +333,7 @@ def kapranov_brackets(connection: DeltaConnection, max_arity: int = 5,
         module_tables[2] = _atiyah_table(connection, module)
     for k in range(2, max_arity):
         module_tables[k + 1] = _next_bracket_table(connection, module_tables[k], k)
-    return BracketFamily(module, module_tables, connection, label)
+    return BracketFamily(module, module_tables, connection)
 
 
 def _next_bracket_table(connection: DeltaConnection,
@@ -765,14 +763,12 @@ class MorphismFamily:
 
     def __init__(self, source: BracketFamily, target: BracketFamily,
                  maps: dict[int, MultilinearMap] | None = None,
-                 module_tables: dict[int, dict[tuple, ModuleElement]] | None = None,
-                 label: str = ""):
+                 module_tables: dict[int, dict[tuple, ModuleElement]] | None = None):
         self.source = source
         self.target = target
         if maps is not None:
             self.maps = maps
         self.module_tables = module_tables or {}
-        self.label = label
 
     @functools.cached_property
     def maps(self) -> dict[int, MultilinearMap]:
@@ -863,8 +859,8 @@ def check_linfty_morphism(mor: MorphismFamily, n_max: int,
 
 
 def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
-                      target_fam: BracketFamily, max_arity: int = 4,
-                      label: str = "") -> MorphismFamily:
+                      target_fam: BracketFamily,
+                      max_arity: int = 4) -> MorphismFamily:
     """The morphism tower of a derivation morphism (contravariant).
 
     phi carries delta' to delta; the tower goes from the brackets of
@@ -888,8 +884,7 @@ def kapranov_morphism(phi: DerivationMorphism, source_fam: BracketFamily,
     for k in range(1, max_arity):
         tables[k + 1] = _tower_step(tables[k], 0, b_mod, [conn] * k, conn_p,
                                     lift=f1)
-    return MorphismFamily(source_fam, target_fam, module_tables=tables,
-                          label=label)
+    return MorphismFamily(source_fam, target_fam, module_tables=tables)
 
 
 def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
@@ -935,7 +930,7 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
     conn = fam.connection
     kb = fam.kb
     n_keys = len(kb.keys)
-    trivial_source = BracketFamily(fam.module, {}, conn, label="trivial")
+    trivial_source = BracketFamily(fam.module, {}, conn)
     maps = {1: MultilinearMap.uniform(1, 0, kb.basis, table={
         (i,): kb.kvec({i: 1}) for i in range(n_keys)})}
     for k in range(1, max_arity):
@@ -951,7 +946,7 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
                 if not out.is_zero():
                     m.set((key0,) + rest, kb.to_kvec(out))
         maps[k + 1] = m
-    return MorphismFamily(trivial_source, fam, maps, label="trivialization")
+    return MorphismFamily(trivial_source, fam, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,8 +1008,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
                                                    for b in blocks), 0)
                         for p, sp in s_tables.items()
                         for blocks in ordered_partitions(k, p)])
-    mor = MorphismFamily(source_fam, target_fam, module_tables=tables,
-                         label="homotopy_iso")
+    mor = MorphismFamily(source_fam, target_fam, module_tables=tables)
     return mor, conn_prime
 
 

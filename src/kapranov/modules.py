@@ -452,14 +452,12 @@ class ModuleMorphism:
     """
 
     def __init__(self, source: DgModule, target: DgModule, degree: int,
-                 matrix: dict[tuple[int, int], AlgebraElement] | None = None,
-                 label: str = ""):
+                 matrix: dict[tuple[int, int], AlgebraElement] | None = None):
         if source.algebra != target.algebra:
             raise ValueError("morphism endpoints must share the algebra")
         self.source = source
         self.target = target
         self.degree = degree
-        self.label = label
         self.matrix: dict[tuple[int, int], AlgebraElement] = {}
         self.rows: dict[int, dict[int, AlgebraElement]] = {}
         for (i, j), a in (matrix or {}).items():
@@ -469,7 +467,7 @@ class ModuleMorphism:
     @classmethod
     def identity(cls, module: DgModule) -> "ModuleMorphism":
         mat = {(i, i): AlgebraElement.scalar(1) for i in range(module.rank)}
-        return cls(module, module, 0, mat, label="id")
+        return cls(module, module, 0, mat)
 
     def of_basis(self, i: int) -> ModuleElement:
         return ModuleElement._trusted(self.target, dict(self.rows.get(i, {})))

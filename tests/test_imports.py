@@ -27,7 +27,9 @@ serves every identity and evaluates every table, the class bracket's
 included: the package defines no ``_residuals`` and never calls
 ``eval_table_on_elements``.  The CLI
 builds no k-basis bracket table itself: it never reads a family's
-``.brackets`` and never names ``extend_module_table``.  And every
+``.brackets`` and never names ``extend_module_table``.  Every linear
+solve asks a ``CochainComplex``: no module but ``cohomology.py`` calls
+``solve_linear``, ``kernel_basis``, ``rref`` or ``_from_columns``.  And every
 function and method of the package runs when the commands run on the
 repository's documents, or it is listed in ``UNREACHED`` with its
 ROADMAP item or a reason.
@@ -647,6 +649,51 @@ def test_join_guard_sees_planted_definitions():
                    for node in ast.walk(ast.parse(source)))
 
 
+# every linear solve of the package is a question to a CochainComplex:
+# no module but cohomology.py calls the dense solvers
+SOLVER = "cohomology.py"
+SOLVES = frozenset({"solve_linear", "kernel_basis", "rref", "_from_columns"})
+
+
+def solver_calls(name: str, source: str) -> list[str]:
+    """The calls of ``SOLVES`` in module ``name``, unless it is ``SOLVER``,
+    as "<module>: <solver>, line <n>", in source order."""
+    if name == SOLVER:
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            called = (node.func.id if isinstance(node.func, ast.Name)
+                      else getattr(node.func, "attr", None))
+            if called in SOLVES:
+                out.append((node.lineno, node.col_offset,
+                            f"{name}: {called}, line {node.lineno}"))
+    return [entry for _, _, entry in sorted(out)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_cochain_complex_solves(path):
+    assert solver_calls(path.name, path.read_text()) == []
+
+
+def test_solver_guard_sees_planted_calls():
+    solver = (PACKAGE / SOLVER).read_text()
+    assert solver_calls(SOLVER, solver) == []
+    assert len(solver_calls("derivations.py", solver)) >= 4
+    source = (PACKAGE / "derivations.py").read_text()
+    n = len(source.splitlines())
+    planted = source + (
+        "\n\ndef _homotopy_columns(columns, target):\n"
+        "    x = solve_linear(cohomology._from_columns(columns, 2), target)\n"
+        "    return cohomology.rref([x]), kernel_basis([x], 2)\n")
+    assert solver_calls("derivations.py", planted) == [
+        f"derivations.py: solve_linear, line {n + 4}",
+        f"derivations.py: _from_columns, line {n + 4}",
+        f"derivations.py: rref, line {n + 5}",
+        f"derivations.py: kernel_basis, line {n + 5}"]
+
+
 # Every function and method of the package runs when the commands run on
 # the documents of the repository, or it is listed here with the ROADMAP
 # item that decides its fate or the reason it stays without such a caller.
@@ -670,8 +717,6 @@ UNREACHED = {
     "derivations.py: DerivationMorphism.is_valid": ITEM_7,
     "derivations.py: DgDerivation.__repr__": "repr, read in test failures",
     "derivations.py: DgDerivation.is_zero": "query, used by tests",
-    "derivations.py: kaehler_differentials": ITEM_7,
-    "derivations.py: universal_factorization": ITEM_7,
     "graded.py: GradedBasis.__repr__": "repr, read in test failures",
     "graded.py: MultilinearMap.check_degrees":
         "names the k-basis keys of a d(e_i) of the wrong degree; no "
@@ -681,6 +726,7 @@ UNREACHED = {
     "kapranov.py: trivialization": ITEM_7,
     "modules.py: DgModule.__eq__": "equality, used by tests",
     "modules.py: DgModule.__repr__": "repr, read in test failures",
+    "modules.py: DgModule.kbasis_element": ITEM_7,
     "modules.py: KBasis.to_kvec": ITEM_7,
     "modules.py: KBasis.to_module_element": ITEM_7,
     "modules.py: ModuleElement.__repr__": "repr, read in test failures",

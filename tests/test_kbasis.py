@@ -1,15 +1,16 @@
 """One k-basis indexer: oracles for the paths that now share it.
 
 ``KBasis`` slices the k-basis by degree and converts to and from dense
-coordinates for the cochain complexes and the homotopy search, which
-builds one column per unknown for ``solve_linear``; the flat-connection
-search reads a primitive in the Atiyah class's complex; the composition
-of morphism towers goes through the checker's partition join, on module
-tables.  The original complex with its incremental ``RowSpace``, the
-original homotopy search and the original composition loop are kept here
-verbatim as oracles, with the original flat-connection search in
-``oracles``, and every instance document of the repository, and random
-complexes, must give the same answers through both: a composite's
+coordinates for the cochain complexes; the homotopy search reads a
+primitive in Hom(Omega^1, Omega), and the flat-connection search one in
+the Atiyah class's complex; the composition of morphism towers goes
+through the checker's partition join, on module tables.  The original
+complex with its incremental ``RowSpace``, the original homotopy search
+and the original composition loop are kept here verbatim as oracles,
+with the original flat-connection search in ``oracles``, and every
+instance document of the repository, the drawn (sl_n, Borel) pairs of
+``lie_pairs`` and random complexes must give the same answers through
+both: a composite's
 A-multilinear extension is the original loop's k-basis table, and
 ``check_linfty_morphism`` decides the composite on module-basis tuples
 with the exhaustive checker's report.
@@ -28,13 +29,13 @@ from hypothesis import strategies as st
 
 from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation, Monomial
-from kapranov.cli import Instance, load_document
+from kapranov.cli import INSTANCE_SCHEMA, Instance, load_document
 from kapranov.cohomology import (CochainComplex, _divided, _eliminate,
                                  kernel_basis, solve_linear)
 from kapranov.connections import (AtiyahClass, DeltaConnection,
                                   flat_connection_exists)
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
-                                  DgDerivation, find_homotopy)
+                                  DgDerivation, find_homotopy, homotopy_offset)
 from kapranov.graded import (ONE, ZERO, GradedBasis, MultilinearMap,
                              Scalar, ordered_partitions, partition_sign)
 from kapranov import kapranov
@@ -43,6 +44,7 @@ from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
                               apply_module_differential)
+import lie_pairs
 from oracles import (cohomology_basis, eval_multilinear,
                      reference_flat_connection_exists, simple_tensor)
 
@@ -450,6 +452,44 @@ def test_find_homotopy_matches_the_original(path):
         if got is not None:
             assert got.values == want.values, name
             assert list(got.values) == list(want.values), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(lie_pairs.documents())
+def test_find_homotopy_matches_the_original_on_drawn_sl_n_pairs(doc):
+    assert INSTANCE_SCHEMA.errors(doc) == []
+    inst = Instance(doc)
+    delta, delta_prime = inst.setup.delta, inst.second_setup.delta
+    zero = DgDerivation(delta.algebra, delta.target, {})
+    for a, b in ((delta, delta_prime), (delta_prime, delta), (delta, zero)):
+        got, want = find_homotopy(a, b), reference_find_homotopy(a, b)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.values == want.values
+            assert list(got.values) == list(want.values)
+
+
+def test_find_homotopy_carries_the_hom_sign():
+    """Omega = <m, n> in degrees -1 and 0 with d(m) = n: the map dg -> a.m
+    of Hom(Omega^1, Omega) is -a.(dg* (x) m), a sign that no document
+    reaches (their Omega sits in one even degree, or has no degree-0 part)."""
+    alg = CdgaPresentation(["a", "b", "c"])
+    omega = DgModule(alg, GradedBasis(["m", "n"], [-1, 0]),
+                     {(0, 1): AlgebraElement.scalar(1)})
+
+    def elem(coeffs):
+        return ModuleElement(omega, {i: AlgebraElement(terms)
+                                     for i, terms in coeffs.items()})
+
+    h = DerivationHomotopy(alg, omega, {0: elem({0: {(1,): 1}}),
+                                        1: elem({0: {(2,): 1}, 1: {(): 2}})})
+    zero = DgDerivation(alg, omega, {})
+    delta_prime = homotopy_offset(zero, h)
+    got = find_homotopy(zero, delta_prime)
+    want = reference_find_homotopy(zero, delta_prime)
+    assert got is not None and want is not None
+    assert got.values == want.values
+    assert homotopy_offset(zero, got) == delta_prime
 
 
 def test_homotopy_documents_cover_both_outcomes():
