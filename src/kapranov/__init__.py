@@ -23,8 +23,8 @@ from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
                           extend_derivation, find_homotopy, homotopy_offset,
                           kaehler_differentials, universal_factorization,
                           validate_dg_derivation)
-from .connections import (AtiyahClass, AtiyahCocycle, DeltaConnection,
-                          atiyah_cocycle, flat_connection_exists)
+from .connections import (AtiyahCocycle, DeltaConnection, atiyah_cocycle,
+                          flat_connection_exists)
 from .kapranov import (BracketFamily, CheckFailure, CohomologyBracket,
                        MorphismFamily, bracket_nonskew_witness,
                        check_leibniz_infinity, check_linfty_morphism,

@@ -21,7 +21,7 @@ from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       canonical_monomial, validate_cdga)
 from .builders import (LiePair, LinearMapObject, OffsetMismatch, Setup,
                        lie_pair_setup, linear_map_setup, splitting_homotopy)
-from .connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
+from .connections import (DeltaConnection, atiyah_cocycle,
                           connection_difference_element, flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
                           validate_dg_derivation)
@@ -389,12 +389,11 @@ def cmd_validate(inst: Instance, args) -> dict:
 def cmd_atiyah(inst: Instance, args) -> dict:
     require_defined(inst)
     s = inst.setup
-    cls = AtiyahClass(s.delta, s.bmod, s.connection)
-    at = cls.cocycle
-    class_zero = cls.is_zero()
+    at = atiyah_cocycle(s.connection)
+    class_zero = at.class_is_zero()
     # flat is read from the zero connection's cocycle, class_zero from the
     # document's: agreeing, they show the class does not depend on nabla
-    flat = flat_connection_exists(cls)
+    flat = flat_connection_exists(at)
     flat_fail = [] if (flat is not None) == class_zero else [
         "flat connection search disagrees with the class"]
     if flat is not None and not all(
@@ -415,8 +414,7 @@ def cmd_atiyah(inst: Instance, args) -> dict:
             s.bmod.basis.names[i]: module_elem_json(v)
             for i, v in sorted(flat.values.items())}
     if inst.second_connection is not None:
-        cls2 = AtiyahClass(s.delta, s.bmod, inst.second_connection)
-        at2 = cls2.cocycle
+        at2 = atiyah_cocycle(inst.second_connection)
         d_elt = connection_difference_element(
             s.connection, inst.second_connection, at.om_end)
         want = apply_module_differential(at.om_end, d_elt).scale(-1)
@@ -426,7 +424,7 @@ def cmd_atiyah(inst: Instance, args) -> dict:
             [] if ok else ["cocycle difference is not -d(connection difference)"]))
         checks.append(named_check(
             "class_connection_independent",
-            [] if cls.equals(cls2)
+            [] if at.same_class(at2)
             else ["classes of the two connections differ"]))
     out["checks"] = checks
     out["passed"] = all(c["passed"] for c in checks)
@@ -542,10 +540,9 @@ def cmd_homotopy(inst: Instance, args) -> dict:
         "iso_morphism_equation",
         [f"n={w['n']}: {f['tuple']}" for w in report["weights"]
          for f in w["failures"]]))
-    cls0 = AtiyahClass(s0.delta, s0.bmod, s0.connection)
-    cls1 = AtiyahClass(s1.delta, s1.bmod, s1.connection)
     checks.append(named_check(
-        "classes_equal", [] if cls0.equals(cls1)
+        "classes_equal", [] if atiyah_cocycle(s0.connection).same_class(
+            atiyah_cocycle(s1.connection))
         else ["twisted Atiyah classes of the two splittings differ"]))
     return {
         "command": "homotopy",

@@ -111,7 +111,11 @@ class CochainComplex:
         self._degrees: dict[int, tuple[int, int, list[ModuleElement]]] = {}
 
     def degrees(self) -> list[int]:
-        return sorted(self.kb.slices)
+        """The degrees with a nonempty slice: |e_i| + k for k up to the
+        number of generators."""
+        n = self.module.algebra.n_generators
+        return sorted({d + k for d in self.module.basis.degrees
+                       for k in range(n + 1)})
 
     def dim(self, n: int) -> int:
         return len(self.kb.slice(n))
@@ -174,12 +178,6 @@ class CochainComplex:
         if x is None:
             return None
         return self.kb.from_vector(x, n - 1)
-
-    def classes_equal(self, v: ModuleElement, w: ModuleElement) -> bool:
-        diff = v - w
-        if diff.is_zero():
-            return True
-        return self.is_coboundary(diff) is not None
 
     def class_coordinates(self, v: ModuleElement) -> list[Scalar]:
         """Coordinates of [v] in the representatives of its degree.

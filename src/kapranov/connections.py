@@ -5,7 +5,8 @@ connection along delta is a degree-r map nabla: E -> Omega (x) E with
 nabla(a.e) = delta(a) (x) e + (-1)^{r|a|} a.nabla(e).  Along a dg
 derivation (r = 0) it is a delta-connection, and its Atiyah cocycle is
 the graded commutator [nabla, d], an A-linear degree-1 map, i.e. a
-closed degree-1 element of Omega (x) End(E).
+closed degree-1 element of Omega (x) End(E).  The Atiyah class is the
+class of that cocycle in H^1(Omega (x) End E), read off the cocycle.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ from .cohomology import CochainComplex
 from .derivations import DgDerivation
 from .modules import (DgModule, ModuleElement,
                       apply_module_differential, apply_operator, dual_module,
-                      operator_terms, tensor_index, tensor_module,
+                      hom_sign, operator_terms, tensor_index, tensor_module,
                       tensor_split)
-
-
-def omega_tensor(delta: DgDerivation, module: DgModule) -> DgModule:
-    return tensor_module(delta.target, module)
 
 
 class DeltaConnection:
@@ -34,8 +31,8 @@ class DeltaConnection:
     with ``values[i]`` = nabla(e_i), an element of Omega (x) E of degree
     |e_i| + r, and r = ``delta.degree``.  A dg derivation (r = 0) gives a
     delta-connection; a homotopy h (r = -1) gives the h-connection of
-    Chen-Stienon-Xu.  ``tensor``, when given, is
-    ``omega_tensor(delta, module)`` already built.
+    Chen-Stienon-Xu.  ``tensor``, when given, is Omega (x) E,
+    ``tensor_module(delta.target, module)``, already built.
     """
 
     def __init__(self, delta: DgDerivation, module: DgModule,
@@ -44,7 +41,8 @@ class DeltaConnection:
         self.delta = delta
         self.module = module
         self.label = label
-        self.tensor = tensor if tensor is not None else omega_tensor(delta, module)
+        self.tensor = (tensor if tensor is not None
+                       else tensor_module(delta.target, module))
         self.values: dict[int, ModuleElement] = {}
         for i, v in (values or {}).items():
             if v.is_zero():
@@ -95,9 +93,8 @@ def operator_to_om_hom_element(om_hom: DgModule,
     for i, val in enumerate(values):
         for t_idx, a in val.coeffs.items():
             j, k = tensor_split(val.module, t_idx)
-            if dual.basis.degrees[i] * f_mod.basis.degrees[k] % 2:
-                a = -a
-            coeffs[tensor_index(om_hom, j, tensor_index(hom, i, k))] = a
+            coeffs[tensor_index(om_hom, j, tensor_index(hom, i, k))] = a.scale(
+                hom_sign(dual.basis.degrees[i], f_mod.basis.degrees[k]))
     return ModuleElement._trusted(om_hom, coeffs)
 
 
@@ -111,20 +108,21 @@ def om_hom_element_to_operator(x: ModuleElement,
     for t_idx, a in x.coeffs.items():
         j, h = tensor_split(x.module, t_idx)
         i, k = tensor_split(hom, h)
-        if dual.basis.degrees[i] * f_mod.basis.degrees[k] % 2:
-            a = -a
-        coeffs[i][tensor_index(target, j, k)] = a
+        coeffs[i][tensor_index(target, j, k)] = a.scale(
+            hom_sign(dual.basis.degrees[i], f_mod.basis.degrees[k]))
     return [ModuleElement._trusted(target, c) for c in coeffs]
 
 
 class AtiyahCocycle:
-    """The Atiyah cocycle [nabla, d] of a delta-connection.
+    """The Atiyah cocycle [nabla, d] of a delta-connection, and its class.
 
     ``operator_values[i]`` = nabla(d e_i) - d(nabla(e_i)), and ``element``
     is the same data as a degree-1 element of ``om_end``, Omega (x) End(E)
-    with End(E) = dual(E) (x) E.
-    Both are built on first read: the tower's seed reads only the operator
-    values.
+    with End(E) = dual(E) (x) E; ``complex`` is the cochain complex of
+    ``om_end``, in which the class is decided.
+    All three are built on first read: the tower's seed reads only the
+    operator values, and comparing with another class reads only this
+    cocycle's complex.
     """
 
     def __init__(self, connection: DeltaConnection):
@@ -147,40 +145,23 @@ class AtiyahCocycle:
     def element(self) -> ModuleElement:
         return operator_to_om_hom_element(self.om_end, self.operator_values)
 
+    @functools.cached_property
+    def complex(self) -> CochainComplex:
+        return CochainComplex(self.om_end)
+
     def is_closed(self) -> bool:
         return apply_module_differential(self.om_end, self.element).is_zero()
+
+    def class_is_zero(self) -> bool:
+        return self.complex.is_coboundary(self.element) is not None
+
+    def same_class(self, other: "AtiyahCocycle") -> bool:
+        return self.complex.is_coboundary(
+            self.element - other.element) is not None
 
 
 def atiyah_cocycle(connection: DeltaConnection) -> AtiyahCocycle:
     return AtiyahCocycle(connection)
-
-
-class AtiyahClass:
-    """Cohomology class of the Atiyah cocycle in H^1(Omega (x) End E).
-
-    ``complex``, the cochain complex of Omega (x) End E with its k-basis,
-    is built on first read: comparing with another class reads only this
-    one's."""
-
-    def __init__(self, delta: DgDerivation, module: DgModule,
-                 connection: DeltaConnection | None = None):
-        self.delta = delta
-        self.module = module
-        self.connection = connection or DeltaConnection(delta, module)
-        self.cocycle = atiyah_cocycle(self.connection)
-
-    @functools.cached_property
-    def complex(self) -> CochainComplex:
-        return CochainComplex(self.cocycle.om_end)
-
-    def is_zero(self) -> bool:
-        return self.complex.is_coboundary(self.cocycle.element) is not None
-
-    def equals(self, other: "AtiyahClass") -> bool:
-        if other.module.basis != self.module.basis:
-            raise ValueError("classes live on different modules")
-        return self.complex.classes_equal(self.cocycle.element,
-                                          other.cocycle.element)
 
 
 def connection_difference_element(c1: DeltaConnection, c2: DeltaConnection,
@@ -195,22 +176,22 @@ def connection_difference_element(c1: DeltaConnection, c2: DeltaConnection,
     return operator_to_om_hom_element(om_end, values)
 
 
-def flat_connection_exists(cls: AtiyahClass) -> DeltaConnection | None:
-    """A delta-connection on the module of ``cls`` with vanishing Atiyah
+def flat_connection_exists(at: AtiyahCocycle) -> DeltaConnection | None:
+    """A delta-connection on the module of ``at`` with vanishing Atiyah
     cocycle, or None.
 
     For an A-linear theta of degree 0, [nabla_0 + theta, d] = [nabla_0, d]
     - d(theta) in Omega (x) End(E).  So a flat connection exists exactly
     when the cocycle of the zero connection nabla_0 is a coboundary, and
     nabla_0 + theta is flat for its primitive theta (free variables zero),
-    read in the complex of ``cls``.
+    read in the complex of ``at``.
     """
-    tensor = cls.connection.tensor
-    zero = DeltaConnection(cls.delta, cls.module, {}, tensor=tensor)
-    theta = cls.complex.is_coboundary(operator_to_om_hom_element(
-        cls.cocycle.om_end, atiyah_cocycle(zero).operator_values))
+    conn = at.connection
+    zero = DeltaConnection(conn.delta, conn.module, {}, tensor=conn.tensor)
+    theta = at.complex.is_coboundary(operator_to_om_hom_element(
+        at.om_end, atiyah_cocycle(zero).operator_values))
     if theta is None:
         return None
-    values = om_hom_element_to_operator(theta, tensor)
-    return DeltaConnection(cls.delta, cls.module, dict(enumerate(values)),
-                           tensor=tensor)
+    values = om_hom_element_to_operator(theta, conn.tensor)
+    return DeltaConnection(conn.delta, conn.module, dict(enumerate(values)),
+                           tensor=conn.tensor)

@@ -12,8 +12,8 @@ from .algebra import AlgebraElement, CdgaPresentation, leibniz_terms
 from .cohomology import CochainComplex
 from .graded import GradedBasis
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
-                      apply_module_differential, dual_module, tensor_index,
-                      tensor_module, tensor_split)
+                      apply_module_differential, dual_module, hom_sign,
+                      tensor_index, tensor_module, tensor_split)
 
 
 def extend_derivation(target: DgModule, terms: dict, degree: int,
@@ -127,7 +127,8 @@ def find_homotopy(delta: DgDerivation,
     delta' - delta = alpha o d_dR (:func:`universal_factorization`) and
     d_dR is a chain map, so h = beta o d_dR exactly when [d, beta] = alpha
     in Hom(Omega^1, Omega) = dual(Omega^1) (x) Omega, where dg_g -> a.w_j
-    is (-1)^{|w_j|} a.(dg_g* (x) w_j).  h is the primitive of alpha (free
+    is (-1)^{|w_j|} a.(dg_g* (x) w_j), the :func:`hom_sign` of an odd
+    dg_g.  h is the primitive of alpha (free
     variables zero); None when the two derivations are not homotopic.
     """
     if delta.target.basis != delta_prime.target.basis:
@@ -138,7 +139,7 @@ def find_homotopy(delta: DgDerivation,
         g: delta_prime.values.get(g, zero) - delta.values.get(g, zero)
         for g in range(alg.n_generators)}))
     hom = tensor_module(dual_module(alpha.source), omega)
-    signs = [-1 if d % 2 else 1 for d in omega.basis.degrees]
+    signs = [hom_sign(1, d) for d in omega.basis.degrees]
     cx = CochainComplex(hom)
     alpha_hom = ModuleElement(hom, {tensor_index(hom, g, j): a.scale(signs[j])
                                     for (g, j), a in alpha.matrix.items()})

@@ -187,15 +187,15 @@ class DgModule:
     def kbasis(self, degree: int | None = None) -> list[tuple[Monomial, int]]:
         """Ground-field basis: pairs (monomial, module basis index).
 
-        Enumerated basis-index major, monomials in (degree, lex) order.
+        Enumerated basis-index major, monomials in (degree, lex) order;
+        the keys of degree ``degree`` pair e_i with the monomials of
+        degree ``degree - |e_i|`` only.
         """
-        out = []
-        monomials = self.algebra.monomials()
-        for i in range(self.rank):
-            for mon in monomials:
-                if degree is None or len(mon) + self.basis.degrees[i] == degree:
-                    out.append((mon, i))
-        return out
+        if degree is None:
+            monomials = self.algebra.monomials()
+            return [(mon, i) for i in range(self.rank) for mon in monomials]
+        return [(mon, i) for i, d in enumerate(self.basis.degrees)
+                for mon in self.algebra.monomials(degree - d)]
 
     def kbasis_element(self, key: tuple[Monomial, int]) -> ModuleElement:
         mon, i = key
@@ -225,21 +225,34 @@ class KBasis:
     coordinates on one slice, ``to_kvec`` and ``to_module_element`` between
     module elements and vectors over ``basis``, elements of ``ground``, the
     free module on ``basis`` over the ground field.  The names of ``basis``
-    are ``word.name`` (``name`` alone for the empty monomial); it and
-    ``ground`` are built on first use, so a complex that only needs
-    coordinates never builds the names.
+    are ``word.name`` (``name`` alone for the empty monomial).  Everything
+    is built on first use: a slice enumerates only its own degree, so a
+    complex that reads a few degrees never enumerates every key, and one
+    that only needs coordinates never builds the names.
     """
 
     def __init__(self, module: DgModule):
         self.module = module
-        self.keys = module.kbasis()
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        self.degrees = [module.kdegree(key) for key in self.keys]
-        self.slices: dict[int, list[tuple[Monomial, int]]] = {}
-        for key, d in zip(self.keys, self.degrees):
-            self.slices.setdefault(d, []).append(key)
-        self.slice_positions = {d: {key: i for i, key in enumerate(keys)}
-                            for d, keys in self.slices.items()}
+        # degree -> (keys of the slice, {key: position in the slice})
+        self._slices: dict[int, tuple[list[tuple[Monomial, int]], dict]] = {}
+
+    @functools.cached_property
+    def keys(self) -> list[tuple[Monomial, int]]:
+        return self.module.kbasis()
+
+    @functools.cached_property
+    def index(self) -> dict[tuple[Monomial, int], int]:
+        return {key: i for i, key in enumerate(self.keys)}
+
+    @functools.cached_property
+    def degrees(self) -> list[int]:
+        return [self.module.kdegree(key) for key in self.keys]
+
+    def _slice(self, d: int) -> tuple[list[tuple[Monomial, int]], dict]:
+        if d not in self._slices:
+            keys = self.module.kbasis(d)
+            self._slices[d] = keys, {key: i for i, key in enumerate(keys)}
+        return self._slices[d]
 
     @functools.cached_property
     def basis(self) -> GradedBasis:
@@ -261,7 +274,7 @@ class KBasis:
             i: AlgebraElement._trusted({(): c}) for i, c in coeffs.items()})
 
     def slice(self, d: int) -> list[tuple[Monomial, int]]:
-        return self.slices.get(d, [])
+        return self._slice(d)[0]
 
     def to_kvec(self, v: ModuleElement) -> ModuleElement:
         # each (monomial, basis index) is one k-basis vector, hit once
@@ -278,7 +291,7 @@ class KBasis:
         """Dense coordinates on the degree-d slice of the sum of c.key over
         ``terms``, pairs (key, c) with no key twice; a key of another degree
         raises ValueError."""
-        index = self.slice_positions.get(d, {})
+        index = self._slice(d)[1]
         out = [0] * len(index)
         for key, c in terms:
             pos = index.get(key)
@@ -440,6 +453,12 @@ def tensor_index(t: DgModule, i: int, j: int) -> int:
 def tensor_split(t: DgModule, k: int) -> tuple[int, int]:
     m, n = t.tensor_factors
     return divmod(k, n.rank)
+
+
+def hom_sign(e_degree: int, f_degree: int) -> int:
+    """(-1)^{|e_i||f_k|}: the map e_i -> f_k is this sign times
+    e_i* (x) f_k in Hom(E, F) = dual(E) (x) F."""
+    return -1 if e_degree * f_degree % 2 else 1
 
 
 class ModuleMorphism:

@@ -55,14 +55,14 @@ from collections.abc import Sequence
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
 from kapranov.cohomology import CochainComplex, solve_linear
 from kapranov.connections import (AtiyahCocycle, DeltaConnection,
-                                  atiyah_cocycle, omega_tensor)
+                                  atiyah_cocycle)
 from kapranov.derivations import DgDerivation
 from kapranov.graded import ONE, ZERO, MultilinearMap, exact
 from kapranov.kapranov import (BracketFamily, MorphismFamily,
                                extend_module_table)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, contract,
-                              tensor_index, tensor_split)
+                              tensor_index, tensor_module, tensor_split)
 
 
 def pair(beta: ModuleElement, v: ModuleElement) -> AlgebraElement:
@@ -574,7 +574,7 @@ def reference_flat_connection_exists(delta: DgDerivation,
     [nabla, d] is an affine-linear condition, solved exactly over Q.
     Returns a flat connection or None.
     """
-    tensor = omega_tensor(delta, module)
+    tensor = tensor_module(delta.target, module)
     slices: dict[int, list] = {}
     for key in tensor.kbasis():
         slices.setdefault(tensor.kdegree(key), []).append(key)

@@ -14,7 +14,7 @@ from conftest import LINEAR_MAPS, shipped_setup
 from kapranov.algebra import AlgebraElement
 from kapranov.builders import splitting_homotopy
 from kapranov.cli import main
-from kapranov.connections import (AtiyahClass, DeltaConnection, atiyah_cocycle,
+from kapranov.connections import (DeltaConnection, atiyah_cocycle,
                                   connection_difference_element,
                                   flat_connection_exists)
 from kapranov.derivations import DerivationMorphism
@@ -108,14 +108,13 @@ def test_criterion_3_atiyah_cocycle_class_flatness():
     d_elt = connection_difference_element(nabla0, nabla1, at0.om_end)
     assert (at0.element - at1.element
             == apply_module_differential(at0.om_end, d_elt).scale(-1))
-    cls = AtiyahClass(s.delta, s.bmod, nabla0)
-    assert cls.equals(AtiyahClass(s.delta, s.bmod, nabla1))
-    assert not cls.is_zero()
-    assert flat_connection_exists(cls) is None
+    assert at0.same_class(at1)
+    assert not at0.class_is_zero()
+    assert flat_connection_exists(at0) is None
     t = shipped_setup("abelian_trivial")
-    t_cls = AtiyahClass(t.delta, t.bmod)
-    assert t_cls.is_zero()
-    assert flat_connection_exists(t_cls) is not None
+    t_at = atiyah_cocycle(DeltaConnection(t.delta, t.bmod))
+    assert t_at.class_is_zero()
+    assert flat_connection_exists(t_at) is not None
     print("criterion 3: PASS — Atiyah cocycles are closed, differences "
           "exact, and flatness matches class vanishing")
 
@@ -130,8 +129,8 @@ def test_criterion_4_homotopy_invariance():
     assert 2 not in mor.nonzero_arities()
     report = check_linfty_morphism(mor, 4)
     assert report["passed"], report
-    assert AtiyahClass(s0.delta, s0.bmod, s0.connection).equals(
-        AtiyahClass(s1.delta, s1.bmod, s1.connection))
+    assert atiyah_cocycle(s0.connection).same_class(
+        atiyah_cocycle(s1.connection))
     print("criterion 4: PASS — homotopic splittings give exact offsets, an "
           "isomorphic tower with g_2 = 0, and equal classes")
 

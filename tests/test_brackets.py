@@ -14,7 +14,7 @@ from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement
 from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
-from kapranov.connections import AtiyahClass, DeltaConnection
+from kapranov.connections import DeltaConnection, atiyah_cocycle
 from kapranov.derivations import DerivationMorphism
 from kapranov.kapranov import (MorphismFamily, MultilinearMap,
                                check_leibniz_infinity, check_linfty_morphism,
@@ -302,8 +302,8 @@ def test_non_integral_splittings_keep_every_identity(pair):
     assert conn_prime.delta == s1.delta
     report = check_linfty_morphism(mor, 4)
     assert report["passed"], report
-    assert AtiyahClass(s0.delta, s0.bmod, s0.connection).equals(
-        AtiyahClass(s1.delta, s1.bmod, s1.connection))
+    assert atiyah_cocycle(s0.connection).same_class(
+        atiyah_cocycle(s1.connection))
 
 
 class TestModuleAction:

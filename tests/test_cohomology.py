@@ -140,11 +140,11 @@ class TestRepresentatives:
         cx = CochainComplex(module)
         x = ModuleElement(module, {0: AlgebraElement.monomial((0,))})
         y = ModuleElement(module, {0: AlgebraElement.monomial((1,))})
-        assert not cx.classes_equal(x, y)
+        assert cx.is_coboundary(x - y) is None
         # x^ and x^ + d(something) agree
         v = ModuleElement(module, {0: AlgebraElement.monomial((2,), F(5))})
         shifted = x + apply_module_differential(module, v)
-        assert cx.classes_equal(x, shifted)
+        assert cx.is_coboundary(x - shifted) is not None
 
     def test_class_coordinates(self, heisenberg):
         module = trivial_module(ce_algebra(heisenberg))
@@ -378,7 +378,7 @@ def class_bracket(path) -> tuple[CohomologyBracket, KBasis]:
 @st.composite
 def homogeneous_elements(draw, kb: KBasis):
     """A sum of up to three scaled k-basis vectors of one degree."""
-    keys = kb.slice(draw(st.sampled_from(sorted(kb.slices))))
+    keys = kb.slice(draw(st.sampled_from(sorted(set(kb.degrees)))))
     v = kb.module.zero()
     for key in draw(st.lists(st.sampled_from(keys), unique=True,
                              max_size=3)):

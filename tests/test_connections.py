@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kapranov.algebra import AlgebraElement, ce_algebra
-from kapranov.connections import (AtiyahClass, DeltaConnection,
-                                  atiyah_cocycle,
+from kapranov.connections import (DeltaConnection, atiyah_cocycle,
                                   connection_difference_element,
                                   flat_connection_exists,
                                   om_hom_element_to_operator)
@@ -180,21 +179,21 @@ class TestAtiyahClass:
         assert at0.element - at1.element == want
 
     def test_class_independent_of_connection(self, delta_j, bmod, nabla0, nabla1):
-        c0 = AtiyahClass(delta_j, bmod, nabla0)
-        c1 = AtiyahClass(delta_j, bmod, nabla1)
-        assert c0.equals(c1)
+        assert atiyah_cocycle(nabla0).same_class(atiyah_cocycle(nabla1))
 
     def test_sl2_borel_class_nonzero(self, delta_j, bmod):
-        assert not AtiyahClass(delta_j, bmod).is_zero()
+        assert not atiyah_cocycle(
+            DeltaConnection(delta_j, bmod)).class_is_zero()
 
     def test_flat_connection_absent_when_class_nonzero(self, delta_j, bmod):
-        assert flat_connection_exists(AtiyahClass(delta_j, bmod)) is None
+        assert flat_connection_exists(
+            atiyah_cocycle(DeltaConnection(delta_j, bmod))) is None
 
     def test_flat_connection_found_when_class_zero(self, delta_j, borel_alg):
         free = DgModule(borel_alg, GradedBasis(["w"], [0]), {})
-        cls = AtiyahClass(delta_j, free)
-        assert cls.is_zero()
-        conn = flat_connection_exists(cls)
+        at = atiyah_cocycle(DeltaConnection(delta_j, free))
+        assert at.class_is_zero()
+        conn = flat_connection_exists(at)
         assert conn is not None
         assert atiyah_cocycle(conn).element.is_zero()
 
@@ -203,8 +202,8 @@ class TestAtiyahClass:
         ("instances/abelian_trivial.json", True)])
     def test_flat_search_builds_one_tensor_module(self, monkeypatch, name,
                                                   flat):
-        # the class builds Omega (x) B, End(B) and Omega (x) End(B), and
-        # the search reads its primitive in the class's complex: the two
+        # the cocycle builds Omega (x) B, End(B) and Omega (x) End(B), and
+        # the search reads its primitive in the cocycle's complex: the two
         # questions together build those three and no other
         from kapranov import connections
         from kapranov.cli import Instance, load_document
@@ -214,11 +213,11 @@ class TestAtiyahClass:
         monkeypatch.setattr(
             connections, "tensor_module",
             lambda *a, **kw: calls.append(a) or tensor_module(*a, **kw))
-        cls = AtiyahClass(s.delta, s.bmod)
-        conn = flat_connection_exists(cls)
+        at = atiyah_cocycle(DeltaConnection(s.delta, s.bmod))
+        conn = flat_connection_exists(at)
         assert len(calls) == 3
         assert (conn is not None) == flat
-        assert flat == cls.is_zero()
+        assert flat == at.class_is_zero()
         if flat:
             assert atiyah_cocycle(conn).element.is_zero()
 
@@ -246,8 +245,9 @@ class TestAtiyahClass:
 
     def test_flat_search_agrees_with_class(self, delta_j, bmod, borel_alg):
         for module in (bmod, DgModule(borel_alg, GradedBasis(["w"], [0]), {})):
-            cls = AtiyahClass(delta_j, module)
-            assert (flat_connection_exists(cls) is not None) == cls.is_zero()
+            at = atiyah_cocycle(DeltaConnection(delta_j, module))
+            assert (flat_connection_exists(at) is not None) \
+                == at.class_is_zero()
 
 
 class TestNaturality:

@@ -12,8 +12,10 @@ Coefficients are ``int`` while integral, and ``int / int`` is a float, so
 the only ``/`` (or ``/=``) in the package is the one inside
 ``graded.exact_div``.  And ``modules.KBasis`` is the one k-basis indexer:
 nothing else in the package enumerates a k-basis with ``.kbasis(`` or
-reads a key's degree with ``.kdegree(``.  A module's differential is
-set once: nothing outside ``DgModule.__init__`` assigns ``.diff_matrix``
+reads a key's degree with ``.kdegree(``, and inside it only ``keys``
+enumerates the whole module, so a slice enumerates only its degree.  A
+module's differential is set once: nothing outside
+``DgModule.__init__`` assigns ``.diff_matrix``
 or the rows ``.diff_rows`` built from it.  The package holds one
 implementation of each construction: it defines none of the element-level
 oracles of ``tests/oracles.py`` and none of the names deleted with them,
@@ -218,21 +220,30 @@ def test_division_guard_sees_planted_divisions():
 
 
 INDEXER = ("modules.py", "KBasis")
+# the one member of the indexer that enumerates every key
+WHOLE = "keys"
 
 
 def kbasis_indexing(name: str, source: str) -> list[str]:
     """The calls of ``.kbasis(`` and ``.kdegree(`` in module ``name``
-    outside the class ``KBasis`` of modules.py, as ``"<module>: line <n>"``."""
+    outside the class ``KBasis`` of modules.py, and the whole-module
+    calls ``.kbasis()`` (no degree) outside its ``keys``, as
+    ``"<module>: line <n>"``."""
     tree = ast.parse(source)
-    allowed = set()
+    allowed, whole = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and (name, node.name) == INDEXER:
             allowed.update(id(sub) for sub in ast.walk(node))
+            whole.update(id(sub) for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and item.name == WHOLE for sub in ast.walk(item))
     lines = sorted(node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Call)
                    and isinstance(node.func, ast.Attribute)
                    and node.func.attr in ("kbasis", "kdegree")
-                   and id(node) not in allowed)
+                   and (id(node) not in allowed
+                        or (node.func.attr == "kbasis" and not node.args
+                            and not node.keywords and id(node) not in whole)))
     return [f"{name}: line {line}" for line in lines]
 
 
@@ -248,7 +259,9 @@ def test_indexer_guard_sees_a_planted_second_indexer():
               "        self.degrees = [m.kdegree(k) for k in self.keys]\n"
               "def slice0(m):\n"
               "    return [k for k in m.kbasis() if m.kdegree(k) == 0]\n")
-    assert kbasis_indexing("modules.py", source) == ["modules.py: line 6",
+    # line 3 enumerates every key outside ``keys``
+    assert kbasis_indexing("modules.py", source) == ["modules.py: line 3",
+                                                     "modules.py: line 6",
                                                      "modules.py: line 6"]
     # the class is only exempt in modules.py
     assert kbasis_indexing("cohomology.py", source)[0] == "cohomology.py: line 3"
@@ -257,6 +270,17 @@ def test_indexer_guard_sees_a_planted_second_indexer():
                          "    return module.kbasis(1)\n")
     assert kbasis_indexing("modules.py", planted) \
         == [f"modules.py: line {len(planted.splitlines())}"]
+    # a slice that enumerates every key, and keys itself
+    eager = indexer.replace("keys = self.module.kbasis(d)",
+                            "keys = [k for k in self.module.kbasis()\n"
+                            "                    if self.module.kdegree(k) == d]")
+    assert eager != indexer
+    line = eager.splitlines().index(
+        "            keys = [k for k in self.module.kbasis()") + 1
+    assert kbasis_indexing("modules.py", eager) == [f"modules.py: line {line}"]
+    whole = "class KBasis:\n    @property\n    def keys(self):\n" \
+        "        return self.module.kbasis()\n"
+    assert kbasis_indexing("modules.py", whole) == []
 
 
 # the matrix of a module's differential and the rows built from it

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import pathlib
 from fractions import Fraction
 from typing import Sequence
@@ -32,10 +33,11 @@ from kapranov.algebra import AlgebraElement, CdgaPresentation, Monomial
 from kapranov.cli import INSTANCE_SCHEMA, Instance, load_document
 from kapranov.cohomology import (CochainComplex, _divided, _eliminate,
                                  kernel_basis, solve_linear)
-from kapranov.connections import (AtiyahClass, DeltaConnection,
+from kapranov.connections import (DeltaConnection, atiyah_cocycle,
                                   flat_connection_exists)
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
-                                  DgDerivation, find_homotopy, homotopy_offset)
+                                  DgDerivation, find_homotopy, homotopy_offset,
+                                  kaehler_differentials)
 from kapranov.graded import (ONE, ZERO, GradedBasis, MultilinearMap,
                              Scalar, ordered_partitions, partition_sign)
 from kapranov import kapranov
@@ -43,7 +45,8 @@ from kapranov.kapranov import (MorphismFamily, check_linfty_morphism,
                                compose_morphism_families, exhaustive_morphism,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                              apply_module_differential)
+                              apply_module_differential, dual_module,
+                              tensor_module)
 import lie_pairs
 from oracles import (cohomology_basis, eval_multilinear,
                      reference_flat_connection_exists, simple_tensor)
@@ -389,10 +392,10 @@ def test_slices_partition_the_kbasis_and_coordinates_round_trip(module, data):
     kb = KBasis(module)
     assert kb.keys == module.kbasis()
     # the slices partition the keys, each in the order of the keys
-    assert sorted(k for keys in kb.slices.values() for k in keys) \
-        == sorted(kb.keys)
-    for d, keys in kb.slices.items():
-        assert keys == [k for k in kb.keys if module.kdegree(k) == d]
+    degrees = sorted(set(kb.degrees))
+    assert sorted(k for d in degrees for k in kb.slice(d)) == sorted(kb.keys)
+    for d in degrees:
+        assert kb.slice(d) == [k for k in kb.keys if module.kdegree(k) == d]
     for d in range(min(kb.degrees) - 1, max(kb.degrees) + 2):
         assert kb.slice(d) == module.kbasis(d)
         vec = data.draw(st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]),
@@ -502,8 +505,7 @@ def test_homotopy_documents_cover_both_outcomes():
 def flat_outcome(path: pathlib.Path):
     # the search reads the complex of the class that ``atiyah`` builds
     s = instance(path).setup
-    cls = AtiyahClass(s.delta, s.bmod, s.connection)
-    return (flat_connection_exists(cls),
+    return (flat_connection_exists(atiyah_cocycle(s.connection)),
             reference_flat_connection_exists(s.delta, s.bmod))
 
 
@@ -567,6 +569,71 @@ def assert_same_complex(module: DgModule):
                     == outcome(getattr(ref, method), v), method
     assert cx.cohomology_reps() == [(n, r) for n in ref.degrees()
                                     for r in ref.cohomology_basis(n)]
+
+
+# ---------------------------------------------------------------------------
+# k-basis slices built one degree at a time
+
+def command_modules(setup) -> list[DgModule]:
+    """The modules whose complexes the commands decide in: B
+    (``cohomology``), Omega (x) End(B) of the Atiyah class (``atiyah``,
+    ``homotopy``) and Hom(Omega^1, Omega) of the homotopy search."""
+    omega1, _ = kaehler_differentials(setup.algebra)
+    return [setup.bmod, atiyah_cocycle(setup.connection).om_end,
+            tensor_module(dual_module(omega1), setup.omega)]
+
+
+def assert_slices_match_the_full_enumeration(module: DgModule):
+    """Each slice of a complex's k-basis, read one degree at a time, and
+    the complex's degrees equal those of the whole k-basis, which reading
+    them did not enumerate."""
+    cx = CochainComplex(module)
+    degrees = cx.degrees()
+    low, high = min(degrees, default=0), max(degrees, default=0)
+    got = {d: cx.kb.slice(d) for d in range(low - 1, high + 2)}
+    assert not {"keys", "index", "degrees"} & set(vars(cx.kb))
+    full: dict[int, list] = {}
+    for key in module.kbasis():
+        full.setdefault(module.kdegree(key), []).append(key)
+    assert degrees == sorted(full)
+    for d, keys in got.items():
+        assert keys == full.get(d, []), d
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=lambda p: p.stem)
+def test_slices_match_the_full_enumeration(path):
+    for module in command_modules(instance(path).setup):
+        assert_slices_match_the_full_enumeration(module)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lie_pairs.documents())
+def test_slices_match_the_full_enumeration_on_drawn_sl_n_pairs(doc):
+    for module in command_modules(Instance(doc).setup):
+        assert_slices_match_the_full_enumeration(module)
+
+
+@pytest.mark.parametrize("command", ["atiyah", "homotopy"])
+def test_atiyah_and_homotopy_read_only_slices(monkeypatch, capsys, tmp_path,
+                                              command):
+    """On sl4/borel the Atiyah class reads degrees 0 and 1 of
+    Omega (x) End(B), and the homotopy search degrees -1 and 0 of
+    Hom(Omega^1, Omega): neither enumerates a whole k-basis."""
+    from kapranov import cli
+    path = tmp_path / "sl4_borel.json"
+    path.write_text(json.dumps(lie_pairs.sl_borel(
+        4, {"0": {"1": "1"}}, {"0": {"0": "2"}})))
+    whole, original = [], DgModule.kbasis
+
+    def kbasis(self, degree=None):
+        if degree is None:
+            whole.append(self)
+        return original(self, degree)
+
+    monkeypatch.setattr(DgModule, "kbasis", kbasis)
+    assert cli.main([command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert whole == []
 
 
 # ---------------------------------------------------------------------------

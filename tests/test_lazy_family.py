@@ -91,8 +91,8 @@ def corrupted(fam: BracketFamily, k: int, kind: str) -> BracketFamily:
     table = fam.module_tables[k]
     key, right = next(iter(table.items()), ((0,) * k, None))
     want = 1 + sum(fam.module.basis.degrees[i] for i in key)
-    by_degree = {d: fam.module.kbasis_element(keys[0])
-                 for d, keys in sorted(fam.kb.slices.items())}
+    by_degree = {d: fam.module.kbasis_element(fam.kb.slice(d)[0])
+                 for d in sorted(set(fam.kb.degrees))}
     wrong = [v for d, v in by_degree.items() if d != want]
     if right is None:
         right = by_degree.get(want, wrong[-1])

@@ -78,7 +78,7 @@ def module_elements(draw, kb: KBasis, degree: int | None = None):
     """A sum of one to three scaled k-basis vectors of degree ``degree``
     (drawn when None); zero when the module has none of that degree."""
     if degree is None:
-        degree = draw(st.sampled_from(sorted(kb.slices)))
+        degree = draw(st.sampled_from(sorted(set(kb.degrees))))
     v = kb.module.zero()
     keys = kb.slice(degree)
     if keys:

@@ -32,7 +32,7 @@ from conftest import shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
 from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
-from kapranov.connections import DeltaConnection, atiyah_cocycle, omega_tensor
+from kapranov.connections import DeltaConnection, atiyah_cocycle
 from kapranov.derivations import (DerivationHomotopy, DerivationMorphism,
                                   DgDerivation, homotopy_offset)
 from kapranov.graded import GradedBasis, ordered_partitions, partition_sign
@@ -42,7 +42,7 @@ from kapranov.kapranov import (check_leibniz_infinity,
                                kapranov_brackets, kapranov_morphism)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               apply_module_differential, contract,
-                              dual_module)
+                              dual_module, tensor_module)
 from module_tower import (check_module_identities, coadjoint_module,
                           kapranov_module)
 from oracles import (atiyah_bilinear, derive_tensor, eval_table_on_elements,
@@ -429,7 +429,7 @@ def connection_from(delta, bmod, pick):
     t of pick(i, t, mons) (x) the t-th basis vector of Omega (x) B, where
     ``mons`` are the monomials of the degree that makes the term of degree
     |e_i| + r."""
-    tensor = omega_tensor(delta, bmod)
+    tensor = tensor_module(delta.target, bmod)
     values = {}
     for i, di in enumerate(bmod.basis.degrees):
         coeffs = {}
