@@ -1,114 +1,101 @@
 """Cohomology of finite-dimensional cochain complexes over Q.
 
 A dg module over a finite-dimensional algebra is a finite-dimensional
-cochain complex over the ground field; this module slices it by degree
-and runs exact rational row reduction to get kernels, images, and
-deterministic representatives of cohomology classes.  Entries stay
-``int`` while they are integral: a pivot row is divided through
-:func:`~kapranov.graded.exact_div`, and a row operation demotes a
-``Fraction`` that came out integral.
+cochain complex over the ground field, sliced by degree by its
+:class:`~kapranov.modules.KBasis`.  One exact, sparse elimination,
+:class:`Span`, on vectors {(monomial, basis index): rational} from
+:meth:`~kapranov.modules.DgModule.differential_terms`, answers every
+question to it: Betti numbers, class representatives, primitives and
+class coordinates.  A kept vector is never normalized; a reduction
+divides only its factor (:func:`~kapranov.graded.exact_div`), so entries
+stay ``int`` while they are integral.
 """
 
 from __future__ import annotations
 
-from .graded import ONE, ZERO, exact, exact_div
+from collections.abc import Sequence
+
+from .algebra import add_scalar
+from .graded import ONE, ZERO, exact_div
 from .modules import DgModule, KBasis, ModuleElement, apply_module_differential
 
-Vector = list  # of rationals (graded.Scalar, resolved lazily)
-Matrix = list[Vector]
+
+def _add(out: dict, f: Scalar, v: dict) -> None:
+    """out += f * v for a nonzero f, keeping ``out`` free of zeros."""
+    for key, x in v.items():
+        add_scalar(out, key, f * x)
 
 
-def _divided(row: Vector, pv: Scalar) -> Vector:
-    """``row`` divided by the pivot ``pv`` (``row`` itself when pv is 1)."""
-    if pv == 1:
-        return row
-    return [exact_div(x, pv) if x else 0 for x in row]
+class Span:
+    """The echelon form of sparse vectors {key: nonzero rational}, added
+    in order.
 
-
-def _eliminate(row: Vector, f: Scalar, pivot_row: Vector,
-               support: list[int]) -> None:
-    """row -= f * pivot_row, in place; ``support`` lists the columns where
-    ``pivot_row`` is nonzero."""
-    for j in support:
-        x = row[j] - f * pivot_row[j]
-        row[j] = x if x.__class__ is int else exact(x)
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (fresh copy) and pivot column list."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = prow = _divided(m[r], m[r][c])
-        support = [j for j in range(c, cols) if prow[j]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                _eliminate(m[i], m[i][c], prow, support)
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def kernel_basis(m: Matrix, n_cols: int) -> list[Vector]:
-    """Basis of the null space of m (rows are equations), standard form.
-
-    One vector per free column, with 1 in the free slot; deterministic.
+    A vector is kept exactly when it is independent of the vectors kept
+    before it; ``kept`` lists their labels.  Any other vector is a unique
+    combination {label: coefficient} of the kept ones, listed with its
+    label in ``dependencies``.  A row is a kept vector reduced by the rows
+    before it, with its pivot (a key where it is nonzero and every later
+    row is zero) and the combination of kept vectors that it equals.
+    ``Span(other.rows, other.kept)`` is a copy of ``other`` to extend.
     """
-    if not m:
-        return [[ONE if i == j else ZERO for i in range(n_cols)]
-                for j in range(n_cols)]
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    out = []
-    for fc in free:
-        v = [ZERO] * n_cols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        out.append(v)
-    return out
 
+    def __init__(self, rows: Sequence = (), kept: Sequence = ()):
+        self.rows: list[tuple[object, dict, dict]] = list(rows)
+        self.kept: list = list(kept)
+        self.dependencies: list[tuple[object, dict]] = []
 
-def solve_linear(m: Matrix, b: Vector) -> Vector | None:
-    """One solution of m x = b (free variables zero), or None."""
-    rows = len(m)
-    if rows == 0:
-        return []
-    n_cols = len(m[0])
-    aug = [row[:] + [bb] for row, bb in zip(m, b)]
-    red, pivots = rref(aug)
-    if n_cols in pivots:
+    def reduce(self, v: dict) -> tuple[dict, dict]:
+        """(residual, combination): v is the residual plus the combination
+        of the kept vectors, and the residual is empty exactly when v lies
+        in their span."""
+        v, combination = dict(v), {}
+        for pivot, row, row_combination in self.rows:
+            f = v.get(pivot)
+            if f:
+                f = exact_div(f, row[pivot])
+                _add(v, -f, row)
+                _add(combination, f, row_combination)
+        return v, combination
+
+    def add(self, label, v: dict) -> dict | None:
+        """Keep v under ``label`` and return None when it is independent
+        of the kept vectors; otherwise return it as their combination."""
+        residual, combination = self.reduce(v)
+        if not residual:
+            self.dependencies.append((label, combination))
+            return combination
+        combination = {key: -c for key, c in combination.items()}
+        combination[label] = ONE
+        self.rows.append((next(iter(residual)), residual, combination))
+        self.kept.append(label)
         return None
-    x = [ZERO] * n_cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n_cols]
-    return x
 
 
-def _from_columns(columns: list[Vector], n_rows: int) -> Matrix:
-    """The n_rows-row matrix whose columns are ``columns``."""
-    return [[col[i] for col in columns] for i in range(n_rows)]
+def rref(m: list[dict]) -> Span:
+    """The echelon form of the vectors ``m``, added in order and labelled
+    by their positions.  As columns of a matrix, the kept labels are its
+    pivot columns and a dependency is the kernel vector in standard form
+    of a free column: 1 there, minus the combination on the pivots."""
+    span = Span()
+    for label, v in enumerate(m):
+        span.add(label, v)
+    return span
+
+
+def _terms(v: ModuleElement) -> dict:
+    return {(mon, i): c for i, a in v.coeffs.items()
+            for mon, c in a.terms.items()}
 
 
 class CochainComplex:
-    """Degree-sliced view of a dg module as a complex over Q, in the
-    coordinates of the module's :class:`~kapranov.modules.KBasis`."""
+    """Degree-sliced view of a dg module as a complex over Q, on the
+    k-basis of the module's :class:`~kapranov.modules.KBasis`."""
 
     def __init__(self, module: DgModule):
         self.module = module
         self.kb = KBasis(module)
-        self._dmat: dict[int, Matrix] = {}
-        self._degrees: dict[int, tuple[int, int, list[ModuleElement]]] = {}
+        self._echelon: dict[int, Span] = {}
+        self._classes: dict[int, tuple[Span, list]] = {}
 
     def degrees(self) -> list[int]:
         """The degrees with a nonempty slice: |e_i| + k for k up to the
@@ -117,45 +104,46 @@ class CochainComplex:
         return sorted({d + k for d in self.module.basis.degrees
                        for k in range(n + 1)})
 
-    def dim(self, n: int) -> int:
-        return len(self.kb.slice(n))
+    def echelon(self, n: int) -> Span:
+        """The echelon form of the images of the degree-n slice under d,
+        computed once: its kept labels span the coboundaries of degree
+        n + 1 and its dependencies are the cocycles of degree n."""
+        if n not in self._echelon:
+            self._echelon[n] = rref([self.module.differential_terms(*key)
+                                     for key in self.kb.slice(n)])
+        return self._echelon[n]
 
-    def diff_matrix(self, n: int) -> Matrix:
-        """Rows: images of the degree-n slice basis, in the degree-n+1 slice."""
-        if n not in self._dmat:
-            self._dmat[n] = [self.kb.differential_vector(key, n + 1)
-                             for key in self.kb.slice(n)]
-        return self._dmat[n]
+    def _element(self, n: int, coords: dict[int, Scalar]) -> ModuleElement:
+        """The element with coordinates {position in the degree-n slice: c}."""
+        keys = self.kb.slice(n)
+        return ModuleElement.from_terms(
+            self.module, ((keys[p], coords[p]) for p in sorted(coords)))
 
-    def _degree(self, n: int) -> tuple[int, int, list[ModuleElement]]:
-        """(dim Z^n, rank d_{n-1}, representatives of H^n), computed once.
-
-        One ``rref`` of the columns [rows of d_{n-1} | cocycles]: a column
-        is a pivot exactly when it lies outside the span of the columns
-        before it, so the pivot cocycles are the first cocycles, in
-        kernel-basis order, outside the coboundaries and the cocycles
-        before them.
-        """
-        if n not in self._degrees:
-            cocycles = kernel_basis(
-                _from_columns(self.diff_matrix(n), self.dim(n + 1)), self.dim(n))
-            boundaries = self.diff_matrix(n - 1)
-            _, pivots = rref(_from_columns(boundaries + cocycles, self.dim(n)))
-            rank = sum(1 for p in pivots if p < len(boundaries))
-            self._degrees[n] = (len(cocycles), rank, [
-                self.kb.from_vector(cocycles[p - len(boundaries)], n)
-                for p in pivots[rank:]])
-        return self._degrees[n]
+    def _representatives(self, n: int) -> tuple[Span, list]:
+        """The echelon form of degree n - 1 extended by the cocycles of
+        degree n, labelled after the slice, and the (label,
+        representative) of each cocycle it kept: the first cocycles
+        outside the coboundaries and the cocycles before them."""
+        if n not in self._classes:
+            below, keys = self.echelon(n - 1), self.kb.slice(n)
+            span = Span(below.rows, below.kept)
+            offset, reps = len(self.kb.slice(n - 1)), []
+            for j, (free, combination) in enumerate(self.echelon(n).dependencies):
+                z = {p: -c for p, c in combination.items()}
+                z[free] = ONE
+                if span.add(offset + j, {keys[p]: c for p, c in z.items()}) is None:
+                    reps.append((offset + j, self._element(n, z)))
+            self._classes[n] = span, reps
+        return self._classes[n]
 
     def cohomology_reps(self) -> list[tuple[int, ModuleElement]]:
         """(degree, representative) for a basis of all of H, by degree."""
         return [(n, rep) for n in self.degrees()
-                for rep in self._degree(n)[2]]
+                for _, rep in self._representatives(n)[1]]
 
     def betti(self, n: int) -> int:
         """dim Z^n - rank d_{n-1}, also when d^2 != 0 (H^n is then undefined)."""
-        n_cocycles, rank, _ = self._degree(n)
-        return n_cocycles - rank
+        return len(self.echelon(n).dependencies) - len(self.echelon(n - 1).kept)
 
     def is_cocycle(self, v: ModuleElement) -> bool:
         return apply_module_differential(self.module, v).is_zero()
@@ -170,14 +158,8 @@ class CochainComplex:
         n = v.degree()
         if not self.is_cocycle(v):
             raise ValueError("is_coboundary called on a non-cocycle")
-        rows = self.diff_matrix(n - 1)
-        target = self.kb.to_vector(v, n)
-        if not rows:
-            return None if any(target) else self.module.zero()
-        x = solve_linear(_from_columns(rows, self.dim(n)), target)
-        if x is None:
-            return None
-        return self.kb.from_vector(x, n - 1)
+        residual, x = self.echelon(n - 1).reduce(_terms(v))
+        return None if residual else self._element(n - 1, x)
 
     def class_coordinates(self, v: ModuleElement) -> list[Scalar]:
         """Coordinates of [v] in the representatives of its degree.
@@ -190,11 +172,6 @@ class CochainComplex:
         n = v.degree()
         if not self.is_cocycle(v):
             raise ValueError("class_coordinates called on a non-cocycle")
-        reps = self._degree(n)[2]
-        # solve [reps | coboundaries] . x = v
-        cols = [self.kb.to_vector(r, n) for r in reps] + self.diff_matrix(n - 1)
-        x = solve_linear(_from_columns(cols, self.dim(n)),
-                         self.kb.to_vector(v, n))
-        if x is None:
-            raise ValueError("closed element not in span of classes and coboundaries")
-        return x[:len(reps)]
+        span, reps = self._representatives(n)
+        x = span.reduce(_terms(v))[1]  # a cocycle has no residual
+        return [x.get(label, ZERO) for label, _ in reps]

@@ -220,21 +220,19 @@ class KBasis:
 
     ``keys`` are the pairs (monomial, module basis index) in the order of
     :meth:`DgModule.kbasis`, and ``index`` gives each key its position.
-    ``slice(d)`` lists the keys of degree d in the same order; ``to_vector``
-    and ``from_vector`` convert between module elements and dense
-    coordinates on one slice, ``to_kvec`` and ``to_module_element`` between
-    module elements and vectors over ``basis``, elements of ``ground``, the
-    free module on ``basis`` over the ground field.  The names of ``basis``
-    are ``word.name`` (``name`` alone for the empty monomial).  Everything
-    is built on first use: a slice enumerates only its own degree, so a
+    ``slice(d)`` lists the keys of degree d in the same order;
+    ``to_kvec`` and ``to_module_element`` convert between module elements
+    and vectors over ``basis``, elements of ``ground``, the free module on
+    ``basis`` over the ground field.  The names of ``basis`` are
+    ``word.name`` (``name`` alone for the empty monomial).  Everything is
+    built on first use: a slice enumerates only its own degree, so a
     complex that reads a few degrees never enumerates every key, and one
-    that only needs coordinates never builds the names.
+    that only reads slices never builds the names.
     """
 
     def __init__(self, module: DgModule):
         self.module = module
-        # degree -> (keys of the slice, {key: position in the slice})
-        self._slices: dict[int, tuple[list[tuple[Monomial, int]], dict]] = {}
+        self._slices: dict[int, list[tuple[Monomial, int]]] = {}
 
     @functools.cached_property
     def keys(self) -> list[tuple[Monomial, int]]:
@@ -247,12 +245,6 @@ class KBasis:
     @functools.cached_property
     def degrees(self) -> list[int]:
         return [self.module.kdegree(key) for key in self.keys]
-
-    def _slice(self, d: int) -> tuple[list[tuple[Monomial, int]], dict]:
-        if d not in self._slices:
-            keys = self.module.kbasis(d)
-            self._slices[d] = keys, {key: i for i, key in enumerate(keys)}
-        return self._slices[d]
 
     @functools.cached_property
     def basis(self) -> GradedBasis:
@@ -274,49 +266,22 @@ class KBasis:
             i: AlgebraElement._trusted({(): c}) for i, c in coeffs.items()})
 
     def slice(self, d: int) -> list[tuple[Monomial, int]]:
-        return self._slice(d)[0]
+        """The keys of degree d, in the order of ``keys``, built once."""
+        if d not in self._slices:
+            keys = self.module.kbasis(d)
+            self._slices[d] = keys
+        return self._slices[d]
 
     def to_kvec(self, v: ModuleElement) -> ModuleElement:
         # each (monomial, basis index) is one k-basis vector, hit once
         return self.kvec({self.index[(mon, i)]: c for i, a in v.coeffs.items()
                           for mon, c in a.terms.items()})
 
-    def to_vector(self, v: ModuleElement, d: int) -> list[Scalar]:
-        """Dense coordinates of v on the degree-d slice; a term of another
-        degree raises ValueError."""
-        return self.dense((((mon, i), c) for i, a in v.coeffs.items()
-                           for mon, c in a.terms.items()), d)
-
-    def dense(self, terms, d: int) -> list[Scalar]:
-        """Dense coordinates on the degree-d slice of the sum of c.key over
-        ``terms``, pairs (key, c) with no key twice; a key of another degree
-        raises ValueError."""
-        index = self._slice(d)[1]
-        out = [0] * len(index)
-        for key, c in terms:
-            pos = index.get(key)
-            if pos is None:
-                raise ValueError(
-                    f"element has a term outside degree {d}: {key}")
-            out[pos] = c
-        return out
-
-    def from_vector(self, vec: Sequence[Scalar], d: int) -> ModuleElement:
-        """The element with dense coordinates ``vec`` on the degree-d slice."""
-        return ModuleElement.from_terms(
-            self.module, ((key, c) for key, c in zip(self.slice(d), vec) if c))
-
     def differential(self, key: tuple[Monomial, int]) -> dict[int, Scalar]:
         """d of the k-basis vector ``key``, as {k-basis index:
         coefficient}, by :meth:`DgModule.differential_terms`."""
         terms = self.module.differential_terms(*key)
         return {self.index[k]: c for k, c in terms.items()}
-
-    def differential_vector(self, key: tuple[Monomial, int],
-                            d: int) -> list[Scalar]:
-        """Dense coordinates of d of the k-basis vector ``key`` on the
-        degree-d slice."""
-        return self.dense(self.module.differential_terms(*key).items(), d)
 
     def to_module_element(self, e: ModuleElement) -> ModuleElement:
         return ModuleElement.from_terms(self.module, (

@@ -44,16 +44,20 @@ definitions:
   all q^n block assignments, which restricted growth replaces;
 - ``reference_flat_connection_exists``, the flat-connection search as its
   own affine system over Omega (x) E, one column per k-basis unknown,
-  which the primitive of the zero connection's Atiyah cocycle replaces.
+  which the primitive of the zero connection's Atiyah cocycle replaces;
+- ``reference_rref``, the original all-``Fraction`` dense row reduction,
+  with ``reference_kernel`` and ``reference_solve`` on it: the dense
+  kernel and solve that the package's sparse elimination replaces.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from fractions import Fraction
 
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
-from kapranov.cohomology import CochainComplex, solve_linear
+from kapranov.cohomology import CochainComplex
 from kapranov.connections import (AtiyahCocycle, DeltaConnection,
                                   atiyah_cocycle)
 from kapranov.derivations import DgDerivation
@@ -616,9 +620,71 @@ def reference_flat_connection_exists(delta: DgDerivation,
         columns.append([a - b for a, b in zip(col, base)])
     target = [-a for a in base]
     eqs = [[columns[u][r] for u in range(n_unknowns)] for r in range(len(base))]
-    x = solve_linear(eqs, target)
+    x = reference_solve(eqs, target)
     if x is None:
         return None
     if not x:
         x = [ZERO] * n_unknowns
     return connection_from_vector(x)
+
+
+# ---------------------------------------------------------------------------
+# dense linear algebra
+
+def reference_rref(m):
+    """The original all-Fraction dense rref, kept verbatim as the oracle."""
+    m = [row[:] for row in m]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def as_fractions(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def reference_kernel(m, n_cols: int) -> list[list]:
+    """The null space of m (rows are equations) in standard form: one
+    vector per free column, 1 there, by ``reference_rref``."""
+    red, pivots = reference_rref(as_fractions(m))
+    out = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        v = [ZERO] * n_cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = exact(-red[r][fc])
+        out.append(v)
+    return out
+
+
+def reference_solve(m, b) -> list | None:
+    """One solution of m x = b with the free variables zero, or None, by
+    ``reference_rref`` of the augmented matrix."""
+    if not m:
+        return []
+    n_cols = len(m[0])
+    red, pivots = reference_rref(as_fractions([row + [c]
+                                               for row, c in zip(m, b)]))
+    if n_cols in pivots:
+        return None
+    x = [ZERO] * n_cols
+    for r, pc in enumerate(pivots):
+        x[pc] = exact(red[r][n_cols])
+    return x

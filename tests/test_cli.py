@@ -157,6 +157,27 @@ class TestExitCodes:
             env=env, capture_output=True, text=True, check=True).stdout
         assert json.loads(out) == [[], [], ["decimal", "fractions"]]
 
+    def test_atiyah_and_homotopy_load_no_fractions(self):
+        # the sparse elimination never normalizes a kept vector, so the
+        # primitives of the Atiyah cocycle on sl3/borel and of the homotopy
+        # on the shifted sl2/borel stay integral
+        code = ("import json, sys, contextlib, io; import kapranov.cli\n"
+                "seen = []\n"
+                "for argv in sys.argv[1:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "        assert kapranov.cli.main(argv.split()) == 0\n"
+                "    seen.append(sorted({'fractions', 'decimal'} "
+                "& set(sys.modules)))\n"
+                "print(json.dumps(seen))")
+        sl3 = ROOT / "bench" / "instances" / "sl3_borel.json"
+        sl2 = ROOT / "bench" / "instances" / "sl2_borel_shifted.json"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, f"atiyah --input {sl3}",
+             f"homotopy --input {sl2}"],
+            env=src_env(), capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [[], []]
+
     def test_homotopy_needs_second_splitting(self, capsys):
         code, _, err = run(capsys, "homotopy", "--input",
                            str(INSTANCES / "abelian_trivial.json"))

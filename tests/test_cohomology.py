@@ -1,14 +1,16 @@
 """Degree-sliced cohomology over Q with deterministic representatives.
 
-The exact linear algebra keeps entries ``int`` while they are integral;
-its oracles are an all-``Fraction`` copy of the original dense ``rref``
-and sympy's ranks.
+The sparse elimination keeps entries ``int`` while they are integral;
+its oracles are the original all-``Fraction`` dense ``rref`` of
+``oracles`` and sympy's ranks.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,14 @@ from hypothesis import strategies as st
 
 from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
 from kapranov.cli import Instance, load_document
-from kapranov.cohomology import CochainComplex, kernel_basis, rref, solve_linear
+from kapranov.cohomology import CochainComplex, Span, rref
 from kapranov.graded import GradedBasis
 from kapranov.kapranov import CohomologyBracket, kapranov_brackets
 from kapranov.modules import (DgModule, KBasis, ModuleElement,
                               apply_module_differential)
-from oracles import cohomology_basis, eval_table_on_elements
+import lie_pairs
+from oracles import (as_fractions, cohomology_basis, eval_table_on_elements,
+                     reference_kernel, reference_rref, reference_solve)
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -37,35 +41,55 @@ def trivial_module(alg):
     return DgModule(alg, GradedBasis(["1"], [0]), {})
 
 
+def column_vectors(m) -> list[dict]:
+    """The columns of the dense matrix ``m`` as sparse vectors {row: entry}."""
+    return [{i: row[j] for i, row in enumerate(m) if row[j]}
+            for j in range(len(m[0]) if m else 0)]
+
+
 class TestLinearAlgebra:
     def test_rref_pivots(self):
-        m = [[F(0), F(2), F(4)], [F(1), F(1), F(1)]]
-        red, pivots = rref(m)
-        assert pivots == [0, 1]
-        assert red[0][:2] == [F(1), F(0)]
-        assert red[1][:2] == [F(0), F(1)]
+        # the columns (0, 1), (2, 1) and (4, 1) = 2 (2, 1) - (0, 1)
+        span = rref(column_vectors([[F(0), F(2), F(4)], [F(1), F(1), F(1)]]))
+        assert span.kept == [0, 1]
+        assert span.dependencies == [(2, {0: -1, 1: 2})]
 
     def test_kernel_basis_standard_form(self):
-        # x + y + z = 0 has kernel dim 2 with free variables y, z
-        m = [[F(1), F(1), F(1)]]
-        ker = kernel_basis(m, 3)
-        assert ker == [[F(-1), F(1), F(0)], [F(-1), F(0), F(1)]]
+        # x + y + z = 0 has kernel dim 2 with free variables y, z: the
+        # kernel vectors (-1, 1, 0) and (-1, 0, 1)
+        span = rref(column_vectors([[F(1), F(1), F(1)]]))
+        assert span.kept == [0]
+        assert span.dependencies == [(1, {0: 1}), (2, {0: 1})]
 
     def test_kernel_of_empty_matrix(self):
-        ker = kernel_basis([], 2)
-        assert ker == [[F(1), F(0)], [F(0), F(1)]]
+        assert rref([]).kept == rref([]).dependencies == []
+        span = rref([{}, {}])
+        assert span.kept == []
+        assert span.dependencies == [(0, {}), (1, {})]
 
     def test_solve_consistent(self):
-        m = [[F(1), F(2)], [F(0), F(1)]]
-        assert solve_linear(m, [F(5), F(2)]) == [F(1), F(2)]
+        span = rref(column_vectors([[F(1), F(2)], [F(0), F(1)]]))
+        assert span.reduce({0: F(5), 1: F(2)}) == ({}, {0: 1, 1: 2})
 
     def test_solve_inconsistent(self):
-        m = [[F(1), F(1)], [F(2), F(2)]]
-        assert solve_linear(m, [F(1), F(3)]) is None
+        span = rref(column_vectors([[F(1), F(1)], [F(2), F(2)]]))
+        residual, _ = span.reduce({0: F(1), 1: F(3)})
+        assert residual
 
     def test_solve_underdetermined_free_vars_zero(self):
-        m = [[F(1), F(1)]]
-        assert solve_linear(m, [F(7)]) == [F(7), F(0)]
+        span = rref(column_vectors([[F(1), F(1)]]))
+        assert span.reduce({0: F(7)}) == ({}, {0: 7})
+
+    def test_add_labels_and_returns_the_combination(self):
+        span = Span()
+        assert span.add("a", {"x": 2}) is None
+        assert span.add("b", {"x": 1, "y": 1}) is None
+        assert span.add("c", {"x": 2, "y": 1}) == {"a": F(1, 2), "b": 1}
+        assert span.kept == ["a", "b"]
+        assert span.dependencies == [("c", {"a": F(1, 2), "b": 1})]
+        copy = Span(span.rows, span.kept)
+        assert copy.add("d", {"z": 1}) is None
+        assert (copy.kept, span.kept) == (["a", "b", "d"], ["a", "b"])
 
 
 class TestBettiNumbers:
@@ -159,35 +183,6 @@ class TestRepresentatives:
 # ---------------------------------------------------------------------------
 # oracles for the exact linear algebra
 
-def reference_rref(m):
-    """The original all-Fraction dense rref, kept verbatim as the oracle."""
-    m = [row[:] for row in m]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def as_fractions(m):
-    return [[F(x) for x in row] for row in m]
-
-
 def sympy_rank(m) -> int:
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           for x in row] for row in m]).rank() if m else 0
@@ -207,58 +202,84 @@ SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 6, F(1, 2), F(-2, 3),
 
 @st.composite
 def matrices(draw):
+    """A dense matrix whose columns are drawn, zero, or a multiple of an
+    earlier column; it may have no column at all."""
     rows = draw(st.integers(1, 5))
-    cols = draw(st.integers(1, 5))
-    return [[draw(SCALARS) for _ in range(cols)] for _ in range(rows)]
+    cols: list[list] = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["drawn", "drawn", "zero", "repeated"]))
+        if kind == "zero" or kind == "repeated" and not cols:
+            cols.append([0] * rows)
+        elif kind == "repeated":
+            c = draw(st.sampled_from([1, -1, 2, F(1, 2)]))
+            cols.append([c * x for x in draw(st.sampled_from(cols))])
+        else:
+            cols.append([draw(SCALARS) for _ in range(rows)])
+    return [[col[i] for col in cols] for i in range(rows)]
 
 
-@settings(max_examples=200, deadline=None)
+def dense(coords: dict, n: int) -> list:
+    return [coords.get(i, 0) for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(matrices(), st.lists(SCALARS, min_size=5, max_size=5))
 def test_exact_linear_algebra_against_fraction_rref_and_sympy(m, b):
+    """The kept labels are the pivot columns of the dense rref, the
+    dependencies its kernel in standard form, and reducing b gives the
+    solution with the free variables zero, or a residual exactly when
+    sympy's ranks say m x = b has no solution."""
     n_cols = len(m[0])
     b = b[:len(m)]
-    ref, ref_pivots = reference_rref(as_fractions(m))
-    red, pivots = rref(m)
-    assert (red, pivots) == (ref, ref_pivots)
-    assert len(pivots) == sympy_rank(m)
-    assert_exact_entries(red)
-
-    ker = kernel_basis(m, n_cols)
-    assert len(ker) == n_cols - len(pivots)
+    span = rref(column_vectors(m))
+    _, ref_pivots = reference_rref(as_fractions(m))
+    assert span.kept == ref_pivots
+    assert len(span.kept) == sympy_rank(m)
     free = [c for c in range(n_cols) if c not in ref_pivots]
-    for fc, v in zip(free, ker):
-        want = [F(0)] * n_cols
-        want[fc] = F(1)
-        for r, pc in enumerate(ref_pivots):
-            want[pc] = -ref[r][fc]
-        assert v == want
+    assert [label for label, _ in span.dependencies] == free
+    kernel = []
+    for fc, combination in span.dependencies:
+        v = dense({p: -c for p, c in combination.items()}, n_cols)
+        v[fc] = 1
+        kernel.append(v)
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
-    assert_exact_entries(ker)
+    assert kernel == reference_kernel(m, n_cols)
+    assert_exact_entries(kernel)
+    assert_exact_entries([row.values() for _, row, _ in span.rows])
 
-    x = solve_linear(m, b)
-    aug, aug_pivots = reference_rref(as_fractions([row + [bb]
-                                                   for row, bb in zip(m, b)]))
-    if n_cols in aug_pivots:
-        assert x is None
-        assert sympy_rank([row + [bb] for row, bb in zip(m, b)]) \
-            == len(pivots) + 1
-    else:
-        want = [F(0)] * n_cols
-        for r, pc in enumerate(aug_pivots):
-            want[pc] = aug[r][n_cols]
-        assert x == want
-        assert [sum(a * xx for a, xx in zip(row, x)) for row in m] == b
-        assert_exact_entries([x])
+    residual, x = span.reduce({i: c for i, c in enumerate(b) if c})
+    want = reference_solve(m, b)
+    augmented = [row + [bb] for row, bb in zip(m, b)]
+    assert (want is None) == bool(residual) \
+        == (sympy_rank(augmented) == len(span.kept) + 1)
+    if want is not None:
+        assert set(x) <= set(span.kept)
+        assert dense(x, n_cols) == want
+        assert [sum(a * xx for a, xx in zip(row, dense(x, n_cols)))
+                for row in m] == b
+        assert_exact_entries([x.values()])
 
 
 def test_division_stays_integral_when_the_pivot_divides():
-    red, pivots = rref([[2, 4, 6], [3, 5, 7]])
-    assert pivots == [0, 1]
-    assert red == [[1, 0, -1], [0, 1, 2]]
-    assert_exact_entries(red)
-    red, _ = rref([[2, 3]])
-    assert red == [[1, F(3, 2)]]
-    assert_exact_entries(red)
+    # 2 (2, 3) - (3, 5) = (1, 1); the rows are never normalized
+    span = rref(column_vectors([[2, 3, 1], [3, 5, 1]]))
+    assert (span.kept, span.dependencies) == ([0, 1], [(2, {0: 2, 1: -1})])
+    assert_exact_entries([row.values() for _, row, _ in span.rows])
+    span = rref([{0: 2}, {0: 3}])
+    assert span.dependencies == [(1, {0: F(3, 2)})]
+    assert_exact_entries([c.values() for _, c in span.dependencies])
+
+
+def dense_differential(cx: CochainComplex, n: int) -> list[list]:
+    """d on the degree-n slice as dense rows on the degree-(n+1) slice."""
+    index = {key: i for i, key in enumerate(cx.kb.slice(n + 1))}
+    rows = []
+    for key in cx.kb.slice(n):
+        row = [0] * len(index)
+        for k, c in cx.module.differential_terms(*key).items():
+            row[index[k]] = c
+        rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("path", INSTANCES, ids=lambda p: p.stem)
@@ -266,48 +287,61 @@ def test_betti_numbers_match_sympy_ranks(path):
     """betti(n) = dim C^n - rank d_n - rank d_(n-1), ranks from sympy."""
     cx = CochainComplex(Instance(load_document(str(path))).setup.bmod)
     for n in cx.degrees():
-        rank_n = sympy_rank(cx.diff_matrix(n))
-        rank_before = sympy_rank(cx.diff_matrix(n - 1))
-        assert cx.betti(n) == cx.dim(n) - rank_n - rank_before
+        rank_n = sympy_rank(dense_differential(cx, n))
+        rank_before = sympy_rank(dense_differential(cx, n - 1))
+        assert cx.betti(n) == len(cx.kb.slice(n)) - rank_n - rank_before
+
+
+def echelon_sizes(monkeypatch) -> list[int]:
+    """The number of vectors of each ``rref`` that ``cohomology`` runs on
+    sl3/borel."""
+    from kapranov import cohomology
+    from kapranov.cli import main
+    calls = []
+
+    def counting(m):
+        calls.append(len(m))
+        return rref(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "rref", counting)
+        path = ROOT / "bench" / "instances" / "sl3_borel.json"
+        assert main(["cohomology", "--input", str(path)]) == 0
+    return calls
 
 
 def test_cohomology_command_builds_one_complex(capsys, monkeypatch):
-    """The Betti numbers and the class bracket share one complex, so each
-    differential row of sl3/borel's 96-element k-basis is built once."""
-    from kapranov.cli import main
-    built = []
-    diff_matrix = CochainComplex.diff_matrix
-
-    def counting(self, n):
-        fresh = n not in self._dmat
-        rows = diff_matrix(self, n)
-        if fresh:
-            built.append(len(rows))
-        return rows
-    monkeypatch.setattr(CochainComplex, "diff_matrix", counting)
-    path = ROOT / "bench" / "instances" / "sl3_borel.json"
-    assert main(["cohomology", "--input", str(path)]) == 0
+    """The Betti numbers and the class bracket share one complex, so the
+    differential of each vector of sl3/borel's 96-element k-basis is
+    eliminated once."""
+    assert sum(echelon_sizes(monkeypatch)) == 96
     capsys.readouterr()
-    assert sum(built) == 96
 
 
 def test_cohomology_command_computes_each_degree_once(capsys, monkeypatch):
     """The Betti numbers, the representatives and the class bracket read
-    one cached pass per degree: one kernel_basis for each of sl3/borel's
-    six degrees."""
-    from kapranov import cohomology
-    from kapranov.cli import main
-    calls = []
-    kernel_basis = cohomology.kernel_basis
-
-    def counting(m, n_cols):
-        calls.append(n_cols)
-        return kernel_basis(m, n_cols)
-    monkeypatch.setattr(cohomology, "kernel_basis", counting)
-    path = ROOT / "bench" / "instances" / "sl3_borel.json"
-    assert main(["cohomology", "--input", str(path)]) == 0
+    one echelon form per degree: one for each of sl3/borel's six degrees,
+    0 to 5, and one for the empty slice of degree -1 below them, whose
+    rank the Betti number of degree 0 reads."""
+    assert echelon_sizes(monkeypatch) == [0, 3, 15, 30, 30, 15, 3]
     capsys.readouterr()
-    assert len(calls) == 6
+
+
+def test_atiyah_on_sl4_borel_stays_small(capsys, tmp_path):
+    """The Atiyah class of sl4/borel is decided by eliminating the 216
+    sparse images of degree 0 of Omega (x) End(B) in its 1,944-key degree
+    1, in well under 4 MB; dense rows and their transposes peaked at
+    14 MB."""
+    from kapranov.cli import main
+    path = tmp_path / "sl4_borel.json"
+    path.write_text(json.dumps(lie_pairs.sl_borel(4)))
+    tracemalloc.start()
+    try:
+        assert main(["atiyah", "--input", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4 * 2 ** 20
 
 
 def test_class_leibniz_check_reuses_the_inner_brackets(capsys, monkeypatch):

@@ -31,7 +31,7 @@ included: the package defines no ``_residuals`` and never calls
 builds no k-basis bracket table itself: it never reads a family's
 ``.brackets`` and never names ``extend_module_table``.  Every linear
 solve asks a ``CochainComplex``: no module but ``cohomology.py`` calls
-``solve_linear``, ``kernel_basis``, ``rref`` or ``_from_columns``.  And every
+the elimination ``rref`` or builds a ``Span``.  And every
 function and method of the package runs when the commands run on the
 repository's documents, or it is listed in ``UNREACHED`` with its
 ROADMAP item or a reason.
@@ -674,9 +674,9 @@ def test_join_guard_sees_planted_definitions():
 
 
 # every linear solve of the package is a question to a CochainComplex:
-# no module but cohomology.py calls the dense solvers
+# no module but cohomology.py runs the elimination
 SOLVER = "cohomology.py"
-SOLVES = frozenset({"solve_linear", "kernel_basis", "rref", "_from_columns"})
+SOLVES = frozenset({"rref", "Span"})
 
 
 def solver_calls(name: str, source: str) -> list[str]:
@@ -704,18 +704,16 @@ def test_only_the_cochain_complex_solves(path):
 def test_solver_guard_sees_planted_calls():
     solver = (PACKAGE / SOLVER).read_text()
     assert solver_calls(SOLVER, solver) == []
-    assert len(solver_calls("derivations.py", solver)) >= 4
+    assert len(solver_calls("derivations.py", solver)) >= 3
     source = (PACKAGE / "derivations.py").read_text()
     n = len(source.splitlines())
     planted = source + (
         "\n\ndef _homotopy_columns(columns, target):\n"
-        "    x = solve_linear(cohomology._from_columns(columns, 2), target)\n"
-        "    return cohomology.rref([x]), kernel_basis([x], 2)\n")
+        "    residual, x = cohomology.rref(columns).reduce(target)\n"
+        "    return Span().add(0, target), x\n")
     assert solver_calls("derivations.py", planted) == [
-        f"derivations.py: solve_linear, line {n + 4}",
-        f"derivations.py: _from_columns, line {n + 4}",
-        f"derivations.py: rref, line {n + 5}",
-        f"derivations.py: kernel_basis, line {n + 5}"]
+        f"derivations.py: rref, line {n + 4}",
+        f"derivations.py: Span, line {n + 5}"]
 
 
 # Every function and method of the package runs when the commands run on
