@@ -1,10 +1,13 @@
 """Batch front end: parse instance documents, run checks, emit JSON reports.
 
 Reports are deterministic: fixed key order (sorted), rationals as "p/q"
-strings, no timing in the body (elapsed time goes to stderr).  Exit
-status is 0 exactly when every requested check passed, 1 on a failing
-check (a CheckFailure raised while a structure is built is named on
-stderr instead of in a report), 2 on input errors.
+strings, no timing in the body (elapsed time goes to stderr).  A command
+returns only its facts, with its ``checks`` or ``weights``; :func:`main`
+adds ``command`` and ``label`` and decides ``passed``: every check passed
+and no weight lists a failure.  Exit status is 0 exactly when the report
+passed, 1 on a failing check (a CheckFailure raised while a structure is
+built is named on stderr instead of in a report), 2 on input errors, and
+3 when the run could not finish for want of memory.
 """
 
 from __future__ import annotations
@@ -382,8 +385,7 @@ def cmd_validate(inst: Instance, args) -> dict:
     except ValueError as e:
         conn_fail.append(str(e))
     checks.append(named_check("connection", conn_fail))
-    return {"command": "validate", "label": inst.label, "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+    return {"checks": checks}
 
 
 def cmd_atiyah(inst: Instance, args) -> dict:
@@ -403,16 +405,6 @@ def cmd_atiyah(inst: Instance, args) -> dict:
     checks = [named_check("cocycle_closed",
                           [] if at.is_closed() else ["[nabla, d] is not closed"]),
               named_check("flat_agrees_with_class_vanishing", flat_fail)]
-    out = {
-        "command": "atiyah",
-        "label": inst.label,
-        "class_zero": class_zero,
-        "flat_connection_found": flat is not None,
-    }
-    if flat is not None:
-        out["flat_connection_values"] = {
-            s.bmod.basis.names[i]: module_elem_json(v)
-            for i, v in sorted(flat.values.items())}
     if inst.second_connection is not None:
         at2 = atiyah_cocycle(inst.second_connection)
         d_elt = connection_difference_element(
@@ -426,8 +418,12 @@ def cmd_atiyah(inst: Instance, args) -> dict:
             "class_connection_independent",
             [] if at.same_class(at2)
             else ["classes of the two connections differ"]))
-    out["checks"] = checks
-    out["passed"] = all(c["passed"] for c in checks)
+    out = {"class_zero": class_zero, "flat_connection_found": flat is not None,
+           "checks": checks}
+    if flat is not None:
+        out["flat_connection_values"] = {
+            s.bmod.basis.names[i]: module_elem_json(v)
+            for i, v in sorted(flat.values.items())}
     return out
 
 
@@ -448,14 +444,11 @@ def cmd_brackets(inst: Instance, args) -> dict:
                     for i, dv in enumerate(diff) if not dv.is_zero()]
     checks = [named_check("bracket_degrees", fam.degree_failures())]
     return {
-        "command": "brackets",
-        "label": inst.label,
         "max_arity": inst.max_arity(args),
         "differential": diff_entries,
         "tables": bracket_tables_json(fam),
         "nonzero_arities": fam.nonzero_arities(),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
     }
 
 
@@ -463,15 +456,11 @@ def cmd_check_leibniz(inst: Instance, args) -> dict:
     n_max = inst.max_arity(args)
     require_defined(inst)
     fam = kapranov_brackets(inst.setup.connection, n_max)
-    report = check_leibniz_infinity(fam, n_max)
     return {
-        "command": "check-leibniz",
-        "label": inst.label,
         "max_arity": n_max,
         "nonzero_arities": fam.nonzero_arities(),
         "tables": bracket_tables_json(fam),
-        "weights": report["weights"],
-        "passed": report["passed"],
+        "weights": check_leibniz_infinity(fam, n_max)["weights"],
     }
 
 
@@ -503,13 +492,10 @@ def cmd_morphism(inst: Instance, args) -> dict:
         [f"n={w['n']}: {f['tuple']}" for w in report["weights"]
          for f in w["failures"]]))
     return {
-        "command": "morphism",
-        "label": inst.label,
         "kind": kind,
         "map_arities": mor.nonzero_arities(),
         "weights": report["weights"],
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
     }
 
 
@@ -545,14 +531,11 @@ def cmd_homotopy(inst: Instance, args) -> dict:
             atiyah_cocycle(s1.connection))
         else ["twisted Atiyah classes of the two splittings differ"]))
     return {
-        "command": "homotopy",
-        "label": inst.label,
         "homotopy_values": {
             s0.algebra.generators.names[i]: module_elem_json(v)
             for i, v in sorted(h.values.items())},
         "iso_arities": mor.nonzero_arities(),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
     }
 
 
@@ -572,8 +555,6 @@ def cmd_cohomology(inst: Instance, args) -> dict:
         "class_leibniz_identity",
         [f"representatives {t}" for t in leib])]
     return {
-        "command": "cohomology",
-        "label": inst.label,
         "betti": betti,
         "class_representatives": reps,
         "class_bracket_table": table,
@@ -582,7 +563,6 @@ def cmd_cohomology(inst: Instance, args) -> dict:
             [fam.module.basis.names[witness[0]],
              fam.module.basis.names[witness[1]]] if witness else None),
         "checks": checks,
-        "passed": all(c["passed"] for c in checks),
     }
 
 
@@ -697,9 +677,8 @@ def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     start = time.monotonic()
     try:
-        doc = load_document(args.input)
-        inst = Instance(doc)
-        report = COMMANDS[args.command](inst, args)
+        inst = Instance(load_document(args.input))
+        facts = COMMANDS[args.command](inst, args)
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -710,12 +689,16 @@ def main(argv=None) -> int:
         print(f"error: {args.input}: {e}", file=sys.stderr)
         return 2
     except MemoryError:  # could not finish: neither a failed check nor bad input
-        report = None
-    if report is None:
+        facts = None
+    if facts is None:
         # printed only here, once the handler has dropped the traceback and
         # with it the frames that held what the command had built
         print(f"error: {args.input}: out of memory", file=sys.stderr)
         return 3
+    passed = (all(c["passed"] for c in facts.get("checks", ()))
+              and not any(w["failures"] for w in facts.get("weights", ())))
+    report = {"command": args.command, "label": inst.label, **facts,
+              "passed": passed}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.output:
         try:
@@ -728,7 +711,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
-    return 0 if report["passed"] else 1
+    return 0 if passed else 1
 
 
 def run() -> None:

@@ -13,6 +13,7 @@ stay ``int`` while they are integral.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 
 from .algebra import add_scalar
@@ -43,15 +44,24 @@ class Span:
         self.rows: list[tuple[object, dict, dict]] = list(rows)
         self.kept: list = list(kept)
         self.dependencies: list[tuple[object, dict]] = []
+        self.positions = {pivot: p for p, (pivot, _, _) in enumerate(self.rows)}
 
     def reduce(self, v: dict) -> tuple[dict, dict]:
         """(residual, combination): v is the residual plus the combination
         of the kept vectors, and the residual is empty exactly when v lies
-        in their span."""
+        in their span.  Only the rows whose pivots v meets are visited, in
+        order, from a heap of their positions: a row is zero at the pivots
+        of the rows before it, so it brings in pivots of later rows only."""
         v, combination = dict(v), {}
-        for pivot, row, row_combination in self.rows:
+        heap = [p for p in map(self.positions.get, v) if p is not None]
+        heapq.heapify(heap)
+        while heap:
+            pivot, row, row_combination = self.rows[heapq.heappop(heap)]
             f = v.get(pivot)
             if f:
+                for key in row:
+                    if key not in v and key in self.positions:
+                        heapq.heappush(heap, self.positions[key])
                 f = exact_div(f, row[pivot])
                 _add(v, -f, row)
                 _add(combination, f, row_combination)
@@ -66,6 +76,7 @@ class Span:
             return combination
         combination = {key: -c for key, c in combination.items()}
         combination[label] = ONE
+        self.positions[next(iter(residual))] = len(self.rows)
         self.rows.append((next(iter(residual)), residual, combination))
         self.kept.append(label)
         return None

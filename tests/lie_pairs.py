@@ -6,8 +6,9 @@ matrix units.  The basis is h_1, ..., h_{n-1} (h_k = E_kk - E_{k+1,k+1}),
 then e_ij = E_ij and then f_ij = E_ji for i < j, each in the order of
 ``roots``; the structure constants are commutators over ``Fraction``.
 The subalgebra is the Borel span(h, e), so the quotient positions are the
-f's.  For n = 2 and 3 the brackets are those of ``instances/sl2_borel.json``
-and ``bench/instances/sl3_borel.json``.
+f's, unless a ``subalgebra`` list of basis indices replaces it.  For n = 2
+and 3 the brackets are those of ``instances/sl2_borel.json`` and
+``bench/instances/sl3_borel.json``.
 
 ``splittings(n)`` is a Hypothesis strategy for a splitting {quotient
 position: {sub position: c}}, and ``documents(sizes)`` draws n from
@@ -80,14 +81,21 @@ def brackets(n: int) -> dict[str, dict[str, str]]:
 
 
 def sl_borel(n: int, splitting: dict | None = None,
-             second_splitting: dict | None = None) -> dict:
-    """The document of (sl_n, Borel) with the given splittings."""
-    pair = {"basis": basis_names(n), "brackets": brackets(n),
-            "subalgebra": list(range(n - 1 + len(roots(n)))),
+             second_splitting: dict | None = None,
+             subalgebra: list[int] | None = None) -> dict:
+    """The document of (sl_n, Borel), or of (sl_n, the span of the basis
+    indices ``subalgebra``), with the given splittings."""
+    names = basis_names(n)
+    if subalgebra is None:
+        subalgebra, label = list(range(n - 1 + len(roots(n)))), f"sl{n}/borel"
+    else:
+        label = f"sl{n}/span({','.join(names[a] for a in subalgebra)})"
+    pair = {"basis": names, "brackets": brackets(n),
+            "subalgebra": subalgebra,
             "splitting": splitting or {}}
     if second_splitting is not None:
         pair["second_splitting"] = second_splitting
-    return {"field": "rational", "label": f"sl{n}/borel", "lie_pair": pair,
+    return {"field": "rational", "label": label, "lie_pair": pair,
             "options": {"max_arity": 3}}
 
 

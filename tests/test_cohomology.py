@@ -91,6 +91,35 @@ class TestLinearAlgebra:
         assert copy.add("d", {"z": 1}) is None
         assert (copy.kept, span.kept) == (["a", "b", "d"], ["a", "b"])
 
+    def test_a_vector_meeting_one_pivot_visits_one_row(self):
+        class CountingRows(list):
+            visits = 0
+
+            def __getitem__(self, p):
+                self.visits += 1
+                return super().__getitem__(p)
+
+            def __iter__(self):
+                for row in super().__iter__():
+                    self.visits += 1
+                    yield row
+
+        class CountingSpan(Span):
+            def __init__(self, rows=(), kept=()):
+                super().__init__(rows, kept)
+                self.rows = CountingRows(self.rows)
+
+        span = CountingSpan()
+        for i in range(20):  # row i is e_i + e_{i+1}, pivot i
+            span.add(i, {i: 1, i + 1: 1})
+        span.rows.visits = 0
+        assert span.reduce({19: 3, "x": 1}) == ({"x": 1, 20: -3}, {19: 3})
+        assert span.rows.visits == 1
+        # e_17 meets row 17, which brings in row 18's pivot, and so on
+        span.rows.visits = 0
+        assert span.reduce({17: 1}) == ({20: -1}, {17: 1, 18: -1, 19: 1})
+        assert span.rows.visits == 3
+
 
 class TestBettiNumbers:
     def test_sl2_whitehead(self, sl2):

@@ -7,6 +7,12 @@ on sl4/borel and on sl3/borel with a splitting of the kind that
 sha256 of stdout below.  The hashes were taken before the cochain
 complexes moved from dense to sparse elimination; the reports do not name
 the input path, so the documents are written to a temporary directory.
+
+``atiyah``, ``cohomology`` and ``validate`` also run on sl4 over its
+nilradical n = span(e) and over h_1 + n, whose cohomology has 76 and 20
+classes, so that the class table and the class Leibniz check see real
+classes.  Their hashes were taken before ``Span.reduce`` went from
+visiting every row to visiting the rows its vector meets.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ DOCUMENTS = {
     "sl4": lie_pairs.sl_borel(4, {"0": {"1": "1"}}, {"0": {"0": "2"}}),
     "sl3": lie_pairs.sl_borel(3, {"1": {"0": "1/2", "4": "-2/3"},
                                   "2": {"2": "2"}}, {"0": {"3": "-1"}}),
+    "sl4_n": lie_pairs.sl_borel(4, {"0": {"1": "1"}}, {"0": {"0": "2"}},
+                                subalgebra=[3, 4, 5, 6, 7, 8]),
+    "sl4_h1+n": lie_pairs.sl_borel(4, {"0": {"1": "1"}}, {"0": {"0": "2"}},
+                                   subalgebra=[0, 3, 4, 5, 6, 7, 8]),
 }
 
 PINS = {
@@ -36,6 +46,12 @@ PINS = {
     "cohomology sl3": "d506db1ae7c2f3d774fef0b7537ce517ed22bc8f2708f01ff52362eef410948e",
     "homotopy sl3": "956f49ff48d5e3875379db796af3f8eb6b709f48dc1491c3b378e572eddbad76",
     "validate sl3": "6dabfb0cce4225e7f287b8b20eb7478ea0a916686b08515dc333077a09e9290c",
+    "atiyah sl4_n": "d23d7a917b57c10b2d74af60ce4f53685f9482d0adff1ee49e9f989f4eaff31d",
+    "cohomology sl4_n": "04ad771becbc0238b2c87a08d9faaf5ed861566d2b34783b2f9b89042203777d",
+    "validate sl4_n": "bcaf8e8f73cc646461c9630973a7d550b7b7e71cfd2e3d9661c08cb9b91dd487",
+    "atiyah sl4_h1+n": "66548cac77ab71d92fc7294a962a1cfe60c89392764675a3936dbf7cfba10613",
+    "cohomology sl4_h1+n": "120d592591f1e54842df058ec49ef0557bcd15dde485ef5197c2d1783095cbfc",
+    "validate sl4_h1+n": "79fd2809352633aa2a5684c4f03f6c01c5704f90d139c5a799ddbd399c9c7b29",
 }
 
 
@@ -44,6 +60,8 @@ def test_reports_match_their_pins(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(DOCUMENTS[name]))
     for command in ("atiyah", "cohomology", "homotopy", "validate"):
+        if f"{command} {name}" not in PINS:
+            continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
