@@ -33,16 +33,13 @@ class Setup:
     """One instance of the datum: ``algebra`` A, ``omega``, ``delta``:
     A -> Omega, ``bmod`` B = Omega^ and a delta-``connection`` on B.
 
-    A Lie pair's set-up also keeps its ``pair`` and ``splitting``, a
-    linear map's its :class:`LinearMapObject` as ``data``; a set-up read
-    from raw data keeps neither.
+    A Lie pair's set-up also keeps its ``pair`` and ``splitting``.
     """
 
     def __init__(self, algebra: CdgaPresentation, omega: DgModule,
                  delta: DgDerivation, bmod: DgModule,
                  connection: DeltaConnection, pair: LiePair | None = None,
-                 splitting: dict | None = None,
-                 data: LinearMapObject | None = None):
+                 splitting: dict | None = None):
         self.algebra = algebra
         self.omega = omega
         self.delta = delta
@@ -50,7 +47,6 @@ class Setup:
         self.connection = connection
         self.pair = pair
         self.splitting = {} if splitting is None else splitting
-        self.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -269,4 +265,4 @@ def linear_map_setup(data: LinearMapObject) -> Setup:
                          label=f"psi^({data.label})")
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
     conn = DeltaConnection(delta, bmod, label="trivial")
-    return Setup(algebra, omega, delta, bmod, conn, data=data)
+    return Setup(algebra, omega, delta, bmod, conn)

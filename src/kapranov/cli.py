@@ -89,11 +89,6 @@ def parse_module_element(module: DgModule, d: dict) -> ModuleElement:
                                   for i, a in d.items()})
 
 
-def parse_index_pair(s: str) -> tuple[int, int]:
-    i, j = s.split(",")
-    return int(i), int(j)
-
-
 def parse_index(s, bound: int, where: str, what: str) -> int:
     """int(s), which must lie in 0..bound-1; the error names ``where``."""
     i = int(s)
@@ -103,11 +98,19 @@ def parse_index(s, bound: int, where: str, what: str) -> int:
     return i
 
 
-def parse_lie(d: dict) -> LieAlgebraData:
-    brackets = {}
+def parse_index_pair(s: str, bounds, where: str, what: str) -> tuple[int, ...]:
+    """The indices "i,j", each checked by :func:`parse_index`."""
+    return tuple(parse_index(x, n, where, what)
+                 for x, n in zip(s.split(","), bounds))
+
+
+def parse_lie(d: dict, where: str) -> LieAlgebraData:
+    n, brackets = len(d["basis"]), {}
     for key, row in d.get("brackets", {}).items():
-        brackets[parse_index_pair(key)] = {int(k): parse_rational(c)
-                                           for k, c in row.items()}
+        at = f"{where}/brackets/{key}"
+        brackets[parse_index_pair(key, (n, n), at, "basis index")] = {
+            parse_index(k, n, f"{at}/{k}", "output basis index"):
+            parse_rational(c) for k, c in row.items()}
     return LieAlgebraData(d["basis"], brackets)
 
 
@@ -130,15 +133,33 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
     for i, row in d.items():
         v = base.tensor.zero()
         for jk, elem in row.items():
-            j, k = parse_index_pair(jk)  # omega_j (x) e_k
-            for x, n in ((j, delta.target.rank), (k, bmod.rank)):
-                parse_index(x, n, f"{where}/{i}/{jk}", "basis index")
+            j, k = parse_index_pair(jk, (delta.target.rank, bmod.rank),
+                                    f"{where}/{i}/{jk}", "basis index")
             v = v + ModuleElement(base.tensor, {
                 tensor_index(base.tensor, j, k):
                     parse_algebra_element(elem, bmod.algebra.n_generators)})
         values[parse_index(i, bmod.rank, f"{where}/{i}",
                            "module basis index")] = v
     return DeltaConnection(delta, bmod, values, tensor=base.tensor)
+
+
+def parse_linear_map(d: dict, label: str) -> LinearMapObject:
+    """The ``linear_map_object`` of a document."""
+    lie = parse_lie(d["lie"], "linear_map_object/lie")
+    n, dim_e = lie.dim, len(d["module_basis"])
+    actions = {}
+    for a, row in d["actions"].items():
+        at = f"linear_map_object/actions/{a}"
+        rho = actions[parse_index(a, n, at, "Lie basis index")] = {}
+        for ij, c in row.items():
+            rho[parse_index_pair(ij, (dim_e, dim_e), f"{at}/{ij}",
+                                 "module basis index")] = parse_rational(c)
+    at = "linear_map_object/psi"
+    psi = {parse_index(i, dim_e, f"{at}/{i}", "module basis index"):
+           {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
+            parse_rational(c) for a, c in row.items()}
+           for i, row in d["psi"].items()}
+    return LinearMapObject(lie, d["module_basis"], actions, psi, label=label)
 
 
 class Instance:
@@ -155,7 +176,7 @@ class Instance:
         if "lie_pair" in doc:
             self.kind = "lie_pair"
             d = doc["lie_pair"]
-            self.lie = parse_lie(d)
+            self.lie = parse_lie(d, "lie_pair")
             sub = [parse_index(a, self.lie.dim, f"lie_pair/subalgebra/{t}",
                                "basis index")
                    for t, a in enumerate(d["subalgebra"])]
@@ -175,40 +196,32 @@ class Instance:
                     "lie_pair/second_connection")
         elif "linear_map_object" in doc:
             self.kind = "linear_map_object"
-            d = doc["linear_map_object"]
-            self.lie = parse_lie(d["lie"])
-            n, dim_e = self.lie.dim, len(d["module_basis"])
-            actions = {}
-            for a, row in d["actions"].items():
-                at = f"linear_map_object/actions/{a}"
-                rho = actions[parse_index(a, n, at, "Lie basis index")] = {}
-                for ij, c in row.items():
-                    for i in parse_index_pair(ij):
-                        parse_index(i, dim_e, f"{at}/{ij}", "module basis index")
-                    rho[parse_index_pair(ij)] = parse_rational(c)
-            at = "linear_map_object/psi"
-            psi = {parse_index(i, dim_e, f"{at}/{i}", "module basis index"):
-                   {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
-                    parse_rational(c) for a, c in row.items()}
-                   for i, row in d["psi"].items()}
-            self.setup = linear_map_setup(
-                LinearMapObject(self.lie, d["module_basis"], actions, psi,
-                                label=self.label))
+            data = parse_linear_map(doc["linear_map_object"], self.label)
+            self.lie = data.lie
+            self.setup = linear_map_setup(data)
         else:
             self.kind = "raw"
             d = doc["raw"]
             n_gens = len(d["generators"])
-            diff = {int(i): parse_algebra_element(a, n_gens)
+            diff = {parse_index(i, n_gens, f"raw/differential/{i}",
+                                "generator index"):
+                    parse_algebra_element(a, n_gens)
                     for i, a in d.get("differential", {}).items()}
             algebra = CdgaPresentation(d["generators"], diff)
             om = d["omega"]
-            om_diff = {parse_index_pair(k): parse_algebra_element(a, n_gens)
+            n_om = len(om["basis"])
+            om_diff = {parse_index_pair(k, (n_om, n_om),
+                                        f"raw/omega/differential/{k}",
+                                        "basis index"):
+                       parse_algebra_element(a, n_gens)
                        for k, a in om.get("differential", {}).items()}
             omega = DgModule(algebra, GradedBasis(om["basis"], om["degrees"]),
                              om_diff, label="Omega")
             delta = DgDerivation(
-                algebra, omega, {int(i): parse_module_element(omega, v)
-                                 for i, v in d.get("delta", {}).items()})
+                algebra, omega,
+                {parse_index(i, n_gens, f"raw/delta/{i}", "generator index"):
+                 parse_module_element(omega, v)
+                 for i, v in d.get("delta", {}).items()})
             bmod = dual_module(omega)
             self.setup = Setup(algebra, omega, delta, bmod,
                                parse_connection_values(delta, bmod,

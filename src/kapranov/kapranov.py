@@ -15,6 +15,7 @@ invariance.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -1021,69 +1022,59 @@ class CohomologyBracket:
     [[b1],[b2]] = (-1)^{|b1|} [R_2(b1, b2)], tabulated on deterministic
     representatives of H(B).  H(B) needs d^2 = 0 on A and on B, which the
     caller checks first with :func:`require_dg`, as the ``cohomology``
-    command does once for the whole run.
-    """
+    command does once for the whole run.  ``cocycles`` and ``table`` keep
+    the pairs of representatives with a nonzero bracket cocycle."""
 
     def __init__(self, fam: BracketFamily):
         self.fam = fam
         self.complex = CochainComplex(fam.module)
         self.reps = self.complex.cohomology_reps()
+        reps = [r for _, r in self.reps]
+        self.cocycles = self.bracket_table(reps, reps)
         self.table: dict[tuple[int, int], list[Scalar]] = {}
-        self.cocycles: dict[tuple[int, int], ModuleElement] = {}
-        for a, (da, ra) in enumerate(self.reps):
-            for b, (db, rb) in enumerate(self.reps):
-                z = self.cocycles[(a, b)] = self.bracket_cocycle(ra, rb)
-                if not z.is_zero() and not self.complex.is_cocycle(z):
-                    raise CheckFailure("bracket output is not closed")
-                self.table[(a, b)] = self.complex.class_coordinates(z)
+        for pair, z in self.cocycles.items():
+            if not self.complex.is_cocycle(z):
+                raise CheckFailure("bracket output is not closed")
+            self.table[pair] = self.complex.class_coordinates(z)
 
-    def bracket_cocycle(self, x: ModuleElement, y: ModuleElement) -> ModuleElement:
-        """(-1)^{|x|} R_2(x, y) for homogeneous x and y: the join of the
-        one partition term R_2(x, y), whose blocks are the tables
-        {(0,): x} and {(0,): y}, negated as in
-        :func:`compose_morphism_families`."""
+    def bracket_table(self, xs: list[ModuleElement], ys: list[ModuleElement]
+                      ) -> dict[tuple[int, int], ModuleElement]:
+        """{(p, q): (-1)^{|x_p|} R_2(x_p, y_q)} where it is nonzero, for
+        nonzero homogeneous x_p and y_q: one join of the partition term R_2
+        over the tables {(p,): x_p} and {(q,): y_q}."""
         module = self.fam.module
-        if x.is_zero() or y.is_zero():
-            return module.zero()
-        dx = x.degree()
-        term = _Partition(self.fam.module_tables.get(2, {}),
-                          [{(0,): x}, {(0,): y}], ((1,), (2,)), 1)
-        acc = _module_residuals([[dx], [y.degree()]], [], [term], module, {})
-        return _module_table(acc, module, 1 if dx % 2 else -1).get(
-            (0, 0), module.zero())
+        degrees = [[v.degree() for v in vs] for vs in (xs, ys)]
+        xs = [x.scale(-1) if d % 2 else x for x, d in zip(xs, degrees[0])]
+        tables = [{(p,): v for p, v in enumerate(vs)} for vs in (xs, ys)]
+        term = _Partition(self.fam.module_tables.get(2, {}), tables,
+                          ((1,), (2,)), 1)
+        acc = _module_residuals(degrees, [], [term], module, {})
+        return _module_table(acc, module, -1)
 
     def is_skew(self) -> bool:
-        return self.nonskew_witness() is None
-
-    def nonskew_witness(self):
-        """A pair of representative indices with [[a],[b]] != -[[b],[a]]."""
-        for (a, b), coords in sorted(self.table.items()):
-            rev = self.table.get((b, a), [])
-            width = max(len(coords), len(rev))
-            lhs = coords + [0] * (width - len(coords))
-            rhs = [-c for c in rev] + [0] * (width - len(rev))
-            if lhs != rhs:
-                return (a, b)
-        return None
+        """Whether [[a],[b]] = -[[b],[a]] for all representatives a, b."""
+        return all(c == -r for (a, b), coords in self.table.items()
+                   for c, r in itertools.zip_longest(
+                       coords, self.table.get((b, a), []), fillvalue=0))
 
     def leibniz_failures(self) -> list[tuple]:
-        """[x,[y,z]] - [[x,y],z] - (-1)^{<x><y>}[y,[x,z]] on classes,
-        with <x> the shifted degree |x| + 1; the inner brackets are the
-        ``cocycles`` of the representatives."""
-        out, inner = [], self.cocycles
-        for a, (da, ra) in enumerate(self.reps):
-            for b, (db, rb) in enumerate(self.reps):
-                for c, (dc, rc) in enumerate(self.reps):
-                    z1 = self.bracket_cocycle(ra, inner[(b, c)])
-                    z2 = self.bracket_cocycle(inner[(a, b)], rc)
-                    sign = -1 if ((da + 1) * (db + 1)) % 2 else 1
-                    z3 = self.bracket_cocycle(rb, inner[(a, c)])
-                    resid = z1 - z2 - z3.scale(sign)
-                    if resid.is_zero():
-                        continue
-                    if self.complex.is_coboundary(resid) is None:
-                        out.append((a, b, c))
-        return out
+        """[x,[y,z]] - [[x,y],z] - (-1)^{<x><y>}[y,[x,z]] on classes, with
+        <x> = |x| + 1, where a term is nonzero.  The join of the
+        representatives with the inner brackets, the ``cocycles``, gives
+        the first term at (a, b, c) and the last at (b, a, c); the join
+        the other way round gives the second."""
+        pairs, inner = list(self.cocycles), list(self.cocycles.values())
+        reps = [r for _, r in self.reps]
+        shifted = [d + 1 for d, _ in self.reps]
+        resid = collections.defaultdict(self.fam.module.zero)
+        for (a, j), z in self.bracket_table(reps, inner).items():
+            b, c = pairs[j]
+            resid[a, b, c] += z
+            resid[b, a, c] += z if shifted[a] * shifted[b] % 2 else -z
+        for (j, c), z in self.bracket_table(inner, reps).items():
+            resid[pairs[j] + (c,)] -= z
+        return [t for t, v in sorted(resid.items())
+                if not v.is_zero() and self.complex.is_coboundary(v) is None]
 
 
 def cohomology_leibniz_bracket(fam: BracketFamily) -> CohomologyBracket:

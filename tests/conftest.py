@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from kapranov.algebra import LieAlgebraData
-from kapranov.cli import Instance
+from kapranov.builders import LinearMapObject
+from kapranov.cli import Instance, parse_linear_map
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 # the linear-map documents shipped_setup knows, adjoint(+)trivial last
@@ -26,17 +27,28 @@ def adjoint_trivial_document() -> dict:
     return doc
 
 
+def shipped_document(name: str) -> dict:
+    """``instances/<name>.json``, or :func:`adjoint_trivial_document` for
+    "adjoint_trivial"."""
+    if name == "adjoint_trivial":
+        return adjoint_trivial_document()
+    return json.loads((INSTANCES / f"{name}.json").read_text())
+
+
+def linear_map_data(name: str) -> LinearMapObject:
+    """The linear-map object of the document :func:`shipped_document`
+    gives, as ``cli.Instance`` parses it."""
+    doc = shipped_document(name)
+    return parse_linear_map(doc["linear_map_object"], doc["label"])
+
+
 def shipped_setup(name: str, splitting: dict | None = None):
-    """The Setup of ``instances/<name>.json`` as ``cli.Instance`` reads it,
-    or of :func:`adjoint_trivial_document` for "adjoint_trivial".
+    """The Setup of :func:`shipped_document` as ``cli.Instance`` reads it.
 
     ``splitting``, {quotient position: {sub position: c}}, replaces the
     document's ``lie_pair.splitting``; {} is the standard splitting j0.
     """
-    if name == "adjoint_trivial":
-        doc = adjoint_trivial_document()
-    else:
-        doc = json.loads((INSTANCES / f"{name}.json").read_text())
+    doc = shipped_document(name)
     if splitting is not None:
         doc["lie_pair"]["splitting"] = {
             str(b): {str(a): str(c) for a, c in row.items()}

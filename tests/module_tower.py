@@ -177,10 +177,10 @@ def cohomology_action(action_family: ModuleActionFamily) -> CohomologyAction:
 # ---------------------------------------------------------------------------
 # modules of a linear-map object, and naturality of Atiyah cocycles
 
-def coadjoint_module(setup) -> tuple[DgModule, DeltaConnection]:
-    """The coadjoint representation as a dg module over the same CE(g),
-    with its canonical (forced) delta-connection."""
-    lie = setup.data.lie
+def coadjoint_module(setup, lie) -> tuple[DgModule, DeltaConnection]:
+    """The coadjoint representation of ``lie`` as a dg module over the
+    CE(g) of a linear-map object's set-up, with its canonical (forced)
+    delta-connection."""
     n = len(lie.names)
     # rho*(x_a) xi^i = -sum_j ad_a[j -> i] xi^j, where ad_a[j -> k] is the
     # coefficient of x_k in [x_a, x_j]

@@ -33,7 +33,10 @@ definitions:
 - ``hom_element_to_morphism``, an element of Hom(M, N) = dual(M) (x) N
   read as a map;
 - ``bracket_vectors``, the Lie bracket on coordinate vectors;
-- ``cohomology_basis``, the representatives of one degree of H;
+- ``cohomology_basis``, the representatives of one degree of H, and
+  ``reference_class_bracket``, the bracket on H pair by pair and its
+  Leibniz check over all triples of representatives, which the package's
+  two table joins replace;
 - ``a_multilinearity_violations``, where a k-basis table differs from
   the A-multilinear extension of its module-basis restriction;
 - ``loday_pirashvili_bracket``, the Leibniz bracket psi(e_i).e_j of a
@@ -62,7 +65,7 @@ from kapranov.connections import (AtiyahCocycle, DeltaConnection,
                                   atiyah_cocycle)
 from kapranov.derivations import DgDerivation
 from kapranov.graded import ONE, ZERO, MultilinearMap, exact
-from kapranov.kapranov import (BracketFamily, MorphismFamily,
+from kapranov.kapranov import (BracketFamily, CheckFailure, MorphismFamily,
                                extend_module_table)
 from kapranov.modules import (DgModule, ModuleElement, ModuleMorphism,
                               add_term, apply_module_differential, contract,
@@ -465,6 +468,57 @@ def bracket_vectors(lie: LieAlgebraData, v: dict, w: dict) -> dict:
 def cohomology_basis(cx: CochainComplex, n: int) -> list[ModuleElement]:
     """Deterministic representatives of a basis of H^n."""
     return [rep for d, rep in cx.cohomology_reps() if d == n]
+
+
+def reference_class_bracket(fam: BracketFamily):
+    """The class bracket pair by pair and triple by triple, as the package
+    computed it before its two table joins, with (-1)^{|x|} R_2(x, y)
+    evaluated on elements.  Returns the bracket cocycles and the class
+    table on all r^2 pairs of representatives, whether [[a],[b]] =
+    -[[b],[a]] for all of them, and the triples of the Leibniz check
+    [x,[y,z]] - [[x,y],z] - (-1)^{<x><y>}[y,[x,z]] whose residual is not a
+    coboundary, <x> = |x| + 1, from all r^3 triples."""
+    module = fam.module
+    cx = CochainComplex(module)
+    reps = cx.cohomology_reps()
+
+    def bracket_cocycle(x, y):
+        if x.is_zero() or y.is_zero():
+            return module.zero()
+        z = eval_table_on_elements(fam.module_tables.get(2, {}), 1, [x, y],
+                                   [module] * 2, module)
+        return z.scale(-1) if x.degree() % 2 else z
+
+    cocycles, table = {}, {}
+    for a, (da, ra) in enumerate(reps):
+        for b, (db, rb) in enumerate(reps):
+            z = cocycles[(a, b)] = bracket_cocycle(ra, rb)
+            if not z.is_zero() and not cx.is_cocycle(z):
+                raise CheckFailure("bracket output is not closed")
+            table[(a, b)] = cx.class_coordinates(z)
+    witness = None
+    for (a, b), coords in sorted(table.items()):
+        rev = table.get((b, a), [])
+        width = max(len(coords), len(rev))
+        lhs = coords + [0] * (width - len(coords))
+        rhs = [-c for c in rev] + [0] * (width - len(rev))
+        if lhs != rhs:
+            witness = (a, b)
+            break
+    failures, inner = [], cocycles
+    for a, (da, ra) in enumerate(reps):
+        for b, (db, rb) in enumerate(reps):
+            for c, (dc, rc) in enumerate(reps):
+                z1 = bracket_cocycle(ra, inner[(b, c)])
+                z2 = bracket_cocycle(inner[(a, b)], rc)
+                sign = -1 if ((da + 1) * (db + 1)) % 2 else 1
+                z3 = bracket_cocycle(rb, inner[(a, c)])
+                resid = z1 - z2 - z3.scale(sign)
+                if resid.is_zero():
+                    continue
+                if cx.is_coboundary(resid) is None:
+                    failures.append((a, b, c))
+    return cocycles, table, witness is None, failures
 
 
 def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import pathlib
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import INSTANCES, LINEAR_MAPS, shipped_setup
+from conftest import INSTANCES, LINEAR_MAPS, linear_map_data, shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
 from kapranov.builders import (LiePair, LinearMapObject, Setup,
                                linear_map_setup, splitting_homotopy)
@@ -25,8 +26,8 @@ from kapranov.kapranov import (CheckFailure, bracket_nonskew_witness,
 from kapranov.modules import DgModule, ModuleElement, validate_dg_module
 from module_tower import (check_module_identities, coadjoint_module,
                           cohomology_action, kapranov_module)
-from oracles import (bracket_vectors, linear_map_failures,
-                     loday_pirashvili_bracket)
+from oracles import (bracket_vectors, eval_table_on_elements,
+                     linear_map_failures, loday_pirashvili_bracket)
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -55,7 +56,7 @@ class TestShippedDocumentData:
     ])
     def test_linear_maps_parse_to_literal_data(self, affine, name, e_names,
                                                actions, psi):
-        data = document(INSTANCES / f"{name}.json").setup.data
+        data = linear_map_data(name)
         assert (data.lie.names, data.lie.brackets) == (affine.names,
                                                        affine.brackets)
         assert data.e_names == e_names
@@ -77,7 +78,8 @@ class TestShippedDocumentData:
         assert isinstance(s.connection, DeltaConnection)
         assert s.delta.target is s.omega and s.connection.module is s.bmod
         assert (s.pair is not None) == (kind == "lie_pair")
-        assert (s.data is not None) == (kind == "linear_map_object")
+        assert set(vars(s)) == {"algebra", "omega", "delta", "bmod",
+                                "connection", "pair", "splitting"}
 
 
 class TestLiePairs:
@@ -265,24 +267,26 @@ class TestLinearMapObjects:
     def test_r2_is_minus_psi_action(self):
         # closed form from the defining data, independent of the Atiyah
         # machinery: R_2(e_i~, e_j~) = -psi(e_i).e_j
-        for s in map(shipped_setup, LINEAR_MAPS):
+        for name in LINEAR_MAPS:
+            s, data = shipped_setup(name), linear_map_data(name)
             fam = kapranov_brackets(s.connection, max_arity=2)
             want = {}
-            for i in range(s.data.dim_e()):
-                for j in range(s.data.dim_e()):
-                    lp = loday_pirashvili_bracket(s.data, i, j)
+            for i in range(data.dim_e()):
+                for j in range(data.dim_e()):
+                    lp = loday_pirashvili_bracket(data, i, j)
                     if lp:
                         want[(i, j)] = ModuleElement(
                             s.bmod,
                             {k: AlgebraElement.scalar(-c) for k, c in lp.items()})
-            assert fam.module_tables[2] == want, s.data.label
+            assert fam.module_tables[2] == want, name
 
     def test_recovered_bracket_is_not_skew(self):
         s = shipped_setup("double_adjoint_linear_map")
+        data = linear_map_data("double_adjoint_linear_map")
         # a2 o b1 = psi(a2).b1 = [x, y] in the first copy = b1, while
         # b1 o a2 = psi(b1).a2 = 0 since psi kills the first copy
-        assert loday_pirashvili_bracket(s.data, 2, 1) == {1: F(1)}
-        assert loday_pirashvili_bracket(s.data, 1, 2) == {}
+        assert loday_pirashvili_bracket(data, 2, 1) == {1: F(1)}
+        assert loday_pirashvili_bracket(data, 1, 2) == {}
         fam = kapranov_brackets(s.connection, max_arity=2)
         assert bracket_nonskew_witness(fam) is not None
 
@@ -321,23 +325,28 @@ class TestCohomologyLevel:
         assert cb.leibniz_failures() == []
 
     def test_class_bracket_consistent_with_formula(self):
-        # [[b1],[b2]] = (-1)^{|b1|}[R_2(b1,b2)]: recompute the table from
-        # the closed form -psi(e1).e2 and compare class coordinates
+        # [[b1],[b2]] = (-1)^{|b1|}[R_2(b1,b2)]: recompute the bracket of
+        # every pair of representatives from the closed form
+        # -psi(e1).e2, evaluated on elements, and compare class
+        # coordinates; the table holds the pairs with a nonzero cocycle
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
         cb = cohomology_leibniz_bracket(fam)
-        for (a, b), coords in cb.table.items():
-            da, ra = cb.reps[a]
-            db, rb = cb.reps[b]
-            z = cb.bracket_cocycle(ra, rb)
-            assert cb.complex.class_coordinates(z) == coords
+        for (a, (da, ra)), (b, (db, rb)) in itertools.product(
+                enumerate(cb.reps), repeat=2):
+            z = eval_table_on_elements(fam.module_tables[2], 1, [ra, rb],
+                                       [fam.module] * 2, fam.module)
+            z = z.scale(-1) if da % 2 else z
+            assert ((a, b) in cb.table) == (not z.is_zero())
+            assert cb.table.get((a, b), []) \
+                == cb.complex.class_coordinates(z)
 
 
 class TestModuleActions:
     def test_coadjoint_module_identities(self):
         s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=4)
-        coad, conn = coadjoint_module(s)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map").lie)
         assert validate_dg_module(coad) == []
         mf = kapranov_module(fam, conn, max_arity=4)
         assert mf.nonzero_arities() == [1, 2]
@@ -350,7 +359,7 @@ class TestModuleActions:
         # mu_2(a~, y*) = -ad_x*(y*) = +y*
         s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map").lie)
         mf = kapranov_module(fam, conn, max_arity=2)
         got = mf.module_tables[2].get((0, 1))
         assert got == ModuleElement(coad, {1: AlgebraElement.scalar(1)})
@@ -358,7 +367,7 @@ class TestModuleActions:
     def test_cohomology_action_well_defined(self):
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=3)
-        coad, conn = coadjoint_module(s)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
         mf = kapranov_module(fam, conn, max_arity=3)
         assert check_module_identities(mf, 3)["passed"]
         act = cohomology_action(mf)
@@ -371,7 +380,7 @@ class TestModuleActions:
         from kapranov.modules import ModuleMorphism
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
         mf = kapranov_module(fam, conn, max_arity=2)
         act = cohomology_action(mf)
         lam = ModuleMorphism(coad, coad, 0,

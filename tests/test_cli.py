@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from conftest import adjoint_trivial_document, shipped_setup
+from conftest import adjoint_trivial_document, linear_map_data, shipped_setup
 from kapranov.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -268,7 +268,8 @@ class TestInputBounds:
         code, out, err = run_document(capsys, tmp_path, doc, command)
         assert code == 2
         assert out == ""
-        assert "bracket (1,2) names output basis index 7" in err
+        assert err.startswith("error: at lie_pair/brackets/1,2/7: output "
+                              "basis index 7 is out of range")
 
     @pytest.mark.parametrize("name,keys,value,command,path", [
         ("sl2_borel", ["lie_pair", "subalgebra"], [0, 9], "validate",
@@ -304,7 +305,21 @@ class TestInputBounds:
         ("sl2_borel", ["options", "max_arity"], 3.0, "brackets",
          "options/max_arity"),
         ("sl2_borel", ["lie_pair", "subalgebra"], [1.0, 2.0], "validate",
-         "lie_pair/subalgebra/0"),
+         "lie_pair/subalgebra/0"),        # found by the parser, not by the library, so the error names the
+        # place in the document
+        ("sl2_borel", ["lie_pair", "brackets", "0,9"], {"0": "1"},
+         "validate", "lie_pair/brackets/0,9"),
+        ("adjoint_linear_map", ["linear_map_object", "lie", "brackets", "0,1"],
+         {"1": "1", "7": "1"}, "validate",
+         "linear_map_object/lie/brackets/0,1/7"),
+        ("raw", ["raw", "differential"], {"9": {"0.1": "1"}}, "validate",
+         "raw/differential/9"),
+        ("raw", ["raw", "delta"], {"9": {"0": {"": "1"}}}, "validate",
+         "raw/delta/9"),
+        ("raw", ["raw", "omega", "differential"], {"0,9": {"0": "1"}},
+         "validate", "raw/omega/differential/0,9"),
+        ("raw", ["raw", "omega", "differential"], {"9,0": {"0": "1"}},
+         "brackets", "raw/omega/differential/9,0"),
     ])
     def test_out_of_range_or_ill_typed_index(self, capsys, tmp_path, name,
                                              keys, value, command, path):
@@ -819,7 +834,7 @@ class TestBuildTimeCheckFailures:
                                   kapranov_module)
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
         mf = kapranov_module(fam, conn, max_arity=2)
         assert cohomology_action(mf).e_reps
         # mu_2 constant at y*, which d does not close

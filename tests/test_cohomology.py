@@ -8,6 +8,7 @@ its oracles are the original all-``Fraction`` dense ``rref`` of
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import pathlib
 import tracemalloc
@@ -18,16 +19,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kapranov.algebra import AlgebraElement, LieAlgebraData, ce_algebra
+from kapranov.algebra import (AlgebraElement, CdgaPresentation,
+                              LieAlgebraData, ce_algebra)
 from kapranov.cli import Instance, load_document
 from kapranov.cohomology import CochainComplex, Span, rref
 from kapranov.graded import GradedBasis
-from kapranov.kapranov import CohomologyBracket, kapranov_brackets
+from kapranov.kapranov import (BracketFamily, CheckFailure,
+                               CohomologyBracket, kapranov_brackets)
 from kapranov.modules import (DgModule, KBasis, ModuleElement,
                               apply_module_differential)
 import lie_pairs
 from oracles import (as_fractions, cohomology_basis, eval_table_on_elements,
-                     reference_kernel, reference_rref, reference_solve)
+                     reference_class_bracket, reference_kernel,
+                     reference_rref, reference_solve)
 
 F = Fraction
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -373,24 +377,49 @@ def test_atiyah_on_sl4_borel_stays_small(capsys, tmp_path):
     assert peak < 4 * 2 ** 20
 
 
-def test_class_leibniz_check_reuses_the_inner_brackets(capsys, monkeypatch):
-    """The Leibniz check on classes reads the brackets of pairs of
-    representatives that the table computed: on abelian_trivial, with
-    r = 2 representatives, r^2 = 4 joins for the table and 3 r^3 = 24 for
-    the triples, 28 in all (52 when each triple recomputed its three
-    inner brackets)."""
+def test_class_leibniz_check_reuses_the_inner_brackets(capsys, monkeypatch,
+                                                       tmp_path):
+    """The class bracket runs three joins, whatever the number r of
+    representatives: one for the table on the r^2 pairs, and two for the
+    Leibniz check, which reads the inner brackets off the table.  The
+    documents have r = 2, 0 and 12, and the second-level brackets of all
+    three vanish; those of :func:`hand_worked_family` do not.  The
+    bracket evaluated pair by pair made 28 joins on abelian_trivial, r^2
+    for the table and 3 r^3 for the triples."""
+    import sys
+    from kapranov import kapranov
     from kapranov.cli import main
     calls = []
-    bracket_cocycle = CohomologyBracket.bracket_cocycle
+    module_residuals = kapranov._module_residuals
 
-    def counting(self, x, y):
-        calls.append((x, y))
-        return bracket_cocycle(self, x, y)
-    monkeypatch.setattr(CohomologyBracket, "bracket_cocycle", counting)
-    path = ROOT / "instances" / "abelian_trivial.json"
-    assert main(["cohomology", "--input", str(path)]) == 0
-    capsys.readouterr()
-    assert len(calls) == 28
+    def counting(*args):
+        caller = sys._getframe(1).f_code.co_qualname
+        if caller.startswith("CohomologyBracket."):
+            calls.append(caller)
+        return module_residuals(*args)
+    monkeypatch.setattr(kapranov, "_module_residuals", counting)
+    sl3_n = tmp_path / "sl3_n.json"
+    sl3_n.write_text(json.dumps(SL3_N))
+    for path in (ROOT / "instances" / "abelian_trivial.json",
+                 ROOT / "instances" / "sl2_borel.json", sl3_n):
+        calls.clear()
+        assert main(["cohomology", "--input", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == ["CohomologyBracket.bracket_table"] * 3, path.name
+    calls.clear()
+    assert CohomologyBracket(hand_worked_family()).leibniz_failures() \
+        == [(0, 0, 0)]
+    assert calls == ["CohomologyBracket.bracket_table"] * 3
+
+
+def hand_worked_family() -> BracketFamily:
+    """R_2(e0, e0) = e0 + e1 over the algebra with no generators, with
+    e0, e1 in degree -1, f in degree -2 and d f = e1."""
+    module = DgModule(CdgaPresentation([]),
+                      GradedBasis(["e0", "e1", "f"], [-1, -1, -2]),
+                      {(2, 1): AlgebraElement.monomial(())})
+    e0, e1 = (ModuleElement.basis_vector(module, i) for i in (0, 1))
+    return BracketFamily(module, {2: {(0, 0): e0 + e1}})
 
 
 def test_nonzero_class_bracket_worked_by_hand():
@@ -409,16 +438,9 @@ def test_nonzero_class_bracket_worked_by_hand():
     residual z1 - z2 - z3 = -(e0 + e1) is not a coboundary and
     leibniz_failures() is [(0, 0, 0)].
     """
-    from kapranov.algebra import CdgaPresentation
-    from kapranov.kapranov import BracketFamily, CohomologyBracket
-    one = AlgebraElement.monomial(())
-    module = DgModule(CdgaPresentation([]),
-                      GradedBasis(["e0", "e1", "f"], [-1, -1, -2]),
-                      {(2, 1): one})
-    e0, e1 = (ModuleElement.basis_vector(module, i) for i in (0, 1))
-    fam = BracketFamily(module, {2: {(0, 0): e0 + e1}})
+    fam = hand_worked_family()
     cb = CohomologyBracket(fam)
-    assert cb.reps == [(-1, e0)]
+    assert cb.reps == [(-1, ModuleElement.basis_vector(fam.module, 0))]
     assert cb.table == {(0, 0): [-1]}
     assert not cb.is_skew()
     assert cb.leibniz_failures() == [(0, 0, 0)]
@@ -440,11 +462,11 @@ def class_bracket(path) -> tuple[CohomologyBracket, KBasis]:
 
 @st.composite
 def homogeneous_elements(draw, kb: KBasis):
-    """A sum of up to three scaled k-basis vectors of one degree."""
+    """A sum of one to three scaled k-basis vectors of one degree."""
     keys = kb.slice(draw(st.sampled_from(sorted(set(kb.degrees)))))
     v = kb.module.zero()
     for key in draw(st.lists(st.sampled_from(keys), unique=True,
-                             max_size=3)):
+                             min_size=1, max_size=3)):
         c = draw(st.sampled_from([1, -1, 2, F(1, 2)]))
         v = v + kb.module.kbasis_element(key).scale(c)
     return v
@@ -453,18 +475,103 @@ def homogeneous_elements(draw, kb: KBasis):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_class_bracket_joins_like_the_evaluation_on_elements(data):
-    """(-1)^{|x|} R_2(x, y) through the join equals R_2 evaluated on the
-    expanded tensor x (x) y, on elements whose coefficients pass the
-    bracket and the basis vector before them."""
+    """Every entry (p, q) of ``bracket_table(xs, ys)``, (-1)^{|x_p|}
+    R_2(x_p, y_q) through one join, equals R_2 evaluated on the expanded
+    tensor x_p (x) y_q, on elements whose coefficients pass the bracket
+    and the basis vector before them; the table holds the nonzero
+    entries only."""
     path = data.draw(st.sampled_from(CLASS_BRACKET_DOCUMENTS),
                      label="document")
     cb, kb = class_bracket(path)
     table = cb.fam.module_tables[2]
     assert table
-    x = data.draw(homogeneous_elements(kb), label="x")
-    y = data.draw(homogeneous_elements(kb), label="y")
-    want = eval_table_on_elements(table, 1, [x, y], [kb.module] * 2,
-                                  kb.module)
-    if x.degree() is not None and x.degree() % 2:
-        want = want.scale(-1)
-    assert cb.bracket_cocycle(x, y) == want
+    xs = data.draw(st.lists(homogeneous_elements(kb), min_size=1,
+                            max_size=3), label="xs")
+    ys = data.draw(st.lists(homogeneous_elements(kb), min_size=1,
+                            max_size=3), label="ys")
+    got = cb.bracket_table(xs, ys)
+    assert all(not v.is_zero() for v in got.values())
+    assert set(got) <= {(p, q) for p in range(len(xs)) for q in range(len(ys))}
+    for p, x in enumerate(xs):
+        for q, y in enumerate(ys):
+            want = eval_table_on_elements(table, 1, [x, y],
+                                          [kb.module] * 2, kb.module)
+            if x.degree() % 2:
+                want = want.scale(-1)
+            assert got.get((p, q), kb.module.zero()) == want, (p, q)
+
+
+def class_bracket_outcome(fam: BracketFamily, reference: bool):
+    """The cocycles and the table on all pairs, whether the bracket is
+    skew, and the Leibniz failures of the package or of
+    ``reference_class_bracket``, or the exception that either raised."""
+    try:
+        if reference:
+            return reference_class_bracket(fam)
+        cb = CohomologyBracket(fam)
+        # the package keeps the pairs whose bracket cocycle is nonzero
+        assert set(cb.table) == set(cb.cocycles)
+        assert all(not z.is_zero() for z in cb.cocycles.values())
+        pairs = list(itertools.product(range(len(cb.reps)), repeat=2))
+        return ({pair: cb.cocycles.get(pair, fam.module.zero())
+                 for pair in pairs},
+                {pair: cb.table.get(pair, []) for pair in pairs},
+                cb.is_skew(), cb.leibniz_failures())
+    except (CheckFailure, ValueError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def ground_field_families(draw) -> BracketFamily:
+    """A degree-1 R_2 on 2-5 basis vectors of degrees -3..1 over the
+    algebra with no generators, whose differential has at most one
+    entry, so that d^2 = 0.  Half the time R_2(e_j, e_i) = -R_2(e_i, e_j),
+    so that the class bracket is often skew and nonzero."""
+    degrees = draw(st.lists(st.integers(-3, 1), min_size=2, max_size=5),
+                   label="degrees")
+    n = len(degrees)
+    steps = [(i, j) for i in range(n) for j in range(n)
+             if degrees[j] == degrees[i] + 1]
+    diff = {}
+    if steps and draw(st.booleans(), label="differential"):
+        diff[draw(st.sampled_from(steps), label="d entry")] = \
+            AlgebraElement.scalar(draw(st.sampled_from([1, -1, 2])))
+    module = DgModule(CdgaPresentation([]),
+                      GradedBasis([f"e{i}" for i in range(n)], degrees), diff)
+    r2, skew = {}, draw(st.booleans(), label="skew")
+    for i in range(n):
+        for j in range(n):
+            if skew and j <= i:
+                if j < i and (j, i) in r2:
+                    r2[(i, j)] = r2[(j, i)].scale(-1)
+                continue
+            v = module.zero()
+            for k in range(n):
+                if degrees[k] == degrees[i] + degrees[j] + 1:
+                    c = draw(st.sampled_from([0, 0, 1, -1, 2, F(1, 2)]))
+                    v = v + ModuleElement.basis_vector(module, k).scale(c)
+            if not v.is_zero():
+                r2[(i, j)] = v
+    return BracketFamily(module, {2: r2})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ground_field_families())
+def test_class_bracket_agrees_with_the_pairwise_reference(fam):
+    """The table, its skew-symmetry, the Leibniz failures and any
+    exception agree with the bracket computed pair by pair and triple by
+    triple, on random families over the ground field."""
+    assert class_bracket_outcome(fam, False) \
+        == class_bracket_outcome(fam, True)
+
+
+# sl3 over its nilradical span(e): 12 classes, 5 nonzero bracket cocycles
+SL3_N = lie_pairs.sl_borel(3, subalgebra=[2, 3, 4])
+
+
+def test_class_bracket_on_sl3_n_agrees_with_the_pairwise_reference():
+    fam = kapranov_brackets(Instance(SL3_N).setup.connection, 2)
+    cb = CohomologyBracket(fam)
+    assert (len(cb.reps), len(cb.cocycles)) == (12, 5)
+    assert class_bracket_outcome(fam, False) \
+        == class_bracket_outcome(fam, True)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shipped_setup
+from conftest import linear_map_data, shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation
 from kapranov.builders import splitting_homotopy
 from kapranov.cli import Instance, load_document
@@ -130,7 +130,7 @@ def test_homotopy_tower():
 def test_module_action_with_mixed_slots():
     lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
-    _, conn = coadjoint_module(lm)
+    _, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map").lie)
     mf = kapranov_module(fam, conn, max_arity=4)
     assert mf.kb_e.basis != fam.kb.basis
     for k, table in mf.module_tables.items():

@@ -661,11 +661,12 @@ def test_join_guard_sees_planted_definitions():
         f"eval_table_on_elements (homotopy_iso, line {n + 8})",
         f"def _residuals (_Join, line {n + 12})",
         f"eval_table_on_elements (_Join, line {n + 13})"]
-    # the class bracket of an earlier design is no longer let through
+    # a class bracket evaluated on elements, as in an earlier design, is
+    # not let through
     planted = source + (
         "\n\nclass CohomologyBracket:\n"
-        "    def bracket_cocycle(self, x, y):\n"
-        "        return eval_table_on_elements(self.r2, 1, [x, y], [], x)\n")
+        "    def bracket_table(self, xs, ys):\n"
+        "        return eval_table_on_elements(self.r2, 1, xs + ys, [], None)\n")
     assert join_breaches(planted) == [
         f"eval_table_on_elements (CohomologyBracket, line {n + 5})"]
     assert not any(isinstance(node, ast.Name)
@@ -733,6 +734,10 @@ UNREACHED = {
         "refusal of a splitting homotopy that misses delta'; no document "
         "has one",
     "cli.py: run": "entry point: exits the process",
+    "cohomology.py: CochainComplex.class_coordinates":
+        "the class table's coordinates, read only where a bracket cocycle "
+        "of two representatives is nonzero; no document of the repository "
+        "has one, (sl4, n) of tests/test_lie_pair_reports.py has 140",
     "connections.py: DeltaConnection.__eq__": "equality, used by tests",
     "connections.py: DeltaConnection.__repr__": "repr, read in test failures",
     "derivations.py: DerivationMorphism.failures": ITEM_7,
