@@ -9,35 +9,3 @@ The package builds, over the rationals:
   satisfy (homotopy Leibniz identities, morphism equations, homotopy
   invariance).
 """
-
-from . import graded
-from .graded import (GradedBasis, MultilinearMap, koszul_sign,
-                     ordered_partitions, partition_sign, shuffles)
-from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
-                      ce_algebra, validate_cdga)
-from .modules import (DgModule, KBasis, ModuleElement, ModuleMorphism,
-                      apply_module_differential, contract, dual_module,
-                      tensor_module, validate_dg_module)
-from .cohomology import CochainComplex
-from .derivations import (DerivationHomotopy, DerivationMorphism, DgDerivation,
-                          extend_derivation, find_homotopy, homotopy_offset,
-                          kaehler_differentials, universal_factorization,
-                          validate_dg_derivation)
-from .connections import (AtiyahCocycle, DeltaConnection, atiyah_cocycle,
-                          flat_connection_exists)
-from .kapranov import (BracketFamily, CheckFailure, CohomologyBracket,
-                       MorphismFamily, bracket_nonskew_witness,
-                       check_leibniz_infinity, check_linfty_morphism,
-                       cohomology_leibniz_bracket, compose_morphism_families,
-                       exhaustive_leibniz, exhaustive_morphism, homotopy_iso,
-                       kapranov_brackets, kapranov_morphism, trivialization)
-from .builders import (LiePair, LinearMapObject, Setup, lie_pair_setup,
-                       linear_map_setup, splitting_homotopy)
-
-__version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    if name == "Scalar":  # resolved lazily, as in kapranov.graded
-        return graded.Scalar
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,14 +19,8 @@ from __future__ import annotations
 from .algebra import AlgebraElement, CdgaPresentation, LieAlgebraData, ce_algebra
 from .connections import DeltaConnection
 from .derivations import DerivationHomotopy, DgDerivation, homotopy_offset
-from .graded import GradedBasis, exact
+from .graded import GradedBasis
 from .modules import DgModule, ModuleElement, add_term, dual_module
-
-
-def _as_fraction_dict(d):
-    """``d`` with its values normalised by :func:`exact`, zeros dropped."""
-    out = {k: exact(v) for k, v in d.items()}
-    return {k: v for k, v in out.items() if v}
 
 
 class Setup:
@@ -145,8 +139,7 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
                 coeff = br.get(pair.sub_indices[t], 0)
                 if coeff:
                     add_term(acc, b, AlgebraElement.monomial((c,), coeff))
-        if acc:
-            values[t] = ModuleElement(omega, acc)
+        values[t] = ModuleElement(omega, acc)
     delta = DgDerivation(algebra, omega, values,
                          label=f"delta({label or pair.label})")
     if splitting:
@@ -165,8 +158,7 @@ def _splitting_difference(algebra: CdgaPresentation, omega: DgModule,
     two splittings given as {quotient position: {sub position: c}}."""
     values: dict[int, dict[int, AlgebraElement]] = {}
     for b_pos in range(omega.rank):
-        s_b = _as_fraction_dict(s.get(b_pos, {}))
-        s_prime_b = _as_fraction_dict(s_prime.get(b_pos, {}))
+        s_b, s_prime_b = s.get(b_pos, {}), s_prime.get(b_pos, {})
         for a_pos in set(s_b) | set(s_prime_b):
             c = s_b.get(a_pos, 0) - s_prime_b.get(a_pos, 0)
             if c:
@@ -175,20 +167,11 @@ def _splitting_difference(algebra: CdgaPresentation, omega: DgModule,
         a_pos: ModuleElement(omega, row) for a_pos, row in values.items()})
 
 
-class OffsetMismatch(ValueError):
-    """A computed homotopy that does not carry delta to delta'; the
-    homotopy itself is kept in ``homotopy``."""
-
-    def __init__(self, message: str, homotopy: DerivationHomotopy):
-        super().__init__(message)
-        self.homotopy = homotopy
-
-
 def splitting_homotopy(setup_from: Setup,
                        setup_to: Setup) -> DerivationHomotopy:
     """The homotopy h = (j - j')^ carrying one splitting's delta to the
-    other's; verified against homotopy_offset before returning (raises
-    OffsetMismatch if it does not match)."""
+    other's: homotopy_offset(delta, h) = delta', which the ``homotopy``
+    command checks."""
     same_pair = (setup_from.pair is setup_to.pair
                  or (setup_from.pair.ambient.names
                      == setup_to.pair.ambient.names
@@ -198,71 +181,47 @@ def splitting_homotopy(setup_from: Setup,
                      == setup_to.pair.sub_indices))
     if not same_pair:
         raise ValueError("setups must come from the same Lie pair")
-    h = _splitting_difference(setup_from.algebra, setup_from.omega,
-                              setup_from.splitting, setup_to.splitting)
-    if homotopy_offset(setup_from.delta, h) != setup_to.delta:
-        raise OffsetMismatch("computed homotopy does not carry delta to "
-                             "delta'", h)
-    return h
+    return _splitting_difference(setup_from.algebra, setup_from.omega,
+                                 setup_from.splitting, setup_to.splitting)
 
 
 # ---------------------------------------------------------------------------
 # linear-map objects
 
-class LinearMapObject:
-    """A linear map psi: E -> g for an action rho of g on E.
-
-    ``actions[a]`` is rho(x_a) as {(i, j): c} with rho(x_a) e_i = sum_j c e_j;
-    ``psi[i]`` is psi(e_i) as {a: c} in the basis of g.  The object is not
-    checked here: rho is a representation exactly when d^2 = 0 on Omega
-    and on B, and psi is equivariant exactly when delta = psi^ is a chain
-    map, which the ``validate`` command reports and every other command
-    requires.
-    """
-
-    def __init__(self, lie: LieAlgebraData, e_names: list[str],
-                 actions: dict[int, dict[tuple[int, int], Scalar]],
-                 psi: dict[int, dict[int, Scalar]], label: str = ""):
-        self.lie = lie
-        self.e_names = list(e_names)
-        self.actions = {a: _as_fraction_dict(m) for a, m in actions.items()}
-        self.actions = {a: m for a, m in self.actions.items() if m}
-        self.psi = {i: _as_fraction_dict(m) for i, m in psi.items()}
-        self.psi = {i: m for i, m in self.psi.items() if m}
-        self.label = label
-
-    def dim_e(self) -> int:
-        return len(self.e_names)
-
-
-def linear_map_setup(data: LinearMapObject) -> Setup:
-    """A = CE(g), Omega = C(g, E^) with E^ in degree +1, delta = psi^.
+def linear_map_setup(lie: LieAlgebraData, e_names: list[str],
+                     actions: dict[int, dict[tuple[int, int], Scalar]],
+                     psi: dict[int, dict[int, Scalar]],
+                     label: str = "") -> Setup:
+    """A = CE(g), Omega = C(g, E^) with E^ in degree +1, delta = psi^, for
+    a linear map psi: E -> g and an action rho of g on E with basis
+    ``e_names``: ``actions[a]`` is rho(x_a) as {(i, j): c} with
+    rho(x_a) e_i = sum_j c e_j, and ``psi[i]`` is psi(e_i) as {a: c} in the
+    basis of g.  Neither is checked here: rho is a representation exactly
+    when d^2 = 0 on Omega and on B, and psi is equivariant exactly when
+    delta = psi^ is a chain map, which the ``validate`` command reports and
+    every other command requires.
 
     B = dual(Omega) = C(g, E[1]) carries the degenerate tower: the only
     connection is the trivial one (Omega (x) B has nothing in the basis
     degrees), so R_k = 0 for k >= 3 and R_2(e1, e2) = -psi(e1).e2.
     """
-    algebra = ce_algebra(data.lie)
-    dim = data.dim_e()
+    algebra = ce_algebra(lie)
+    dim = len(e_names)
     # E^ with the dual action: rho^(x_a) e_i^ = -sum_j rho(x_a)[j -> i] e_j^
     diff: dict[tuple[int, int], AlgebraElement] = {}
-    for a in data.actions:
-        for (j, i), c in data.actions[a].items():
+    for a, rho in actions.items():
+        for (j, i), c in rho.items():
             add_term(diff, (i, j), AlgebraElement.monomial((a,), -c))
-    omega = DgModule(algebra, GradedBasis([n + "^" for n in data.e_names],
+    omega = DgModule(algebra, GradedBasis([n + "^" for n in e_names],
                                           [1] * dim), diff,
-                     label=f"Omega({data.label})")
+                     label=f"Omega({label})")
     values: dict[int, ModuleElement] = {}
-    for a in range(len(data.lie.names)):
-        acc: dict[int, AlgebraElement] = {}
-        for i in range(dim):
-            c = data.psi.get(i, {}).get(a, 0)
-            if c:
-                acc[i] = AlgebraElement.scalar(c)
-        if acc:
-            values[a] = ModuleElement(omega, acc)
+    for a in range(lie.dim):
+        values[a] = ModuleElement(omega, {
+            i: AlgebraElement.scalar(psi.get(i, {}).get(a, 0))
+            for i in range(dim)})
     delta = DgDerivation(algebra, omega, values,
-                         label=f"psi^({data.label})")
+                         label=f"psi^({label})")
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
     conn = DeltaConnection(delta, bmod, label="trivial")
     return Setup(algebra, omega, delta, bmod, conn)

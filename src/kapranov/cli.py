@@ -22,17 +22,17 @@ from types import SimpleNamespace
 
 from .algebra import (AlgebraElement, CdgaPresentation, LieAlgebraData,
                       canonical_monomial, validate_cdga)
-from .builders import (LiePair, LinearMapObject, OffsetMismatch, Setup,
-                       lie_pair_setup, linear_map_setup, splitting_homotopy)
+from .builders import (LiePair, Setup, lie_pair_setup, linear_map_setup,
+                       splitting_homotopy)
 from .connections import (DeltaConnection, atiyah_cocycle,
                           connection_difference_element, flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
-                          validate_dg_derivation)
+                          homotopy_offset, validate_dg_derivation)
 from .graded import GradedBasis, exact
 from .kapranov import (CheckFailure, bracket_nonskew_witness,
                        check_leibniz_infinity, check_linfty_morphism,
                        cohomology_leibniz_bracket, homotopy_iso,
-                       kapranov_brackets, kapranov_morphism, require_dg)
+                       kapranov_brackets, kapranov_morphism)
 from .modules import (DgModule, ModuleElement, ModuleMorphism,
                       apply_module_differential, dual_module, tensor_index,
                       validate_dg_module)
@@ -79,14 +79,25 @@ def parse_algebra_element(d: dict, n_generators: int) -> AlgebraElement:
     return out
 
 
-def parse_module_element(module: DgModule, d: dict) -> ModuleElement:
-    for i in d:
-        if int(i) >= module.rank:
-            raise DocumentError(f"module element names basis index {i}, but "
-                                f"the module has rank {module.rank}")
+def parse_module_element(module: DgModule, d: dict,
+                         where: str) -> ModuleElement:
     n = module.algebra.n_generators
-    return ModuleElement(module, {int(i): parse_algebra_element(a, n)
-                                  for i, a in d.items()})
+    return ModuleElement(module, {
+        parse_index(i, module.rank, f"{where}/{i}", "module basis index"):
+        parse_algebra_element(a, n) for i, a in d.items()})
+
+
+def of_degree(v: ModuleElement, want: int, where: str,
+              what: str) -> ModuleElement:
+    """``v``, which must be zero or homogeneous of degree ``want``; the
+    error names ``where``."""
+    try:
+        d = v.degree()
+    except ValueError as e:  # not homogeneous
+        raise DocumentError(f"at {where}: {e}") from None
+    if d is not None and d != want:
+        raise DocumentError(f"at {where}: {what} must have degree {want}")
+    return v
 
 
 def parse_index(s, bound: int, where: str, what: str) -> int:
@@ -138,13 +149,16 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
             v = v + ModuleElement(base.tensor, {
                 tensor_index(base.tensor, j, k):
                     parse_algebra_element(elem, bmod.algebra.n_generators)})
-        values[parse_index(i, bmod.rank, f"{where}/{i}",
-                           "module basis index")] = v
+        at = f"{where}/{i}"
+        i = parse_index(i, bmod.rank, at, "module basis index")
+        values[i] = of_degree(v, bmod.basis.degrees[i], at,
+                              f"nabla({bmod.basis.names[i]})")
     return DeltaConnection(delta, bmod, values, tensor=base.tensor)
 
 
-def parse_linear_map(d: dict, label: str) -> LinearMapObject:
-    """The ``linear_map_object`` of a document."""
+def parse_linear_map(d: dict, label: str) -> dict:
+    """The ``linear_map_object`` of a document, as the keyword arguments
+    of :func:`linear_map_setup`."""
     lie = parse_lie(d["lie"], "linear_map_object/lie")
     n, dim_e = lie.dim, len(d["module_basis"])
     actions = {}
@@ -159,7 +173,8 @@ def parse_linear_map(d: dict, label: str) -> LinearMapObject:
            {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
             parse_rational(c) for a, c in row.items()}
            for i, row in d["psi"].items()}
-    return LinearMapObject(lie, d["module_basis"], actions, psi, label=label)
+    return dict(lie=lie, e_names=d["module_basis"], actions=actions, psi=psi,
+                label=label)
 
 
 class Instance:
@@ -167,7 +182,6 @@ class Instance:
     carries: a second splitting's set-up and a second connection."""
 
     def __init__(self, doc: dict):
-        self.doc = doc
         self.label = doc.get("label", "")
         self.options = doc.get("options", {})
         self.lie: LieAlgebraData | None = None
@@ -197,8 +211,8 @@ class Instance:
         elif "linear_map_object" in doc:
             self.kind = "linear_map_object"
             data = parse_linear_map(doc["linear_map_object"], self.label)
-            self.lie = data.lie
-            self.setup = linear_map_setup(data)
+            self.lie = data["lie"]
+            self.setup = linear_map_setup(**data)
         else:
             self.kind = "raw"
             d = doc["raw"]
@@ -217,11 +231,13 @@ class Instance:
                        for k, a in om.get("differential", {}).items()}
             omega = DgModule(algebra, GradedBasis(om["basis"], om["degrees"]),
                              om_diff, label="Omega")
-            delta = DgDerivation(
-                algebra, omega,
-                {parse_index(i, n_gens, f"raw/delta/{i}", "generator index"):
-                 parse_module_element(omega, v)
-                 for i, v in d.get("delta", {}).items()})
+            values = {}
+            for i, v in d.get("delta", {}).items():
+                at = f"raw/delta/{i}"
+                i = parse_index(i, n_gens, at, "generator index")
+                values[i] = of_degree(parse_module_element(omega, v, at), 1,
+                                      at, f"the value on {d['generators'][i]}")
+            delta = DgDerivation(algebra, omega, values)
             bmod = dual_module(omega)
             self.setup = Setup(algebra, omega, delta, bmod,
                                parse_connection_values(delta, bmod,
@@ -364,13 +380,28 @@ def module_elem_json(v: ModuleElement) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
+def dg_checks(inst: Instance) -> list[tuple[str, object]]:
+    """(name, check) of each check without which the document defines no
+    tower, class or homotopy, in the order ``validate`` reports them:
+    Jacobi on its Lie algebra, if any, d^2 = 0 on A, on Omega and on B,
+    and delta d_A = d delta.  A check runs when it is called."""
+    s = inst.setup
+    lie = [] if inst.lie is None else [("jacobi", inst.lie.jacobi_failures)]
+    return lie + [
+        ("cdga_d_squared", lambda: validate_cdga(s.algebra)),
+        ("module_d_squared", lambda: validate_dg_module(s.omega)),
+        ("dual_module_d_squared", lambda: validate_dg_module(s.bmod)),
+        ("derivation_compatibility", lambda: validate_dg_derivation(s.delta))]
+
+
 def require_defined(inst: Instance) -> None:
-    """Raise the first failure of Jacobi on the document's Lie algebra, if
-    any, then of :func:`require_dg` on B and delta, as a CheckFailure."""
-    failures = inst.lie.jacobi_failures() if inst.lie is not None else []
-    if failures:
-        raise CheckFailure(failures[0])
-    require_dg(inst.setup.bmod, inst.setup.delta)
+    """Raise the first failure of :func:`dg_checks` as a CheckFailure.
+    Omega's d^2 is left to the check on B, its dual, which names the basis
+    that the commands report."""
+    for name, check in dg_checks(inst):
+        failures = [] if name == "module_d_squared" else check()
+        if failures:
+            raise CheckFailure(failures[0])
 
 
 def named_check(name: str, failures: list[str]) -> dict:
@@ -378,21 +409,15 @@ def named_check(name: str, failures: list[str]) -> dict:
 
 
 def cmd_validate(inst: Instance, args) -> dict:
-    s, checks = inst.setup, []
-    if inst.lie is not None:
-        checks.append(named_check("jacobi", inst.lie.jacobi_failures()))
-    d_squared = [
-        named_check("cdga_d_squared", validate_cdga(s.algebra)),
-        named_check("module_d_squared", validate_dg_module(s.omega)),
-        named_check("dual_module_d_squared", validate_dg_module(s.bmod))]
-    checks += d_squared + [named_check("derivation_compatibility",
-                                       validate_dg_derivation(s.delta))]
+    checks = [named_check(name, check()) for name, check in dg_checks(inst)]
     # [nabla, d] is a cocycle only where d^2 = 0: closedness means nothing
     # after a failed d^2 check
-    stopped = next((c["name"] for c in d_squared if not c["passed"]), None)
+    stopped = next((c["name"] for c in checks if not c["passed"]
+                    and c["name"].endswith("_d_squared")), None)
     conn_fail = [f"not run: {stopped} failed"] if stopped else []
     try:
-        if not stopped and not atiyah_cocycle(s.connection).is_closed():
+        if not stopped and not atiyah_cocycle(
+                inst.setup.connection).is_closed():
             conn_fail.append("Atiyah cocycle of the canonical connection "
                              "is not closed")
     except ValueError as e:
@@ -519,12 +544,10 @@ def cmd_homotopy(inst: Instance, args) -> dict:
             "second_splitting section")
     require_defined(inst)
     s0, s1 = inst.setup, inst.second_setup
-    try:
-        h = splitting_homotopy(s0, s1)
-        offset_failures = []
-    except OffsetMismatch as e:
-        h, offset_failures = e.homotopy, [str(e)]
-    checks = [named_check("offset_matches", offset_failures)]
+    h = splitting_homotopy(s0, s1)
+    checks = [named_check(
+        "offset_matches", [] if homotopy_offset(s0.delta, h) == s1.delta
+        else ["computed homotopy does not carry delta to delta'"])]
     found = find_homotopy(s0.delta, s1.delta)
     checks.append(named_check(
         "homotopy_search",

@@ -25,31 +25,19 @@ from .algebra import _merge_monomials, validate_cdga
 from .cohomology import CochainComplex
 from .connections import DeltaConnection, atiyah_cocycle
 from .derivations import (DerivationHomotopy, DerivationMorphism,
-                          homotopy_offset, validate_dg_derivation)
+                          homotopy_offset)
 from .graded import (MultilinearMap, koszul_sign, ordered_partitions,
                      partition_sign, shuffles)
 from .modules import (DgModule, KBasis, ModuleElement,
                       apply_module_differential, contract,
                       contract_slices, contraction_slices,
-                      dual_morphism_between, validate_dg_module)
+                      dual_morphism_between)
 
 
 class CheckFailure(Exception):
     """A mathematical check failed while a structure was being built: the
     input is well formed, but what it builds breaks a promised identity.
     Deliberately not a ValueError, which stands for bad input."""
-
-
-def require_dg(module: DgModule, delta=None) -> None:
-    """Raise the first failure of d^2 = 0 on the algebra of ``module``, of
-    d^2 = 0 on ``module`` and, given a derivation ``delta``, of
-    delta d_A = d delta as a CheckFailure: cohomology and Atiyah classes
-    are undefined without them."""
-    failures = validate_cdga(module.algebra) + validate_dg_module(module)
-    if delta is not None:
-        failures += validate_dg_derivation(delta)
-    if failures:
-        raise CheckFailure(failures[0])
 
 
 # ---------------------------------------------------------------------------
@@ -954,8 +942,8 @@ def trivialization(fam: BracketFamily, max_arity: int = 4) -> MorphismFamily:
 # homotopy invariance
 
 def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
-                 hat: DeltaConnection, max_arity: int = 4,
-                 delta_prime=None) -> tuple[MorphismFamily, DeltaConnection]:
+                 hat: DeltaConnection,
+                 max_arity: int = 4) -> tuple[MorphismFamily, DeltaConnection]:
     """The isomorphism tower between the towers of homotopic derivations.
 
     ``hat`` is a connection along the homotopy h.  Builds
@@ -975,19 +963,14 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     module = conn.module
     if hat.module.basis != module.basis:
         raise ValueError("hat connection lives on the wrong module")
-    delta = conn.delta
-    dp = homotopy_offset(delta, h)
-    if delta_prime is not None and dp != delta_prime:
-        raise CheckFailure("homotopy_offset(delta, h) does not match delta_prime")
     values: dict[int, ModuleElement] = {}
     for i in range(module.rank):
         e = ModuleElement.basis_vector(module, i)
-        v = (conn.values.get(i, conn.tensor.zero())
-             + apply_module_differential(hat.tensor, hat(e))
-             + hat(module.diff_of_basis(i)))
-        if not v.is_zero():
-            values[i] = v
-    conn_prime = DeltaConnection(dp, module, values, label="nabla'")
+        values[i] = (conn.values.get(i, conn.tensor.zero())
+                     + apply_module_differential(hat.tensor, hat(e))
+                     + hat(module.diff_of_basis(i)))
+    conn_prime = DeltaConnection(homotopy_offset(conn.delta, h), module,
+                                 values, label="nabla'")
     target_fam = kapranov_brackets(conn, max_arity)
     source_fam = kapranov_brackets(conn_prime, max_arity)
     if source_fam.module_tables.get(2, {}) != target_fam.module_tables.get(2, {}):
@@ -1021,9 +1004,9 @@ class CohomologyBracket:
 
     [[b1],[b2]] = (-1)^{|b1|} [R_2(b1, b2)], tabulated on deterministic
     representatives of H(B).  H(B) needs d^2 = 0 on A and on B, which the
-    caller checks first with :func:`require_dg`, as the ``cohomology``
-    command does once for the whole run.  ``cocycles`` and ``table`` keep
-    the pairs of representatives with a nonzero bracket cocycle."""
+    caller checks first, as the ``cohomology`` command does once for the
+    whole run.  ``cocycles`` and ``table`` keep the pairs of
+    representatives with a nonzero bracket cocycle."""
 
     def __init__(self, fam: BracketFamily):
         self.fam = fam

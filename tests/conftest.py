@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from kapranov.algebra import LieAlgebraData
-from kapranov.builders import LinearMapObject
 from kapranov.cli import Instance, parse_linear_map
 
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -35,9 +34,10 @@ def shipped_document(name: str) -> dict:
     return json.loads((INSTANCES / f"{name}.json").read_text())
 
 
-def linear_map_data(name: str) -> LinearMapObject:
+def linear_map_data(name: str) -> dict:
     """The linear-map object of the document :func:`shipped_document`
-    gives, as ``cli.Instance`` parses it."""
+    gives, as ``cli.Instance`` parses it: the keyword arguments of
+    ``builders.linear_map_setup``."""
     doc = shipped_document(name)
     return parse_linear_map(doc["linear_map_object"], doc["label"])
 

@@ -555,9 +555,9 @@ def a_multilinearity_violations(mor: MorphismFamily, arity: int = 2,
 
 def act(data, a: int, v: dict) -> dict:
     """rho(x_a) v for a coordinate vector v of E, ``data`` a linear-map
-    object."""
+    object as the keyword arguments of ``builders.linear_map_setup``."""
     out: dict = {}
-    for (i, j), m in data.actions.get(a, {}).items():
+    for (i, j), m in data["actions"].get(a, {}).items():
         if i in v:
             out[j] = out.get(j, 0) + v[i] * m
     return {j: exact(c) for j, c in out.items() if c}
@@ -566,7 +566,7 @@ def act(data, a: int, v: dict) -> dict:
 def loday_pirashvili_bracket(data, i: int, j: int) -> dict:
     """e_i o e_j = psi(e_i) . e_j, the bracket the degree -1 slots recover."""
     out: dict = {}
-    for a, c in data.psi.get(i, {}).items():
+    for a, c in data["psi"].get(i, {}).items():
         for k, m in act(data, a, {j: 1}).items():
             out[k] = out.get(k, 0) + c * m
     return {k: exact(c) for k, c in out.items() if c}
@@ -577,7 +577,8 @@ def linear_map_failures(data) -> list[str]:
     [rho(x_a), rho(x_b)], and where psi fails to be equivariant,
     psi(x_a . e) = [x_a, psi(e)], on the basis of a linear-map object."""
     out = []
-    lie, n, dim = data.lie, len(data.lie.names), data.dim_e()
+    lie, e_names = data["lie"], data["e_names"]
+    n, dim = lie.dim, len(e_names)
     for a in range(n):
         for b in range(a + 1, n):
             for i in range(dim):
@@ -597,12 +598,12 @@ def linear_map_failures(data) -> list[str]:
         for i in range(dim):
             lhs: dict = {}
             for j, c in act(data, a, {i: 1}).items():
-                for k, m in data.psi.get(j, {}).items():
+                for k, m in data["psi"].get(j, {}).items():
                     lhs[k] = lhs.get(k, 0) + c * m
-            rhs = bracket_vectors(lie, {a: 1}, data.psi.get(i, {}))
+            rhs = bracket_vectors(lie, {a: 1}, data["psi"].get(i, {}))
             if {k: c for k, c in lhs.items() if c} != rhs:
                 out.append(f"psi is not equivariant at "
-                           f"({lie.names[a]}, {data.e_names[i]})")
+                           f"({lie.names[a]}, {e_names[i]})")
     return out
 
 

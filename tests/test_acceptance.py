@@ -78,8 +78,8 @@ def test_criterion_2_linear_map_closed_form_and_nonskew_bracket():
         # R_2(e_i~, e_j~) = -psi(e_i).e_j and nothing survives above arity 2
         assert set(fam.nonzero_arities()) <= {1, 2}, name
         want = {}
-        for i in range(data.dim_e()):
-            for j in range(data.dim_e()):
+        for i in range(len(data["e_names"])):
+            for j in range(len(data["e_names"])):
                 lp = loday_pirashvili_bracket(data, i, j)
                 if lp:
                     want[(i, j)] = ModuleElement(
@@ -124,10 +124,10 @@ def test_criterion_3_atiyah_cocycle_class_flatness():
 def test_criterion_4_homotopy_invariance():
     s0 = shipped_setup("sl2_borel")
     s1 = shipped_setup("sl2_borel", {0: {1: 1}})
-    h = splitting_homotopy(s0, s1)  # raises unless the offset is exact
+    h = splitting_homotopy(s0, s1)
     hat = DeltaConnection(h, s0.bmod)
     mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
-    assert conn_prime.delta == s1.delta
+    assert conn_prime.delta == s1.delta  # delta + [d, h] = delta'
     assert 2 not in mor.nonzero_arities()
     report = check_linfty_morphism(mor, 4)
     assert report["passed"], report
@@ -181,7 +181,7 @@ def test_criterion_7_module_structures():
     assert check_module_identities(mf, 4)["passed"]
     lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
-    coad, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map").lie)
+    coad, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map")["lie"])
     mfc = kapranov_module(fam, conn, max_arity=4)
     assert check_module_identities(mfc, 4)["passed"]
     print("criterion 7: PASS — the regular action reproduces the brackets "

@@ -296,10 +296,10 @@ def test_non_integral_splittings_keep_every_identity(pair):
         report = check_leibniz_infinity(
             kapranov_brackets(s.connection, max_arity=4), 4)
         assert report["passed"], report
-    h = splitting_homotopy(s0, s1)  # raises OffsetMismatch on a mismatch
+    h = splitting_homotopy(s0, s1)
     hat = DeltaConnection(h, s0.bmod)
     mor, conn_prime = homotopy_iso(s0.connection, h, hat, max_arity=4)
-    assert conn_prime.delta == s1.delta
+    assert conn_prime.delta == s1.delta  # delta + [d, h] = delta'
     report = check_linfty_morphism(mor, 4)
     assert report["passed"], report
     assert atiyah_cocycle(s0.connection).same_class(

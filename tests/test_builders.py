@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,17 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import INSTANCES, LINEAR_MAPS, linear_map_data, shipped_setup
 from kapranov.algebra import AlgebraElement, CdgaPresentation, LieAlgebraData
-from kapranov.builders import (LiePair, LinearMapObject, Setup,
-                               linear_map_setup, splitting_homotopy)
-from kapranov.cli import Instance, load_document
+from kapranov.builders import (LiePair, Setup, linear_map_setup,
+                               splitting_homotopy)
+from kapranov.cli import Instance, load_document, require_defined
 from kapranov.connections import DeltaConnection
 from kapranov.cohomology import CochainComplex
 from kapranov.derivations import (DgDerivation, find_homotopy,
                                   validate_dg_derivation)
 from kapranov.kapranov import (CheckFailure, bracket_nonskew_witness,
                                check_leibniz_infinity,
-                               cohomology_leibniz_bracket, kapranov_brackets,
-                               require_dg)
+                               cohomology_leibniz_bracket, kapranov_brackets)
 from kapranov.modules import DgModule, ModuleElement, validate_dg_module
 from module_tower import (check_module_identities, coadjoint_module,
                           cohomology_action, kapranov_module)
@@ -57,11 +57,11 @@ class TestShippedDocumentData:
     def test_linear_maps_parse_to_literal_data(self, affine, name, e_names,
                                                actions, psi):
         data = linear_map_data(name)
-        assert (data.lie.names, data.lie.brackets) == (affine.names,
-                                                       affine.brackets)
-        assert data.e_names == e_names
-        assert data.actions == actions
-        assert data.psi == psi
+        assert (data["lie"].names, data["lie"].brackets) == (affine.names,
+                                                             affine.brackets)
+        assert data["e_names"] == e_names
+        assert data["actions"] == actions
+        assert data["psi"] == psi
 
     @pytest.mark.parametrize("path, kind", [
         (INSTANCES / "sl2_borel.json", "lie_pair"),
@@ -198,24 +198,25 @@ class TestLinearMapObjects:
     def test_non_equivariant_psi_rejected(self, affine):
         # by the dg checks: delta = psi^ is no chain map, and d^2 = 0
         actions = {0: {(1, 1): F(1)}, 1: {(0, 1): F(-1)}}
-        data = LinearMapObject(affine, ["a", "b"], actions, {0: {1: F(1)}})
+        data = dict(lie=affine, e_names=["a", "b"], actions=actions,
+                    psi={0: {1: F(1)}})
         assert linear_map_failures(data) == [
             "psi is not equivariant at (x, a)"]
-        s = linear_map_setup(data)
+        s = linear_map_setup(**data)
         assert validate_dg_module(s.omega) == validate_dg_module(s.bmod) == []
         with pytest.raises(CheckFailure, match=r"but d\(delta\(y\^\)\) = 0"):
-            require_dg(s.bmod, s.delta)
+            require_defined(SimpleNamespace(lie=affine, setup=s))
 
     def test_non_representation_rejected(self, affine):
         # by the dg checks: d^2 != 0 on Omega and on B
         actions = {0: {(1, 1): F(1)}, 1: {(0, 0): F(1)}}
-        data = LinearMapObject(affine, ["a", "b"], actions, {})
+        data = dict(lie=affine, e_names=["a", "b"], actions=actions, psi={})
         assert linear_map_failures(data) == [
             "rho is not a representation at (x, y)"]
-        s = linear_map_setup(data)
+        s = linear_map_setup(**data)
         assert validate_dg_module(s.omega) and validate_dg_module(s.bmod)
         with pytest.raises(CheckFailure, match=r"d\^2\(a~\)"):
-            require_dg(s.bmod, s.delta)
+            require_defined(SimpleNamespace(lie=affine, setup=s))
 
     LIE_ALGEBRAS = {
         "abelian": LieAlgebraData(["x", "y"], {}),
@@ -241,9 +242,9 @@ class TestLinearMapObjects:
                    for a in range(lie.dim)}
         psi = {i: {a: data.draw(entry, label=f"psi({i})")
                    for a in range(lie.dim)} for i in range(dim)}
-        obj = LinearMapObject(lie, ["a", "b"][:dim], actions, psi)
+        obj = dict(lie=lie, e_names=["a", "b"][:dim], actions=actions, psi=psi)
         failures = linear_map_failures(obj)
-        s = linear_map_setup(obj)
+        s = linear_map_setup(**obj)
         rho_fails = any(f.startswith("rho") for f in failures)
         assert rho_fails == bool(validate_dg_module(s.omega)) \
             == bool(validate_dg_module(s.bmod))
@@ -271,8 +272,8 @@ class TestLinearMapObjects:
             s, data = shipped_setup(name), linear_map_data(name)
             fam = kapranov_brackets(s.connection, max_arity=2)
             want = {}
-            for i in range(data.dim_e()):
-                for j in range(data.dim_e()):
+            for i in range(len(data["e_names"])):
+                for j in range(len(data["e_names"])):
                     lp = loday_pirashvili_bracket(data, i, j)
                     if lp:
                         want[(i, j)] = ModuleElement(
@@ -346,7 +347,7 @@ class TestModuleActions:
     def test_coadjoint_module_identities(self):
         s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=4)
-        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map").lie)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map")["lie"])
         assert validate_dg_module(coad) == []
         mf = kapranov_module(fam, conn, max_arity=4)
         assert mf.nonzero_arities() == [1, 2]
@@ -359,7 +360,7 @@ class TestModuleActions:
         # mu_2(a~, y*) = -ad_x*(y*) = +y*
         s = shipped_setup("adjoint_linear_map")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map").lie)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map")["lie"])
         mf = kapranov_module(fam, conn, max_arity=2)
         got = mf.module_tables[2].get((0, 1))
         assert got == ModuleElement(coad, {1: AlgebraElement.scalar(1)})
@@ -367,7 +368,7 @@ class TestModuleActions:
     def test_cohomology_action_well_defined(self):
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=3)
-        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial")["lie"])
         mf = kapranov_module(fam, conn, max_arity=3)
         assert check_module_identities(mf, 3)["passed"]
         act = cohomology_action(mf)
@@ -380,7 +381,7 @@ class TestModuleActions:
         from kapranov.modules import ModuleMorphism
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial")["lie"])
         mf = kapranov_module(fam, conn, max_arity=2)
         act = cohomology_action(mf)
         lam = ModuleMorphism(coad, coad, 0,

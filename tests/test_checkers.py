@@ -313,7 +313,7 @@ def regular_action(max_arity: int = 4):
 def coadjoint_action(max_arity: int = 4):
     s = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(s.connection, max_arity=max_arity)
-    coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map").lie)
+    coad, conn = coadjoint_module(s, linear_map_data("adjoint_linear_map")["lie"])
     return kapranov_module(fam, conn, max_arity=max_arity)
 
 

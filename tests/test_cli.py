@@ -243,7 +243,8 @@ class TestInputBounds:
         code, out, err = run_document(capsys, tmp_path, doc, "validate")
         assert code == 2
         assert out == ""
-        assert "basis index 4, but the module has rank 1" in err
+        assert err == ("error: at raw/delta/0/4: module basis index 4 is out "
+                       "of range (dimension 1)\n")
 
     @pytest.mark.parametrize("splitting,path", [
         ({"7": {"1": "1"}}, "lie_pair/splitting/7"),
@@ -333,6 +334,34 @@ class TestInputBounds:
         assert code == 2
         assert out == ""
         assert f"at {path}:" in err
+
+    # one edit of graded_toy.json each: a value the library used to refuse
+    # without naming its place in the document
+    @pytest.mark.parametrize("keys,value,error", [
+        (["raw", "delta"], {"0": {"0": {"": "1"}}},
+         "at raw/delta/0: the value on x must have degree 1"),
+        (["raw", "delta"], {"0": {"0": {"": "1"}, "1": {"": "1"}}},
+         "at raw/delta/0: module element is not homogeneous: "
+         "[(1)]*u + [(1)]*v"),
+        (["raw", "delta"], {"0": {"7": {"": "1"}}},
+         "at raw/delta/0/7: module basis index 7 is out of range "
+         "(dimension 2)"),
+        (["raw", "connection", "1", "0,1"], {"0": "1"},
+         "at raw/connection/1: nabla(v*) must have degree -1"),
+        (["raw", "connection", "0", "1,1"], {"0": "4"},
+         "at raw/connection/0: module element is not homogeneous: "
+         "[(1)]*u(x)u* + [(2)*y]*u(x)v* + [(4)*x]*v(x)v*"),
+    ], ids=["delta_degree", "delta_inhomogeneous", "delta_index",
+            "connection_degree", "connection_inhomogeneous"])
+    def test_a_value_the_parser_refuses_names_its_path(self, capsys, tmp_path,
+                                                       keys, value, error):
+        doc = json.loads((FIXTURES / "graded_toy.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        code, out, err = run_document(capsys, tmp_path, doc, "validate")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     @pytest.mark.parametrize("option,value", [
         ("--max-arity", "0"), ("--max-arity", "-1"), ("--max-arity", "7"),
@@ -587,14 +616,23 @@ class TestCommands:
     def test_homotopy_offset_mismatch_is_a_failed_check(self, capsys,
                                                         monkeypatch):
         # a homotopy whose offset misses delta' is a mathematical failure
-        # (exit 1, offset_matches failed), not an input error (exit 2)
-        from kapranov import builders, cli
+        # (exit 1, offset_matches failed), not an input error (exit 2).  No
+        # document reaches it: here the second set-up's delta' is delta
+        # offset twice by the splitting homotopy h, while h is read off the
+        # splittings
+        from kapranov import cli
+        from kapranov.builders import Setup, splitting_homotopy
+        from kapranov.connections import DeltaConnection
+        from kapranov.derivations import homotopy_offset
         path = str(INSTANCES / "sl2_borel.json")
-        # the instance's setups need the real offset; only the check misses
         inst = cli.Instance(cli.load_document(path))
+        s0, s1 = inst.setup, inst.second_setup
+        far = homotopy_offset(s1.delta, splitting_homotopy(s0, s1))
+        assert far != s1.delta
+        inst.second_setup = Setup(s1.algebra, s1.omega, far, s1.bmod,
+                                  DeltaConnection(far, s1.bmod), pair=s1.pair,
+                                  splitting=s1.splitting)
         monkeypatch.setattr(cli, "Instance", lambda doc: inst)
-        monkeypatch.setattr(builders, "homotopy_offset",
-                            lambda delta, h: None)
         code, out, _ = run(capsys, "homotopy", "--input", path)
         rep = json.loads(out)
         assert code == 1
@@ -725,10 +763,11 @@ class TestBuildTimeCheckFailures:
     def test_cohomology_validates_once(self, capsys, monkeypatch, path):
         # require_defined checks d^2 on A and on B for the whole run; the
         # cohomology bracket does not check them again
-        import kapranov
+        from kapranov import algebra, modules
         calls = []
-        for name in ("validate_cdga", "validate_dg_module"):
-            original = getattr(kapranov, name)
+        for name, owner in (("validate_cdga", algebra),
+                            ("validate_dg_module", modules)):
+            original = getattr(owner, name)
 
             def counted(*args, name=name, original=original):
                 calls.append(name)
@@ -797,9 +836,43 @@ class TestBuildTimeCheckFailures:
         assert (code, out) == (2, "")
         assert "second_splitting" in err
 
+    # the whole stderr of each command that calls require_defined, on each
+    # corrupted fixture: the first failure of validate's checks, in
+    # validate's order.  homotopy refuses the fixtures first, for want of a
+    # second splitting, so it is also pinned on sl2 with [e, f] = h + e
+    UNDEFINED = {
+        "bad_jacobi": "Jacobi fails on (x,y,z): {1: -1}",
+        "bad_d_squared": "d^2(a) = (-1)*b^p^q",
+        "bad_delta": "delta(d(u)) = 0 but d(delta(u)) = [(1)]*n",
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(UNDEFINED))
+    @pytest.mark.parametrize("command", UNDEFINED_TOWER_COMMANDS
+                             + ("homotopy",))
+    def test_undefined_input_stderr_is_pinned(self, capsys, fixture,
+                                              command):
+        path = str(FIXTURES / f"{fixture}.json")
+        code, out, err = run(capsys, command, "--input", path)
+        if command == "homotopy":
+            assert (code, out, err) == (
+                2, "", "error: the homotopy command needs a lie_pair document "
+                "with a second_splitting section\n")
+        else:
+            assert (code, out, err) == (
+                1, "", f"check failed: {path}: {self.UNDEFINED[fixture]}\n")
+
+    def test_homotopy_on_a_bracket_that_breaks_jacobi_is_pinned(
+            self, capsys, tmp_path):
+        doc = json.loads((INSTANCES / "sl2_borel.json").read_text())
+        doc["lie_pair"]["brackets"]["1,2"] = {"0": "1", "1": "1"}
+        code, out, err = run_document(capsys, tmp_path, doc, "homotopy")
+        assert (code, out, err) == (
+            1, "", f"check failed: {tmp_path / 'doc.json'}: Jacobi fails on "
+            "(h,e,f): {1: 2}\n")
+
     def test_a_lie_algebra_that_breaks_jacobi_exits_1(self, capsys):
-        # the derived data of bad_jacobi.json pass require_dg, but no Lie
-        # pair is defined by a bracket that breaks Jacobi
+        # the derived data of bad_jacobi.json pass the dg checks, but no
+        # Lie pair is defined by a bracket that breaks Jacobi
         for command in self.UNDEFINED_TOWER_COMMANDS:
             code, out, err = run(capsys, command, "--input",
                                  str(FIXTURES / "bad_jacobi.json"))
@@ -834,7 +907,7 @@ class TestBuildTimeCheckFailures:
                                   kapranov_module)
         s = shipped_setup("adjoint_trivial")
         fam = kapranov_brackets(s.connection, max_arity=2)
-        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial").lie)
+        coad, conn = coadjoint_module(s, linear_map_data("adjoint_trivial")["lie"])
         mf = kapranov_module(fam, conn, max_arity=2)
         assert cohomology_action(mf).e_reps
         # mu_2 constant at y*, which d does not close
@@ -845,23 +918,25 @@ class TestBuildTimeCheckFailures:
             cohomology_action(mf)
         assert not issubclass(CheckFailure, ValueError)
 
-    def test_offset_mismatch_with_delta_prime_is_a_check_failure(self):
+    def test_splitting_homotopy_carries_delta_to_delta_prime(self):
+        # the equation the homotopy command checks as offset_matches
         from kapranov.builders import splitting_homotopy
         from kapranov.connections import DeltaConnection
         from kapranov.derivations import DgDerivation, homotopy_offset
-        from kapranov.kapranov import CheckFailure, homotopy_iso
+        from kapranov.kapranov import homotopy_iso
         s0 = shipped_setup("sl2_borel")
         s1 = shipped_setup("sl2_borel", {0: {1: 1}})
         h = splitting_homotopy(s0, s1)
-        hat = DeltaConnection(h, s0.bmod)
         dp = homotopy_offset(s0.delta, h)
-        homotopy_iso(s0.connection, h, hat, max_arity=3, delta_prime=dp)
+        assert dp == s1.delta != s0.delta
+        _, conn_prime = homotopy_iso(s0.connection, h,
+                                     DeltaConnection(h, s0.bmod), max_arity=3)
+        assert conn_prime.delta == dp
         # delta' with the value on one generator doubled
         g = next(iter(dp.values))
         bad = DgDerivation(dp.algebra, dp.target,
                            {**dp.values, g: dp.values[g].scale(2)})
-        with pytest.raises(CheckFailure, match="does not match delta_prime"):
-            homotopy_iso(s0.connection, h, hat, max_arity=3, delta_prime=bad)
+        assert dp != bad
 
 
 class TestDeterminism:

@@ -130,7 +130,7 @@ def test_homotopy_tower():
 def test_module_action_with_mixed_slots():
     lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
-    _, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map").lie)
+    _, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map")["lie"])
     mf = kapranov_module(fam, conn, max_arity=4)
     assert mf.kb_e.basis != fam.kb.basis
     for k, table in mf.module_tables.items():

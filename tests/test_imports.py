@@ -2,7 +2,8 @@
 
 Every name a module imports is used in that module, in the package and
 under ``tests/``: a stdlib stand-in for pyflakes' unused-import check.
-``__init__.py`` imports names to re-export them and is exempt.  And every
+The package root binds no name and loads no submodule: each name is
+imported from the module that defines it.  And every
 private top-level name (``_name``, not a dunder) that a module defines is
 referenced somewhere in the package besides its own definition, so a
 helper left behind by a rewrite fails.  Names read inside string
@@ -50,7 +51,7 @@ from collections import Counter
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "kapranov"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -93,6 +94,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})"
                   for name, line in imported_names(tree).items()
                   if name not in used)
+
+
+def test_package_root_binds_no_name_and_loads_no_submodule():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert len(tree.body) == 1 and ast.get_docstring(tree)
+    code = ("import json, sys, kapranov; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('kapranov.'))))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == []
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name if
@@ -453,8 +465,11 @@ MODULE_TOWER_FILE = pathlib.Path(__file__).resolve().parent / "module_tower.py"
 # the ground module replaced, and the helpers deleted with their last
 # caller in the package, among them the checks of a linear-map object
 # that the dg checks repeat, the internal hom that the tensor module
-# dual(E) (x) F replaced, and the element tensor that the one operator
-# rule replaced.  An entry without a dot is matched at any depth, one
+# dual(E) (x) F replaced, the element tensor that the one operator
+# rule replaced, and the second copies of a check: the offset refusal
+# that the homotopy command's offset_matches replaced, the dg refusal
+# that reads validate's checks and the normalisation the parser does.
+# An entry without a dot is matched at any depth, one
 # with a dot as that method.
 MOVED = frozenset(
     node.name for node in ast.parse(MODULE_TOWER_FILE.read_text()).body
@@ -466,7 +481,8 @@ MOVED = frozenset(
         "eval_table_on_elements", "LinearMapObject.validate",
         "LinearMapObject.rho", "LinearMapObject.act",
         "LinearMapObject.psi_of", "simple_tensor", "hom_module",
-        "end_module", "solve_columns"}
+        "end_module", "solve_columns", "OffsetMismatch", "require_dg",
+        "_as_fraction_dict"}
 
 
 def moved_definitions(source: str) -> list[str]:
@@ -730,9 +746,6 @@ UNREACHED = {
         "splits a coefficient by degree for the element-level oracles of "
         "tests/oracles.py; the join signs each monomial by its length",
     "algebra.py: CdgaPresentation.__repr__": "repr, read in test failures",
-    "builders.py: OffsetMismatch.__init__":
-        "refusal of a splitting homotopy that misses delta'; no document "
-        "has one",
     "cli.py: run": "entry point: exits the process",
     "cohomology.py: CochainComplex.class_coordinates":
         "the class table's coordinates, read only where a bracket cocycle "

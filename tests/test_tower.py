@@ -395,7 +395,7 @@ def test_regular_and_coadjoint_actions():
                        {k: fam1.module_tables[k] for k in (2, 3, 4, 5)})
     lm = shipped_setup("adjoint_linear_map")
     fam = kapranov_brackets(lm.connection, max_arity=4)
-    _, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map").lie)
+    _, conn = coadjoint_module(lm, linear_map_data("adjoint_linear_map")["lie"])
     coadjoint = assert_module_matches(fam, conn, 4)
     assert coadjoint.kb_e.basis != fam.kb.basis
 
