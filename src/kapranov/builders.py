@@ -55,13 +55,11 @@ class LiePair:
     j(b) = j0(b) + sum_a s[b][a] x_a with coefficients in A.
     """
 
-    def __init__(self, ambient: LieAlgebraData, sub_indices: list[int],
-                 label: str = ""):
+    def __init__(self, ambient: LieAlgebraData, sub_indices: list[int]):
         self.ambient = ambient
         self.sub_indices = list(sub_indices)
         self.quot_indices = [i for i in range(len(ambient.names))
                              if i not in self.sub_indices]
-        self.label = label
         bad = self.closure_failures()
         if bad:
             raise ValueError("; ".join(bad))
@@ -103,8 +101,7 @@ class LiePair:
         return [self.ambient.names[i] + "~" for i in self.quot_indices]
 
 
-def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
-                   label: str = "") -> Setup:
+def lie_pair_setup(pair: LiePair, splitting: dict | None = None) -> Setup:
     """CE(A), Omega = C(A, B^), delta_j and the canonical connection.
 
     ``splitting`` maps a quotient position to {sub position: coefficient},
@@ -126,8 +123,7 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
             for i, c in pair.bott_action(a_idx, j).items():
                 add_term(diff, (i, j), AlgebraElement.monomial((t,), -c))
     omega = DgModule(algebra, GradedBasis([n + "^" for n in qnames],
-                                          [0] * n_quot), diff,
-                     label=f"Omega({label or pair.label})")
+                                          [0] * n_quot), diff)
     # delta for the vector-space splitting j0
     values: dict[int, ModuleElement] = {}
     for t in range(n_sub):
@@ -140,14 +136,12 @@ def lie_pair_setup(pair: LiePair, splitting: dict | None = None,
                 if coeff:
                     add_term(acc, b, AlgebraElement.monomial((c,), coeff))
         values[t] = ModuleElement(omega, acc)
-    delta = DgDerivation(algebra, omega, values,
-                         label=f"delta({label or pair.label})")
+    delta = DgDerivation(algebra, omega, values)
     if splitting:
         delta = homotopy_offset(
             delta, _splitting_difference(algebra, omega, {}, splitting))
-        delta.label = f"delta_j({label or pair.label})"
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^"))
-    conn = DeltaConnection(delta, bmod, label="canonical")
+    conn = DeltaConnection(delta, bmod)
     return Setup(algebra, omega, delta, bmod, conn, pair=pair,
                  splitting=splitting)
 
@@ -190,8 +184,7 @@ def splitting_homotopy(setup_from: Setup,
 
 def linear_map_setup(lie: LieAlgebraData, e_names: list[str],
                      actions: dict[int, dict[tuple[int, int], Scalar]],
-                     psi: dict[int, dict[int, Scalar]],
-                     label: str = "") -> Setup:
+                     psi: dict[int, dict[int, Scalar]]) -> Setup:
     """A = CE(g), Omega = C(g, E^) with E^ in degree +1, delta = psi^, for
     a linear map psi: E -> g and an action rho of g on E with basis
     ``e_names``: ``actions[a]`` is rho(x_a) as {(i, j): c} with
@@ -213,15 +206,13 @@ def linear_map_setup(lie: LieAlgebraData, e_names: list[str],
         for (j, i), c in rho.items():
             add_term(diff, (i, j), AlgebraElement.monomial((a,), -c))
     omega = DgModule(algebra, GradedBasis([n + "^" for n in e_names],
-                                          [1] * dim), diff,
-                     label=f"Omega({label})")
+                                          [1] * dim), diff)
     values: dict[int, ModuleElement] = {}
     for a in range(lie.dim):
         values[a] = ModuleElement(omega, {
             i: AlgebraElement.scalar(psi.get(i, {}).get(a, 0))
             for i in range(dim)})
-    delta = DgDerivation(algebra, omega, values,
-                         label=f"psi^({label})")
+    delta = DgDerivation(algebra, omega, values)
     bmod = dual_module(omega, name_fn=lambda n: n.rstrip("^") + "~")
-    conn = DeltaConnection(delta, bmod, label="trivial")
+    conn = DeltaConnection(delta, bmod)
     return Setup(algebra, omega, delta, bmod, conn)

@@ -27,7 +27,7 @@ from .builders import (LiePair, Setup, lie_pair_setup, linear_map_setup,
 from .connections import (DeltaConnection, atiyah_cocycle,
                           connection_difference_element, flat_connection_exists)
 from .derivations import (DerivationMorphism, DgDerivation, find_homotopy,
-                          homotopy_offset, validate_dg_derivation)
+                          validate_dg_derivation)
 from .graded import GradedBasis, exact
 from .kapranov import (CheckFailure, bracket_nonskew_witness,
                        check_leibniz_infinity, check_linfty_morphism,
@@ -52,28 +52,31 @@ def parse_rational(s) -> Scalar:
         raise DocumentError(f"bad rational {s!r}: {e}") from None
 
 
-def parse_monomial(s: str, n_generators: int) -> tuple[int, tuple[int, ...]]:
+def parse_monomial(s: str, n_generators: int,
+                   where: str) -> tuple[int, tuple[int, ...]]:
     """Sign and increasing form of a dot-joined word of generator indices.
 
     The generators are odd, so "1.0" is -1 times the monomial (0, 1); a
-    repeated generator makes the word zero, returned with sign 0.
+    repeated generator makes the word zero, returned with sign 0.  The
+    error names ``where``.
     """
     word = []
     for part in s.split(".") if s else ():
         g = int(part)
         if not 0 <= g < n_generators:
             raise DocumentError(
-                f"monomial {s!r} names generator {g}, but the algebra has "
-                f"{n_generators} generators")
+                f"at {where}: monomial {s!r} names generator {g}, but the "
+                f"algebra has {n_generators} generators")
         word.append(g)
     return canonical_monomial(word)
 
 
-def parse_algebra_element(d: dict, n_generators: int) -> AlgebraElement:
+def parse_algebra_element(d: dict, n_generators: int,
+                          where: str) -> AlgebraElement:
     out = AlgebraElement()
     for word, c in d.items():
         c = parse_rational(c)
-        sign, mon = parse_monomial(word, n_generators)
+        sign, mon = parse_monomial(word, n_generators, f"{where}/{word}")
         if sign:
             out = out + AlgebraElement.monomial(mon, sign * c)
     return out
@@ -84,11 +87,10 @@ def parse_module_element(module: DgModule, d: dict,
     n = module.algebra.n_generators
     return ModuleElement(module, {
         parse_index(i, module.rank, f"{where}/{i}", "module basis index"):
-        parse_algebra_element(a, n) for i, a in d.items()})
+        parse_algebra_element(a, n, f"{where}/{i}") for i, a in d.items()})
 
 
-def of_degree(v: ModuleElement, want: int, where: str,
-              what: str) -> ModuleElement:
+def of_degree(v, want: int, where: str, what: str):
     """``v``, which must be zero or homogeneous of degree ``want``; the
     error names ``where``."""
     try:
@@ -148,7 +150,8 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
                                     f"{where}/{i}/{jk}", "basis index")
             v = v + ModuleElement(base.tensor, {
                 tensor_index(base.tensor, j, k):
-                    parse_algebra_element(elem, bmod.algebra.n_generators)})
+                    parse_algebra_element(elem, bmod.algebra.n_generators,
+                                          f"{where}/{i}/{jk}")})
         at = f"{where}/{i}"
         i = parse_index(i, bmod.rank, at, "module basis index")
         values[i] = of_degree(v, bmod.basis.degrees[i], at,
@@ -156,7 +159,7 @@ def parse_connection_values(delta: DgDerivation, bmod: DgModule,
     return DeltaConnection(delta, bmod, values, tensor=base.tensor)
 
 
-def parse_linear_map(d: dict, label: str) -> dict:
+def parse_linear_map(d: dict) -> dict:
     """The ``linear_map_object`` of a document, as the keyword arguments
     of :func:`linear_map_setup`."""
     lie = parse_lie(d["lie"], "linear_map_object/lie")
@@ -173,8 +176,7 @@ def parse_linear_map(d: dict, label: str) -> dict:
            {parse_index(a, n, f"{at}/{i}/{a}", "Lie basis index"):
             parse_rational(c) for a, c in row.items()}
            for i, row in d["psi"].items()}
-    return dict(lie=lie, e_names=d["module_basis"], actions=actions, psi=psi,
-                label=label)
+    return dict(lie=lie, e_names=d["module_basis"], actions=actions, psi=psi)
 
 
 class Instance:
@@ -194,43 +196,44 @@ class Instance:
             sub = [parse_index(a, self.lie.dim, f"lie_pair/subalgebra/{t}",
                                "basis index")
                    for t, a in enumerate(d["subalgebra"])]
-            pair = LiePair(self.lie, sub, label=self.label)
+            pair = LiePair(self.lie, sub)
             self.setup = lie_pair_setup(
                 pair, parse_splitting(d.get("splitting"), pair,
-                                      "lie_pair/splitting"),
-                label=self.label)
+                                      "lie_pair/splitting"))
             if "second_splitting" in d:
                 self.second_setup = lie_pair_setup(
                     pair, parse_splitting(d["second_splitting"], pair,
-                                          "lie_pair/second_splitting"),
-                    label=self.label + "'")
+                                          "lie_pair/second_splitting"))
             if "second_connection" in d:
                 self.second_connection = parse_connection_values(
                     self.setup.delta, self.setup.bmod, d["second_connection"],
                     "lie_pair/second_connection")
         elif "linear_map_object" in doc:
             self.kind = "linear_map_object"
-            data = parse_linear_map(doc["linear_map_object"], self.label)
+            data = parse_linear_map(doc["linear_map_object"])
             self.lie = data["lie"]
             self.setup = linear_map_setup(**data)
         else:
             self.kind = "raw"
             d = doc["raw"]
             n_gens = len(d["generators"])
-            diff = {parse_index(i, n_gens, f"raw/differential/{i}",
-                                "generator index"):
-                    parse_algebra_element(a, n_gens)
-                    for i, a in d.get("differential", {}).items()}
+            diff = {}
+            for i, a in d.get("differential", {}).items():
+                at = f"raw/differential/{i}"
+                g = parse_index(i, n_gens, at, "generator index")
+                diff[g] = of_degree(parse_algebra_element(a, n_gens, at), 2,
+                                    at, f"d({d['generators'][g]})")
             algebra = CdgaPresentation(d["generators"], diff)
             om = d["omega"]
             n_om = len(om["basis"])
             om_diff = {parse_index_pair(k, (n_om, n_om),
                                         f"raw/omega/differential/{k}",
                                         "basis index"):
-                       parse_algebra_element(a, n_gens)
+                       parse_algebra_element(
+                           a, n_gens, f"raw/omega/differential/{k}")
                        for k, a in om.get("differential", {}).items()}
             omega = DgModule(algebra, GradedBasis(om["basis"], om["degrees"]),
-                             om_diff, label="Omega")
+                             om_diff)
             values = {}
             for i, v in d.get("delta", {}).items():
                 at = f"raw/delta/{i}"
@@ -545,15 +548,15 @@ def cmd_homotopy(inst: Instance, args) -> dict:
     require_defined(inst)
     s0, s1 = inst.setup, inst.second_setup
     h = splitting_homotopy(s0, s1)
+    mor, conn_prime = homotopy_iso(s0.connection, h, DeltaConnection(h, s0.bmod),
+                                   max_arity=4)
     checks = [named_check(
-        "offset_matches", [] if homotopy_offset(s0.delta, h) == s1.delta
+        "offset_matches", [] if conn_prime.delta == s1.delta
         else ["computed homotopy does not carry delta to delta'"])]
     found = find_homotopy(s0.delta, s1.delta)
     checks.append(named_check(
         "homotopy_search",
         [] if found is not None else ["find_homotopy returned nothing"]))
-    mor, conn_prime = homotopy_iso(s0.connection, h, DeltaConnection(h, s0.bmod),
-                                   max_arity=4)
     checks.append(named_check(
         "g2_vanishes", [] if 2 not in mor.nonzero_arities()
         else ["g_2 is nonzero"]))

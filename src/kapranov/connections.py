@@ -37,10 +37,9 @@ class DeltaConnection:
 
     def __init__(self, delta: DgDerivation, module: DgModule,
                  values: dict[int, ModuleElement] | None = None,
-                 label: str = "", tensor: DgModule | None = None):
+                 tensor: DgModule | None = None):
         self.delta = delta
         self.module = module
-        self.label = label
         self.tensor = (tensor if tensor is not None
                        else tensor_module(delta.target, module))
         self.values: dict[int, ModuleElement] = {}
@@ -77,9 +76,6 @@ class DeltaConnection:
         keys = set(self.values) | set(other.values)
         return all(self.values.get(i, self.tensor.zero())
                    == other.values.get(i, self.tensor.zero()) for i in keys)
-
-    def __repr__(self) -> str:
-        return f"DeltaConnection({self.label or 'nabla'})"
 
 
 def operator_to_om_hom_element(om_hom: DgModule,
@@ -139,7 +135,7 @@ class AtiyahCocycle:
     @functools.cached_property
     def om_end(self) -> DgModule:
         end = tensor_module(dual_module(self.module), self.module)
-        return tensor_module(self.connection.delta.target, end, label="Omega(x)End")
+        return tensor_module(self.connection.delta.target, end)
 
     @functools.cached_property
     def element(self) -> ModuleElement:

@@ -41,12 +41,11 @@ class DgDerivation:
     degree = 0
 
     def __init__(self, algebra: CdgaPresentation, target: DgModule,
-                 values: dict[int, ModuleElement], label: str = ""):
+                 values: dict[int, ModuleElement]):
         if target.algebra != algebra:
             raise ValueError("derivation target must be a module over the same algebra")
         self.algebra = algebra
         self.target = target
-        self.label = label
         self.values: dict[int, ModuleElement] = {}
         for i, v in values.items():
             if not (0 <= i < algebra.n_generators):
@@ -78,9 +77,6 @@ class DgDerivation:
         zero = self.target.zero()
         return all(self.values.get(i, zero) == other.values.get(i, zero)
                    for i in keys)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.label or 'delta'})"
 
 
 def validate_dg_derivation(delta: DgDerivation) -> list[str]:
@@ -116,8 +112,7 @@ def homotopy_offset(delta: DgDerivation, h: DerivationHomotopy) -> DgDerivation:
              + h(alg.diff.get(i, AlgebraElement())))
         if not v.is_zero():
             values[i] = v
-    return DgDerivation(alg, delta.target, values,
-                        label=f"{delta.label}+[d,{h.label or 'h'}]")
+    return DgDerivation(alg, delta.target, values)
 
 
 def find_homotopy(delta: DgDerivation,
@@ -209,10 +204,9 @@ def kaehler_differentials(algebra: CdgaPresentation) -> tuple[DgModule, DgDeriva
         for (mon, j), c in out.items():
             diff.setdefault((i, j), {})[mon] = c
     omega1 = DgModule(algebra, basis, {
-        k: AlgebraElement._trusted(terms) for k, terms in diff.items()},
-        label="Omega^1")
+        k: AlgebraElement._trusted(terms) for k, terms in diff.items()})
     ddr_values = {i: ModuleElement.basis_vector(omega1, i) for i in range(n)}
-    universal = DgDerivation(algebra, omega1, ddr_values, label="d_dR")
+    universal = DgDerivation(algebra, omega1, ddr_values)
     return omega1, universal
 
 

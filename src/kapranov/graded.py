@@ -155,7 +155,6 @@ class GradedBasis:
             raise ValueError("basis names must be distinct")
         self.names = tuple(names)
         self.degrees = tuple(int(d) for d in degrees)
-        self.index = {name: i for i, name in enumerate(self.names)}
 
     def __len__(self) -> int:
         return len(self.names)

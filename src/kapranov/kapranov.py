@@ -94,7 +94,7 @@ def _tower_step(prev: dict[tuple, ModuleElement], degree: int,
         [b_mod.basis.degrees] + [c.module.basis.degrees for c in slot_conns],
         [_Insertion(prev, gammas[id(c)], t + 2, 2, (*range(2, t + 2), 1),
                     degree, c.delta.degree) for t, c in enumerate(slot_conns)],
-        partitions, outer.module, {})
+        partitions, outer.module)
     lifted = [-b if (d + outer.delta.degree) * degree % 2 else b for b, d in
               zip(map(lift, basis) if lift else basis, b_mod.basis.degrees)]
     first = _contraction_table(lifted, {x: outer(v) for x, v in prev.items()})
@@ -448,15 +448,14 @@ class _Partition:
 def _entries(cache: dict, table: dict, parities: list, slots) -> list:
     """The entries of ``table`` as (key, parity bits of the key, value
     coefficients), key[t] having the parities ``parities[slots[t]]``.
-    Built once per check call and kept in ``cache`` together with
-    ``table``, so that its id is not reused meanwhile."""
+    Built once per join and kept in ``cache`` under id(table)."""
     found = cache.get(id(table))
     if found is None:
         slot_parities = [parities[t] for t in slots]
-        found = cache[id(table)] = (table, [
+        found = cache[id(table)] = [
             (key, _parity_bits(key, slot_parities), val.coeffs)
-            for key, val in table.items()])
-    return found[1]
+            for key, val in table.items()]
+    return found
 
 
 def _flat_values(cache: dict, table: dict) -> dict:
@@ -464,11 +463,11 @@ def _flat_values(cache: dict, table: dict) -> dict:
     (output index, monomial, coefficient).  Cached as in :func:`_entries`."""
     found = cache.get((id(table), "flat"))
     if found is None:
-        found = cache[(id(table), "flat")] = (table, {
+        found = cache[(id(table), "flat")] = {
             key: tuple((i, mon, c) for i, a in val.coeffs.items()
                        for mon, c in a.terms.items())
-            for key, val in table.items()})
-    return found[1]
+            for key, val in table.items()}
+    return found
 
 
 def _entries_by_slot(cache: dict, table: dict, s: int, parities: list,
@@ -479,27 +478,26 @@ def _entries_by_slot(cache: dict, table: dict, s: int, parities: list,
     found = cache.get((id(table), s))
     if found is None:
         slot_parities = [parities[t] for t in slots]
-        found = cache[(id(table), s)] = (table, {})
+        found = cache[(id(table), s)] = {}
         for key, flat in _flat_values(cache, table).items():
-            found[1].setdefault(key[s], []).append(
+            found.setdefault(key[s], []).append(
                 (key, _parity_bits(key[:s], slot_parities), flat))
-    return found[1]
+    return found
 
 
 def _module_residuals(degrees: list, insertions, partitions,
-                      out_module: DgModule, cache: dict) -> dict:
+                      out_module: DgModule) -> dict:
     """sum(insertions) - sum(partitions) on every n-tuple of basis indices
     that some term reaches, slot t of n = len(degrees) having the basis
     degrees ``degrees[t]``, as tuple -> {(output index, monomial):
     coefficient}; coefficients may cancel to zero.  Every map is
     A-multilinear or the differential, and a k-basis table is a module
     table over the ground field (:attr:`KBasis.ground`), so this one join
-    serves both, and it is the package's only evaluator of a table;
-    ``cache`` keeps between calls the tables' entries, under id(table),
-    (id(table), "flat") and (id(table), slot) by :func:`_entries`,
-    :func:`_flat_values` and :func:`_entries_by_slot`, and under "merges"
-    the wedges of monomial pairs, as a check meets few distinct pairs many
-    times (258 pairs and 1.29 M wedges on sl5 over its Borel to weight 6).
+    serves both, and it is the package's only evaluator of a table.
+    For the length of the call it keeps the views of each table that
+    :func:`_entries`, :func:`_flat_values` and :func:`_entries_by_slot`
+    build, and the wedges of monomial pairs, as a join meets few distinct
+    pairs many times.
 
     The join is driven by the table entries.  An insertion term runs over
     the entries of its inner map and, for each index m of an inner value
@@ -519,7 +517,8 @@ def _module_residuals(degrees: list, insertions, partitions,
     parities = [[d % 2 for d in degs] for degs in degrees]
     value_degrees = out_module.basis.degrees
     acc: dict[tuple, dict] = {}
-    merges = cache.setdefault("merges", {})  # a -> b -> _merge_monomials(a, b)
+    cache: dict = {}  # the tables' views, under their ids; all live this long
+    merges: dict = {}  # a -> b -> _merge_monomials(a, b)
 
     def wedge(a, b):
         with_a = merges.get(a) or merges.setdefault(a, {})
@@ -628,7 +627,6 @@ def _check_identities(n_max: int, weight, degrees, out_module: DgModule,
     order.
     """
     report = {"passed": True, "weights": []}
-    cache: dict = {}
     for n in range(1, n_max + 1):
         n_terms, insertions, partitions = weight(n)
         entry = {"n": n, "terms": n_terms,
@@ -637,7 +635,7 @@ def _check_identities(n_max: int, weight, degrees, out_module: DgModule,
         if not n_terms:
             continue
         acc = _module_residuals(degrees(n), insertions, partitions,
-                                out_module, cache)
+                                out_module)
         failing = sorted(x for x, row in acc.items() if any(row.values()))
         if failing:
             report["passed"] = False
@@ -896,7 +894,6 @@ def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
     f, g = inner.module_tables, outer.module_tables
     degrees = inner.source.module.basis.degrees
     tables: dict[int, dict[tuple, ModuleElement]] = {}
-    cache: dict = {}
     for n in range(1, max_arity + 1):
         partitions = [
             _Partition(g[q], [f[len(b)] for b in blocks], blocks, 0)
@@ -905,7 +902,7 @@ def compose_morphism_families(outer: MorphismFamily, inner: MorphismFamily,
             if all(f.get(len(b)) for b in blocks)]
         tables[n] = _module_table(
             _module_residuals([degrees] * n, [], partitions,
-                              outer.source.module, cache),
+                              outer.source.module),
             outer.target.module, -1)
     return MorphismFamily(inner.source, outer.target, module_tables=tables)
 
@@ -950,7 +947,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
     nabla' = nabla + [d, hat] (a connection for delta' = delta + [d, h]),
     checks R_2 is unchanged, then fills
 
-      g_1 = id,  g_2 = 0,
+      g_1 = id,  g_2 = [nabla'_{b_0}, id] = 0 (computed by the step),
       g_{k+1}(b_0, x_1, ..., x_k) = [nabla'_{b_0}, g_k](x_1, ..., x_k)
         - sum_{p=2..k} sum_{partitions I} eps(I) S_p(b_0, g(x_{I_1}), ..., g(x_{I_p})),
 
@@ -970,7 +967,7 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
                      + apply_module_differential(hat.tensor, hat(e))
                      + hat(module.diff_of_basis(i)))
     conn_prime = DeltaConnection(homotopy_offset(conn.delta, h), module,
-                                 values, label="nabla'")
+                                 values)
     target_fam = kapranov_brackets(conn, max_arity)
     source_fam = kapranov_brackets(conn_prime, max_arity)
     if source_fam.module_tables.get(2, {}) != target_fam.module_tables.get(2, {}):
@@ -978,13 +975,11 @@ def homotopy_iso(conn: DeltaConnection, h: DerivationHomotopy,
 
     tables: dict[int, dict[tuple, ModuleElement]] = {
         1: {(i,): ModuleElement.basis_vector(module, i)
-            for i in range(module.rank)},
-        2: {},
-    }
+            for i in range(module.rank)}}
     s_tables = {p: _tower_step(rp, 1, module, [hat] * p, hat)
                 for p, rp in target_fam.module_tables.items()
                 if rp and p < max_arity}
-    for k in range(2, max_arity):
+    for k in range(1, max_arity):
         tables[k + 1] = _tower_step(
             tables[k], 0, module, [conn_prime] * k, conn_prime,
             partitions=[_Partition(sp, [tables[1]] + [tables[len(b)] for b in blocks],
@@ -1031,7 +1026,7 @@ class CohomologyBracket:
         tables = [{(p,): v for p, v in enumerate(vs)} for vs in (xs, ys)]
         term = _Partition(self.fam.module_tables.get(2, {}), tables,
                           ((1,), (2,)), 1)
-        acc = _module_residuals(degrees, [], [term], module, {})
+        acc = _module_residuals(degrees, [], [term], module)
         return _module_table(acc, module, -1)
 
     def is_skew(self) -> bool:

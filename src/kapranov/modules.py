@@ -150,11 +150,9 @@ class DgModule:
     """
 
     def __init__(self, algebra: CdgaPresentation, basis: GradedBasis,
-                 diff_matrix: dict[tuple[int, int], AlgebraElement] | None = None,
-                 label: str = ""):
+                 diff_matrix: dict[tuple[int, int], AlgebraElement] | None = None):
         self.algebra = algebra
         self.basis = basis
-        self.label = label
         self.diff_matrix: dict[tuple[int, int], AlgebraElement] = {}
         self.diff_rows: dict[int, dict[int, AlgebraElement]] = {}
         for (i, j), a in (diff_matrix or {}).items():
@@ -212,7 +210,7 @@ class DgModule:
                 and self.diff_matrix == other.diff_matrix)
 
     def __repr__(self) -> str:
-        return f"DgModule({self.label or list(self.basis.names)})"
+        return f"DgModule({list(self.basis.names)})"
 
 
 class KBasis:
@@ -376,13 +374,12 @@ def dual_module(module: DgModule, name_fn=None) -> DgModule:
         sign = -1 if (p * (1 + q)) % 2 == 0 else 1
         # sign above is -(-1)^{p(1+q)}
         diff[(i, j)] = a.scale(sign)
-    dual = DgModule(module.algebra, basis, diff,
-                    label=f"{module.label}*" if module.label else "")
+    dual = DgModule(module.algebra, basis, diff)
     dual.dual_of = module
     return dual
 
 
-def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
+def tensor_module(m: DgModule, n: DgModule) -> DgModule:
     """Tensor product over the algebra, with the graded Leibniz differential."""
     if m.algebra != n.algebra:
         raise ValueError("tensor factors must share the algebra")
@@ -405,7 +402,7 @@ def tensor_module(m: DgModule, n: DgModule, label: str = "") -> DgModule:
                         mon: c if len(mon) % 2 else -c
                         for mon, c in b.terms.items()})
                 add_term(diff, (i * rn + j, i * rn + l), b)
-    t = DgModule(m.algebra, basis, diff, label=label or f"{m.label}(x){n.label}")
+    t = DgModule(m.algebra, basis, diff)
     t.tensor_factors = (m, n)
     return t
 

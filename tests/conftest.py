@@ -38,8 +38,7 @@ def linear_map_data(name: str) -> dict:
     """The linear-map object of the document :func:`shipped_document`
     gives, as ``cli.Instance`` parses it: the keyword arguments of
     ``builders.linear_map_setup``."""
-    doc = shipped_document(name)
-    return parse_linear_map(doc["linear_map_object"], doc["label"])
+    return parse_linear_map(shipped_document(name)["linear_map_object"])
 
 
 def shipped_setup(name: str, splitting: dict | None = None):

@@ -194,8 +194,8 @@ def coadjoint_module(setup, lie) -> tuple[DgModule, DeltaConnection]:
                 add_term(diff, (k, j), AlgebraElement.monomial((a,), -c))
     module = DgModule(setup.algebra,
                       GradedBasis([n_ + "*" for n_ in lie.names],
-                                  [0] * n), diff, label="coadjoint")
-    conn = DeltaConnection(setup.delta, module, label="trivial")
+                                  [0] * n), diff)
+    conn = DeltaConnection(setup.delta, module)
     return module, conn
 
 

@@ -207,6 +207,6 @@ class TestMonomialKeysAreCanonical:
         from kapranov.cli import parse_monomial
         for word in ((), (0,), (1, 0), (2, 0, 1), (0, 2, 0), (2, 1, 0)):
             text = ".".join(str(g) for g in word)
-            assert parse_monomial(text, 3) == canonical_monomial(word)
+            assert parse_monomial(text, 3, "word") == canonical_monomial(word)
         assert canonical_monomial((2, 1, 0)) == (-1, (0, 1, 2))
         assert canonical_monomial((0, 2, 0)) == (0, ())

@@ -48,7 +48,7 @@ def conn1(setup):
     v = simple_tensor(setup.connection.tensor,
                       ModuleElement.basis_vector(setup.delta.target, 0),
                       ModuleElement.basis_vector(setup.bmod, 0))
-    return DeltaConnection(setup.delta, setup.bmod, {0: v}, label="nabla1")
+    return DeltaConnection(setup.delta, setup.bmod, {0: v})
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ class TestBracketTower:
                     direct = bracket_on_elements(fam, 3, args)
                     via_table = fam.kb.to_module_element(eval_multilinear(
                         fam.brackets[3], [fam.kb.to_kvec(x) for x in args]))
-                    assert direct == via_table, (fam.module.label, idx,
+                    assert direct == via_table, (fam.module, idx,
                                                  slot, mon)
 
     def test_carrier_must_be_the_dual(self, setup):

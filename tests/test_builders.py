@@ -186,7 +186,8 @@ class TestClassicalAtiyahFormula:
                                     setup.bmod,
                                     {m: AlgebraElement.monomial((a,), -c * r)})
                     got = fam.module_tables[2].get((p, q), setup.bmod.zero())
-                    assert got == want, (setup.pair.label, p, q)
+                    assert got == want, (pair.ambient.names, setup.splitting,
+                                         p, q)
 
 
 class TestLinearMapObjects:

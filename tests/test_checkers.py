@@ -629,7 +629,7 @@ def test_partition_rows_equal_signed_evaluations_on_elements(data):
         outer = draw_homogeneous_table(data.draw, module, len(blocks), degree)
         term = _Partition(outer, tables, blocks, degree)
         rows = _module_residuals([module.basis.degrees] * n, [], [term],
-                                 module, {})
+                                 module)
         got = {x: {k: c for k, c in row.items() if c}
                for x, row in rows.items()}
         assert {x: row for x, row in got.items() if row} \
@@ -682,7 +682,7 @@ def test_insertion_rows_equal_signed_evaluations_on_elements(data):
         inner = draw_homogeneous_table(data.draw, module, j, inner_degree)
         term = _Insertion(outer, inner, k, j, sigma, degree, inner_degree)
         rows = _module_residuals([module.basis.degrees] * n, [term], [],
-                                 module, {})
+                                 module)
         got = {x: {key: c for key, c in row.items() if c}
                for x, row in rows.items()}
         assert {x: row for x, row in got.items() if row} \

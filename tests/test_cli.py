@@ -351,8 +351,18 @@ class TestInputBounds:
         (["raw", "connection", "0", "1,1"], {"0": "4"},
          "at raw/connection/0: module element is not homogeneous: "
          "[(1)]*u(x)u* + [(2)*y]*u(x)v* + [(4)*x]*v(x)v*"),
+        (["raw", "differential", "1"], {"0.1": "-1", "1": "1"},
+         "at raw/differential/1: element is not homogeneous: "
+         "1*g[1] + -1*g[0, 1]"),
+        (["raw", "differential", "1"], {"0": "1"},
+         "at raw/differential/1: d(y) must have degree 2"),
+        (["raw", "omega", "differential", "0,0"], {"5": "1"},
+         "at raw/omega/differential/0,0/5: monomial '5' names generator 5, "
+         "but the algebra has 2 generators"),
     ], ids=["delta_degree", "delta_inhomogeneous", "delta_index",
-            "connection_degree", "connection_inhomogeneous"])
+            "connection_degree", "connection_inhomogeneous",
+            "differential_inhomogeneous", "differential_degree",
+            "monomial_generator"])
     def test_a_value_the_parser_refuses_names_its_path(self, capsys, tmp_path,
                                                        keys, value, error):
         doc = json.loads((FIXTURES / "graded_toy.json").read_text())
@@ -884,11 +894,14 @@ class TestBuildTimeCheckFailures:
     def test_r2_changed_under_the_homotopy_exits_1(self, capsys, monkeypatch):
         from kapranov import kapranov
         real = kapranov.kapranov_brackets
+        towers = []
 
         def corrupted(conn, *args, **kwargs):
-            # scale one R_2 entry of the tower of nabla' = nabla + [d, hat]
+            # scale one R_2 entry of the tower of nabla' = nabla + [d, hat],
+            # the second tower homotopy_iso builds
             fam = real(conn, *args, **kwargs)
-            if conn.label == "nabla'":
+            towers.append(fam)
+            if len(towers) == 2:
                 table = fam.module_tables[2]
                 key = next(iter(table))
                 table[key] = table[key].scale(2)

@@ -32,7 +32,7 @@ def borel_alg(borel):
 def omega(borel_alg):
     basis = GradedBasis(["fb*"], [0])
     return DgModule(borel_alg, basis,
-                    {(0, 0): AlgebraElement.monomial((0,), 2)}, label="Omega")
+                    {(0, 0): AlgebraElement.monomial((0,), 2)})
 
 
 @pytest.fixture
@@ -44,13 +44,12 @@ def bmod(omega):
 @pytest.fixture
 def delta_j(borel_alg, omega):
     return DgDerivation(borel_alg, omega,
-                        {0: ModuleElement(omega, {0: AlgebraElement.monomial((1,), -1)})},
-                        label="delta_j")
+                        {0: ModuleElement(omega, {0: AlgebraElement.monomial((1,), -1)})})
 
 
 @pytest.fixture
 def nabla0(delta_j, bmod):
-    return DeltaConnection(delta_j, bmod, label="nabla0")
+    return DeltaConnection(delta_j, bmod)
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ def nabla1(delta_j, bmod):
     conn = DeltaConnection(delta_j, bmod)
     v = simple_tensor(conn.tensor, ModuleElement.basis_vector(delta_j.target, 0),
                       ModuleElement.basis_vector(bmod, 0))
-    return DeltaConnection(delta_j, bmod, {0: v}, label="nabla1")
+    return DeltaConnection(delta_j, bmod, {0: v})
 
 
 class TestConnection:

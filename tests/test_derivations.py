@@ -32,7 +32,7 @@ def omega(borel_alg):
     Bott action, d(fb*) = 2 h^.fb* (h acts by -2 on fb)."""
     basis = GradedBasis(["fb*"], [0])
     return DgModule(borel_alg, basis,
-                    {(0, 0): AlgebraElement.monomial((0,), 2)}, label="Omega")
+                    {(0, 0): AlgebraElement.monomial((0,), 2)})
 
 
 def fbs(omega, a):
@@ -44,8 +44,7 @@ def delta_j(borel_alg, omega):
     """Derivation of the standard splitting j(fb) = f:
     delta(h^) = -e^.fb*, delta(e^) = 0."""
     return DgDerivation(borel_alg, omega,
-                        {0: fbs(omega, AlgebraElement.monomial((1,), -1))},
-                        label="delta_j")
+                        {0: fbs(omega, AlgebraElement.monomial((1,), -1))})
 
 
 @pytest.fixture
@@ -54,8 +53,7 @@ def delta_jp(borel_alg, omega):
     delta(h^) = -e^.fb*, delta(e^) = -4 h^.fb*."""
     return DgDerivation(borel_alg, omega,
                         {0: fbs(omega, AlgebraElement.monomial((1,), -1)),
-                         1: fbs(omega, AlgebraElement.monomial((0,), -4))},
-                        label="delta_j'")
+                         1: fbs(omega, AlgebraElement.monomial((0,), -4))})
 
 
 class TestDerivationBasics:

@@ -752,10 +752,8 @@ UNREACHED = {
         "of two representatives is nonzero; no document of the repository "
         "has one, (sl4, n) of tests/test_lie_pair_reports.py has 140",
     "connections.py: DeltaConnection.__eq__": "equality, used by tests",
-    "connections.py: DeltaConnection.__repr__": "repr, read in test failures",
     "derivations.py: DerivationMorphism.failures": ITEM_7,
     "derivations.py: DerivationMorphism.is_valid": ITEM_7,
-    "derivations.py: DgDerivation.__repr__": "repr, read in test failures",
     "derivations.py: DgDerivation.is_zero": "query, used by tests",
     "graded.py: GradedBasis.__repr__": "repr, read in test failures",
     "graded.py: MultilinearMap.check_degrees":

@@ -134,10 +134,10 @@ def test_the_module_differential_expands_like_products(data):
     assert apply_module_differential(module, v) == want
     d = _Differential(module)
     inserted = _module_residuals(
-        [[0]], [_Insertion(d, {(0,): v}, 1, 1, ())], [], module, {})
+        [[0]], [_Insertion(d, {(0,): v}, 1, 1, ())], [], module)
     assert _module_table(inserted, module).get((0,), module.zero()) == want
     subtracted = _module_residuals(
-        [[0]], [], [_Partition(d, [{(0,): v}], ((1,),))], module, {})
+        [[0]], [], [_Partition(d, [{(0,): v}], ((1,),))], module)
     assert _module_table(subtracted, module, -1).get(
         (0,), module.zero()) == want
     key = data.draw(st.sampled_from(kb.keys), label="key")

@@ -43,7 +43,7 @@ def bott(borel_alg):
     d(fb) = -2 h^.fb  (h acts by -2 on fb)."""
     basis = GradedBasis(["fb"], [0])
     return DgModule(borel_alg, basis,
-                    {(0, 0): AlgebraElement.monomial((0,), -2)}, label="B")
+                    {(0, 0): AlgebraElement.monomial((0,), -2)})
 
 
 @pytest.fixture
@@ -51,7 +51,7 @@ def mixed(borel_alg):
     """Two-generator module with basis degrees (0, 1) and d(u) = v."""
     basis = GradedBasis(["u", "v"], [0, 1])
     return DgModule(borel_alg, basis,
-                    {(0, 1): AlgebraElement.scalar(1)}, label="M")
+                    {(0, 1): AlgebraElement.scalar(1)})
 
 
 @pytest.fixture

@@ -176,7 +176,7 @@ def reference_homotopy_tables(conn, h, hat, max_arity):
              + hat(module.diff_of_basis(i)))
         if not v.is_zero():
             values[i] = v
-    conn_prime = DeltaConnection(dp, module, values, label="nabla'")
+    conn_prime = DeltaConnection(dp, module, values)
     tables = {
         1: {(i,): ModuleElement.basis_vector(module, i)
             for i in range(module.rank)},
@@ -363,6 +363,27 @@ def test_bench_sl2_shifted_brackets_to_arity_6():
     fam = assert_brackets_match(inst.setup.connection, 6)
     assert fam.module_tables[6]
     assert_homotopy_matches(inst, 5)
+
+
+@pytest.mark.parametrize("max_arity", [2, 3, 5])
+def test_homotopy_iso_steps_every_g_after_g_1(monkeypatch, max_arity):
+    # g_2 = [nabla'_{b_0}, id] is computed by the step along nabla', like
+    # every g_{k+1}, and cancels to an empty table
+    from kapranov import kapranov
+    real, steps = kapranov._tower_step, []
+
+    def counted(prev, degree, b_mod, slot_conns, outer, **kwargs):
+        steps.append((degree, outer))
+        return real(prev, degree, b_mod, slot_conns, outer, **kwargs)
+    monkeypatch.setattr(kapranov, "_tower_step", counted)
+    inst = load(ROOT / "instances" / "sl2_borel.json")
+    s0 = inst.setup
+    h = splitting_homotopy(s0, inst.second_setup)
+    mor, conn_prime = homotopy_iso(s0.connection, h,
+                                   DeltaConnection(h, s0.bmod), max_arity)
+    assert sum(outer is conn_prime and degree == 0
+               for degree, outer in steps) == max_arity - 1
+    assert mor.module_tables[2] == {}
 
 
 def test_bench_sl3_brackets_to_arity_3():
